@@ -154,6 +154,7 @@ def _dispatch(args, prob: Problem, out_dir: Path):
             "points": rf.points.tolist(),
             "norms": norms.tolist(),
             "projection_drops": int(rf.drop_flags.sum()),
+            "rank_counts": {str(r): int(c) for r, c in zip(*np.unique(rf.ranks, return_counts=True))},
         }
         return results, bool(np.max(norms) <= tol)
     if cmd == "flow":

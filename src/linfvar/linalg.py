@@ -5,6 +5,8 @@ orthogonal complement of the range of an N x n matrix (equivalently, onto
 the nullspace of its transpose).  ``reduced_nullspace_proj`` restricts that
 projection to the directions that extend continuously into the nullspaces
 of nearby matrices of a field: the numerically "reduced" normal space.
+``reduced_nullspace_batch`` is the batched kernel behind it: many centres,
+each with its own stack of sample matrices, in a few LAPACK calls.
 """
 
 from __future__ import annotations
@@ -13,12 +15,15 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.stats import qmc
 
 __all__ = [
     "ProjectionReport",
+    "ReducedProjections",
+    "ball_sample_count",
     "ball_sample_points",
     "proj_range_complement",
+    "rank_decision",
+    "reduced_nullspace_batch",
     "reduced_nullspace_proj",
 ]
 
@@ -35,17 +40,37 @@ class ProjectionReport:
     basis: np.ndarray        # (N, k) orthonormal columns spanning the projected subspace
 
 
-def _nullspace_basis(A: np.ndarray, tol: float):
-    """Orthonormal basis of N(A^T) = R(A)^perp and the rank decision."""
+@dataclass
+class ReducedProjections:
+    """Reduced normal projections of a batch of M centres."""
+
+    projection: np.ndarray   # (M, N, N)
+    basis: np.ndarray        # (M, N, N): the first reduced_dim[i] columns of basis[i], rest zero
+    rank: np.ndarray         # (M,) rank of each centre matrix
+    reduced_dim: np.ndarray  # (M,) dimension of each reduced normal space
+
+
+def rank_decision(A: np.ndarray, tol: float = DEFAULT_RANK_TOL):
+    """Batched SVD of A (..., N, n): left singular vectors U, ranks and cutoffs.
+
+    The rank counts singular values >= tol * sigma_max; a zero matrix has
+    rank 0.  The columns U[..., rank:] span N(A^T) = R(A)^perp.
+    """
     A = np.asarray(A, dtype=float)
-    N = A.shape[0]
     if not np.isfinite(A).all():
         raise ValueError("matrix has non-finite entries")
     U, s, _ = np.linalg.svd(A)
-    smax = s[0] if s.size else 0.0
+    smax = s[..., 0] if s.shape[-1] else np.zeros(s.shape[:-1])
     cutoff = tol * smax
-    rank = int(np.sum(s >= cutoff)) if smax > 0 else 0
-    return U[:, rank:], rank, cutoff
+    rank = np.where(smax > 0, np.sum(s >= cutoff[..., None], axis=-1), 0)
+    return U, rank, cutoff
+
+
+def _nullspace_basis(A: np.ndarray, tol: float):
+    """Orthonormal basis of N(A^T) = R(A)^perp and the rank decision."""
+    U, rank, cutoff = rank_decision(A, tol)
+    rank = int(rank)
+    return U[:, rank:], rank, float(cutoff)
 
 
 def proj_range_complement(A: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> ProjectionReport:
@@ -59,32 +84,109 @@ def proj_range_complement(A: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> Proje
     return ProjectionReport(projection=projection, rank_used=rank, tolerance_used=cutoff, basis=basis)
 
 
-def ball_sample_points(center: np.ndarray, eps: float, m: int) -> np.ndarray:
-    """Deterministic low-discrepancy points in the closed ball B_eps(center), shape (m, dim)."""
+def ball_sample_count(dim: int, samples: Optional[int] = None) -> int:
+    """Sample count for the reduced projection on a dim-dimensional ball (default 8/16/32)."""
+    m = {1: 8, 2: 16}.get(dim, 32) if samples is None else samples
+    if m < 8:
+        raise ValueError("need at least 8 samples")
+    return m
+
+
+def ball_sample_points(center: np.ndarray, eps, m: int) -> np.ndarray:
+    """Deterministic low-discrepancy points in the closed ball B_eps(center), shape (m, dim).
+
+    A batch of centres (M, dim) with radii ``eps`` (scalar or (M,)) gives
+    (M, m, dim): every ball gets the same offsets, scaled by its own radius.
+    """
     center = np.asarray(center, dtype=float)
-    dim = center.shape[0]
+    centers = np.atleast_2d(center)
+    dim = centers.shape[1]
+    eps = np.broadcast_to(np.asarray(eps, dtype=float), centers.shape[:1])[:, None]
     if dim == 1:
         # stratified symmetric offsets, never exactly the center
         u = (np.arange(m) + 0.5) / m
         offs = eps * (2.0 * u - 1.0)
-        offs[np.abs(offs) < 1e-3 * eps] = 1e-3 * eps
-        return center[None, :] + offs[:, None]
-    sampler = qmc.Halton(d=dim, scramble=False)
-    u = sampler.random(m)
-    radius = eps * u[:, 0] ** (1.0 / dim)
-    if dim == 2:
-        theta = 2.0 * np.pi * u[:, 1]
-        direction = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        offsets = np.where(np.abs(offs) < 1e-3 * eps, 1e-3 * eps, offs)[:, :, None]
     else:
-        # inverse-CDF on the sphere for the polar angle, uniform in azimuth (dim == 3)
-        z = 2.0 * u[:, 1] - 1.0
-        phi = 2.0 * np.pi * u[:, 2] if dim >= 3 else np.zeros(m)
-        r_xy = np.sqrt(np.maximum(1.0 - z ** 2, 0.0))
-        cols = [r_xy * np.cos(phi), r_xy * np.sin(phi), z]
-        direction = np.stack(cols[:dim], axis=1)
-        norm = np.linalg.norm(direction, axis=1, keepdims=True)
-        direction = direction / np.where(norm == 0, 1.0, norm)
-    return center[None, :] + radius[:, None] * direction
+        # imported on first use: scipy.stats dominates the package import time
+        from scipy.stats import qmc
+
+        sampler = qmc.Halton(d=dim, scramble=False)
+        u = sampler.random(m)
+        radius = eps * u[:, 0] ** (1.0 / dim)
+        if dim == 2:
+            theta = 2.0 * np.pi * u[:, 1]
+            direction = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        else:
+            # inverse-CDF on the sphere for the polar angle, uniform in azimuth (dim == 3)
+            z = 2.0 * u[:, 1] - 1.0
+            phi = 2.0 * np.pi * u[:, 2] if dim >= 3 else np.zeros(m)
+            r_xy = np.sqrt(np.maximum(1.0 - z ** 2, 0.0))
+            cols = [r_xy * np.cos(phi), r_xy * np.sin(phi), z]
+            direction = np.stack(cols[:dim], axis=1)
+            norm = np.linalg.norm(direction, axis=1, keepdims=True)
+            direction = direction / np.where(norm == 0, 1.0, norm)
+        offsets = radius[:, :, None] * direction
+    points = centers[:, None, :] + offsets
+    return points if center.ndim == 2 else points[0]
+
+
+def reduced_nullspace_batch(
+    centers: np.ndarray,
+    samples: np.ndarray,
+    valid: np.ndarray,
+    tol_angle,
+    tol: float = DEFAULT_RANK_TOL,
+) -> ReducedProjections:
+    """Reduced nullspace projections of M centre matrices from their sample matrices.
+
+    ``centers`` (M, N, n) holds the field at the centres and ``samples``
+    (M, m, N, n) the field at m sample points per centre, of which ``valid``
+    (M, m) marks the ones to use.  For every rank-deficient centre the
+    nullspace projectors of its valid samples are averaged, the average is
+    restricted to the centre's nullspace, and the eigenvectors with
+    eigenvalue >= 1 - tol_angle (scalar or one value per centre) span the
+    reduced space.  Full-rank centres get the zero projection and need no
+    valid sample.  See :func:`reduced_nullspace_proj` for the approximation.
+    """
+    centers = np.asarray(centers, dtype=float)
+    M, N = centers.shape[:2]
+    tol_angle = np.broadcast_to(np.asarray(tol_angle, dtype=float), (M,))
+    U, rank, _ = rank_decision(centers, tol)
+    null_dim = N - rank
+    basis = np.zeros((M, N, N))
+    reduced_dim = np.zeros(M, dtype=int)
+    need = np.flatnonzero(null_dim > 0)
+    if need.size:
+        used = np.asarray(valid, dtype=bool)[need]
+        empty = ~used.any(axis=1)
+        if empty.any():
+            raise ValueError(f"no valid sample points for centre {need[np.argmax(empty)]}")
+        ys = np.asarray(samples, dtype=float)[need]
+        bad = used & ~np.isfinite(ys).all(axis=(2, 3))
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise ValueError(f"field has non-finite entries at sample {j} of centre {need[i]}")
+        Uy, rank_y, _ = rank_decision(np.where(used[..., None, None], ys, 0.0), tol)
+        By = Uy * (np.arange(N) >= rank_y[..., None])[..., None, :]  # nullspace columns only
+        proj_y = By @ np.swapaxes(By, -1, -2)
+        mean = (proj_y * used[..., None, None]).sum(axis=1) / used.sum(axis=1)[:, None, None]
+        for k in np.unique(null_dim[need]):
+            in_k = null_dim[need] == k
+            grp = need[in_k]
+            B = U[grp][:, :, N - k:]
+            mean_q = np.swapaxes(B, 1, 2) @ mean[in_k] @ B
+            mean_q = 0.5 * (mean_q + np.swapaxes(mean_q, 1, 2))
+            evals, evecs = np.linalg.eigh(mean_q)
+            # eigenvalues ascend, so the kept eigenvectors are the last `kept` columns
+            kept = np.sum(evals >= 1.0 - tol_angle[grp][:, None], axis=1)
+            for r in np.unique(kept[kept > 0]):
+                sub = kept == r
+                W, _ = np.linalg.qr(B[sub] @ evecs[sub][:, :, k - r:])
+                basis[grp[sub], :, :r] = W
+            reduced_dim[grp] = kept
+    projection = basis @ np.swapaxes(basis, 1, 2)
+    return ReducedProjections(projection, basis, rank, reduced_dim)
 
 
 def reduced_nullspace_proj(
@@ -112,6 +214,9 @@ def reduced_nullspace_proj(
     a larger ``tol_angle`` when probing coarse neighbourhoods of smoothly
     varying fields.  No finite sampling can certify C^1 extendability at a
     genuine rank discontinuity.
+
+    This is the single-centre form of :func:`reduced_nullspace_batch`; the
+    field ``V`` is a single-point callable, evaluated once per sample.
     """
     x = np.asarray(x, dtype=float)
     if tol_angle is None:
@@ -119,34 +224,21 @@ def reduced_nullspace_proj(
     A = np.asarray(V(x), dtype=float)
     basis, rank, cutoff = _nullspace_basis(A, tol)
     N = A.shape[0]
-    k = basis.shape[1]
-    if k == 0:
+    if basis.shape[1] == 0:
         return ProjectionReport(np.zeros((N, N)), rank, cutoff, basis)
     if sample_points is None:
-        m = samples
-        if m is None:
-            m = {1: 8, 2: 16}.get(x.shape[0], 32)
-        if m < 8:
-            raise ValueError("need at least 8 samples")
-        sample_points = ball_sample_points(x, eps, m)
+        sample_points = ball_sample_points(x, eps, ball_sample_count(x.shape[0], samples))
     else:
         sample_points = np.atleast_2d(np.asarray(sample_points, dtype=float))
         if sample_points.shape[0] == 0:
             raise ValueError("no sample points supplied")
-    mean_q = np.zeros((k, k))
+    values = []
     for y in sample_points:
         Ay = np.asarray(V(y), dtype=float)
         if not np.isfinite(Ay).all():
             raise ValueError(f"field has non-finite entries at sample point {y}")
-        by, _, _ = _nullspace_basis(Ay, tol)
-        proj_y = by @ by.T
-        mean_q += basis.T @ proj_y @ basis
-    mean_q /= len(sample_points)
-    mean_q = 0.5 * (mean_q + mean_q.T)
-    evals, evecs = np.linalg.eigh(mean_q)
-    keep = evals >= 1.0 - tol_angle
-    W = basis @ evecs[:, keep]
-    if W.shape[1]:
-        W, _ = np.linalg.qr(W)
-    projection = W @ W.T
-    return ProjectionReport(projection=projection, rank_used=rank, tolerance_used=cutoff, basis=W)
+        values.append(Ay)
+    red = reduced_nullspace_batch(A[None], np.stack(values)[None],
+                                  np.ones((1, len(values)), dtype=bool), tol_angle, tol)
+    W = red.basis[0, :, :red.reduced_dim[0]]
+    return ProjectionReport(projection=red.projection[0], rank_used=rank, tolerance_used=cutoff, basis=W)

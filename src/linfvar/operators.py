@@ -31,6 +31,7 @@ from . import linalg
 from .problem import (
     GridMap,
     Hamiltonian,
+    Jet2,
     PerturbedMap,
     Subdomain,
     axis_derivative,
@@ -91,29 +92,6 @@ def _composite_gradient_from_jets(H: Hamiltonian, jet) -> np.ndarray:
     return np.asarray(g, dtype=float)
 
 
-def _hp_field_sampler(u, H: Hamiltonian):
-    def sample(y):
-        jet = map_jet(u, np.asarray(y, dtype=float), order=1)
-        return hamiltonian_jet(H, jet.x, jet.value, jet.gradient).P_grad
-    return sample
-
-
-def _divergence_closed_form(u, H: Hamiltonian, x: np.ndarray, h_div: float) -> np.ndarray:
-    """(Div F)_a = sum_i d_i F_{ai} for F(y) = H_P(y, u(y), Du(y)), central differences."""
-    n = x.shape[0]
-    offsets = np.zeros((n, 2 * n))
-    for i in range(n):
-        offsets[i, 2 * i] = h_div
-        offsets[i, 2 * i + 1] = -h_div
-    pts = x[:, None] + offsets
-    jets = map_jet(u, pts, order=1)
-    hp = hamiltonian_jet(H, jets.x, jets.value, jets.gradient).P_grad  # (N, n, 2n)
-    div = np.zeros(hp.shape[0])
-    for i in range(n):
-        div += (hp[:, i, 2 * i] - hp[:, i, 2 * i + 1]) / (2.0 * h_div)
-    return div
-
-
 def _grid_hp_field(u: GridMap, H: Hamiltonian):
     nodes = u.box.all_nodes()
     jets = u.jet_at_nodes(nodes, order=1)
@@ -132,37 +110,127 @@ def _grid_divergence_field(u: GridMap, H: Hamiltonian) -> np.ndarray:
     return div
 
 
-def _default_eps(u, x: np.ndarray) -> float:
+def _divergence(u, H: Hamiltonian, x: np.ndarray, nodes, h_div: Optional[float]) -> np.ndarray:
+    """(Div F)_a = sum_i d_i F_{ai} for F(y) = H_P(y, u(y), Du(y)) at points x (n, M).
+
+    Grid maps read the node stencil field at ``nodes``; other maps take
+    central differences of step h_div (default 1e-5 (1 + |x|)), all 2n
+    shifted copies of every point in one jet evaluation.
+    """
     if isinstance(u, GridMap):
-        return 2.0 * float(np.max(u.box.spacing))
+        return _grid_divergence_field(u, H)[(slice(None),) + tuple(nodes.T)]
+    n, M = x.shape
+    h = 1e-5 * (1.0 + np.linalg.norm(x, axis=0)) if h_div is None else np.full(M, float(h_div))
+    offsets = np.zeros((n, 2 * n, M))
+    for i in range(n):
+        offsets[i, 2 * i] = h
+        offsets[i, 2 * i + 1] = -h
+    jets = map_jet(u, x[:, None, :] + offsets, order=1)
+    hp = hamiltonian_jet(H, jets.x, jets.value, jets.gradient).P_grad  # (N, n, 2n, M)
+    div = np.zeros((hp.shape[0], M))
+    for i in range(n):
+        div += (hp[:, i, 2 * i] - hp[:, i, 2 * i + 1]) / (2.0 * h)
+    return div
+
+
+def _default_eps(u, x: np.ndarray) -> np.ndarray:
+    """Default ball radius at points x (n, M): two grid spacings, else 1e-2 (1 + |x|)."""
+    if isinstance(u, GridMap):
+        return np.full(x.shape[1], 2.0 * float(np.max(u.box.spacing)))
     if isinstance(u, PerturbedMap):
         return _default_eps(u.base, x)
-    return 1e-2 * (1.0 + float(np.linalg.norm(x)))
+    return 1e-2 * (1.0 + np.linalg.norm(x, axis=0))
 
 
-def _normal_projection(u, H, x, hp, variant, eps, samples, rank_tol, tol_angle):
-    if variant == "full":
-        return linalg.proj_range_complement(hp, tol=rank_tol), None
-    full = linalg.proj_range_complement(hp, tol=rank_tol)
-    if full.basis.shape[1] == 0:
-        # full rank at the point: nothing can extend, skip the sampling
-        return full, full
-    if eps is None:
-        eps = _default_eps(u, x)
-    sample_points = None
+def _grid_ball_nodes(u: GridMap, nodes: np.ndarray, eps: np.ndarray):
+    """Sample nodes of the eps-ball around each grid node: (M, m, n) indices, (M, m) mask.
+
+    A node y samples the ball around x when |y - x| <= eps and
+    |y - x| > 1e-12, measured between float node coordinates (ties at a
+    whole number of spacings round node by node), and y is jet-valid.
+    """
+    box = u.box
+    h = box.spacing
+    shape = np.asarray(box.shape)
+    reach = np.minimum(np.floor(np.max(eps) / h).astype(int) + 1, shape - 1)
+    offsets = np.indices(tuple(2 * reach + 1)).reshape(box.dim, -1).T - reach
+    offsets = offsets[np.linalg.norm(offsets * h, axis=1) <= (1.0 + 1e-9) * np.max(eps)]
+    cand = nodes[:, None, :] + offsets[None]
+    inside = np.all((cand >= 0) & (cand < shape), axis=-1)
+    cand = np.clip(cand, 0, shape - 1)
+    x = box.node_coords(nodes).T
+    y = box.node_coords(cand.reshape(-1, box.dim)).T.reshape(cand.shape)
+    dist = np.linalg.norm(y - x[:, None, :], axis=-1)
+    near = (dist <= eps[:, None]) & (dist > 1e-12)
+    valid = inside & near & u.jet_valid[tuple(np.moveaxis(cand, -1, 0))]
+    lonely = ~valid.any(axis=1)
+    if lonely.any():
+        raise ValueError(f"no valid grid nodes inside the eps-ball around {x[np.argmax(lonely)]}")
+    return cand, valid
+
+
+def _reduced_projections(u, H: Hamiltonian, x: np.ndarray, nodes, hp: np.ndarray,
+                         eps, samples, rank_tol, tol_angle) -> linalg.ReducedProjections:
+    """Reduced normal projections of H_P at rank-deficient points x (n, M), hp (M, N, n).
+
+    Grid maps sample H_P at the nodes of :func:`_grid_ball_nodes`; other
+    maps at one Halton offset set scaled to each point's ball, all M x m
+    points in one jet evaluation.  ``tol_angle`` defaults to 1e-6 eps.
+    """
+    n, M = x.shape
+    eps = np.broadcast_to(_default_eps(u, x) if eps is None else np.asarray(eps, dtype=float), (M,))
+    if tol_angle is None:
+        tol_angle = 1e-6 * eps
     if isinstance(u, GridMap):
-        nodes = u.box.all_nodes()
-        coords = u.box.node_coords(nodes).T
-        dist = np.linalg.norm(coords - x[None, :], axis=1)
-        near = (dist <= eps) & (dist > 1e-12) & u.jet_valid[tuple(nodes.T)]
-        if not near.any():
-            raise ValueError(f"no valid grid nodes inside the eps-ball around {x}")
-        sample_points = coords[near]
-    reduced = linalg.reduced_nullspace_proj(
-        _hp_field_sampler(u, H), x, eps=eps, samples=samples,
-        tol=rank_tol, tol_angle=tol_angle, sample_points=sample_points,
-    )
-    return reduced, full
+        sample_nodes, valid = _grid_ball_nodes(u, nodes, eps)
+        ys = _grid_hp_field(u, H)[(slice(None), slice(None)) + tuple(np.moveaxis(sample_nodes, -1, 0))]
+    else:
+        pts = linalg.ball_sample_points(x.T, eps, linalg.ball_sample_count(n, samples))
+        jets = map_jet(u, np.moveaxis(pts, -1, 0), order=1)
+        ys = hamiltonian_jet(H, jets.x, jets.value, jets.gradient).P_grad
+        valid = np.ones(pts.shape[:2], dtype=bool)
+    ys = np.moveaxis(ys, (0, 1), (2, 3))  # (M, m, N, n)
+    return linalg.reduced_nullspace_batch(hp, ys, valid, tol_angle, rank_tol)
+
+
+def _residual_parts(u, H: Hamiltonian, jets: Jet2, nodes, variant, h_div, eps, samples,
+                    rank_tol, tol_angle):
+    """Both residual parts at a jet batch (batch axis last).
+
+    Returns the tangential and normal parts (N, M), the ranks of H_P, the
+    dimensions of the projected normal spaces and the projection-drop
+    flags (M,).  Only rank-deficient points get a divergence and a normal
+    projection; elsewhere the normal part is exactly zero.
+    """
+    if variant not in ("full", "reduced"):
+        raise ValueError("variant must be 'full' or 'reduced'")
+    ham = hamiltonian_jet(H, jets.x, jets.value, jets.gradient)
+    dH = _composite_gradient_from_jets(H, jets)
+    tangential = np.einsum("ai...,i...->a...", ham.P_grad, dH)
+    hp = np.moveaxis(ham.P_grad, -1, 0)  # (M, N, n)
+    M, N = hp.shape[:2]
+    U, ranks, _ = linalg.rank_decision(hp, rank_tol)
+    null_dim = N - ranks
+    drop = np.zeros(M, dtype=bool)
+    normal = np.zeros((N, M))
+    sel = np.flatnonzero(null_dim > 0)
+    sel_nodes = None if nodes is None else nodes[sel]
+    if variant == "full":
+        dims = null_dim
+        B = U[sel] * (np.arange(N) >= ranks[sel, None])[:, None, :]
+        proj = B @ np.swapaxes(B, 1, 2)
+    else:
+        dims = np.zeros(M, dtype=int)
+        if sel.size:
+            red = _reduced_projections(u, H, jets.x[:, sel], sel_nodes, hp[sel], eps, samples,
+                                       rank_tol, tol_angle)
+            proj = red.projection
+            dims[sel] = red.reduced_dim
+            drop[sel] = red.reduced_dim < null_dim[sel]
+    if sel.size:
+        rhs = _divergence(u, H, jets.x[:, sel], sel_nodes, h_div) - ham.eta_grad[:, sel]
+        normal[:, sel] = ham.value[sel] * np.einsum("mab,bm->am", proj, rhs)
+    return np.asarray(tangential, dtype=float), normal, ranks, dims, drop
 
 
 def aronsson_residual(
@@ -177,33 +245,19 @@ def aronsson_residual(
     tol_angle: Optional[float] = None,
 ) -> AronssonResidual:
     """Tangential + normal residual of the critical-point system at a point."""
-    if variant not in ("full", "reduced"):
-        raise ValueError("variant must be 'full' or 'reduced'")
     x = np.asarray(x, dtype=float)
-    jet = map_jet(u, x, order=2)
-    ham = hamiltonian_jet(H, jet.x, jet.value, jet.gradient)
-    dH = _composite_gradient_from_jets(H, jet)
-    tangential = ham.P_grad @ dH
-    if isinstance(u, GridMap):
-        idx = u.box.nearest_node(x)
-        div = _grid_divergence_field(u, H)[(slice(None),) + idx]
-    else:
-        if h_div is None:
-            h_div = 1e-5 * (1.0 + float(np.linalg.norm(x)))
-        div = _divergence_closed_form(u, H, x, h_div)
-    proj, full = _normal_projection(u, H, x, ham.P_grad, variant, eps, samples, rank_tol, tol_angle)
-    normal = float(ham.value) * (proj.projection @ (div - ham.eta_grad))
-    reduced_dim = proj.basis.shape[1]
-    drop = False
-    if variant == "reduced" and full is not None:
-        drop = reduced_dim < full.basis.shape[1]
+    jet = map_jet(u, x, order=2)  # single point: grid maps reject masked nodes here
+    jets = Jet2(x[:, None], jet.value[..., None], jet.gradient[..., None], jet.hessian[..., None])
+    nodes = np.asarray([u.box.nearest_node(x)]) if isinstance(u, GridMap) else None
+    tangential, normal, ranks, dims, drop = _residual_parts(
+        u, H, jets, nodes, variant, h_div, eps, samples, rank_tol, tol_angle)
     return AronssonResidual(
-        tangential=np.asarray(tangential, dtype=float),
-        normal=np.asarray(normal, dtype=float),
+        tangential=tangential[:, 0],
+        normal=normal[:, 0],
         variant=variant,
-        rank_used=proj.rank_used,
-        reduced_dim=reduced_dim,
-        projection_drop=drop,
+        rank_used=int(ranks[0]),
+        reduced_dim=int(dims[0]),
+        projection_drop=bool(drop[0]),
     )
 
 
@@ -235,27 +289,15 @@ def infinity_laplacian_residual(
     dsq = 2.0 * np.einsum("aj,aji->i", Du, jet.hessian)
     lap = np.einsum("aii->a", jet.hessian)
     density = float(np.sum(Du * Du))
-    if reduced:
-        if eps is None:
-            eps = _default_eps(u, x)
-        sample_points = None
-        if isinstance(u, GridMap):
-            nodes = u.box.all_nodes()
-            coords = u.box.node_coords(nodes).T
-            dist = np.linalg.norm(coords - x[None, :], axis=1)
-            near = (dist <= eps) & (dist > 1e-12) & u.jet_valid[tuple(nodes.T)]
-            sample_points = coords[near]
-
-        def field(y):
-            return map_jet(u, np.asarray(y, dtype=float), order=1).gradient
-
-        proj = linalg.reduced_nullspace_proj(
-            field, x, eps=eps, samples=samples, tol=rank_tol,
-            tol_angle=tol_angle, sample_points=sample_points,
-        )
-    else:
-        proj = linalg.proj_range_complement(Du, tol=rank_tol)
-    return Du @ dsq + density * (proj.projection @ lap)
+    full = linalg.proj_range_complement(Du, tol=rank_tol)
+    proj = full.projection
+    if reduced and full.basis.shape[1]:
+        # the reduced space of Du^T is that of the Dirichlet H_P = 2 Du
+        nodes = np.asarray([u.box.nearest_node(x)]) if isinstance(u, GridMap) else None
+        H = Hamiltonian.dirichlet(Du.shape[1], Du.shape[0])
+        proj = _reduced_projections(u, H, x[:, None], nodes, 2.0 * Du[None], eps, samples,
+                                    rank_tol, tol_angle).projection[0]
+    return Du @ dsq + density * (proj @ lap)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +312,7 @@ class ResidualField:
     normal: np.ndarray         # (N, M)
     variant: str
     drop_flags: np.ndarray     # (M,) projection-drop flags
+    ranks: np.ndarray          # (M,) ranks of H_P
 
     @property
     def total(self) -> np.ndarray:
@@ -296,9 +339,9 @@ def residual_field(
 ) -> ResidualField:
     """Residuals over a node set (grid maps) or arbitrary point list (closed-form maps).
 
-    The tangential part and divergence are evaluated in one vectorised
-    pass; normal projections use a batched SVD, falling back to per-point
-    reduced projections only where the plain normal space is nontrivial.
+    Everything is batched: one jet evaluation, one SVD of H_P over the
+    batch, and for the rank-deficient points one divergence evaluation and
+    one reduced-projection kernel call.
     """
     if isinstance(u, GridMap):
         if nodes is None:
@@ -311,11 +354,6 @@ def residual_field(
                 nodes = O.interior_nodes() if interior_only else O.evaluable_nodes()
         nodes = np.atleast_2d(np.asarray(nodes, dtype=int))
         jets = u.jet_at_nodes(nodes, order=2)
-        ham = hamiltonian_jet(H, jets.x, jets.value, jets.gradient)
-        dH = _composite_gradient_from_jets(H, jets)
-        div_all = _grid_divergence_field(u, H)
-        div = div_all[(slice(None),) + tuple(nodes.T)]
-        pts = jets.x.T
     else:
         if points is None:
             if nodes is None:
@@ -323,56 +361,15 @@ def residual_field(
             points = O.box.node_coords(np.atleast_2d(nodes)).T
         points = np.atleast_2d(np.asarray(points, dtype=float))
         jets = map_jet(u, points.T, order=2)
-        ham = hamiltonian_jet(H, jets.x, jets.value, jets.gradient)
-        dH = _composite_gradient_from_jets(H, jets)
-        n = points.shape[1]
-        div = np.zeros((u.N, points.shape[0]))
-        step = h_div
-        for i in range(n):
-            hh = (1e-5 * (1.0 + np.linalg.norm(points, axis=1))) if step is None else np.full(points.shape[0], step)
-            plus = points.copy()
-            minus = points.copy()
-            plus[:, i] += hh
-            minus[:, i] -= hh
-            jp = map_jet(u, plus.T, order=1)
-            jm = map_jet(u, minus.T, order=1)
-            hp_p = hamiltonian_jet(H, jp.x, jp.value, jp.gradient).P_grad
-            hp_m = hamiltonian_jet(H, jm.x, jm.value, jm.gradient).P_grad
-            div += (hp_p[:, i] - hp_m[:, i]) / (2.0 * hh)
-        pts = points
-    tangential = np.einsum("ai...,i...->a...", ham.P_grad, dH)
-    M = pts.shape[0]
-    N = u.N
-    normal = np.zeros((N, M))
-    drop_flags = np.zeros(M, dtype=bool)
-    rhs = div - ham.eta_grad
-    hp_batch = np.moveaxis(ham.P_grad, -1, 0)  # (M, N, n)
-    U, s, _ = np.linalg.svd(hp_batch)
-    smax = s[:, 0] if s.shape[1] else np.zeros(M)
-    ranks = np.sum(s >= rank_tol * np.maximum(smax, 1e-300)[:, None], axis=1)
-    ranks = np.where(smax > 0, ranks, 0)
-    full_rank = ranks >= N
-    value = np.asarray(ham.value, dtype=float)
-    for m in range(M):
-        if full_rank[m]:
-            continue  # normal space trivial, projection is zero
-        if variant == "full":
-            B = U[m][:, ranks[m]:]
-            proj = B @ B.T
-        else:
-            res = aronsson_residual(
-                u, H, pts[m], variant="reduced", eps=eps, samples=samples,
-                h_div=h_div, rank_tol=rank_tol, tol_angle=tol_angle,
-            )
-            normal[:, m] = res.normal
-            drop_flags[m] = res.projection_drop
-            continue
-        normal[:, m] = value[m] * (proj @ rhs[:, m])
+        nodes = None
+    tangential, normal, ranks, _, drop = _residual_parts(
+        u, H, jets, nodes, variant, h_div, eps, samples, rank_tol, tol_angle)
     return ResidualField(
-        points=pts,
-        nodes=None if not isinstance(u, GridMap) else nodes,
-        tangential=np.asarray(tangential, dtype=float).reshape(N, M),
+        points=jets.x.T,
+        nodes=nodes,
+        tangential=tangential,
         normal=normal,
         variant=variant,
-        drop_flags=drop_flags,
+        drop_flags=drop,
+        ranks=ranks,
     )

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import linalg
 from .energy import argmax_set, danskin_derivative, sup_energy, variation_density
+from .operators import _reduced_projections
 from .problem import (
     ClosedFormMap,
     DomainBox,
@@ -356,34 +357,18 @@ def _normal_projector_field(u, H: Hamiltonian, O: Subdomain, eps, samples, tol_a
     nodes = all_nodes[ok]
     jets = jets_at_nodes(u, box, nodes, order=1)
     hp = hamiltonian_jet(H, jets.x, jets.value, jets.gradient).P_grad  # (N, n, M)
-    coords = jets.x  # (n, M)
     N = u.N
     M = nodes.shape[0]
     projectors = np.zeros((M, N, N))
     if eps is None:
         eps = 2.0 * float(np.max(box.spacing))
     hp_batch = np.moveaxis(hp, -1, 0)
-    U, s, _ = np.linalg.svd(hp_batch)
-    smax = np.maximum(s[:, 0] if s.shape[1] else np.zeros(M), 1e-300)
-    ranks = np.sum(s >= linalg.DEFAULT_RANK_TOL * smax[:, None], axis=1)
-
-    def sampler(y):
-        jet = u.jet2(np.asarray(y, dtype=float), order=1)
-        return hamiltonian_jet(H, jet.x, jet.value, jet.gradient).P_grad
-
-    for m in range(M):
-        if ranks[m] >= N:
-            continue
-        x = coords[:, m]
-        if isinstance(u, GridMap):
-            dist = np.linalg.norm(coords - x[:, None], axis=0)
-            near = (dist <= eps) & (dist > 1e-12)
-            rep = linalg.reduced_nullspace_proj(
-                sampler, x, eps=eps, tol_angle=tol_angle, sample_points=coords[:, near].T)
-        else:
-            rep = linalg.reduced_nullspace_proj(
-                sampler, x, eps=eps, samples=samples, tol_angle=tol_angle)
-        projectors[m] = rep.projection
+    _, ranks, _ = linalg.rank_decision(hp_batch)
+    sel = np.flatnonzero(ranks < N)
+    if sel.size:
+        projectors[sel] = _reduced_projections(
+            u, H, jets.x[:, sel], nodes[sel], hp_batch[sel], eps, samples,
+            linalg.DEFAULT_RANK_TOL, tol_angle).projection
     return nodes, projectors
 
 

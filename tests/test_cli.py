@@ -209,6 +209,8 @@ class TestReports:
                     "--points", "1.3,1.7;1.5,1.2", "--out", str(tmp / "rp")]) == 0
         rep = _report(tmp / "rp", "residual")
         assert rep["results"]["count"] == 2
+        # scalar map with nonzero gradient: H_P has rank 1 at both points
+        assert rep["results"]["rank_counts"] == {"1": 2}
 
     def test_grid_csv_problem_end_to_end(self, problems, tmp_path):
         _, tmp = problems
