@@ -39,10 +39,11 @@ def main():
         settings=OptimizerSettings(max_iter=args.max_iter, tol_opt=1e-8),
     )
     schedule = [float(p) for p in args.schedule.split(",")]
-    print(f"{'p':>6} {'sup energy':>12} {'residual':>10} {'iters':>6}  status")
+    print(f"{'p':>6} {'sup energy':>12} {'interior':>12} {'residual':>10} {'iters':>6} "
+          f"{'evals':>6}  status")
     for st in p_continuation(prob, schedule):
-        print(f"{st.p:>6g} {st.e_inf:>12.6f} {st.residual_norm:>10.4f} "
-              f"{st.diagnostics['iters']:>6}  {st.diagnostics['status']}")
+        print(f"{st.p:>6g} {st.e_inf:>12.6f} {st.e_inf_interior:>12.6f} {st.residual_norm:>10.4f} "
+              f"{st.diagnostics['iters']:>6} {st.diagnostics['evals']:>6}  {st.diagnostics['status']}")
 
 
 if __name__ == "__main__":

@@ -258,8 +258,10 @@ def _dispatch(args, prob: Problem, out_dir: Path):
                 "p": st.p,
                 "p_energy": st.p_energy,
                 "e_inf": st.e_inf,
+                "e_inf_interior": st.e_inf_interior,
                 "residual_norm": st.residual_norm,
                 "iters": st.diagnostics["iters"],
+                "evals": st.diagnostics["evals"],
                 "status": st.diagnostics["status"],
                 "grad_norm": st.diagnostics["grad_norm"],
                 "solution_csv": csv_path.name,

@@ -41,9 +41,12 @@ def _density_at_nodes(u, H: Hamiltonian, O: Subdomain, nodes: np.ndarray) -> np.
     return np.asarray(hamiltonian_value(H, jets.x, jets.value, jets.gradient), dtype=float)
 
 
-def sup_energy(u, H: Hamiltonian, O: Subdomain) -> float:
-    """Max of H(., u, Du) over the evaluable nodes of the closed subdomain."""
-    nodes = O.evaluable_nodes()
+def sup_energy(u, H: Hamiltonian, O: Subdomain, interior_only: bool = False) -> float:
+    """Max of H(., u, Du) over the evaluable nodes of the closed subdomain.
+
+    With ``interior_only`` the max runs over the evaluable interior nodes.
+    """
+    nodes = O.interior_nodes() if interior_only else O.evaluable_nodes()
     if nodes.shape[0] == 0:
         raise ValueError("subdomain has no evaluable nodes")
     vals = _density_at_nodes(u, H, O, nodes)

@@ -21,6 +21,7 @@ __all__ = [
     "ReducedProjections",
     "ball_sample_count",
     "ball_sample_points",
+    "halton",
     "proj_range_complement",
     "rank_decision",
     "reduced_nullspace_batch",
@@ -92,6 +93,21 @@ def ball_sample_count(dim: int, samples: Optional[int] = None) -> int:
     return m
 
 
+def halton(m: int, dim: int) -> np.ndarray:
+    """First m points of the unscrambled Halton sequence in bases 2, 3, 5, shape (m, dim)."""
+    if dim > 3:
+        raise ValueError(f"Halton points are implemented for dim <= 3, got {dim}")
+    out = np.zeros((m, dim))
+    for j, base in enumerate((2, 3, 5)[:dim]):
+        k = np.arange(m)
+        scale = 1.0
+        while k.any():  # radical inverse: mirror the base-b digits of k about the point
+            scale /= base
+            out[:, j] += (k % base) * scale
+            k //= base
+    return out
+
+
 def ball_sample_points(center: np.ndarray, eps, m: int) -> np.ndarray:
     """Deterministic low-discrepancy points in the closed ball B_eps(center), shape (m, dim).
 
@@ -108,11 +124,7 @@ def ball_sample_points(center: np.ndarray, eps, m: int) -> np.ndarray:
         offs = eps * (2.0 * u - 1.0)
         offsets = np.where(np.abs(offs) < 1e-3 * eps, 1e-3 * eps, offs)[:, :, None]
     else:
-        # imported on first use: scipy.stats dominates the package import time
-        from scipy.stats import qmc
-
-        sampler = qmc.Halton(d=dim, scramble=False)
-        u = sampler.random(m)
+        u = halton(m, dim)
         radius = eps * u[:, 0] ** (1.0 / dim)
         if dim == 2:
             theta = 2.0 * np.pi * u[:, 1]

@@ -11,10 +11,12 @@ affine maps exactly stationary for translation-invariant densities at
 every p, which a nodal quadrature with one-sided boundary stencils does
 not achieve.
 
-The optimiser is plain gradient descent with Armijo backtracking (step
-seeded at 1/p, doubled after every accepted step).  For p >= 16 the line
-search scores the normalised objective F_p^(1/p) to keep magnitudes tame;
-gradients always use the raw power form p H^(p-1) dH.
+The optimiser is limited-memory BFGS (Liu & Nocedal 1989) with Armijo
+backtracking, written in numpy over the interior unknowns only.  It works
+on the normalised objective F_p^(1/p), a monotone transform of F_p whose
+magnitude stays O(H) at every p, so unit steps and the tolerance
+``tol_opt`` mean the same thing along the whole continuation.  The
+memory size and the line-search constants are fixed module constants.
 """
 
 from __future__ import annotations
@@ -41,15 +43,16 @@ __all__ = [
 ]
 
 
+_MEMORY = 10        # L-BFGS curvature pairs kept
+_ARMIJO_C = 1e-4    # sufficient-decrease constant
+_BACKTRACK = 0.5    # step factor after a rejected trial
+_MIN_STEP = 1e-16   # the line search stalls below this step
+
+
 @dataclass
 class OptimizerSettings:
     max_iter: int = 5000
     tol_opt: float = 1e-9          # sup-norm of the normalised-objective gradient
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
-    step_init: Optional[float] = None  # defaults to 1/p
-    step_growth: float = 2.0
-    min_step: float = 1e-16
     allow_large_grids: bool = False  # lifts the 65^2-node desk-scale cap
 
 
@@ -76,8 +79,10 @@ class LpResult:
     solution: GridMap
     p_energy: float
     e_inf: float
+    e_inf_interior: float  # max of H over the interior evaluable nodes
     grad_norm: float
     iters: int
+    evals: int  # energy evaluations, rejected and failed trial steps included
     status: str  # "converged" | "max_iter" | "line_search_stalled"
 
 
@@ -87,6 +92,7 @@ class StageResult:
     solution: GridMap
     p_energy: float
     e_inf: float
+    e_inf_interior: float
     residual_norm: float
     diagnostics: dict
 
@@ -142,6 +148,9 @@ class _CellScheme:
         self.vol = float(np.prod(self.h))
         self.cells = tuple(m - 1 for m in self.shape)
         self.corners = list(product((0, 1), repeat=self.n))
+        # (component, cell) index of each corner's nodes within the window
+        self.corner_index = [(slice(None),) + tuple(slice(ci, ci + m) for ci, m in zip(c, self.cells))
+                             for c in self.corners]
         # midpoint coordinates, shape (n,) + cells
         axes = [box.axis_coords(i)[self.window[i]] for i in range(self.n)]
         mids = [0.5 * (ax[1:] + ax[:-1]) for ax in axes]
@@ -154,21 +163,18 @@ class _CellScheme:
         self.boundary_mask = bmask
         self.boundary_data = g
 
-    def corner_slices(self, c):
-        return tuple(slice(ci, ci + m) for ci, m in zip(c, self.cells))
-
     def cell_jets(self, W: np.ndarray):
         """Midpoint value (corner mean) and multilinear gradient of the window array W."""
         val = np.zeros((self.N,) + self.cells)
-        for c in self.corners:
-            val += W[(slice(None),) + self.corner_slices(c)]
+        for idx in self.corner_index:
+            val += W[idx]
         val /= len(self.corners)
         P = np.zeros((self.N, self.n) + self.cells)
         pairs = len(self.corners) // 2
         for i in range(self.n):
-            for c in self.corners:
+            for c, idx in zip(self.corners, self.corner_index):
                 sign = 1.0 if c[i] == 1 else -1.0
-                P[:, i] += sign * W[(slice(None),) + self.corner_slices(c)]
+                P[:, i] += sign * W[idx]
             P[:, i] /= pairs * self.h[i]
         return val, P
 
@@ -185,20 +191,19 @@ class _CellScheme:
         return F, hvals, ham
 
     def gradient(self, hvals, ham):
-        """Raw gradient of F over the window nodes (boundary entries zeroed)."""
+        """Raw gradient of F over the window nodes (boundary entries included)."""
         p = self.prob.p
         with np.errstate(over="ignore"):
             w = self.vol * p * hvals ** (p - 1.0)  # (cells,)
         G = np.zeros((self.N,) + self.shape)
         ncorners = len(self.corners)
         pairs = ncorners // 2
-        for c in self.corners:
+        for c, idx in zip(self.corners, self.corner_index):
             contrib = ham.eta_grad * (w / ncorners)
             for i in range(self.n):
                 sign = 1.0 if c[i] == 1 else -1.0
                 contrib = contrib + ham.P_grad[:, i] * (sign * w / (pairs * self.h[i]))
-            G[(slice(None),) + self.corner_slices(c)] += contrib
-        G[:, self.boundary_mask] = 0.0
+            G[idx] += contrib
         return G
 
     def grad_scale(self, F: float) -> float:
@@ -208,20 +213,74 @@ class _CellScheme:
         return (1.0 / self.prob.p) * F ** (1.0 / self.prob.p - 1.0)
 
     def score(self, F: float) -> float:
-        # the normalised objective F^(1/p) keeps line-search magnitudes tame
-        # at every p; it is a monotone transform of the raw power form
+        """The normalised objective F^(1/p), a monotone transform of the raw power form."""
         if F <= 0.0:
             return 0.0
         with np.errstate(over="ignore"):
             return F ** (1.0 / self.prob.p)
 
-    def normalised_grad_sup(self, F: float, G: np.ndarray) -> float:
-        gsup = float(np.max(np.abs(G))) if G.size else 0.0
-        return self.grad_scale(F) * gsup
+    def normalised_gradient(self, F: float, hvals, ham) -> np.ndarray:
+        """Gradient of F^(1/p) over the interior unknowns, flattened."""
+        G = self.gradient(hvals, ham)
+        return self.grad_scale(F) * G[:, self.interior].ravel()
+
+
+def _sup_norm(g: np.ndarray) -> float:
+    return float(np.max(np.abs(g))) if g.size else 0.0
+
+
+class _LbfgsMemory:
+    """The last _MEMORY curvature pairs (s, y) in preallocated ring buffers."""
+
+    def __init__(self, size: int):
+        self.S = np.empty((_MEMORY, size))
+        self.Y = np.empty((_MEMORY, size))
+        self.rho = np.empty(_MEMORY)
+        self.alpha = np.empty(_MEMORY)
+        self.count = 0
+        self.head = 0  # slot the next pair is written to
+
+    def clear(self):
+        self.count = 0
+
+    def push(self, s: np.ndarray, y: np.ndarray):
+        sy = float(s @ y)
+        if sy <= 0.0:  # the pair would break positive definiteness
+            return
+        self.S[self.head] = s
+        self.Y[self.head] = y
+        self.rho[self.head] = 1.0 / sy
+        self.head = (self.head + 1) % _MEMORY
+        self.count = min(self.count + 1, _MEMORY)
+
+    def direction(self, g: np.ndarray) -> np.ndarray:
+        """-H g by the two-loop recursion, H the L-BFGS inverse-Hessian approximation (count >= 1)."""
+        q = -g
+        newest_first = [(self.head - 1 - k) % _MEMORY for k in range(self.count)]
+        for i in newest_first:
+            self.alpha[i] = self.rho[i] * float(self.S[i] @ q)
+            q -= self.alpha[i] * self.Y[i]
+        i = newest_first[0]  # scale by (s.y)/(y.y) of the newest pair
+        q *= float(self.S[i] @ self.Y[i]) / float(self.Y[i] @ self.Y[i])
+        for i in reversed(newest_first):
+            beta = self.rho[i] * float(self.Y[i] @ q)
+            q += (self.alpha[i] - beta) * self.S[i]
+        return q
 
 
 def lp_minimize(prob: LpProblem, init: GridMap) -> LpResult:
-    """Gradient descent with Armijo backtracking on the discretised p-power energy.
+    """L-BFGS with Armijo backtracking on the normalised p-power energy F_p^(1/p).
+
+    The unknowns are the interior node values of the subdomain window.  Each
+    iteration takes the two-loop L-BFGS direction (memory _MEMORY, initial
+    inverse Hessian (s.y)/(y.y) times the identity, pairs with s.y <= 0
+    skipped) and backtracks from a unit step, or from 1/p while the memory
+    is empty.  A direction that is not a descent direction, or along which
+    no step passes the Armijo test, is replaced by the steepest-descent
+    direction with the memory cleared.  Stops with ``converged`` once the
+    sup-norm of the gradient of F_p^(1/p) is at most ``tol_opt``, with
+    ``max_iter`` after that many accepted steps, and with
+    ``line_search_stalled`` when no steepest-descent step passes either.
 
     The initial iterate must match the boundary data exactly; boundary
     entries are never written, so the data is preserved bit-exactly.
@@ -234,52 +293,73 @@ def lp_minimize(prob: LpProblem, init: GridMap) -> LpResult:
     if not np.array_equal(W[:, scheme.boundary_mask], scheme.boundary_data[:, scheme.boundary_mask]):
         raise ValueError("initial iterate does not match the boundary data")
     settings = prob.settings
-    step = settings.step_init if settings.step_init is not None else 1.0 / prob.p
+    interior = scheme.interior
+    evals = 0
+
+    def evaluate(x):
+        """Energy at interior values x, or None where the density is not admissible."""
+        nonlocal evals
+        evals += 1
+        W_trial = W.copy()
+        W_trial[:, interior] = x.reshape(scheme.N, -1)
+        try:
+            return (W_trial,) + scheme.energy_and_jets(W_trial)
+        except ValueError:
+            return None
+
+    def line_search(d, gd, step):
+        """First Armijo point along d, halving from ``step``; None if the step underflows."""
+        f0 = scheme.score(F)
+        while step >= _MIN_STEP:
+            trial = evaluate(x + step * d)
+            if trial is not None and scheme.score(trial[1]) <= f0 + _ARMIJO_C * step * gd:
+                return trial
+            step *= _BACKTRACK
+        return None
+
+    x = W[:, interior].ravel()
     F, hvals, ham = scheme.energy_and_jets(W)
+    evals += 1
+    g = scheme.normalised_gradient(F, hvals, ham)
+    memory = _LbfgsMemory(x.size)
     status = "max_iter"
     iters = 0
-    G = scheme.gradient(hvals, ham)
     for iters in range(1, settings.max_iter + 1):
-        gnorm = scheme.normalised_grad_sup(F, G)
-        if gnorm <= settings.tol_opt:
+        if _sup_norm(g) <= settings.tol_opt:
             status = "converged"
             iters -= 1
             break
-        # descend along the normalised-objective gradient so step sizes
-        # stay O(1) regardless of p
-        D = scheme.grad_scale(F) * G
-        dnorm2 = float(np.sum(D * D))
-        score0 = scheme.score(F)
-        accepted = False
-        while step >= settings.min_step:
-            W_new = W - step * D
-            try:
-                F_new, h_new, ham_new = scheme.energy_and_jets(W_new)
-            except ValueError:
-                step *= settings.backtrack
-                continue
-            if scheme.score(F_new) <= score0 - settings.armijo_c * step * dnorm2:
-                accepted = True
-                break
-            step *= settings.backtrack
-        if not accepted:
+        trial = None
+        if memory.count:
+            d = memory.direction(g)
+            gd = float(g @ d)
+            if gd < 0.0:
+                trial = line_search(d, gd, 1.0)
+            if trial is None:
+                memory.clear()
+        if trial is None:
+            trial = line_search(-g, -float(g @ g), 1.0 / prob.p)
+        if trial is None:
             status = "line_search_stalled"
             break
-        W, F, hvals, ham = W_new, F_new, h_new, ham_new
-        G = scheme.gradient(hvals, ham)
-        step *= settings.step_growth
+        W, F, hvals, ham = trial
+        x_new = W[:, interior].ravel()
+        g_new = scheme.normalised_gradient(F, hvals, ham)
+        memory.push(x_new - x, g_new - g)
+        x, g = x_new, g_new
     else:
         iters = settings.max_iter
     values = np.full((scheme.N,) + prob.O.box.shape, np.nan)
     values[(slice(None),) + window] = W
     solution = GridMap(prob.O.box, values)
-    e_inf = sup_energy(solution, prob.H, prob.O)
     return LpResult(
         solution=solution,
         p_energy=F,
-        e_inf=e_inf,
-        grad_norm=scheme.normalised_grad_sup(F, G),
+        e_inf=sup_energy(solution, prob.H, prob.O),
+        e_inf_interior=sup_energy(solution, prob.H, prob.O, interior_only=True),
+        grad_norm=_sup_norm(g),
         iters=iters,
+        evals=evals,
         status=status,
     )
 
@@ -287,8 +367,10 @@ def lp_minimize(prob: LpProblem, init: GridMap) -> LpResult:
 def p_continuation(prob: LpProblem, schedule: Sequence, init: Optional[GridMap] = None):
     """Warm-started solves along an increasing p schedule starting at 2.
 
-    Per stage records the sup-energy of the iterate and the sup-norm over
-    interior nodes of the reduced critical-system residual.
+    Per stage records the sup-energy of the iterate over the whole subdomain
+    and over its interior nodes (the former is usually attained on the
+    fixed boundary data), and the sup-norm over interior nodes of the
+    reduced critical-system residual.
     """
     schedule = [float(p) for p in schedule]
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
@@ -309,10 +391,12 @@ def p_continuation(prob: LpProblem, schedule: Sequence, init: Optional[GridMap] 
             solution=result.solution,
             p_energy=result.p_energy,
             e_inf=result.e_inf,
+            e_inf_interior=result.e_inf_interior,
             residual_norm=res_norm,
             diagnostics={
                 "grad_norm": result.grad_norm,
                 "iters": result.iters,
+                "evals": result.evals,
                 "status": result.status,
             },
         ))

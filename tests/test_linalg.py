@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 import hypothesis.extra.numpy as hnp
 
-from linfvar.linalg import ball_sample_points, proj_range_complement, reduced_nullspace_proj
+from linfvar.linalg import ball_sample_points, halton, proj_range_complement, reduced_nullspace_proj
 
 
 class TestRangeComplement:
@@ -113,3 +113,12 @@ def test_ball_sample_points_inside():
         assert np.all(np.linalg.norm(pts, axis=1) <= 0.5 + 1e-12)
         # deterministic
         assert np.array_equal(pts, ball_sample_points(np.zeros(dim), 0.5, 16))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("m", [8, 12, 64, 4096])
+def test_halton_matches_scipy(dim, m):
+    from scipy.stats import qmc
+
+    ref = qmc.Halton(d=dim, scramble=False).random(m)
+    assert np.max(np.abs(halton(m, dim) - ref)) <= 2e-16

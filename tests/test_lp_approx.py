@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +21,10 @@ from linfvar import (
     p_continuation,
     sup_energy,
 )
+from linfvar.lp_approx import _CellScheme
+from linfvar.problem import jets_at_nodes
+
+ARONSSON_EXPR = "abs(x1)^(4/3) - abs(x2)^(4/3)"
 
 
 @pytest.fixture
@@ -93,6 +103,20 @@ class TestLpMinimize:
             assert mean_p <= res.e_inf + 4.0 * h
 
 
+class TestCounters:
+    def test_evals_count_every_energy_evaluation(self, two_point_problem):
+        res = lp_minimize(two_point_problem, constant_fill_init(two_point_problem))
+        assert res.status == "converged"
+        # the initial evaluation plus at least one trial per accepted step
+        assert res.evals >= res.iters + 1
+
+    def test_fixed_point_costs_one_evaluation(self, two_point_problem):
+        box = two_point_problem.O.box
+        init = GridMap(box, box.axis_coords(0)[None, :].copy())
+        res = lp_minimize(two_point_problem, init)
+        assert (res.iters, res.evals) == (0, 1)
+
+
 class TestDescentProperty:
     def test_energy_decreases_across_accepted_steps(self):
         # instrument by comparing energies of successive partial runs
@@ -142,3 +166,97 @@ class TestContinuation:
         rn = [st.residual_norm for st in stages]
         assert all(b <= a + 1e-3 for a, b in zip(einf, einf[1:]))
         assert all(b < a for a, b in zip(rn, rn[1:]))
+
+
+def _aronsson_problem(H, p, resolution=17, **settings):
+    box = DomainBox((1.0, 1.0), (2.0, 2.0), (resolution, resolution))
+    O = Subdomain.whole(box)
+    g = boundary_values_from_map(ClosedFormMap.from_expressions([ARONSSON_EXPR], n=2), O)
+    return LpProblem(H=H, O=O, boundary_values=g, p=p, settings=OptimizerSettings(**settings))
+
+
+@pytest.fixture(scope="module")
+def criterion_10_stages():
+    prob = _aronsson_problem(Hamiltonian.dirichlet(2, 1), 2.0, max_iter=6000, tol_opt=1e-8)
+    return p_continuation(prob, [2, 4, 8, 16, 32])
+
+
+class TestAgreement:
+    """The L-BFGS solver against independent minimisers of the same discrete energy."""
+
+    def test_quadratic_energy_exact_minimiser(self):
+        # H = |P| makes F_2 = vol * sum_cells |P_c|^2 quadratic in the interior
+        # values, so its gradient is affine and one linear solve gives the minimiser
+        prob = _aronsson_problem(Hamiltonian.from_expression("sqrt(P11^2 + P12^2)", 2, 1), 2.0,
+                                 tol_opt=1e-10)
+        box, O = prob.O.box, prob.O
+        u = ClosedFormMap.from_expressions([ARONSSON_EXPR], n=2)
+        values = jets_at_nodes(u, box, np.argwhere(O.mask), order=1).value.reshape((1,) + box.shape)
+        values[:, O.boundary_mask] = prob.boundary_values[:, O.boundary_mask]  # |P| > 0 in every cell
+        scheme = _CellScheme(prob)
+        interior = scheme.interior
+        x0 = values[:, interior].ravel()
+
+        def raw_gradient(x):
+            W = values.copy()
+            W[:, interior] = x.reshape(1, -1)
+            _, hvals, ham = scheme.energy_and_jets(W)
+            return scheme.gradient(hvals, ham)[:, interior].ravel()
+
+        r = raw_gradient(x0)
+        A = np.stack([raw_gradient(x0 + e) - r for e in np.eye(x0.size)], axis=1)
+        exact = x0 + np.linalg.solve(A, -r)
+        res = lp_minimize(prob, GridMap(box, values))
+        assert res.status == "converged"
+        assert np.max(np.abs(res.solution.values[:, interior].ravel() - exact)) <= 1e-8
+
+    def test_matches_scipy_lbfgsb_at_p8(self):
+        from scipy.optimize import minimize
+
+        prob = _aronsson_problem(Hamiltonian.dirichlet(2, 1), 8.0)
+        init = constant_fill_init(prob)
+        scheme = _CellScheme(prob)
+        interior = scheme.interior
+
+        def objective(x):
+            W = init.values.copy()
+            W[:, interior] = x.reshape(1, -1)
+            F, hvals, ham = scheme.energy_and_jets(W)
+            return scheme.score(F), scheme.normalised_gradient(F, hvals, ham)
+
+        ref = minimize(objective, init.values[:, interior].ravel(), jac=True, method="L-BFGS-B",
+                       options={"maxiter": 20000, "maxcor": 10, "ftol": 1e-15, "gtol": 1e-12})
+        res = lp_minimize(prob, init)
+        assert res.status == "converged"
+        assert np.max(np.abs(res.solution.values[:, interior].ravel() - ref.x)) <= 1e-6
+
+    def test_criterion_10_fixture_converges_every_stage(self, criterion_10_stages):
+        assert [st.diagnostics["status"] for st in criterion_10_stages] == ["converged"] * 5
+
+
+def test_interior_sup_energy_below_boundary_pinned_sup(criterion_10_stages):
+    # the sup over the closed subdomain sits on the fixed boundary data at every p
+    e_inf = [st.e_inf for st in criterion_10_stages]
+    assert len(set(e_inf)) == 1
+    for st in criterion_10_stages:
+        assert st.e_inf_interior < st.e_inf
+
+
+def test_lp_cli_does_not_import_scipy_optimize(tmp_path):
+    problem = tmp_path / "lp.json"
+    problem.write_text(json.dumps({"n": 1, "N": 1, "H": "dirichlet", "u": ["x1^2"],
+                                   "domain": {"lo": [0.0], "hi": [1.0], "resolution": [9]}}))
+    script = (
+        "import sys\n"
+        "from linfvar.cli import run\n"
+        f"code = run(['lp', '--problem', {str(problem)!r}, '--p-schedule', '2,4', "
+        f"'--out', {str(tmp_path / 'out')!r}])\n"
+        "assert code == 0, code\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    stages = json.loads((tmp_path / "out" / "lp_report.json").read_text())["results"]["stages"]
+    assert all({"evals", "e_inf_interior"} <= set(st) for st in stages)
