@@ -12,6 +12,7 @@ failures (witness in the report), 2 input/parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -52,7 +53,9 @@ def _jsonable(obj):
     return obj
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(prog="linfvar", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
@@ -168,6 +171,7 @@ def _dispatch(args, prob: Problem, out_dir: Path):
             "exit_time": traj.exit_time,
             "exit_point": None if traj.exit_point is None else traj.exit_point.tolist(),
             "steps": int(traj.times.size),
+            "evaluations": traj.evaluations,
             "H_drift": float(np.ptp(traj.H_values)),
             "trajectory_csv": csv_path.name,
         }, True

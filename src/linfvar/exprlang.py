@@ -8,6 +8,9 @@ support n, N <= 9).
 
 Evaluation is forward-mode with second-order dual numbers, so gradients and
 Hessians with respect to a chosen seed set are exact up to floating point.
+Each parsed expression is compiled once, on its first evaluation, into a
+tree of closures with its variable-free subtrees folded; the compiled
+program gives bit-for-bit the values of a plain walk over the tree.
 All arithmetic is numpy-broadcasting aware: bindings may be scalars or
 arrays of a common batch shape, in which case values/derivatives come back
 with that batch shape appended.
@@ -22,7 +25,8 @@ can pass ``on_singularity="nan"`` to poison offending entries instead.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -111,12 +115,20 @@ _VAR_P = re.compile(r"^P([1-9])([1-9])$")
 
 @dataclass(frozen=True)
 class Ast:
-    """Parsed expression together with the (n, N) dimensions it was checked against."""
+    """Parsed expression together with the (n, N) dimensions it was checked against.
+
+    ``program`` holds the compiled evaluator that :func:`eval_jet2` builds
+    on first use; it takes no part in equality, hashing or printing.
+    """
 
     root: Node
     n: int
     N: int
     variables: frozenset
+    program: object = field(default=None, init=False, compare=False, repr=False, hash=False)
+
+    def __getstate__(self):
+        return dict(self.__dict__, program=None)  # closures do not pickle
 
     def depends_on(self, prefix: str) -> bool:
         return any(v.startswith(prefix) for v in self.variables)
@@ -356,7 +368,7 @@ def to_source(ast: Ast) -> str:
 # Second-order forward-mode duals
 
 
-@dataclass
+@dataclass(slots=True)
 class Dual2:
     """Value with gradient and (optionally) Hessian over k seed directions.
 
@@ -532,11 +544,13 @@ def dual_log(a: Dual2, policy: str) -> Dual2:
 
 
 def dual_sin(a: Dual2) -> Dual2:
-    return _compose(a, np.sin(a.val), np.cos(a.val), -np.sin(a.val))
+    s, c = np.sin(a.val), np.cos(a.val)
+    return _compose(a, s, c, -s)
 
 
 def dual_cos(a: Dual2) -> Dual2:
-    return _compose(a, np.cos(a.val), -np.sin(a.val), -np.cos(a.val))
+    s, c = np.sin(a.val), np.cos(a.val)
+    return _compose(a, c, -s, -c)
 
 
 def _is_constant(d: Dual2) -> bool:
@@ -589,6 +603,179 @@ def dual_pow(a: Dual2, b: Dual2, policy: str) -> Dual2:
     return _compose(a, f0, f1, f2)
 
 
+def _pow_kernel(m: np.ndarray):
+    """``kernel(a, policy)`` computing a^m for the folded constant exponent ``m`` (0-d).
+
+    Same values, checks, messages and NaN poisoning as :func:`dual_pow`
+    with a constant exponent, but the checks that apply to ``m`` are
+    chosen once here: a nonnegative integer exponent needs none, any other
+    keeps exactly its ``v < 0`` and ``v == 0`` tests.
+    """
+    is_int = bool(m == np.floor(m)) and bool(np.isfinite(m))
+    neg_domain = not is_int                 # negative base, non-integer exponent
+    zero_domain = bool(m < 0)               # zero base, negative exponent
+    zero_sing = not is_int and bool(m > 0)  # branch point of a fractional power
+    checked = neg_domain or zero_domain
+
+    def coeff(c, e):
+        # c * v**e with a zero coefficient killing the factor, as in _coeff_pow
+        if c == 0.0:
+            return lambda v: np.zeros(np.shape(v))
+        return lambda v: c * np.power(v, e)
+
+    d1 = coeff(m, m - 1.0)
+    d2 = coeff(m * (m - 1.0), m - 2.0)
+
+    def kernel(a: Dual2, policy: str) -> Dual2:
+        v = a.val
+        bad = None
+        if checked:
+            vzero = v == 0.0
+            domain = (v < 0.0 if neg_domain else False) | (vzero if zero_domain else False)
+            bad_domain = _report(
+                policy, domain, DomainEvalError,
+                "power: negative base with non-integer exponent, or zero base with negative exponent",
+            )
+            bad_sing = _report(policy, vzero if zero_sing else False, SingularityError,
+                               "fractional power at branch point 0")
+            if bad_domain is not None or bad_sing is not None:
+                bad = np.zeros(np.shape(v), dtype=bool)
+                for mask in (bad_domain, bad_sing):
+                    if mask is not None:
+                        bad |= mask
+        with np.errstate(all="ignore"):
+            f0 = _poison(np.power(v, m), bad)
+            f1 = _poison(d1(v), bad)
+            f2 = _poison(d2(v), bad) if a.hess is not None else None
+        return _compose(a, f0, f1, f2)
+
+    return kernel
+
+
+# ---------------------------------------------------------------------------
+# Compilation
+#
+# An Ast is compiled once, on its first evaluation, into a tree of closures
+# ``fn(env) -> Dual2`` with ``env = (leaves, key, policy)``: ``leaves`` maps
+# each variable to its dual, ``key = (k, second_order, batch_ndim)``.
+#
+# Variable-free subtrees are folded by running the same dual ops once on
+# their 0-d values, so 4/3 stays 4 * (1/3) bit for bit.  Every seed
+# direction of a variable-free subtree goes through the same scalar
+# arithmetic, so its gradient and Hessian are each filled with one value:
+# +0 for a literal, -0 after a negation, NaN after inf * 0.  A folded
+# constant keeps its value and these two fills.  Only subtrees whose
+# operands have zero fills are folded, and a fold that raises leaves the
+# subtree to be evaluated (and to raise or poison) on every call.
+
+_UNARY_OPS = {
+    "neg": (dual_neg, False),
+    "abs": (dual_abs, True),
+    "sqrt": (dual_sqrt, True),
+    "exp": (dual_exp, False),
+    "log": (dual_log, True),
+    "sin": (dual_sin, False),
+    "cos": (dual_cos, False),
+}
+_BINARY_OPS = {
+    "+": (dual_add, False),
+    "-": (dual_sub, False),
+    "*": (dual_mul, False),
+    "/": (dual_div, True),
+    "^": (dual_pow, True),
+    "pow": (dual_pow, True),
+}
+_FOLD_KEY = (1, True, 0)
+_ZERO_FILLS = struct.pack("<2d", 0.0, 0.0)
+_DERIVATIVE_ARRAYS = {}
+
+
+def _derivative_arrays(key: tuple, fills: bytes = _ZERO_FILLS, seed=None) -> tuple:
+    """Shared read-only (grad, hess) for ``key``: the packed fills (g, h), plus e_seed in grad.
+
+    Fills are compared as bytes, so -0 and NaN fills get entries of their own.
+    """
+    tag = (key, fills, seed)
+    arrays = _DERIVATIVE_ARRAYS.get(tag)
+    if arrays is None:
+        k, second, nd = key
+        g, h = struct.unpack("<2d", fills)
+        pad = (1,) * nd  # trailing size-1 axes keep seed axes clear of batch axes
+        grad = np.full((k,) + pad, g)
+        if seed is not None:
+            grad[(seed,) + (0,) * nd] = 1.0
+        grad.flags.writeable = False
+        hess = None
+        if second:
+            hess = np.full((k, k) + pad, h)
+            hess.flags.writeable = False
+        arrays = _DERIVATIVE_ARRAYS[tag] = (grad, hess)
+    return arrays
+
+
+def _constant(val, g: float, h: float):
+    fills = struct.pack("<2d", g, h)
+    return (lambda env: Dual2(val, *_derivative_arrays(env[1], fills))), (val, g, h)
+
+
+def _apply(op, uses_policy: bool, fns: list):
+    if len(fns) == 1:
+        (fa,) = fns
+        if uses_policy:
+            return lambda env: op(fa(env), env[2])
+        return lambda env: op(fa(env))
+    fa, fb = fns
+    if uses_policy:
+        return lambda env: op(fa(env), fb(env), env[2])
+    return lambda env: op(fa(env), fb(env))
+
+
+def _fold(op, uses_policy: bool, consts: list):
+    """(val, g, h) of op applied to folded operands, or None when it raises."""
+    duals = [Dual2(val, *_derivative_arrays(_FOLD_KEY, struct.pack("<2d", g, h))) for val, g, h in consts]
+    try:
+        d = op(*duals, "raise") if uses_policy else op(*duals)
+    except (ArithmeticError, RuntimeWarning):  # EvalError, or numpy errors set to raise
+        return None
+    return d.val, float(d.grad.flat[0]), float(d.hess.flat[0])
+
+
+def _compile(node: Node, variables: dict):
+    """One bottom-up pass: (fn, const) with const = (val, g, h) for a folded subtree.
+
+    ``variables`` collects one leaf function per variable name met.
+    """
+    if isinstance(node, Num):
+        return _constant(np.asarray(node.value, dtype=float), 0.0, 0.0)
+    if isinstance(node, Var):
+        name = node.name
+        if name not in variables:
+            variables[name] = lambda env: env[0][name]
+        return variables[name], None
+    if isinstance(node, Neg):
+        (op, uses_policy), args = _UNARY_OPS["neg"], (node.arg,)
+    elif isinstance(node, BinOp):
+        (op, uses_policy), args = _BINARY_OPS[node.op], (node.lhs, node.rhs)
+    elif isinstance(node, Call):
+        table = _BINARY_OPS if len(node.args) == 2 else _UNARY_OPS
+        (op, uses_policy), args = table[node.func], node.args
+    else:  # pragma: no cover
+        raise TypeError(f"unknown node {node!r}")
+    parts = [_compile(arg, variables) for arg in args]
+    fns = [fn for fn, _ in parts]
+    consts = [const for _, const in parts]
+    clean = [c is not None and c[1] == 0.0 and c[2] == 0.0 for c in consts]
+    if op is dual_pow and clean[1]:
+        # constant exponent: dual_pow's own test sees zero derivatives here
+        op = _pow_kernel(np.asarray(consts[1][0], dtype=float))
+        fns, consts, clean = fns[:1], consts[:1], clean[:1]
+    if all(clean):
+        folded = _fold(op, uses_policy, consts)
+        if folded is not None:
+            return _constant(*folded)
+    return _apply(op, uses_policy, fns), None
+
+
 # ---------------------------------------------------------------------------
 # Evaluation
 
@@ -611,6 +798,8 @@ def eval_jet2(
     an array (common batch shape); ``seeds`` is an ordered subset of the
     bound variables.  The result's ``grad[j]`` / ``hess[j, k]`` are the
     first/second partials with respect to ``seeds[j]`` / ``seeds[k]``.
+    The expression is compiled on its first evaluation and the compiled
+    program is kept on ``ast``.
     """
     seeds = list(seeds)
     missing = [v for v in ast.variables if v not in binding]
@@ -625,55 +814,26 @@ def eval_jet2(
     if policy not in ("raise", "nan"):
         raise ValueError(f"on_singularity must be 'raise' or 'nan', got {policy!r}")
     S = _batch_shape(binding)
-    nd = len(S)
+    if ast.program is None:
+        variables = {}
+        fn, _ = _compile(ast.root, variables)
+        object.__setattr__(ast, "program", (fn, tuple(sorted(variables))))
+    run, names = ast.program
+    key = (k, order >= 2, len(S))
+    leaves = {
+        name: Dual2(np.asarray(binding[name], dtype=float),
+                    *_derivative_arrays(key, seed=seed_index.get(name)))
+        for name in names
+    }
+    out = run((leaves, key, policy))
+    hess = _expand(out.hess, (k, k) + S) if order >= 2 else None
+    return Dual2(_expand(out.val, S), _expand(out.grad, (k,) + S), hess)
 
-    def ev(node: Node) -> Dual2:
-        if isinstance(node, Num):
-            return dual_constant(node.value, k, order, nd)
-        if isinstance(node, Var):
-            j = seed_index.get(node.name)
-            if j is None:
-                return dual_constant(binding[node.name], k, order, nd)
-            return dual_seed(binding[node.name], j, k, order, nd)
-        if isinstance(node, Neg):
-            return dual_neg(ev(node.arg))
-        if isinstance(node, BinOp):
-            a = ev(node.lhs)
-            b = ev(node.rhs)
-            if node.op == "+":
-                return dual_add(a, b)
-            if node.op == "-":
-                return dual_sub(a, b)
-            if node.op == "*":
-                return dual_mul(a, b)
-            if node.op == "/":
-                return dual_div(a, b, policy)
-            return dual_pow(a, b, policy)
-        if isinstance(node, Call):
-            if node.func == "pow":
-                return dual_pow(ev(node.args[0]), ev(node.args[1]), policy)
-            a = ev(node.args[0])
-            if node.func == "abs":
-                return dual_abs(a, policy)
-            if node.func == "sqrt":
-                return dual_sqrt(a, policy)
-            if node.func == "exp":
-                return dual_exp(a)
-            if node.func == "log":
-                return dual_log(a, policy)
-            if node.func == "sin":
-                return dual_sin(a)
-            if node.func == "cos":
-                return dual_cos(a)
-        raise TypeError(f"unknown node {node!r}")  # pragma: no cover
 
-    out = ev(ast.root)
-    val = np.broadcast_to(np.asarray(out.val, dtype=float), S)
-    grad = np.broadcast_to(out.grad, (k,) + S)
-    hess = None
-    if order >= 2:
-        hess = np.broadcast_to(out.hess, (k, k) + S)
-    return Dual2(np.array(val), np.array(grad), None if hess is None else np.array(hess))
+def _expand(arr, shape: tuple) -> np.ndarray:
+    """A fresh float array of full ``shape`` (results never alias program or binding arrays)."""
+    arr = np.asarray(arr, dtype=float)
+    return np.array(arr if arr.shape == shape else np.broadcast_to(arr, shape))
 
 
 def eval_value(ast: Ast, binding: Mapping, on_singularity: str = "raise") -> np.ndarray:

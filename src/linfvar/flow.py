@@ -49,30 +49,31 @@ class Trajectory:
     exited: bool
     exit_time: Optional[float]
     exit_point: Optional[np.ndarray]
+    evaluations: int = 0    # field evaluations (one map jet and one H jet each)
 
 
-def _velocity_fn(u, H: Hamiltonian, xi: np.ndarray):
-    def v(y):
-        jet = map_jet(u, y, order=1)
-        hp = hamiltonian_jet(H, jet.x, jet.value, jet.gradient).P_grad
-        return xi @ hp
+class _Field:
+    """The velocity xi^T H_P and the density H at a point, from one jet of u and of H.
 
-    return v
+    ``evaluations`` counts the calls; it is deterministic for given inputs.
+    """
+
+    def __init__(self, u, H: Hamiltonian, xi: np.ndarray):
+        self.u, self.H, self.xi = u, H, xi
+        self.evaluations = 0
+
+    def __call__(self, y):
+        self.evaluations += 1
+        jet = map_jet(self.u, y, order=1)
+        hj = hamiltonian_jet(self.H, jet.x, jet.value, jet.gradient)
+        return self.xi @ hj.P_grad, float(hj.value)
 
 
-def _density_fn(u, H: Hamiltonian):
-    def f(y):
-        jet = map_jet(u, y, order=1)
-        return float(hamiltonian_value(H, jet.x, jet.value, jet.gradient))
-
-    return f
-
-
-def _rk4_step(v, y, dt):
-    k1 = v(y)
-    k2 = v(y + 0.5 * dt * k1)
-    k3 = v(y + 0.5 * dt * k2)
-    k4 = v(y + dt * k3)
+def _rk4_step(field, y, dt, k1):
+    """One RK4 step from y, whose velocity k1 the caller already has."""
+    k2 = field(y + 0.5 * dt * k1)[0]
+    k3 = field(y + 0.5 * dt * k2)[0]
+    k4 = field(y + dt * k3)[0]
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -122,11 +123,11 @@ def integrate_flow(
             t_max = 10.0 * bound if np.isfinite(bound) else 1e3 * dt
         else:
             t_max = 1e3 * dt
-    v = _velocity_fn(u, H, xi)
-    density = _density_fn(u, H)
+    field = _Field(u, H, xi)
+    k1, h0 = field(x0)  # each accepted point's k1 evaluation also gives its density
     times = [0.0]
     points = [x0]
-    hvals = [density(x0)]
+    hvals = [h0]
     y = x0
     t = 0.0
     max_steps = int(np.ceil(t_max / dt))
@@ -134,28 +135,29 @@ def integrate_flow(
     exit_time = None
     exit_point = None
     for _ in range(max_steps):
-        y_next = _rk4_step(v, y, dt)
+        y_next = _rk4_step(field, y, dt, k1)
         if O.contains_point(y_next):
             t += dt
             y = y_next
+            k1, hy = field(y)
             times.append(t)
             points.append(y)
-            hvals.append(density(y))
+            hvals.append(hy)
             continue
         # bisect the step length until the crossing is localised
         lo_tau, hi_tau = 0.0, dt
         while hi_tau - lo_tau > dt * 1e-6:
             mid = 0.5 * (lo_tau + hi_tau)
-            if O.contains_point(_rk4_step(v, y, mid)):
+            if O.contains_point(_rk4_step(field, y, mid, k1)):
                 lo_tau = mid
             else:
                 hi_tau = mid
         tau = 0.5 * (lo_tau + hi_tau)
-        exit_point = _rk4_step(v, y, tau)
+        exit_point = _rk4_step(field, y, tau, k1)
         exit_time = t + tau
         times.append(exit_time)
         points.append(exit_point)
-        hvals.append(density(exit_point))
+        hvals.append(field(exit_point)[1])
         exited = True
         break
     return Trajectory(
@@ -165,6 +167,7 @@ def integrate_flow(
         exited=exited,
         exit_time=exit_time,
         exit_point=exit_point,
+        evaluations=field.evaluations,
     )
 
 

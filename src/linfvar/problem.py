@@ -15,7 +15,6 @@ interior, and a singular mask of nodes excluded from all evaluations.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -67,7 +66,10 @@ class DomainBox:
     def __post_init__(self):
         lo = np.asarray(self.lo, dtype=float)
         hi = np.asarray(self.hi, dtype=float)
-        res = np.asarray(self.resolution, dtype=int)
+        raw = np.asarray(self.resolution, dtype=float)
+        if not np.all(np.isfinite(raw) & (raw == np.round(raw))):
+            raise ValueError(f"domain.resolution must hold whole numbers of nodes, got {list(self.resolution)}")
+        res = raw.astype(int)
         if lo.shape != hi.shape or lo.shape != res.shape:
             raise ValueError("lo, hi, resolution must have equal lengths")
         if not np.all(lo < hi):
@@ -726,23 +728,55 @@ def load_problem(source: Union[str, Path, dict]) -> Problem:
 
 
 def problem_digest(data: dict) -> str:
+    import hashlib  # loads OpenSSL: about 2 ms that importing the library need not pay
+
     canon = json.dumps(data, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
 def read_grid_csv(path, box: DomainBox, N: int) -> GridMap:
-    """Grid CSV: one row per node, columns = node multi-index then u components."""
-    values = np.full((N,) + box.shape, np.nan)
+    """Grid CSV: one row per node, columns = node multi-index then u components.
+
+    Node indices must be whole numbers inside the grid and each node may
+    appear once; nodes without a row stay invalid.  A bad row raises
+    ValueError naming its line.
+    """
+    width = box.dim + N
+    rows, lines = [], []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or row[0].startswith("#"):
                 continue
-            idx = tuple(int(float(c)) for c in row[: box.dim])
-            comps = [float(c) for c in row[box.dim:]]
-            if len(comps) != N:
-                raise ValueError(f"row for node {idx} has {len(comps)} components, expected {N}")
-            for a in range(N):
-                values[(a,) + idx] = comps[a]
+            try:
+                if len(row) != width:
+                    raise ValueError(f"{len(row)} fields, expected {box.dim} node indices and {N} components")
+                rows.append([float(c) for c in row])
+            except ValueError as exc:
+                raise ValueError(f"grid CSV {path}, line {reader.line_num}: {exc}") from None
+            lines.append(reader.line_num)
+    table = np.array(rows, dtype=float).reshape(len(rows), width)
+    raw = table[:, :box.dim]
+    whole = np.all(np.isfinite(raw) & (raw == np.round(raw)), axis=1)
+    idx = np.where(whole[:, None], raw, -1).astype(int)
+    inside = whole & np.all((idx >= 0) & (idx < np.asarray(box.shape)), axis=1)
+    flat = np.where(inside, np.ravel_multi_index(np.where(inside[:, None], idx, 0).T, box.shape), -1)
+    _, first = np.unique(flat, return_index=True)
+    repeated = inside.copy()
+    repeated[first] = False
+    bad = np.flatnonzero(~inside | repeated)
+    if bad.size:
+        r = bad[0]
+        where = f"grid CSV {path}, line {lines[r]}"
+        node = tuple(idx[r].tolist())
+        if not whole[r]:
+            raise ValueError(f"{where}: node indices {raw[r].tolist()} are not whole numbers")
+        if not inside[r]:
+            raise ValueError(f"{where}: node {node} lies outside the grid {box.shape}")
+        earlier = lines[np.flatnonzero(flat == flat[r])[0]]
+        raise ValueError(f"{where}: node {node} already given on line {earlier}")
+    values = np.full((N,) + box.shape, np.nan)
+    values[(slice(None),) + tuple(idx.T)] = table[:, box.dim:].T
     return GridMap(box, values)
 
 

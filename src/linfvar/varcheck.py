@@ -17,6 +17,7 @@ the requested amplitude; everything is seeded and reproducible.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -334,8 +335,10 @@ def rank_one_test(
         xi = np.asarray(xi, dtype=float)
         if np.linalg.norm(xi) == 0.0:
             raise ValueError("rank-one direction must be nonzero")
-        variations = [make_rank_one_variation(O, xi, rng, amplitude, deterministic=True)]
-        variations += [make_rank_one_variation(O, xi, rng, amplitude) for _ in range(trials)]
+        # built one at a time; evaluating one draws nothing from rng
+        variations = itertools.chain(
+            [make_rank_one_variation(O, xi, rng, amplitude, deterministic=True)],
+            (make_rank_one_variation(O, xi, rng, amplitude) for _ in range(trials)))
         for phi, spec in variations:
             E1 = sup_energy(PerturbedMap(u, phi, 1.0), H, O)
             violation = E0 - E1

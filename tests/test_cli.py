@@ -77,6 +77,18 @@ class TestExitCodes:
         rep = _report(tmp / "sv", "energy")
         assert "domain" in rep["error"]["message"]
 
+    def test_out_of_range_grid_csv_row_is_exit_2(self, problems):
+        paths, tmp = problems
+        (tmp / "u.csv").write_text("".join(f"{i},{i / 8!r}\n" for i in range(9)) + "40,1.0\n")
+        spec = {"n": 1, "N": 1, "domain": {"lo": [0.0], "hi": [1.0], "resolution": [9]},
+                "H": "dirichlet", "u": {"grid": "u.csv"}}
+        (tmp / "csvprob.json").write_text(json.dumps(spec))
+        out = tmp / "out_csv"
+        assert run(["energy", "--problem", str(tmp / "csvprob.json"), "--out", str(out)]) == 2
+        err = _report(out, "energy")["error"]
+        assert err["type"] == "ValueError"
+        assert "line 10" in err["message"] and "outside the grid" in err["message"]
+
     def test_parse_check_ok(self, problems):
         paths, tmp = problems
         assert run(["parse-check", "--problem", paths["aronsson"], "--out", str(tmp / "o4")]) == 0
@@ -178,6 +190,7 @@ class TestReports:
         rep = _report(tmp / "f", "flow")
         assert rep["results"]["exited"] is True
         assert rep["results"]["exit_time"] == pytest.approx(0.4, abs=1e-4)
+        assert rep["results"]["evaluations"] == 224  # as in test_flow's count on this fixture
         csv_lines = (tmp / "f" / "trajectory.csv").read_text().splitlines()
         assert csv_lines[0] == "t,gamma_1,H"
 

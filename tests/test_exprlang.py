@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from linfvar import exprlang as el
 from linfvar.exprlang import (
     Ast,
     BinOp,
@@ -83,8 +84,8 @@ def _node_strategy():
         lambda inner: st.one_of(
             st.builds(Neg, inner),
             st.builds(BinOp, st.sampled_from(["+", "-", "*", "/", "^"]), inner, inner),
-            st.builds(lambda a: Call("abs", (a,)), inner),
-            st.builds(lambda a: Call("sin", (a,)), inner),
+            st.builds(lambda f, a: Call(f, (a,)), st.sampled_from(["abs", "sqrt", "exp", "log", "sin", "cos"]),
+                      inner),
             st.builds(lambda a, b: Call("pow", (a, b)), inner, inner),
         ),
         max_leaves=12,
@@ -202,3 +203,146 @@ def test_variable_exponent_uses_exp_log():
     assert d.val == pytest.approx(8.0, rel=1e-14)
     assert d.grad[0] == pytest.approx(12.0, rel=1e-12)          # d/dx x^y = y x^(y-1)
     assert d.grad[1] == pytest.approx(8.0 * math.log(2.0), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Compiled evaluator against a plain tree walk
+
+
+def _reference_jet2(ast, binding, seeds, order=2, on_singularity="raise"):
+    """The uncompiled evaluator: walk the tree on every call, no folding, generic pow."""
+    seeds = list(seeds)
+    k = len(seeds)
+    seed_index = {name: j for j, name in enumerate(seeds)}
+    policy = on_singularity
+    S = el._batch_shape(binding)
+    nd = len(S)
+    unary = {"abs": el.dual_abs, "sqrt": el.dual_sqrt, "log": el.dual_log}
+    plain = {"exp": el.dual_exp, "sin": el.dual_sin, "cos": el.dual_cos}
+    binary = {"+": el.dual_add, "-": el.dual_sub, "*": el.dual_mul}
+
+    def ev(node):
+        if isinstance(node, Num):
+            return el.dual_constant(node.value, k, order, nd)
+        if isinstance(node, Var):
+            j = seed_index.get(node.name)
+            if j is None:
+                return el.dual_constant(binding[node.name], k, order, nd)
+            return el.dual_seed(binding[node.name], j, k, order, nd)
+        if isinstance(node, Neg):
+            return el.dual_neg(ev(node.arg))
+        if isinstance(node, BinOp):
+            a, b = ev(node.lhs), ev(node.rhs)
+            if node.op in binary:
+                return binary[node.op](a, b)
+            if node.op == "/":
+                return el.dual_div(a, b, policy)
+            return el.dual_pow(a, b, policy)
+        if node.func == "pow":
+            return el.dual_pow(ev(node.args[0]), ev(node.args[1]), policy)
+        a = ev(node.args[0])
+        return unary[node.func](a, policy) if node.func in unary else plain[node.func](a)
+
+    out = ev(ast.root)
+    val = np.array(np.broadcast_to(np.asarray(out.val, dtype=float), S))
+    grad = np.array(np.broadcast_to(out.grad, (k,) + S))
+    hess = np.array(np.broadcast_to(out.hess, (k, k) + S)) if order >= 2 else None
+    return el.Dual2(val, grad, hess)
+
+
+def _same_bits(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _outcome(fn):
+    try:
+        return fn(), None
+    except Exception as exc:  # compared by type and message
+        return None, (type(exc), str(exc))
+
+
+def _assert_matches_reference(ast, binding, seeds):
+    """Compiled and reference agree bitwise at both orders under both policies."""
+    for order in (1, 2):
+        for policy in ("raise", "nan"):
+            got, got_exc = _outcome(lambda: eval_jet2(ast, binding, seeds, order, policy))
+            ref, ref_exc = _outcome(lambda: _reference_jet2(ast, binding, seeds, order, policy))
+            assert got_exc == ref_exc, (order, policy)
+            if ref is None:
+                continue
+            assert _same_bits(got.val, ref.val), (order, policy, got.val, ref.val)
+            assert _same_bits(got.grad, ref.grad), (order, policy, got.grad, ref.grad)
+            assert _same_bits(got.hess, ref.hess), (order, policy, got.hess, ref.hess)
+
+
+_POINT_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 1e-3, 7.25])
+_NAMES = ("x1", "x2", "u1", "eta1", "P11", "P12")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(
+    _node_strategy(),
+    st.lists(_POINT_VALUES, min_size=6, max_size=6),
+    st.lists(st.lists(_POINT_VALUES, min_size=3, max_size=3), min_size=6, max_size=6),
+    st.lists(st.sampled_from(_NAMES), unique=True, max_size=4),
+)
+def test_compiled_matches_reference_walk(root, point, batch, seeds):
+    ast = parse(to_source(Ast(root=root, n=2, N=1, variables=frozenset())), (2, 1))
+    _assert_matches_reference(ast, dict(zip(_NAMES, point)), seeds)
+    _assert_matches_reference(ast, {name: np.array(v) for name, v in zip(_NAMES, batch)}, seeds)
+
+
+def test_compiled_matches_reference_on_flow_velocity():
+    """One point of the flow: Aronsson map jet, then H = P11^2 + P12^2 over x, eta and P."""
+    u_ast = parse("abs(x1)^(4/3) - abs(x2)^(4/3)", (2, 1))
+    _assert_matches_reference(u_ast, {"x1": np.float64(1.4), "x2": np.float64(1.3)}, ["x1", "x2"])
+    H_ast = parse("P11^2 + P12^2", (2, 1))
+    binding = {"x1": 1.4, "x2": 1.3, "eta1": 0.4, "u1": 0.4, "P11": 1.745, "P12": -1.402}
+    _assert_matches_reference(H_ast, binding, ["x1", "x2", "eta1", "P11", "P12"])
+
+
+def test_compiled_matches_reference_on_sine_variation():
+    """A batched rank-one sine-profile variation as the verdicts build and evaluate it."""
+    from linfvar import DomainBox, Subdomain
+    from linfvar.varcheck import make_rank_one_variation
+
+    box = DomainBox((1.0, 1.0), (2.25, 2.25), (41, 41))
+    O = Subdomain.from_box(box, (1.25, 1.25), (1.75, 1.75))
+    phi, _ = make_rank_one_variation(O, np.array([1.0]), np.random.default_rng(3))
+    x = box.node_coords(O.evaluable_nodes())
+    _assert_matches_reference(phi.components[0], {"x1": x[0], "x2": x[1]}, ["x1", "x2"])
+
+
+def test_folding_keeps_fractions_and_is_cached():
+    ast = parse("x1^(4/3) + 2*3", (1, 1))
+    assert ast.program is None
+    d = eval_jet2(ast, {"x1": 2.0}, ["x1"])
+    assert d.val == 2.0 ** (4.0 * (1.0 / 3.0)) + 6.0
+    program = ast.program
+    eval_jet2(ast, {"x1": np.array([1.0, 2.0])}, ["x1"], order=1)
+    assert ast.program is program
+    assert ast == parse("x1^(4/3) + 2*3", (1, 1)) and "program" not in repr(ast)
+
+
+def test_unfoldable_constant_still_raises_or_poisons():
+    ast = parse("x1 + 1/0", (1, 1))
+    with pytest.raises(DomainEvalError, match="division by zero"):
+        eval_jet2(ast, {"x1": 1.0}, ["x1"])
+    d = eval_jet2(ast, {"x1": 1.0}, ["x1"], on_singularity="nan")
+    assert np.isnan(d.val)
+
+
+@pytest.mark.parametrize("exponent", ["0", "-0", "1", "2", "3", "-1", "-2", "0.5", "4/3", "-0.5", "-4/3",
+                                      "exp(1000)", "-exp(1000)"])
+@pytest.mark.parametrize("func", [False, True])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_constant_exponent_kernels_match_reference(exponent, func):
+    """Each class of folded exponent, at negative, zero and positive bases, scalar and batched."""
+    src = f"pow(x1, {exponent})" if func else f"x1^({exponent})"
+    ast = parse(src, (1, 1))
+    for x in (-2.0, -0.0, 0.0, 0.5, 3.0):
+        _assert_matches_reference(ast, {"x1": x}, ["x1"])
+    _assert_matches_reference(ast, {"x1": np.array([-2.0, -0.0, 0.0, 0.5, 3.0])}, ["x1"])

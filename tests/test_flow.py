@@ -26,6 +26,26 @@ class TestIntegrateFlow:
         assert traj.exit_point[0] == pytest.approx(1.0, abs=1e-6)
         assert np.ptp(traj.H_values) == 0.0  # density constant along a constant field
 
+    def test_field_evaluation_count(self, interval_sym, dirichlet_1d):
+        # x0: 1; 39 accepted steps: 3 stages + the new point's k1 (its density too);
+        # the rejected 40th step: 3; 20 bisection trials and the exit step: 3 each;
+        # the exit point's density: 1.  1 + 4*39 + 3 + 3*21 + 1 = 224.
+        _, O = interval_sym
+        u = ClosedFormMap.from_expressions(["x1"], n=1)
+        traj = integrate_flow(u, dirichlet_1d, [0.2], [1.0], O, dt=0.01, t_max=10.0)
+        assert traj.times.size == 41
+        assert traj.evaluations == 224
+
+    def test_density_is_the_k1_evaluation(self, aronsson_map, aronsson_domain):
+        # the density along the path equals hamiltonian_value bit for bit
+        from linfvar import hamiltonian_value, map_jet
+        _, O = aronsson_domain
+        H = Hamiltonian.from_expression("P11^2 + P12^2", 2, 1)
+        traj = integrate_flow(aronsson_map, H, [1.5, 1.5], [1.0], O, dt=1e-2, t_max=1.0)
+        for p, hval in zip(traj.points, traj.H_values):
+            jet = map_jet(aronsson_map, p, order=1)
+            assert hval == float(hamiltonian_value(H, jet.x, jet.value, jet.gradient))
+
     def test_linear_2d_straight_line(self):
         box = DomainBox((-1.0, -1.0), (1.0, 1.0), (17, 17))
         O = Subdomain.whole(box)

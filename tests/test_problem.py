@@ -29,6 +29,14 @@ class TestDomainBox:
         with pytest.raises(ValueError):
             DomainBox((0.0,), (1.0,), (2,))
 
+    def test_fractional_resolution_rejected(self):
+        with pytest.raises(ValueError, match=r"domain\.resolution must hold whole numbers"):
+            DomainBox((0.0, 0.0), (1.0, 1.0), (9.7, 9))
+        with pytest.raises(ValueError, match=r"domain\.resolution"):
+            load_problem({"n": 2, "N": 1, "H": "dirichlet", "u": ["x1"],
+                          "domain": {"lo": [0.0, 0.0], "hi": [1.0, 1.0], "resolution": [9.7, 9]}})
+        assert DomainBox((0.0,), (1.0,), (9.0,)).resolution == (9,)
+
     def test_spacing_and_coords(self):
         box = DomainBox((0.0, -1.0), (1.0, 1.0), (11, 21))
         assert np.allclose(box.spacing, [0.1, 0.1])
@@ -213,6 +221,30 @@ class TestProblemIO:
         write_grid_csv(path, gm)
         back = read_grid_csv(path, box, 2)
         assert np.array_equal(back.values, gm.values)
+
+    @pytest.mark.parametrize("bad_row, message", [
+        ("5,0,1.0", r"line 3: node \(5, 0\) lies outside the grid \(5, 5\)"),
+        ("0,7,1.0", r"line 3: node \(0, 7\) lies outside the grid"),
+        ("-1,-1,1.0", r"line 3: node \(-1, -1\) lies outside the grid"),
+        ("0,1,2.0", r"line 3: node \(0, 1\) already given on line 2"),
+        ("0.5,1,1.0", r"line 3: node indices \[0\.5, 1\.0\] are not whole numbers"),
+        ("0,1", r"line 3: 2 fields, expected 2 node indices and 1 components"),
+        ("0,x,1.0", r"line 3: could not convert"),
+    ])
+    def test_grid_csv_bad_rows_name_the_line(self, tmp_path, bad_row, message):
+        box = DomainBox((0.0, 0.0), (1.0, 1.0), (5, 5))
+        path = tmp_path / "grid.csv"
+        path.write_text(f"# header comment\n0,1,1.0\n{bad_row}\n")
+        with pytest.raises(ValueError, match=message):
+            read_grid_csv(path, box, 1)
+
+    def test_grid_csv_missing_rows_stay_invalid(self, tmp_path):
+        box = DomainBox((0.0,), (1.0,), (5,))
+        path = tmp_path / "grid.csv"
+        path.write_text("0,1.0\n1,2.0\n\n3,4.0\n4,5.0\n2.0,3.0\n")
+        assert np.array_equal(read_grid_csv(path, box, 1).values, [[1.0, 2.0, 3.0, 4.0, 5.0]])
+        path.write_text("0,1.0\n1,2.0\n3,4.0\n4,5.0\n")
+        assert not read_grid_csv(path, box, 1).valid[2]
 
     def test_grid_problem_from_csv(self, tmp_path):
         box = DomainBox((0.0,), (1.0,), (11,))
