@@ -346,10 +346,8 @@ def residual_field(
     if isinstance(u, GridMap):
         if nodes is None:
             if points is not None:
-                # grid maps evaluate at nodes only: explicit points must be nodes
-                nodes = np.asarray(
-                    [u.box.nearest_node(p) for p in np.atleast_2d(np.asarray(points, dtype=float))],
-                    dtype=int)
+                # grid maps evaluate at nodes only: explicit points must be valid nodes
+                nodes = u.nodes_at(np.atleast_2d(np.asarray(points, dtype=float)).T)
             else:
                 nodes = O.interior_nodes() if interior_only else O.evaluable_nodes()
         nodes = np.atleast_2d(np.asarray(nodes, dtype=int))

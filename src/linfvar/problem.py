@@ -110,17 +110,23 @@ class DomainBox:
         h = self.spacing
         return (lo[None, :] + nodes * h[None, :]).T
 
-    def nearest_node(self, x: np.ndarray) -> tuple:
-        """Multi-index of the node matching point ``x``; error if x is not a node."""
+    def nearest_node(self, x: np.ndarray):
+        """Multi-index of the node matching point ``x`` (dim,), or the (M, dim)
+        multi-indices of a batch (dim, M); error naming the first point that is
+        not a node."""
         x = np.asarray(x, dtype=float)
-        h = self.spacing
-        raw = (x - np.asarray(self.lo)) / h
+        if x.shape[0] != self.dim:
+            raise ValueError(f"point has dimension {x.shape[0]}, grid has {self.dim}")
+        pts = x.reshape(self.dim, -1).T
+        raw = (pts - np.asarray(self.lo)) / self.spacing
         idx = np.rint(raw).astype(int)
-        if np.any(idx < 0) or np.any(idx >= np.asarray(self.shape)):
-            raise ValueError(f"point {x} outside the grid")
-        if np.any(np.abs(raw - idx) > 1e-9):
-            raise ValueError(f"point {x} is not a grid node (grid maps evaluate only at nodes)")
-        return tuple(int(i) for i in idx)
+        outside = np.any((idx < 0) | (idx >= np.asarray(self.shape)), axis=1)
+        if outside.any():
+            raise ValueError(f"point {pts[np.argmax(outside)]} outside the grid")
+        off = np.any(np.abs(raw - idx) > 1e-9, axis=1)
+        if off.any():
+            raise ValueError(f"point {pts[np.argmax(off)]} is not a grid node (grid maps evaluate only at nodes)")
+        return tuple(int(i) for i in idx[0]) if x.ndim == 1 else idx
 
 
 def _boundary_mask(mask: np.ndarray) -> np.ndarray:
@@ -252,31 +258,15 @@ class Jet2:
 # Finite-difference machinery (shared by grid maps and field divergences)
 
 
-def _d1_stencil(M: int, i: int):
-    if 0 < i < M - 1:
-        return (i - 1, i, i + 1), (-0.5, 0.0, 0.5)
-    if i == 0:
-        return (0, 1, 2), (-1.5, 2.0, -0.5)
-    return (M - 3, M - 2, M - 1), (0.5, -2.0, 1.5)
-
-
-def _d2_stencil(M: int, i: int):
-    if 0 < i < M - 1:
-        return (i - 1, i, i + 1), (1.0, -2.0, 1.0)
-    if M == 3:
-        return (0, 1, 2), (1.0, -2.0, 1.0)
-    if i == 0:
-        return (0, 1, 2, 3), (2.0, -5.0, 4.0, -1.0)
-    return (M - 4, M - 3, M - 2, M - 1), (-1.0, 4.0, -5.0, 2.0)
-
-
-_FALLBACK_D1 = {
-    "fwd": ((0, 1, 2), (-1.5, 2.0, -0.5)),
-    "bwd": ((-2, -1, 0), (0.5, -2.0, 1.5)),
-}
-_FALLBACK_D2 = {
-    "fwd": ((0, 1, 2, 3), (2.0, -5.0, 4.0, -1.0)),
-    "bwd": ((-3, -2, -1, 0), (-1.0, 4.0, -5.0, 2.0)),
+# (offset, coefficient) terms of each stencil, listed in the order they are
+# summed; per derivative order: central, forward one-sided, backward one-sided.
+_STENCILS = {
+    1: (((1, 0.5), (-1, -0.5)),
+        ((0, -1.5), (1, 2.0), (2, -0.5)),
+        ((0, 1.5), (-1, -2.0), (-2, 0.5))),
+    2: (((1, 1.0), (0, -2.0), (-1, 1.0)),
+        ((0, 2.0), (1, -5.0), (2, 4.0), (3, -1.0)),
+        ((0, 2.0), (-1, -5.0), (-2, 4.0), (-3, -1.0))),
 }
 
 
@@ -286,76 +276,48 @@ def axis_derivative(values: np.ndarray, axis: int, h: float, order: int = 1,
     """Second-order accurate derivative of a gridded field along ``axis``.
 
     ``values`` may carry leading component axes; the grid axes are the last
-    ``grid_ndim`` (defaulting to ``valid.ndim``, else all axes).  Nodes whose
-    default stencil touches an invalid node are recomputed with a shifted
-    one-sided stencil where possible and set to NaN otherwise.
+    ``grid_ndim`` (defaulting to ``valid.ndim``, else all axes).  Each valid
+    node takes the first stencil of ``_STENCILS[order]`` whose nodes all lie
+    on the axis and are valid; on a 3-node axis the second derivative at the
+    faces is the middle node's.  Invalid nodes, and nodes no stencil fits,
+    are NaN.
     """
+    if order not in _STENCILS:
+        raise ValueError("order must be 1 or 2")
     values = np.asarray(values, dtype=float)
     if grid_ndim is None:
         grid_ndim = values.ndim if valid is None else valid.ndim
     gaxis = values.ndim - grid_ndim + axis
     v = np.moveaxis(values, gaxis, -1)
     M = v.shape[-1]
-    out = np.empty_like(v)
-    if order == 1:
-        out[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / (2 * h)
-        out[..., 0] = (-1.5 * v[..., 0] + 2.0 * v[..., 1] - 0.5 * v[..., 2]) / h
-        out[..., -1] = (1.5 * v[..., -1] - 2.0 * v[..., -2] + 0.5 * v[..., -3]) / h
-    elif order == 2:
-        out[..., 1:-1] = (v[..., 2:] - 2.0 * v[..., 1:-1] + v[..., :-2]) / h ** 2
-        if M == 3:
-            out[..., 0] = out[..., 1]
-            out[..., -1] = out[..., 1]
-        else:
-            out[..., 0] = (2.0 * v[..., 0] - 5.0 * v[..., 1] + 4.0 * v[..., 2] - v[..., 3]) / h ** 2
-            out[..., -1] = (2.0 * v[..., -1] - 5.0 * v[..., -2] + 4.0 * v[..., -3] - v[..., -4]) / h ** 2
+    if valid is None:
+        ok = np.ones(v.shape[v.ndim - grid_ndim:], dtype=bool)
     else:
-        raise ValueError("order must be 1 or 2")
-    result = np.moveaxis(out, -1, gaxis)
-    if valid is not None and not valid.all():
-        result = _fix_invalid(values, result, axis, h, order, valid, grid_ndim)
-    return result
-
-
-def _fix_invalid(values, result, axis, h, order, valid, grid_ndim):
-    """Recompute nodes whose default stencil used an invalid node."""
-    bad = ~valid
-    polluted = bad.copy()
-    for shift in range(1, 4):  # widest default stencil reaches 3 nodes
-        polluted |= np.roll(bad, shift, axis=axis) | np.roll(bad, -shift, axis=axis)
-    fallbacks = _FALLBACK_D1 if order == 1 else _FALLBACK_D2
-    M = valid.shape[axis]
-    lead = values.shape[: values.ndim - grid_ndim]
-
-    def stencil_values(node, idxs, coeffs):
-        acc = np.zeros(lead)
-        for j, c in zip(idxs, coeffs):
-            src = tuple(node[a] if a != axis else j for a in range(grid_ndim))
-            acc = acc + c * values[(Ellipsis,) + src]
-        return acc / (h if order == 1 else h ** 2)
-
-    def all_valid(node, idxs):
-        return all(
-            0 <= j < M and valid[tuple(node[a] if a != axis else j for a in range(grid_ndim))]
-            for j in idxs
-        )
-
-    for node in np.argwhere(polluted & valid):
-        i = node[axis]
-        offs, coeffs = (_d1_stencil if order == 1 else _d2_stencil)(M, i)
-        chosen = (list(offs), coeffs) if all_valid(node, offs) else None
-        if chosen is None:
-            for kind in ("fwd", "bwd"):
-                offs, coeffs = fallbacks[kind]
-                idxs = [i + o for o in offs]
-                if all_valid(node, idxs):
-                    chosen = (idxs, coeffs)
-                    break
-        tgt = (Ellipsis,) + tuple(node)
-        result[tgt] = stencil_values(node, *chosen) if chosen else np.nan
-    for node in np.argwhere(bad):
-        result[(Ellipsis,) + tuple(node)] = np.nan
-    return result
+        ok = np.moveaxis(np.asarray(valid, dtype=bool), axis, -1)
+        v = np.where(ok, v, 0.0)  # fills at invalid nodes stay out of the arithmetic
+    out = np.full(v.shape, np.nan)
+    todo = ok.copy()
+    for stencil in _STENCILS[order]:
+        offsets = [o for o, _ in stencil]
+        lo, hi = -min(offsets), M - max(offsets)  # nodes whose stencil stays on the axis
+        fits = todo[..., lo:hi].copy()
+        for o in offsets:
+            fits &= ok[..., lo + o:hi + o]
+        cols = np.flatnonzero(fits.any(axis=tuple(range(fits.ndim - 1))))
+        if not cols.size:
+            continue
+        # narrow to the columns it takes: a single face column on a clean grid
+        fits = fits[..., cols[0]:cols[-1] + 1]
+        lo, hi = lo + cols[0], lo + cols[-1] + 1
+        (o, c), *terms = stencil
+        acc = c * v[..., lo + o:hi + o]
+        for o, c in terms:
+            acc = acc + c * v[..., lo + o:hi + o]
+        np.copyto(out[..., lo:hi], acc / h ** order, where=fits)
+        todo[..., lo:hi] &= ~fits
+    if order == 2 and M == 3:
+        out[..., ::2] = np.where(ok[..., ::2], out[..., 1:2], np.nan)
+    return np.moveaxis(out, -1, gaxis)
 
 
 # ---------------------------------------------------------------------------
@@ -460,23 +422,29 @@ class GridMap:
         hessian = d2[(slice(None), slice(None), slice(None)) + sel] if order >= 2 else None
         return Jet2(x=x, value=value, gradient=gradient, hessian=hessian)
 
+    def nodes_at(self, x) -> np.ndarray:
+        """(M, n) nodes of the points ``x`` (n, M); error naming the first node
+        that is masked or has no valid stencil."""
+        nodes = np.atleast_2d(self.box.nearest_node(x))
+        sel = tuple(nodes.T)
+        for ok, error, why in ((self.valid, SingularityError, "is masked as singular/invalid"),
+                               (self.jet_valid, StencilError, "has no valid finite-difference stencil")):
+            bad = ~ok[sel]
+            if bad.any():
+                raise error(f"grid node {tuple(nodes[np.argmax(bad)].tolist())} {why}")
+        return nodes
+
     def jet2(self, x, order: int = 2) -> Jet2:
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            idx = self.box.nearest_node(x)
-            if not self.valid[idx]:
-                raise SingularityError(f"grid node {idx} is masked as singular/invalid")
-            if not self.jet_valid[idx]:
-                raise StencilError(f"no valid finite-difference stencil at node {idx}")
-            jet = self.jet_at_nodes(np.asarray([idx]), order=order)
-            return Jet2(
-                x=x,
-                value=jet.value[..., 0],
-                gradient=jet.gradient[..., 0],
-                hessian=None if jet.hessian is None else jet.hessian[..., 0],
-            )
-        nodes = np.asarray([self.box.nearest_node(p) for p in x.T], dtype=int)
-        return self.jet_at_nodes(nodes, order=order)
+        jet = self.jet_at_nodes(self.nodes_at(x), order=order)
+        if x.ndim > 1:
+            return jet
+        return Jet2(
+            x=x,
+            value=jet.value[..., 0],
+            gradient=jet.gradient[..., 0],
+            hessian=None if jet.hessian is None else jet.hessian[..., 0],
+        )
 
 
 class PerturbedMap:
@@ -491,11 +459,10 @@ class PerturbedMap:
         self.n = base.n
         self.N = base.N
 
-    def jet2(self, x, order: int = 2, **kw) -> Jet2:
-        j1 = map_jet(self.base, x, order=order)
-        j2 = map_jet(self.variation, x, order=order)
+    def combine(self, j1: Jet2, j2: Jet2) -> Jet2:
+        """Jet of u + t*phi from the jets ``j1`` of u and ``j2`` of phi."""
         hess = None
-        if order >= 2 and j1.hessian is not None and j2.hessian is not None:
+        if j1.hessian is not None and j2.hessian is not None:
             hess = j1.hessian + self.scale * j2.hessian
         return Jet2(
             x=j1.x,
@@ -503,6 +470,9 @@ class PerturbedMap:
             gradient=j1.gradient + self.scale * j2.gradient,
             hessian=hess,
         )
+
+    def jet2(self, x, order: int = 2, **kw) -> Jet2:
+        return self.combine(map_jet(self.base, x, order=order), map_jet(self.variation, x, order=order))
 
 
 MapField = Union[ClosedFormMap, GridMap, PerturbedMap]
@@ -520,12 +490,8 @@ def jets_at_nodes(u, box: DomainBox, nodes: np.ndarray, order: int = 2) -> Jet2:
             raise ValueError("grid map lives on a different box")
         return u.jet_at_nodes(nodes, order=order)
     if isinstance(u, PerturbedMap):
-        j1 = jets_at_nodes(u.base, box, nodes, order=order)
-        j2 = jets_at_nodes(u.variation, box, nodes, order=order)
-        hess = None
-        if order >= 2 and j1.hessian is not None and j2.hessian is not None:
-            hess = j1.hessian + u.scale * j2.hessian
-        return Jet2(j1.x, j1.value + u.scale * j2.value, j1.gradient + u.scale * j2.gradient, hess)
+        return u.combine(jets_at_nodes(u.base, box, nodes, order=order),
+                         jets_at_nodes(u.variation, box, nodes, order=order))
     coords = box.node_coords(np.atleast_2d(nodes))
     return u.jet2(coords, order=order)
 

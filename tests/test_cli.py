@@ -89,6 +89,20 @@ class TestExitCodes:
         assert err["type"] == "ValueError"
         assert "line 10" in err["message"] and "outside the grid" in err["message"]
 
+    def test_explicit_point_at_masked_grid_node_is_exit_2(self, problems):
+        paths, tmp = problems
+        rows = [f"{i},{j},{(i + j) / 8!r}\n" for i in range(9) for j in range(9) if (i, j) != (4, 4)]
+        (tmp / "u.csv").write_text("".join(rows))
+        spec = {"n": 2, "N": 1, "domain": {"lo": [0.0, 0.0], "hi": [1.0, 1.0], "resolution": [9, 9]},
+                "H": "dirichlet", "u": {"grid": "u.csv"}}
+        (tmp / "masked.json").write_text(json.dumps(spec))
+        out = tmp / "out_masked"
+        assert run(["residual", "--problem", str(tmp / "masked.json"), "--points", "0.25,0.25;0.5,0.5",
+                    "--out", str(out)]) == 2
+        err = _report(out, "residual")["error"]
+        assert err["type"] == "SingularityError"
+        assert "grid node (4, 4)" in err["message"]
+
     def test_parse_check_ok(self, problems):
         paths, tmp = problems
         assert run(["parse-check", "--problem", paths["aronsson"], "--out", str(tmp / "o4")]) == 0

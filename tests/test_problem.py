@@ -44,6 +44,17 @@ class TestDomainBox:
         with pytest.raises(ValueError, match="not a grid node"):
             box.nearest_node(np.array([0.33, -0.5]))
 
+    def test_nearest_node_batch(self):
+        box = DomainBox((0.0, -1.0), (1.0, 1.0), (11, 21))
+        pts = np.array([[0.3, 0.0, 1.0], [-0.5, -1.0, 1.0]])
+        assert np.array_equal(box.nearest_node(pts), [[3, 5], [0, 0], [10, 20]])
+        with pytest.raises(ValueError, match=r"point \[ *0\.33 +-0\.5 *\] is not a grid node"):
+            box.nearest_node(np.array([[0.3, 0.33], [-0.5, -0.5]]))
+        with pytest.raises(ValueError, match=r"point \[ *1\.5 +0\. *\] outside the grid"):
+            box.nearest_node(np.array([[0.33, 1.5], [-0.5, 0.0]]))
+        with pytest.raises(ValueError, match="point has dimension 3, grid has 2"):
+            box.nearest_node(np.zeros((3, 2)))
+
 
 class TestSubdomain:
     def test_box_subdomain_masks(self):
@@ -97,6 +108,33 @@ class TestMapJets:
         jet0 = g.jet2(np.array([0.0]))
         assert jet0.gradient[0, 0] == pytest.approx(0.0, abs=1e-13)
         assert jet0.hessian[0, 0, 0] == pytest.approx(2.0, abs=1e-11)
+
+    def test_batched_grid_jets_fail_at_masked_nodes(self):
+        # a batch through a masked or stencil-less node fails as one point does, naming the node
+        from linfvar import StencilError, residual_field
+        box = DomainBox((0.0, 0.0), (1.0, 1.0), (9, 9))
+        x1, x2 = np.meshgrid(box.axis_coords(0), box.axis_coords(1), indexing="ij")
+        values = np.sin(x1 + x2)[None]
+        values[0, 4, 4] = np.nan
+        g = GridMap(box, values)
+        clean = box.node_coords(np.array([[1, 2], [6, 6]]))
+        jets = map_jet(g, clean)
+        assert np.array_equal(jets.gradient, g.jet_at_nodes(np.array([[1, 2], [6, 6]])).gradient)
+        masked = box.node_coords(np.array([[1, 2], [4, 4], [6, 6]]))
+        for x in (masked, masked[:, 1]):
+            with pytest.raises(SingularityError, match=r"grid node \(4, 4\)"):
+                map_jet(g, x)
+        H, O = Hamiltonian.dirichlet(2, 1), Subdomain.whole(box)
+        with pytest.raises(SingularityError, match=r"grid node \(4, 4\)"):
+            residual_field(g, H, O, points=masked.T)
+        values[0, 4, 2] = np.nan  # (4, 3) is hemmed in along x2
+        g = GridMap(box, values)
+        hemmed = box.node_coords(np.array([[1, 2], [4, 3]]))
+        for x in (hemmed, hemmed[:, 1]):
+            with pytest.raises(StencilError, match=r"grid node \(4, 3\)"):
+                map_jet(g, x)
+        with pytest.raises(StencilError, match=r"grid node \(4, 3\)"):
+            residual_field(g, H, O, points=hemmed.T)
 
     def test_grid_nodes_only(self):
         box = DomainBox((0.0,), (1.0,), (11,))
