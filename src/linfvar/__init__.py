@@ -82,6 +82,7 @@ from .problem import (
 from .varcheck import (
     DiscreteMeasure,
     MeasureReport,
+    SineModeMap,
     StationarityReport,
     SupportViolationError,
     Verdict,
@@ -95,6 +96,8 @@ from .varcheck import (
     rank_one_test,
     sphere_family_scan,
     stationarity_scan,
+    stationarity_scans,
+    variation_source,
 )
 
 __version__ = "0.1.0"

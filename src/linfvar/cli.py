@@ -6,7 +6,8 @@ results payload, pass flag and wall time.  Identical inputs and seeds
 produce identical results payloads; wall time is the only varying field.
 
 Exit codes: 0 computed and all verdicts pass, 1 computed with verdict
-failures (witness in the report), 2 input/parse error.
+failures (witness in the report), 2 input/parse error or any other
+exception raised before a verdict (reported, never a traceback).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import energy, flow, lp_approx, operators, varcheck
-from .exprlang import EvalError, ParseError
+from .exprlang import ParseError
 from .problem import (
     ClosedFormMap,
     Problem,
@@ -210,8 +211,7 @@ def _dispatch(args, prob: Problem, out_dir: Path):
             basis = [_phi_map(args.psi, prob.n, prob.N)]
         else:
             basis = varcheck.make_test_basis(O, prob.N, args.basis_size)
-        reports = [varcheck.stationarity_scan(u, H, O, psi, delta=args.delta, tol=args.tol)
-                   for psi in basis]
+        reports = varcheck.stationarity_scans(u, H, O, basis, delta=args.delta, tol=args.tol)
         results = {
             "per_psi": [
                 {
@@ -307,7 +307,7 @@ def run(argv=None) -> int:
         report["problem_digest"] = problem_digest(raw)
         prob = load_problem(Path(args.problem))  # path form keeps relative CSV paths anchored
         results, passed = _dispatch(args, prob, out_dir)
-    except (ParseError, EvalError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except Exception as exc:  # anything before a verdict is an input error: exit 2 with a report
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, ParseError):
             report["error"]["offset"] = exc.offset

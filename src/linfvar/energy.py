@@ -14,7 +14,15 @@ from typing import Optional
 
 import numpy as np
 
-from .problem import Hamiltonian, Subdomain, hamiltonian_jet, hamiltonian_value, jets_at_nodes
+from .problem import (
+    Hamiltonian,
+    HamiltonianJet,
+    Jet2,
+    Subdomain,
+    hamiltonian_jet,
+    hamiltonian_value,
+    jets_at_nodes,
+)
 
 __all__ = [
     "ArgmaxSet",
@@ -22,6 +30,7 @@ __all__ = [
     "argmax_set",
     "convex_min_check",
     "danskin_derivative",
+    "density_sup",
     "sup_energy",
     "variation_density",
 ]
@@ -36,9 +45,31 @@ class ArgmaxSet:
     delta: float
 
 
-def _density_at_nodes(u, H: Hamiltonian, O: Subdomain, nodes: np.ndarray) -> np.ndarray:
-    jets = jets_at_nodes(u, O.box, nodes, order=1)
+def _density(H: Hamiltonian, jets: Jet2) -> np.ndarray:
     return np.asarray(hamiltonian_value(H, jets.x, jets.value, jets.gradient), dtype=float)
+
+
+def subdomain_nodes(O: Subdomain, interior_only: bool = False) -> np.ndarray:
+    """The evaluable (or evaluable interior) nodes of the subdomain; error if there are none."""
+    nodes = O.interior_nodes() if interior_only else O.evaluable_nodes()
+    if nodes.shape[0] == 0:
+        raise ValueError("subdomain has no evaluable nodes")
+    return nodes
+
+
+def density_sup(H: Hamiltonian, jets: Jet2, nodes: np.ndarray) -> np.ndarray:
+    """Max of H(x, value, gradient) over the trailing node axis of node jets.
+
+    Leading batch axes (one entry per variation) are kept.  A density that
+    is not finite raises ValueError naming the first such node, taking the
+    batch entries in order.
+    """
+    vals = _density(H, jets)
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        node = nodes[np.unravel_index(np.argmax(bad), bad.shape)[-1]]
+        raise ValueError(f"density not finite at node {tuple(int(i) for i in node)}")
+    return np.max(vals, axis=-1)
 
 
 def sup_energy(u, H: Hamiltonian, O: Subdomain, interior_only: bool = False) -> float:
@@ -46,14 +77,8 @@ def sup_energy(u, H: Hamiltonian, O: Subdomain, interior_only: bool = False) -> 
 
     With ``interior_only`` the max runs over the evaluable interior nodes.
     """
-    nodes = O.interior_nodes() if interior_only else O.evaluable_nodes()
-    if nodes.shape[0] == 0:
-        raise ValueError("subdomain has no evaluable nodes")
-    vals = _density_at_nodes(u, H, O, nodes)
-    if not np.isfinite(vals).all():
-        bad = nodes[~np.isfinite(vals)][0]
-        raise ValueError(f"density not finite at node {tuple(int(i) for i in bad)}")
-    return float(np.max(vals))
+    nodes = subdomain_nodes(O, interior_only)
+    return float(density_sup(H, jets_at_nodes(u, O.box, nodes, order=1), nodes))
 
 
 def default_delta(sup_value: float) -> float:
@@ -62,10 +87,8 @@ def default_delta(sup_value: float) -> float:
 
 def argmax_set(u, H: Hamiltonian, O: Subdomain, delta: Optional[float] = None) -> ArgmaxSet:
     """Nodes within ``delta`` of the sup (boundary nodes of the closed subdomain included)."""
-    nodes = O.evaluable_nodes()
-    if nodes.shape[0] == 0:
-        raise ValueError("subdomain has no evaluable nodes")
-    vals = _density_at_nodes(u, H, O, nodes)
+    nodes = subdomain_nodes(O)
+    vals = _density(H, jets_at_nodes(u, O.box, nodes, order=1))
     sup = float(np.max(vals))
     if delta is None:
         delta = default_delta(sup)
@@ -73,14 +96,23 @@ def argmax_set(u, H: Hamiltonian, O: Subdomain, delta: Optional[float] = None) -
     return ArgmaxSet(nodes=nodes[keep], sup_value=sup, delta=float(delta))
 
 
-def variation_density(u, H: Hamiltonian, phi, O: Subdomain, nodes: np.ndarray) -> np.ndarray:
-    """Linearised density g = H_P : Dphi + H_eta . phi at the given nodes."""
+def density_linearisation(u, H: Hamiltonian, O: Subdomain, nodes: np.ndarray) -> HamiltonianJet:
+    """H and its first derivatives along u at the given nodes."""
     jets = jets_at_nodes(u, O.box, nodes, order=1)
-    ham = hamiltonian_jet(H, jets.x, jets.value, jets.gradient)
+    return hamiltonian_jet(H, jets.x, jets.value, jets.gradient)
+
+
+def linearised_density(ham: HamiltonianJet, phi, O: Subdomain, nodes: np.ndarray) -> np.ndarray:
+    """g = H_P : Dphi + H_eta . phi at the nodes of ``ham``."""
     pjet = jets_at_nodes(phi, O.box, nodes, order=1)
     g = np.einsum("ai...,ai...->...", ham.P_grad, pjet.gradient)
     g = g + np.einsum("a...,a...->...", ham.eta_grad, pjet.value)
     return np.asarray(g, dtype=float)
+
+
+def variation_density(u, H: Hamiltonian, phi, O: Subdomain, nodes: np.ndarray) -> np.ndarray:
+    """Linearised density g = H_P : Dphi + H_eta . phi at the given nodes."""
+    return linearised_density(density_linearisation(u, H, O, nodes), phi, O, nodes)
 
 
 def danskin_derivative(

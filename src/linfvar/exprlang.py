@@ -568,10 +568,14 @@ def _coeff_pow(c, v, e):
     return np.where(np.asarray(c) == 0.0, 0.0, raw)
 
 
+def dual_pow_varying(a: Dual2, b: Dual2, policy: str) -> Dual2:
+    """a^b = exp(b log a) for an exponent that varies; requires a > 0."""
+    return dual_exp(dual_mul(b, dual_log(a, policy)))
+
+
 def dual_pow(a: Dual2, b: Dual2, policy: str) -> Dual2:
     if not _is_constant(b):
-        # genuinely varying exponent: a^b = exp(b log a), requires a > 0
-        return dual_exp(dual_mul(b, dual_log(a, policy)))
+        return dual_pow_varying(a, b, policy)
     m = np.asarray(b.val, dtype=float)
     v = a.val
     is_int = (m == np.floor(m)) & np.isfinite(m)
@@ -740,6 +744,18 @@ def _fold(op, uses_policy: bool, consts: list):
     return d.val, float(d.grad.flat[0]), float(d.hess.flat[0])
 
 
+def _has_variable(node: Node) -> bool:
+    if isinstance(node, Var):
+        return True
+    if isinstance(node, Num):
+        return False
+    if isinstance(node, Neg):
+        return _has_variable(node.arg)
+    if isinstance(node, BinOp):
+        return _has_variable(node.lhs) or _has_variable(node.rhs)
+    return any(_has_variable(arg) for arg in node.args)
+
+
 def _compile(node: Node, variables: dict):
     """One bottom-up pass: (fn, const) with const = (val, g, h) for a folded subtree.
 
@@ -769,6 +785,9 @@ def _compile(node: Node, variables: dict):
         # constant exponent: dual_pow's own test sees zero derivatives here
         op = _pow_kernel(np.asarray(consts[1][0], dtype=float))
         fns, consts, clean = fns[:1], consts[:1], clean[:1]
+    elif op is dual_pow and _has_variable(args[1]):
+        # decided by the expression, not by seeding, so values agree with and without derivatives
+        op = dual_pow_varying
     if all(clean):
         folded = _fold(op, uses_policy, consts)
         if folded is not None:

@@ -492,6 +492,8 @@ def jets_at_nodes(u, box: DomainBox, nodes: np.ndarray, order: int = 2) -> Jet2:
     if isinstance(u, PerturbedMap):
         return u.combine(jets_at_nodes(u.base, box, nodes, order=order),
                          jets_at_nodes(u.variation, box, nodes, order=order))
+    if hasattr(u, "node_jets"):  # maps that tabulate their jets along the grid axes
+        return u.node_jets(box, np.atleast_2d(nodes), order=order)
     coords = box.node_coords(np.atleast_2d(nodes))
     return u.jet2(coords, order=order)
 
@@ -747,8 +749,10 @@ def read_grid_csv(path, box: DomainBox, N: int) -> GridMap:
 
 
 def write_grid_csv(path, grid: GridMap) -> None:
+    """One row per node, lexicographic: node multi-index then the components as
+    ``repr`` floats, comma separated with ``\\r\\n`` line ends (the ``csv`` module's
+    default dialect, which quotes none of these fields)."""
+    columns = [map(str, col) for col in grid.box.all_nodes().T.tolist()]
+    columns += [map(repr, comp) for comp in grid.values.reshape(grid.N, -1).tolist()]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for node in grid.box.all_nodes():
-            idx = tuple(int(i) for i in node)
-            writer.writerow(list(idx) + [repr(float(grid.values[(a,) + idx])) for a in range(grid.N)])
+        fh.write("".join(",".join(row) + "\r\n" for row in zip(*columns)))

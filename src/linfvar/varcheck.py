@@ -12,12 +12,13 @@ PASS is sampling evidence only, never a proof.  Variation families:
 
 Random variations are sums of at most five separable sine modes with
 coefficients scaled so that the sup norm of the variation gradient matches
-the requested amplitude; everything is seeded and reproducible.
+the requested amplitude; everything is seeded and reproducible.  They are
+numeric maps (:class:`SineModeMap`) that a verdict evaluates in batches of
+trials; the deterministic ball and box bumps are polynomial expressions.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -25,13 +26,22 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .energy import argmax_set, danskin_derivative, sup_energy, variation_density
+from .energy import (
+    argmax_set,
+    danskin_derivative,
+    density_linearisation,
+    density_sup,
+    linearised_density,
+    subdomain_nodes,
+    sup_energy,
+)
 from .operators import _reduced_projections
 from .problem import (
     ClosedFormMap,
     DomainBox,
     GridMap,
     Hamiltonian,
+    Jet2,
     PerturbedMap,
     Subdomain,
     hamiltonian_jet,
@@ -41,6 +51,7 @@ from .problem import (
 __all__ = [
     "DiscreteMeasure",
     "MeasureReport",
+    "SineModeMap",
     "StationarityReport",
     "SupportViolationError",
     "Verdict",
@@ -54,6 +65,8 @@ __all__ = [
     "rank_one_test",
     "sphere_family_scan",
     "stationarity_scan",
+    "stationarity_scans",
+    "variation_source",
 ]
 
 
@@ -87,6 +100,134 @@ def _region_box(O: Subdomain):
     return None
 
 
+class SineModeMap:
+    """Sums of separable sine modes, one list of modes per component, with exact jets.
+
+    Component a is::
+
+        factor_a * (const_a + sum_m coeff_am prod_i sin(freq_ami (x_i - lo_i) + phase_ami))
+
+    with ``freq_ami = k_ami pi / (hi_i - lo_i)``.  Mode lists are padded with
+    zero coefficients to one length M.  The parameter arrays may carry
+    trailing batch axes B, one map per entry (the trials of a verdict);
+    jets then have shape (N, ...) + B + S for points of batch shape S.
+    Terms are multiplied and summed in the order the expression from
+    :func:`variation_source` evaluates them, so values and gradients match
+    its parsed form up to the signs of zeros.
+    """
+
+    def __init__(self, lo, hi, coeffs, freqs, phases, consts, factors):
+        self.lo = np.asarray(lo, dtype=float)
+        self.hi = np.asarray(hi, dtype=float)
+        self.coeffs = coeffs    # (N, M) + B
+        self.freqs = freqs      # (N, M, n) + B
+        self.phases = phases    # (N, M, n) + B
+        self.consts = consts    # (N,) + B
+        self.factors = factors  # (N,) + B
+        self.N, self.n = coeffs.shape[0], self.lo.size
+
+    @classmethod
+    def from_modes(cls, lo, hi, comp_modes, consts=None, factors=None) -> "SineModeMap":
+        """One map from a list, per component, of (coeff, ks, phases) modes."""
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        N, n = len(comp_modes), lo.size
+        M = max(1, max(len(modes) for modes in comp_modes))
+        coeffs, ks, phases = np.zeros((N, M)), np.zeros((N, M, n)), np.zeros((N, M, n))
+        for a, modes in enumerate(comp_modes):
+            for m, (c, k, ph) in enumerate(modes):
+                coeffs[a, m], ks[a, m], phases[a, m] = c, k, ph
+        consts = np.zeros(N) if consts is None else np.asarray(consts, dtype=float)
+        factors = np.ones(N) if factors is None else np.asarray(factors, dtype=float)
+        return cls(lo, hi, coeffs, ks * np.pi / (hi - lo), phases, consts, factors)
+
+    @classmethod
+    def stack(cls, maps) -> "SineModeMap":
+        """The single maps ``maps`` (same box and N) as one batch along a new last axis."""
+        first, T = maps[0], len(maps)
+        N, n = first.N, first.n
+        M = max(m.coeffs.shape[1] for m in maps)
+        coeffs, freqs, phases = np.zeros((N, M, T)), np.zeros((N, M, n, T)), np.zeros((N, M, n, T))
+        consts, factors = np.empty((N, T)), np.empty((N, T))
+        for t, m in enumerate(maps):
+            k = m.coeffs.shape[1]
+            coeffs[:, :k, t], freqs[:, :k, :, t], phases[:, :k, :, t] = m.coeffs, m.freqs, m.phases
+            consts[:, t], factors[:, t] = m.consts, m.factors
+        return cls(first.lo, first.hi, coeffs, freqs, phases, consts, factors)
+
+    def scaled(self, scale) -> "SineModeMap":
+        """The map with its mode coefficients (not its constants) times ``scale`` (shape B)."""
+        return SineModeMap(self.lo, self.hi, self.coeffs * scale, self.freqs, self.phases,
+                           self.consts, self.factors)
+
+    def _axis_factors(self, i: int, t: np.ndarray, order: int):
+        """sin, its x_i-derivative and (order 2) second derivative for each mode, at x_i - lo_i = t."""
+        f = self.freqs[:, :, i]
+        f = f.reshape(f.shape + (1,) * t.ndim)
+        arg = f * t + self.phases[:, :, i].reshape(f.shape)
+        s = np.sin(arg)
+        return s, np.cos(arg) * f, -(s * (f * f)) if order >= 2 else None
+
+    def _assemble(self, x, parts, order: int) -> Jet2:
+        """Jet2 from the per-axis (sin, d, d2) factors of every mode."""
+        n = self.n
+        pad = (1,) * (parts[0][0].ndim - self.coeffs.ndim)  # the point axes
+        coeffs = self.coeffs.reshape(self.coeffs.shape + pad)
+        factors = self.factors.reshape(self.factors.shape + pad)
+
+        def modes_sum(which, start=0.0):
+            # coeff * f_1 * ... * f_n per mode, left to right, then the modes in order
+            term = coeffs
+            for i in range(n):
+                term = term * parts[i][which[i]]
+            acc = start
+            for m in range(term.shape[1]):
+                acc = acc + term[:, m]
+            return factors * acc
+
+        value = modes_sum([0] * n, self.consts.reshape(self.consts.shape + pad))
+        gradient = np.stack([modes_sum([int(i == j) for i in range(n)]) for j in range(n)], axis=1)
+        hessian = None
+        if order >= 2:
+            hessian = np.empty((self.N, n, n) + value.shape[1:])
+            for j in range(n):
+                for k in range(j, n):
+                    hessian[:, j, k] = hessian[:, k, j] = modes_sum(
+                        [(i == j) + (i == k) for i in range(n)])
+        return Jet2(x=x, value=value, gradient=gradient, hessian=hessian)
+
+    def jet2(self, x, order: int = 2, on_singularity: str = "raise") -> Jet2:
+        """Exact jet at a point (n,) or point batch (n,) + S; sine maps have no singular set."""
+        x = np.asarray(x, dtype=float)
+        if x.shape[0] != self.n:
+            raise ValueError(f"point has dimension {x.shape[0]}, map expects {self.n}")
+        parts = [self._axis_factors(i, x[i] - self.lo[i], order) for i in range(self.n)]
+        return self._assemble(x, parts, order)
+
+    def node_jets(self, box: DomainBox, nodes: np.ndarray, order: int = 2) -> Jet2:
+        """Jets at grid nodes (M, dim).
+
+        The sines are taken once per grid coordinate of each axis, the modes
+        are summed on the tensor grid that the nodes span, and the nodes are
+        then picked out of it.
+        """
+        n, h = self.n, box.spacing
+        first = nodes.min(axis=0) if nodes.size else np.zeros(n, dtype=int)
+        shape = tuple(nodes.max(axis=0) - first + 1) if nodes.size else (0,) * n
+        parts = []
+        for i in range(n):
+            # node coordinates as DomainBox.node_coords forms them: lo + index * h
+            t = (box.lo[i] + np.arange(first[i], first[i] + shape[i]) * h[i]) - self.lo[i]
+            parts.append(self._axis_factors(i, t.reshape([-1 if j == i else 1 for j in range(n)]), order))
+        jet = self._assemble(None, parts, order)
+        flat = np.ravel_multi_index(tuple((nodes - first).T), shape)
+
+        def pick(a):
+            return None if a is None else a.reshape(a.shape[:a.ndim - n] + (-1,))[..., flat]
+
+        return Jet2(x=box.node_coords(nodes), value=pick(jet.value), gradient=pick(jet.gradient),
+                    hessian=pick(jet.hessian))
+
+
 def _sine_profile_source(lo, hi, modes) -> str:
     """Sum of separable sine modes vanishing on the box boundary."""
     terms = []
@@ -102,6 +243,42 @@ def _sine_profile_source(lo, hi, modes) -> str:
     return " + ".join(terms) if terms else "0.0"
 
 
+def variation_source(spec: dict) -> list:
+    """Expression source of each component of the variation that ``spec`` describes.
+
+    The coefficients are multiplied by ``spec["scale"]``.  This is how a
+    witness stays re-evaluable, and how the polynomial families are built.
+    """
+    scale = spec["scale"]
+
+    def sines(modes):
+        return _sine_profile_source(spec["lo"], spec["hi"], [(c * scale, k, ph) for c, k, ph in modes])
+
+    def sphere(c):  # c * (rho^2 - |x - center|^2)
+        sq = " - ".join(f"(x{i+1} - {_f(x0)})^2" for i, x0 in enumerate(spec["center"]))
+        return f"{_f(c * scale)} * ({_f(spec['radius'] ** 2)} - {sq})"
+
+    kind, profile = spec["kind"], spec.get("profile")
+    if kind == "free":
+        return [sines(modes) for modes in spec["modes"]]
+    if kind == "free_field":
+        # the constant carries no gradient, so it scales with the raw
+        # amplitude rather than the gradient-normalising factor
+        return [f"{_f(k * spec['amplitude'])} + " + sines(modes)
+                for modes, k in zip(spec["modes"], spec["constants"])]
+    if kind == "free_ball":
+        return [sphere(c) for c in spec["coeffs"]]
+    if profile == "sine":
+        g = sines(spec["modes"])
+        return [f"{_f(x)} * ({g})" for x in spec["xi"]]
+    if profile == "sphere":
+        return [sphere(x) for x in spec["xi"]]
+    # box_bump: prod (x - lo)(hi - x), the sphere profile's box analogue
+    lo, hi = spec["lo"], spec["hi"]
+    prof = " * ".join(f"((x{i+1} - {_f(lo[i])}) * ({_f(hi[i])} - x{i+1}))" for i in range(len(lo)))
+    return [f"{_f(x * scale)} * {prof}" for x in spec["xi"]]
+
+
 def _draw_modes(rng, n, max_modes, with_phase):
     count = int(rng.integers(1, max_modes + 1))
     modes = []
@@ -115,55 +292,59 @@ def _draw_modes(rng, n, max_modes, with_phase):
     return modes
 
 
-def _grad_sup(phi, O: Subdomain) -> float:
-    nodes = O.evaluable_nodes()
+def _scale_for(phi, O: Subdomain, nodes: np.ndarray, amplitude: float) -> np.ndarray:
+    """Factor making sup |D phi| over the nodes equal ``amplitude`` (0 for a flat phi), per map."""
     jets = jets_at_nodes(phi, O.box, nodes, order=1)
-    return float(np.max(np.linalg.norm(jets.gradient, axis=(0, 1))))
+    raw = np.max(np.linalg.norm(jets.gradient, axis=(0, 1)), axis=-1)
+    return np.divide(amplitude, raw, out=np.zeros_like(raw), where=raw != 0.0)
 
 
-def _scaled_map(builder, spec, O: Subdomain, amplitude: float):
-    """Scale mode coefficients so that sup |D phi| over the nodes matches amplitude."""
-    phi = builder(1.0)
-    raw = _grad_sup(phi, O)
-    scale = 0.0 if raw == 0.0 else amplitude / raw
-    spec = dict(spec, scale=scale, amplitude=amplitude)
-    return builder(scale), spec
+def _scaled_spec(spec: dict, scale, amplitude: float) -> dict:
+    return dict(spec, scale=float(scale), amplitude=amplitude)
+
+
+def _polynomial_variation(spec: dict, O: Subdomain, amplitude: float):
+    """A polynomial family's map and spec, built from its source at scale 1 and at the final scale."""
+    n = O.box.dim
+    raw = ClosedFormMap.from_expressions(variation_source(dict(spec, scale=1.0)), n)
+    spec = _scaled_spec(spec, _scale_for(raw, O, O.evaluable_nodes(), amplitude), amplitude)
+    return ClosedFormMap.from_expressions(variation_source(spec), n), spec
+
+
+def _sine_variation(raw: SineModeMap, spec: dict, O: Subdomain, amplitude: float):
+    scale = _scale_for(raw, O, O.evaluable_nodes(), amplitude)
+    return raw.scaled(scale), _scaled_spec(spec, scale, amplitude)
+
+
+def _draw_free(O: Subdomain, N: int, rng, max_modes: int = 5):
+    """Unscaled free sine variation on the box subdomain and its spec."""
+    lo, hi = _region_box(O)
+    comp_modes = [_draw_modes(rng, O.box.dim, max_modes, with_phase=False) for _ in range(N)]
+    spec = {"kind": "free", "modes": comp_modes, "lo": lo.tolist(), "hi": hi.tolist()}
+    return SineModeMap.from_modes(lo, hi, comp_modes), spec
+
+
+def _draw_rank_one(O: Subdomain, xi: np.ndarray, rng, max_modes: int = 5):
+    """Unscaled xi times a sine profile on the box subdomain and its spec."""
+    lo, hi = _region_box(O)
+    modes = _draw_modes(rng, O.box.dim, max_modes, with_phase=False)
+    spec = {"kind": "rank_one", "profile": "sine", "modes": modes, "xi": xi.tolist(),
+            "lo": lo.tolist(), "hi": hi.tolist()}
+    return SineModeMap.from_modes(lo, hi, [modes] * xi.shape[0], factors=xi), spec
 
 
 def make_free_variation(O: Subdomain, N: int, rng, amplitude: float = 1.0,
                         max_modes: int = 5):
     """Random smooth variation vanishing on the subdomain boundary."""
-    n = O.box.dim
-    box = _region_box(O)
-    if box is None:
+    if _region_box(O) is None:
         return _ball_variation(O, N, rng, amplitude)
-    lo, hi = box
-    comp_modes = [_draw_modes(rng, n, max_modes, with_phase=False) for _ in range(N)]
-
-    def build(scale):
-        sources = []
-        for modes in comp_modes:
-            scaled = [(c * scale, ks, ph) for c, ks, ph in modes]
-            sources.append(_sine_profile_source(lo, hi, scaled))
-        return ClosedFormMap.from_expressions(sources, n)
-
-    spec = {"kind": "free", "modes": comp_modes, "lo": lo.tolist(), "hi": hi.tolist()}
-    return _scaled_map(build, spec, O, amplitude)
+    return _sine_variation(*_draw_free(O, N, rng, max_modes), O, amplitude)
 
 
 def _ball_variation(O: Subdomain, N: int, rng, amplitude: float):
-    center = np.asarray(O.region[1])
-    rho = O.region[2]
-    n = O.box.dim
     coeffs = [float(rng.uniform(-1.0, 1.0)) for _ in range(N)]
-    sq = " - ".join(f"(x{i+1} - {_f(center[i])})^2" for i in range(n))
-
-    def build(scale):
-        sources = [f"{_f(c * scale)} * ({_f(rho**2)} - {sq})" for c in coeffs]
-        return ClosedFormMap.from_expressions(sources, n)
-
-    spec = {"kind": "free_ball", "coeffs": coeffs, "center": center.tolist(), "radius": rho}
-    return _scaled_map(build, spec, O, amplitude)
+    spec = {"kind": "free_ball", "coeffs": coeffs, "center": list(O.region[1]), "radius": O.region[2]}
+    return _polynomial_variation(spec, O, amplitude)
 
 
 def make_rank_one_variation(O: Subdomain, xi: np.ndarray, rng, amplitude: float = 1.0,
@@ -172,40 +353,16 @@ def make_rank_one_variation(O: Subdomain, xi: np.ndarray, rng, amplitude: float 
     xi = np.asarray(xi, dtype=float)
     if np.linalg.norm(xi) == 0.0:
         raise ValueError("rank-one direction must be nonzero")
-    n = O.box.dim
-    N = xi.shape[0]
     box = _region_box(O)
-    if box is not None:
-        lo, hi = box
-        if deterministic:
-            # polynomial box bump prod (x-lo)(hi-x), the sphere profile's box analogue
-            prof = " * ".join(f"((x{i+1} - {_f(lo[i])}) * ({_f(hi[i])} - x{i+1}))" for i in range(n))
-            spec = {"kind": "rank_one", "profile": "box_bump", "xi": xi.tolist()}
-
-            def build(scale):
-                return ClosedFormMap.from_expressions(
-                    [f"{_f(xi[a] * scale)} * {prof}" for a in range(N)], n)
-        else:
-            modes = _draw_modes(rng, n, max_modes, with_phase=False)
-            spec = {"kind": "rank_one", "profile": "sine", "modes": modes, "xi": xi.tolist()}
-
-            def build(scale):
-                scaled = [(c * scale, ks, ph) for c, ks, ph in modes]
-                g = _sine_profile_source(lo, hi, scaled)
-                return ClosedFormMap.from_expressions(
-                    [f"{_f(xi[a])} * ({g})" for a in range(N)], n)
-    else:
-        center = np.asarray(O.region[1])
-        rho = O.region[2]
-        sq = " - ".join(f"(x{i+1} - {_f(center[i])})^2" for i in range(n))
+    if box is None:
         spec = {"kind": "rank_one", "profile": "sphere", "xi": xi.tolist(),
-                "center": center.tolist(), "radius": rho}
-
-        def build(scale):
-            return ClosedFormMap.from_expressions(
-                [f"{_f(xi[a] * scale)} * ({_f(rho**2)} - {sq})" for a in range(N)], n)
-
-    return _scaled_map(build, spec, O, amplitude)
+                "center": list(O.region[1]), "radius": O.region[2]}
+    elif deterministic:
+        spec = {"kind": "rank_one", "profile": "box_bump", "xi": xi.tolist(),
+                "lo": box[0].tolist(), "hi": box[1].tolist()}
+    else:
+        return _sine_variation(*_draw_rank_one(O, xi, rng, max_modes), O, amplitude)
+    return _polynomial_variation(spec, O, amplitude)
 
 
 def make_sphere_variation(xi: np.ndarray, center: np.ndarray, radius: float, n: int) -> ClosedFormMap:
@@ -222,25 +379,18 @@ def make_free_field(O: Subdomain, N: int, rng, amplitude: float = 1.0, max_modes
 
     Includes a constant term per component: fields free on the boundary may
     shift the map values outright, which matters for value-dependent
-    densities.
+    densities.  The constant is ``amplitude`` times its draw; the gradient
+    normalisation scales only the modes.
     """
     n = O.box.dim
     box = _region_box(O)
     lo, hi = (np.asarray(O.box.lo), np.asarray(O.box.hi)) if box is None else box
     comp_modes = [_draw_modes(rng, n, max_modes, with_phase=True) for _ in range(N)]
     comp_const = [float(rng.uniform(-1.0, 1.0)) for _ in range(N)]
-
-    def build(scale):
-        sources = []
-        for modes, const in zip(comp_modes, comp_const):
-            scaled = [(c * scale, ks, ph) for c, ks, ph in modes]
-            # the constant carries no gradient, so it scales with the raw
-            # amplitude rather than the gradient-normalising factor
-            sources.append(f"{_f(const * amplitude)} + " + _sine_profile_source(lo, hi, scaled))
-        return ClosedFormMap.from_expressions(sources, n)
-
-    spec = {"kind": "free_field", "modes": comp_modes, "constants": comp_const}
-    return _scaled_map(build, spec, O, amplitude)
+    raw = SineModeMap.from_modes(lo, hi, comp_modes, consts=np.asarray(comp_const) * amplitude)
+    spec = {"kind": "free_field", "modes": comp_modes, "constants": comp_const,
+            "lo": lo.tolist(), "hi": hi.tolist()}
+    return _sine_variation(raw, spec, O, amplitude)
 
 
 def make_test_basis(O: Subdomain, N: int, size: int):
@@ -258,11 +408,9 @@ def make_test_basis(O: Subdomain, N: int, size: int):
     k = 1
     a = 0
     while len(basis) < size:
-        modes = [(1.0, [k] + [1] * (n - 1), [0.0] * n)]
-        src = _sine_profile_source(lo, hi, modes)
-        sources = ["0.0"] * N
-        sources[a] = src
-        basis.append(ClosedFormMap.from_expressions(sources, n))
+        comp_modes = [[] for _ in range(N)]
+        comp_modes[a] = [(1.0, [k] + [1] * (n - 1), [0.0] * n)]
+        basis.append(SineModeMap.from_modes(lo, hi, comp_modes))
         a += 1
         if a == N:
             a = 0
@@ -273,9 +421,61 @@ def make_test_basis(O: Subdomain, N: int, size: int):
 # ---------------------------------------------------------------------------
 # Minimality verdicts
 
+# Variations x nodes per batched energy evaluation: bounds the memory of a batch.
+_BATCH_POINTS = 2 ** 15
+
 
 def _default_tol(E0: float) -> float:
     return 1e-9 * (1.0 + abs(E0))
+
+
+class _Probe:
+    """u's order-1 jets and sup energy at the evaluable nodes of O, for scoring variations."""
+
+    def __init__(self, u, H: Hamiltonian, O: Subdomain):
+        self.u, self.H, self.O = u, H, O
+        self.nodes = subdomain_nodes(O)
+        jets = jets_at_nodes(u, O.box, self.nodes, order=1)
+        self.E0 = float(density_sup(H, jets, self.nodes))
+        self.base = _with_batch_axis(jets)
+        self.chunk = max(1, _BATCH_POINTS // self.nodes.shape[0])
+
+    def energies(self, phi) -> np.ndarray:
+        """E_inf(u + phi, O) for each map of the batch ``phi``; a single map is a batch of one."""
+        var = jets_at_nodes(phi, self.O.box, self.nodes, order=1)
+        if var.value.ndim == 2:
+            var = _with_batch_axis(var)
+        return density_sup(self.H, PerturbedMap(self.u, phi, 1.0).combine(self.base, var), self.nodes)
+
+    def sine_batches(self, draw, count: int, amplitude: float):
+        """``count`` draws of ``draw() -> (unscaled SineModeMap, spec)``, stacked and scaled in chunks."""
+        for start in range(0, count, self.chunk):
+            raws, specs = zip(*(draw() for _ in range(min(self.chunk, count - start))))
+            raw = SineModeMap.stack(raws)
+            scale = _scale_for(raw, self.O, self.nodes, amplitude)
+            yield raw.scaled(scale), [_scaled_spec(spec, c, amplitude) for spec, c in zip(specs, scale)]
+
+    def scan(self, batches):
+        """(worst violation E0 - E1, its witness, variation count) over (maps, specs) batches."""
+        worst, witness, total = -np.inf, None, 0
+        for phi, specs in batches:
+            E1 = self.energies(phi)
+            violation = self.E0 - E1
+            t = int(np.argmax(violation))
+            if violation[t] > worst:
+                worst = violation[t]
+                witness = dict(specs[t], trial=total + t, energy_base=self.E0,
+                               energy_perturbed=float(E1[t]))
+            total += len(specs)
+        if witness is not None:
+            witness["source"] = variation_source(witness)
+        return float(worst), witness, total
+
+
+def _with_batch_axis(jets: Jet2) -> Jet2:
+    """Order-1 node jets with a batch axis of length 1 before the node axis."""
+    return Jet2(x=jets.x[:, None], value=jets.value[:, None], gradient=jets.gradient[:, :, None],
+                hessian=None)
 
 
 def absolute_minimiser_test(
@@ -292,21 +492,18 @@ def absolute_minimiser_test(
     A FAIL is certified by the witness variation; a PASS is evidence only.
     """
     rng = np.random.default_rng(seed)
-    E0 = sup_energy(u, H, O)
+    probe = _Probe(u, H, O)
     if tol is None:
-        tol = _default_tol(E0)
-    worst = -np.inf
-    witness = None
-    for trial in range(trials):
-        phi, spec = make_free_variation(O, u.N, rng, amplitude)
-        E1 = sup_energy(PerturbedMap(u, phi, 1.0), H, O)
-        violation = E0 - E1
-        if violation > worst:
-            worst = violation
-            witness = dict(spec, trial=trial, energy_base=E0, energy_perturbed=E1)
+        tol = _default_tol(probe.E0)
     if trials == 0 or amplitude == 0.0:
         return Verdict(True, 0.0, None, trials, vacuous=False)
-    return Verdict(bool(worst <= tol), float(worst), witness, trials)
+    if _region_box(O) is None:
+        batches = ((phi, [spec]) for phi, spec in
+                   (_ball_variation(O, u.N, rng, amplitude) for _ in range(trials)))
+    else:
+        batches = probe.sine_batches(lambda: _draw_free(O, u.N, rng), trials, amplitude)
+    worst, witness, _ = probe.scan(batches)
+    return Verdict(bool(worst <= tol), worst, witness, trials)
 
 
 def rank_one_test(
@@ -321,32 +518,29 @@ def rank_one_test(
 ) -> Verdict:
     """Minimality against scalar-profile variations along each fixed direction.
 
-    Each direction gets ``trials`` random profiles plus one deterministic
-    bump (the sphere profile on balls, its polynomial analogue on boxes).
+    Each direction gets one deterministic bump (the sphere profile on
+    balls, its polynomial analogue on boxes) and then ``trials`` random sine
+    profiles (on balls, the sphere profile again).
     """
     rng = np.random.default_rng(seed)
-    E0 = sup_energy(u, H, O)
+    probe = _Probe(u, H, O)
     if tol is None:
-        tol = _default_tol(E0)
-    worst = -np.inf
-    witness = None
-    total = 0
-    for xi in directions:
-        xi = np.asarray(xi, dtype=float)
-        if np.linalg.norm(xi) == 0.0:
-            raise ValueError("rank-one direction must be nonzero")
-        # built one at a time; evaluating one draws nothing from rng
-        variations = itertools.chain(
-            [make_rank_one_variation(O, xi, rng, amplitude, deterministic=True)],
-            (make_rank_one_variation(O, xi, rng, amplitude) for _ in range(trials)))
-        for phi, spec in variations:
-            E1 = sup_energy(PerturbedMap(u, phi, 1.0), H, O)
-            violation = E0 - E1
-            total += 1
-            if violation > worst:
-                worst = violation
-                witness = dict(spec, energy_base=E0, energy_perturbed=E1)
-    return Verdict(bool(worst <= tol), float(worst), witness, total)
+        tol = _default_tol(probe.E0)
+    box = _region_box(O)
+
+    def batches():
+        for xi in directions:
+            xi = np.asarray(xi, dtype=float)
+            bump, spec = make_rank_one_variation(O, xi, rng, amplitude, deterministic=True)
+            yield bump, [spec]
+            if box is None:
+                for _ in range(trials):
+                    yield bump, [spec]
+            else:
+                yield from probe.sine_batches(lambda: _draw_rank_one(O, xi, rng), trials, amplitude)
+
+    worst, witness, total = probe.scan(batches())
+    return Verdict(bool(worst <= tol), worst, witness, total)
 
 
 def _normal_projector_field(u, H: Hamiltonian, O: Subdomain, eps, samples, tol_angle):
@@ -467,6 +661,41 @@ class StationarityReport:
     k_fraction: float           # |K| / |argmax| (exact set equality is not grid-decidable)
 
 
+def stationarity_scans(
+    u,
+    H: Hamiltonian,
+    O: Subdomain,
+    basis: Sequence,
+    delta: Optional[float] = None,
+    tol: Optional[float] = None,
+    tol_K: Optional[float] = None,
+) -> list:
+    """:func:`stationarity_scan` for each field of ``basis``, sharing one argmax
+    set and one linearisation of H along u."""
+    aset = argmax_set(u, H, O, delta)
+    ham = density_linearisation(u, H, O, aset.nodes)
+    reports = []
+    for psi in basis:
+        g = linearised_density(ham, psi, O, aset.nodes)
+        max_val = float(np.max(g))
+        min_val = float(np.min(g))
+        scale = float(np.max(np.abs(g))) if g.size else 0.0
+        tol_ii = 1e-8 * (1.0 + scale) if tol is None else tol
+        tol_k = 1e-6 * (1.0 + scale) if tol_K is None else tol_K
+        K = aset.nodes[np.abs(g) <= tol_k]
+        reports.append(StationarityReport(
+            max_val=max_val,
+            min_val=min_val,
+            K=K,
+            argmax_nodes=aset.nodes,
+            tol_K=float(tol_k),
+            statement_ii=bool(max_val >= -tol_ii),
+            statement_iii=bool(K.shape[0] > 0),
+            k_fraction=float(K.shape[0] / aset.nodes.shape[0]),
+        ))
+    return reports
+
+
 def stationarity_scan(
     u,
     H: Hamiltonian,
@@ -481,26 +710,7 @@ def stationarity_scan(
     Returns its extremes (identical, by construction, to the one-sided
     Danskin derivatives for the same psi), and the near-zero set K.
     """
-    aset = argmax_set(u, H, O, delta)
-    g = variation_density(u, H, psi, O, aset.nodes)
-    max_val = float(np.max(g))
-    min_val = float(np.min(g))
-    scale = float(np.max(np.abs(g))) if g.size else 0.0
-    if tol is None:
-        tol = 1e-8 * (1.0 + scale)
-    if tol_K is None:
-        tol_K = 1e-6 * (1.0 + scale)
-    K = aset.nodes[np.abs(g) <= tol_K]
-    return StationarityReport(
-        max_val=max_val,
-        min_val=min_val,
-        K=K,
-        argmax_nodes=aset.nodes,
-        tol_K=float(tol_K),
-        statement_ii=bool(max_val >= -tol),
-        statement_iii=bool(K.shape[0] > 0),
-        k_fraction=float(K.shape[0] / aset.nodes.shape[0]),
-    )
+    return stationarity_scans(u, H, O, [psi], delta, tol, tol_K)[0]
 
 
 @dataclass
@@ -579,10 +789,11 @@ def measure_divergence_residual(
             f"measure charges {len(outside)} node(s) outside the argmax set, e.g. {outside[0]}")
     nodes = sigma.nodes_array()
     weights = sigma.weights_array()
+    ham = density_linearisation(u, H, O, nodes)
     per_psi = []
     scale = 0.0
     for psi in test_basis:
-        g = variation_density(u, H, psi, O, nodes)
+        g = linearised_density(ham, psi, O, nodes)
         per_psi.append(float(np.dot(weights, g)))
         if g.size:
             scale = max(scale, float(np.max(np.abs(g))))

@@ -77,6 +77,18 @@ class TestExitCodes:
         rep = _report(tmp / "sv", "energy")
         assert "domain" in rep["error"]["message"]
 
+    def test_any_exception_before_a_verdict_is_exit_2(self, problems, tmp_path, capsys):
+        # a resolution that is not a list raises TypeError inside DomainBox
+        _, tmp = problems
+        spec = dict(LINEAR_1D, domain={"lo": [-1.0], "hi": [1.0], "resolution": 9})
+        bad = tmp_path / "scalar_resolution.json"
+        bad.write_text(json.dumps(spec))
+        assert run(["energy", "--problem", str(bad), "--out", str(tmp / "te")]) == 2
+        rep = _report(tmp / "te", "energy")
+        assert rep["pass"] is False and "results" not in rep
+        assert rep["error"]["type"] == "TypeError" and rep["error"]["message"]
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_out_of_range_grid_csv_row_is_exit_2(self, problems):
         paths, tmp = problems
         (tmp / "u.csv").write_text("".join(f"{i},{i / 8!r}\n" for i in range(9)) + "40,1.0\n")

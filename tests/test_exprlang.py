@@ -198,6 +198,23 @@ def test_random_polynomials_match_finite_differences():
         assert abs(d.hess[0, 1] - fd_dxy) <= 10 * h**2 * scale
 
 
+def test_variable_exponent_value_matches_its_jet():
+    """A variable exponent takes exp(b log a) with and without seeds, so H's value
+    and its jet's value agree bit for bit."""
+    from linfvar import Hamiltonian, hamiltonian_jet, hamiltonian_value
+
+    H = Hamiltonian.from_expression("P11^(1 + x1) + P12^2", 2, 1)
+    rng = np.random.default_rng(7)
+    x = rng.uniform(-1.0, 1.0, size=(2, 200))
+    eta = rng.uniform(-1.0, 1.0, size=(1, 200))
+    P = np.stack([rng.uniform(0.1, 3.0, size=200), rng.uniform(-3.0, 3.0, size=200)]).reshape(1, 2, 200)
+    value = hamiltonian_value(H, x, eta, P)
+    jet = hamiltonian_jet(H, x, eta, P).value
+    assert value.tobytes() == jet.tobytes()
+    for m in range(200):
+        assert hamiltonian_value(H, x[:, m], eta[:, m], P[:, :, m]) == jet[m]
+
+
 def test_variable_exponent_uses_exp_log():
     d = eval_jet2(parse("x1^x2", (2, 1)), {"x1": 2.0, "x2": 3.0}, ["x1", "x2"])
     assert d.val == pytest.approx(8.0, rel=1e-14)
@@ -209,8 +226,21 @@ def test_variable_exponent_uses_exp_log():
 # Compiled evaluator against a plain tree walk
 
 
+def _has_var(node):
+    if isinstance(node, Var):
+        return True
+    if isinstance(node, Num):
+        return False
+    children = (node.arg,) if isinstance(node, Neg) else (
+        (node.lhs, node.rhs) if isinstance(node, BinOp) else node.args)
+    return any(_has_var(c) for c in children)
+
+
 def _reference_jet2(ast, binding, seeds, order=2, on_singularity="raise"):
-    """The uncompiled evaluator: walk the tree on every call, no folding, generic pow."""
+    """The uncompiled evaluator: walk the tree on every call, no folding, generic pow.
+
+    An exponent that depends on a variable takes exp(b log a), seeded or not.
+    """
     seeds = list(seeds)
     k = len(seeds)
     seed_index = {name: j for j, name in enumerate(seeds)}
@@ -220,6 +250,11 @@ def _reference_jet2(ast, binding, seeds, order=2, on_singularity="raise"):
     unary = {"abs": el.dual_abs, "sqrt": el.dual_sqrt, "log": el.dual_log}
     plain = {"exp": el.dual_exp, "sin": el.dual_sin, "cos": el.dual_cos}
     binary = {"+": el.dual_add, "-": el.dual_sub, "*": el.dual_mul}
+
+    def power(a, b, exponent):
+        if _has_var(exponent):
+            return el.dual_exp(el.dual_mul(b, el.dual_log(a, policy)))
+        return el.dual_pow(a, b, policy)
 
     def ev(node):
         if isinstance(node, Num):
@@ -237,9 +272,9 @@ def _reference_jet2(ast, binding, seeds, order=2, on_singularity="raise"):
                 return binary[node.op](a, b)
             if node.op == "/":
                 return el.dual_div(a, b, policy)
-            return el.dual_pow(a, b, policy)
+            return power(a, b, node.rhs)
         if node.func == "pow":
-            return el.dual_pow(ev(node.args[0]), ev(node.args[1]), policy)
+            return power(ev(node.args[0]), ev(node.args[1]), node.args[1])
         a = ev(node.args[0])
         return unary[node.func](a, policy) if node.func in unary else plain[node.func](a)
 
@@ -305,15 +340,16 @@ def test_compiled_matches_reference_on_flow_velocity():
 
 
 def test_compiled_matches_reference_on_sine_variation():
-    """A batched rank-one sine-profile variation as the verdicts build and evaluate it."""
+    """A rank-one sine-profile variation, parsed from its witness source, on a batch of nodes."""
     from linfvar import DomainBox, Subdomain
-    from linfvar.varcheck import make_rank_one_variation
+    from linfvar.varcheck import make_rank_one_variation, variation_source
 
     box = DomainBox((1.0, 1.0), (2.25, 2.25), (41, 41))
     O = Subdomain.from_box(box, (1.25, 1.25), (1.75, 1.75))
-    phi, _ = make_rank_one_variation(O, np.array([1.0]), np.random.default_rng(3))
+    _, spec = make_rank_one_variation(O, np.array([1.0]), np.random.default_rng(3))
+    ast = parse(variation_source(spec)[0], (2, 1))
     x = box.node_coords(O.evaluable_nodes())
-    _assert_matches_reference(phi.components[0], {"x1": x[0], "x2": x[1]}, ["x1", "x2"])
+    _assert_matches_reference(ast, {"x1": x[0], "x2": x[1]}, ["x1", "x2"])
 
 
 def test_folding_keeps_fractions_and_is_cached():

@@ -260,6 +260,34 @@ class TestProblemIO:
         back = read_grid_csv(path, box, 2)
         assert np.array_equal(back.values, gm.values)
 
+    @staticmethod
+    def _per_node_writer(path, grid):
+        """The former writer: one csv.writer row per node."""
+        import csv
+
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            for node in grid.box.all_nodes():
+                idx = tuple(int(i) for i in node)
+                writer.writerow(list(idx) + [repr(float(grid.values[(a,) + idx])) for a in range(grid.N)])
+
+    @pytest.mark.parametrize("shape", [(7,), (4, 5), (3, 4, 3)])
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_grid_csv_writer_bytes_match_per_node_writer(self, tmp_path, shape, N):
+        box = DomainBox((0.0,) * len(shape), (1.0,) * len(shape), shape)
+        rng = np.random.default_rng(len(shape) * 10 + N)
+        values = rng.normal(size=(N,) + shape) * 10.0 ** rng.integers(-8, 9, size=(N,) + shape)
+        flat = values.reshape(-1)
+        flat[::5] = np.nan
+        flat[1::7] = -0.0
+        flat[2::11] = 0.0
+        flat[3::13] = np.inf
+        gm = GridMap(box, values)
+        write_grid_csv(tmp_path / "new.csv", gm)
+        self._per_node_writer(tmp_path / "old.csv", gm)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert b"-0.0" in (tmp_path / "new.csv").read_bytes()
+
     @pytest.mark.parametrize("bad_row, message", [
         ("5,0,1.0", r"line 3: node \(5, 0\) lies outside the grid \(5, 5\)"),
         ("0,7,1.0", r"line 3: node \(0, 7\) lies outside the grid"),
