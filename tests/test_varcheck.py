@@ -292,3 +292,212 @@ class TestOracleAgreement:
             fine_O = Subdomain.whole(fine_box)
             verdict = absolute_minimiser_test(u, dirichlet_1d, fine_O, trials=12, seed=7)
             assert verdict.passed == expect
+
+
+# ---------------------------------------------------------------------------
+# Numeric sine families against their parsed expressions
+
+from linfvar import PerturbedMap as _PM  # noqa: E402
+from linfvar import jets_at_nodes, varcheck  # noqa: E402
+from linfvar.varcheck import (  # noqa: E402
+    SineModeMap,
+    make_free_field,
+    make_rank_one_variation,
+    variation_source,
+)
+
+
+def _close(got, ref, rel):
+    scale = max(float(np.max(np.abs(ref))), 1e-300) if np.size(ref) else 1.0
+    return got.shape == ref.shape and float(np.max(np.abs(got - ref), initial=0.0)) <= rel * scale
+
+
+def _random_box(rng, n):
+    lo = rng.uniform(-1.0, 1.0, size=n)
+    hi = lo + rng.uniform(0.5, 2.0, size=n)
+    res = tuple(int(r) for r in rng.integers(5, 12, size=n))
+    box = DomainBox(tuple(lo - 0.25), tuple(hi + 0.25), res)
+    return box, Subdomain.from_box(box, lo, hi)
+
+
+def _sine_cases(seed):
+    """(map, spec, box, subdomain) for every sine family, with and without phases, n = 1..3."""
+    rng = np.random.default_rng(seed)
+    for n in (1, 2, 3):
+        box, O = _random_box(rng, n)
+        for N in (1, 2):
+            yield (*make_free_variation(O, N, rng, amplitude=float(rng.uniform(0.1, 3.0))), box, O)
+            yield (*make_free_field(O, N, rng, amplitude=float(rng.uniform(0.1, 3.0))), box, O)
+            xi = rng.normal(size=N)
+            yield (*make_rank_one_variation(O, xi, rng, amplitude=float(rng.uniform(0.1, 3.0))), box, O)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sine_jets_match_parsed_source(seed):
+    """Values, gradients and Hessians of the numeric sine families equal the jets of their
+    parsed ``variation_source`` to 1e-13 relative, at random points and at grid nodes."""
+    rng = np.random.default_rng(100 + seed)
+    for phi, spec, box, O in _sine_cases(seed):
+        assert isinstance(phi, SineModeMap)
+        parsed = ClosedFormMap.from_expressions(variation_source(spec), box.dim)
+        points = rng.uniform(np.asarray(box.lo)[:, None], np.asarray(box.hi)[:, None], size=(box.dim, 40))
+        nodes = box.all_nodes()[rng.permutation(int(np.prod(box.shape)))[:60]]
+        for got, ref in ((phi.jet2(points), parsed.jet2(points)),
+                         (phi.jet2(points[:, 0]), parsed.jet2(points[:, 0])),
+                         (jets_at_nodes(phi, box, nodes), parsed.jet2(box.node_coords(nodes)))):
+            for name in ("value", "gradient", "hessian"):
+                assert _close(getattr(got, name), getattr(ref, name), 1e-13), (spec["kind"], name)
+
+
+def test_test_basis_matches_parsed_modes():
+    box = DomainBox((0.0, -1.0), (2.0, 1.0), (9, 11))
+    O = Subdomain.from_box(box, (0.5, -0.5), (1.5, 0.75))
+    nodes = O.evaluable_nodes()
+    for a, psi in enumerate(make_test_basis(O, 2, 6)):
+        k = a // 2 + 1
+        src = varcheck._sine_profile_source((0.5, -0.5), (1.5, 0.75), [(1.0, [k, 1], [0.0, 0.0])])
+        sources = [src, "0.0"] if a % 2 == 0 else ["0.0", src]
+        ref = ClosedFormMap.from_expressions(sources, 2).jet2(box.node_coords(nodes))
+        got = jets_at_nodes(psi, box, nodes)
+        for name in ("value", "gradient", "hessian"):
+            assert _close(getattr(got, name), getattr(ref, name), 1e-13)
+
+
+def test_stacked_maps_match_single_maps():
+    rng = np.random.default_rng(5)
+    box, O = _random_box(rng, 2)
+    maps = [make_free_field(O, 2, rng)[0] for _ in range(4)] + [make_free_variation(O, 2, rng)[0]]
+    nodes = O.evaluable_nodes()
+    batch = jets_at_nodes(SineModeMap.stack(maps), box, nodes)
+    for t, phi in enumerate(maps):
+        single = jets_at_nodes(phi, box, nodes)
+        assert _close(batch.value[:, t], single.value, 1e-15)
+        assert _close(batch.gradient[:, :, t], single.gradient, 1e-15)
+        assert _close(batch.hessian[:, :, :, t], single.hessian, 1e-15)
+
+
+def _reference_absolute(u, H, O, trials, amplitude, seed):
+    """The former per-trial loop: each variation parsed from its source and scored on its own."""
+    rng = np.random.default_rng(seed)
+    E0 = sup_energy(u, H, O)
+    worst, witness = -np.inf, None
+    for trial in range(trials):
+        _, spec = make_free_variation(O, u.N, rng, amplitude)
+        parsed = ClosedFormMap.from_expressions(variation_source(spec), O.box.dim)
+        E1 = sup_energy(_PM(u, parsed, 1.0), H, O)
+        if E0 - E1 > worst:
+            worst, witness = E0 - E1, trial
+    return worst, witness
+
+
+def _reference_rank_one(u, H, O, directions, trials, amplitude, seed):
+    rng = np.random.default_rng(seed)
+    E0 = sup_energy(u, H, O)
+    worst, witness, index = -np.inf, None, 0
+    for xi in directions:
+        specs = [make_rank_one_variation(O, xi, rng, amplitude, deterministic=True)[1]]
+        specs += [make_rank_one_variation(O, xi, rng, amplitude)[1] for _ in range(trials)]
+        for spec in specs:
+            parsed = ClosedFormMap.from_expressions(variation_source(spec), O.box.dim)
+            E1 = sup_energy(_PM(u, parsed, 1.0), H, O)
+            if E0 - E1 > worst:
+                worst, witness = E0 - E1, index
+            index += 1
+    return worst, witness
+
+
+_VERDICT_CASES = [
+    # (u sources, n, H, box lo, box hi, resolution, subdomain lo, hi)
+    (["x1^2"], 1, "dirichlet", (-1.0,), (1.0,), (65,), None, None),
+    (["0.5*x1 + 0.1"], 1, "P11^2 + P11", (-1.0,), (1.0,), (65,), None, None),
+    (["abs(x1)^(4/3) - abs(x2)^(4/3)"], 2, "P11^2 + P12^2", (1.0, 1.0), (2.25, 2.25), (41, 41),
+     (1.25, 1.25), (1.75, 1.75)),
+    (["x1 + 0.5*x2", "x2*x1"], 2, "P11^2 + P12^2 + P21^2 + P22^2 + eta2^2", (-1.0, -1.0), (1.0, 1.0),
+     (17, 17), (-0.5, -0.5), (0.75, 0.5)),
+]
+
+
+def _verdict_fixture(case):
+    srcs, n, h_src, lo, hi, res, slo, shi = case
+    box = DomainBox(lo, hi, res)
+    O = Subdomain.whole(box) if slo is None else Subdomain.from_box(box, slo, shi)
+    u = ClosedFormMap.from_expressions(srcs, n)
+    N = len(srcs)
+    H = Hamiltonian.dirichlet(n, N) if h_src == "dirichlet" else Hamiltonian.from_expression(h_src, n, N)
+    return u, H, O
+
+
+@pytest.mark.parametrize("case", range(len(_VERDICT_CASES)))
+@pytest.mark.parametrize("batch_points", [1, 200, 2 ** 15])
+def test_batched_verdicts_match_per_trial_reference(case, batch_points, monkeypatch):
+    """Any chunking gives the verdict, witness trial and worst violation of the per-trial loop."""
+    monkeypatch.setattr(varcheck, "_BATCH_POINTS", batch_points)
+    u, H, O = _verdict_fixture(_VERDICT_CASES[case])
+    v = absolute_minimiser_test(u, H, O, trials=23, amplitude=0.7, seed=case)
+    worst, trial = _reference_absolute(u, H, O, 23, 0.7, case)
+    assert v.witness["trial"] == trial
+    assert abs(v.worst_violation - worst) <= 1e-12 * max(1.0, abs(worst))
+    dirs = [np.eye(u.N)[0], np.ones(u.N)]
+    r = rank_one_test(u, H, O, dirs, trials=11, amplitude=0.7, seed=case)
+    worst, trial = _reference_rank_one(u, H, O, dirs, 11, 0.7, case)
+    assert r.trials == 24 and r.witness["trial"] == trial
+    assert abs(r.worst_violation - worst) <= 1e-12 * max(1.0, abs(worst))
+
+
+@pytest.mark.parametrize("case", range(len(_VERDICT_CASES)))
+def test_witness_source_reproduces_energy(case):
+    """The witness parses back into a map whose perturbed energy is the reported one."""
+    u, H, O = _verdict_fixture(_VERDICT_CASES[case])
+    dirs = [np.eye(u.N)[a] for a in range(u.N)]
+    for v in (absolute_minimiser_test(u, H, O, trials=30, seed=4),
+              rank_one_test(u, H, O, dirs, trials=15, seed=4)):
+        parsed = ClosedFormMap.from_expressions(v.witness["source"], O.box.dim)
+        E1 = sup_energy(_PM(u, parsed, 1.0), H, O)
+        assert abs(E1 - v.witness["energy_perturbed"]) <= 1e-12 * abs(v.witness["energy_perturbed"])
+
+
+def test_polynomial_witness_source():
+    """Ball subdomains use the polynomial families; their witnesses carry a source too."""
+    box = DomainBox((-1.0, -1.0), (1.0, 1.0), (21, 21))
+    O = Subdomain.from_ball(box, (0.0, 0.0), 0.6)
+    u = ClosedFormMap.from_expressions(["x1^2 + x2"], 2)
+    H = Hamiltonian.dirichlet(2, 1)
+    for v in (absolute_minimiser_test(u, H, O, trials=5, seed=1),
+              rank_one_test(u, H, O, [[1.0]], trials=3, seed=1)):
+        assert v.witness["kind"] in ("free_ball", "rank_one")
+        parsed = ClosedFormMap.from_expressions(v.witness["source"], 2)
+        assert sup_energy(_PM(u, parsed, 1.0), H, O) == v.witness["energy_perturbed"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_batched_non_finite_density_names_first_node(monkeypatch):
+    """An overflowing density raises the per-trial message: first bad trial, first bad node."""
+    monkeypatch.setattr(varcheck, "_BATCH_POINTS", 2 ** 15)
+    box = DomainBox((-1.0,), (1.0,), (65,))
+    O = Subdomain.whole(box)
+    u = ClosedFormMap.from_expressions(["0.1*x1"], 1)
+    H = Hamiltonian.from_expression("1e300 * P11^2", 1, 1)
+    rng = np.random.default_rng(2)
+    expected = None
+    for _ in range(6):
+        _, spec = make_free_variation(O, 1, rng, 1e5)
+        parsed = ClosedFormMap.from_expressions(variation_source(spec), 1)
+        try:
+            sup_energy(_PM(u, parsed, 1.0), H, O)
+        except ValueError as exc:
+            expected = str(exc)
+            break
+    assert expected is not None and expected.startswith("density not finite at node (")
+    with pytest.raises(ValueError) as err:
+        absolute_minimiser_test(u, H, O, trials=6, amplitude=1e5, seed=2)
+    assert str(err.value) == expected
+
+
+def test_no_evaluable_nodes_message():
+    box = DomainBox((0.0,), (1.0,), (9,))
+    O = Subdomain.whole(box, singular=np.ones(9, dtype=bool))
+    u = ClosedFormMap.from_expressions(["x1"], 1)
+    for verdict in (lambda: absolute_minimiser_test(u, Hamiltonian.dirichlet(1, 1), O, trials=3),
+                    lambda: rank_one_test(u, Hamiltonian.dirichlet(1, 1), O, [[1.0]], trials=3)):
+        with pytest.raises(ValueError, match="subdomain has no evaluable nodes"):
+            verdict()
