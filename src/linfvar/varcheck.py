@@ -175,13 +175,13 @@ class SineModeMap:
         factors = self.factors.reshape(self.factors.shape + pad)
 
         def modes_sum(which, start=0.0):
-            # coeff * f_1 * ... * f_n per mode, left to right, then the modes in order
-            term = coeffs
-            for i in range(n):
-                term = term * parts[i][which[i]]
+            # coeff * f_1 * ... * f_n per mode, left to right, added mode by mode
             acc = start
-            for m in range(term.shape[1]):
-                acc = acc + term[:, m]
+            for m in range(coeffs.shape[1]):
+                term = coeffs[:, m]
+                for i in range(n):
+                    term = term * parts[i][which[i]][:, m]
+                acc = acc + term
             return factors * acc
 
         value = modes_sum([0] * n, self.consts.reshape(self.consts.shape + pad))
@@ -422,7 +422,7 @@ def make_test_basis(O: Subdomain, N: int, size: int):
 # Minimality verdicts
 
 # Variations x nodes per batched energy evaluation: bounds the memory of a batch.
-_BATCH_POINTS = 2 ** 15
+_BATCH_POINTS = 2 ** 13
 
 
 def _default_tol(E0: float) -> float:
