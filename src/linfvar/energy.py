@@ -30,7 +30,10 @@ __all__ = [
     "argmax_set",
     "convex_min_check",
     "danskin_derivative",
+    "density_linearisation",
     "density_sup",
+    "linearised_density",
+    "subdomain_nodes",
     "sup_energy",
     "variation_density",
 ]

@@ -47,6 +47,7 @@ from .problem import (
     hamiltonian_jet,
     jets_at_nodes,
 )
+from .sinemodes import SineModeMap
 
 __all__ = [
     "DiscreteMeasure",
@@ -98,134 +99,6 @@ def _region_box(O: Subdomain):
     if O.region[0] == "all":
         return np.asarray(O.box.lo), np.asarray(O.box.hi)
     return None
-
-
-class SineModeMap:
-    """Sums of separable sine modes, one list of modes per component, with exact jets.
-
-    Component a is::
-
-        factor_a * (const_a + sum_m coeff_am prod_i sin(freq_ami (x_i - lo_i) + phase_ami))
-
-    with ``freq_ami = k_ami pi / (hi_i - lo_i)``.  Mode lists are padded with
-    zero coefficients to one length M.  The parameter arrays may carry
-    trailing batch axes B, one map per entry (the trials of a verdict);
-    jets then have shape (N, ...) + B + S for points of batch shape S.
-    Terms are multiplied and summed in the order the expression from
-    :func:`variation_source` evaluates them, so values and gradients match
-    its parsed form up to the signs of zeros.
-    """
-
-    def __init__(self, lo, hi, coeffs, freqs, phases, consts, factors):
-        self.lo = np.asarray(lo, dtype=float)
-        self.hi = np.asarray(hi, dtype=float)
-        self.coeffs = coeffs    # (N, M) + B
-        self.freqs = freqs      # (N, M, n) + B
-        self.phases = phases    # (N, M, n) + B
-        self.consts = consts    # (N,) + B
-        self.factors = factors  # (N,) + B
-        self.N, self.n = coeffs.shape[0], self.lo.size
-
-    @classmethod
-    def from_modes(cls, lo, hi, comp_modes, consts=None, factors=None) -> "SineModeMap":
-        """One map from a list, per component, of (coeff, ks, phases) modes."""
-        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-        N, n = len(comp_modes), lo.size
-        M = max(1, max(len(modes) for modes in comp_modes))
-        coeffs, ks, phases = np.zeros((N, M)), np.zeros((N, M, n)), np.zeros((N, M, n))
-        for a, modes in enumerate(comp_modes):
-            for m, (c, k, ph) in enumerate(modes):
-                coeffs[a, m], ks[a, m], phases[a, m] = c, k, ph
-        consts = np.zeros(N) if consts is None else np.asarray(consts, dtype=float)
-        factors = np.ones(N) if factors is None else np.asarray(factors, dtype=float)
-        return cls(lo, hi, coeffs, ks * np.pi / (hi - lo), phases, consts, factors)
-
-    @classmethod
-    def stack(cls, maps) -> "SineModeMap":
-        """The single maps ``maps`` (same box and N) as one batch along a new last axis."""
-        first, T = maps[0], len(maps)
-        N, n = first.N, first.n
-        M = max(m.coeffs.shape[1] for m in maps)
-        coeffs, freqs, phases = np.zeros((N, M, T)), np.zeros((N, M, n, T)), np.zeros((N, M, n, T))
-        consts, factors = np.empty((N, T)), np.empty((N, T))
-        for t, m in enumerate(maps):
-            k = m.coeffs.shape[1]
-            coeffs[:, :k, t], freqs[:, :k, :, t], phases[:, :k, :, t] = m.coeffs, m.freqs, m.phases
-            consts[:, t], factors[:, t] = m.consts, m.factors
-        return cls(first.lo, first.hi, coeffs, freqs, phases, consts, factors)
-
-    def scaled(self, scale) -> "SineModeMap":
-        """The map with its mode coefficients (not its constants) times ``scale`` (shape B)."""
-        return SineModeMap(self.lo, self.hi, self.coeffs * scale, self.freqs, self.phases,
-                           self.consts, self.factors)
-
-    def _axis_factors(self, i: int, t: np.ndarray, order: int):
-        """sin, its x_i-derivative and (order 2) second derivative for each mode, at x_i - lo_i = t."""
-        f = self.freqs[:, :, i]
-        f = f.reshape(f.shape + (1,) * t.ndim)
-        arg = f * t + self.phases[:, :, i].reshape(f.shape)
-        s = np.sin(arg)
-        return s, np.cos(arg) * f, -(s * (f * f)) if order >= 2 else None
-
-    def _assemble(self, x, parts, order: int) -> Jet2:
-        """Jet2 from the per-axis (sin, d, d2) factors of every mode."""
-        n = self.n
-        pad = (1,) * (parts[0][0].ndim - self.coeffs.ndim)  # the point axes
-        coeffs = self.coeffs.reshape(self.coeffs.shape + pad)
-        factors = self.factors.reshape(self.factors.shape + pad)
-
-        def modes_sum(which, start=0.0):
-            # coeff * f_1 * ... * f_n per mode, left to right, added mode by mode
-            acc = start
-            for m in range(coeffs.shape[1]):
-                term = coeffs[:, m]
-                for i in range(n):
-                    term = term * parts[i][which[i]][:, m]
-                acc = acc + term
-            return factors * acc
-
-        value = modes_sum([0] * n, self.consts.reshape(self.consts.shape + pad))
-        gradient = np.stack([modes_sum([int(i == j) for i in range(n)]) for j in range(n)], axis=1)
-        hessian = None
-        if order >= 2:
-            hessian = np.empty((self.N, n, n) + value.shape[1:])
-            for j in range(n):
-                for k in range(j, n):
-                    hessian[:, j, k] = hessian[:, k, j] = modes_sum(
-                        [(i == j) + (i == k) for i in range(n)])
-        return Jet2(x=x, value=value, gradient=gradient, hessian=hessian)
-
-    def jet2(self, x, order: int = 2, on_singularity: str = "raise") -> Jet2:
-        """Exact jet at a point (n,) or point batch (n,) + S; sine maps have no singular set."""
-        x = np.asarray(x, dtype=float)
-        if x.shape[0] != self.n:
-            raise ValueError(f"point has dimension {x.shape[0]}, map expects {self.n}")
-        parts = [self._axis_factors(i, x[i] - self.lo[i], order) for i in range(self.n)]
-        return self._assemble(x, parts, order)
-
-    def node_jets(self, box: DomainBox, nodes: np.ndarray, order: int = 2) -> Jet2:
-        """Jets at grid nodes (M, dim).
-
-        The sines are taken once per grid coordinate of each axis, the modes
-        are summed on the tensor grid that the nodes span, and the nodes are
-        then picked out of it.
-        """
-        n, h = self.n, box.spacing
-        first = nodes.min(axis=0) if nodes.size else np.zeros(n, dtype=int)
-        shape = tuple(nodes.max(axis=0) - first + 1) if nodes.size else (0,) * n
-        parts = []
-        for i in range(n):
-            # node coordinates as DomainBox.node_coords forms them: lo + index * h
-            t = (box.lo[i] + np.arange(first[i], first[i] + shape[i]) * h[i]) - self.lo[i]
-            parts.append(self._axis_factors(i, t.reshape([-1 if j == i else 1 for j in range(n)]), order))
-        jet = self._assemble(None, parts, order)
-        flat = np.ravel_multi_index(tuple((nodes - first).T), shape)
-
-        def pick(a):
-            return None if a is None else a.reshape(a.shape[:a.ndim - n] + (-1,))[..., flat]
-
-        return Jet2(x=box.node_coords(nodes), value=pick(jet.value), gradient=pick(jet.gradient),
-                    hessian=pick(jet.hessian))
 
 
 def _sine_profile_source(lo, hi, modes) -> str:

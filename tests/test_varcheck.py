@@ -501,3 +501,19 @@ def test_no_evaluable_nodes_message():
                     lambda: rank_one_test(u, Hamiltonian.dirichlet(1, 1), O, [[1.0]], trials=3)):
         with pytest.raises(ValueError, match="subdomain has no evaluable nodes"):
             verdict()
+
+
+def test_density_sup_names_first_trial_then_first_node():
+    from linfvar import Jet2
+    from linfvar.energy import density_sup
+
+    box = DomainBox((0.0,), (1.0,), (9,))
+    nodes = box.all_nodes()
+    grad = np.ones((1, 1, 2, 9))
+    grad[0, 0, 0, 5] = np.nan  # trial 0 fails first, at node 5
+    grad[0, 0, 1, 2] = np.inf  # trial 1 fails at an earlier node
+    jets = Jet2(x=box.node_coords(nodes)[:, None], value=np.zeros((1, 2, 9)), gradient=grad, hessian=None)
+    with pytest.raises(ValueError, match=r"^density not finite at node \(5,\)$"):
+        density_sup(Hamiltonian.dirichlet(1, 1), jets, nodes)
+    clean = Jet2(x=jets.x, value=jets.value, gradient=np.ones((1, 1, 2, 9)), hessian=None)
+    assert np.array_equal(density_sup(Hamiltonian.dirichlet(1, 1), clean, nodes), [1.0, 1.0])
