@@ -79,25 +79,28 @@ from .problem import (
     read_grid_csv,
     write_grid_csv,
 )
-from .varcheck import (
-    DiscreteMeasure,
-    MeasureReport,
+from .variations import (
     SineModeMap,
-    StationarityReport,
-    SupportViolationError,
-    Verdict,
-    absolute_minimiser_test,
+    make_free_field,
     make_free_variation,
     make_rank_one_variation,
     make_sphere_variation,
     make_test_basis,
+    variation_source,
+)
+from .varcheck import (
+    DiscreteMeasure,
+    MeasureReport,
+    StationarityReport,
+    SupportViolationError,
+    Verdict,
+    absolute_minimiser_test,
     measure_divergence_residual,
     normal_variation_test,
     rank_one_test,
     sphere_family_scan,
     stationarity_scan,
     stationarity_scans,
-    variation_source,
 )
 
 __version__ = "0.1.0"

@@ -1,25 +1,17 @@
 """Sampling-based verdicts for the minimality notions and their stationarity chain.
 
 Minimality verdicts are one-sided: a FAIL is certified by an explicit
-witness variation (re-evaluable from its serialised parameters), while a
-PASS is sampling evidence only, never a proof.  Variation families:
-
-* ``free``      smooth fields vanishing on the subdomain boundary,
-* ``rank_one``  scalar profile times a fixed direction, vanishing on the boundary,
-* ``normal``    pointwise projections onto the reduced normal space of
-                H_P(., u, Du), free on the boundary,
-* ``sphere``    the deterministic family xi * (|y - x|^2 - rho^2) on balls.
-
-Random variations are sums of at most five separable sine modes with
-coefficients scaled so that the sup norm of the variation gradient matches
-the requested amplitude; everything is seeded and reproducible.  They are
-numeric maps (:class:`SineModeMap`) that a verdict evaluates in batches of
-trials; the deterministic ball and box bumps are polynomial expressions.
+witness variation (re-evaluable from its serialised parameters and its
+expression ``source``), while a PASS is sampling evidence only, never a
+proof.  The verdicts draw from the families of :mod:`linfvar.variations`:
+free and rank-one variations, and for ``normal`` variations, pointwise
+projections of free fields onto the reduced normal space of
+H_P(., u, Du), free on the boundary.  A verdict takes u's jets once and
+scores its sine trials in batches.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -37,7 +29,6 @@ from .energy import (
 )
 from .operators import _reduced_projections
 from .problem import (
-    ClosedFormMap,
     DomainBox,
     GridMap,
     Hamiltonian,
@@ -47,7 +38,21 @@ from .problem import (
     hamiltonian_jet,
     jets_at_nodes,
 )
-from .sinemodes import SineModeMap
+from .variations import (
+    SineModeMap,
+    _ball_variation,
+    _draw_free,
+    _draw_rank_one,
+    _region_box,
+    _scale_for,
+    _scaled_spec,
+    make_free_field,
+    make_free_variation,
+    make_rank_one_variation,
+    make_sphere_variation,
+    make_test_basis,
+    variation_source,
+)
 
 __all__ = [
     "DiscreteMeasure",
@@ -71,11 +76,6 @@ __all__ = [
 ]
 
 
-def _f(x) -> str:
-    """Render a number as a parseable literal (plain Python float repr)."""
-    return repr(float(x))
-
-
 class SupportViolationError(ValueError):
     """A measure charges nodes outside the argmax set."""
 
@@ -87,208 +87,6 @@ class Verdict:
     witness: Optional[dict]
     trials: int
     vacuous: bool = False
-
-
-# ---------------------------------------------------------------------------
-# Variation construction
-
-
-def _region_box(O: Subdomain):
-    if O.region[0] == "box":
-        return np.asarray(O.region[1]), np.asarray(O.region[2])
-    if O.region[0] == "all":
-        return np.asarray(O.box.lo), np.asarray(O.box.hi)
-    return None
-
-
-def _sine_profile_source(lo, hi, modes) -> str:
-    """Sum of separable sine modes vanishing on the box boundary."""
-    terms = []
-    for coeff, ks, phases in modes:
-        factors = []
-        for i, (k, ph) in enumerate(zip(ks, phases)):
-            freq = k * math.pi / (hi[i] - lo[i])
-            arg = f"{_f(freq)} * (x{i+1} - {_f(lo[i])})"
-            if ph:
-                arg += f" + {_f(ph)}"
-            factors.append(f"sin({arg})")
-        terms.append(f"{_f(coeff)} * " + " * ".join(factors))
-    return " + ".join(terms) if terms else "0.0"
-
-
-def variation_source(spec: dict) -> list:
-    """Expression source of each component of the variation that ``spec`` describes.
-
-    The coefficients are multiplied by ``spec["scale"]``.  This is how a
-    witness stays re-evaluable, and how the polynomial families are built.
-    """
-    scale = spec["scale"]
-
-    def sines(modes):
-        return _sine_profile_source(spec["lo"], spec["hi"], [(c * scale, k, ph) for c, k, ph in modes])
-
-    def sphere(c):  # c * (rho^2 - |x - center|^2)
-        sq = " - ".join(f"(x{i+1} - {_f(x0)})^2" for i, x0 in enumerate(spec["center"]))
-        return f"{_f(c * scale)} * ({_f(spec['radius'] ** 2)} - {sq})"
-
-    kind, profile = spec["kind"], spec.get("profile")
-    if kind == "free":
-        return [sines(modes) for modes in spec["modes"]]
-    if kind == "free_field":
-        # the constant carries no gradient, so it scales with the raw
-        # amplitude rather than the gradient-normalising factor
-        return [f"{_f(k * spec['amplitude'])} + " + sines(modes)
-                for modes, k in zip(spec["modes"], spec["constants"])]
-    if kind == "free_ball":
-        return [sphere(c) for c in spec["coeffs"]]
-    if profile == "sine":
-        g = sines(spec["modes"])
-        return [f"{_f(x)} * ({g})" for x in spec["xi"]]
-    if profile == "sphere":
-        return [sphere(x) for x in spec["xi"]]
-    # box_bump: prod (x - lo)(hi - x), the sphere profile's box analogue
-    lo, hi = spec["lo"], spec["hi"]
-    prof = " * ".join(f"((x{i+1} - {_f(lo[i])}) * ({_f(hi[i])} - x{i+1}))" for i in range(len(lo)))
-    return [f"{_f(x * scale)} * {prof}" for x in spec["xi"]]
-
-
-def _draw_modes(rng, n, max_modes, with_phase):
-    count = int(rng.integers(1, max_modes + 1))
-    modes = []
-    for _ in range(count):
-        coeff = float(rng.uniform(-1.0, 1.0))
-        if abs(coeff) < 0.1:
-            coeff = 0.1 if coeff >= 0 else -0.1
-        ks = [int(rng.integers(1, 5)) for _ in range(n)]
-        phases = [float(rng.uniform(0.2, 2.9)) if with_phase else 0.0 for _ in range(n)]
-        modes.append((coeff, ks, phases))
-    return modes
-
-
-def _scale_for(phi, O: Subdomain, nodes: np.ndarray, amplitude: float) -> np.ndarray:
-    """Factor making sup |D phi| over the nodes equal ``amplitude`` (0 for a flat phi), per map."""
-    jets = jets_at_nodes(phi, O.box, nodes, order=1)
-    raw = np.max(np.linalg.norm(jets.gradient, axis=(0, 1)), axis=-1)
-    return np.divide(amplitude, raw, out=np.zeros_like(raw), where=raw != 0.0)
-
-
-def _scaled_spec(spec: dict, scale, amplitude: float) -> dict:
-    return dict(spec, scale=float(scale), amplitude=amplitude)
-
-
-def _polynomial_variation(spec: dict, O: Subdomain, amplitude: float):
-    """A polynomial family's map and spec, built from its source at scale 1 and at the final scale."""
-    n = O.box.dim
-    raw = ClosedFormMap.from_expressions(variation_source(dict(spec, scale=1.0)), n)
-    spec = _scaled_spec(spec, _scale_for(raw, O, O.evaluable_nodes(), amplitude), amplitude)
-    return ClosedFormMap.from_expressions(variation_source(spec), n), spec
-
-
-def _sine_variation(raw: SineModeMap, spec: dict, O: Subdomain, amplitude: float):
-    scale = _scale_for(raw, O, O.evaluable_nodes(), amplitude)
-    return raw.scaled(scale), _scaled_spec(spec, scale, amplitude)
-
-
-def _draw_free(O: Subdomain, N: int, rng, max_modes: int = 5):
-    """Unscaled free sine variation on the box subdomain and its spec."""
-    lo, hi = _region_box(O)
-    comp_modes = [_draw_modes(rng, O.box.dim, max_modes, with_phase=False) for _ in range(N)]
-    spec = {"kind": "free", "modes": comp_modes, "lo": lo.tolist(), "hi": hi.tolist()}
-    return SineModeMap.from_modes(lo, hi, comp_modes), spec
-
-
-def _draw_rank_one(O: Subdomain, xi: np.ndarray, rng, max_modes: int = 5):
-    """Unscaled xi times a sine profile on the box subdomain and its spec."""
-    lo, hi = _region_box(O)
-    modes = _draw_modes(rng, O.box.dim, max_modes, with_phase=False)
-    spec = {"kind": "rank_one", "profile": "sine", "modes": modes, "xi": xi.tolist(),
-            "lo": lo.tolist(), "hi": hi.tolist()}
-    return SineModeMap.from_modes(lo, hi, [modes] * xi.shape[0], factors=xi), spec
-
-
-def make_free_variation(O: Subdomain, N: int, rng, amplitude: float = 1.0,
-                        max_modes: int = 5):
-    """Random smooth variation vanishing on the subdomain boundary."""
-    if _region_box(O) is None:
-        return _ball_variation(O, N, rng, amplitude)
-    return _sine_variation(*_draw_free(O, N, rng, max_modes), O, amplitude)
-
-
-def _ball_variation(O: Subdomain, N: int, rng, amplitude: float):
-    coeffs = [float(rng.uniform(-1.0, 1.0)) for _ in range(N)]
-    spec = {"kind": "free_ball", "coeffs": coeffs, "center": list(O.region[1]), "radius": O.region[2]}
-    return _polynomial_variation(spec, O, amplitude)
-
-
-def make_rank_one_variation(O: Subdomain, xi: np.ndarray, rng, amplitude: float = 1.0,
-                            max_modes: int = 5, deterministic: bool = False):
-    """Scalar profile times the direction xi, profile vanishing on the boundary."""
-    xi = np.asarray(xi, dtype=float)
-    if np.linalg.norm(xi) == 0.0:
-        raise ValueError("rank-one direction must be nonzero")
-    box = _region_box(O)
-    if box is None:
-        spec = {"kind": "rank_one", "profile": "sphere", "xi": xi.tolist(),
-                "center": list(O.region[1]), "radius": O.region[2]}
-    elif deterministic:
-        spec = {"kind": "rank_one", "profile": "box_bump", "xi": xi.tolist(),
-                "lo": box[0].tolist(), "hi": box[1].tolist()}
-    else:
-        return _sine_variation(*_draw_rank_one(O, xi, rng, max_modes), O, amplitude)
-    return _polynomial_variation(spec, O, amplitude)
-
-
-def make_sphere_variation(xi: np.ndarray, center: np.ndarray, radius: float, n: int) -> ClosedFormMap:
-    """The deterministic variation xi * (|y - center|^2 - radius^2)."""
-    xi = np.asarray(xi, dtype=float)
-    center = np.asarray(center, dtype=float)
-    sq = " + ".join(f"(x{i+1} - {_f(center[i])})^2" for i in range(n))
-    sources = [f"{_f(c)} * ({sq} - {_f(radius**2)})" for c in xi]
-    return ClosedFormMap.from_expressions(sources, n)
-
-
-def make_free_field(O: Subdomain, N: int, rng, amplitude: float = 1.0, max_modes: int = 5):
-    """Random smooth field with no boundary condition (for normal variations).
-
-    Includes a constant term per component: fields free on the boundary may
-    shift the map values outright, which matters for value-dependent
-    densities.  The constant is ``amplitude`` times its draw; the gradient
-    normalisation scales only the modes.
-    """
-    n = O.box.dim
-    box = _region_box(O)
-    lo, hi = (np.asarray(O.box.lo), np.asarray(O.box.hi)) if box is None else box
-    comp_modes = [_draw_modes(rng, n, max_modes, with_phase=True) for _ in range(N)]
-    comp_const = [float(rng.uniform(-1.0, 1.0)) for _ in range(N)]
-    raw = SineModeMap.from_modes(lo, hi, comp_modes, consts=np.asarray(comp_const) * amplitude)
-    spec = {"kind": "free_field", "modes": comp_modes, "constants": comp_const,
-            "lo": lo.tolist(), "hi": hi.tolist()}
-    return _sine_variation(raw, spec, O, amplitude)
-
-
-def make_test_basis(O: Subdomain, N: int, size: int):
-    """Deterministic boundary-vanishing test basis: single sine modes per component.
-
-    Mode k of component a is sin(k pi (x - lo)/L) along the first axis
-    (times first-mode sines along the remaining axes in higher dimension).
-    """
-    box = _region_box(O)
-    if box is None:
-        raise ValueError("test basis needs a box-shaped subdomain")
-    lo, hi = box
-    n = O.box.dim
-    basis = []
-    k = 1
-    a = 0
-    while len(basis) < size:
-        comp_modes = [[] for _ in range(N)]
-        comp_modes[a] = [(1.0, [k] + [1] * (n - 1), [0.0] * n)]
-        basis.append(SineModeMap.from_modes(lo, hi, comp_modes))
-        a += 1
-        if a == N:
-            a = 0
-            k += 1
-    return basis
 
 
 # ---------------------------------------------------------------------------

@@ -298,8 +298,8 @@ class TestOracleAgreement:
 # Numeric sine families against their parsed expressions
 
 from linfvar import PerturbedMap as _PM  # noqa: E402
-from linfvar import jets_at_nodes, varcheck  # noqa: E402
-from linfvar.varcheck import (  # noqa: E402
+from linfvar import jets_at_nodes, varcheck, variations  # noqa: E402
+from linfvar.variations import (  # noqa: E402
     SineModeMap,
     make_free_field,
     make_rank_one_variation,
@@ -355,7 +355,7 @@ def test_test_basis_matches_parsed_modes():
     nodes = O.evaluable_nodes()
     for a, psi in enumerate(make_test_basis(O, 2, 6)):
         k = a // 2 + 1
-        src = varcheck._sine_profile_source((0.5, -0.5), (1.5, 0.75), [(1.0, [k, 1], [0.0, 0.0])])
+        src = variations._sine_profile_source((0.5, -0.5), (1.5, 0.75), [(1.0, [k, 1], [0.0, 0.0])])
         sources = [src, "0.0"] if a % 2 == 0 else ["0.0", src]
         ref = ClosedFormMap.from_expressions(sources, 2).jet2(box.node_coords(nodes))
         got = jets_at_nodes(psi, box, nodes)
