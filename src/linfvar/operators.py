@@ -14,10 +14,10 @@ where Proj projects onto the orthogonal complement of the range of H_P
 (variant "reduced").  The two parts are orthogonal by construction, so the
 system splits into two independent operators; both are exposed.
 
-Div(H_P) differentiates the composed matrix field x -> H_P(x, u(x), Du(x))
-numerically (central differences of step h_div for closed-form maps, grid
-stencils for node-sampled maps), which only needs first derivatives of H
-and second-order jets of u.
+Div(H_P) differentiates the composed matrix field x -> H_P(x, u(x), Du(x)).
+For closed-form maps the chain rule applies H's exact second derivatives
+to the second-order jets of u; grid maps take the grid stencils of the H_P
+node field.
 """
 
 from __future__ import annotations
@@ -81,15 +81,19 @@ class AronssonResidual:
 def composite_gradient(u, H: Hamiltonian, x) -> np.ndarray:
     """Spatial gradient of x -> H(x, u(x), Du(x)) by the chain rule (uses D2u)."""
     jet = map_jet(u, np.asarray(x, dtype=float), order=2)
-    return _composite_gradient_from_jets(H, jet)
-
-
-def _composite_gradient_from_jets(H: Hamiltonian, jet) -> np.ndarray:
     ham = hamiltonian_jet(H, jet.x, jet.value, jet.gradient)
-    # component i: H_xi + H_eta . D_i u + H_P : D_i Du
-    g = ham.x_grad + np.einsum("a...,ai...->i...", ham.eta_grad, jet.gradient)
-    g = g + np.einsum("aj...,aji...->i...", ham.P_grad, jet.hessian)
-    return np.asarray(g, dtype=float)
+    return _chain_rule(ham.x_grad[None], ham.eta_grad[None], ham.P_grad[None], jet)[0]
+
+
+def _chain_rule(f_x, f_eta, f_P, jet) -> np.ndarray:
+    """Spatial gradients (m, n) + S of m functions F(x, u(x), Du(x)).
+
+    ``f_x`` (m, n) + S, ``f_eta`` (m, N) + S and ``f_P`` (m, N, n) + S are
+    their partials at u's order-2 ``jet``; component i is
+    F_xi + F_eta . D_i u + F_P : D_i Du.
+    """
+    g = f_x + np.einsum("ma...,ai...->mi...", f_eta, jet.gradient)
+    return g + np.einsum("maj...,aji...->mi...", f_P, jet.hessian)
 
 
 def _grid_hp_field(u: GridMap, H: Hamiltonian):
@@ -110,27 +114,18 @@ def _grid_divergence_field(u: GridMap, H: Hamiltonian) -> np.ndarray:
     return div
 
 
-def _divergence(u, H: Hamiltonian, x: np.ndarray, nodes, h_div: Optional[float]) -> np.ndarray:
-    """(Div F)_a = sum_i d_i F_{ai} for F(y) = H_P(y, u(y), Du(y)) at points x (n, M).
+def _divergence(u, H: Hamiltonian, jets: Jet2, nodes) -> np.ndarray:
+    """(Div F)_a = sum_i d_i F_{ai} for F(y) = H_P(y, u(y), Du(y)) at u's order-2 jets (M,).
 
-    Grid maps read the node stencil field at ``nodes``; other maps take
-    central differences of step h_div (default 1e-5 (1 + |x|)), all 2n
-    shifted copies of every point in one jet evaluation.
+    Grid maps read the node stencil field at ``nodes``; other maps apply
+    the chain rule to the rows H_P of H's exact second derivatives.
     """
     if isinstance(u, GridMap):
         return _grid_divergence_field(u, H)[(slice(None),) + tuple(nodes.T)]
-    n, M = x.shape
-    h = 1e-5 * (1.0 + np.linalg.norm(x, axis=0)) if h_div is None else np.full(M, float(h_div))
-    offsets = np.zeros((n, 2 * n, M))
-    for i in range(n):
-        offsets[i, 2 * i] = h
-        offsets[i, 2 * i + 1] = -h
-    jets = map_jet(u, x[:, None, :] + offsets, order=1)
-    hp = hamiltonian_jet(H, jets.x, jets.value, jets.gradient).P_grad  # (N, n, 2n, M)
-    div = np.zeros((hp.shape[0], M))
-    for i in range(n):
-        div += (hp[:, i, 2 * i] - hp[:, i, 2 * i + 1]) / (2.0 * h)
-    return div
+    n, N, M = H.n, H.N, jets.x.shape[1]
+    rows = hamiltonian_jet(H, jets.x, jets.value, jets.gradient, order=2).P_hess.reshape(N * n, -1, M)
+    grads = _chain_rule(rows[:, :n], rows[:, n:n + N], rows[:, n + N:].reshape(N * n, N, n, M), jets)
+    return np.einsum("aii...->a...", grads.reshape(N, n, n, M))
 
 
 def _default_eps(u, x: np.ndarray) -> np.ndarray:
@@ -193,42 +188,49 @@ def _reduced_projections(u, H: Hamiltonian, x: np.ndarray, nodes, hp: np.ndarray
     return linalg.reduced_nullspace_batch(hp, ys, valid, tol_angle, rank_tol)
 
 
-def _residual_parts(u, H: Hamiltonian, jets: Jet2, nodes, variant, h_div, eps, samples,
-                    rank_tol, tol_angle):
-    """Both residual parts at a jet batch (batch axis last).
+def _normal_projections(u, H: Hamiltonian, x: np.ndarray, nodes, hp: np.ndarray, variant,
+                        eps, samples, rank_tol, tol_angle):
+    """Normal projections of H_P at the rank-deficient points of x (n, M), hp (M, N, n).
+
+    Returns those points' indices and projections (onto R(H_P)^perp for
+    "full", the reduced normal space for "reduced"), and per point (M,)
+    the rank of H_P, the projected dimension and the projection-drop flag.
+    """
+    if variant not in ("full", "reduced"):
+        raise ValueError("variant must be 'full' or 'reduced'")
+    M, N = hp.shape[:2]
+    U, ranks, _ = linalg.rank_decision(hp, rank_tol)
+    null_dim = N - ranks
+    sel = np.flatnonzero(null_dim > 0)
+    if variant == "full":
+        B = U[sel] * (np.arange(N) >= ranks[sel, None])[:, None, :]
+        return sel, B @ np.swapaxes(B, 1, 2), ranks, null_dim, np.zeros(M, dtype=bool)
+    dims, proj = np.zeros(M, dtype=int), np.zeros((0, N, N))
+    if sel.size:
+        red = _reduced_projections(u, H, x[:, sel], None if nodes is None else nodes[sel], hp[sel],
+                                   eps, samples, rank_tol, tol_angle)
+        dims[sel], proj = red.reduced_dim, red.projection
+    return sel, proj, ranks, dims, dims < null_dim
+
+
+def _residual_parts(u, H: Hamiltonian, jets: Jet2, nodes, variant, eps, samples, rank_tol, tol_angle):
+    """Both residual parts at a jet batch (M,).
 
     Returns the tangential and normal parts (N, M), the ranks of H_P, the
     dimensions of the projected normal spaces and the projection-drop
     flags (M,).  Only rank-deficient points get a divergence and a normal
     projection; elsewhere the normal part is exactly zero.
     """
-    if variant not in ("full", "reduced"):
-        raise ValueError("variant must be 'full' or 'reduced'")
     ham = hamiltonian_jet(H, jets.x, jets.value, jets.gradient)
-    dH = _composite_gradient_from_jets(H, jets)
+    dH = _chain_rule(ham.x_grad[None], ham.eta_grad[None], ham.P_grad[None], jets)[0]
     tangential = np.einsum("ai...,i...->a...", ham.P_grad, dH)
-    hp = np.moveaxis(ham.P_grad, -1, 0)  # (M, N, n)
-    M, N = hp.shape[:2]
-    U, ranks, _ = linalg.rank_decision(hp, rank_tol)
-    null_dim = N - ranks
-    drop = np.zeros(M, dtype=bool)
-    normal = np.zeros((N, M))
-    sel = np.flatnonzero(null_dim > 0)
-    sel_nodes = None if nodes is None else nodes[sel]
-    if variant == "full":
-        dims = null_dim
-        B = U[sel] * (np.arange(N) >= ranks[sel, None])[:, None, :]
-        proj = B @ np.swapaxes(B, 1, 2)
-    else:
-        dims = np.zeros(M, dtype=int)
-        if sel.size:
-            red = _reduced_projections(u, H, jets.x[:, sel], sel_nodes, hp[sel], eps, samples,
-                                       rank_tol, tol_angle)
-            proj = red.projection
-            dims[sel] = red.reduced_dim
-            drop[sel] = red.reduced_dim < null_dim[sel]
+    sel, proj, ranks, dims, drop = _normal_projections(
+        u, H, jets.x, nodes, np.moveaxis(ham.P_grad, -1, 0), variant, eps, samples, rank_tol,
+        tol_angle)
+    normal = np.zeros(ham.eta_grad.shape)
     if sel.size:
-        rhs = _divergence(u, H, jets.x[:, sel], sel_nodes, h_div) - ham.eta_grad[:, sel]
+        sub = Jet2(jets.x[:, sel], jets.value[:, sel], jets.gradient[..., sel], jets.hessian[..., sel])
+        rhs = _divergence(u, H, sub, None if nodes is None else nodes[sel]) - ham.eta_grad[:, sel]
         normal[:, sel] = ham.value[sel] * np.einsum("mab,bm->am", proj, rhs)
     return np.asarray(tangential, dtype=float), normal, ranks, dims, drop
 
@@ -240,7 +242,6 @@ def aronsson_residual(
     variant: str = "reduced",
     eps: Optional[float] = None,
     samples: Optional[int] = None,
-    h_div: Optional[float] = None,
     rank_tol: float = linalg.DEFAULT_RANK_TOL,
     tol_angle: Optional[float] = None,
 ) -> AronssonResidual:
@@ -250,7 +251,7 @@ def aronsson_residual(
     jets = Jet2(x[:, None], jet.value[..., None], jet.gradient[..., None], jet.hessian[..., None])
     nodes = np.asarray([u.box.nearest_node(x)]) if isinstance(u, GridMap) else None
     tangential, normal, ranks, dims, drop = _residual_parts(
-        u, H, jets, nodes, variant, h_div, eps, samples, rank_tol, tol_angle)
+        u, H, jets, nodes, variant, eps, samples, rank_tol, tol_angle)
     return AronssonResidual(
         tangential=tangential[:, 0],
         normal=normal[:, 0],
@@ -289,15 +290,12 @@ def infinity_laplacian_residual(
     dsq = 2.0 * np.einsum("aj,aji->i", Du, jet.hessian)
     lap = np.einsum("aii->a", jet.hessian)
     density = float(np.sum(Du * Du))
-    full = linalg.proj_range_complement(Du, tol=rank_tol)
-    proj = full.projection
-    if reduced and full.basis.shape[1]:
-        # the reduced space of Du^T is that of the Dirichlet H_P = 2 Du
-        nodes = np.asarray([u.box.nearest_node(x)]) if isinstance(u, GridMap) else None
-        H = Hamiltonian.dirichlet(Du.shape[1], Du.shape[0])
-        proj = _reduced_projections(u, H, x[:, None], nodes, 2.0 * Du[None], eps, samples,
-                                    rank_tol, tol_angle).projection[0]
-    return Du @ dsq + density * (proj @ lap)
+    # the normal spaces of Du^T are those of the Dirichlet H_P = 2 Du
+    nodes = np.asarray([u.box.nearest_node(x)]) if isinstance(u, GridMap) else None
+    H = Hamiltonian.dirichlet(Du.shape[1], Du.shape[0])
+    sel, proj, *_ = _normal_projections(u, H, x[:, None], nodes, 2.0 * Du[None],
+                                        "reduced" if reduced else "full", eps, samples, rank_tol, tol_angle)
+    return Du @ dsq + density * (proj[0] @ lap if sel.size else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +329,6 @@ def residual_field(
     points: Optional[np.ndarray] = None,
     nodes: Optional[np.ndarray] = None,
     interior_only: bool = True,
-    h_div: Optional[float] = None,
     eps: Optional[float] = None,
     samples: Optional[int] = None,
     rank_tol: float = linalg.DEFAULT_RANK_TOL,
@@ -361,7 +358,7 @@ def residual_field(
         jets = map_jet(u, points.T, order=2)
         nodes = None
     tangential, normal, ranks, _, drop = _residual_parts(
-        u, H, jets, nodes, variant, h_div, eps, samples, rank_tol, tol_angle)
+        u, H, jets, nodes, variant, eps, samples, rank_tol, tol_angle)
     return ResidualField(
         points=jets.x.T,
         nodes=nodes,

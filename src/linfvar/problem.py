@@ -508,6 +508,7 @@ class HamiltonianJet:
     x_grad: np.ndarray    # (n,) + S
     eta_grad: np.ndarray  # (N,) + S
     P_grad: np.ndarray    # (N, n) + S
+    P_hess: "np.ndarray | None" = None  # (N, n, k) + S at order 2: rows P_ai of the Hessian, seeds() order
 
 
 class Hamiltonian:
@@ -570,27 +571,29 @@ def hamiltonian_value(H: Hamiltonian, x, eta, P) -> np.ndarray:
     return d.val
 
 
-def hamiltonian_jet(H: Hamiltonian, x, eta, P) -> HamiltonianJet:
-    """Value and the first-derivative bundle (H_x, H_eta, H_P); exact for builtins and expressions."""
+def hamiltonian_jet(H: Hamiltonian, x, eta, P, order: int = 1) -> HamiltonianJet:
+    """Value and first derivatives (H_x, H_eta, H_P), exact; ``order=2`` adds ``P_hess``."""
     x = np.asarray(x, dtype=float)
     eta = np.asarray(eta, dtype=float)
     P = np.asarray(P, dtype=float)
     S = P.shape[2:]
+    n, N = H.n, H.N
     if H.builtin == "dirichlet":
+        two_delta = 2.0 * np.eye(N * n, n + N + N * n, n + N).reshape((N, n, -1) + (1,) * len(S))
         return HamiltonianJet(
             value=np.sum(P * P, axis=(0, 1)),
-            x_grad=np.zeros((H.n,) + S),
-            eta_grad=np.zeros((H.N,) + S),
+            x_grad=np.zeros((n,) + S),
+            eta_grad=np.zeros((N,) + S),
             P_grad=2.0 * P,
+            P_hess=two_delta + np.zeros(S) if order >= 2 else None,
         )
-    seeds = H.seeds()
-    d = eval_jet2(H.expr, H._binding(x, eta, P), seeds, order=1)
-    n, N = H.n, H.N
+    d = eval_jet2(H.expr, H._binding(x, eta, P), H.seeds(), order=order)
     return HamiltonianJet(
         value=d.val,
         x_grad=d.grad[:n],
         eta_grad=d.grad[n:n + N],
         P_grad=d.grad[n + N:].reshape((N, n) + S),
+        P_hess=None if d.hess is None else d.hess[n + N:].reshape((N, n, -1) + S),
     )
 
 
@@ -663,22 +666,28 @@ def load_problem(source: Union[str, Path, dict]) -> Problem:
         data = json.loads(path.read_text())
         base = path.parent
 
-    def field_of(obj, key, path_txt):
+    def field_of(obj, key, path_txt, ok=None, what=""):
         if key not in obj:
             raise ValueError(f"problem file missing field {path_txt!r}")
+        if ok is not None and not ok(obj[key]):
+            raise TypeError(f"problem file field {path_txt!r} must be {what}, got {obj[key]!r}")
         return obj[key]
 
-    n = int(field_of(data, "n", "n"))
-    N = int(field_of(data, "N", "N"))
-    dom = field_of(data, "domain", "domain")
-    box = DomainBox(
-        tuple(field_of(dom, "lo", "domain.lo")),
-        tuple(field_of(dom, "hi", "domain.hi")),
-        tuple(field_of(dom, "resolution", "domain.resolution")),
-    )
+    def list_of(v, kinds=(int, float, np.integer, np.floating)):
+        return isinstance(v, list) and all(isinstance(c, kinds) and not isinstance(c, bool) for c in v)
+
+    def count(v):
+        return list_of([v]) and float(v).is_integer() and v >= 1
+
+    n = int(field_of(data, "n", "n", count, "a positive whole number"))
+    N = int(field_of(data, "N", "N", count, "a positive whole number"))
+    dom = field_of(data, "domain", "domain", lambda v: isinstance(v, dict), "an object")
+    box = DomainBox(*(tuple(field_of(dom, key, f"domain.{key}", list_of, "a list of numbers"))
+                      for key in ("lo", "hi", "resolution")))
     hspec = field_of(data, "H", "H")
     H = Hamiltonian.dirichlet(n, N) if hspec == "dirichlet" else Hamiltonian.from_expression(hspec, n, N)
-    uspec = field_of(data, "u", "u")
+    uspec = field_of(data, "u", "u", lambda v: isinstance(v, dict) or list_of(v, str),
+                     'a list of expressions or {"grid": <path>}')
     if isinstance(uspec, dict):
         u = read_grid_csv(base / field_of(uspec, "grid", "u.grid"), box, N)
     else:

@@ -27,7 +27,7 @@ from .energy import (
     subdomain_nodes,
     sup_energy,
 )
-from .operators import _reduced_projections
+from .operators import _normal_projections
 from .problem import (
     DomainBox,
     GridMap,
@@ -225,18 +225,12 @@ def _normal_projector_field(u, H: Hamiltonian, O: Subdomain, eps, samples, tol_a
     nodes = all_nodes[ok]
     jets = jets_at_nodes(u, box, nodes, order=1)
     hp = hamiltonian_jet(H, jets.x, jets.value, jets.gradient).P_grad  # (N, n, M)
-    N = u.N
-    M = nodes.shape[0]
-    projectors = np.zeros((M, N, N))
     if eps is None:
         eps = 2.0 * float(np.max(box.spacing))
-    hp_batch = np.moveaxis(hp, -1, 0)
-    _, ranks, _ = linalg.rank_decision(hp_batch)
-    sel = np.flatnonzero(ranks < N)
-    if sel.size:
-        projectors[sel] = _reduced_projections(
-            u, H, jets.x[:, sel], nodes[sel], hp_batch[sel], eps, samples,
-            linalg.DEFAULT_RANK_TOL, tol_angle).projection
+    sel, proj, *_ = _normal_projections(u, H, jets.x, nodes, np.moveaxis(hp, -1, 0), "reduced",
+                                        eps, samples, linalg.DEFAULT_RANK_TOL, tol_angle)
+    projectors = np.zeros((nodes.shape[0], u.N, u.N))
+    projectors[sel] = proj
     return nodes, projectors
 
 

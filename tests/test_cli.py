@@ -89,6 +89,21 @@ class TestExitCodes:
         assert rep["error"]["type"] == "TypeError" and rep["error"]["message"]
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path, bad", [
+        ("n", {"n": "two"}),
+        ("N", {"N": 1.5}),
+        ("domain.lo", {"domain": {"lo": -1.0, "hi": [1.0], "resolution": [9]}}),
+        ("domain.hi", {"domain": {"lo": [-1.0], "hi": "x", "resolution": [9]}}),
+        ("domain.resolution", {"domain": {"lo": [-1.0], "hi": [1.0], "resolution": 9}}),
+        ("u", {"u": "x1"}),
+    ])
+    def test_mistyped_field_is_named(self, problems, tmp_path, path, bad):
+        _, tmp = problems
+        (tmp_path / "typo.json").write_text(json.dumps(dict(LINEAR_1D, **bad)))
+        out = tmp / f"typo_{path}"
+        assert run(["energy", "--problem", str(tmp_path / "typo.json"), "--out", str(out)]) == 2
+        assert f"'{path}'" in _report(out, "energy")["error"]["message"]
+
     def test_out_of_range_grid_csv_row_is_exit_2(self, problems):
         paths, tmp = problems
         (tmp / "u.csv").write_text("".join(f"{i},{i / 8!r}\n" for i in range(9)) + "40,1.0\n")

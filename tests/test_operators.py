@@ -9,10 +9,13 @@ from linfvar import (
     Subdomain,
     aronsson_residual,
     composite_gradient,
+    hamiltonian_jet,
     infinity_laplacian_residual,
+    map_jet,
     residual_field,
     split_residuals,
 )
+from linfvar.operators import _divergence
 
 from conftest import ARONSSON_EXPR, random_polynomial_sources
 
@@ -120,17 +123,21 @@ class TestAronssonResidual:
             ip = abs(float(np.dot(res.tangential, res.normal)))
             assert ip <= 1e-8 * (res.tangential_norm * res.normal_norm + 1.0)
 
-    def test_divergence_step_convergence(self):
-        # halving h_div changes Div(H_P) by O(h_div^2)
+    def test_divergence_difference_quotients_converge(self):
+        # central differences of H_P(x, u(x), Du(x)) converge at second order to the exact Div(H_P)
         H = Hamiltonian.from_expression("P11^2 + P21^2 + 0.5*P11*P21 + eta1*eta2", 1, 2)
         u = ClosedFormMap.from_expressions(["sin(x1)", "x1^3"], n=1)
-        x = [0.6]
-        res_h = aronsson_residual(u, H, x, variant="full", h_div=1e-3)
-        res_h2 = aronsson_residual(u, H, x, variant="full", h_div=5e-4)
-        res_h4 = aronsson_residual(u, H, x, variant="full", h_div=2.5e-4)
-        d1 = np.abs(res_h.normal - res_h2.normal).max()
-        d2 = np.abs(res_h2.normal - res_h4.normal).max()
-        assert d1 / max(d2, 1e-300) >= 3.0
+        x = np.array([0.6])
+        exact = _divergence(u, H, map_jet(u, x[:, None], order=2), None)[:, 0]
+
+        def hp_at(y):
+            jet = map_jet(u, y, order=1)
+            return hamiltonian_jet(H, jet.x, jet.value, jet.gradient).P_grad[:, 0]
+
+        errors = [np.abs((hp_at(x + h) - hp_at(x - h)) / (2 * h) - exact).max()
+                  for h in (1e-2, 5e-3, 2.5e-3)]
+        assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.05)
+        assert errors[1] / errors[2] == pytest.approx(4.0, rel=0.05)
 
     def test_reduced_equals_full_on_constant_frame(self):
         # rank-1 map with a fixed range direction: the normal frame is constant
@@ -149,6 +156,28 @@ class TestAronssonResidual:
         res = aronsson_residual(u, H, [0.0], variant="reduced", eps=0.1)
         assert res.projection_drop
         assert res.reduced_dim == 1  # the fixed normal of the constant direction survives
+
+
+class TestExactDivergence:
+    """Div(H_P) on closed-form maps against its analytic value at 1000 random points."""
+
+    def test_rotating_map_expression_density(self):
+        # H = |P|^2: Div(H_P) = 2 Laplacian u = -4 (sin t, cos t), t = x1 + x2
+        H = Hamiltonian.from_expression("P11^2 + P12^2 + P21^2 + P22^2", 2, 2)
+        u = ClosedFormMap.from_expressions(["sin(x1 + x2)", "cos(x1 + x2)"], n=2)
+        x = np.random.default_rng(21).uniform(-2.0, 2.0, size=(2, 1000))
+        div = _divergence(u, H, map_jet(u, x, order=2), None)
+        t = x[0] + x[1]
+        exact = -4.0 * np.stack([np.sin(t), np.cos(t)])
+        assert np.linalg.norm(div - exact, axis=0).max() <= 1e-12 * 4.0
+
+    def test_aronsson_map_dirichlet(self, aronsson_map, dirichlet_2d):
+        # Div(2 Du) = (8/9) (x1^(-2/3) - x2^(-2/3)) on [1, 2]^2
+        x = np.random.default_rng(22).uniform(1.0, 2.0, size=(2, 1000))
+        div = _divergence(aronsson_map, dirichlet_2d, map_jet(aronsson_map, x, order=2), None)
+        a, b = x[0] ** (-2.0 / 3.0), x[1] ** (-2.0 / 3.0)
+        exact = (8.0 / 9.0) * (a - b)
+        assert np.all(np.abs(div[0] - exact) <= 1e-12 * (8.0 / 9.0) * (a + b))
 
 
 class TestResidualField:

@@ -223,6 +223,45 @@ class TestHamiltonian:
             assert lhs == pytest.approx(0.5 * np.sum((xi @ hp) ** 2), rel=1e-12)
 
 
+    def test_p_hess_matches_difference_quotients(self):
+        # rows P_ai of H's Hessian against every seed, by central differences of P_grad
+        rng = np.random.default_rng(14)
+        n, N = 2, 2
+        H0 = Hamiltonian.dirichlet(n, N)
+        names = H0.seeds()
+        terms = []
+        for p_name in names[n + N:]:
+            others = rng.choice(names, size=2, replace=False)
+            factors = [f"{p_name}^{int(rng.integers(1, 3))}"] + [f"{v}^{int(rng.integers(1, 3))}" for v in others]
+            terms.append(" * ".join([repr(float(rng.uniform(-1, 1)))] + factors))
+        H = Hamiltonian.from_expression(" + ".join(terms + ["x1 * eta2"]), n, N)
+        assert H.depends_on_x and H.depends_on_eta
+        z = rng.uniform(-1.0, 1.0, size=(len(names), 20))
+
+        def p_grad(z):
+            return hamiltonian_jet(H, z[:n], z[n:n + N], z[n + N:].reshape(N, n, -1)).P_grad
+
+        hess = hamiltonian_jet(H, z[:n], z[n:n + N], z[n + N:].reshape(N, n, -1), order=2).P_hess
+        assert hess.shape == (N, n, len(names), 20)
+        h = 1e-4
+        for s in range(len(names)):
+            e = np.zeros((len(names), 1))
+            e[s] = h
+            fd = (p_grad(z + e) - p_grad(z - e)) / (2 * h)
+            assert np.allclose(hess[:, :, s], fd, rtol=1e-6, atol=1e-7)
+
+    def test_p_hess_dirichlet_is_two_delta(self):
+        H = Hamiltonian.dirichlet(3, 2)
+        P = np.random.default_rng(5).normal(size=(2, 3, 4))
+        hess = hamiltonian_jet(H, np.zeros((3, 4)), np.zeros((2, 4)), P, order=2).P_hess
+        expected = np.zeros((2, 3, 11, 4))
+        for a in range(2):
+            for i in range(3):
+                expected[a, i, 5 + 3 * a + i] = 2.0
+        assert np.array_equal(hess, expected)
+        assert hamiltonian_jet(H, np.zeros((3, 4)), np.zeros((2, 4)), P).P_hess is None
+
+
 class TestProblemIO:
     def test_load_problem_and_digest(self, tmp_path):
         spec = {

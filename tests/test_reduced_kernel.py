@@ -121,18 +121,19 @@ def _reference_grid_normal(u, H, nodes, eps, tol_angle=None):
 
 
 def _reference_closed_normal(u, H, points):
-    """Reduced projectors and normal residuals at points of a closed-form map."""
+    """Reduced projectors and normal residuals at points of a closed-form map.
+
+    The densities of :func:`_density` have H_P = 2 Du, so Div(H_P) = 2 Laplacian u.
+    """
     V = _hp_at(u, H)
     n = points.shape[1]
-    steps = 1e-5 * (1.0 + np.linalg.norm(points, axis=1))
     out = []
-    for x, h in zip(points, steps):
+    for x in points:
         eps = 1e-2 * (1.0 + np.linalg.norm(x))
         pts = ball_sample_points(x, eps, ball_sample_count(n))
         proj, rank, dim = reference_projection(V, x, pts, 1e-6 * eps)
-        div = sum((V(x + h * e)[:, i] - V(x - h * e)[:, i]) / (2.0 * h)
-                  for i, e in enumerate(np.eye(n)))
-        jet = map_jet(u, x, order=1)
+        jet = map_jet(u, x, order=2)
+        div = 2.0 * np.trace(jet.hessian, axis1=1, axis2=2)
         ham = hamiltonian_jet(H, jet.x, jet.value, jet.gradient)
         out.append((proj, rank, dim, float(ham.value) * (div - ham.eta_grad)))
     return out
