@@ -6,7 +6,10 @@ the nullspace of its transpose).  ``reduced_nullspace_proj`` restricts that
 projection to the directions that extend continuously into the nullspaces
 of nearby matrices of a field: the numerically "reduced" normal space.
 ``reduced_nullspace_batch`` is the batched kernel behind it: many centres,
-each with its own stack of sample matrices, in a few LAPACK calls.
+each with its own stack of sample matrices, in a few LAPACK calls: the
+samples' ``nullspace_projectors``, then the averaging step
+``average_projectors`` (masked mean, restriction to the centre's nullspace,
+``eigh`` + QR).  Grid maps take one projector per node and gather them.
 """
 
 from __future__ import annotations
@@ -20,8 +23,10 @@ __all__ = [
     "ProjectionReport",
     "ReducedProjections",
     "ball_sample_count",
+    "average_projectors",
     "ball_sample_points",
     "halton",
+    "nullspace_projectors",
     "proj_range_complement",
     "rank_decision",
     "reduced_nullspace_batch",
@@ -143,28 +148,28 @@ def ball_sample_points(center: np.ndarray, eps, m: int) -> np.ndarray:
     return points if center.ndim == 2 else points[0]
 
 
-def reduced_nullspace_batch(
-    centers: np.ndarray,
-    samples: np.ndarray,
-    valid: np.ndarray,
-    tol_angle,
-    tol: float = DEFAULT_RANK_TOL,
-) -> ReducedProjections:
-    """Reduced nullspace projections of M centre matrices from their sample matrices.
+def nullspace_projectors(A: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """Projectors (..., N, N) onto N(A^T) = R(A)^perp of a batch of matrices A (..., N, n)."""
+    U, rank, _ = rank_decision(A, tol)
+    B = U * (np.arange(U.shape[-1]) >= rank[..., None])[..., None, :]  # nullspace columns only
+    return B @ np.swapaxes(B, -1, -2)
 
-    ``centers`` (M, N, n) holds the field at the centres and ``samples``
-    (M, m, N, n) the field at m sample points per centre, of which ``valid``
-    (M, m) marks the ones to use.  For every rank-deficient centre the
-    nullspace projectors of its valid samples are averaged, the average is
-    restricted to the centre's nullspace, and the eigenvectors with
-    eigenvalue >= 1 - tol_angle (scalar or one value per centre) span the
-    reduced space.  Full-rank centres get the zero projection and need no
-    valid sample.  See :func:`reduced_nullspace_proj` for the approximation.
+
+def average_projectors(U: np.ndarray, rank: np.ndarray, sample_proj: np.ndarray,
+                       valid: np.ndarray, tol_angle) -> ReducedProjections:
+    """Reduced nullspace projections of M centres from their samples' nullspace projectors.
+
+    ``U`` (M, N, N) and ``rank`` (M,) are the centres' :func:`rank_decision`;
+    ``sample_proj`` (M, m, N, N) holds the :func:`nullspace_projectors` of m
+    samples per centre, of which ``valid`` (M, m) marks the ones to average.
+    For every rank-deficient centre the valid projectors are averaged, the
+    average is restricted to the centre's nullspace, and the eigenvectors
+    with eigenvalue >= 1 - tol_angle (scalar or one value per centre) span
+    the reduced space.  Full-rank centres get the zero projection and need
+    no valid sample.
     """
-    centers = np.asarray(centers, dtype=float)
-    M, N = centers.shape[:2]
+    M, N = U.shape[:2]
     tol_angle = np.broadcast_to(np.asarray(tol_angle, dtype=float), (M,))
-    U, rank, _ = rank_decision(centers, tol)
     null_dim = N - rank
     basis = np.zeros((M, N, N))
     reduced_dim = np.zeros(M, dtype=int)
@@ -174,15 +179,7 @@ def reduced_nullspace_batch(
         empty = ~used.any(axis=1)
         if empty.any():
             raise ValueError(f"no valid sample points for centre {need[np.argmax(empty)]}")
-        ys = np.asarray(samples, dtype=float)[need]
-        bad = used & ~np.isfinite(ys).all(axis=(2, 3))
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            raise ValueError(f"field has non-finite entries at sample {j} of centre {need[i]}")
-        Uy, rank_y, _ = rank_decision(np.where(used[..., None, None], ys, 0.0), tol)
-        By = Uy * (np.arange(N) >= rank_y[..., None])[..., None, :]  # nullspace columns only
-        proj_y = By @ np.swapaxes(By, -1, -2)
-        mean = (proj_y * used[..., None, None]).sum(axis=1) / used.sum(axis=1)[:, None, None]
+        mean = (sample_proj[need] * used[..., None, None]).sum(axis=1) / used.sum(axis=1)[:, None, None]
         for k in np.unique(null_dim[need]):
             in_k = null_dim[need] == k
             grp = need[in_k]
@@ -199,6 +196,32 @@ def reduced_nullspace_batch(
             reduced_dim[grp] = kept
     projection = basis @ np.swapaxes(basis, 1, 2)
     return ReducedProjections(projection, basis, rank, reduced_dim)
+
+
+def reduced_nullspace_batch(
+    centers: np.ndarray,
+    samples: np.ndarray,
+    valid: np.ndarray,
+    tol_angle,
+    tol: float = DEFAULT_RANK_TOL,
+) -> ReducedProjections:
+    """Reduced nullspace projections of M centre matrices from their sample matrices.
+
+    ``centers`` (M, N, n) holds the field at the centres and ``samples``
+    (M, m, N, n) the field at m sample points per centre, of which ``valid``
+    (M, m) marks the ones to use: their :func:`nullspace_projectors` go to
+    :func:`average_projectors`.  See :func:`reduced_nullspace_proj` for the
+    approximation.
+    """
+    used = np.asarray(valid, dtype=bool)
+    samples = np.asarray(samples, dtype=float)
+    bad = used & ~np.isfinite(samples).all(axis=(2, 3))
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ValueError(f"field has non-finite entries at sample {j} of centre {i}")
+    U, rank, _ = rank_decision(centers, tol)
+    sample_proj = nullspace_projectors(np.where(used[..., None, None], samples, 0.0), tol)
+    return average_projectors(U, rank, sample_proj, used, tol_angle)
 
 
 def reduced_nullspace_proj(

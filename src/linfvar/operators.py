@@ -96,32 +96,24 @@ def _chain_rule(f_x, f_eta, f_P, jet) -> np.ndarray:
     return g + np.einsum("maj...,aji...->mi...", f_P, jet.hessian)
 
 
-def _grid_hp_field(u: GridMap, H: Hamiltonian):
-    nodes = u.box.all_nodes()
-    jets = u.jet_at_nodes(nodes, order=1)
-    ham = hamiltonian_jet(H, jets.x, jets.value, jets.gradient)
-    hp = ham.P_grad.reshape((u.N, u.n) + u.box.shape)
-    return hp
+def _grid_hp_field(u: GridMap, H: Hamiltonian) -> np.ndarray:
+    """H_P(., u, Du) at every grid node, (N, n) + box shape."""
+    jets = u.jet_at_nodes(u.box.all_nodes(), order=1)
+    return hamiltonian_jet(H, jets.x, jets.value, jets.gradient).P_grad.reshape((u.N, u.n) + u.box.shape)
 
 
-def _grid_divergence_field(u: GridMap, H: Hamiltonian) -> np.ndarray:
-    hp = _grid_hp_field(u, H)
-    h = u.box.spacing
-    valid = None if u.jet_valid.all() else u.jet_valid
-    div = np.zeros((u.N,) + u.box.shape)
-    for i in range(u.n):
-        div += axis_derivative(hp[:, i], i, h[i], order=1, valid=valid, grid_ndim=u.n)
-    return div
-
-
-def _divergence(u, H: Hamiltonian, jets: Jet2, nodes) -> np.ndarray:
+def _divergence(u, H: Hamiltonian, jets: Jet2, nodes, field=None) -> np.ndarray:
     """(Div F)_a = sum_i d_i F_{ai} for F(y) = H_P(y, u(y), Du(y)) at u's order-2 jets (M,).
 
-    Grid maps read the node stencil field at ``nodes``; other maps apply
-    the chain rule to the rows H_P of H's exact second derivatives.
+    Grid maps differentiate the H_P node ``field`` and read it at
+    ``nodes``; other maps apply the chain rule to the rows H_P of H's exact
+    second derivatives.
     """
     if isinstance(u, GridMap):
-        return _grid_divergence_field(u, H)[(slice(None),) + tuple(nodes.T)]
+        h, valid = u.box.spacing, None if u.jet_valid.all() else u.jet_valid
+        div = sum(axis_derivative(field[:, i], i, h[i], order=1, valid=valid, grid_ndim=u.n)
+                  for i in range(u.n))
+        return div[(slice(None),) + tuple(nodes.T)]
     n, N, M = H.n, H.N, jets.x.shape[1]
     rows = hamiltonian_jet(H, jets.x, jets.value, jets.gradient, order=2).P_hess.reshape(N * n, -1, M)
     grads = _chain_rule(rows[:, :n], rows[:, n:n + N], rows[:, n + N:].reshape(N * n, N, n, M), jets)
@@ -164,13 +156,14 @@ def _grid_ball_nodes(u: GridMap, nodes: np.ndarray, eps: np.ndarray):
     return cand, valid
 
 
-def _reduced_projections(u, H: Hamiltonian, x: np.ndarray, nodes, hp: np.ndarray,
-                         eps, samples, rank_tol, tol_angle) -> linalg.ReducedProjections:
-    """Reduced normal projections of H_P at rank-deficient points x (n, M), hp (M, N, n).
+def _reduced_projections(u, H: Hamiltonian, x: np.ndarray, nodes, U: np.ndarray, ranks: np.ndarray,
+                         field, eps, samples, rank_tol, tol_angle) -> linalg.ReducedProjections:
+    """Reduced normal projections at rank-deficient points x (n, M) with H_P's SVD factors U, ranks.
 
-    Grid maps sample H_P at the nodes of :func:`_grid_ball_nodes`; other
-    maps at one Halton offset set scaled to each point's ball, all M x m
-    points in one jet evaluation.  ``tol_angle`` defaults to 1e-6 eps.
+    Grid maps gather one nullspace projector per node of the H_P node
+    ``field`` (built here when None) through :func:`_grid_ball_nodes`;
+    other maps sample one Halton offset set scaled to each point's ball,
+    all M x m points in one jet evaluation.  ``tol_angle`` defaults to 1e-6 eps.
     """
     n, M = x.shape
     eps = np.broadcast_to(_default_eps(u, x) if eps is None else np.asarray(eps, dtype=float), (M,))
@@ -178,23 +171,30 @@ def _reduced_projections(u, H: Hamiltonian, x: np.ndarray, nodes, hp: np.ndarray
         tol_angle = 1e-6 * eps
     if isinstance(u, GridMap):
         sample_nodes, valid = _grid_ball_nodes(u, nodes, eps)
-        ys = _grid_hp_field(u, H)[(slice(None), slice(None)) + tuple(np.moveaxis(sample_nodes, -1, 0))]
+        hp = np.moveaxis(_grid_hp_field(u, H) if field is None else field, (0, 1), (-2, -1))
+        bad = u.jet_valid & ~np.isfinite(hp).all(axis=(-2, -1))
+        if bad.any():
+            raise ValueError(f"H_P is not finite at grid node {tuple(np.argwhere(bad)[0].tolist())}")
+        # nodes that are not jet-valid get a zero matrix; no centre samples them
+        proj = linalg.nullspace_projectors(np.where(u.jet_valid[..., None, None], hp, 0.0), rank_tol)
+        sample_proj = proj[tuple(np.moveaxis(sample_nodes, -1, 0))]
     else:
         pts = linalg.ball_sample_points(x.T, eps, linalg.ball_sample_count(n, samples))
         jets = map_jet(u, np.moveaxis(pts, -1, 0), order=1)
         ys = hamiltonian_jet(H, jets.x, jets.value, jets.gradient).P_grad
+        sample_proj = linalg.nullspace_projectors(np.moveaxis(ys, (0, 1), (2, 3)), rank_tol)
         valid = np.ones(pts.shape[:2], dtype=bool)
-    ys = np.moveaxis(ys, (0, 1), (2, 3))  # (M, m, N, n)
-    return linalg.reduced_nullspace_batch(hp, ys, valid, tol_angle, rank_tol)
+    return linalg.average_projectors(U, ranks, sample_proj, valid, tol_angle)
 
 
 def _normal_projections(u, H: Hamiltonian, x: np.ndarray, nodes, hp: np.ndarray, variant,
-                        eps, samples, rank_tol, tol_angle):
+                        eps, samples, rank_tol, tol_angle, field=None):
     """Normal projections of H_P at the rank-deficient points of x (n, M), hp (M, N, n).
 
     Returns those points' indices and projections (onto R(H_P)^perp for
     "full", the reduced normal space for "reduced"), and per point (M,)
     the rank of H_P, the projected dimension and the projection-drop flag.
+    On grid maps ``field`` is H_P at every node, when the caller has it.
     """
     if variant not in ("full", "reduced"):
         raise ValueError("variant must be 'full' or 'reduced'")
@@ -207,8 +207,8 @@ def _normal_projections(u, H: Hamiltonian, x: np.ndarray, nodes, hp: np.ndarray,
         return sel, B @ np.swapaxes(B, 1, 2), ranks, null_dim, np.zeros(M, dtype=bool)
     dims, proj = np.zeros(M, dtype=int), np.zeros((0, N, N))
     if sel.size:
-        red = _reduced_projections(u, H, x[:, sel], None if nodes is None else nodes[sel], hp[sel],
-                                   eps, samples, rank_tol, tol_angle)
+        red = _reduced_projections(u, H, x[:, sel], None if nodes is None else nodes[sel], U[sel],
+                                   ranks[sel], field, eps, samples, rank_tol, tol_angle)
         dims[sel], proj = red.reduced_dim, red.projection
     return sel, proj, ranks, dims, dims < null_dim
 
@@ -224,13 +224,14 @@ def _residual_parts(u, H: Hamiltonian, jets: Jet2, nodes, variant, eps, samples,
     ham = hamiltonian_jet(H, jets.x, jets.value, jets.gradient)
     dH = _chain_rule(ham.x_grad[None], ham.eta_grad[None], ham.P_grad[None], jets)[0]
     tangential = np.einsum("ai...,i...->a...", ham.P_grad, dH)
+    field = _grid_hp_field(u, H) if isinstance(u, GridMap) else None
     sel, proj, ranks, dims, drop = _normal_projections(
         u, H, jets.x, nodes, np.moveaxis(ham.P_grad, -1, 0), variant, eps, samples, rank_tol,
-        tol_angle)
+        tol_angle, field)
     normal = np.zeros(ham.eta_grad.shape)
     if sel.size:
         sub = Jet2(jets.x[:, sel], jets.value[:, sel], jets.gradient[..., sel], jets.hessian[..., sel])
-        rhs = _divergence(u, H, sub, None if nodes is None else nodes[sel]) - ham.eta_grad[:, sel]
+        rhs = _divergence(u, H, sub, None if nodes is None else nodes[sel], field) - ham.eta_grad[:, sel]
         normal[:, sel] = ham.value[sel] * np.einsum("mab,bm->am", proj, rhs)
     return np.asarray(tangential, dtype=float), normal, ranks, dims, drop
 

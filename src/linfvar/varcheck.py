@@ -214,21 +214,26 @@ def rank_one_test(
     return Verdict(bool(worst <= tol), worst, witness, total)
 
 
-def _normal_projector_field(u, H: Hamiltonian, O: Subdomain, eps, samples, tol_angle):
-    """Reduced normal projector of H_P(., u, Du) at every evaluable box node."""
-    box = O.box
-    all_nodes = box.all_nodes()
-    if isinstance(u, GridMap):
-        ok = u.jet_valid[tuple(all_nodes.T)]
-    else:
-        ok = ~O.singular[tuple(all_nodes.T)]
-    nodes = all_nodes[ok]
-    jets = jets_at_nodes(u, box, nodes, order=1)
-    hp = hamiltonian_jet(H, jets.x, jets.value, jets.gradient).P_grad  # (N, n, M)
+def _evaluable_hp(u, H: Hamiltonian, O: Subdomain):
+    """The evaluable box nodes (M, n), their points (n, M) and H_P(., u, Du) there (N, n, M)."""
+    all_nodes = O.box.all_nodes()
+    ok = u.jet_valid if isinstance(u, GridMap) else ~O.singular
+    nodes = all_nodes[ok[tuple(all_nodes.T)]]
+    jets = jets_at_nodes(u, O.box, nodes, order=1)
+    return nodes, jets.x, hamiltonian_jet(H, jets.x, jets.value, jets.gradient).P_grad
+
+
+def _normal_projector_field(u, H: Hamiltonian, O: Subdomain, eps, samples, tol_angle, evaluable=None):
+    """Reduced normal projector of H_P at every evaluable node; ``evaluable`` is :func:`_evaluable_hp`."""
+    nodes, x, hp = _evaluable_hp(u, H, O) if evaluable is None else evaluable
+    field = None
+    if isinstance(u, GridMap):  # the evaluable nodes are the jet-valid ones; the others are unread
+        field = np.zeros(hp.shape[:2] + O.box.shape)
+        field[(slice(None), slice(None)) + tuple(nodes.T)] = hp
     if eps is None:
-        eps = 2.0 * float(np.max(box.spacing))
-    sel, proj, *_ = _normal_projections(u, H, jets.x, nodes, np.moveaxis(hp, -1, 0), "reduced",
-                                        eps, samples, linalg.DEFAULT_RANK_TOL, tol_angle)
+        eps = 2.0 * float(np.max(O.box.spacing))
+    sel, proj, *_ = _normal_projections(u, H, x, nodes, np.moveaxis(hp, -1, 0), "reduced",
+                                        eps, samples, linalg.DEFAULT_RANK_TOL, tol_angle, field)
     projectors = np.zeros((nodes.shape[0], u.N, u.N))
     projectors[sel] = proj
     return nodes, projectors
@@ -259,12 +264,12 @@ def normal_variation_test(
     E0 = sup_energy(u, H, O)
     if tol is None:
         tol = _default_tol(E0)
-    nodes, projectors = _normal_projector_field(u, H, O, eps, samples, tol_angle)
+    evaluable = _evaluable_hp(u, H, O)
+    nodes, projectors = _normal_projector_field(u, H, O, eps, samples, tol_angle, evaluable)
     box = O.box
     if float(np.max(np.abs(projectors))) < 1e-13:
         return Verdict(True, 0.0, None, 0, vacuous=True)
-    jets = jets_at_nodes(u, box, nodes, order=1)
-    hp = hamiltonian_jet(H, jets.x, jets.value, jets.gradient).P_grad
+    hp = evaluable[2]
     hp_inf = float(np.max(np.linalg.norm(hp, axis=(0, 1))))
     worst = -np.inf
     witness = None
