@@ -22,6 +22,7 @@ node field.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -102,15 +103,14 @@ def _grid_hp_field(u: GridMap, H: Hamiltonian) -> np.ndarray:
     return hamiltonian_jet(H, jets.x, jets.value, jets.gradient).P_grad.reshape((u.N, u.n) + u.box.shape)
 
 
-def _divergence(u, H: Hamiltonian, jets: Jet2, nodes, field=None) -> np.ndarray:
+def _divergence(u, H: Hamiltonian, jets: Jet2, nodes, hp_field=None) -> np.ndarray:
     """(Div F)_a = sum_i d_i F_{ai} for F(y) = H_P(y, u(y), Du(y)) at u's order-2 jets (M,).
 
-    Grid maps differentiate the H_P node ``field`` and read it at
-    ``nodes``; other maps apply the chain rule to the rows H_P of H's exact
-    second derivatives.
+    Grid maps differentiate the H_P node field ``hp_field()`` at ``nodes``;
+    other maps apply the chain rule to the rows H_P of H's exact second derivatives.
     """
     if isinstance(u, GridMap):
-        h, valid = u.box.spacing, None if u.jet_valid.all() else u.jet_valid
+        h, valid, field = u.box.spacing, None if u.jet_valid.all() else u.jet_valid, hp_field()
         div = sum(axis_derivative(field[:, i], i, h[i], order=1, valid=valid, grid_ndim=u.n)
                   for i in range(u.n))
         return div[(slice(None),) + tuple(nodes.T)]
@@ -157,11 +157,11 @@ def _grid_ball_nodes(u: GridMap, nodes: np.ndarray, eps: np.ndarray):
 
 
 def _reduced_projections(u, H: Hamiltonian, x: np.ndarray, nodes, U: np.ndarray, ranks: np.ndarray,
-                         field, eps, samples, rank_tol, tol_angle) -> linalg.ReducedProjections:
+                         hp_field, eps, samples, rank_tol, tol_angle) -> linalg.ReducedProjections:
     """Reduced normal projections at rank-deficient points x (n, M) with H_P's SVD factors U, ranks.
 
     Grid maps gather one nullspace projector per node of the H_P node
-    ``field`` (built here when None) through :func:`_grid_ball_nodes`;
+    field (``hp_field()``, built here when None) through :func:`_grid_ball_nodes`;
     other maps sample one Halton offset set scaled to each point's ball,
     all M x m points in one jet evaluation.  ``tol_angle`` defaults to 1e-6 eps.
     """
@@ -171,7 +171,7 @@ def _reduced_projections(u, H: Hamiltonian, x: np.ndarray, nodes, U: np.ndarray,
         tol_angle = 1e-6 * eps
     if isinstance(u, GridMap):
         sample_nodes, valid = _grid_ball_nodes(u, nodes, eps)
-        hp = np.moveaxis(_grid_hp_field(u, H) if field is None else field, (0, 1), (-2, -1))
+        hp = np.moveaxis(_grid_hp_field(u, H) if hp_field is None else hp_field(), (0, 1), (-2, -1))
         bad = u.jet_valid & ~np.isfinite(hp).all(axis=(-2, -1))
         if bad.any():
             raise ValueError(f"H_P is not finite at grid node {tuple(np.argwhere(bad)[0].tolist())}")
@@ -188,13 +188,13 @@ def _reduced_projections(u, H: Hamiltonian, x: np.ndarray, nodes, U: np.ndarray,
 
 
 def _normal_projections(u, H: Hamiltonian, x: np.ndarray, nodes, hp: np.ndarray, variant,
-                        eps, samples, rank_tol, tol_angle, field=None):
+                        eps, samples, rank_tol, tol_angle, hp_field=None):
     """Normal projections of H_P at the rank-deficient points of x (n, M), hp (M, N, n).
 
     Returns those points' indices and projections (onto R(H_P)^perp for
     "full", the reduced normal space for "reduced"), and per point (M,)
     the rank of H_P, the projected dimension and the projection-drop flag.
-    On grid maps ``field`` is H_P at every node, when the caller has it.
+    On grid maps ``hp_field()`` gives H_P at every node, when the caller has it.
     """
     if variant not in ("full", "reduced"):
         raise ValueError("variant must be 'full' or 'reduced'")
@@ -208,7 +208,7 @@ def _normal_projections(u, H: Hamiltonian, x: np.ndarray, nodes, hp: np.ndarray,
     dims, proj = np.zeros(M, dtype=int), np.zeros((0, N, N))
     if sel.size:
         red = _reduced_projections(u, H, x[:, sel], None if nodes is None else nodes[sel], U[sel],
-                                   ranks[sel], field, eps, samples, rank_tol, tol_angle)
+                                   ranks[sel], hp_field, eps, samples, rank_tol, tol_angle)
         dims[sel], proj = red.reduced_dim, red.projection
     return sel, proj, ranks, dims, dims < null_dim
 
@@ -224,14 +224,14 @@ def _residual_parts(u, H: Hamiltonian, jets: Jet2, nodes, variant, eps, samples,
     ham = hamiltonian_jet(H, jets.x, jets.value, jets.gradient)
     dH = _chain_rule(ham.x_grad[None], ham.eta_grad[None], ham.P_grad[None], jets)[0]
     tangential = np.einsum("ai...,i...->a...", ham.P_grad, dH)
-    field = _grid_hp_field(u, H) if isinstance(u, GridMap) else None
+    hp_field = functools.cache(lambda: _grid_hp_field(u, H))  # only rank-deficient grid points need it
     sel, proj, ranks, dims, drop = _normal_projections(
         u, H, jets.x, nodes, np.moveaxis(ham.P_grad, -1, 0), variant, eps, samples, rank_tol,
-        tol_angle, field)
+        tol_angle, hp_field)
     normal = np.zeros(ham.eta_grad.shape)
     if sel.size:
         sub = Jet2(jets.x[:, sel], jets.value[:, sel], jets.gradient[..., sel], jets.hessian[..., sel])
-        rhs = _divergence(u, H, sub, None if nodes is None else nodes[sel], field) - ham.eta_grad[:, sel]
+        rhs = _divergence(u, H, sub, None if nodes is None else nodes[sel], hp_field) - ham.eta_grad[:, sel]
         normal[:, sel] = ham.value[sel] * np.einsum("mab,bm->am", proj, rhs)
     return np.asarray(tangential, dtype=float), normal, ranks, dims, drop
 

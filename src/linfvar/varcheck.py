@@ -226,14 +226,15 @@ def _evaluable_hp(u, H: Hamiltonian, O: Subdomain):
 def _normal_projector_field(u, H: Hamiltonian, O: Subdomain, eps, samples, tol_angle, evaluable=None):
     """Reduced normal projector of H_P at every evaluable node; ``evaluable`` is :func:`_evaluable_hp`."""
     nodes, x, hp = _evaluable_hp(u, H, O) if evaluable is None else evaluable
-    field = None
-    if isinstance(u, GridMap):  # the evaluable nodes are the jet-valid ones; the others are unread
+
+    def hp_field():  # grid maps: the evaluable nodes are the jet-valid ones, the others are unread
         field = np.zeros(hp.shape[:2] + O.box.shape)
         field[(slice(None), slice(None)) + tuple(nodes.T)] = hp
+        return field
     if eps is None:
         eps = 2.0 * float(np.max(O.box.spacing))
     sel, proj, *_ = _normal_projections(u, H, x, nodes, np.moveaxis(hp, -1, 0), "reduced",
-                                        eps, samples, linalg.DEFAULT_RANK_TOL, tol_angle, field)
+                                        eps, samples, linalg.DEFAULT_RANK_TOL, tol_angle, hp_field)
     projectors = np.zeros((nodes.shape[0], u.N, u.N))
     projectors[sel] = proj
     return nodes, projectors

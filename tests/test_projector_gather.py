@@ -80,4 +80,5 @@ def test_non_finite_sample_node_is_named():
     field = _grid_hp_field(u, H)
     field[:, :, 0, 5] = np.nan  # a boundary node: a sample of the centre (1, 5), never a centre
     with pytest.raises(ValueError, match=r"grid node \(0, 5\)"):
-        _normal_projections(u, H, x, nodes, hp, "reduced", None, None, DEFAULT_RANK_TOL, None, field)
+        _normal_projections(u, H, x, nodes, hp, "reduced", None, None, DEFAULT_RANK_TOL, None,
+                            lambda: field)
