@@ -2,11 +2,13 @@
 """p-power continuation on [1,2]^2 with boundary data from the explicit
 |x|^(4/3) - |y|^(4/3) solution: the iterates approach the sup-energy
 minimiser and the reduced critical-system residual drops stage by stage.
+Exits 1 unless every stage ends `converged`.
 
 Usage: python scripts/p_continuation_demo.py [--resolution 17] [--schedule 2,4,8,16,32]
 """
 
 import argparse
+import sys
 
 from linfvar import (
     ClosedFormMap,
@@ -40,11 +42,14 @@ def main():
     )
     schedule = [float(p) for p in args.schedule.split(",")]
     print(f"{'p':>6} {'sup energy':>12} {'interior':>12} {'residual':>10} {'iters':>6} "
-          f"{'evals':>6}  status")
-    for st in p_continuation(prob, schedule):
+          f"{'evals':>6} {'hess':>6}  status")
+    stages = p_continuation(prob, schedule)
+    for st in stages:
+        d = st.diagnostics
         print(f"{st.p:>6g} {st.e_inf:>12.6f} {st.e_inf_interior:>12.6f} {st.residual_norm:>10.4f} "
-              f"{st.diagnostics['iters']:>6} {st.diagnostics['evals']:>6}  {st.diagnostics['status']}")
+              f"{d['iters']:>6} {d['evals']:>6} {d['hess_products']:>6}  {d['status']}")
+    return 0 if all(st.diagnostics["status"] == "converged" for st in stages) else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

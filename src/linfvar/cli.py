@@ -266,6 +266,7 @@ def _dispatch(args, prob: Problem, out_dir: Path):
                 "residual_norm": st.residual_norm,
                 "iters": st.diagnostics["iters"],
                 "evals": st.diagnostics["evals"],
+                "hess_products": st.diagnostics["hess_products"],
                 "status": st.diagnostics["status"],
                 "grad_norm": st.diagnostics["grad_norm"],
                 "solution_csv": csv_path.name,

@@ -46,6 +46,7 @@ __all__ = [
     "eval_jet2",
     "eval_value",
     "parse",
+    "rename_variables",
     "to_source",
     "variable_names",
 ]
@@ -323,6 +324,23 @@ def parse(src: str, dims: tuple) -> Ast:
     parser = _Parser(src, n, N)
     root = parser.parse()
     return Ast(root=root, n=n, N=N, variables=frozenset(parser.variables))
+
+
+def rename_variables(ast: Ast, names: Mapping) -> Ast:
+    """The expression with each variable in ``names`` replaced by ``names[variable]``."""
+    def walk(node: Node) -> Node:
+        if isinstance(node, Var):
+            return Var(names.get(node.name, node.name))
+        if isinstance(node, Neg):
+            return Neg(walk(node.arg))
+        if isinstance(node, BinOp):
+            return BinOp(node.op, walk(node.lhs), walk(node.rhs))
+        if isinstance(node, Call):
+            return Call(node.func, tuple(walk(arg) for arg in node.args))
+        return node
+
+    return Ast(root=walk(ast.root), n=ast.n, N=ast.N,
+               variables=frozenset(names.get(v, v) for v in ast.variables))
 
 
 # ---------------------------------------------------------------------------

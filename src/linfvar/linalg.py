@@ -25,6 +25,7 @@ __all__ = [
     "ball_sample_count",
     "average_projectors",
     "ball_sample_points",
+    "complement_projectors",
     "halton",
     "nullspace_projectors",
     "proj_range_complement",
@@ -148,11 +149,16 @@ def ball_sample_points(center: np.ndarray, eps, m: int) -> np.ndarray:
     return points if center.ndim == 2 else points[0]
 
 
+def complement_projectors(U: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """Projectors (..., N, N) onto R(A)^perp from A's :func:`rank_decision` factors U and ranks."""
+    B = U * (np.arange(U.shape[-1]) >= rank[..., None])[..., None, :]  # nullspace columns only
+    return B @ np.swapaxes(B, -1, -2)
+
+
 def nullspace_projectors(A: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Projectors (..., N, N) onto N(A^T) = R(A)^perp of a batch of matrices A (..., N, n)."""
     U, rank, _ = rank_decision(A, tol)
-    B = U * (np.arange(U.shape[-1]) >= rank[..., None])[..., None, :]  # nullspace columns only
-    return B @ np.swapaxes(B, -1, -2)
+    return complement_projectors(U, rank)
 
 
 def average_projectors(U: np.ndarray, rank: np.ndarray, sample_proj: np.ndarray,

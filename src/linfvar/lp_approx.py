@@ -11,12 +11,17 @@ affine maps exactly stationary for translation-invariant densities at
 every p, which a nodal quadrature with one-sided boundary stencils does
 not achieve.
 
-The optimiser is limited-memory BFGS (Liu & Nocedal 1989) with Armijo
-backtracking, written in numpy over the interior unknowns only.  It works
-on the normalised objective F_p^(1/p), a monotone transform of F_p whose
-magnitude stays O(H) at every p, so unit steps and the tolerance
-``tol_opt`` mean the same thing along the whole continuation.  The
-memory size and the line-search constants are fixed module constants.
+The optimiser is a truncated Newton-CG method (Dembo, Eisenstat &
+Steihaug 1982; Nocedal & Wright, *Numerical Optimization*, ch. 7) with
+Armijo backtracking, written in numpy over the interior unknowns only.
+It works on the normalised objective F_p^(1/p), a monotone transform of
+F_p whose magnitude stays O(H) at every p, so unit steps and the tolerance
+``tol_opt`` mean the same thing along the whole continuation.  Hessian-
+vector products are exact and matrix-free: the second-order jets of H at
+the cells, pushed through the linear cell jets and their transpose, the
+corner scatter that also assembles the gradient.  CG is preconditioned by
+the Jacobi diagonal of the same cell form.  The CG cap, the forcing term
+and the line-search constants are fixed module constants.
 """
 
 from __future__ import annotations
@@ -43,17 +48,18 @@ __all__ = [
 ]
 
 
-_MEMORY = 10        # L-BFGS curvature pairs kept
-_ARMIJO_C = 1e-4    # sufficient-decrease constant
-_BACKTRACK = 0.5    # step factor after a rejected trial
-_MIN_STEP = 1e-16   # the line search stalls below this step
+_CG_MAX_ITER = 500   # Hessian-vector products per Newton step
+_DIAG_FLOOR = 1e-12  # preconditioner entries are at least this times the largest
+_ARMIJO_C = 1e-4     # sufficient-decrease constant
+_BACKTRACK = 0.5     # step factor after a rejected trial
+_MIN_STEP = 1e-16    # the line search stalls below this step
 
 
 @dataclass
 class OptimizerSettings:
     max_iter: int = 5000
     tol_opt: float = 1e-9          # sup-norm of the normalised-objective gradient
-    allow_large_grids: bool = False  # lifts the 65^2-node desk-scale cap
+    allow_large_grids: bool = False  # lifts the 129^2-node desk-scale cap
 
 
 @dataclass
@@ -68,9 +74,9 @@ class LpProblem:
         if self.p < 2:
             raise ValueError("p must be >= 2")
         nodes = int(self.O.mask.sum())
-        if nodes > 65 * 65 and not self.settings.allow_large_grids:
+        if nodes > 129 * 129 and not self.settings.allow_large_grids:
             raise ValueError(
-                f"subdomain has {nodes} nodes; the desk-scale default caps at 65^2 "
+                f"subdomain has {nodes} nodes; the desk-scale default caps at 129^2 "
                 "(set OptimizerSettings.allow_large_grids to override)")
 
 
@@ -83,6 +89,7 @@ class LpResult:
     grad_norm: float
     iters: int
     evals: int  # energy evaluations, rejected and failed trial steps included
+    hess_products: int  # Hessian-vector products of the CG inner solves
     status: str  # "converged" | "max_iter" | "line_search_stalled"
 
 
@@ -151,6 +158,12 @@ class _CellScheme:
         # (component, cell) index of each corner's nodes within the window
         self.corner_index = [(slice(None),) + tuple(slice(ci, ci + m) for ci, m in zip(c, self.cells))
                              for c in self.corners]
+        # per corner: d(value, P_1 .. P_n)/d(corner node value), the same for every component
+        pairs = len(self.corners) // 2
+        self.corner_weights = [
+            np.array([1.0 / len(self.corners)]
+                     + [(1.0 if c[i] == 1 else -1.0) / (pairs * self.h[i]) for i in range(self.n)])
+            for c in self.corners]
         # midpoint coordinates, shape (n,) + cells
         axes = [box.axis_coords(i)[self.window[i]] for i in range(self.n)]
         mids = [0.5 * (ax[1:] + ax[:-1]) for ax in axes]
@@ -164,7 +177,7 @@ class _CellScheme:
         self.boundary_data = g
 
     def cell_jets(self, W: np.ndarray):
-        """Midpoint value (corner mean) and multilinear gradient of the window array W."""
+        """Midpoint value (corner mean) and multilinear gradient of the window array W (linear in W)."""
         val = np.zeros((self.N,) + self.cells)
         for idx in self.corner_index:
             val += W[idx]
@@ -178,9 +191,20 @@ class _CellScheme:
             P[:, i] /= pairs * self.h[i]
         return val, P
 
-    def energy_and_jets(self, W: np.ndarray):
+    def scatter(self, c_eta: np.ndarray, c_P: np.ndarray) -> np.ndarray:
+        """Transpose of :meth:`cell_jets`: per-cell covectors (N,) + cells and (N, n) + cells
+        summed onto the window nodes, boundary entries included."""
+        G = np.zeros((self.N,) + self.shape)
+        for weights, idx in zip(self.corner_weights, self.corner_index):
+            contrib = c_eta * weights[0]
+            for i in range(self.n):
+                contrib = contrib + c_P[:, i] * weights[1 + i]
+            G[idx] += contrib
+        return G
+
+    def energy_and_jets(self, W: np.ndarray, order: int = 1):
         val, P = self.cell_jets(W)
-        ham = hamiltonian_jet(self.prob.H, self.x_mid, val, P)
+        ham = hamiltonian_jet(self.prob.H, self.x_mid, val, P, order=order)
         hvals = np.asarray(ham.value, dtype=float)
         if not np.isfinite(hvals).all():
             raise ValueError("non-finite density during p-power minimisation")
@@ -190,21 +214,16 @@ class _CellScheme:
             F = self.vol * float(np.sum(hvals ** self.prob.p))
         return F, hvals, ham
 
-    def gradient(self, hvals, ham):
-        """Raw gradient of F over the window nodes (boundary entries included)."""
+    def _weight(self, hvals, q: float) -> np.ndarray:
+        """vol * d^q(h^p)/dh^q at the cell densities (q = 1, 2)."""
         p = self.prob.p
         with np.errstate(over="ignore"):
-            w = self.vol * p * hvals ** (p - 1.0)  # (cells,)
-        G = np.zeros((self.N,) + self.shape)
-        ncorners = len(self.corners)
-        pairs = ncorners // 2
-        for c, idx in zip(self.corners, self.corner_index):
-            contrib = ham.eta_grad * (w / ncorners)
-            for i in range(self.n):
-                sign = 1.0 if c[i] == 1 else -1.0
-                contrib = contrib + ham.P_grad[:, i] * (sign * w / (pairs * self.h[i]))
-            G[idx] += contrib
-        return G
+            return self.vol * p * (p - 1.0 if q == 2 else 1.0) * hvals ** (p - q)
+
+    def gradient(self, hvals, ham):
+        """Raw gradient of F over the window nodes (boundary entries included)."""
+        w1 = self._weight(hvals, 1)
+        return self.scatter(w1 * ham.eta_grad, w1 * ham.P_grad)
 
     def grad_scale(self, F: float) -> float:
         """d(F^(1/p))/dF: converts raw gradients to the normalised-objective frame."""
@@ -224,63 +243,97 @@ class _CellScheme:
         G = self.gradient(hvals, ham)
         return self.grad_scale(F) * G[:, self.interior].ravel()
 
+    def curvature(self, F: float, hvals, ham, g: np.ndarray):
+        """Hessian-vector product and Jacobi diagonal of F^(1/p) over the interior unknowns.
+
+        ``ham`` holds the order-2 jets of H at the cells and ``g`` the
+        normalised gradient.  With z = (eta, P) the cell jets J W, the
+        weights w1 = vol p H^(p-1), w2 = vol p (p-1) H^(p-2) and a the
+        gradient scale,
+
+            Hv = a J^T [w2 (H_z . Jv) H_z + w1 H_zz Jv] + a (1/p - 1) / F (grad F . v) grad F.
+
+        The diagonal is that of the cell form, the first term, summed
+        over the corners; it leaves out the rank-one term.
+        """
+        N, n, p = self.N, self.n, self.prob.p
+        a = self.grad_scale(F)
+        hz = np.concatenate([ham.eta_grad, ham.P_grad.reshape((N * n,) + self.cells)])
+        hzz = np.concatenate([ham.eta_hess, ham.P_hess.reshape((N * n, -1) + self.cells)])[:, n:]
+        # the cell form a [w2 H_z H_z^T + w1 H_zz], (N + N n)^2 + cells
+        K = a * (self._weight(hvals, 2) * hz[:, None] * hz[None] + self._weight(hvals, 1) * hzz)
+        # the rank-one term in the normalised frame: grad F = g / a
+        rank_one = (1.0 / p - 1.0) / (a * F) if F > 0.0 else 0.0
+        interior = self.interior
+        V = np.zeros((N,) + self.shape)
+
+        def product(v: np.ndarray) -> np.ndarray:
+            V[:, interior] = v.reshape(N, -1)
+            val, P = self.cell_jets(V)
+            c = np.einsum("kl...,l...->k...", K, np.concatenate([val, P.reshape((N * n,) + self.cells)]))
+            Hv = self.scatter(c[:N], c[N:].reshape((N, n) + self.cells))[:, interior].ravel()
+            return Hv + rank_one * float(g @ v) * g
+
+        D = np.zeros((N,) + self.shape)
+        for weights, idx in zip(self.corner_weights, self.corner_index):
+            for b in range(N):
+                rows = [b] + [N + b * n + i for i in range(n)]  # eta_b, P_b1 .. P_bn
+                D[b][idx[1:]] += np.einsum("k,kl...,l->...", weights, K[np.ix_(rows, rows)], weights)
+        diag = D[:, interior].ravel()
+        # cells where H is not convex can leave a diagonal entry <= 0
+        top = _sup_norm(diag)
+        return product, np.maximum(diag, _DIAG_FLOOR * top if top > 0.0 else 1.0)
+
 
 def _sup_norm(g: np.ndarray) -> float:
     return float(np.max(np.abs(g))) if g.size else 0.0
 
 
-class _LbfgsMemory:
-    """The last _MEMORY curvature pairs (s, y) in preallocated ring buffers."""
+def _newton_direction(g: np.ndarray, product, diag: np.ndarray):
+    """Truncated preconditioned CG on H d = -g (Steihaug's stopping rules, no trust region).
 
-    def __init__(self, size: int):
-        self.S = np.empty((_MEMORY, size))
-        self.Y = np.empty((_MEMORY, size))
-        self.rho = np.empty(_MEMORY)
-        self.alpha = np.empty(_MEMORY)
-        self.count = 0
-        self.head = 0  # slot the next pair is written to
-
-    def clear(self):
-        self.count = 0
-
-    def push(self, s: np.ndarray, y: np.ndarray):
-        sy = float(s @ y)
-        if sy <= 0.0:  # the pair would break positive definiteness
-            return
-        self.S[self.head] = s
-        self.Y[self.head] = y
-        self.rho[self.head] = 1.0 / sy
-        self.head = (self.head + 1) % _MEMORY
-        self.count = min(self.count + 1, _MEMORY)
-
-    def direction(self, g: np.ndarray) -> np.ndarray:
-        """-H g by the two-loop recursion, H the L-BFGS inverse-Hessian approximation (count >= 1)."""
-        q = -g
-        newest_first = [(self.head - 1 - k) % _MEMORY for k in range(self.count)]
-        for i in newest_first:
-            self.alpha[i] = self.rho[i] * float(self.S[i] @ q)
-            q -= self.alpha[i] * self.Y[i]
-        i = newest_first[0]  # scale by (s.y)/(y.y) of the newest pair
-        q *= float(self.S[i] @ self.Y[i]) / float(self.Y[i] @ self.Y[i])
-        for i in reversed(newest_first):
-            beta = self.rho[i] * float(self.Y[i] @ q)
-            q += (self.alpha[i] - beta) * self.S[i]
-        return q
+    CG stops once the residual is below the forcing term
+    min(0.5, sqrt|g|) |g| (Dembo, Eisenstat & Steihaug 1982), after
+    _CG_MAX_ITER products, or at a direction of nonpositive curvature; at
+    the first step that is the preconditioned steepest-descent direction
+    -diag^-1 g.  Returns the direction and the number of products.
+    """
+    gnorm = float(np.linalg.norm(g))
+    forcing = min(0.5, np.sqrt(gnorm)) * gnorm
+    z = np.zeros_like(g)
+    r = g.copy()
+    y = r / diag
+    d = -y
+    ry = float(r @ y)
+    for j in range(_CG_MAX_ITER):
+        Hd = product(d)
+        curv = float(d @ Hd)
+        if curv <= 0.0:
+            return (d if j == 0 else z), j + 1
+        alpha = ry / curv
+        z += alpha * d
+        r += alpha * Hd
+        if float(np.linalg.norm(r)) <= forcing:
+            return z, j + 1
+        y = r / diag
+        ry_new = float(r @ y)
+        d = -y + (ry_new / ry) * d
+        ry = ry_new
+    return z, _CG_MAX_ITER
 
 
 def lp_minimize(prob: LpProblem, init: GridMap) -> LpResult:
-    """L-BFGS with Armijo backtracking on the normalised p-power energy F_p^(1/p).
+    """Truncated Newton-CG with Armijo backtracking on the normalised p-power energy F_p^(1/p).
 
     The unknowns are the interior node values of the subdomain window.  Each
-    iteration takes the two-loop L-BFGS direction (memory _MEMORY, initial
-    inverse Hessian (s.y)/(y.y) times the identity, pairs with s.y <= 0
-    skipped) and backtracks from a unit step, or from 1/p while the memory
-    is empty.  A direction that is not a descent direction, or along which
-    no step passes the Armijo test, is replaced by the steepest-descent
-    direction with the memory cleared.  Stops with ``converged`` once the
+    iteration evaluates the second-order jets of H at the cells, solves the
+    Newton system inexactly by Jacobi-preconditioned CG with exact
+    matrix-free Hessian-vector products (:func:`_newton_direction`), and
+    backtracks from a unit step.  Stops with ``converged`` once the
     sup-norm of the gradient of F_p^(1/p) is at most ``tol_opt``, with
     ``max_iter`` after that many accepted steps, and with
-    ``line_search_stalled`` when no steepest-descent step passes either.
+    ``line_search_stalled`` when no step along the CG direction passes the
+    Armijo test.
 
     The initial iterate must match the boundary data exactly; boundary
     entries are never written, so the data is preserved bit-exactly.
@@ -295,6 +348,7 @@ def lp_minimize(prob: LpProblem, init: GridMap) -> LpResult:
     settings = prob.settings
     interior = scheme.interior
     evals = 0
+    hess_products = 0
 
     def evaluate(x):
         """Energy at interior values x, or None where the density is not admissible."""
@@ -303,13 +357,14 @@ def lp_minimize(prob: LpProblem, init: GridMap) -> LpResult:
         W_trial = W.copy()
         W_trial[:, interior] = x.reshape(scheme.N, -1)
         try:
-            return (W_trial,) + scheme.energy_and_jets(W_trial)
+            return (W_trial,) + scheme.energy_and_jets(W_trial, order=2)
         except ValueError:
             return None
 
-    def line_search(d, gd, step):
-        """First Armijo point along d, halving from ``step``; None if the step underflows."""
+    def line_search(d, gd):
+        """First Armijo point along d, halving from a unit step; None if the step underflows."""
         f0 = scheme.score(F)
+        step = 1.0
         while step >= _MIN_STEP:
             trial = evaluate(x + step * d)
             if trial is not None and scheme.score(trial[1]) <= f0 + _ARMIJO_C * step * gd:
@@ -318,10 +373,9 @@ def lp_minimize(prob: LpProblem, init: GridMap) -> LpResult:
         return None
 
     x = W[:, interior].ravel()
-    F, hvals, ham = scheme.energy_and_jets(W)
+    F, hvals, ham = scheme.energy_and_jets(W, order=2)
     evals += 1
     g = scheme.normalised_gradient(F, hvals, ham)
-    memory = _LbfgsMemory(x.size)
     status = "max_iter"
     iters = 0
     for iters in range(1, settings.max_iter + 1):
@@ -329,24 +383,16 @@ def lp_minimize(prob: LpProblem, init: GridMap) -> LpResult:
             status = "converged"
             iters -= 1
             break
-        trial = None
-        if memory.count:
-            d = memory.direction(g)
-            gd = float(g @ d)
-            if gd < 0.0:
-                trial = line_search(d, gd, 1.0)
-            if trial is None:
-                memory.clear()
-        if trial is None:
-            trial = line_search(-g, -float(g @ g), 1.0 / prob.p)
+        product, diag = scheme.curvature(F, hvals, ham, g)
+        d, used = _newton_direction(g, product, diag)
+        hess_products += used
+        trial = line_search(d, float(g @ d))
         if trial is None:
             status = "line_search_stalled"
             break
         W, F, hvals, ham = trial
-        x_new = W[:, interior].ravel()
-        g_new = scheme.normalised_gradient(F, hvals, ham)
-        memory.push(x_new - x, g_new - g)
-        x, g = x_new, g_new
+        x = W[:, interior].ravel()
+        g = scheme.normalised_gradient(F, hvals, ham)
     else:
         iters = settings.max_iter
     values = np.full((scheme.N,) + prob.O.box.shape, np.nan)
@@ -360,6 +406,7 @@ def lp_minimize(prob: LpProblem, init: GridMap) -> LpResult:
         grad_norm=_sup_norm(g),
         iters=iters,
         evals=evals,
+        hess_products=hess_products,
         status=status,
     )
 
@@ -397,6 +444,7 @@ def p_continuation(prob: LpProblem, schedule: Sequence, init: Optional[GridMap] 
                 "grad_norm": result.grad_norm,
                 "iters": result.iters,
                 "evals": result.evals,
+                "hess_products": result.hess_products,
                 "status": result.status,
             },
         ))

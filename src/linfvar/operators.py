@@ -22,7 +22,6 @@ node field.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,6 +31,7 @@ from . import linalg
 from .problem import (
     GridMap,
     Hamiltonian,
+    HamiltonianJet,
     Jet2,
     PerturbedMap,
     Subdomain,
@@ -97,10 +97,15 @@ def _chain_rule(f_x, f_eta, f_P, jet) -> np.ndarray:
     return g + np.einsum("maj...,aji...->mi...", f_P, jet.hessian)
 
 
+def _grid_hamiltonian(u: GridMap, H: Hamiltonian) -> HamiltonianJet:
+    """H's first-order jet at every grid node, lexicographic batch axis."""
+    jets = u.jet_at_nodes(u.box.all_nodes(), order=1)
+    return hamiltonian_jet(H, jets.x, jets.value, jets.gradient)
+
+
 def _grid_hp_field(u: GridMap, H: Hamiltonian) -> np.ndarray:
     """H_P(., u, Du) at every grid node, (N, n) + box shape."""
-    jets = u.jet_at_nodes(u.box.all_nodes(), order=1)
-    return hamiltonian_jet(H, jets.x, jets.value, jets.gradient).P_grad.reshape((u.N, u.n) + u.box.shape)
+    return _grid_hamiltonian(u, H).P_grad.reshape((u.N, u.n) + u.box.shape)
 
 
 def _divergence(u, H: Hamiltonian, jets: Jet2, nodes, hp_field=None) -> np.ndarray:
@@ -203,8 +208,8 @@ def _normal_projections(u, H: Hamiltonian, x: np.ndarray, nodes, hp: np.ndarray,
     null_dim = N - ranks
     sel = np.flatnonzero(null_dim > 0)
     if variant == "full":
-        B = U[sel] * (np.arange(N) >= ranks[sel, None])[:, None, :]
-        return sel, B @ np.swapaxes(B, 1, 2), ranks, null_dim, np.zeros(M, dtype=bool)
+        proj = linalg.complement_projectors(U[sel], ranks[sel])
+        return sel, proj, ranks, null_dim, np.zeros(M, dtype=bool)
     dims, proj = np.zeros(M, dtype=int), np.zeros((0, N, N))
     if sel.size:
         red = _reduced_projections(u, H, x[:, sel], None if nodes is None else nodes[sel], U[sel],
@@ -221,10 +226,20 @@ def _residual_parts(u, H: Hamiltonian, jets: Jet2, nodes, variant, eps, samples,
     flags (M,).  Only rank-deficient points get a divergence and a normal
     projection; elsewhere the normal part is exactly zero.
     """
-    ham = hamiltonian_jet(H, jets.x, jets.value, jets.gradient)
+    if isinstance(u, GridMap):
+        # grid jets index the same derivative arrays at every node: one evaluation
+        # over all nodes gives the centres' jet and the H_P node field
+        everywhere = _grid_hamiltonian(u, H)
+        at = np.ravel_multi_index(tuple(nodes.T), u.box.shape)
+        ham = HamiltonianJet(*(f[..., at] for f in (everywhere.value, everywhere.x_grad,
+                                                     everywhere.eta_grad, everywhere.P_grad)))
+
+        def hp_field():
+            return everywhere.P_grad.reshape((u.N, u.n) + u.box.shape)
+    else:
+        ham, hp_field = hamiltonian_jet(H, jets.x, jets.value, jets.gradient), None
     dH = _chain_rule(ham.x_grad[None], ham.eta_grad[None], ham.P_grad[None], jets)[0]
     tangential = np.einsum("ai...,i...->a...", ham.P_grad, dH)
-    hp_field = functools.cache(lambda: _grid_hp_field(u, H))  # only rank-deficient grid points need it
     sel, proj, ranks, dims, drop = _normal_projections(
         u, H, jets.x, nodes, np.moveaxis(ham.P_grad, -1, 0), variant, eps, samples, rank_tol,
         tol_angle, hp_field)

@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .exprlang import Ast, SingularityError, eval_jet2, parse
+from .exprlang import Ast, SingularityError, eval_jet2, parse, rename_variables
 
 __all__ = [
     "ClosedFormMap",
@@ -509,6 +509,7 @@ class HamiltonianJet:
     eta_grad: np.ndarray  # (N,) + S
     P_grad: np.ndarray    # (N, n) + S
     P_hess: "np.ndarray | None" = None  # (N, n, k) + S at order 2: rows P_ai of the Hessian, seeds() order
+    eta_hess: "np.ndarray | None" = None  # (N, k) + S at order 2: rows eta_a of the Hessian, seeds() order
 
 
 class Hamiltonian:
@@ -521,10 +522,13 @@ class Hamiltonian:
             raise ValueError(f"unknown builtin Hamiltonian {builtin!r}")
         self.n = n
         self.N = N
-        self.expr = expr
         self.builtin = builtin
+        if expr is not None and expr.depends_on("u"):
+            # u-variables name the value slot: they take the eta seeds' derivatives
+            expr = rename_variables(expr, {f"u{a}": f"eta{a}" for a in range(1, N + 1)})
+        self.expr = expr
         if expr is not None:
-            self.depends_on_eta = expr.depends_on("eta") or expr.depends_on("u")
+            self.depends_on_eta = expr.depends_on("eta")
             self.depends_on_x = expr.depends_on("x")
         else:
             self.depends_on_eta = False
@@ -545,7 +549,6 @@ class Hamiltonian:
             b[f"x{i+1}"] = x[i]
         for a in range(self.N):
             b[f"eta{a+1}"] = eta[a]
-            b[f"u{a+1}"] = eta[a]  # u-variables alias the value slot
         for a in range(self.N):
             for i in range(self.n):
                 b[f"P{a+1}{i+1}"] = P[a, i]
@@ -572,7 +575,7 @@ def hamiltonian_value(H: Hamiltonian, x, eta, P) -> np.ndarray:
 
 
 def hamiltonian_jet(H: Hamiltonian, x, eta, P, order: int = 1) -> HamiltonianJet:
-    """Value and first derivatives (H_x, H_eta, H_P), exact; ``order=2`` adds ``P_hess``."""
+    """Value and first derivatives (H_x, H_eta, H_P), exact; ``order=2`` adds ``P_hess`` and ``eta_hess``."""
     x = np.asarray(x, dtype=float)
     eta = np.asarray(eta, dtype=float)
     P = np.asarray(P, dtype=float)
@@ -586,6 +589,7 @@ def hamiltonian_jet(H: Hamiltonian, x, eta, P, order: int = 1) -> HamiltonianJet
             eta_grad=np.zeros((N,) + S),
             P_grad=2.0 * P,
             P_hess=two_delta + np.zeros(S) if order >= 2 else None,
+            eta_hess=np.zeros((N, n + N + N * n) + S) if order >= 2 else None,
         )
     d = eval_jet2(H.expr, H._binding(x, eta, P), H.seeds(), order=order)
     return HamiltonianJet(
@@ -594,6 +598,7 @@ def hamiltonian_jet(H: Hamiltonian, x, eta, P, order: int = 1) -> HamiltonianJet
         eta_grad=d.grad[n:n + N],
         P_grad=d.grad[n + N:].reshape((N, n) + S),
         P_hess=None if d.hess is None else d.hess[n + N:].reshape((N, n, -1) + S),
+        eta_hess=None if d.hess is None else d.hess[n:n + N],
     )
 
 

@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 import hypothesis.extra.numpy as hnp
 
-from linfvar.linalg import ball_sample_points, halton, proj_range_complement, reduced_nullspace_proj
+from linfvar.linalg import (
+    ball_sample_points,
+    complement_projectors,
+    halton,
+    nullspace_projectors,
+    proj_range_complement,
+    rank_decision,
+    reduced_nullspace_proj,
+)
 
 
 class TestRangeComplement:
@@ -35,6 +43,18 @@ class TestRangeComplement:
             rep = proj_range_complement(A)
             assert np.abs(rep.projection @ A).max() <= 1e-12 * max(1.0, np.abs(A).max())
             assert np.allclose(rep.projection @ rep.basis, rep.basis, atol=1e-12)
+
+    def test_complement_projectors_from_factors(self):
+        # one helper builds R(A)^perp projectors from the SVD factors and ranks
+        rng = np.random.default_rng(6)
+        A = rng.normal(size=(40, 3, 2))
+        A[::3, :, 1] = 2.0 * A[::3, :, 0]  # rank 1
+        A[5] = 0.0
+        U, rank, _ = rank_decision(A)
+        proj = complement_projectors(U, rank)
+        assert np.array_equal(proj, nullspace_projectors(A))
+        for Ak, Pk in zip(A, proj):
+            assert np.allclose(Pk, proj_range_complement(Ak).projection, atol=1e-14)
 
 
 @settings(max_examples=80, deadline=None)

@@ -73,7 +73,7 @@ class TestLpMinimize:
             lp_minimize(two_point_problem, bad)
 
     def test_desk_scale_grid_cap(self):
-        box = DomainBox((0.0, 0.0), (1.0, 1.0), (67, 67))
+        box = DomainBox((0.0, 0.0), (1.0, 1.0), (131, 131))
         O = Subdomain.whole(box)
         H = Hamiltonian.dirichlet(2, 1)
         g = boundary_values_from_map(ClosedFormMap.from_expressions(["x1"], n=2), O)
@@ -232,6 +232,81 @@ class TestAgreement:
 
     def test_criterion_10_fixture_converges_every_stage(self, criterion_10_stages):
         assert [st.diagnostics["status"] for st in criterion_10_stages] == ["converged"] * 5
+
+
+ETA_X_DENSITY = "(1 + u1^2) * (P11^2 + P12^2) + x1^2"
+
+
+def _newton_point(density, p, seed=0):
+    """A 9^2 Aronsson problem, its cell scheme, a perturbed interior iterate and the gradient there."""
+    H = Hamiltonian.dirichlet(2, 1) if density == "dirichlet" else Hamiltonian.from_expression(density, 2, 1)
+    prob = _aronsson_problem(H, p, resolution=9)
+    scheme = _CellScheme(prob)
+    W = constant_fill_init(prob).values[(slice(None),) + scheme.window].copy()
+    rng = np.random.default_rng(seed)
+    W[:, scheme.interior] += rng.uniform(-0.3, 0.3, size=W[:, scheme.interior].shape)
+
+    def gradient(x):
+        V = W.copy()
+        V[:, scheme.interior] = x.reshape(1, -1)
+        F, hvals, ham = scheme.energy_and_jets(V, order=2)
+        return F, hvals, ham, scheme.normalised_gradient(F, hvals, ham)
+
+    return scheme, W[:, scheme.interior].ravel(), gradient, rng
+
+
+class TestNewtonCG:
+    """Exact Hessian-vector products, the Jacobi preconditioner and the Newton iteration counts."""
+
+    @pytest.mark.parametrize("p", [2.0, 8.0])
+    @pytest.mark.parametrize("density", ["dirichlet", ETA_X_DENSITY])
+    def test_hessian_vector_product_matches_gradient_differences(self, density, p):
+        scheme, x, gradient, rng = _newton_point(density, p)
+        F, hvals, ham, g = gradient(x)
+        product, _ = scheme.curvature(F, hvals, ham, g)
+        t = 1e-5
+        for v in rng.normal(size=(3, x.size)):
+            fd = (gradient(x + t * v)[3] - gradient(x - t * v)[3]) / (2.0 * t)
+            Hv = product(v)
+            assert np.linalg.norm(Hv - fd) <= 1e-6 * np.linalg.norm(Hv)
+
+    @pytest.mark.parametrize("density", ["dirichlet", ETA_X_DENSITY])
+    def test_jacobi_diagonal_is_the_cell_form_diagonal(self, density):
+        # the diagonal leaves out only the rank-one term (1/p - 1) / (a F) g g^T
+        p = 4.0
+        scheme, x, gradient, _ = _newton_point(density, p, seed=1)
+        F, hvals, ham, g = gradient(x)
+        product, diag = scheme.curvature(F, hvals, ham, g)
+        rank_one = (1.0 / p - 1.0) / (scheme.grad_scale(F) * F)
+        for i in range(0, x.size, 7):
+            e = np.zeros(x.size)
+            e[i] = 1.0
+            assert diag[i] > 0.0
+            assert diag[i] == pytest.approx(product(e)[i] - rank_one * g[i] ** 2, rel=1e-12)
+
+    def test_cli_default_stages_converge_at_33(self):
+        prob = _aronsson_problem(Hamiltonian.dirichlet(2, 1), 2.0, resolution=33)
+        assert (prob.settings.max_iter, prob.settings.tol_opt) == (5000, 1e-9)  # the CLI defaults
+        stages = p_continuation(prob, [2, 4, 8, 16, 32])
+        assert [st.diagnostics["status"] for st in stages] == ["converged"] * 5
+        assert stages[-1].diagnostics["iters"] <= 10
+        assert all(st.diagnostics["hess_products"] >= st.diagnostics["iters"] for st in stages)
+
+    def test_hess_products_are_deterministic_and_reported(self, tmp_path):
+        from linfvar.cli import run
+
+        problem = tmp_path / "lp.json"
+        problem.write_text(json.dumps({"n": 2, "N": 1, "H": "dirichlet", "u": [ARONSSON_EXPR],
+                                       "domain": {"lo": [1.0, 1.0], "hi": [2.0, 2.0],
+                                                  "resolution": [9, 9]}}))
+        reports = []
+        for k in range(2):
+            out = tmp_path / f"out{k}"
+            assert run(["lp", "--problem", str(problem), "--p-schedule", "2,8", "--out", str(out)]) == 0
+            reports.append(json.loads((out / "lp_report.json").read_text())["results"]["stages"])
+        counts = [[st["hess_products"] for st in stages] for stages in reports]
+        assert counts[0] == counts[1]
+        assert all(isinstance(c, int) and c > 0 for c in counts[0])
 
 
 def test_interior_sup_energy_below_boundary_pinned_sup(criterion_10_stages):

@@ -250,6 +250,47 @@ class TestHamiltonian:
             fd = (p_grad(z + e) - p_grad(z - e)) / (2 * h)
             assert np.allclose(hess[:, :, s], fd, rtol=1e-6, atol=1e-7)
 
+    def test_eta_hess_matches_difference_quotients(self):
+        # rows eta_a of H's Hessian against every seed, by central differences of eta_grad
+        rng = np.random.default_rng(15)
+        n, N = 2, 2
+        H = Hamiltonian.from_expression(
+            "(1 + eta1^2 * eta2) * (P11^2 + P12 * P21) + x1 * eta2^3 + sin(eta1 * P22) + x2^2", n, N)
+        names = H.seeds()
+        z = rng.uniform(-1.0, 1.0, size=(len(names), 20))
+
+        def eta_grad(z):
+            return hamiltonian_jet(H, z[:n], z[n:n + N], z[n + N:].reshape(N, n, -1)).eta_grad
+
+        hess = hamiltonian_jet(H, z[:n], z[n:n + N], z[n + N:].reshape(N, n, -1), order=2).eta_hess
+        assert hess.shape == (N, len(names), 20)
+        assert np.any(hess[:, n:n + N] != 0.0) and np.any(hess[:, n + N:] != 0.0)
+        h = 1e-4
+        for s in range(len(names)):
+            e = np.zeros((len(names), 1))
+            e[s] = h
+            fd = (eta_grad(z + e) - eta_grad(z - e)) / (2 * h)
+            assert np.allclose(hess[:, s], fd, rtol=1e-6, atol=1e-7)
+
+    def test_u_variables_take_the_eta_derivatives(self):
+        # u_a names the value slot eta_a, derivatives included
+        rng = np.random.default_rng(16)
+        x, eta = rng.uniform(0.5, 1.5, size=(2, 8)), rng.uniform(-1, 1, size=(2, 8))
+        P = rng.normal(size=(2, 2, 8))
+        src = "(1 + {a}1^2) * (P11^2 + P12^2) + x1 * {a}2 * P21"
+        by_u = hamiltonian_jet(Hamiltonian.from_expression(src.format(a="u"), 2, 2), x, eta, P, order=2)
+        by_eta = hamiltonian_jet(Hamiltonian.from_expression(src.format(a="eta"), 2, 2), x, eta, P, order=2)
+        for name in ("value", "x_grad", "eta_grad", "P_grad", "P_hess", "eta_hess"):
+            assert np.array_equal(getattr(by_u, name), getattr(by_eta, name)), name
+        assert np.all(by_u.eta_grad[0] != 0.0)
+
+    def test_eta_hess_dirichlet_is_zero(self):
+        H = Hamiltonian.dirichlet(3, 2)
+        P = np.random.default_rng(5).normal(size=(2, 3, 4))
+        jet = hamiltonian_jet(H, np.zeros((3, 4)), np.zeros((2, 4)), P, order=2)
+        assert np.array_equal(jet.eta_hess, np.zeros((2, 11, 4)))
+        assert hamiltonian_jet(H, np.zeros((3, 4)), np.zeros((2, 4)), P).eta_hess is None
+
     def test_p_hess_dirichlet_is_two_delta(self):
         H = Hamiltonian.dirichlet(3, 2)
         P = np.random.default_rng(5).normal(size=(2, 3, 4))

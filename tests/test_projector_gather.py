@@ -12,7 +12,8 @@ from test_reduced_kernel import FIXTURES_1D, FIXTURES_2D, MASKED, _density
 
 from linfvar import ClosedFormMap, DomainBox, GridMap, Hamiltonian, Subdomain, linalg, residual_field
 from linfvar.linalg import DEFAULT_RANK_TOL, reduced_nullspace_batch
-from linfvar.operators import _grid_ball_nodes, _grid_hp_field, _normal_projections
+from linfvar import operators
+from linfvar.operators import _grid_ball_nodes, _grid_hamiltonian, _grid_hp_field, _normal_projections
 from linfvar.problem import hamiltonian_jet
 
 CASES = ([(1, name, False) for name in sorted(FIXTURES_1D)]
@@ -82,3 +83,34 @@ def test_non_finite_sample_node_is_named():
     with pytest.raises(ValueError, match=r"grid node \(0, 5\)"):
         _normal_projections(u, H, x, nodes, hp, "reduced", None, None, DEFAULT_RANK_TOL, None,
                             lambda: field)
+
+
+@pytest.mark.parametrize("exprs", [["sin(x1+x2)", "cos(x1+x2)"], ["x1^2 + x2", "x1 * x2"]])
+def test_grid_residual_evaluates_the_density_once(monkeypatch, exprs):
+    # the centres' Hamiltonian jet is sliced out of the all-node evaluation
+    # that also gives the H_P node field, rank-deficient or not
+    box = DomainBox((0.0, 0.0), (1.0, 1.0), (17, 17))
+    u = ClosedFormMap.from_expressions(exprs, n=2).sample(box)
+    calls = []
+    jet = operators.hamiltonian_jet
+
+    def counting(H, x, eta, P, order=1):
+        calls.append(np.shape(x)[1:])
+        return jet(H, x, eta, P, order=order)
+
+    monkeypatch.setattr(operators, "hamiltonian_jet", counting)
+    residual_field(u, Hamiltonian.dirichlet(2, 2), Subdomain.whole(box), variant="reduced")
+    assert calls == [(box.all_nodes().shape[0],)]
+
+
+def test_sliced_grid_density_jet_is_the_pointwise_one():
+    box = DomainBox((1.0, 1.0), (2.0, 2.0), (13, 13))
+    u = ClosedFormMap.from_expressions(["sin(x1) * x2", "x1^2 - x2"], n=2).sample(box)
+    H = Hamiltonian.from_expression("(1 + u1^2) * (P11^2 + P12 * P21) + x1 * u2 + exp(P22) * x2", 2, 2)
+    nodes = Subdomain.whole(box).interior_nodes()
+    jets = u.jet_at_nodes(nodes, order=2)
+    direct = hamiltonian_jet(H, jets.x, jets.value, jets.gradient)
+    everywhere = _grid_hamiltonian(u, H)
+    at = np.ravel_multi_index(tuple(nodes.T), box.shape)
+    for name in ("value", "x_grad", "eta_grad", "P_grad"):
+        assert np.array_equal(getattr(everywhere, name)[..., at], getattr(direct, name)), name
