@@ -45,10 +45,9 @@ def main():
           f"{'evals':>6} {'hess':>6}  status")
     stages = p_continuation(prob, schedule)
     for st in stages:
-        d = st.diagnostics
         print(f"{st.p:>6g} {st.e_inf:>12.6f} {st.e_inf_interior:>12.6f} {st.residual_norm:>10.4f} "
-              f"{d['iters']:>6} {d['evals']:>6} {d['hess_products']:>6}  {d['status']}")
-    return 0 if all(st.diagnostics["status"] == "converged" for st in stages) else 1
+              f"{st.iters:>6} {st.evals:>6} {st.hess_products:>6}  {st.status}")
+    return 0 if all(st.status == "converged" for st in stages) else 1
 
 
 if __name__ == "__main__":

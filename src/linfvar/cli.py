@@ -258,19 +258,8 @@ def _dispatch(args, prob: Problem, out_dir: Path):
         for st in stages:
             csv_path = out_dir / f"solution_p{st.p:g}.csv"
             write_grid_csv(csv_path, st.solution)
-            results["stages"].append({
-                "p": st.p,
-                "p_energy": st.p_energy,
-                "e_inf": st.e_inf,
-                "e_inf_interior": st.e_inf_interior,
-                "residual_norm": st.residual_norm,
-                "iters": st.diagnostics["iters"],
-                "evals": st.diagnostics["evals"],
-                "hess_products": st.diagnostics["hess_products"],
-                "status": st.diagnostics["status"],
-                "grad_norm": st.diagnostics["grad_norm"],
-                "solution_csv": csv_path.name,
-            })
+            entry = {k: v for k, v in vars(st).items() if k != "solution"}
+            results["stages"].append(dict(entry, solution_csv=csv_path.name))
         return results, True
     raise ValueError(f"unknown subcommand {cmd!r}")  # pragma: no cover
 

@@ -48,8 +48,18 @@ class ArgmaxSet:
     delta: float
 
 
-def _density(H: Hamiltonian, jets: Jet2) -> np.ndarray:
-    return np.asarray(hamiltonian_value(H, jets.x, jets.value, jets.gradient), dtype=float)
+def _density(H: Hamiltonian, jets: Jet2, nodes: np.ndarray) -> np.ndarray:
+    """H(x, value, gradient) at node jets; ValueError naming the first node where it is not finite.
+
+    The node axis is the trailing one; leading batch axes (one entry per
+    variation) are taken in order.
+    """
+    vals = np.asarray(hamiltonian_value(H, jets.x, jets.value, jets.gradient), dtype=float)
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        node = nodes[np.unravel_index(np.argmax(bad), bad.shape)[-1]]
+        raise ValueError(f"density not finite at node {tuple(int(i) for i in node)}")
+    return vals
 
 
 def subdomain_nodes(O: Subdomain, interior_only: bool = False) -> np.ndarray:
@@ -63,16 +73,9 @@ def subdomain_nodes(O: Subdomain, interior_only: bool = False) -> np.ndarray:
 def density_sup(H: Hamiltonian, jets: Jet2, nodes: np.ndarray) -> np.ndarray:
     """Max of H(x, value, gradient) over the trailing node axis of node jets.
 
-    Leading batch axes (one entry per variation) are kept.  A density that
-    is not finite raises ValueError naming the first such node, taking the
-    batch entries in order.
+    Leading batch axes (one entry per variation) are kept; see :func:`_density`.
     """
-    vals = _density(H, jets)
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        node = nodes[np.unravel_index(np.argmax(bad), bad.shape)[-1]]
-        raise ValueError(f"density not finite at node {tuple(int(i) for i in node)}")
-    return np.max(vals, axis=-1)
+    return np.max(_density(H, jets, nodes), axis=-1)
 
 
 def sup_energy(u, H: Hamiltonian, O: Subdomain, interior_only: bool = False) -> float:
@@ -91,7 +94,7 @@ def default_delta(sup_value: float) -> float:
 def argmax_set(u, H: Hamiltonian, O: Subdomain, delta: Optional[float] = None) -> ArgmaxSet:
     """Nodes within ``delta`` of the sup (boundary nodes of the closed subdomain included)."""
     nodes = subdomain_nodes(O)
-    vals = _density(H, jets_at_nodes(u, O.box, nodes, order=1))
+    vals = _density(H, jets_at_nodes(u, O.box, nodes, order=1), nodes)
     sup = float(np.max(vals))
     if delta is None:
         delta = default_delta(sup)

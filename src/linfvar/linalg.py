@@ -73,22 +73,16 @@ def rank_decision(A: np.ndarray, tol: float = DEFAULT_RANK_TOL):
     return U, rank, cutoff
 
 
-def _nullspace_basis(A: np.ndarray, tol: float):
-    """Orthonormal basis of N(A^T) = R(A)^perp and the rank decision."""
-    U, rank, cutoff = rank_decision(A, tol)
-    rank = int(rank)
-    return U[:, rank:], rank, float(cutoff)
-
-
 def proj_range_complement(A: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> ProjectionReport:
     """Projection onto the orthogonal complement of the range of A.
 
     Rank is decided by singular values >= tol * sigma_max; the zero matrix
     yields the identity projection.
     """
-    basis, rank, cutoff = _nullspace_basis(A, tol)
-    projection = basis @ basis.T
-    return ProjectionReport(projection=projection, rank_used=rank, tolerance_used=cutoff, basis=basis)
+    U, rank, cutoff = rank_decision(A, tol)
+    basis = U[:, int(rank):]  # N(A^T) = R(A)^perp
+    return ProjectionReport(projection=basis @ basis.T, rank_used=int(rank), tolerance_used=float(cutoff),
+                            basis=basis)
 
 
 def ball_sample_count(dim: int, samples: Optional[int] = None) -> int:
@@ -256,17 +250,19 @@ def reduced_nullspace_proj(
     varying fields.  No finite sampling can certify C^1 extendability at a
     genuine rank discontinuity.
 
-    This is the single-centre form of :func:`reduced_nullspace_batch`; the
-    field ``V`` is a single-point callable, evaluated once per sample.
+    This is the single-centre form of :func:`reduced_nullspace_batch`: one
+    :func:`rank_decision` of the centre, then :func:`nullspace_projectors`
+    of the samples and :func:`average_projectors`.  The field ``V`` is a
+    single-point callable, evaluated once per sample.
     """
     x = np.asarray(x, dtype=float)
     if tol_angle is None:
         tol_angle = 1e-6 * eps
     A = np.asarray(V(x), dtype=float)
-    basis, rank, cutoff = _nullspace_basis(A, tol)
-    N = A.shape[0]
-    if basis.shape[1] == 0:
-        return ProjectionReport(np.zeros((N, N)), rank, cutoff, basis)
+    U, rank, cutoff = rank_decision(A, tol)
+    rank, cutoff, N = int(rank), float(cutoff), A.shape[0]
+    if rank == N:
+        return ProjectionReport(np.zeros((N, N)), rank, cutoff, U[:, N:])
     if sample_points is None:
         sample_points = ball_sample_points(x, eps, ball_sample_count(x.shape[0], samples))
     else:
@@ -279,7 +275,7 @@ def reduced_nullspace_proj(
         if not np.isfinite(Ay).all():
             raise ValueError(f"field has non-finite entries at sample point {y}")
         values.append(Ay)
-    red = reduced_nullspace_batch(A[None], np.stack(values)[None],
-                                  np.ones((1, len(values)), dtype=bool), tol_angle, tol)
+    red = average_projectors(U[None], np.array([rank]), nullspace_projectors(np.stack(values), tol)[None],
+                             np.ones((1, len(values)), dtype=bool), tol_angle)
     W = red.basis[0, :, :red.reduced_dim[0]]
     return ProjectionReport(projection=red.projection[0], rank_used=rank, tolerance_used=cutoff, basis=W)

@@ -94,14 +94,11 @@ class LpResult:
 
 
 @dataclass
-class StageResult:
+class StageResult(LpResult):
+    """One continuation stage: the stage's :class:`LpResult`, its p and its residual."""
+
     p: float
-    solution: GridMap
-    p_energy: float
-    e_inf: float
-    e_inf_interior: float
-    residual_norm: float
-    diagnostics: dict
+    residual_norm: float  # sup over interior nodes of the reduced residual
 
 
 def boundary_values_from_map(u_ref, O: Subdomain) -> np.ndarray:
@@ -433,20 +430,6 @@ def p_continuation(prob: LpProblem, schedule: Sequence, init: Optional[GridMap] 
         result = lp_minimize(stage_prob, current)
         rf = operators.residual_field(result.solution, prob.H, prob.O, variant="reduced")
         res_norm = float(np.max(rf.norms)) if rf.norms.size else 0.0
-        stages.append(StageResult(
-            p=p,
-            solution=result.solution,
-            p_energy=result.p_energy,
-            e_inf=result.e_inf,
-            e_inf_interior=result.e_inf_interior,
-            residual_norm=res_norm,
-            diagnostics={
-                "grad_norm": result.grad_norm,
-                "iters": result.iters,
-                "evals": result.evals,
-                "hess_products": result.hess_products,
-                "status": result.status,
-            },
-        ))
+        stages.append(StageResult(**vars(result), p=p, residual_norm=res_norm))
         current = result.solution
     return stages

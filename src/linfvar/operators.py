@@ -103,20 +103,15 @@ def _grid_hamiltonian(u: GridMap, H: Hamiltonian) -> HamiltonianJet:
     return hamiltonian_jet(H, jets.x, jets.value, jets.gradient)
 
 
-def _grid_hp_field(u: GridMap, H: Hamiltonian) -> np.ndarray:
-    """H_P(., u, Du) at every grid node, (N, n) + box shape."""
-    return _grid_hamiltonian(u, H).P_grad.reshape((u.N, u.n) + u.box.shape)
-
-
 def _divergence(u, H: Hamiltonian, jets: Jet2, nodes, hp_field=None) -> np.ndarray:
     """(Div F)_a = sum_i d_i F_{ai} for F(y) = H_P(y, u(y), Du(y)) at u's order-2 jets (M,).
 
-    Grid maps differentiate the H_P node field ``hp_field()`` at ``nodes``;
+    Grid maps differentiate the H_P node field ``hp_field`` at ``nodes``;
     other maps apply the chain rule to the rows H_P of H's exact second derivatives.
     """
     if isinstance(u, GridMap):
-        h, valid, field = u.box.spacing, None if u.jet_valid.all() else u.jet_valid, hp_field()
-        div = sum(axis_derivative(field[:, i], i, h[i], order=1, valid=valid, grid_ndim=u.n)
+        h, valid = u.box.spacing, None if u.jet_valid.all() else u.jet_valid
+        div = sum(axis_derivative(hp_field[:, i], i, h[i], order=1, valid=valid, grid_ndim=u.n)
                   for i in range(u.n))
         return div[(slice(None),) + tuple(nodes.T)]
     n, N, M = H.n, H.N, jets.x.shape[1]
@@ -162,11 +157,11 @@ def _grid_ball_nodes(u: GridMap, nodes: np.ndarray, eps: np.ndarray):
 
 
 def _reduced_projections(u, H: Hamiltonian, x: np.ndarray, nodes, U: np.ndarray, ranks: np.ndarray,
-                         hp_field, eps, samples, rank_tol, tol_angle) -> linalg.ReducedProjections:
+                         hp_field, eps, tol_angle) -> linalg.ReducedProjections:
     """Reduced normal projections at rank-deficient points x (n, M) with H_P's SVD factors U, ranks.
 
     Grid maps gather one nullspace projector per node of the H_P node
-    field (``hp_field()``, built here when None) through :func:`_grid_ball_nodes`;
+    field ``hp_field`` through :func:`_grid_ball_nodes`;
     other maps sample one Halton offset set scaled to each point's ball,
     all M x m points in one jet evaluation.  ``tol_angle`` defaults to 1e-6 eps.
     """
@@ -176,35 +171,36 @@ def _reduced_projections(u, H: Hamiltonian, x: np.ndarray, nodes, U: np.ndarray,
         tol_angle = 1e-6 * eps
     if isinstance(u, GridMap):
         sample_nodes, valid = _grid_ball_nodes(u, nodes, eps)
-        hp = np.moveaxis(_grid_hp_field(u, H) if hp_field is None else hp_field(), (0, 1), (-2, -1))
+        hp = np.moveaxis(hp_field, (0, 1), (-2, -1))
         bad = u.jet_valid & ~np.isfinite(hp).all(axis=(-2, -1))
         if bad.any():
             raise ValueError(f"H_P is not finite at grid node {tuple(np.argwhere(bad)[0].tolist())}")
         # nodes that are not jet-valid get a zero matrix; no centre samples them
-        proj = linalg.nullspace_projectors(np.where(u.jet_valid[..., None, None], hp, 0.0), rank_tol)
+        proj = linalg.nullspace_projectors(np.where(u.jet_valid[..., None, None], hp, 0.0))
         sample_proj = proj[tuple(np.moveaxis(sample_nodes, -1, 0))]
     else:
-        pts = linalg.ball_sample_points(x.T, eps, linalg.ball_sample_count(n, samples))
+        pts = linalg.ball_sample_points(x.T, eps, linalg.ball_sample_count(n))
         jets = map_jet(u, np.moveaxis(pts, -1, 0), order=1)
         ys = hamiltonian_jet(H, jets.x, jets.value, jets.gradient).P_grad
-        sample_proj = linalg.nullspace_projectors(np.moveaxis(ys, (0, 1), (2, 3)), rank_tol)
+        sample_proj = linalg.nullspace_projectors(np.moveaxis(ys, (0, 1), (2, 3)))
         valid = np.ones(pts.shape[:2], dtype=bool)
     return linalg.average_projectors(U, ranks, sample_proj, valid, tol_angle)
 
 
 def _normal_projections(u, H: Hamiltonian, x: np.ndarray, nodes, hp: np.ndarray, variant,
-                        eps, samples, rank_tol, tol_angle, hp_field=None):
+                        eps, tol_angle, hp_field):
     """Normal projections of H_P at the rank-deficient points of x (n, M), hp (M, N, n).
 
     Returns those points' indices and projections (onto R(H_P)^perp for
     "full", the reduced normal space for "reduced"), and per point (M,)
     the rank of H_P, the projected dimension and the projection-drop flag.
-    On grid maps ``hp_field()`` gives H_P at every node, when the caller has it.
+    On grid maps ``hp_field`` holds H_P at every node, (N, n) + box shape;
+    other maps do not read it.
     """
     if variant not in ("full", "reduced"):
         raise ValueError("variant must be 'full' or 'reduced'")
     M, N = hp.shape[:2]
-    U, ranks, _ = linalg.rank_decision(hp, rank_tol)
+    U, ranks, _ = linalg.rank_decision(hp)
     null_dim = N - ranks
     sel = np.flatnonzero(null_dim > 0)
     if variant == "full":
@@ -213,12 +209,12 @@ def _normal_projections(u, H: Hamiltonian, x: np.ndarray, nodes, hp: np.ndarray,
     dims, proj = np.zeros(M, dtype=int), np.zeros((0, N, N))
     if sel.size:
         red = _reduced_projections(u, H, x[:, sel], None if nodes is None else nodes[sel], U[sel],
-                                   ranks[sel], hp_field, eps, samples, rank_tol, tol_angle)
+                                   ranks[sel], hp_field, eps, tol_angle)
         dims[sel], proj = red.reduced_dim, red.projection
     return sel, proj, ranks, dims, dims < null_dim
 
 
-def _residual_parts(u, H: Hamiltonian, jets: Jet2, nodes, variant, eps, samples, rank_tol, tol_angle):
+def _residual_parts(u, H: Hamiltonian, jets: Jet2, nodes, variant, eps, tol_angle):
     """Both residual parts at a jet batch (M,).
 
     Returns the tangential and normal parts (N, M), the ranks of H_P, the
@@ -233,16 +229,13 @@ def _residual_parts(u, H: Hamiltonian, jets: Jet2, nodes, variant, eps, samples,
         at = np.ravel_multi_index(tuple(nodes.T), u.box.shape)
         ham = HamiltonianJet(*(f[..., at] for f in (everywhere.value, everywhere.x_grad,
                                                      everywhere.eta_grad, everywhere.P_grad)))
-
-        def hp_field():
-            return everywhere.P_grad.reshape((u.N, u.n) + u.box.shape)
+        hp_field = everywhere.P_grad.reshape((u.N, u.n) + u.box.shape)
     else:
         ham, hp_field = hamiltonian_jet(H, jets.x, jets.value, jets.gradient), None
     dH = _chain_rule(ham.x_grad[None], ham.eta_grad[None], ham.P_grad[None], jets)[0]
     tangential = np.einsum("ai...,i...->a...", ham.P_grad, dH)
     sel, proj, ranks, dims, drop = _normal_projections(
-        u, H, jets.x, nodes, np.moveaxis(ham.P_grad, -1, 0), variant, eps, samples, rank_tol,
-        tol_angle, hp_field)
+        u, H, jets.x, nodes, np.moveaxis(ham.P_grad, -1, 0), variant, eps, tol_angle, hp_field)
     normal = np.zeros(ham.eta_grad.shape)
     if sel.size:
         sub = Jet2(jets.x[:, sel], jets.value[:, sel], jets.gradient[..., sel], jets.hessian[..., sel])
@@ -257,8 +250,6 @@ def aronsson_residual(
     x,
     variant: str = "reduced",
     eps: Optional[float] = None,
-    samples: Optional[int] = None,
-    rank_tol: float = linalg.DEFAULT_RANK_TOL,
     tol_angle: Optional[float] = None,
 ) -> AronssonResidual:
     """Tangential + normal residual of the critical-point system at a point."""
@@ -266,8 +257,7 @@ def aronsson_residual(
     jet = map_jet(u, x, order=2)  # single point: grid maps reject masked nodes here
     jets = Jet2(x[:, None], jet.value[..., None], jet.gradient[..., None], jet.hessian[..., None])
     nodes = np.asarray([u.box.nearest_node(x)]) if isinstance(u, GridMap) else None
-    tangential, normal, ranks, dims, drop = _residual_parts(
-        u, H, jets, nodes, variant, eps, samples, rank_tol, tol_angle)
+    tangential, normal, ranks, dims, drop = _residual_parts(u, H, jets, nodes, variant, eps, tol_angle)
     return AronssonResidual(
         tangential=tangential[:, 0],
         normal=normal[:, 0],
@@ -289,29 +279,16 @@ def infinity_laplacian_residual(
     x,
     reduced: bool = False,
     eps: Optional[float] = None,
-    samples: Optional[int] = None,
-    rank_tol: float = linalg.DEFAULT_RANK_TOL,
     tol_angle: Optional[float] = None,
 ) -> np.ndarray:
     """Residual Du D(|Du|^2) + |Du|^2 [Du]^perp (Laplacian u) at a point.
 
     With ``reduced=True`` the plain normal projection is replaced by the
-    reduced one.  This is the quadratic-density special case of
-    :func:`aronsson_residual` up to an overall factor 2.
+    reduced one.  For H = |P|^2 the critical-point system is twice this
+    system, so the residual is half the Dirichlet :func:`aronsson_residual`.
     """
-    x = np.asarray(x, dtype=float)
-    jet = map_jet(u, x, order=2)
-    Du = jet.gradient
-    # D_i |Du|^2 = 2 sum_{a,j} Du[a,j] D_i D_j u_a
-    dsq = 2.0 * np.einsum("aj,aji->i", Du, jet.hessian)
-    lap = np.einsum("aii->a", jet.hessian)
-    density = float(np.sum(Du * Du))
-    # the normal spaces of Du^T are those of the Dirichlet H_P = 2 Du
-    nodes = np.asarray([u.box.nearest_node(x)]) if isinstance(u, GridMap) else None
-    H = Hamiltonian.dirichlet(Du.shape[1], Du.shape[0])
-    sel, proj, *_ = _normal_projections(u, H, x[:, None], nodes, 2.0 * Du[None],
-                                        "reduced" if reduced else "full", eps, samples, rank_tol, tol_angle)
-    return Du @ dsq + density * (proj[0] @ lap if sel.size else 0.0)
+    H = Hamiltonian.dirichlet(u.n, u.N)
+    return 0.5 * aronsson_residual(u, H, x, "reduced" if reduced else "full", eps, tol_angle).total
 
 
 # ---------------------------------------------------------------------------
@@ -344,13 +321,13 @@ def residual_field(
     variant: str = "reduced",
     points: Optional[np.ndarray] = None,
     nodes: Optional[np.ndarray] = None,
-    interior_only: bool = True,
     eps: Optional[float] = None,
-    samples: Optional[int] = None,
-    rank_tol: float = linalg.DEFAULT_RANK_TOL,
     tol_angle: Optional[float] = None,
 ) -> ResidualField:
     """Residuals over a node set (grid maps) or arbitrary point list (closed-form maps).
+
+    Without ``points`` or ``nodes`` the residuals are taken at the
+    subdomain's evaluable interior nodes.
 
     Everything is batched: one jet evaluation, one SVD of H_P over the
     batch, and for the rank-deficient points one divergence evaluation and
@@ -362,19 +339,18 @@ def residual_field(
                 # grid maps evaluate at nodes only: explicit points must be valid nodes
                 nodes = u.nodes_at(np.atleast_2d(np.asarray(points, dtype=float)).T)
             else:
-                nodes = O.interior_nodes() if interior_only else O.evaluable_nodes()
+                nodes = O.interior_nodes()
         nodes = np.atleast_2d(np.asarray(nodes, dtype=int))
         jets = u.jet_at_nodes(nodes, order=2)
     else:
         if points is None:
             if nodes is None:
-                nodes = O.interior_nodes() if interior_only else O.evaluable_nodes()
+                nodes = O.interior_nodes()
             points = O.box.node_coords(np.atleast_2d(nodes)).T
         points = np.atleast_2d(np.asarray(points, dtype=float))
         jets = map_jet(u, points.T, order=2)
         nodes = None
-    tangential, normal, ranks, _, drop = _residual_parts(
-        u, H, jets, nodes, variant, eps, samples, rank_tol, tol_angle)
+    tangential, normal, ranks, _, drop = _residual_parts(u, H, jets, nodes, variant, eps, tol_angle)
     return ResidualField(
         points=jets.x.T,
         nodes=nodes,

@@ -684,10 +684,18 @@ def load_problem(source: Union[str, Path, dict]) -> Problem:
     def count(v):
         return list_of([v]) and float(v).is_integer() and v >= 1
 
+    def is_object(v):
+        return isinstance(v, dict)
+
     n = int(field_of(data, "n", "n", count, "a positive whole number"))
     N = int(field_of(data, "N", "N", count, "a positive whole number"))
-    dom = field_of(data, "domain", "domain", lambda v: isinstance(v, dict), "an object")
-    box = DomainBox(*(tuple(field_of(dom, key, f"domain.{key}", list_of, "a list of numbers"))
+
+    def point(v):  # one number per axis
+        return list_of(v) and len(v) == n
+
+    per_axis = f"a list of n = {n} numbers"
+    dom = field_of(data, "domain", "domain", is_object, "an object")
+    box = DomainBox(*(tuple(field_of(dom, key, f"domain.{key}", point, per_axis))
                       for key in ("lo", "hi", "resolution")))
     hspec = field_of(data, "H", "H")
     H = Hamiltonian.dirichlet(n, N) if hspec == "dirichlet" else Hamiltonian.from_expression(hspec, n, N)
@@ -699,13 +707,19 @@ def load_problem(source: Union[str, Path, dict]) -> Problem:
         if len(uspec) != N:
             raise ValueError(f"u must have {N} components, got {len(uspec)}")
         u = ClosedFormMap.from_expressions(uspec, n)
+    for k, item in enumerate(data.get("singular") or []):
+        field_of(item, "axis", f"singular[{k}].axis",
+                 lambda v: list_of([v]) and float(v).is_integer() and 0 <= v < n,
+                 f"an axis index in 0..{n - 1}")
+        field_of(item, "value", f"singular[{k}].value", lambda v: list_of([v]), "a number")
     singular = _singular_mask_from_spec(box, data.get("singular"))
     singular |= prescan_singularities(u, box)
-    sub = data.get("subdomain")
-    if sub is None:
+    if data.get("subdomain") is None:
         subdomain = Subdomain.whole(box, singular)
     else:
-        subdomain = Subdomain.from_box(box, sub["lo"], sub["hi"], singular)
+        sub = field_of(data, "subdomain", "subdomain", is_object, "an object")
+        lo, hi = (field_of(sub, key, f"subdomain.{key}", point, per_axis) for key in ("lo", "hi"))
+        subdomain = Subdomain.from_box(box, lo, hi, singular)
     return Problem(n=n, N=N, box=box, H=H, u=u, subdomain=subdomain, raw=data)
 
 

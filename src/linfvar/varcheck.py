@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import linalg
 from .energy import (
     argmax_set,
     danskin_derivative,
@@ -223,18 +222,16 @@ def _evaluable_hp(u, H: Hamiltonian, O: Subdomain):
     return nodes, jets.x, hamiltonian_jet(H, jets.x, jets.value, jets.gradient).P_grad
 
 
-def _normal_projector_field(u, H: Hamiltonian, O: Subdomain, eps, samples, tol_angle, evaluable=None):
+def _normal_projector_field(u, H: Hamiltonian, O: Subdomain, eps, tol_angle, evaluable=None):
     """Reduced normal projector of H_P at every evaluable node; ``evaluable`` is :func:`_evaluable_hp`."""
     nodes, x, hp = _evaluable_hp(u, H, O) if evaluable is None else evaluable
-
-    def hp_field():  # grid maps: the evaluable nodes are the jet-valid ones, the others are unread
-        field = np.zeros(hp.shape[:2] + O.box.shape)
-        field[(slice(None), slice(None)) + tuple(nodes.T)] = hp
-        return field
+    # grid maps: the evaluable nodes are the jet-valid ones, the others are unread
+    hp_field = np.zeros(hp.shape[:2] + O.box.shape)
+    hp_field[(slice(None), slice(None)) + tuple(nodes.T)] = hp
     if eps is None:
         eps = 2.0 * float(np.max(O.box.spacing))
     sel, proj, *_ = _normal_projections(u, H, x, nodes, np.moveaxis(hp, -1, 0), "reduced",
-                                        eps, samples, linalg.DEFAULT_RANK_TOL, tol_angle, hp_field)
+                                        eps, tol_angle, hp_field)
     projectors = np.zeros((nodes.shape[0], u.N, u.N))
     projectors[sel] = proj
     return nodes, projectors
@@ -249,7 +246,6 @@ def normal_variation_test(
     tol: Optional[float] = None,
     seed: int = 0,
     eps: Optional[float] = None,
-    samples: Optional[int] = None,
     tol_angle: Optional[float] = None,
 ) -> Verdict:
     """Minimality against variations pointwise normal to the range of H_P(., u, Du).
@@ -266,7 +262,7 @@ def normal_variation_test(
     if tol is None:
         tol = _default_tol(E0)
     evaluable = _evaluable_hp(u, H, O)
-    nodes, projectors = _normal_projector_field(u, H, O, eps, samples, tol_angle, evaluable)
+    nodes, projectors = _normal_projector_field(u, H, O, eps, tol_angle, evaluable)
     box = O.box
     if float(np.max(np.abs(projectors))) < 1e-13:
         return Verdict(True, 0.0, None, 0, vacuous=True)
@@ -326,7 +322,7 @@ class StationarityReport:
     min_val: float
     K: np.ndarray               # nodes where |g| <= tol_K
     argmax_nodes: np.ndarray
-    tol_K: float
+    tol_K: float                # 1e-6 (1 + max|g|)
     statement_ii: bool          # max over the argmax set >= -tol
     statement_iii: bool         # K nonempty
     k_fraction: float           # |K| / |argmax| (exact set equality is not grid-decidable)
@@ -339,7 +335,6 @@ def stationarity_scans(
     basis: Sequence,
     delta: Optional[float] = None,
     tol: Optional[float] = None,
-    tol_K: Optional[float] = None,
 ) -> list:
     """:func:`stationarity_scan` for each field of ``basis``, sharing one argmax
     set and one linearisation of H along u."""
@@ -352,7 +347,7 @@ def stationarity_scans(
         min_val = float(np.min(g))
         scale = float(np.max(np.abs(g))) if g.size else 0.0
         tol_ii = 1e-8 * (1.0 + scale) if tol is None else tol
-        tol_k = 1e-6 * (1.0 + scale) if tol_K is None else tol_K
+        tol_k = 1e-6 * (1.0 + scale)
         K = aset.nodes[np.abs(g) <= tol_k]
         reports.append(StationarityReport(
             max_val=max_val,
@@ -374,14 +369,13 @@ def stationarity_scan(
     psi,
     delta: Optional[float] = None,
     tol: Optional[float] = None,
-    tol_K: Optional[float] = None,
 ) -> StationarityReport:
     """Evaluate g = H_P : Dpsi + H_eta . psi on the argmax set of the density.
 
     Returns its extremes (identical, by construction, to the one-sided
     Danskin derivatives for the same psi), and the near-zero set K.
     """
-    return stationarity_scans(u, H, O, [psi], delta, tol, tol_K)[0]
+    return stationarity_scans(u, H, O, [psi], delta, tol)[0]
 
 
 @dataclass

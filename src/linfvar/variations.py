@@ -33,6 +33,9 @@ __all__ = [
 ]
 
 
+_MAX_MODES = 5  # sine modes per random variation component
+
+
 def _f(x) -> str:
     """Render a number as a parseable literal (plain Python float repr)."""
     return repr(float(x))
@@ -225,8 +228,8 @@ def variation_source(spec: dict) -> list:
     return [f"{_f(x * scale)} * {prof}" for x in spec["xi"]]
 
 
-def _draw_modes(rng, n, max_modes, with_phase):
-    count = int(rng.integers(1, max_modes + 1))
+def _draw_modes(rng, n, with_phase):
+    count = int(rng.integers(1, _MAX_MODES + 1))
     modes = []
     for _ in range(count):
         coeff = float(rng.uniform(-1.0, 1.0))
@@ -262,29 +265,28 @@ def _sine_variation(raw: SineModeMap, spec: dict, O: Subdomain, amplitude: float
     return raw.scaled(scale), _scaled_spec(spec, scale, amplitude)
 
 
-def _draw_free(O: Subdomain, N: int, rng, max_modes: int = 5):
+def _draw_free(O: Subdomain, N: int, rng):
     """Unscaled free sine variation on the box subdomain and its spec."""
     lo, hi = _region_box(O)
-    comp_modes = [_draw_modes(rng, O.box.dim, max_modes, with_phase=False) for _ in range(N)]
+    comp_modes = [_draw_modes(rng, O.box.dim, with_phase=False) for _ in range(N)]
     spec = {"kind": "free", "modes": comp_modes, "lo": lo.tolist(), "hi": hi.tolist()}
     return SineModeMap.from_modes(lo, hi, comp_modes), spec
 
 
-def _draw_rank_one(O: Subdomain, xi: np.ndarray, rng, max_modes: int = 5):
+def _draw_rank_one(O: Subdomain, xi: np.ndarray, rng):
     """Unscaled xi times a sine profile on the box subdomain and its spec."""
     lo, hi = _region_box(O)
-    modes = _draw_modes(rng, O.box.dim, max_modes, with_phase=False)
+    modes = _draw_modes(rng, O.box.dim, with_phase=False)
     spec = {"kind": "rank_one", "profile": "sine", "modes": modes, "xi": xi.tolist(),
             "lo": lo.tolist(), "hi": hi.tolist()}
     return SineModeMap.from_modes(lo, hi, [modes] * xi.shape[0], factors=xi), spec
 
 
-def make_free_variation(O: Subdomain, N: int, rng, amplitude: float = 1.0,
-                        max_modes: int = 5):
+def make_free_variation(O: Subdomain, N: int, rng, amplitude: float = 1.0):
     """Random smooth variation vanishing on the subdomain boundary."""
     if _region_box(O) is None:
         return _ball_variation(O, N, rng, amplitude)
-    return _sine_variation(*_draw_free(O, N, rng, max_modes), O, amplitude)
+    return _sine_variation(*_draw_free(O, N, rng), O, amplitude)
 
 
 def _ball_variation(O: Subdomain, N: int, rng, amplitude: float):
@@ -294,7 +296,7 @@ def _ball_variation(O: Subdomain, N: int, rng, amplitude: float):
 
 
 def make_rank_one_variation(O: Subdomain, xi: np.ndarray, rng, amplitude: float = 1.0,
-                            max_modes: int = 5, deterministic: bool = False):
+                            deterministic: bool = False):
     """Scalar profile times the direction xi, profile vanishing on the boundary."""
     xi = np.asarray(xi, dtype=float)
     if np.linalg.norm(xi) == 0.0:
@@ -307,7 +309,7 @@ def make_rank_one_variation(O: Subdomain, xi: np.ndarray, rng, amplitude: float 
         spec = {"kind": "rank_one", "profile": "box_bump", "xi": xi.tolist(),
                 "lo": box[0].tolist(), "hi": box[1].tolist()}
     else:
-        return _sine_variation(*_draw_rank_one(O, xi, rng, max_modes), O, amplitude)
+        return _sine_variation(*_draw_rank_one(O, xi, rng), O, amplitude)
     return _polynomial_variation(spec, O, amplitude)
 
 
@@ -320,7 +322,7 @@ def make_sphere_variation(xi: np.ndarray, center: np.ndarray, radius: float, n: 
     return ClosedFormMap.from_expressions(sources, n)
 
 
-def make_free_field(O: Subdomain, N: int, rng, amplitude: float = 1.0, max_modes: int = 5):
+def make_free_field(O: Subdomain, N: int, rng, amplitude: float = 1.0):
     """Random smooth field with no boundary condition (for normal variations).
 
     Includes a constant term per component: fields free on the boundary may
@@ -331,7 +333,7 @@ def make_free_field(O: Subdomain, N: int, rng, amplitude: float = 1.0, max_modes
     n = O.box.dim
     box = _region_box(O)
     lo, hi = (np.asarray(O.box.lo), np.asarray(O.box.hi)) if box is None else box
-    comp_modes = [_draw_modes(rng, n, max_modes, with_phase=True) for _ in range(N)]
+    comp_modes = [_draw_modes(rng, n, with_phase=True) for _ in range(N)]
     comp_const = [float(rng.uniform(-1.0, 1.0)) for _ in range(N)]
     raw = SineModeMap.from_modes(lo, hi, comp_modes, consts=np.asarray(comp_const) * amplitude)
     spec = {"kind": "free_field", "modes": comp_modes, "constants": comp_const,

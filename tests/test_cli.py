@@ -96,6 +96,10 @@ class TestExitCodes:
         ("domain.hi", {"domain": {"lo": [-1.0], "hi": "x", "resolution": [9]}}),
         ("domain.resolution", {"domain": {"lo": [-1.0], "hi": [1.0], "resolution": 9}}),
         ("u", {"u": "x1"}),
+        ("domain.lo", {"n": 3, "domain": {"lo": [0.0, 0.0], "hi": [1.0, 1.0], "resolution": [9, 9]}}),
+        ("subdomain.lo", {"n": 2, "domain": {"lo": [0.0, 0.0], "hi": [1.0, 1.0], "resolution": [9, 9]},
+                          "subdomain": {"lo": [0.25], "hi": [0.75, 0.75]}}),
+        ("singular[0].axis", {"singular": [{"axis": 5, "value": 0.0}]}),
     ])
     def test_mistyped_field_is_named(self, problems, tmp_path, path, bad):
         _, tmp = problems
@@ -103,6 +107,18 @@ class TestExitCodes:
         out = tmp / f"typo_{path}"
         assert run(["energy", "--problem", str(tmp_path / "typo.json"), "--out", str(out)]) == 2
         assert f"'{path}'" in _report(out, "energy")["error"]["message"]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+    def test_non_finite_density_is_named_by_argmax_and_danskin(self, problems, tmp_path):
+        _, tmp = problems
+        spec = {"n": 1, "N": 1, "domain": {"lo": [0.0], "hi": [1.0], "resolution": [9]},
+                "H": "exp(1000 * P11 * x1)", "u": ["x1"]}  # H = inf from node (6,) on
+        (tmp_path / "overflow.json").write_text(json.dumps(spec))
+        for command, extra in (("argmax", []), ("danskin", ["--phi", "x1"])):
+            out = tmp / f"overflow_{command}"
+            argv = [command, "--problem", str(tmp_path / "overflow.json"), "--out", str(out)]
+            assert run(argv + extra) == 2
+            assert "density not finite at node (6,)" in _report(out, command)["error"]["message"]
 
     def test_out_of_range_grid_csv_row_is_exit_2(self, problems):
         paths, tmp = problems

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 import hypothesis.extra.numpy as hnp
 
+from linfvar import linalg
 from linfvar.linalg import (
+    DEFAULT_RANK_TOL,
     ball_sample_points,
     complement_projectors,
     halton,
@@ -120,6 +122,24 @@ class TestReducedNullspace:
 
         with pytest.raises(ValueError, match="non-finite"):
             reduced_nullspace_proj(field, np.zeros(2), eps=0.1)
+
+    def test_centre_is_decomposed_once(self, monkeypatch):
+        x = np.array([0.03, 0.0])  # rank 1 at the centre
+        centre = _rank_drop_field(x)
+        shapes = []
+        rank_decision = linalg.rank_decision
+
+        def counting(A, tol=DEFAULT_RANK_TOL):
+            shapes.append(np.shape(A))
+            return rank_decision(A, tol)
+
+        monkeypatch.setattr(linalg, "rank_decision", counting)
+        rep = reduced_nullspace_proj(_rank_drop_field, x, eps=0.1)
+        # the samples' decompositions are batched: (m, N, n)
+        assert shapes.count(centre.shape) + shapes.count((1,) + centre.shape) == 1
+        plain = proj_range_complement(centre)
+        assert rep.rank_used == plain.rank_used == 1
+        assert rep.tolerance_used == plain.tolerance_used == 1e-9 * 0.03
 
     def test_needs_enough_samples(self):
         with pytest.raises(ValueError, match="at least 8"):

@@ -151,7 +151,7 @@ class TestContinuation:
     def test_single_stage_p2(self, two_point_problem):
         stages = p_continuation(two_point_problem, [2])
         assert len(stages) == 1
-        assert stages[0].diagnostics["grad_norm"] <= 1e-6
+        assert stages[0].grad_norm <= 1e-6
 
     def test_2d_trends_small(self):
         box = DomainBox((1.0, 1.0), (2.0, 2.0), (9, 9))
@@ -231,7 +231,7 @@ class TestAgreement:
         assert np.max(np.abs(res.solution.values[:, interior].ravel() - ref.x)) <= 1e-6
 
     def test_criterion_10_fixture_converges_every_stage(self, criterion_10_stages):
-        assert [st.diagnostics["status"] for st in criterion_10_stages] == ["converged"] * 5
+        assert [st.status for st in criterion_10_stages] == ["converged"] * 5
 
 
 ETA_X_DENSITY = "(1 + u1^2) * (P11^2 + P12^2) + x1^2"
@@ -288,9 +288,9 @@ class TestNewtonCG:
         prob = _aronsson_problem(Hamiltonian.dirichlet(2, 1), 2.0, resolution=33)
         assert (prob.settings.max_iter, prob.settings.tol_opt) == (5000, 1e-9)  # the CLI defaults
         stages = p_continuation(prob, [2, 4, 8, 16, 32])
-        assert [st.diagnostics["status"] for st in stages] == ["converged"] * 5
-        assert stages[-1].diagnostics["iters"] <= 10
-        assert all(st.diagnostics["hess_products"] >= st.diagnostics["iters"] for st in stages)
+        assert [st.status for st in stages] == ["converged"] * 5
+        assert stages[-1].iters <= 10
+        assert all(st.hess_products >= st.iters for st in stages)
 
     def test_hess_products_are_deterministic_and_reported(self, tmp_path):
         from linfvar.cli import run

@@ -55,6 +55,21 @@ class TestInfinityLaplacian:
         r = infinity_laplacian_residual(aronsson_map, [1.0, 1.0])
         assert np.abs(r).max() <= 1e-10
 
+    @pytest.mark.parametrize("reduced", [False, True])
+    def test_is_half_the_dirichlet_aronsson_residual(self, reduced):
+        closed = ClosedFormMap.from_expressions(["sin(x1+x2)", "cos(x1+x2)"], n=2)
+        box = DomainBox((0.0, 0.0), (1.0, 1.0), (33, 33))
+        values = closed.sample(box).values.copy()
+        values[:, 7, 7] = np.nan  # the divergence at (5, 7) reads the one-sided jet at (6, 7)
+        grid = GridMap(box, values)
+        H = Hamiltonian.dirichlet(2, 2)
+        variant = "reduced" if reduced else "full"
+        cases = [(closed, np.array([0.3, 0.55])), (closed, np.array([1.2, -0.4]))]
+        cases += [(grid, box.node_coords(np.array([node]))[:, 0]) for node in ((5, 7), (16, 16), (20, 3))]
+        for u, x in cases:
+            il = infinity_laplacian_residual(u, x, reduced=reduced)
+            assert np.array_equal(il, 0.5 * aronsson_residual(u, H, x, variant).total)
+
     def test_1d_quadratic_value(self):
         # Du D(|Du|^2) = (2x)(8x) = 16 x^2 -> 4 at x = 0.5; normal part dies (N=1)
         u = ClosedFormMap.from_expressions(["x1^2"], n=1)

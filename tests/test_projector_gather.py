@@ -10,10 +10,19 @@ import numpy as np
 import pytest
 from test_reduced_kernel import FIXTURES_1D, FIXTURES_2D, MASKED, _density
 
-from linfvar import ClosedFormMap, DomainBox, GridMap, Hamiltonian, Subdomain, linalg, residual_field
+from linfvar import (
+    ClosedFormMap,
+    DomainBox,
+    GridMap,
+    Hamiltonian,
+    Subdomain,
+    linalg,
+    normal_variation_test,
+    residual_field,
+)
 from linfvar.linalg import DEFAULT_RANK_TOL, reduced_nullspace_batch
-from linfvar import operators
-from linfvar.operators import _grid_ball_nodes, _grid_hamiltonian, _grid_hp_field, _normal_projections
+from linfvar import energy, operators, varcheck
+from linfvar.operators import _grid_ball_nodes, _grid_hamiltonian, _normal_projections
 from linfvar.problem import hamiltonian_jet
 
 CASES = ([(1, name, False) for name in sorted(FIXTURES_1D)]
@@ -26,6 +35,11 @@ def _grid(exprs, n, masked, res=13):
     for node in MASKED if masked else ():
         values[(slice(None),) + node] = np.nan
     return GridMap(box, values)
+
+
+def _grid_hp_field(u, H):
+    """H_P at every grid node, (N, n) + box shape."""
+    return _grid_hamiltonian(u, H).P_grad.reshape((u.N, u.n) + u.box.shape)
 
 
 def _centres(u, H):
@@ -43,8 +57,8 @@ def test_gathered_projectors_match_per_pair_kernel(n, name, masked, tol_angle):
     u = _grid(exprs, n, masked)
     H = _density(n, u.N)
     nodes, x, hp = _centres(u, H)
-    sel, proj, ranks, dims, _ = _normal_projections(u, H, x, nodes, hp, "reduced", None, None,
-                                                    DEFAULT_RANK_TOL, tol_angle)
+    sel, proj, ranks, dims, _ = _normal_projections(u, H, x, nodes, hp, "reduced", None, tol_angle,
+                                                    _grid_hp_field(u, H))
     assert sel.size
     eps = np.full(sel.size, 2.0 * float(np.max(u.box.spacing)))
     sample_nodes, valid = _grid_ball_nodes(u, nodes[sel], eps)
@@ -81,8 +95,7 @@ def test_non_finite_sample_node_is_named():
     field = _grid_hp_field(u, H)
     field[:, :, 0, 5] = np.nan  # a boundary node: a sample of the centre (1, 5), never a centre
     with pytest.raises(ValueError, match=r"grid node \(0, 5\)"):
-        _normal_projections(u, H, x, nodes, hp, "reduced", None, None, DEFAULT_RANK_TOL, None,
-                            lambda: field)
+        _normal_projections(u, H, x, nodes, hp, "reduced", None, None, field)
 
 
 @pytest.mark.parametrize("exprs", [["sin(x1+x2)", "cos(x1+x2)"], ["x1^2 + x2", "x1 * x2"]])
@@ -100,6 +113,25 @@ def test_grid_residual_evaluates_the_density_once(monkeypatch, exprs):
 
     monkeypatch.setattr(operators, "hamiltonian_jet", counting)
     residual_field(u, Hamiltonian.dirichlet(2, 2), Subdomain.whole(box), variant="reduced")
+    assert calls == [(box.all_nodes().shape[0],)]
+
+
+def test_grid_verify_normal_evaluates_the_density_jet_once(monkeypatch):
+    # the H_P node field of the projector field comes from the evaluable nodes' jet;
+    # a constant normal frame keeps the reduced normal space, so the trials run
+    box = DomainBox((0.0, 0.0), (1.0, 1.0), (17, 17))
+    u = ClosedFormMap.from_expressions(["sin(x1+x2)", "0.5 * sin(x1+x2)"], n=2).sample(box)
+    calls = []
+    jet = operators.hamiltonian_jet
+
+    def counting(H, x, eta, P, order=1):
+        calls.append(np.shape(x)[1:])
+        return jet(H, x, eta, P, order=order)
+
+    for module in (energy, operators, varcheck):
+        monkeypatch.setattr(module, "hamiltonian_jet", counting)
+    v = normal_variation_test(u, Hamiltonian.dirichlet(2, 2), Subdomain.whole(box), trials=3, seed=1)
+    assert not v.vacuous
     assert calls == [(box.all_nodes().shape[0],)]
 
 

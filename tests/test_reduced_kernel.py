@@ -205,7 +205,7 @@ def test_closed_form_branch(n, name):
 def test_normal_projector_field_grid(name):
     u, O = _masked_grid(FIXTURES_2D[name], 2)
     H = _density(2, u.N)
-    nodes, projectors = _normal_projector_field(u, H, O, None, None, None)
+    nodes, projectors = _normal_projector_field(u, H, O, None, None)
     assert len(nodes) == int(u.jet_valid.sum())
     eps = 2.0 * float(np.max(u.box.spacing))
     for node, proj in zip(nodes[::7], projectors[::7]):
@@ -220,7 +220,7 @@ def test_normal_projector_field_closed_form(name):
     H = Hamiltonian.dirichlet(2, u.N)
     box = DomainBox((0.0, 0.0), (1.0, 1.0), (9, 9))
     O = Subdomain.whole(box)
-    nodes, projectors = _normal_projector_field(u, H, O, None, None, None)
+    nodes, projectors = _normal_projector_field(u, H, O, None, None)
     eps = 2.0 * float(np.max(box.spacing))
     for node, proj in zip(nodes, projectors):
         x = box.node_coords(node[None, :])[:, 0]
