@@ -487,14 +487,26 @@ def dual_mul(a: Dual2, b: Dual2) -> Dual2:
     return Dual2(val, grad, hess)
 
 
+# Comparing with a 0-d zero rather than the literal 0.0 runs the same ufunc
+# loop but skips numpy's conversion of a Python float on every call.
+_ZERO = np.zeros(())
+
+
 def _report(policy: str, bad, exc, message: str):
-    """Either raise on any flagged entry or return the mask for NaN-poisoning."""
-    bad = np.asarray(bad)
-    if not bad.any():
+    """Either raise on any flagged entry or return the mask for NaN-poisoning.
+
+    A 0-d mask (or a plain bool) is its own truth value; only a batch needs ``any``.
+    """
+    if not (bad.any() if getattr(bad, "ndim", 0) else bad):
         return None
     if policy == "raise":
         raise exc(message)
-    return bad
+    return np.asarray(bad)
+
+
+def _all_positive(v) -> bool:
+    positive = v > _ZERO
+    return bool(positive.all() if positive.ndim else positive)
 
 
 def _poison(arr: np.ndarray, bad) -> np.ndarray:
@@ -506,34 +518,35 @@ def _poison(arr: np.ndarray, bad) -> np.ndarray:
 
 
 def _compose(d: Dual2, f0, f1, f2) -> Dual2:
-    """Chain rule through a scalar function with elementwise derivative values."""
+    """Chain rule through a scalar function with elementwise derivative values.
+
+    ``f1`` and ``f2`` only ever multiply the seed arrays, so they need no
+    conversion; ``f0`` becomes the new value and is made an array.
+    """
     f0 = np.asarray(f0, dtype=float)
-    f1 = np.asarray(f1, dtype=float)
     grad = f1 * d.grad
     hess = None
     if d.hess is not None:
-        f2 = np.asarray(f2, dtype=float)
         hess = f1 * d.hess + f2 * _outer(d.grad, d.grad)
     return Dual2(f0, grad, hess)
 
 
 def dual_div(a: Dual2, b: Dual2, policy: str) -> Dual2:
-    bad = _report(policy, b.val == 0.0, DomainEvalError, "division by zero")
-    with np.errstate(all="ignore"):
-        inv = _poison(1.0 / b.val, bad)
-        binv = _compose(b, inv, -(inv ** 2), 2.0 * inv ** 3 if b.hess is not None else None)
+    bad = _report(policy, b.val == _ZERO, DomainEvalError, "division by zero")
+    inv = _poison(1.0 / b.val, bad)
+    binv = _compose(b, inv, -(inv ** 2), 2.0 * inv ** 3 if b.hess is not None else None)
     return dual_mul(a, binv)
 
 
 def dual_abs(a: Dual2, policy: str) -> Dual2:
-    bad = _report(policy, a.val == 0.0, SingularityError, "abs evaluated at its kink (0)")
+    bad = _report(policy, a.val == _ZERO, SingularityError, "abs evaluated at its kink (0)")
     s = _poison(np.sign(a.val), bad)
     return _compose(a, np.abs(a.val), s, 0.0)
 
 
 def dual_sqrt(a: Dual2, policy: str) -> Dual2:
-    bad_neg = _report(policy, a.val < 0.0, DomainEvalError, "sqrt of negative value")
-    bad_zero = _report(policy, a.val == 0.0, SingularityError, "sqrt at branch point 0")
+    bad_neg = _report(policy, a.val < _ZERO, DomainEvalError, "sqrt of negative value")
+    bad_zero = _report(policy, a.val == _ZERO, SingularityError, "sqrt at branch point 0")
     bad = None
     if bad_neg is not None or bad_zero is not None:
         bad = np.zeros(np.shape(a.val), dtype=bool)
@@ -541,11 +554,10 @@ def dual_sqrt(a: Dual2, policy: str) -> Dual2:
             bad |= bad_neg
         if bad_zero is not None:
             bad |= bad_zero
-    with np.errstate(all="ignore"):
-        v = _poison(a.val, bad)
-        r = np.sqrt(v)
-        f1 = 0.5 / r
-        f2 = (-0.25 / (v * r)) if a.hess is not None else None
+    v = _poison(a.val, bad)
+    r = np.sqrt(v)
+    f1 = 0.5 / r
+    f2 = (-0.25 / (v * r)) if a.hess is not None else None
     return _compose(a, r, f1, f2)
 
 
@@ -555,10 +567,9 @@ def dual_exp(a: Dual2) -> Dual2:
 
 
 def dual_log(a: Dual2, policy: str) -> Dual2:
-    bad = _report(policy, a.val <= 0.0, DomainEvalError, "log of nonpositive value")
-    with np.errstate(all="ignore"):
-        v = _poison(a.val, bad)
-        return _compose(a, np.log(v), 1.0 / v, -1.0 / v ** 2 if a.hess is not None else None)
+    bad = _report(policy, a.val <= _ZERO, DomainEvalError, "log of nonpositive value")
+    v = _poison(a.val, bad)
+    return _compose(a, np.log(v), 1.0 / v, -1.0 / v ** 2 if a.hess is not None else None)
 
 
 def dual_sin(a: Dual2) -> Dual2:
@@ -581,8 +592,7 @@ def _is_constant(d: Dual2) -> bool:
 
 def _coeff_pow(c, v, e):
     """c * v**e with the convention that a zero coefficient kills the factor."""
-    with np.errstate(all="ignore"):
-        raw = c * np.power(v, e)
+    raw = c * np.power(v, e)
     return np.where(np.asarray(c) == 0.0, 0.0, raw)
 
 
@@ -597,8 +607,8 @@ def dual_pow(a: Dual2, b: Dual2, policy: str) -> Dual2:
     m = np.asarray(b.val, dtype=float)
     v = a.val
     is_int = (m == np.floor(m)) & np.isfinite(m)
-    vzero = np.asarray(v == 0.0)
-    vneg = np.asarray(v < 0.0)
+    vzero = np.asarray(v == _ZERO)
+    vneg = np.asarray(v < _ZERO)
     bad_domain = _report(
         policy,
         (vneg & ~is_int) | (vzero & (m < 0)),
@@ -618,10 +628,9 @@ def dual_pow(a: Dual2, b: Dual2, policy: str) -> Dual2:
             bad |= bad_domain
         if bad_sing is not None:
             bad |= bad_sing
-    with np.errstate(all="ignore"):
-        f0 = _poison(np.power(v, m), bad)
-        f1 = _poison(_coeff_pow(m, v, m - 1.0), bad)
-        f2 = _poison(_coeff_pow(m * (m - 1.0), v, m - 2.0), bad) if a.hess is not None else None
+    f0 = _poison(np.power(v, m), bad)
+    f1 = _poison(_coeff_pow(m, v, m - 1.0), bad)
+    f2 = _poison(_coeff_pow(m * (m - 1.0), v, m - 2.0), bad) if a.hess is not None else None
     return _compose(a, f0, f1, f2)
 
 
@@ -631,7 +640,8 @@ def _pow_kernel(m: np.ndarray):
     Same values, checks, messages and NaN poisoning as :func:`dual_pow`
     with a constant exponent, but the checks that apply to ``m`` are
     chosen once here: a nonnegative integer exponent needs none, any other
-    keeps exactly its ``v < 0`` and ``v == 0`` tests.
+    keeps exactly its ``v < 0`` and ``v == 0`` tests, which run only when
+    some base fails ``v > 0`` (NaN and -inf included).
     """
     is_int = bool(m == np.floor(m)) and bool(np.isfinite(m))
     neg_domain = not is_int                 # negative base, non-integer exponent
@@ -645,15 +655,16 @@ def _pow_kernel(m: np.ndarray):
             return lambda v: np.zeros(np.shape(v))
         return lambda v: c * np.power(v, e)
 
-    d1 = coeff(m, m - 1.0)
-    d2 = coeff(m * (m - 1.0), m - 2.0)
+    # 0-d arrays, not numpy scalars, so no call converts them
+    d1 = coeff(m, np.asarray(m - 1.0))
+    d2 = coeff(np.asarray(m * (m - 1.0)), np.asarray(m - 2.0))
 
     def kernel(a: Dual2, policy: str) -> Dual2:
         v = a.val
         bad = None
-        if checked:
-            vzero = v == 0.0
-            domain = (v < 0.0 if neg_domain else False) | (vzero if zero_domain else False)
+        if checked and not _all_positive(v):  # a positive base passes every check
+            vzero = v == _ZERO
+            domain = (v < _ZERO if neg_domain else False) | (vzero if zero_domain else False)
             bad_domain = _report(
                 policy, domain, DomainEvalError,
                 "power: negative base with non-integer exponent, or zero base with negative exponent",
@@ -665,10 +676,12 @@ def _pow_kernel(m: np.ndarray):
                 for mask in (bad_domain, bad_sing):
                     if mask is not None:
                         bad |= mask
-        with np.errstate(all="ignore"):
-            f0 = _poison(np.power(v, m), bad)
-            f1 = _poison(d1(v), bad)
-            f2 = _poison(d2(v), bad) if a.hess is not None else None
+        f0 = np.power(v, m)
+        f1 = d1(v)
+        f2 = d2(v) if a.hess is not None else None
+        if bad is not None:
+            f0, f1 = _poison(f0, bad), _poison(f1, bad)
+            f2 = None if f2 is None else _poison(f2, bad)
         return _compose(a, f0, f1, f2)
 
     return kernel
@@ -679,7 +692,10 @@ def _pow_kernel(m: np.ndarray):
 #
 # An Ast is compiled once, on its first evaluation, into a tree of closures
 # ``fn(env) -> Dual2`` with ``env = (leaves, key, policy)``: ``leaves`` maps
-# each variable to its dual, ``key = (k, second_order, batch_ndim)``.
+# each variable to its dual, ``key = (k, second_order, batch_ndim)``.  The
+# tree runs under one ``np.errstate(all="ignore")``; the dual ops enter none
+# of their own, so an overflow is inf and 0/0 is NaN without a warning.
+# Compilation, folding included, runs under the caller's settings.
 #
 # Variable-free subtrees are folded by running the same dual ops once on
 # their 0-d values, so 4/3 stays 4 * (1/3) bit for bit.  Every seed
@@ -818,8 +834,46 @@ def _compile(node: Node, variables: dict):
 
 
 def _batch_shape(binding: Mapping) -> tuple:
-    shapes = [np.shape(v) for v in binding.values()]
+    try:
+        shapes = {v.shape for v in binding.values()}
+    except AttributeError:  # plain numbers or sequences among the values
+        shapes = {np.shape(v) for v in binding.values()}
+    if len(shapes) == 1:
+        return shapes.pop()
     return np.broadcast_shapes(*shapes) if shapes else ()
+
+
+class _Plan:
+    """What every call with one (seeds, order) needs: the names that must be
+    bound, and per batch ndim the derivative arrays of the leaves in the
+    program's ``names`` order."""
+
+    __slots__ = ("required", "seed_of", "k", "second", "leaf_arrays")
+
+    def __init__(self, ast: Ast, names: tuple, seeds: tuple, second: bool):
+        self.required = frozenset(ast.variables).union(seeds)
+        seed_index = {name: j for j, name in enumerate(seeds)}
+        self.seed_of = [seed_index.get(name) for name in names]
+        self.k = len(seeds)
+        self.second = second
+        self.leaf_arrays = {}
+
+    def leaves(self, nd: int) -> tuple:
+        """(key, [(grad, hess) per name]) for a batch of ``nd`` axes."""
+        entry = self.leaf_arrays.get(nd)
+        if entry is None:
+            key = (self.k, self.second, nd)
+            entry = self.leaf_arrays[nd] = (key, [_derivative_arrays(key, seed=j) for j in self.seed_of])
+        return entry
+
+
+def _raise_unbound(ast: Ast, binding: Mapping, seeds: tuple):
+    missing = [v for v in ast.variables if v not in binding]
+    if missing:
+        raise KeyError(f"unbound variables: {sorted(missing)}")
+    for s in seeds:
+        if s not in binding:
+            raise KeyError(f"seed {s!r} is not bound")
 
 
 def eval_jet2(
@@ -835,42 +889,41 @@ def eval_jet2(
     an array (common batch shape); ``seeds`` is an ordered subset of the
     bound variables.  The result's ``grad[j]`` / ``hess[j, k]`` are the
     first/second partials with respect to ``seeds[j]`` / ``seeds[k]``.
-    The expression is compiled on its first evaluation and the compiled
-    program is kept on ``ast``.
+    The expression is compiled on its first evaluation; the compiled
+    program and one call plan per (seeds, order) are kept on ``ast``.
+    The program runs with numpy's floating-point warnings off: an overflow
+    gives inf and a 0/0 gives NaN, which callers' finiteness checks name.
     """
-    seeds = list(seeds)
-    missing = [v for v in ast.variables if v not in binding]
-    if missing:
-        raise KeyError(f"unbound variables: {sorted(missing)}")
-    for s in seeds:
-        if s not in binding:
-            raise KeyError(f"seed {s!r} is not bound")
-    k = len(seeds)
-    seed_index = {name: j for j, name in enumerate(seeds)}
+    seeds = tuple(seeds)
+    second = order >= 2
+    if ast.program is None:
+        variables = {}
+        fn, _ = _compile(ast.root, variables)
+        run = np.errstate(all="ignore")(fn)  # folding above ran under the caller's settings
+        object.__setattr__(ast, "program", (run, tuple(sorted(variables)), {}))
+    run, names, plans = ast.program
+    plan = plans.get((seeds, second))
+    if plan is None:
+        plan = plans[(seeds, second)] = _Plan(ast, names, seeds, second)
+    if not binding.keys() >= plan.required:
+        _raise_unbound(ast, binding, seeds)
     policy = on_singularity
     if policy not in ("raise", "nan"):
         raise ValueError(f"on_singularity must be 'raise' or 'nan', got {policy!r}")
     S = _batch_shape(binding)
-    if ast.program is None:
-        variables = {}
-        fn, _ = _compile(ast.root, variables)
-        object.__setattr__(ast, "program", (fn, tuple(sorted(variables))))
-    run, names = ast.program
-    key = (k, order >= 2, len(S))
-    leaves = {
-        name: Dual2(np.asarray(binding[name], dtype=float),
-                    *_derivative_arrays(key, seed=seed_index.get(name)))
-        for name in names
-    }
+    key, arrays = plan.leaves(len(S))
+    leaves = {name: Dual2(np.asarray(binding[name], dtype=float), grad, hess)
+              for name, (grad, hess) in zip(names, arrays)}
     out = run((leaves, key, policy))
-    hess = _expand(out.hess, (k, k) + S) if order >= 2 else None
+    k = plan.k
+    hess = _expand(out.hess, (k, k) + S) if second else None
     return Dual2(_expand(out.val, S), _expand(out.grad, (k,) + S), hess)
 
 
 def _expand(arr, shape: tuple) -> np.ndarray:
     """A fresh float array of full ``shape`` (results never alias program or binding arrays)."""
-    arr = np.asarray(arr, dtype=float)
-    return np.array(arr if arr.shape == shape else np.broadcast_to(arr, shape))
+    out = np.array(arr, dtype=float)
+    return out if out.shape == shape else np.array(np.broadcast_to(out, shape))
 
 
 def eval_value(ast: Ast, binding: Mapping, on_singularity: str = "raise") -> np.ndarray:

@@ -338,6 +338,10 @@ class ClosedFormMap:
             if bad:
                 raise ValueError(f"map expressions may only use x-variables, found {bad}")
         self.components = components
+        self._seeds = tuple(f"x{i}" for i in range(1, self.n + 1))
+        # the trailing ... makes a single point's coordinates 0-d arrays, which the
+        # evaluator takes as they are, where numpy scalars would be converted
+        self._slots = tuple((name, (i, ...)) for i, name in enumerate(self._seeds))
 
     @classmethod
     def from_expressions(cls, exprs: Sequence[str], n: int) -> "ClosedFormMap":
@@ -347,14 +351,13 @@ class ClosedFormMap:
         x = np.asarray(x, dtype=float)
         if x.shape[0] != self.n:
             raise ValueError(f"point has dimension {x.shape[0]}, map expects {self.n}")
-        seeds = [f"x{i}" for i in range(1, self.n + 1)]
-        binding = {seeds[i]: x[i] for i in range(self.n)}
+        binding = {name: x[index] for name, index in self._slots}
         S = x.shape[1:]
         value = np.empty((self.N,) + S)
         gradient = np.empty((self.N, self.n) + S)
         hessian = np.empty((self.N, self.n, self.n) + S) if order >= 2 else None
         for a, ast in enumerate(self.components):
-            d = eval_jet2(ast, binding, seeds, order=order, on_singularity=on_singularity)
+            d = eval_jet2(ast, binding, self._seeds, order=order, on_singularity=on_singularity)
             value[a] = d.val
             gradient[a] = d.grad
             if order >= 2:
@@ -533,7 +536,14 @@ class Hamiltonian:
         else:
             self.depends_on_eta = False
             self.depends_on_x = False
-        self._seeds = None
+        # (name, argument of _binding, index into it), in seed order; the
+        # trailing ... makes a single point's entries 0-d arrays (see ClosedFormMap)
+        self._slots = tuple(
+            [(f"x{i + 1}", 0, (i, ...)) for i in range(n)]
+            + [(f"eta{a + 1}", 1, (a, ...)) for a in range(N)]
+            + [(f"P{a + 1}{i + 1}", 2, (a, i, ...)) for a in range(N) for i in range(n)]
+        )
+        self._seeds = tuple(name for name, _, _ in self._slots)
 
     @classmethod
     def dirichlet(cls, n: int, N: int) -> "Hamiltonian":
@@ -544,23 +554,11 @@ class Hamiltonian:
         return cls(n, N, expr=parse(src, (n, N)))
 
     def _binding(self, x, eta, P):
-        b = {}
-        for i in range(self.n):
-            b[f"x{i+1}"] = x[i]
-        for a in range(self.N):
-            b[f"eta{a+1}"] = eta[a]
-        for a in range(self.N):
-            for i in range(self.n):
-                b[f"P{a+1}{i+1}"] = P[a, i]
-        return b
+        args = (x, eta, P)
+        return {name: args[k][index] for name, k, index in self._slots}
 
-    def seeds(self):
-        if self._seeds is None:
-            self._seeds = (
-                [f"x{i}" for i in range(1, self.n + 1)]
-                + [f"eta{a}" for a in range(1, self.N + 1)]
-                + [f"P{a}{i}" for a in range(1, self.N + 1) for i in range(1, self.n + 1)]
-            )
+    def seeds(self) -> tuple:
+        """The seed names x1..xn, eta1..etaN, P11..PNn, in the order of the jets' seed axes."""
         return self._seeds
 
 
@@ -591,7 +589,7 @@ def hamiltonian_jet(H: Hamiltonian, x, eta, P, order: int = 1) -> HamiltonianJet
             P_hess=two_delta + np.zeros(S) if order >= 2 else None,
             eta_hess=np.zeros((N, n + N + N * n) + S) if order >= 2 else None,
         )
-    d = eval_jet2(H.expr, H._binding(x, eta, P), H.seeds(), order=order)
+    d = eval_jet2(H.expr, H._binding(x, eta, P), H._seeds, order=order)
     return HamiltonianJet(
         value=d.val,
         x_grad=d.grad[:n],
@@ -707,12 +705,17 @@ def load_problem(source: Union[str, Path, dict]) -> Problem:
         if len(uspec) != N:
             raise ValueError(f"u must have {N} components, got {len(uspec)}")
         u = ClosedFormMap.from_expressions(uspec, n)
-    for k, item in enumerate(data.get("singular") or []):
+    singular_spec = data.get("singular") or []
+    if not isinstance(singular_spec, list):
+        raise TypeError(f"problem file field 'singular' must be a list, got {singular_spec!r}")
+    for k, item in enumerate(singular_spec):
+        if not is_object(item):
+            raise TypeError(f"problem file field 'singular[{k}]' must be an object, got {item!r}")
         field_of(item, "axis", f"singular[{k}].axis",
                  lambda v: list_of([v]) and float(v).is_integer() and 0 <= v < n,
                  f"an axis index in 0..{n - 1}")
         field_of(item, "value", f"singular[{k}].value", lambda v: list_of([v]), "a number")
-    singular = _singular_mask_from_spec(box, data.get("singular"))
+    singular = _singular_mask_from_spec(box, singular_spec)
     singular |= prescan_singularities(u, box)
     if data.get("subdomain") is None:
         subdomain = Subdomain.whole(box, singular)

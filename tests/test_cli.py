@@ -100,6 +100,8 @@ class TestExitCodes:
         ("subdomain.lo", {"n": 2, "domain": {"lo": [0.0, 0.0], "hi": [1.0, 1.0], "resolution": [9, 9]},
                           "subdomain": {"lo": [0.25], "hi": [0.75, 0.75]}}),
         ("singular[0].axis", {"singular": [{"axis": 5, "value": 0.0}]}),
+        ("singular[0]", {"singular": [5]}),
+        ("singular", {"singular": 5}),
     ])
     def test_mistyped_field_is_named(self, problems, tmp_path, path, bad):
         _, tmp = problems
@@ -108,7 +110,6 @@ class TestExitCodes:
         assert run(["energy", "--problem", str(tmp_path / "typo.json"), "--out", str(out)]) == 2
         assert f"'{path}'" in _report(out, "energy")["error"]["message"]
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
     def test_non_finite_density_is_named_by_argmax_and_danskin(self, problems, tmp_path):
         _, tmp = problems
         spec = {"n": 1, "N": 1, "domain": {"lo": [0.0], "hi": [1.0], "resolution": [9]},

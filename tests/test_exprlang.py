@@ -376,9 +376,59 @@ def test_unfoldable_constant_still_raises_or_poisons():
 @pytest.mark.parametrize("func", [False, True])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_constant_exponent_kernels_match_reference(exponent, func):
-    """Each class of folded exponent, at negative, zero and positive bases, scalar and batched."""
+    """Each class of folded exponent, at negative, zero, positive, NaN and infinite bases,
+    scalar and batched."""
     src = f"pow(x1, {exponent})" if func else f"x1^({exponent})"
     ast = parse(src, (1, 1))
-    for x in (-2.0, -0.0, 0.0, 0.5, 3.0):
+    bases = (-2.0, -0.0, 0.0, 0.5, 3.0, np.nan, np.inf, -np.inf)
+    for x in bases:
         _assert_matches_reference(ast, {"x1": x}, ["x1"])
-    _assert_matches_reference(ast, {"x1": np.array([-2.0, -0.0, 0.0, 0.5, 3.0])}, ["x1"])
+    _assert_matches_reference(ast, {"x1": np.array(bases)}, ["x1"])
+
+
+@pytest.mark.parametrize("src", ["abs(x1)^(4/3) * x2 - log(x2) + P11^2 / x1", "x2", "4/3"])
+def test_call_plans_serve_interleaved_calls(src):
+    """One Ast evaluated across seed lists, orders, batch ranks and policies in shuffled
+    order matches a freshly parsed Ast bit for bit, and its results are its own: a bare
+    variable or a folded constant must not hand out a binding's or the program's arrays."""
+    shared = parse(src, (2, 1))
+    rng = np.random.default_rng(11)
+    pools = {"x1": [0.0, -1.5, 2.0, 0.75], "x2": [0.5, 1.25, 3.0, -1.0], "P11": [-1.0, 0.0, 2.5]}
+
+    def binding(shape):
+        if not shape:
+            return {name: np.float64(rng.choice(pool)) for name, pool in pools.items()}
+        return {name: rng.choice(pool, size=shape) for name, pool in pools.items()}
+
+    seed_lists = [(), ("x1",), ("x2", "x1"), ("x1", "x2", "P11"), ("P11",)]
+    combos = [(seeds, order, shape, policy) for seeds in seed_lists for order in (1, 2)
+              for shape in ((), (3,), (2, 3)) for policy in ("raise", "nan")]
+    for round_ in range(2):
+        for i in rng.permutation(len(combos)):
+            seeds, order, shape, policy = combos[i]
+            b = binding(shape)
+            got, got_exc = _outcome(lambda: eval_jet2(shared, b, seeds, order, policy))
+            ref, ref_exc = _outcome(lambda: eval_jet2(parse(src, (2, 1)), b, seeds, order, policy))
+            assert got_exc == ref_exc, combos[i]
+            if ref is None:
+                continue
+            for name in ("val", "grad", "hess"):
+                assert _same_bits(getattr(got, name), getattr(ref, name)), (combos[i], name)
+                if getattr(got, name) is not None:
+                    getattr(got, name)[...] = 7.0  # the next call must not see this
+            again = eval_jet2(shared, b, seeds, order, policy)
+            for name in ("val", "grad", "hess"):
+                assert _same_bits(getattr(again, name), getattr(ref, name)), (combos[i], name)
+
+    full = {"x1": 1.0, "x2": 2.0, "P11": 3.0}
+    for seeds in (("x1", "x2"), ("x1", "eta1")):
+        for b in ({"x1": 1.0, "P11": 3.0}, full):
+            for _ in range(2):  # the second call runs on the cached plan
+                got, got_exc = _outcome(lambda: eval_jet2(shared, b, seeds))
+                _, ref_exc = _outcome(lambda: eval_jet2(parse(src, (2, 1)), b, seeds))
+                assert got_exc == ref_exc
+    if "x2" in shared.variables:
+        with pytest.raises(KeyError, match=r"unbound variables: \['x2'\]"):
+            eval_jet2(shared, {"x1": 1.0, "P11": 3.0}, ("x1",))
+    with pytest.raises(KeyError, match="seed 'eta1' is not bound"):
+        eval_jet2(shared, full, ("x1", "eta1"))
