@@ -504,11 +504,6 @@ def _report(policy: str, bad, exc, message: str):
     return np.asarray(bad)
 
 
-def _all_positive(v) -> bool:
-    positive = v > _ZERO
-    return bool(positive.all() if positive.ndim else positive)
-
-
 def _poison(arr: np.ndarray, bad) -> np.ndarray:
     if bad is None:
         return arr
@@ -540,7 +535,9 @@ def dual_div(a: Dual2, b: Dual2, policy: str) -> Dual2:
 
 def dual_abs(a: Dual2, policy: str) -> Dual2:
     bad = _report(policy, a.val == _ZERO, SingularityError, "abs evaluated at its kink (0)")
-    s = _poison(np.sign(a.val), bad)
+    s = np.sign(a.val)
+    if bad is not None:
+        s = _poison(s, bad)
     return _compose(a, np.abs(a.val), s, 0.0)
 
 
@@ -648,37 +645,42 @@ def _pow_kernel(m: np.ndarray):
     zero_domain = bool(m < 0)               # zero base, negative exponent
     zero_sing = not is_int and bool(m > 0)  # branch point of a fractional power
     checked = neg_domain or zero_domain
+    # f1 = c1 v^e1 and f2 = c2 v^e2, a zero coefficient killing the factor as
+    # in _coeff_pow; 0-d arrays, not numpy scalars, so no call converts them
+    c1, e1 = m, np.asarray(m - 1.0)
+    c2, e2 = np.asarray(m * (m - 1.0)), np.asarray(m - 2.0)
+    zero1, zero2 = bool(c1 == 0.0), bool(c2 == 0.0)
 
-    def coeff(c, e):
-        # c * v**e with a zero coefficient killing the factor, as in _coeff_pow
-        if c == 0.0:
-            return lambda v: np.zeros(np.shape(v))
-        return lambda v: c * np.power(v, e)
-
-    # 0-d arrays, not numpy scalars, so no call converts them
-    d1 = coeff(m, np.asarray(m - 1.0))
-    d2 = coeff(np.asarray(m * (m - 1.0)), np.asarray(m - 2.0))
+    def poison_mask(v, policy: str):
+        """The detailed checks: raise, or return the entries to poison (None if none)."""
+        vzero = v == _ZERO
+        domain = (v < _ZERO if neg_domain else False) | (vzero if zero_domain else False)
+        bad_domain = _report(
+            policy, domain, DomainEvalError,
+            "power: negative base with non-integer exponent, or zero base with negative exponent",
+        )
+        bad_sing = _report(policy, vzero if zero_sing else False, SingularityError,
+                           "fractional power at branch point 0")
+        if bad_domain is None and bad_sing is None:
+            return None
+        bad = np.zeros(np.shape(v), dtype=bool)
+        for mask in (bad_domain, bad_sing):
+            if mask is not None:
+                bad |= mask
+        return bad
 
     def kernel(a: Dual2, policy: str) -> Dual2:
         v = a.val
         bad = None
-        if checked and not _all_positive(v):  # a positive base passes every check
-            vzero = v == _ZERO
-            domain = (v < _ZERO if neg_domain else False) | (vzero if zero_domain else False)
-            bad_domain = _report(
-                policy, domain, DomainEvalError,
-                "power: negative base with non-integer exponent, or zero base with negative exponent",
-            )
-            bad_sing = _report(policy, vzero if zero_sing else False, SingularityError,
-                               "fractional power at branch point 0")
-            if bad_domain is not None or bad_sing is not None:
-                bad = np.zeros(np.shape(v), dtype=bool)
-                for mask in (bad_domain, bad_sing):
-                    if mask is not None:
-                        bad |= mask
+        if checked:
+            positive = v > _ZERO  # a positive base passes every check
+            if not (positive.all() if positive.ndim else positive):
+                bad = poison_mask(v, policy)
         f0 = np.power(v, m)
-        f1 = d1(v)
-        f2 = d2(v) if a.hess is not None else None
+        f1 = np.zeros(np.shape(v)) if zero1 else c1 * np.power(v, e1)
+        f2 = None
+        if a.hess is not None:
+            f2 = np.zeros(np.shape(v)) if zero2 else c2 * np.power(v, e2)
         if bad is not None:
             f0, f1 = _poison(f0, bad), _poison(f1, bad)
             f2 = None if f2 is None else _poison(f2, bad)
