@@ -1,9 +1,10 @@
 """Batch front door: load a problem file, dispatch to the library, emit reports.
 
 Every subcommand writes ``<out>/<command>_report.json`` with a stable
-schema (``schema_version`` 1): command, problem digest, parameters,
-results payload, pass flag and wall time.  Identical inputs and seeds
-produce identical results payloads; wall time is the only varying field.
+schema (``schema_version`` 1): command, problem digest, parameters (the
+options the subcommand takes, as parsed), results payload, pass flag and
+wall time.  Identical inputs and seeds produce identical results
+payloads; wall time is the only varying field.
 
 Exit codes: 0 computed and all verdicts pass, 1 computed with verdict
 failures (witness in the report), 2 input/parse error or any other
@@ -35,65 +36,70 @@ __all__ = ["main", "run"]
 
 SCHEMA_VERSION = 1
 
-COMMANDS = (
-    "parse-check", "energy", "argmax", "danskin", "residual", "flow", "maxmin",
-    "verify-absolute", "verify-rank-one", "verify-normal", "stationarity",
-    "measure", "lp",
+_DELTA = ("--delta", {"type": float, "help": "argmax admission tolerance"})
+_TOL = ("--tol", {"type": float, "help": "verdict tolerance"})
+_VERIFY = (
+    ("--seed", {"type": int, "default": 0}),
+    _TOL,
+    ("--trials", {"type": int, "default": 20}),
+    ("--amplitude", {"type": float, "default": 1.0}),
 )
+_BASIS_SIZE = ("--basis-size", {"type": int, "default": 50})
 
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    return obj
+# The options that _dispatch reads for each subcommand, besides --problem and --out.
+_OPTIONS = {
+    "parse-check": (),
+    "energy": (),
+    "argmax": (_DELTA,),
+    "danskin": (("--phi", {"required": True, "help": "variation expression(s), ; separated"}), _DELTA),
+    "residual": (
+        _TOL,
+        ("--points", {"default": "grid", "help": '"grid" or explicit points "x1,x2;y1,y2;..."'}),
+        ("--variant", {"choices": ("full", "reduced"), "default": "reduced"}),
+    ),
+    "flow": (
+        ("--x0", {"required": True, "help": "start point, comma separated"}),
+        ("--xi", {"required": True, "help": "direction in R^N, comma separated"}),
+        ("--dt", {"type": float}),
+        ("--tmax", {"type": float}),
+    ),
+    "maxmin": (),
+    "verify-absolute": _VERIFY,
+    "verify-rank-one": _VERIFY + (
+        ("--directions", {"help": 'directions "1,0;0,1" (default: coordinate axes)'}),
+    ),
+    "verify-normal": _VERIFY,
+    "stationarity": (
+        _DELTA, _TOL, ("--psi", {"help": "test field expression(s), ; separated"}), _BASIS_SIZE,
+    ),
+    "measure": (
+        _DELTA, _TOL,
+        ("--measure", {"default": "uniform", "help": '"uniform" or "dirac:i,j,..." (node multi-index)'}),
+        _BASIS_SIZE,
+    ),
+    "lp": (
+        ("--p-schedule", {"default": "2,4,8,16,32"}),
+        ("--max-iter", {"type": int, "default": 5000}),
+        ("--tol-opt", {"type": float, "default": 1e-9}),
+    ),
+}
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process."""
+    """The command-line parser, built once per process.
+
+    Options must be spelled in full: an abbreviation could name another
+    subcommand's option, so it is refused like any unknown option.
+    """
     parser = argparse.ArgumentParser(prog="linfvar", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
+    for name, options in _OPTIONS.items():
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--problem", required=True, help="problem file (JSON)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--delta", type=float, default=None, help="argmax admission tolerance")
-        p.add_argument("--tol", type=float, default=None, help="verdict tolerance")
         p.add_argument("--out", default=".", help="output directory for reports/artifacts")
-        p.add_argument("--points", default="grid",
-                       help='"grid" or explicit points "x1,x2;y1,y2;..."')
-        if name == "danskin":
-            p.add_argument("--phi", required=True, help="variation expression(s), ; separated")
-        if name == "stationarity":
-            p.add_argument("--psi", default=None, help="test field expression(s), ; separated")
-            p.add_argument("--basis-size", type=int, default=50)
-        if name == "measure":
-            p.add_argument("--measure", default="uniform",
-                           help='"uniform" or "dirac:i,j,..." (node multi-index)')
-            p.add_argument("--basis-size", type=int, default=50)
-        if name == "residual":
-            p.add_argument("--variant", choices=("full", "reduced"), default="reduced")
-        if name == "flow":
-            p.add_argument("--x0", required=True, help="start point, comma separated")
-            p.add_argument("--xi", required=True, help="direction in R^N, comma separated")
-            p.add_argument("--dt", type=float, default=None)
-            p.add_argument("--tmax", type=float, default=None)
-        if name in ("verify-absolute", "verify-rank-one", "verify-normal"):
-            p.add_argument("--trials", type=int, default=20)
-            p.add_argument("--amplitude", type=float, default=1.0)
-        if name == "verify-rank-one":
-            p.add_argument("--directions", default=None,
-                           help='directions "1,0;0,1" (default: coordinate axes)')
-        if name == "lp":
-            p.add_argument("--p-schedule", default="2,4,8,16,32")
-            p.add_argument("--max-iter", type=int, default=5000)
-            p.add_argument("--tol-opt", type=float, default=1e-9)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
     return parser
 
 
@@ -248,7 +254,7 @@ def _dispatch(args, prob: Problem, out_dir: Path):
             "tolerance": tol,
         }, passed
     if cmd == "lp":
-        schedule = [float(p) for p in getattr(args, "p_schedule").split(",")]
+        schedule = [float(p) for p in args.p_schedule.split(",")]
         settings = lp_approx.OptimizerSettings(max_iter=args.max_iter, tol_opt=args.tol_opt)
         g = lp_approx.boundary_values_from_map(u, O)
         lp_prob = lp_approx.LpProblem(H=H, O=O, boundary_values=g,
@@ -279,39 +285,33 @@ def run(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return 2 if exc.code not in (0,) else 0
+        return 0 if exc.code == 0 else 2
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.monotonic()
-    parameters = {
-        k: v for k, v in sorted(vars(args).items())
-        if k not in ("command",) and v is not None
-    }
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
-        "parameters": _jsonable(parameters),
+        "parameters": {k: v for k, v in vars(args).items() if k != "command" and v is not None},
     }
+    error = None
     try:
         raw = json.loads(Path(args.problem).read_text())
         report["problem_digest"] = problem_digest(raw)
         prob = load_problem(Path(args.problem))  # path form keeps relative CSV paths anchored
-        results, passed = _dispatch(args, prob, out_dir)
+        report["results"], passed = _dispatch(args, prob, out_dir)
     except Exception as exc:  # anything before a verdict is an input error: exit 2 with a report
+        error, passed = exc, False
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, ParseError):
             report["error"]["offset"] = exc.offset
-        report["pass"] = False
-        report["wall_time_s"] = time.monotonic() - started
-        path = out_dir / f"{args.command}_report.json"
-        path.write_text(json.dumps(report, sort_keys=True, indent=1))
-        print(f"linfvar {args.command}: error: {exc}", file=sys.stderr)
-        return 2
-    report["results"] = _jsonable(results)
     report["pass"] = bool(passed)
     report["wall_time_s"] = time.monotonic() - started
     path = out_dir / f"{args.command}_report.json"
-    path.write_text(json.dumps(report, sort_keys=True, indent=1))  # every entry is plain already
+    path.write_text(json.dumps(report, sort_keys=True, indent=1))  # _dispatch builds plain values
+    if error is not None:
+        print(f"linfvar {args.command}: error: {error}", file=sys.stderr)
+        return 2
     print(f"linfvar {args.command}: {'pass' if passed else 'FAIL'} ({path})")
     return 0 if passed else 1
 

@@ -48,7 +48,6 @@ __all__ = [
     "parse",
     "rename_variables",
     "to_source",
-    "variable_names",
 ]
 
 
@@ -133,15 +132,6 @@ class Ast:
 
     def depends_on(self, prefix: str) -> bool:
         return any(v.startswith(prefix) for v in self.variables)
-
-
-def variable_names(n: int, N: int) -> list:
-    """All legal variable names for the given dimensions, in canonical order."""
-    names = [f"x{i}" for i in range(1, n + 1)]
-    names += [f"eta{a}" for a in range(1, N + 1)]
-    names += [f"u{a}" for a in range(1, N + 1)]
-    names += [f"P{a}{i}" for a in range(1, N + 1) for i in range(1, n + 1)]
-    return names
 
 
 def _check_variable(name: str, n: int, N: int, offset: int) -> None:
@@ -401,34 +391,6 @@ class Dual2:
     grad: np.ndarray
     hess: "np.ndarray | None"
 
-    def __add__(self, other):
-        return dual_add(self, _coerce(other, self))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return dual_sub(self, _coerce(other, self))
-
-    def __rsub__(self, other):
-        return dual_sub(_coerce(other, self), self)
-
-    def __mul__(self, other):
-        return dual_mul(self, _coerce(other, self))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return dual_div(self, _coerce(other, self), "raise")
-
-    def __rtruediv__(self, other):
-        return dual_div(_coerce(other, self), self, "raise")
-
-    def __pow__(self, other):
-        return dual_pow(self, _coerce(other, self), "raise")
-
-    def __neg__(self):
-        return dual_neg(self)
-
 
 def dual_constant(value, nseeds: int, order: int = 2, batch_ndim: int = 0) -> Dual2:
     # trailing size-1 axes keep seed axes from colliding with batch axes
@@ -443,17 +405,6 @@ def dual_seed(value, index: int, nseeds: int, order: int = 2, batch_ndim: int = 
     d = dual_constant(value, nseeds, order, batch_ndim)
     d.grad[(index,) + (0,) * (d.grad.ndim - 1)] = 1.0
     return d
-
-
-def _coerce(other, like: Dual2) -> Dual2:
-    if isinstance(other, Dual2):
-        return other
-    return dual_constant(
-        other,
-        like.grad.shape[0],
-        1 if like.hess is None else 2,
-        batch_ndim=like.grad.ndim - 1,
-    )
 
 
 def _outer(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
@@ -697,14 +648,14 @@ def _pow_kernel(m: np.ndarray):
 # each variable to its dual, ``key = (k, second_order, batch_ndim)``.  The
 # tree runs under one ``np.errstate(all="ignore")``; the dual ops enter none
 # of their own, so an overflow is inf and 0/0 is NaN without a warning.
-# Compilation, folding included, runs under the caller's settings.
 #
 # Variable-free subtrees are folded by running the same dual ops once on
-# their 0-d values, so 4/3 stays 4 * (1/3) bit for bit.  Every seed
-# direction of a variable-free subtree goes through the same scalar
-# arithmetic, so its gradient and Hessian are each filled with one value:
-# +0 for a literal, -0 after a negation, NaN after inf * 0.  A folded
-# constant keeps its value and these two fills.  Only subtrees whose
+# their 0-d values, under the same ``errstate``, so 4/3 stays 4 * (1/3) bit
+# for bit and whether a subtree folds never depends on the caller's warning
+# filter.  Every seed direction of a variable-free subtree goes through the
+# same scalar arithmetic, so its gradient and Hessian are each filled with
+# one value: +0 for a literal, -0 after a negation, NaN after inf * 0.  A
+# folded constant keeps its value and these two fills.  Only subtrees whose
 # operands have zero fills are folded, and a fold that raises leaves the
 # subtree to be evaluated (and to raise or poison) on every call.
 
@@ -774,8 +725,9 @@ def _fold(op, uses_policy: bool, consts: list):
     """(val, g, h) of op applied to folded operands, or None when it raises."""
     duals = [Dual2(val, *_derivative_arrays(_FOLD_KEY, struct.pack("<2d", g, h))) for val, g, h in consts]
     try:
-        d = op(*duals, "raise") if uses_policy else op(*duals)
-    except (ArithmeticError, RuntimeWarning):  # EvalError, or numpy errors set to raise
+        with np.errstate(all="ignore"):
+            d = op(*duals, "raise") if uses_policy else op(*duals)
+    except EvalError:
         return None
     return d.val, float(d.grad.flat[0]), float(d.hess.flat[0])
 
@@ -901,7 +853,7 @@ def eval_jet2(
     if ast.program is None:
         variables = {}
         fn, _ = _compile(ast.root, variables)
-        run = np.errstate(all="ignore")(fn)  # folding above ran under the caller's settings
+        run = np.errstate(all="ignore")(fn)
         object.__setattr__(ast, "program", (run, tuple(sorted(variables)), {}))
     run, names, plans = ast.program
     plan = plans.get((seeds, second))

@@ -19,12 +19,12 @@ from typing import Optional
 
 import numpy as np
 
+from .energy import _density
 from .problem import (
     GridMap,
     Hamiltonian,
     Subdomain,
     hamiltonian_jet,
-    hamiltonian_value,
     jets_at_nodes,
     map_jet,
 )
@@ -77,13 +77,17 @@ def _rk4_step(field, y, dt, k1):
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def default_time_step(u, H: Hamiltonian, O: Subdomain, xi: np.ndarray) -> float:
-    """h / (4 * max field speed over the subdomain nodes)."""
+def _node_speeds(u, H: Hamiltonian, O: Subdomain, xi: np.ndarray):
+    """(|xi^T H_P| per evaluable node, the node jets of u)."""
     nodes = O.evaluable_nodes()
     jets = jets_at_nodes(u, O.box, nodes, order=1)
     hp = hamiltonian_jet(H, jets.x, jets.value, jets.gradient).P_grad
-    speeds = np.linalg.norm(np.einsum("a,ai...->i...", xi, hp), axis=0)
-    vmax = float(np.max(speeds))
+    return np.linalg.norm(np.einsum("a,ai...->i...", xi, hp), axis=0), jets
+
+
+def default_time_step(u, H: Hamiltonian, O: Subdomain, xi: np.ndarray) -> float:
+    """h / (4 * max field speed over the subdomain nodes)."""
+    vmax = float(np.max(_node_speeds(u, H, O, xi)[0]))
     h = float(np.min(O.box.spacing))
     if vmax == 0.0:
         return h
@@ -173,11 +177,7 @@ def integrate_flow(
 
 def exit_time_bound(u, H: Hamiltonian, O: Subdomain, xi, c0: float) -> dict:
     """The bound ||Du||_inf diam(O) / (c0 c1^2) with c1 estimated over the nodes."""
-    xi = np.asarray(xi, dtype=float)
-    nodes = O.evaluable_nodes()
-    jets = jets_at_nodes(u, O.box, nodes, order=1)
-    hp = hamiltonian_jet(H, jets.x, jets.value, jets.gradient).P_grad
-    speeds = np.linalg.norm(np.einsum("a,ai...->i...", xi, hp), axis=0)
+    speeds, jets = _node_speeds(u, H, O, np.asarray(xi, dtype=float))
     c1 = float(np.min(speeds))
     du_inf = float(np.max(np.linalg.norm(jets.gradient, axis=(0, 1))))
     if O.region[0] == "ball":
@@ -250,26 +250,21 @@ def verify_maxmin(u, H: Hamiltonian, O: Subdomain) -> MaxMinReport:
 
     On a grid only an O(h) statement is decidable: the verdict compares
     interior and boundary extremes up to tol = L * h with L the discrete
-    Lipschitz constant of the density field over grid edges.
+    Lipschitz constant of the density field over grid edges.  A density
+    that is not finite at an evaluable node is a ValueError naming the node.
     """
-    interior = O.interior_nodes()
-    boundary = O.boundary_nodes()
-    if boundary.shape[0] == 0:
+    nodes = O.evaluable_nodes()
+    at = tuple(nodes.T)
+    boundary = O.boundary_mask[at]
+    if not boundary.any():
         raise ValueError("subdomain has no boundary nodes")
-    if interior.shape[0] == 0:
+    if boundary.all():
         raise ValueError("subdomain has no interior nodes")
-
-    def values(nodes):
-        jets = jets_at_nodes(u, O.box, nodes, order=1)
-        return np.asarray(hamiltonian_value(H, jets.x, jets.value, jets.gradient), dtype=float)
-
-    vi = values(interior)
-    vb = values(boundary)
+    va = _density(H, jets_at_nodes(u, O.box, nodes, order=1), nodes)
+    vi, vb = va[~boundary], va[boundary]
     # discrete Lipschitz estimate over axis-adjacent evaluable node pairs
-    all_nodes = O.evaluable_nodes()
-    va = values(all_nodes)
     field = np.full(O.box.shape, np.nan)
-    field[tuple(all_nodes.T)] = va
+    field[at] = va
     L = 0.0
     for axis in range(O.box.dim):
         h = O.box.spacing[axis]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -612,7 +612,6 @@ class Problem:
     H: Hamiltonian
     u: MapField
     subdomain: Subdomain
-    raw: dict = field(default_factory=dict, repr=False)
 
 
 def _singular_mask_from_spec(box: DomainBox, spec) -> np.ndarray:
@@ -723,7 +722,7 @@ def load_problem(source: Union[str, Path, dict]) -> Problem:
         sub = field_of(data, "subdomain", "subdomain", is_object, "an object")
         lo, hi = (field_of(sub, key, f"subdomain.{key}", point, per_axis) for key in ("lo", "hi"))
         subdomain = Subdomain.from_box(box, lo, hi, singular)
-    return Problem(n=n, N=N, box=box, H=H, u=u, subdomain=subdomain, raw=data)
+    return Problem(n=n, N=N, box=box, H=H, u=u, subdomain=subdomain)
 
 
 def problem_digest(data: dict) -> str:

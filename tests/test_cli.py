@@ -1,7 +1,9 @@
+import argparse
 import json
 
 import pytest
 
+from linfvar import cli
 from linfvar.cli import run
 
 ARONSSON = {
@@ -115,7 +117,7 @@ class TestExitCodes:
         spec = {"n": 1, "N": 1, "domain": {"lo": [0.0], "hi": [1.0], "resolution": [9]},
                 "H": "exp(1000 * P11 * x1)", "u": ["x1"]}  # H = inf from node (6,) on
         (tmp_path / "overflow.json").write_text(json.dumps(spec))
-        for command, extra in (("argmax", []), ("danskin", ["--phi", "x1"])):
+        for command, extra in (("argmax", []), ("danskin", ["--phi", "x1"]), ("maxmin", [])):
             out = tmp / f"overflow_{command}"
             argv = [command, "--problem", str(tmp_path / "overflow.json"), "--out", str(out)]
             assert run(argv + extra) == 2
@@ -220,6 +222,114 @@ class TestExitCodes:
                     "--tol", "1e-10", "--out", str(tmp / "m0")]) == 0
         assert run(["measure", "--problem", paths["linear1d"], "--measure", "dirac:64",
                     "--basis-size", "10", "--tol", "1e-10", "--out", str(tmp / "m1")]) == 1
+
+
+# (subcommand, option) pairs that the parser once registered for every subcommand
+# but that these subcommands never read; each must now be refused.
+REMOVED_OPTIONS = [
+    *((cmd, "--seed") for cmd in ("parse-check", "energy", "argmax", "danskin", "residual", "flow",
+                                  "maxmin", "stationarity", "measure", "lp")),
+    *((cmd, "--delta") for cmd in ("parse-check", "energy", "residual", "flow", "maxmin",
+                                   "verify-absolute", "verify-rank-one", "verify-normal", "lp")),
+    *((cmd, "--tol") for cmd in ("parse-check", "energy", "argmax", "danskin", "flow", "maxmin", "lp")),
+    *((cmd, "--points") for cmd in ("parse-check", "energy", "argmax", "danskin", "flow", "maxmin",
+                                    "verify-absolute", "verify-rank-one", "verify-normal",
+                                    "stationarity", "measure", "lp")),
+]
+REQUIRED = {"danskin": ["--phi", "x1"], "flow": ["--x0", "0.2", "--xi", "1"]}
+OPTION_VALUE = {"--seed": "3", "--delta": "0.1", "--tol": "1e-3", "--points": "0.5"}
+
+
+class TestOptions:
+    def test_parser_offers_sixty_pairs(self):
+        (sub,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        pairs = {(name, flag) for name, p in sub.choices.items()
+                 for action in p._actions for flag in action.option_strings if flag not in ("-h", "--help")}
+        assert len(pairs) == 60
+        assert len(set(REMOVED_OPTIONS)) == 38 and not pairs & set(REMOVED_OPTIONS)
+
+    @pytest.mark.parametrize("command, flag", REMOVED_OPTIONS)
+    def test_an_option_the_subcommand_does_not_read_is_exit_2(self, problems, capsys, command, flag):
+        paths, tmp = problems
+        out = tmp / "refused"
+        argv = [command, "--problem", paths["linear1d"], *REQUIRED.get(command, []),
+                flag, OPTION_VALUE[flag], "--out", str(out)]
+        assert run(argv) == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["lp", "--tol", "1e-3"],            # not a prefix of --tol-opt any more
+        ["residual", "--var", "full"],      # abbreviation of --variant
+        ["verify-absolute", "--tri", "3"],  # abbreviation of --trials
+    ])
+    def test_options_must_be_spelled_in_full(self, problems, capsys, argv):
+        paths, tmp = problems
+        assert run([*argv, "--problem", paths["linear1d"], "--out", str(tmp / "abbrev")]) == 2
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
+
+def _assert_plain(obj, path):
+    """Only values that json writes as they are: no numpy scalar or array anywhere."""
+    if type(obj) is dict:
+        for key, value in obj.items():
+            assert type(key) is str, f"{path}: key {key!r}"
+            _assert_plain(value, f"{path}.{key}")
+    elif type(obj) in (list, tuple):
+        for i, value in enumerate(obj):
+            _assert_plain(value, f"{path}[{i}]")
+    else:
+        assert type(obj) in (str, int, float, bool, type(None)), f"{path}: {type(obj).__name__}"
+
+
+def test_reports_hold_plain_values_only(problems, tmp_path, monkeypatch):
+    """Walks each report as built, before json writes it, for every subcommand."""
+    paths, tmp = problems
+    offset = {"n": 1, "N": 2, "domain": {"lo": [0.0], "hi": [1.0], "resolution": [33]},
+              "H": "P11^2 + P21^2 + eta2^2", "u": ["x1", "5.0"]}
+    (tmp_path / "offset.json").write_text(json.dumps(offset))
+    lp_spec = dict(LINEAR_1D, domain={"lo": [-1.0], "hi": [1.0], "resolution": [11]})
+    (tmp_path / "lp.json").write_text(json.dumps(lp_spec))
+    A, P = paths["aronsson"], paths["parabola"]
+    calls = [
+        (0, ["parse-check", "--problem", A]),
+        (0, ["energy", "--problem", A]),
+        (0, ["argmax", "--problem", P, "--delta", "1e-9"]),
+        (0, ["danskin", "--problem", P, "--phi", "1 - x1^2", "--delta", "1e-9"]),
+        (0, ["residual", "--problem", A, "--variant", "full"]),
+        (0, ["residual", "--problem", A, "--points", "1.3,1.7;1.5,1.2", "--tol", "1e-6"]),
+        (0, ["flow", "--problem", paths["linear1d"], "--x0", "0.2", "--xi", "1", "--dt", "0.05"]),
+        (1, ["maxmin", "--problem", P]),
+        (1, ["verify-absolute", "--problem", P, "--trials", "6", "--seed", "0"]),
+        (1, ["verify-rank-one", "--problem", P, "--trials", "4", "--directions", "1"]),
+        (1, ["verify-normal", "--problem", str(tmp_path / "offset.json"), "--trials", "8",
+             "--amplitude", "0.5", "--tol", "0"]),
+        (1, ["stationarity", "--problem", paths["linear1d"], "--psi", "x1*(1 - x1^2)"]),
+        (1, ["stationarity", "--problem", P, "--basis-size", "10", "--delta", "1e-9"]),
+        (0, ["measure", "--problem", paths["linear1d"], "--basis-size", "10", "--tol", "1e-10"]),
+        (1, ["measure", "--problem", paths["linear1d"], "--measure", "dirac:64", "--basis-size", "10"]),
+        (0, ["lp", "--problem", str(tmp_path / "lp.json"), "--p-schedule", "2,4", "--max-iter", "200"]),
+    ]
+    written = []
+
+    class Spy:
+        loads = staticmethod(json.loads)
+
+        @staticmethod
+        def dumps(obj, **kw):
+            written.append(obj)
+            return json.dumps(obj, **kw)
+
+    monkeypatch.setattr(cli, "json", Spy)
+    for i, (code, argv) in enumerate(calls):
+        assert run(argv + ["--out", str(tmp / f"plain{i}")]) == code, argv
+        report = written[-1]
+        assert "error" not in report, argv
+        _assert_plain(report["parameters"], f"{argv[0]} parameters")
+        _assert_plain(report["results"], f"{argv[0]} results")
+        if argv[0].startswith("verify-"):
+            assert report["results"]["witness"] is not None
+    assert len(written) == len(calls)
 
 
 class TestReports:

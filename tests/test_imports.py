@@ -1,9 +1,15 @@
-"""No module of the package imports a name that it never uses.
+"""No module of the package imports a name that it never uses or defines one that nobody reads.
 
-A stdlib ``ast`` check over ``src/linfvar/*.py``: every name that a
-module-level import binds must be read somewhere in the module, in a
-string annotation or in the module's ``__all__``.  ``__init__.py``, which
-imports in order to re-export, and ``from __future__`` imports are exempt.
+Two stdlib ``ast`` checks over ``src/linfvar/*.py``:
+
+- every name that a module-level import binds must be read somewhere in
+  the module, in a string annotation or in the module's ``__all__``;
+- every top-level ``def`` or ``class`` must be read, by a name, an
+  attribute or an import, somewhere in ``src/linfvar``, ``tests`` or
+  ``scripts``.
+
+``__init__.py``, which imports in order to re-export, and ``from
+__future__`` imports are exempt from both.
 """
 
 import ast
@@ -11,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "linfvar"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "linfvar"
 MODULES = sorted(path.name for path in SRC.glob("*.py") if path.name != "__init__.py")
 
 
@@ -61,3 +68,40 @@ def test_the_check_sees_an_unused_import():
                      "from . import linalg\n__all__ = []\nx: 'np.ndarray' = None\n")
     used = _used_names(tree)
     assert sorted(name for name in _imported_names(tree) if name not in used) == ["linalg", "os"]
+
+
+def _definitions(tree: ast.Module) -> dict:
+    """Name -> line of every top-level function and class."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return {node.name: node.lineno for node in tree.body if isinstance(node, kinds)}
+
+
+def _read_names(tree: ast.Module) -> set:
+    """Names that a ``Name`` or an ``Attribute`` loads, or that a ``from`` import binds."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read |= {alias.name for alias in node.names}
+    return read
+
+
+def test_no_dead_top_level_definition():
+    readers = [SRC / module for module in MODULES]
+    readers += sorted((ROOT / "tests").rglob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    read = set().union(*(_read_names(ast.parse(path.read_text(), filename=str(path))) for path in readers))
+    dead = [f"{module}: {name} (line {line})" for module in MODULES
+            for name, line in _definitions(ast.parse((SRC / module).read_text())).items() if name not in read]
+    assert not dead, "definitions that nothing reads: " + ", ".join(dead)
+
+
+def test_the_check_sees_a_dead_definition():
+    module = ast.parse("import os\n\ndef used():\n    return os.sep\n\ndef dead():\n    pass\n\n"
+                       "class Kept:\n    pass\n\nclass Gone:\n    pass\n\nx = 1\n")
+    reader = ast.parse("from mod import used\nimport mod\nmod.Kept()\nused = dead = None\n")
+    read = _read_names(reader)
+    assert sorted(_definitions(module)) == ["Gone", "Kept", "dead", "used"]
+    assert sorted(name for name in _definitions(module) if name not in read) == ["Gone", "dead"]
