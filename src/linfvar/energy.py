@@ -48,6 +48,18 @@ class ArgmaxSet:
     delta: float
 
 
+def _require_finite(bad: np.ndarray, where: np.ndarray, kind: str = "node") -> None:
+    """ValueError naming the first node (or point) of ``where`` (M, n) at which ``bad`` (..., M) holds."""
+    if bad.any():
+        at = where[np.unravel_index(np.argmax(bad), bad.shape)[-1]]
+        raise ValueError(f"density not finite at {kind} {tuple(at.tolist())}")
+
+
+def _require_finite_jet(ham: HamiltonianJet, where: np.ndarray, kind: str = "node") -> None:
+    """ValueError naming the first node (or point) of ``where`` at which H or H_P is not finite."""
+    _require_finite(~(np.isfinite(ham.value) & np.isfinite(ham.P_grad).all(axis=(0, 1))), where, kind)
+
+
 def _density(H: Hamiltonian, jets: Jet2, nodes: np.ndarray) -> np.ndarray:
     """H(x, value, gradient) at node jets; ValueError naming the first node where it is not finite.
 
@@ -55,10 +67,7 @@ def _density(H: Hamiltonian, jets: Jet2, nodes: np.ndarray) -> np.ndarray:
     variation) are taken in order.
     """
     vals = np.asarray(hamiltonian_value(H, jets.x, jets.value, jets.gradient), dtype=float)
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        node = nodes[np.unravel_index(np.argmax(bad), bad.shape)[-1]]
-        raise ValueError(f"density not finite at node {tuple(int(i) for i in node)}")
+    _require_finite(~np.isfinite(vals), nodes)
     return vals
 
 

@@ -13,17 +13,17 @@ exit-time bound ||Du||_inf diam(O) / (c0 c1^2) when |xi^T H_P| >= c1.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .energy import _density
+from .energy import _density, _require_finite_jet
 from .problem import (
     GridMap,
     Hamiltonian,
     Subdomain,
+    _write_csv_rows,
     hamiltonian_jet,
     jets_at_nodes,
     map_jet,
@@ -78,11 +78,13 @@ def _rk4_step(field, y, dt, k1):
 
 
 def _node_speeds(u, H: Hamiltonian, O: Subdomain, xi: np.ndarray):
-    """(|xi^T H_P| per evaluable node, the node jets of u)."""
+    """(|xi^T H_P| per evaluable node, the node jets of u); ValueError naming a node where H or
+    H_P is not finite."""
     nodes = O.evaluable_nodes()
     jets = jets_at_nodes(u, O.box, nodes, order=1)
-    hp = hamiltonian_jet(H, jets.x, jets.value, jets.gradient).P_grad
-    return np.linalg.norm(np.einsum("a,ai...->i...", xi, hp), axis=0), jets
+    ham = hamiltonian_jet(H, jets.x, jets.value, jets.gradient)
+    _require_finite_jet(ham, nodes)
+    return np.linalg.norm(np.einsum("a,ai...->i...", xi, ham.P_grad), axis=0), jets
 
 
 def default_time_step(u, H: Hamiltonian, O: Subdomain, xi: np.ndarray) -> float:
@@ -180,11 +182,8 @@ def exit_time_bound(u, H: Hamiltonian, O: Subdomain, xi, c0: float) -> dict:
     speeds, jets = _node_speeds(u, H, O, np.asarray(xi, dtype=float))
     c1 = float(np.min(speeds))
     du_inf = float(np.max(np.linalg.norm(jets.gradient, axis=(0, 1))))
-    if O.region[0] == "ball":
-        diam = 2.0 * O.region[2]
-    else:
-        lo, hi = (O.region[1], O.region[2]) if O.region[0] == "box" else (O.box.lo, O.box.hi)
-        diam = float(np.linalg.norm(np.asarray(hi) - np.asarray(lo)))
+    kind, a, b = O.region
+    diam = 2.0 * b if kind == "ball" else float(np.linalg.norm(np.asarray(b) - np.asarray(a)))
     bound = np.inf if c1 == 0.0 else du_inf * diam / (c0 * c1 ** 2)
     return {"bound": bound, "c1": c1, "du_inf": du_inf, "diam": diam}
 
@@ -201,13 +200,11 @@ def check_structural_condition(
     H: Hamiltonian,
     c: float,
     sample_count: int = 256,
-    x_bounds=(-2.0, 2.0),
-    eta_bounds=(-2.0, 2.0),
-    P_bounds=(-2.0, 2.0),
     seed: int = 0,
 ) -> StructuralReport:
     """Sample (xi, x, eta, P) and report the worst margin of the structural condition.
 
+    xi is a normalised Gaussian draw; x, eta and P are uniform in [-2, 2].
     Margin per sample: (xi^T H_P).(xi^T P) - c |xi^T H_P|^2; pass iff the
     minimum is >= -1e-12.
     """
@@ -219,9 +216,9 @@ def check_structural_condition(
         if norm == 0.0:
             continue
         xi = xi / norm
-        x = rng.uniform(*x_bounds, size=H.n)
-        eta = rng.uniform(*eta_bounds, size=H.N)
-        P = rng.uniform(*P_bounds, size=(H.N, H.n))
+        x = rng.uniform(-2.0, 2.0, size=H.n)
+        eta = rng.uniform(-2.0, 2.0, size=H.N)
+        P = rng.uniform(-2.0, 2.0, size=(H.N, H.n))
         hp = hamiltonian_jet(H, x, eta, P).P_grad
         lhs = float((xi @ hp) @ (xi @ P))
         rhs = float(np.sum((xi @ hp) ** 2))
@@ -288,10 +285,8 @@ def verify_maxmin(u, H: Hamiltonian, O: Subdomain) -> MaxMinReport:
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:
-    """Columns: t, gamma_1..gamma_n, H."""
+    """A header row, then one row per point: t, gamma_1..gamma_n, H as ``repr`` floats."""
     n = traj.points.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"gamma_{i+1}" for i in range(n)] + ["H"])
-        for t, p, hval in zip(traj.times, traj.points, traj.H_values):
-            writer.writerow([repr(float(t))] + [repr(float(c)) for c in p] + [repr(float(hval))])
+    header = ["t"] + [f"gamma_{i+1}" for i in range(n)] + ["H"]
+    columns = [traj.times.tolist()] + traj.points.T.tolist() + [traj.H_values.tolist()]
+    _write_csv_rows(path, [header, *zip(*(map(repr, col) for col in columns))])

@@ -73,24 +73,21 @@ def rank_decision(A: np.ndarray, tol: float = DEFAULT_RANK_TOL):
     return U, rank, cutoff
 
 
-def proj_range_complement(A: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> ProjectionReport:
+def proj_range_complement(A: np.ndarray) -> ProjectionReport:
     """Projection onto the orthogonal complement of the range of A.
 
-    Rank is decided by singular values >= tol * sigma_max; the zero matrix
-    yields the identity projection.
+    Rank is decided by :func:`rank_decision`; the zero matrix yields the
+    identity projection.
     """
-    U, rank, cutoff = rank_decision(A, tol)
+    U, rank, cutoff = rank_decision(A)
     basis = U[:, int(rank):]  # N(A^T) = R(A)^perp
     return ProjectionReport(projection=basis @ basis.T, rank_used=int(rank), tolerance_used=float(cutoff),
                             basis=basis)
 
 
-def ball_sample_count(dim: int, samples: Optional[int] = None) -> int:
-    """Sample count for the reduced projection on a dim-dimensional ball (default 8/16/32)."""
-    m = {1: 8, 2: 16}.get(dim, 32) if samples is None else samples
-    if m < 8:
-        raise ValueError("need at least 8 samples")
-    return m
+def ball_sample_count(dim: int) -> int:
+    """Sample count for the reduced projection on a dim-dimensional ball: 8, 16, else 32."""
+    return {1: 8, 2: 16}.get(dim, 32)
 
 
 def halton(m: int, dim: int) -> np.ndarray:
@@ -149,9 +146,9 @@ def complement_projectors(U: np.ndarray, rank: np.ndarray) -> np.ndarray:
     return B @ np.swapaxes(B, -1, -2)
 
 
-def nullspace_projectors(A: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def nullspace_projectors(A: np.ndarray) -> np.ndarray:
     """Projectors (..., N, N) onto N(A^T) = R(A)^perp of a batch of matrices A (..., N, n)."""
-    U, rank, _ = rank_decision(A, tol)
+    U, rank, _ = rank_decision(A)
     return complement_projectors(U, rank)
 
 
@@ -203,7 +200,6 @@ def reduced_nullspace_batch(
     samples: np.ndarray,
     valid: np.ndarray,
     tol_angle,
-    tol: float = DEFAULT_RANK_TOL,
 ) -> ReducedProjections:
     """Reduced nullspace projections of M centre matrices from their sample matrices.
 
@@ -219,8 +215,8 @@ def reduced_nullspace_batch(
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise ValueError(f"field has non-finite entries at sample {j} of centre {i}")
-    U, rank, _ = rank_decision(centers, tol)
-    sample_proj = nullspace_projectors(np.where(used[..., None, None], samples, 0.0), tol)
+    U, rank, _ = rank_decision(centers)
+    sample_proj = nullspace_projectors(np.where(used[..., None, None], samples, 0.0))
     return average_projectors(U, rank, sample_proj, used, tol_angle)
 
 
@@ -228,10 +224,7 @@ def reduced_nullspace_proj(
     V: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
     eps: float,
-    samples: Optional[int] = None,
-    tol: float = DEFAULT_RANK_TOL,
     tol_angle: Optional[float] = None,
-    sample_points: Optional[np.ndarray] = None,
 ) -> ProjectionReport:
     """Projection onto the reduced nullspace of V(x)^T.
 
@@ -253,29 +246,24 @@ def reduced_nullspace_proj(
     This is the single-centre form of :func:`reduced_nullspace_batch`: one
     :func:`rank_decision` of the centre, then :func:`nullspace_projectors`
     of the samples and :func:`average_projectors`.  The field ``V`` is a
-    single-point callable, evaluated once per sample.
+    single-point callable, evaluated once at each of the
+    :func:`ball_sample_count` points of :func:`ball_sample_points`.
     """
     x = np.asarray(x, dtype=float)
     if tol_angle is None:
         tol_angle = 1e-6 * eps
     A = np.asarray(V(x), dtype=float)
-    U, rank, cutoff = rank_decision(A, tol)
+    U, rank, cutoff = rank_decision(A)
     rank, cutoff, N = int(rank), float(cutoff), A.shape[0]
     if rank == N:
         return ProjectionReport(np.zeros((N, N)), rank, cutoff, U[:, N:])
-    if sample_points is None:
-        sample_points = ball_sample_points(x, eps, ball_sample_count(x.shape[0], samples))
-    else:
-        sample_points = np.atleast_2d(np.asarray(sample_points, dtype=float))
-        if sample_points.shape[0] == 0:
-            raise ValueError("no sample points supplied")
     values = []
-    for y in sample_points:
+    for y in ball_sample_points(x, eps, ball_sample_count(x.shape[0])):
         Ay = np.asarray(V(y), dtype=float)
         if not np.isfinite(Ay).all():
             raise ValueError(f"field has non-finite entries at sample point {y}")
         values.append(Ay)
-    red = average_projectors(U[None], np.array([rank]), nullspace_projectors(np.stack(values), tol)[None],
+    red = average_projectors(U[None], np.array([rank]), nullspace_projectors(np.stack(values))[None],
                              np.ones((1, len(values)), dtype=bool), tol_angle)
     W = red.basis[0, :, :red.reduced_dim[0]]
     return ProjectionReport(projection=red.projection[0], rank_used=rank, tolerance_used=cutoff, basis=W)

@@ -28,12 +28,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import product
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import operators
 from .energy import sup_energy
+from .exprlang import EvalError
 from .problem import GridMap, Hamiltonian, Subdomain, hamiltonian_jet, jets_at_nodes
 
 __all__ = [
@@ -59,7 +60,6 @@ _MIN_STEP = 1e-16    # the line search stalls below this step
 class OptimizerSettings:
     max_iter: int = 5000
     tol_opt: float = 1e-9          # sup-norm of the normalised-objective gradient
-    allow_large_grids: bool = False  # lifts the 129^2-node desk-scale cap
 
 
 @dataclass
@@ -74,10 +74,8 @@ class LpProblem:
         if self.p < 2:
             raise ValueError("p must be >= 2")
         nodes = int(self.O.mask.sum())
-        if nodes > 129 * 129 and not self.settings.allow_large_grids:
-            raise ValueError(
-                f"subdomain has {nodes} nodes; the desk-scale default caps at 129^2 "
-                "(set OptimizerSettings.allow_large_grids to override)")
+        if nodes > 129 * 129:
+            raise ValueError(f"subdomain has {nodes} nodes; the desk-scale cap is 129^2")
 
 
 @dataclass
@@ -348,14 +346,14 @@ def lp_minimize(prob: LpProblem, init: GridMap) -> LpResult:
     hess_products = 0
 
     def evaluate(x):
-        """Energy at interior values x, or None where the density is not admissible."""
+        """Energy at interior values x, or None where the density is not admissible or not evaluable."""
         nonlocal evals
         evals += 1
         W_trial = W.copy()
         W_trial[:, interior] = x.reshape(scheme.N, -1)
         try:
             return (W_trial,) + scheme.energy_and_jets(W_trial, order=2)
-        except ValueError:
+        except (ValueError, EvalError):
             return None
 
     def line_search(d, gd):
@@ -408,13 +406,15 @@ def lp_minimize(prob: LpProblem, init: GridMap) -> LpResult:
     )
 
 
-def p_continuation(prob: LpProblem, schedule: Sequence, init: Optional[GridMap] = None):
+def p_continuation(prob: LpProblem, schedule: Sequence):
     """Warm-started solves along an increasing p schedule starting at 2.
 
-    Per stage records the sup-energy of the iterate over the whole subdomain
-    and over its interior nodes (the former is usually attained on the
-    fixed boundary data), and the sup-norm over interior nodes of the
-    reduced critical-system residual.
+    The p = 2 stage starts from :func:`constant_fill_init`, every later
+    stage from the previous stage's solution.  Per stage records the
+    sup-energy of the iterate over the whole subdomain and over its
+    interior nodes (the former is usually attained on the fixed boundary
+    data), and the sup-norm over interior nodes of the reduced
+    critical-system residual.
     """
     schedule = [float(p) for p in schedule]
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
@@ -422,7 +422,7 @@ def p_continuation(prob: LpProblem, schedule: Sequence, init: Optional[GridMap] 
     if schedule and schedule[0] != 2.0:
         raise ValueError("schedule must start at p = 2")
     stages = []
-    current = init
+    current = None
     for p in schedule:
         stage_prob = replace(prob, p=p)
         if current is None:

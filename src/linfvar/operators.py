@@ -28,6 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
+from .energy import _require_finite_jet
 from .problem import (
     GridMap,
     Hamiltonian,
@@ -214,13 +215,15 @@ def _normal_projections(u, H: Hamiltonian, x: np.ndarray, nodes, hp: np.ndarray,
     return sel, proj, ranks, dims, dims < null_dim
 
 
-def _residual_parts(u, H: Hamiltonian, jets: Jet2, nodes, variant, eps, tol_angle):
+def _residual_parts(u, H: Hamiltonian, jets: Jet2, nodes, variant, eps, tol_angle, named):
     """Both residual parts at a jet batch (M,).
 
     Returns the tangential and normal parts (N, M), the ranks of H_P, the
     dimensions of the projected normal spaces and the projection-drop
     flags (M,).  Only rank-deficient points get a divergence and a normal
-    projection; elsewhere the normal part is exactly zero.
+    projection; elsewhere the normal part is exactly zero.  Where H or H_P
+    is not finite, the ValueError names the node or point from ``named``,
+    a pair of (M, n) nodes or points and the word "node" or "point".
     """
     if isinstance(u, GridMap):
         # grid jets index the same derivative arrays at every node: one evaluation
@@ -232,6 +235,7 @@ def _residual_parts(u, H: Hamiltonian, jets: Jet2, nodes, variant, eps, tol_angl
         hp_field = everywhere.P_grad.reshape((u.N, u.n) + u.box.shape)
     else:
         ham, hp_field = hamiltonian_jet(H, jets.x, jets.value, jets.gradient), None
+    _require_finite_jet(ham, *named)
     dH = _chain_rule(ham.x_grad[None], ham.eta_grad[None], ham.P_grad[None], jets)[0]
     tangential = np.einsum("ai...,i...->a...", ham.P_grad, dH)
     sel, proj, ranks, dims, drop = _normal_projections(
@@ -257,7 +261,8 @@ def aronsson_residual(
     jet = map_jet(u, x, order=2)  # single point: grid maps reject masked nodes here
     jets = Jet2(x[:, None], jet.value[..., None], jet.gradient[..., None], jet.hessian[..., None])
     nodes = np.asarray([u.box.nearest_node(x)]) if isinstance(u, GridMap) else None
-    tangential, normal, ranks, dims, drop = _residual_parts(u, H, jets, nodes, variant, eps, tol_angle)
+    tangential, normal, ranks, dims, drop = _residual_parts(u, H, jets, nodes, variant, eps, tol_angle,
+                                                            (x[None], "point"))
     return AronssonResidual(
         tangential=tangential[:, 0],
         normal=normal[:, 0],
@@ -268,9 +273,9 @@ def aronsson_residual(
     )
 
 
-def split_residuals(u, H: Hamiltonian, x, variant: str = "reduced", **kw):
+def split_residuals(u, H: Hamiltonian, x, variant: str = "reduced"):
     """The two independent systems separately: (tangential part, normal part)."""
-    res = aronsson_residual(u, H, x, variant=variant, **kw)
+    res = aronsson_residual(u, H, x, variant=variant)
     return res.tangential, res.normal
 
 
@@ -320,37 +325,32 @@ def residual_field(
     O: Subdomain,
     variant: str = "reduced",
     points: Optional[np.ndarray] = None,
-    nodes: Optional[np.ndarray] = None,
     eps: Optional[float] = None,
     tol_angle: Optional[float] = None,
 ) -> ResidualField:
-    """Residuals over a node set (grid maps) or arbitrary point list (closed-form maps).
+    """Residuals at the subdomain's evaluable interior nodes, or at explicit ``points``.
 
-    Without ``points`` or ``nodes`` the residuals are taken at the
-    subdomain's evaluable interior nodes.
+    Grid maps take explicit points only at their valid nodes.
 
     Everything is batched: one jet evaluation, one SVD of H_P over the
     batch, and for the rank-deficient points one divergence evaluation and
     one reduced-projection kernel call.
     """
+    if points is None:
+        nodes = O.interior_nodes()
+        named = (nodes, "node")
+    else:
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        named = (points, "point")
     if isinstance(u, GridMap):
-        if nodes is None:
-            if points is not None:
-                # grid maps evaluate at nodes only: explicit points must be valid nodes
-                nodes = u.nodes_at(np.atleast_2d(np.asarray(points, dtype=float)).T)
-            else:
-                nodes = O.interior_nodes()
-        nodes = np.atleast_2d(np.asarray(nodes, dtype=int))
+        if points is not None:
+            # grid maps evaluate at nodes only: explicit points must be valid nodes
+            nodes = u.nodes_at(points.T)
         jets = u.jet_at_nodes(nodes, order=2)
     else:
-        if points is None:
-            if nodes is None:
-                nodes = O.interior_nodes()
-            points = O.box.node_coords(np.atleast_2d(nodes)).T
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        jets = map_jet(u, points.T, order=2)
+        jets = map_jet(u, O.box.node_coords(nodes) if points is None else points.T, order=2)
         nodes = None
-    tangential, normal, ranks, _, drop = _residual_parts(u, H, jets, nodes, variant, eps, tol_angle)
+    tangential, normal, ranks, _, drop = _residual_parts(u, H, jets, nodes, variant, eps, tol_angle, named)
     return ResidualField(
         points=jets.x.T,
         nodes=nodes,

@@ -156,7 +156,7 @@ class Subdomain:
     box: DomainBox
     mask: np.ndarray
     singular: np.ndarray
-    region: tuple  # ("all",) | ("box", lo, hi) | ("ball", center, radius)
+    region: tuple  # ("box", lo, hi) | ("ball", center, radius)
 
     def __post_init__(self):
         self.mask = np.asarray(self.mask, dtype=bool)
@@ -171,7 +171,7 @@ class Subdomain:
     @classmethod
     def whole(cls, box: DomainBox, singular: Optional[np.ndarray] = None) -> "Subdomain":
         sing = np.zeros(box.shape, dtype=bool) if singular is None else singular
-        return cls(box, np.ones(box.shape, dtype=bool), sing, ("all",))
+        return cls(box, np.ones(box.shape, dtype=bool), sing, ("box", box.lo, box.hi))
 
     @classmethod
     def from_box(cls, box: DomainBox, lo, hi, singular: Optional[np.ndarray] = None) -> "Subdomain":
@@ -225,9 +225,6 @@ class Subdomain:
 
     def contains_point(self, x) -> bool:
         x = np.asarray(x, dtype=float)
-        if self.region[0] == "all":
-            lo, hi = np.asarray(self.box.lo), np.asarray(self.box.hi)
-            return bool(np.all(x >= lo) and np.all(x <= hi))
         if self.region[0] == "box":
             lo, hi = np.asarray(self.region[1]), np.asarray(self.region[2])
             return bool(np.all(x >= lo) and np.all(x <= hi))
@@ -474,7 +471,7 @@ class PerturbedMap:
             hessian=hess,
         )
 
-    def jet2(self, x, order: int = 2, **kw) -> Jet2:
+    def jet2(self, x, order: int = 2) -> Jet2:
         return self.combine(map_jet(self.base, x, order=order), map_jet(self.variation, x, order=order))
 
 
@@ -778,11 +775,16 @@ def read_grid_csv(path, box: DomainBox, N: int) -> GridMap:
     return GridMap(box, values)
 
 
+def _write_csv_rows(path, rows) -> None:
+    """Rows of strings, comma separated with ``\\r\\n`` line ends: the ``csv`` module's
+    default dialect, which quotes none of the numbers and names written here."""
+    with open(path, "w", newline="") as fh:
+        fh.write("".join(",".join(row) + "\r\n" for row in rows))
+
+
 def write_grid_csv(path, grid: GridMap) -> None:
     """One row per node, lexicographic: node multi-index then the components as
-    ``repr`` floats, comma separated with ``\\r\\n`` line ends (the ``csv`` module's
-    default dialect, which quotes none of these fields)."""
+    ``repr`` floats, written by :func:`_write_csv_rows`."""
     columns = [map(str, col) for col in grid.box.all_nodes().T.tolist()]
     columns += [map(repr, comp) for comp in grid.values.reshape(grid.N, -1).tolist()]
-    with open(path, "w", newline="") as fh:
-        fh.write("".join(",".join(row) + "\r\n" for row in zip(*columns)))
+    _write_csv_rows(path, zip(*columns))

@@ -24,7 +24,6 @@ from .energy import (
     density_sup,
     linearised_density,
     subdomain_nodes,
-    sup_energy,
 )
 from .operators import _normal_projections
 from .problem import (
@@ -213,18 +212,14 @@ def rank_one_test(
     return Verdict(bool(worst <= tol), worst, witness, total)
 
 
-def _evaluable_hp(u, H: Hamiltonian, O: Subdomain):
-    """The evaluable box nodes (M, n), their points (n, M) and H_P(., u, Du) there (N, n, M)."""
+def _normal_projector_field(u, H: Hamiltonian, O: Subdomain, eps, tol_angle):
+    """The evaluable box nodes (M, n), H_P(., u, Du) there (N, n, M) and its reduced
+    normal projector at each of them (M, N, N)."""
     all_nodes = O.box.all_nodes()
     ok = u.jet_valid if isinstance(u, GridMap) else ~O.singular
     nodes = all_nodes[ok[tuple(all_nodes.T)]]
     jets = jets_at_nodes(u, O.box, nodes, order=1)
-    return nodes, jets.x, hamiltonian_jet(H, jets.x, jets.value, jets.gradient).P_grad
-
-
-def _normal_projector_field(u, H: Hamiltonian, O: Subdomain, eps, tol_angle, evaluable=None):
-    """Reduced normal projector of H_P at every evaluable node; ``evaluable`` is :func:`_evaluable_hp`."""
-    nodes, x, hp = _evaluable_hp(u, H, O) if evaluable is None else evaluable
+    x, hp = jets.x, hamiltonian_jet(H, jets.x, jets.value, jets.gradient).P_grad
     # grid maps: the evaluable nodes are the jet-valid ones, the others are unread
     hp_field = np.zeros(hp.shape[:2] + O.box.shape)
     hp_field[(slice(None), slice(None)) + tuple(nodes.T)] = hp
@@ -234,7 +229,7 @@ def _normal_projector_field(u, H: Hamiltonian, O: Subdomain, eps, tol_angle, eva
                                         eps, tol_angle, hp_field)
     projectors = np.zeros((nodes.shape[0], u.N, u.N))
     projectors[sel] = proj
-    return nodes, projectors
+    return nodes, hp, projectors
 
 
 def normal_variation_test(
@@ -258,15 +253,13 @@ def normal_variation_test(
     with the flag set.
     """
     rng = np.random.default_rng(seed)
-    E0 = sup_energy(u, H, O)
+    probe = _Probe(u, H, O)
     if tol is None:
-        tol = _default_tol(E0)
-    evaluable = _evaluable_hp(u, H, O)
-    nodes, projectors = _normal_projector_field(u, H, O, eps, tol_angle, evaluable)
+        tol = _default_tol(probe.E0)
+    nodes, hp, projectors = _normal_projector_field(u, H, O, eps, tol_angle)
     box = O.box
     if float(np.max(np.abs(projectors))) < 1e-13:
         return Verdict(True, 0.0, None, 0, vacuous=True)
-    hp = evaluable[2]
     hp_inf = float(np.max(np.linalg.norm(hp, axis=(0, 1))))
     worst = -np.inf
     witness = None
@@ -287,11 +280,11 @@ def normal_variation_test(
         if float(np.max(np.linalg.norm(align, axis=0))) > tol_normal:
             continue
         admissible += 1
-        E1 = sup_energy(PerturbedMap(u, phi, 1.0), H, O)
-        violation = E0 - E1
+        E1 = float(probe.energies(phi)[0])
+        violation = probe.E0 - E1
         if violation > worst:
             worst = violation
-            witness = dict(spec, trial=trial, energy_base=E0, energy_perturbed=E1)
+            witness = dict(spec, trial=trial, energy_base=probe.E0, energy_perturbed=E1)
     if admissible == 0:
         return Verdict(True, 0.0, None, 0, vacuous=True)
     return Verdict(bool(worst <= tol), float(worst), witness, admissible)
@@ -402,14 +395,12 @@ class DiscreteMeasure:
 
         On box subdomains the weights are product-trapezoid (half weight on
         subdomain faces), which integrates gradients of smooth fields with
-        spectral accuracy for sine-mode test functions; other region kinds
-        get equal weights.
+        spectral accuracy for sine-mode test functions; ball subdomains get
+        equal weights.
         """
         nodes = O.evaluable_nodes()
-        if O.region[0] == "ball":
-            w = np.ones(nodes.shape[0])
-        else:
-            w = np.ones(nodes.shape[0])
+        w = np.ones(nodes.shape[0])
+        if O.region[0] == "box":
             for axis in range(O.box.dim):
                 idx = nodes[:, axis]
                 lo, hi = idx.min(), idx.max()

@@ -136,7 +136,7 @@ class SineModeMap:
                         [(i == j) + (i == k) for i in range(n)])
         return Jet2(x=x, value=value, gradient=gradient, hessian=hessian)
 
-    def jet2(self, x, order: int = 2, on_singularity: str = "raise") -> Jet2:
+    def jet2(self, x, order: int = 2) -> Jet2:
         """Exact jet at a point (n,) or point batch (n,) + S; sine maps have no singular set."""
         x = np.asarray(x, dtype=float)
         if x.shape[0] != self.n:
@@ -172,8 +172,6 @@ class SineModeMap:
 def _region_box(O: Subdomain):
     if O.region[0] == "box":
         return np.asarray(O.region[1]), np.asarray(O.region[2])
-    if O.region[0] == "all":
-        return np.asarray(O.box.lo), np.asarray(O.box.hi)
     return None
 
 

@@ -1,5 +1,9 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -117,7 +121,8 @@ class TestExitCodes:
         spec = {"n": 1, "N": 1, "domain": {"lo": [0.0], "hi": [1.0], "resolution": [9]},
                 "H": "exp(1000 * P11 * x1)", "u": ["x1"]}  # H = inf from node (6,) on
         (tmp_path / "overflow.json").write_text(json.dumps(spec))
-        for command, extra in (("argmax", []), ("danskin", ["--phi", "x1"]), ("maxmin", [])):
+        for command, extra in (("argmax", []), ("danskin", ["--phi", "x1"]), ("maxmin", []),
+                               ("flow", ["--x0", "0.5", "--xi", "1"]), ("residual", [])):
             out = tmp / f"overflow_{command}"
             argv = [command, "--problem", str(tmp_path / "overflow.json"), "--out", str(out)]
             assert run(argv + extra) == 2
@@ -152,6 +157,15 @@ class TestExitCodes:
     def test_parse_check_ok(self, problems):
         paths, tmp = problems
         assert run(["parse-check", "--problem", paths["aronsson"], "--out", str(tmp / "o4")]) == 0
+
+    def test_module_entry_point_runs_main(self, problems):
+        paths, tmp = problems
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = ["parse-check", "--problem", paths["aronsson"], "--out", str(tmp / "o_main")]
+        done = subprocess.run([sys.executable, "-m", "linfvar.cli"] + argv, env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert _report(tmp / "o_main", "parse-check")["pass"] is True
 
     def test_unknown_subcommand(self, problems):
         paths, _ = problems

@@ -7,6 +7,7 @@ from linfvar import (
     GridMap,
     Hamiltonian,
     Subdomain,
+    Trajectory,
     check_structural_condition,
     exit_time_bound,
     integrate_flow,
@@ -147,6 +148,26 @@ class TestIntegrateFlow:
         rows = path.read_text().strip().splitlines()
         assert rows[0] == "t,gamma_1,H"
         assert len(rows) == traj.times.size + 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_csv_bytes_match_per_row_csv_writer(self, tmp_path, n):
+        import csv
+
+        rng = np.random.default_rng(n)
+        points = rng.normal(size=(100, n)) * 10.0 ** rng.integers(-8, 9, size=(100, n))
+        points.reshape(-1)[::7] = -0.0
+        hvals = rng.normal(size=100)
+        hvals[::11] = np.nan
+        hvals[1::13] = np.inf
+        traj = Trajectory(times=np.cumsum(rng.uniform(size=100)), points=points, H_values=hvals,
+                          exited=False, exit_time=None, exit_point=None)
+        write_trajectory_csv(tmp_path / "new.csv", traj)
+        with open(tmp_path / "old.csv", "w", newline="") as fh:  # the former writer
+            writer = csv.writer(fh)
+            writer.writerow(["t"] + [f"gamma_{i+1}" for i in range(n)] + ["H"])
+            for t, p, hval in zip(traj.times, traj.points, traj.H_values):
+                writer.writerow([repr(float(t))] + [repr(float(c)) for c in p] + [repr(float(hval))])
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 class TestStructuralCondition:

@@ -1,15 +1,17 @@
 """No module of the package imports a name that it never uses or defines one that nobody reads.
 
-Two stdlib ``ast`` checks over ``src/linfvar/*.py``:
+Three stdlib ``ast`` checks over ``src/linfvar/*.py``:
 
 - every name that a module-level import binds must be read somewhere in
   the module, in a string annotation or in the module's ``__all__``;
 - every top-level ``def`` or ``class`` must be read, by a name, an
   attribute or an import, somewhere in ``src/linfvar``, ``tests`` or
-  ``scripts``.
+  ``scripts``;
+- every parameter of every ``def``, ``self`` and ``cls`` aside, must be
+  read in that ``def``.
 
 ``__init__.py``, which imports in order to re-export, and ``from
-__future__`` imports are exempt from both.
+__future__`` imports are exempt from the first two.
 """
 
 import ast
@@ -105,3 +107,39 @@ def test_the_check_sees_a_dead_definition():
     read = _read_names(reader)
     assert sorted(_definitions(module)) == ["Gone", "Kept", "dead", "used"]
     assert sorted(name for name in _definitions(module) if name not in read) == ["Gone", "dead"]
+
+
+def _unread_parameters(tree: ast.Module) -> list:
+    """``Function.parameter`` of every parameter, ``self`` and ``cls`` aside, that its ``def`` never reads."""
+    unread = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                params = args.posonlyargs + args.args + args.kwonlyargs
+                params += [a for a in (args.vararg, args.kwarg) if a is not None]
+                read = {n.id for n in ast.walk(child) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                unread.extend(f"{prefix}{child.name}.{a.arg}" for a in params
+                              if a.arg not in ("self", "cls") and a.arg not in read)
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return unread
+
+
+def test_no_unread_parameter():
+    unread = [f"{path.name}: {name}" for path in sorted(SRC.glob("*.py"))
+              for name in _unread_parameters(ast.parse(path.read_text(), filename=path.name))]
+    assert not unread, "parameters that their function never reads: " + ", ".join(unread)
+
+
+def test_the_check_sees_an_unread_parameter():
+    module = ast.parse("def f(a, b=1, *args, c, **kw):\n    return a + c\n\n"
+                       "class K:\n    def m(self, x, y):\n        def inner(z):\n            return x\n"
+                       "        return inner\n\n    @classmethod\n    def make(cls, w):\n        return cls()\n")
+    assert _unread_parameters(module) == ["f.b", "f.args", "f.kw", "K.m.y", "K.m.inner.z", "K.make.w"]

@@ -141,10 +141,6 @@ class TestReducedNullspace:
         assert rep.rank_used == plain.rank_used == 1
         assert rep.tolerance_used == plain.tolerance_used == 1e-9 * 0.03
 
-    def test_needs_enough_samples(self):
-        with pytest.raises(ValueError, match="at least 8"):
-            reduced_nullspace_proj(_rank_drop_field, np.zeros(2), eps=0.1, samples=4)
-
 
 def test_ball_sample_points_inside():
     for dim in (1, 2, 3):

@@ -21,6 +21,7 @@ from linfvar import (
     p_continuation,
     sup_energy,
 )
+from linfvar.exprlang import DomainEvalError
 from linfvar.lp_approx import _CellScheme
 from linfvar.problem import jets_at_nodes
 
@@ -79,8 +80,6 @@ class TestLpMinimize:
         g = boundary_values_from_map(ClosedFormMap.from_expressions(["x1"], n=2), O)
         with pytest.raises(ValueError, match="desk-scale"):
             LpProblem(H=H, O=O, boundary_values=g, p=2.0)
-        LpProblem(H=H, O=O, boundary_values=g, p=2.0,
-                  settings=OptimizerSettings(allow_large_grids=True))
 
     def test_negative_density_aborts(self):
         box = DomainBox((0.0,), (1.0,), (11,))
@@ -115,6 +114,29 @@ class TestCounters:
         init = GridMap(box, box.axis_coords(0)[None, :].copy())
         res = lp_minimize(two_point_problem, init)
         assert (res.iters, res.evals) == (0, 1)
+
+    @pytest.mark.parametrize("error", [ValueError, DomainEvalError])
+    def test_a_trial_step_that_cannot_be_evaluated_is_rejected(self, two_point_problem, monkeypatch, error):
+        energy_and_jets = _CellScheme.energy_and_jets
+        calls = []
+
+        def failing(fail_at):
+            def patched(self, W, order=1):
+                calls.append(W)
+                if len(calls) == fail_at:
+                    raise error("outside the density's domain")
+                return energy_and_jets(self, W, order)
+            return patched
+
+        init = constant_fill_init(two_point_problem)
+        monkeypatch.setattr(_CellScheme, "energy_and_jets", failing(1))
+        with pytest.raises(error):  # the initial iterate must be evaluable
+            lp_minimize(two_point_problem, init)
+        calls.clear()
+        monkeypatch.setattr(_CellScheme, "energy_and_jets", failing(2))  # the first trial step
+        res = lp_minimize(two_point_problem, init)
+        assert res.status == "converged"
+        assert res.evals == len(calls)
 
 
 class TestDescentProperty:

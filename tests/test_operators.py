@@ -211,3 +211,14 @@ class TestResidualField:
         pts = np.array([[1.3, 1.7], [1.5, 1.2], [1.9, 1.1]])
         rf = residual_field(aronsson_map, dirichlet_2d, O, variant="reduced", points=pts)
         assert rf.norms.max() <= 1e-10
+
+    def test_non_finite_density_names_the_point_or_node(self):
+        box = DomainBox((0.0,), (1.0,), (9,))
+        O = Subdomain.whole(box)
+        H = Hamiltonian.from_expression("exp(1000 * P11 * x1)", 1, 1)  # H = inf from x1 = 0.75 on
+        u = ClosedFormMap.from_expressions(["x1"], n=1)
+        for v in (u, u.sample(box)):
+            with pytest.raises(ValueError, match=r"density not finite at point \(0\.75,\)"):
+                residual_field(v, H, O, points=[[0.25], [0.75]])
+            with pytest.raises(ValueError, match=r"density not finite at node \(6,\)"):
+                residual_field(v, H, O)
