@@ -308,7 +308,8 @@ def run(argv=None) -> int:
     report["pass"] = bool(passed)
     report["wall_time_s"] = time.monotonic() - started
     path = out_dir / f"{args.command}_report.json"
-    path.write_text(json.dumps(report, sort_keys=True, indent=1))  # _dispatch builds plain values
+    # one line: without indent, json runs its C encoder; _dispatch builds plain values
+    path.write_text(json.dumps(report, sort_keys=True))
     if error is not None:
         print(f"linfvar {args.command}: error: {error}", file=sys.stderr)
         return 2

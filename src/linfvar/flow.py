@@ -69,6 +69,12 @@ class _Field:
         return self.xi @ hj.P_grad, float(hj.value)
 
 
+def _require_finite_point(y, velocity, density) -> None:
+    """ValueError naming the point y where the density or the velocity xi^T H_P is not finite."""
+    if not (np.isfinite(density) and np.isfinite(velocity).all()):
+        raise ValueError(f"density not finite at point {tuple(y.tolist())}")
+
+
 def _rk4_step(field, y, dt, k1):
     """One RK4 step from y, whose velocity k1 the caller already has."""
     k2 = field(y + 0.5 * dt * k1)[0]
@@ -110,7 +116,9 @@ def integrate_flow(
 
     Classical RK4 with fixed step ``dt``; the boundary crossing is
     localised by bisection of the final step to within ``dt * 1e-6``.
-    Reaching ``t_max`` without exit is reported, not raised.  When a
+    Reaching ``t_max`` without exit is reported, not raised; a point where
+    H or xi^T H_P is not finite is a ValueError naming it (the start, each
+    accepted point and the exit point are checked).  When a
     structural constant ``c0`` is supplied, ``t_max`` defaults to ten times
     the exit-time bound; otherwise to ``1e3 * dt``.  Requires a closed-form
     map (grid maps evaluate at nodes only).
@@ -131,6 +139,7 @@ def integrate_flow(
             t_max = 1e3 * dt
     field = _Field(u, H, xi)
     k1, h0 = field(x0)  # each accepted point's k1 evaluation also gives its density
+    _require_finite_point(x0, k1, h0)
     times = [0.0]
     points = [x0]
     hvals = [h0]
@@ -146,6 +155,7 @@ def integrate_flow(
             t += dt
             y = y_next
             k1, hy = field(y)
+            _require_finite_point(y, k1, hy)
             times.append(t)
             points.append(y)
             hvals.append(hy)
@@ -160,10 +170,12 @@ def integrate_flow(
                 hi_tau = mid
         tau = 0.5 * (lo_tau + hi_tau)
         exit_point = _rk4_step(field, y, tau, k1)
+        k_exit, h_exit = field(exit_point)
+        _require_finite_point(exit_point, k_exit, h_exit)
         exit_time = t + tau
         times.append(exit_time)
         points.append(exit_point)
-        hvals.append(field(exit_point)[1])
+        hvals.append(h_exit)
         exited = True
         break
     return Trajectory(

@@ -157,14 +157,32 @@ def _grid_ball_nodes(u: GridMap, nodes: np.ndarray, eps: np.ndarray):
     return cand, valid
 
 
+def _grid_node_decomposition(u: GridMap, hp_field: np.ndarray, nodes: np.ndarray):
+    """:func:`linalg.rank_decision` of the H_P node field ``hp_field``, (N, n) + box shape.
+
+    Returns U (box shape + (N, N)), the ranks (box shape) and the jet-valid
+    nodes where H_P is not finite.  Those nodes, and the nodes that are not
+    jet-valid, get a zero matrix; the centres ``nodes`` (M, n) keep their
+    own, so a centre that is not finite raises.  No centre samples a
+    zeroed node.
+    """
+    hp = np.moveaxis(hp_field, (0, 1), (-2, -1))
+    finite = np.isfinite(hp).all(axis=(-2, -1))
+    keep = u.jet_valid & finite
+    keep[tuple(nodes.T)] = True
+    U, ranks, _ = linalg.rank_decision(np.where(keep[..., None, None], hp, 0.0))
+    return U, ranks, u.jet_valid & ~finite
+
+
 def _reduced_projections(u, H: Hamiltonian, x: np.ndarray, nodes, U: np.ndarray, ranks: np.ndarray,
-                         hp_field, eps, tol_angle) -> linalg.ReducedProjections:
+                         node_factors, eps, tol_angle) -> linalg.ReducedProjections:
     """Reduced normal projections at rank-deficient points x (n, M) with H_P's SVD factors U, ranks.
 
-    Grid maps gather one nullspace projector per node of the H_P node
-    field ``hp_field`` through :func:`_grid_ball_nodes`;
-    other maps sample one Halton offset set scaled to each point's ball,
-    all M x m points in one jet evaluation.  ``tol_angle`` defaults to 1e-6 eps.
+    Grid maps gather one nullspace projector per node, built from the node
+    field's factors ``node_factors`` (:func:`_grid_node_decomposition`),
+    through :func:`_grid_ball_nodes`; other maps sample one Halton offset
+    set scaled to each point's ball, all M x m points in one jet evaluation.
+    ``tol_angle`` defaults to 1e-6 eps.
     """
     n, M = x.shape
     eps = np.broadcast_to(_default_eps(u, x) if eps is None else np.asarray(eps, dtype=float), (M,))
@@ -172,12 +190,10 @@ def _reduced_projections(u, H: Hamiltonian, x: np.ndarray, nodes, U: np.ndarray,
         tol_angle = 1e-6 * eps
     if isinstance(u, GridMap):
         sample_nodes, valid = _grid_ball_nodes(u, nodes, eps)
-        hp = np.moveaxis(hp_field, (0, 1), (-2, -1))
-        bad = u.jet_valid & ~np.isfinite(hp).all(axis=(-2, -1))
+        node_U, node_ranks, bad = node_factors
         if bad.any():
             raise ValueError(f"H_P is not finite at grid node {tuple(np.argwhere(bad)[0].tolist())}")
-        # nodes that are not jet-valid get a zero matrix; no centre samples them
-        proj = linalg.nullspace_projectors(np.where(u.jet_valid[..., None, None], hp, 0.0))
+        proj = linalg.complement_projectors(node_U, node_ranks)
         sample_proj = proj[tuple(np.moveaxis(sample_nodes, -1, 0))]
     else:
         pts = linalg.ball_sample_points(x.T, eps, linalg.ball_sample_count(n))
@@ -195,13 +211,21 @@ def _normal_projections(u, H: Hamiltonian, x: np.ndarray, nodes, hp: np.ndarray,
     Returns those points' indices and projections (onto R(H_P)^perp for
     "full", the reduced normal space for "reduced"), and per point (M,)
     the rank of H_P, the projected dimension and the projection-drop flag.
-    On grid maps ``hp_field`` holds H_P at every node, (N, n) + box shape;
-    other maps do not read it.
+    On grid maps ``hp_field`` holds H_P at every node, (N, n) + box shape,
+    and ``hp`` is that field at ``nodes``; the reduced variant decomposes
+    the field once and takes the points' factors from it.  Other maps do
+    not read ``hp_field``.
     """
     if variant not in ("full", "reduced"):
         raise ValueError("variant must be 'full' or 'reduced'")
     M, N = hp.shape[:2]
-    U, ranks, _ = linalg.rank_decision(hp)
+    node_factors = None
+    if variant == "reduced" and isinstance(u, GridMap):
+        node_factors = _grid_node_decomposition(u, hp_field, nodes)
+        at = tuple(nodes.T)
+        U, ranks = node_factors[0][at], node_factors[1][at]
+    else:
+        U, ranks, _ = linalg.rank_decision(hp)
     null_dim = N - ranks
     sel = np.flatnonzero(null_dim > 0)
     if variant == "full":
@@ -210,7 +234,7 @@ def _normal_projections(u, H: Hamiltonian, x: np.ndarray, nodes, hp: np.ndarray,
     dims, proj = np.zeros(M, dtype=int), np.zeros((0, N, N))
     if sel.size:
         red = _reduced_projections(u, H, x[:, sel], None if nodes is None else nodes[sel], U[sel],
-                                   ranks[sel], hp_field, eps, tol_angle)
+                                   ranks[sel], node_factors, eps, tol_angle)
         dims[sel], proj = red.reduced_dim, red.projection
     return sel, proj, ranks, dims, dims < null_dim
 

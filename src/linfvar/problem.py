@@ -15,6 +15,7 @@ interior, and a singular mask of nodes excluded from all evaluations.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -284,37 +285,47 @@ def axis_derivative(values: np.ndarray, axis: int, h: float, order: int = 1,
     values = np.asarray(values, dtype=float)
     if grid_ndim is None:
         grid_ndim = values.ndim if valid is None else valid.ndim
-    gaxis = values.ndim - grid_ndim + axis
-    v = np.moveaxis(values, gaxis, -1)
+    lead = values.ndim - grid_ndim
+    gaxis = lead + axis
+    # the derivative axis goes last, the others keep their order
+    perm = [i for i in range(values.ndim) if i != gaxis] + [gaxis]
+    v = values.transpose(perm)
     M = v.shape[-1]
     if valid is None:
-        ok = np.ones(v.shape[v.ndim - grid_ndim:], dtype=bool)
+        ok = np.ones(M, dtype=bool)  # broadcasts over the other axes
     else:
-        ok = np.moveaxis(np.asarray(valid, dtype=bool), axis, -1)
+        ok = np.asarray(valid, dtype=bool).transpose([i - lead for i in perm[lead:]])
         v = np.where(ok, v, 0.0)  # fills at invalid nodes stay out of the arithmetic
+    rows = tuple(range(ok.ndim - 1))
+    runs = [ok]  # runs[k][..., j]: the nodes j..j+k are all valid
+    todo = ok
     out = np.full(v.shape, np.nan)
-    todo = ok.copy()
     for stencil in _STENCILS[order]:
         offsets = [o for o, _ in stencil]
-        lo, hi = -min(offsets), M - max(offsets)  # nodes whose stencil stays on the axis
-        fits = todo[..., lo:hi].copy()
-        for o in offsets:
-            fits &= ok[..., lo + o:hi + o]
-        cols = np.flatnonzero(fits.any(axis=tuple(range(fits.ndim - 1))))
+        a, b = min(0, min(offsets)), max(0, max(offsets))
+        while len(runs) <= b - a:
+            runs.append(runs[-1][..., :-1] & ok[..., len(runs):])
+        # the stencil stays on the axis at nodes -a .. M-b-1, and fits where its run is valid
+        fits = runs[b - a] & todo[..., -a:M - b]
+        cols = np.flatnonzero(fits.any(axis=rows))
         if not cols.size:
             continue
         # narrow to the columns it takes: a single face column on a clean grid
         fits = fits[..., cols[0]:cols[-1] + 1]
-        lo, hi = lo + cols[0], lo + cols[-1] + 1
+        lo, hi = cols[0] - a, cols[-1] + 1 - a
         (o, c), *terms = stencil
         acc = c * v[..., lo + o:hi + o]
         for o, c in terms:
             acc = acc + c * v[..., lo + o:hi + o]
         np.copyto(out[..., lo:hi], acc / h ** order, where=fits)
-        todo[..., lo:hi] &= ~fits
+        if todo is ok:
+            todo = ok.copy()
+        np.greater(todo[..., lo:hi], fits, out=todo[..., lo:hi])  # todo and not fits
     if order == 2 and M == 3:
         out[..., ::2] = np.where(ok[..., ::2], out[..., 1:2], np.nan)
-    return np.moveaxis(out, -1, gaxis)
+    back = list(range(values.ndim - 1))
+    back.insert(gaxis, values.ndim - 1)
+    return out.transpose(back)
 
 
 # ---------------------------------------------------------------------------
@@ -729,14 +740,13 @@ def problem_digest(data: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def read_grid_csv(path, box: DomainBox, N: int) -> GridMap:
-    """Grid CSV: one row per node, columns = node multi-index then u components.
+def _read_rows(path, dim: int, N: int):
+    """The grid CSV table row by row with ``csv.reader``, and the line of each row.
 
-    Node indices must be whole numbers inside the grid and each node may
-    appear once; nodes without a row stay invalid.  A bad row raises
-    ValueError naming its line.
+    Blank lines and lines whose first field starts with ``#`` are skipped; a
+    row that is not dim + N floats raises ValueError naming its line.
     """
-    width = box.dim + N
+    width = dim + N
     rows, lines = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -745,12 +755,46 @@ def read_grid_csv(path, box: DomainBox, N: int) -> GridMap:
                 continue
             try:
                 if len(row) != width:
-                    raise ValueError(f"{len(row)} fields, expected {box.dim} node indices and {N} components")
+                    raise ValueError(f"{len(row)} fields, expected {dim} node indices and {N} components")
                 rows.append([float(c) for c in row])
             except ValueError as exc:
                 raise ValueError(f"grid CSV {path}, line {reader.line_num}: {exc}") from None
             lines.append(reader.line_num)
-    table = np.array(rows, dtype=float).reshape(len(rows), width)
+    return np.array(rows, dtype=float).reshape(len(rows), width), lines
+
+
+def _parse_table(path, width: int):
+    """The grid CSV table in one ``np.loadtxt`` call, or None where that call refuses the file.
+
+    It refuses comment lines, quotes, underscores in numbers and every row
+    that :func:`_read_rows` refuses, and reads what it accepts to the same
+    values.  A file without rows is refused too, since ``loadtxt`` warns on it.
+    A file that does not decode is refused, so the line reader raises its error.
+    """
+    try:
+        with open(path) as fh:
+            text = fh.read()
+        if not text.strip("\n"):
+            return None
+        table = np.loadtxt(io.StringIO(text), delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return table if table.shape[1] == width else None
+
+
+def read_grid_csv(path, box: DomainBox, N: int) -> GridMap:
+    """Grid CSV: one row per node, columns = node multi-index then u components.
+
+    Node indices must be whole numbers inside the grid and each node may
+    appear once; nodes without a row stay invalid.  A bad row raises
+    ValueError naming its line.  The table is parsed in one numpy call; the
+    files that call refuses, and the line numbers of a bad row, come from
+    the row-by-row reader.
+    """
+    table = _parse_table(path, box.dim + N)
+    lines = None
+    if table is None:
+        table, lines = _read_rows(path, box.dim, N)
     raw = table[:, :box.dim]
     whole = np.all(np.isfinite(raw) & (raw == np.round(raw)), axis=1)
     idx = np.where(whole[:, None], raw, -1).astype(int)
@@ -761,6 +805,8 @@ def read_grid_csv(path, box: DomainBox, N: int) -> GridMap:
     repeated[first] = False
     bad = np.flatnonzero(~inside | repeated)
     if bad.size:
+        if lines is None:
+            lines = _read_rows(path, box.dim, N)[1]
         r = bad[0]
         where = f"grid CSV {path}, line {lines[r]}"
         node = tuple(idx[r].tolist())

@@ -128,6 +128,20 @@ class TestExitCodes:
             assert run(argv + extra) == 2
             assert "density not finite at node (6,)" in _report(out, command)["error"]["message"]
 
+    def test_flow_with_explicit_dt_names_a_point_where_the_density_is_not_finite(self, problems, tmp_path):
+        # an explicit --dt scans no nodes; the first RK4 step leaves the domain towards
+        # x1 = inf, where the density overflows, so the exit point is named instead
+        _, tmp = problems
+        spec = {"n": 1, "N": 1, "domain": {"lo": [0.0], "hi": [1.0], "resolution": [9]},
+                "H": "exp(1000 * P11 * x1)", "u": ["x1"]}
+        (tmp_path / "overflow.json").write_text(json.dumps(spec))
+        out = tmp / "overflow_flow_dt"
+        argv = ["flow", "--problem", str(tmp_path / "overflow.json"), "--out", str(out),
+                "--x0", "0.5", "--xi", "1", "--dt", "0.01"]
+        assert run(argv) == 2
+        assert _report(out, "flow")["error"]["message"] == "density not finite at point (inf,)"
+        assert not (out / "trajectory.csv").exists()
+
     def test_out_of_range_grid_csv_row_is_exit_2(self, problems):
         paths, tmp = problems
         (tmp / "u.csv").write_text("".join(f"{i},{i / 8!r}\n" for i in range(9)) + "40,1.0\n")

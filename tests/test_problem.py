@@ -409,3 +409,119 @@ class TestProblemIO:
         prob = load_problem(ppath)
         jet = prob.u.jet2(np.array([0.5]))
         assert jet.gradient[0, 0] == pytest.approx(1.0, rel=1e-15)
+
+
+def _line_reader(path, box, N):
+    """The grid CSV reader before the one-call parse: one ``csv.reader`` row at a time."""
+    import csv
+
+    width = box.dim + N
+    rows, lines = [], []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            if not row or row[0].startswith("#"):
+                continue
+            try:
+                if len(row) != width:
+                    raise ValueError(f"{len(row)} fields, expected {box.dim} node indices and {N} components")
+                rows.append([float(c) for c in row])
+            except ValueError as exc:
+                raise ValueError(f"grid CSV {path}, line {reader.line_num}: {exc}") from None
+            lines.append(reader.line_num)
+    table = np.array(rows, dtype=float).reshape(len(rows), width)
+    raw = table[:, :box.dim]
+    whole = np.all(np.isfinite(raw) & (raw == np.round(raw)), axis=1)
+    idx = np.where(whole[:, None], raw, -1).astype(int)
+    inside = whole & np.all((idx >= 0) & (idx < np.asarray(box.shape)), axis=1)
+    flat = np.where(inside, np.ravel_multi_index(np.where(inside[:, None], idx, 0).T, box.shape), -1)
+    _, first = np.unique(flat, return_index=True)
+    repeated = inside.copy()
+    repeated[first] = False
+    bad = np.flatnonzero(~inside | repeated)
+    if bad.size:
+        r = bad[0]
+        where = f"grid CSV {path}, line {lines[r]}"
+        node = tuple(idx[r].tolist())
+        if not whole[r]:
+            raise ValueError(f"{where}: node indices {raw[r].tolist()} are not whole numbers")
+        if not inside[r]:
+            raise ValueError(f"{where}: node {node} lies outside the grid {box.shape}")
+        earlier = lines[np.flatnonzero(flat == flat[r])[0]]
+        raise ValueError(f"{where}: node {node} already given on line {earlier}")
+    values = np.full((N,) + box.shape, np.nan)
+    values[(slice(None),) + tuple(idx.T)] = table[:, box.dim:].T
+    return GridMap(box, values)
+
+
+def _outcome(reader, path, box, N):
+    try:
+        grid = reader(path, box, N)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return grid.values.view(np.uint64).tolist(), grid.valid.tolist()
+
+
+class TestGridCsvContract:
+    """The one-call parse accepts exactly the files the line reader accepts, with the same values."""
+
+    BOX = DomainBox((0.0,), (1.0,), (5,))
+
+    @pytest.mark.parametrize("text", [
+        "# header\n0,1.0\n1,2.0\n",
+        "0,1.0\n\n1,2.0\n\n\n4,5.0\n",
+        "0,1.0\r\n1,2.0\r\n2,3.0\r\n",
+        "0,1.0\r1,2.0\r",
+        "0,1.0\n1,2.0",
+        '"0","1.0"\n1,2.0\n',
+        "0,1_0.0\n",
+        "0,1.0,\n",
+        "0,1.0 # note\n",
+        "0,1.0#x\n",
+        "0,1.0\n   \n1,2.0\n",
+        "",
+        "\n\n",
+        "# only\n# comments\n",
+        "0,nan\n1,-inf\n2,inf\n3,-0.0\n4,-nan\n",
+        "0,NaN\n1,+Infinity\n2, 1e400 \n3,5e-324\n",
+        " 0 ,\t1.5\t\n",
+        "0,,1.0\n",
+        "0,1.0\n1\n",
+        "0,0x1p3\n",
+        "0,1.0\x0c2,3.0\n",
+        "\n# c\n\n0,1.0\n# c\n2,1.0\n\n0,3.0\n",
+        "\n# c\n0,1.0\n\n# c\n7,1.0\n",
+        "\r\n# c\r\n0,1.0\r\n\r\n2.5,1.0\r\n",
+    ])
+    def test_same_values_or_same_error_as_the_line_reader(self, tmp_path, text):
+        path = tmp_path / "grid.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        assert _outcome(read_grid_csv, path, self.BOX, 1) == _outcome(_line_reader, path, self.BOX, 1)
+
+    def test_bad_node_after_blank_and_comment_lines_names_its_line(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        path.write_text("\n# c\n\n0,1.0\n# c\n2,1.0\n\n0,3.0\n")
+        with pytest.raises(ValueError, match=r"line 8: node \(0,\) already given on line 4"):
+            read_grid_csv(path, self.BOX, 1)
+        path.write_text("0,1.0\n\n\n9,1.0\n")
+        with pytest.raises(ValueError, match=r"line 4: node \(9,\) lies outside the grid"):
+            read_grid_csv(path, self.BOX, 1)
+
+    def test_files_without_rows_give_an_all_masked_grid(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        for text in ("", "\n\n", "# only a comment\n"):
+            path.write_text(text)
+            assert not read_grid_csv(path, self.BOX, 1).valid.any()
+
+    def test_a_plain_table_is_parsed_in_one_call(self, tmp_path, monkeypatch):
+        from linfvar import problem
+
+        def refuse(*args):
+            raise AssertionError("the row-by-row reader ran on a plain table")
+
+        box = DomainBox((0.0, 0.0), (1.0, 1.0), (4, 3))
+        gm = GridMap(box, np.random.default_rng(3).normal(size=(2, 4, 3)))
+        write_grid_csv(tmp_path / "grid.csv", gm)
+        monkeypatch.setattr(problem, "_read_rows", refuse)
+        assert np.array_equal(read_grid_csv(tmp_path / "grid.csv", box, 2).values, gm.values)

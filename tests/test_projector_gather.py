@@ -70,10 +70,8 @@ def test_gathered_projectors_match_per_pair_kernel(n, name, masked, tol_angle):
     assert np.array_equal(red.projection, proj)
 
 
-def test_each_node_is_decomposed_once(monkeypatch):
-    box = DomainBox((0.0, 0.0), (1.0, 1.0), (33, 33))
-    u = ClosedFormMap.from_expressions(["sin(x1+x2)", "cos(x1+x2)"], n=2).sample(box)
-    O = Subdomain.whole(box)
+def _count_decompositions(monkeypatch):
+    """A list that grows by the batch size of every rank_decision call."""
     decomposed = []
     rank_decision = linalg.rank_decision
 
@@ -82,10 +80,27 @@ def test_each_node_is_decomposed_once(monkeypatch):
         return rank_decision(A, tol)
 
     monkeypatch.setattr(linalg, "rank_decision", counting)
+    return decomposed
+
+
+def test_each_node_is_decomposed_once(monkeypatch):
+    box = DomainBox((0.0, 0.0), (1.0, 1.0), (33, 33))
+    u = ClosedFormMap.from_expressions(["sin(x1+x2)", "cos(x1+x2)"], n=2).sample(box)
+    O = Subdomain.whole(box)
+    decomposed = _count_decompositions(monkeypatch)
     rf = residual_field(u, Hamiltonian.dirichlet(2, 2), O, variant="reduced")
     assert (rf.ranks == 1).all()
-    # one SVD of H_P at the evaluated points, one over the node field
-    assert sum(decomposed) <= box.all_nodes().shape[0] + rf.points.shape[0]
+    # one SVD over the node field gives the evaluated points' factors too
+    assert sum(decomposed) <= box.all_nodes().shape[0]
+
+
+def test_verify_normal_decomposes_each_node_once(monkeypatch):
+    box = DomainBox((0.0, 0.0), (1.0, 1.0), (33, 33))
+    u = ClosedFormMap.from_expressions(["sin(x1+x2)", "0.5 * sin(x1+x2)"], n=2).sample(box)
+    decomposed = _count_decompositions(monkeypatch)
+    v = normal_variation_test(u, Hamiltonian.dirichlet(2, 2), Subdomain.whole(box), trials=3, seed=1)
+    assert not v.vacuous
+    assert sum(decomposed) <= box.all_nodes().shape[0]
 
 
 def test_non_finite_sample_node_is_named():
