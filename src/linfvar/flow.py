@@ -13,6 +13,7 @@ exit-time bound ||Du||_inf diam(O) / (c0 c1^2) when |xi^T H_P| >= c1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -71,7 +72,7 @@ class _Field:
 
 def _require_finite_point(y, velocity, density) -> None:
     """ValueError naming the point y where the density or the velocity xi^T H_P is not finite."""
-    if not (np.isfinite(density) and np.isfinite(velocity).all()):
+    if not (math.isfinite(density) and all(map(math.isfinite, velocity.tolist()))):
         raise ValueError(f"density not finite at point {tuple(y.tolist())}")
 
 

@@ -168,10 +168,11 @@ def _grid_node_decomposition(u: GridMap, hp_field: np.ndarray, nodes: np.ndarray
     """
     hp = np.moveaxis(hp_field, (0, 1), (-2, -1))
     finite = np.isfinite(hp).all(axis=(-2, -1))
-    keep = u.jet_valid & finite
+    jet_valid = u.jet_valid
+    keep = jet_valid & finite
     keep[tuple(nodes.T)] = True
     U, ranks, _ = linalg.rank_decision(np.where(keep[..., None, None], hp, 0.0))
-    return U, ranks, u.jet_valid & ~finite
+    return U, ranks, jet_valid & ~finite
 
 
 def _reduced_projections(u, H: Hamiltonian, x: np.ndarray, nodes, U: np.ndarray, ranks: np.ndarray,
