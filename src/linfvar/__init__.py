@@ -15,7 +15,6 @@ from .energy import (
     convex_min_check,
     danskin_derivative,
     sup_energy,
-    variation_density,
 )
 from .exprlang import (
     Ast,

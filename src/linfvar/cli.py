@@ -136,24 +136,15 @@ def _dispatch(args, prob: Problem, out_dir: Path):
         return {"sup_energy": energy.sup_energy(u, H, O)}, True
     if cmd == "argmax":
         aset = energy.argmax_set(u, H, O, args.delta)
-        return {
-            "sup_value": aset.sup_value,
-            "delta": aset.delta,
-            "nodes": aset.nodes.tolist(),
-        }, True
+        return dict(vars(aset), nodes=aset.nodes.tolist()), True
     if cmd == "danskin":
-        phi = _phi_map(args.phi, prob.n, prob.N)
-        return {
-            "plus": energy.danskin_derivative(u, H, phi, O, "plus", args.delta),
-            "minus": energy.danskin_derivative(u, H, phi, O, "minus", args.delta),
-        }, True
+        # both one-sided derivatives are the extremes of one scan of the argmax set
+        scan = varcheck.stationarity_scan(u, H, O, _phi_map(args.phi, prob.n, prob.N), delta=args.delta)
+        return {"plus": scan.max_val, "minus": scan.min_val}, True
     if cmd == "residual":
         tol = 1e-8 if args.tol is None else args.tol
-        if args.points == "grid":
-            rf = operators.residual_field(u, H, O, variant=args.variant)
-        else:
-            rf = operators.residual_field(u, H, O, variant=args.variant,
-                                          points=_parse_points(args.points))
+        points = None if args.points == "grid" else _parse_points(args.points)
+        rf = operators.residual_field(u, H, O, variant=args.variant, points=points)
         norms = rf.norms
         results = {
             "variant": rf.variant,
@@ -184,15 +175,7 @@ def _dispatch(args, prob: Problem, out_dir: Path):
         }, True
     if cmd == "maxmin":
         rep = flow.verify_maxmin(u, H, O)
-        return {
-            "sup_interior": rep.sup_interior,
-            "max_boundary": rep.max_boundary,
-            "inf_interior": rep.inf_interior,
-            "min_boundary": rep.min_boundary,
-            "tol_grid": rep.tol_grid,
-            "max_principle": rep.max_principle,
-            "min_principle": rep.min_principle,
-        }, rep.passes
+        return vars(rep), rep.passes
     if cmd == "verify-absolute":
         v = varcheck.absolute_minimiser_test(
             u, H, O, trials=args.trials, amplitude=args.amplitude,
@@ -246,13 +229,7 @@ def _dispatch(args, prob: Problem, out_dir: Path):
         rep = varcheck.measure_divergence_residual(u, H, O, sigma, basis, delta=args.delta)
         tol = 1e-8 if args.tol is None else args.tol
         passed = rep.worst <= tol * (1.0 + rep.scale)
-        return {
-            "worst": rep.worst,
-            "scale": rep.scale,
-            "per_psi": rep.per_psi,
-            "atoms": len(sigma.atoms),
-            "tolerance": tol,
-        }, passed
+        return dict(vars(rep), atoms=len(sigma.atoms), tolerance=tol), passed
     if cmd == "lp":
         schedule = [float(p) for p in args.p_schedule.split(",")]
         settings = lp_approx.OptimizerSettings(max_iter=args.max_iter, tol_opt=args.tol_opt)
@@ -271,13 +248,10 @@ def _dispatch(args, prob: Problem, out_dir: Path):
 
 
 def _verdict_results(v: varcheck.Verdict) -> dict:
-    return {
-        "pass": v.passed,
-        "worst_violation": v.worst_violation,
-        "witness": v.witness,
-        "trials": v.trials,
-        "vacuous": v.vacuous,
-    }
+    """The verdict's fields, ``passed`` reported as ``pass``."""
+    results = dict(vars(v))
+    results["pass"] = results.pop("passed")
+    return results
 
 
 def run(argv=None) -> int:

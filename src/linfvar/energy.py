@@ -35,7 +35,6 @@ __all__ = [
     "linearised_density",
     "subdomain_nodes",
     "sup_energy",
-    "variation_density",
 ]
 
 
@@ -125,30 +124,18 @@ def linearised_density(ham: HamiltonianJet, phi, O: Subdomain, nodes: np.ndarray
     return np.asarray(g, dtype=float)
 
 
-def variation_density(u, H: Hamiltonian, phi, O: Subdomain, nodes: np.ndarray) -> np.ndarray:
-    """Linearised density g = H_P : Dphi + H_eta . phi at the given nodes."""
-    return linearised_density(density_linearisation(u, H, O, nodes), phi, O, nodes)
-
-
-def danskin_derivative(
-    u,
-    H: Hamiltonian,
-    phi,
-    O: Subdomain,
-    side: str = "plus",
-    delta: Optional[float] = None,
-) -> float:
+def danskin_derivative(u, H: Hamiltonian, phi, O: Subdomain, side: str = "plus") -> float:
     """One-sided derivative of t -> E_inf(u + t*phi, O) at t = 0.
 
     Equals the max (side="plus") or min (side="minus") of the linearised
-    density H_P : Dphi + H_eta . phi over the argmax set of H(., u, Du).
-    The variation phi need not vanish on the boundary; boundary conditions
-    are the caller's concern.
+    density H_P : Dphi + H_eta . phi over the argmax set of H(., u, Du),
+    admitted with the default tolerance.  The variation phi need not vanish
+    on the boundary; boundary conditions are the caller's concern.
     """
     if side not in ("plus", "minus"):
         raise ValueError("side must be 'plus' or 'minus'")
-    aset = argmax_set(u, H, O, delta)
-    g = variation_density(u, H, phi, O, aset.nodes)
+    aset = argmax_set(u, H, O)
+    g = linearised_density(density_linearisation(u, H, O, aset.nodes), phi, O, aset.nodes)
     return float(np.max(g) if side == "plus" else np.min(g))
 
 
@@ -161,12 +148,13 @@ class ConvexMinVerdict:
     min_sampled: float
 
 
-def convex_min_check(samples, tol: float = 1e-9) -> ConvexMinVerdict:
+def convex_min_check(samples) -> ConvexMinVerdict:
     """Check that a (caller-asserted convex) sampled function has its global min at t = 0.
 
     Uses the one-sided discrete slopes at 0: pass iff slope- <= tol,
-    slope+ >= -tol and f(0) <= min sample + tol.
+    slope+ >= -tol and f(0) <= min sample + tol, with tol = 1e-9.
     """
+    tol = 1e-9
     pts = sorted((float(t), float(f)) for t, f in samples)
     if len(pts) < 3:
         raise ValueError("need at least 3 samples")

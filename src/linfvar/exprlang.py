@@ -530,14 +530,6 @@ def dual_cos(a: Dual2) -> Dual2:
     return _compose(a, c, -s, -c)
 
 
-def _is_constant(d: Dual2) -> bool:
-    if d.grad.size and np.any(d.grad != 0.0):
-        return False
-    if d.hess is not None and d.hess.size and np.any(d.hess != 0.0):
-        return False
-    return True
-
-
 def _coeff_pow(c, v, e):
     """c * v**e with the convention that a zero coefficient kills the factor."""
     raw = c * np.power(v, e)
@@ -550,8 +542,11 @@ def dual_pow_varying(a: Dual2, b: Dual2, policy: str) -> Dual2:
 
 
 def dual_pow(a: Dual2, b: Dual2, policy: str) -> Dual2:
-    if not _is_constant(b):
-        return dual_pow_varying(a, b, policy)
+    """a^b for an exponent that holds no variable; b's derivatives are not read.
+
+    Exponents that hold a variable take :func:`dual_pow_varying`, chosen by
+    the expression when it is compiled.
+    """
     m = np.asarray(b.val, dtype=float)
     v = a.val
     is_int = (m == np.floor(m)) & np.isfinite(m)
@@ -770,7 +765,6 @@ def _compile(node: Node, variables: dict):
     consts = [const for _, const in parts]
     clean = [c is not None and c[1] == 0.0 and c[2] == 0.0 for c in consts]
     if op is dual_pow and clean[1]:
-        # constant exponent: dual_pow's own test sees zero derivatives here
         op = _pow_kernel(np.asarray(consts[1][0], dtype=float))
         fns, consts, clean = fns[:1], consts[:1], clean[:1]
     elif op is dual_pow and _has_variable(args[1]):
@@ -880,6 +874,6 @@ def _expand(arr, shape: tuple) -> np.ndarray:
     return out if out.shape == shape else np.array(np.broadcast_to(out, shape))
 
 
-def eval_value(ast: Ast, binding: Mapping, on_singularity: str = "raise") -> np.ndarray:
-    """Plain evaluation (no derivatives); scalars in, scalar/array out."""
-    return eval_jet2(ast, binding, seeds=(), order=1, on_singularity=on_singularity).val
+def eval_value(ast: Ast, binding: Mapping) -> np.ndarray:
+    """Plain evaluation (no derivatives); scalars in, scalar/array out.  Singular points raise."""
+    return eval_jet2(ast, binding, seeds=(), order=1).val

@@ -34,7 +34,6 @@ from .problem import (
     Hamiltonian,
     HamiltonianJet,
     Jet2,
-    PerturbedMap,
     Subdomain,
     axis_derivative,
     hamiltonian_jet,
@@ -125,8 +124,6 @@ def _default_eps(u, x: np.ndarray) -> np.ndarray:
     """Default ball radius at points x (n, M): two grid spacings, else 1e-2 (1 + |x|)."""
     if isinstance(u, GridMap):
         return np.full(x.shape[1], 2.0 * float(np.max(u.box.spacing)))
-    if isinstance(u, PerturbedMap):
-        return _default_eps(u.base, x)
     return 1e-2 * (1.0 + np.linalg.norm(x, axis=0))
 
 

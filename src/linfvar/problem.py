@@ -190,14 +190,14 @@ class Subdomain:
         return cls(box, mask, sing, ("box", tuple(float(v) for v in lo), tuple(float(v) for v in hi)))
 
     @classmethod
-    def from_ball(cls, box: DomainBox, center, radius: float, singular: Optional[np.ndarray] = None) -> "Subdomain":
+    def from_ball(cls, box: DomainBox, center, radius: float) -> "Subdomain":
         center = np.asarray(center, dtype=float)
         nodes = box.all_nodes()
         coords = box.node_coords(nodes)  # (dim, M)
         inside = np.linalg.norm(coords - center[:, None], axis=0) <= radius + 1e-12
         mask = np.zeros(box.shape, dtype=bool)
         mask[tuple(nodes[inside].T)] = True
-        sing = np.zeros(box.shape, dtype=bool) if singular is None else singular
+        sing = np.zeros(box.shape, dtype=bool)
         return cls(box, mask, sing, ("ball", tuple(float(v) for v in center), float(radius)))
 
     @property
@@ -372,10 +372,11 @@ class ClosedFormMap:
                 hessian[a] = d.hess
         return Jet2(x=x, value=value, gradient=gradient, hessian=hessian)
 
-    def sample(self, box: DomainBox, on_singularity: str = "nan") -> "GridMap":
+    def sample(self, box: DomainBox) -> "GridMap":
+        """The map's values at every node of ``box``; NaN where it is singular."""
         nodes = box.all_nodes()
         coords = box.node_coords(nodes)
-        jet = self.jet2(coords, order=1, on_singularity=on_singularity)
+        jet = self.jet2(coords, order=1, on_singularity="nan")
         values = jet.value.reshape((self.N,) + box.shape)
         return GridMap(box, values)
 

@@ -19,7 +19,6 @@ import numpy as np
 
 from .energy import (
     argmax_set,
-    danskin_derivative,
     density_linearisation,
     density_sup,
     linearised_density,
@@ -298,10 +297,9 @@ def sphere_family_scan(u, H: Hamiltonian, box: DomainBox, center, radii, directi
         O = Subdomain.from_ball(box, center, rho)
         for xi in directions:
             phi = make_sphere_variation(np.asarray(xi, dtype=float), center, rho, box.dim)
-            plus = danskin_derivative(u, H, phi, O, "plus")
-            minus = danskin_derivative(u, H, phi, O, "minus")
+            scan = stationarity_scan(u, H, O, phi)
             out.append({"rho": float(rho), "xi": list(np.asarray(xi, dtype=float)),
-                        "plus": plus, "minus": minus})
+                        "plus": scan.max_val, "minus": scan.min_val})
     return out
 
 
@@ -355,20 +353,14 @@ def stationarity_scans(
     return reports
 
 
-def stationarity_scan(
-    u,
-    H: Hamiltonian,
-    O: Subdomain,
-    psi,
-    delta: Optional[float] = None,
-    tol: Optional[float] = None,
-) -> StationarityReport:
+def stationarity_scan(u, H: Hamiltonian, O: Subdomain, psi, delta: Optional[float] = None) -> StationarityReport:
     """Evaluate g = H_P : Dpsi + H_eta . psi on the argmax set of the density.
 
     Returns its extremes (identical, by construction, to the one-sided
     Danskin derivatives for the same psi), and the near-zero set K.
+    Statement (ii) takes the default tolerance 1e-8 (1 + max|g|).
     """
-    return stationarity_scans(u, H, O, [psi], delta, tol)[0]
+    return stationarity_scans(u, H, O, [psi], delta)[0]
 
 
 @dataclass

@@ -360,6 +360,83 @@ def test_reports_hold_plain_values_only(problems, tmp_path, monkeypatch):
     assert len(written) == len(calls)
 
 
+# Each subcommand's results keys, and those of its per-entry lists.  argmax, maxmin, measure,
+# the verdicts and the lp stages report the fields of the library's result objects.
+_VERDICT_KEYS = {"pass", "worst_violation", "witness", "trials", "vacuous"}
+RESULT_KEYS = {
+    "parse-check": {"n", "N", "hamiltonian", "depends_on_eta", "depends_on_x", "map_kind", "singular_nodes"},
+    "energy": {"sup_energy"},
+    "argmax": {"sup_value", "delta", "nodes"},
+    "danskin": {"plus", "minus"},
+    "residual": {"variant", "count", "max_norm", "mean_norm", "tolerance", "points", "norms",
+                 "projection_drops", "rank_counts"},
+    "flow": {"exited", "exit_time", "exit_point", "steps", "evaluations", "H_drift", "trajectory_csv"},
+    "maxmin": {"sup_interior", "max_boundary", "inf_interior", "min_boundary", "tol_grid",
+               "max_principle", "min_principle"},
+    "verify-absolute": _VERDICT_KEYS,
+    "verify-rank-one": _VERDICT_KEYS,
+    "verify-normal": _VERDICT_KEYS,
+    "stationarity": {"per_psi", "argmax_size"},
+    "measure": {"worst", "scale", "per_psi", "atoms", "tolerance"},
+    "lp": {"stages"},
+}
+ENTRY_KEYS = {
+    "stationarity": {"max_val", "min_val", "K_size", "k_fraction", "statement_ii", "statement_iii"},
+    "lp": {"p_energy", "e_inf", "e_inf_interior", "grad_norm", "iters", "evals", "hess_products",
+           "status", "p", "residual_norm", "solution_csv"},
+}
+
+
+def test_result_keys_of_every_subcommand(problems):
+    paths, tmp = problems
+    extra = {"danskin": ["--phi", "1 - x1^2"], "flow": ["--x0", "0.2", "--xi", "1", "--dt", "0.05"],
+             "verify-absolute": ["--trials", "2"], "verify-rank-one": ["--trials", "2"],
+             "verify-normal": ["--trials", "2"], "stationarity": ["--basis-size", "4"],
+             "measure": ["--basis-size", "4"], "lp": ["--p-schedule", "2,4", "--max-iter", "200"]}
+    assert set(RESULT_KEYS) == set(cli._OPTIONS)
+    for command, keys in RESULT_KEYS.items():
+        out = tmp / f"keys_{command}"
+        assert run([command, "--problem", paths["linear1d"], *extra.get(command, []), "--out", str(out)]) in (0, 1)
+        results = _report(out, command)["results"]
+        assert set(results) == keys, command
+        if command in ENTRY_KEYS:
+            entries = results["per_psi" if command == "stationarity" else "stages"]
+            assert entries and all(set(entry) == ENTRY_KEYS[command] for entry in entries), command
+
+
+def test_danskin_scans_one_argmax_set(problems, monkeypatch):
+    """Both one-sided derivatives come from one argmax set, wherever it is looked up."""
+    from linfvar import energy, varcheck
+
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (energy, varcheck):
+        monkeypatch.setattr(module, "argmax_set", counted(module.argmax_set))
+    paths, tmp = problems
+    assert run(["danskin", "--problem", paths["aronsson"], "--phi", "x1 - x2", "--out", str(tmp / "d1")]) == 0
+    assert len(calls) == 1
+
+
+def test_danskin_reports_the_one_sided_derivatives(problems):
+    from linfvar import ClosedFormMap, danskin_derivative, load_problem
+
+    paths, tmp = problems
+    source = "sin(3*x1) + x1^2"  # the argmax set of the linear map is every node
+    assert run(["danskin", "--problem", paths["linear1d"], "--phi", source, "--out", str(tmp / "d2")]) == 0
+    results = _report(tmp / "d2", "danskin")["results"]
+    prob = load_problem(Path(paths["linear1d"]))
+    phi = ClosedFormMap.from_expressions([source], 1)
+    for side in ("plus", "minus"):
+        assert results[side] == danskin_derivative(prob.u, prob.H, phi, prob.subdomain, side)
+    assert results["plus"] > results["minus"]
+
+
 class TestReports:
     def test_danskin_values(self, problems):
         paths, tmp = problems

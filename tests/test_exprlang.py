@@ -216,6 +216,23 @@ def test_variable_exponent_value_matches_its_jet():
         assert hamiltonian_value(H, x[:, m], eta[:, m], P[:, :, m]) == jet[m]
 
 
+@pytest.mark.parametrize("src", ["P11^exp(1000)", "pow(P11, exp(1000))", "P11^(-exp(1000))", "P11^(1/0)"])
+def test_variable_free_exponent_value_matches_its_jet(src):
+    """An exponent that holds no variable takes the constant-exponent power with and without
+    seeds, even when it folds to inf with NaN derivative fills: H's value and its jet's value
+    agree bit for bit, or both raise with the same type and message."""
+    from linfvar import Hamiltonian, hamiltonian_jet, hamiltonian_value
+
+    H = Hamiltonian.from_expression(src, 1, 1)
+    x, eta = np.zeros((1, 1)), np.zeros((1, 1))
+    for p in (1.0, 0.5, 2.0, -2.0, 0.0):
+        P = np.full((1, 1, 1), p)
+        value, value_exc = _outcome(lambda: hamiltonian_value(H, x, eta, P))
+        jet, jet_exc = _outcome(lambda: hamiltonian_jet(H, x, eta, P).value)
+        assert value_exc == jet_exc, (p, value_exc, jet_exc)
+        assert value_exc is not None or _same_bits(value, jet), (p, value, jet)
+
+
 def test_variable_exponent_uses_exp_log():
     d = eval_jet2(parse("x1^x2", (2, 1)), {"x1": 2.0, "x2": 3.0}, ["x1", "x2"])
     assert d.val == pytest.approx(8.0, rel=1e-14)

@@ -1,6 +1,6 @@
-"""No module of the package imports a name that it never uses or defines one that nobody reads.
+"""No module of the package imports a name that it never uses or defines one that nobody reads or sets.
 
-Three stdlib ``ast`` checks over ``src/linfvar/*.py``:
+Four stdlib ``ast`` checks over ``src/linfvar/*.py``:
 
 - every name that a module-level import binds must be read somewhere in
   the module, in a string annotation or in the module's ``__all__``;
@@ -8,7 +8,10 @@ Three stdlib ``ast`` checks over ``src/linfvar/*.py``:
   attribute or an import, somewhere in ``src/linfvar``, ``tests`` or
   ``scripts``;
 - every parameter of every ``def``, ``self`` and ``cls`` aside, must be
-  read in that ``def``.
+  read in that ``def``;
+- every defaulted parameter of a public function or method must be passed,
+  by keyword or by position, by some call in ``src/linfvar``, ``tests``,
+  ``scripts`` or ``bench``, apart from the reduced projection's levers.
 
 ``__init__.py``, which imports in order to re-export, and ``from
 __future__`` imports are exempt from the first two.
@@ -143,3 +146,105 @@ def test_the_check_sees_an_unread_parameter():
                        "class K:\n    def m(self, x, y):\n        def inner(z):\n            return x\n"
                        "        return inner\n\n    @classmethod\n    def make(cls, w):\n        return cls()\n")
     assert _unread_parameters(module) == ["f.b", "f.args", "f.kw", "K.m.y", "K.m.inner.z", "K.make.w"]
+
+
+# The documented levers of the reduced projection (README "Fixed numerical constants").
+LEVERS = frozenset({"eps", "tol_angle"})
+
+
+def _defaulted_parameters(tree: ast.Module) -> list:
+    """(call name, offset, parameter, position) for each defaulted parameter of a public
+    top-level function or of a method of a public class, ``__init__`` included.
+
+    A call names a function by its own name, a method by its attribute name and
+    ``__init__`` by its class's name; ``offset`` is the number of leading
+    parameters, ``self`` or ``cls``, that such a call does not pass, and
+    ``position`` is None for a keyword-only parameter.
+    """
+    found = []
+
+    def add(fn, name, offset):
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        found.extend((name, offset, a.arg, i) for i, a in enumerate(positional) if i >= first)
+        found.extend((name, offset, a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, functions) and not node.name.startswith("_"):
+            add(node, node.name, 0)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for method in node.body:
+                if not isinstance(method, functions):
+                    continue
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in method.decorator_list)
+                if method.name == "__init__":
+                    add(method, node.name, 1)
+                elif not method.name.startswith("_"):
+                    add(method, method.name, 0 if static else 1)
+    return found
+
+
+def _calls(trees) -> dict:
+    """Call name -> [positional counts, keyword names, whether some call unpacks ``*`` or ``**``]
+    over the modules ``trees``.
+
+    ``cls(...)`` inside a class, as in its classmethods, calls that class.
+    """
+    calls = {}
+
+    def record(call, name):
+        entry = calls.setdefault(name, [set(), set(), False])
+        entry[0].add(len(call.args))
+        entry[1].update(k.arg for k in call.keywords if k.arg is not None)
+        if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+            entry[2] = True
+
+    def visit(node, cls_name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                if isinstance(func, ast.Name):
+                    record(child, cls_name if func.id == "cls" and cls_name else func.id)
+                elif isinstance(func, ast.Attribute):
+                    record(child, func.attr)
+            visit(child, child.name if isinstance(child, ast.ClassDef) else cls_name)
+
+    for tree in trees:
+        visit(tree, None)
+    return calls
+
+
+def _unset_parameters(definitions: list, calls: dict) -> list:
+    """``name.parameter`` of each defaulted parameter that no call passes, by keyword or by position."""
+    unset = []
+    for name, offset, param, position in definitions:
+        counts, keywords, unpacks = calls.get(name, (set(), set(), False))
+        by_position = position is not None and any(count + offset > position for count in counts)
+        if not (unpacks or param in keywords or by_position):
+            unset.append(f"{name}.{param}")
+    return unset
+
+
+def test_no_parameter_that_nothing_sets():
+    """A parameter that no caller sets is a constant, not an option."""
+    callers = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+    callers += sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    calls = _calls(ast.parse(path.read_text(), filename=str(path)) for path in callers)
+    definitions = [d for path in sorted(SRC.glob("*.py"))
+                   for d in _defaulted_parameters(ast.parse(path.read_text(), filename=path.name))]
+    unset = [name for name in _unset_parameters(definitions, calls) if name.split(".")[-1] not in LEVERS]
+    assert not unset, "defaulted parameters that no call sets: " + ", ".join(unset)
+
+
+def test_the_check_sees_a_parameter_that_nothing_sets():
+    module = ast.parse("def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n\n"
+                       "def g(x=0):\n    pass\n\n"
+                       "def _private(y=0):\n    pass\n\n"
+                       "class K:\n    def __init__(self, p=1, q=2):\n        pass\n\n"
+                       "    @classmethod\n    def make(cls, r=0):\n        return cls(5)\n\n"
+                       "    @staticmethod\n    def build(s=0):\n        pass\n")
+    callers = ast.parse("f(1, 2, e=5)\nK.make(1)\nK.build()\ng(*args)\n")
+    calls = _calls([module, callers])
+    assert _unset_parameters(_defaulted_parameters(module), calls) == ["f.c", "f.d", "K.q", "build.s"]
