@@ -15,6 +15,7 @@ from .energy import (
     convex_min_check,
     danskin_derivative,
     sup_energy,
+    variation_density,
 )
 from .exprlang import (
     Ast,

@@ -35,6 +35,7 @@ __all__ = [
     "linearised_density",
     "subdomain_nodes",
     "sup_energy",
+    "variation_density",
 ]
 
 
@@ -124,6 +125,11 @@ def linearised_density(ham: HamiltonianJet, phi, O: Subdomain, nodes: np.ndarray
     return np.asarray(g, dtype=float)
 
 
+def variation_density(u, H: Hamiltonian, phi, O: Subdomain, nodes: np.ndarray) -> np.ndarray:
+    """Linearised density g = H_P : Dphi + H_eta . phi at the given nodes."""
+    return linearised_density(density_linearisation(u, H, O, nodes), phi, O, nodes)
+
+
 def danskin_derivative(u, H: Hamiltonian, phi, O: Subdomain, side: str = "plus") -> float:
     """One-sided derivative of t -> E_inf(u + t*phi, O) at t = 0.
 
@@ -135,7 +141,7 @@ def danskin_derivative(u, H: Hamiltonian, phi, O: Subdomain, side: str = "plus")
     if side not in ("plus", "minus"):
         raise ValueError("side must be 'plus' or 'minus'")
     aset = argmax_set(u, H, O)
-    g = linearised_density(density_linearisation(u, H, O, aset.nodes), phi, O, aset.nodes)
+    g = variation_density(u, H, phi, O, aset.nodes)
     return float(np.max(g) if side == "plus" else np.min(g))
 
 

@@ -423,28 +423,26 @@ def test_danskin_scans_one_argmax_set(problems, monkeypatch):
     assert len(calls) == 1
 
 
-def test_danskin_reports_the_one_sided_derivatives(problems):
-    from linfvar import ClosedFormMap, danskin_derivative, load_problem
-
-    paths, tmp = problems
-    source = "sin(3*x1) + x1^2"  # the argmax set of the linear map is every node
-    assert run(["danskin", "--problem", paths["linear1d"], "--phi", source, "--out", str(tmp / "d2")]) == 0
-    results = _report(tmp / "d2", "danskin")["results"]
-    prob = load_problem(Path(paths["linear1d"]))
-    phi = ClosedFormMap.from_expressions([source], 1)
-    for side in ("plus", "minus"):
-        assert results[side] == danskin_derivative(prob.u, prob.H, phi, prob.subdomain, side)
-    assert results["plus"] > results["minus"]
-
-
 class TestReports:
     def test_danskin_values(self, problems):
+        from linfvar import ClosedFormMap, danskin_derivative, load_problem
+
         paths, tmp = problems
         assert run(["danskin", "--problem", paths["linear1d"], "--phi", "1 - x1^2",
                     "--out", str(tmp / "d")]) == 0
         rep = _report(tmp / "d", "danskin")
         assert rep["results"]["plus"] == 4.0
         assert rep["results"]["minus"] == -4.0
+        # the one argmax-set scan gives both one-sided derivatives bit for bit
+        source = "sin(3*x1) + x1^2"
+        assert run(["danskin", "--problem", paths["linear1d"], "--phi", source,
+                    "--out", str(tmp / "d2")]) == 0
+        results = _report(tmp / "d2", "danskin")["results"]
+        prob = load_problem(Path(paths["linear1d"]))
+        phi = ClosedFormMap.from_expressions([source], 1)
+        for side in ("plus", "minus"):
+            assert results[side] == danskin_derivative(prob.u, prob.H, phi, prob.subdomain, side)
+        assert results["plus"] > results["minus"]
 
     def test_energy_and_argmax(self, problems):
         paths, tmp = problems
