@@ -1,8 +1,9 @@
 """Characteristic flow of the energy density and the max/min principle checks.
 
 The flow integrates gamma' = xi^T H_P(., u, Du) along a direction xi in
-R^N with classical fixed-step RK4, localising the subdomain exit by
-bisection.  Along trajectories of solutions of the tangential system the
+R^N with the adaptive Dormand-Prince 5(4) pair, stepping by a local error
+tolerance, and finds the subdomain exit on the last step's continuous
+extension.  Along trajectories of solutions of the tangential system the
 density H(., u, Du) is conserved, and under the structural condition
 
     (xi^T H_P(x, eta, P)) . (xi^T P) >= c |xi^T H_P(x, eta, P)|^2
@@ -57,6 +58,7 @@ class _Field:
     """The velocity xi^T H_P and the density H at a point, from one jet of u and of H.
 
     ``evaluations`` counts the calls; it is deterministic for given inputs.
+    A point where H or xi^T H_P is not finite is a ValueError naming it.
     """
 
     def __init__(self, u, H: Hamiltonian, xi: np.ndarray):
@@ -67,21 +69,71 @@ class _Field:
         self.evaluations += 1
         jet = map_jet(self.u, y, order=1)
         hj = hamiltonian_jet(self.H, jet.x, jet.value, jet.gradient)
-        return self.xi @ hj.P_grad, float(hj.value)
+        velocity, density = self.xi @ hj.P_grad, float(hj.value)
+        if not (math.isfinite(density) and all(map(math.isfinite, velocity.tolist()))):
+            raise ValueError(f"density not finite at point {tuple(y.tolist())}")
+        return velocity, density
 
 
-def _require_finite_point(y, velocity, density) -> None:
-    """ValueError naming the point y where the density or the velocity xi^T H_P is not finite."""
-    if not (math.isfinite(density) and all(map(math.isfinite, velocity.tolist()))):
-        raise ValueError(f"density not finite at point {tuple(y.tolist())}")
+# Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.5 and the code
+# DOPRI5).  Row i of _A builds stage i + 2 from stages 1..i + 1; the last row is the
+# 5th-order solution, so stage 7 is the velocity at the new point (FSAL).  _E weighs the
+# stages into the difference of the 5th- and 4th-order solutions, and _D into the last
+# coefficient of the 4th-order continuous extension (sec. II.6).
+_A = np.array([
+    [1 / 5, 0, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0],
+    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+])
+_E = np.array([71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+_D = np.array([-12715105075 / 11282082432, 0, 87487479700 / 32700410799,
+               -10690763975 / 1880347072, 701980252875 / 199316789632,
+               -1453857185 / 822651844, 69997945 / 29380423])
+_TOL = 1e-12  # relative and absolute tolerance of the local error
+_SAFETY, _FAC_MIN, _FAC_MAX = 0.9, 0.2, 5.0  # step factor 0.9 err^(-1/5), clamped
 
 
-def _rk4_step(field, y, dt, k1):
-    """One RK4 step from y, whose velocity k1 the caller already has."""
-    k2 = field(y + 0.5 * dt * k1)[0]
-    k3 = field(y + 0.5 * dt * k2)[0]
-    k4 = field(y + dt * k3)[0]
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _dp5_step(field, y, h, k1):
+    """One Dormand-Prince step of length h from y, whose velocity k1 the caller already has.
+
+    Returns (the new point, the 7 stages, the density at the new point).
+    """
+    K = np.empty((7, y.size))
+    K[0] = k1
+    for i in range(5):
+        K[i + 1] = field(y + h * (_A[i, :i + 1] @ K[:i + 1]))[0]
+    y_new = y + h * (_A[5] @ K[:6])
+    K[6], density = field(y_new)
+    return y_new, K, density
+
+
+def _step_factor(err: float) -> float:
+    """The next step over this one from the error norm; a NaN norm shrinks the step."""
+    if err == 0.0:
+        return _FAC_MAX
+    return min(_FAC_MAX, max(_FAC_MIN, _SAFETY * err ** -0.2))
+
+
+def _exit_on_dense_output(O: Subdomain, y, y_new, K, h):
+    """(theta, point) on the step's continuous extension: the last point found inside O
+    by bisecting theta in [0, 1] until it no longer halves; y is inside, y_new is not."""
+    dy = y_new - y
+    b = h * K[0] - dy
+    c = dy - h * K[6] - b
+    d = h * (_D @ K)
+    lo, hi, inside = 0.0, 1.0, y
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return lo, inside
+        p = y + mid * (dy + (1.0 - mid) * (b + mid * (c + (1.0 - mid) * d)))
+        if O.contains_point(p):
+            lo, inside = mid, p
+        else:
+            hi = mid
 
 
 def _node_speeds(u, H: Hamiltonian, O: Subdomain, xi: np.ndarray):
@@ -115,14 +167,22 @@ def integrate_flow(
 ) -> Trajectory:
     """Integrate the characteristic ODE from x0 until it exits the subdomain.
 
-    Classical RK4 with fixed step ``dt``; the boundary crossing is
-    localised by bisection of the final step to within ``dt * 1e-6``.
-    Reaching ``t_max`` without exit is reported, not raised; a point where
-    H or xi^T H_P is not finite is a ValueError naming it (the start, each
-    accepted point and the exit point are checked).  When a
-    structural constant ``c0`` is supplied, ``t_max`` defaults to ten times
-    the exit-time bound; otherwise to ``1e3 * dt``.  Requires a closed-form
-    map (grid maps evaluate at nodes only).
+    Adaptive Dormand-Prince 5(4) with FSAL: each attempted step costs 6 field
+    evaluations, and the last of them gives the new point's density.  A step
+    is accepted when its error norm (Hairer's (4.11), relative and absolute
+    tolerance ``1e-12``) is at most 1; the next step is the last one times
+    ``0.9 err^(-1/5)`` clamped to [0.2, 5].  ``dt`` is the first step and
+    the largest one; by default the first step is ``h / (4 v_max)`` over the
+    subdomain's nodes and no step is capped.  When an accepted step ends
+    outside the subdomain, the crossing is found by bisection on the step's
+    continuous extension, without field evaluations: the exit point is the
+    last point found inside, so it lies in the closed subdomain.  Reaching
+    ``t_max`` without exit is reported, not raised; every evaluated point
+    where H or xi^T H_P is not finite is a ValueError naming it, and so is a
+    step too small to advance t.  When a structural constant ``c0`` is
+    supplied, ``t_max`` defaults to ten times the exit-time bound; otherwise
+    to ``1e3`` times the first step.  Requires a closed-form map (grid maps
+    evaluate at nodes only).
     """
     if isinstance(u, GridMap):
         raise ValueError("flow integration requires a closed-form map (grid maps evaluate only at nodes)")
@@ -130,55 +190,50 @@ def integrate_flow(
     xi = np.asarray(xi, dtype=float)
     if not O.contains_point(x0):
         raise ValueError(f"starting point {x0} lies outside the subdomain")
-    if dt is None:
-        dt = default_time_step(u, H, O, xi)
+    h_max = np.inf if dt is None else dt
+    h = default_time_step(u, H, O, xi) if dt is None else dt
     if t_max is None:
         if c0 is not None:
             bound = exit_time_bound(u, H, O, xi, c0)["bound"]
-            t_max = 10.0 * bound if np.isfinite(bound) else 1e3 * dt
+            t_max = 10.0 * bound if np.isfinite(bound) else 1e3 * h
         else:
-            t_max = 1e3 * dt
+            t_max = 1e3 * h
     field = _Field(u, H, xi)
-    k1, h0 = field(x0)  # each accepted point's k1 evaluation also gives its density
-    _require_finite_point(x0, k1, h0)
+    k1, h0 = field(x0)  # each accepted step's last stage gives the next k1 and the density
     times = [0.0]
     points = [x0]
     hvals = [h0]
     y = x0
     t = 0.0
-    max_steps = int(np.ceil(t_max / dt))
     exited = False
     exit_time = None
     exit_point = None
-    for _ in range(max_steps):
-        y_next = _rk4_step(field, y, dt, k1)
-        if O.contains_point(y_next):
-            t += dt
-            y = y_next
-            k1, hy = field(y)
-            _require_finite_point(y, k1, hy)
-            times.append(t)
-            points.append(y)
-            hvals.append(hy)
+    while t < t_max:
+        h = min(h, t_max - t)
+        if t + h == t:
+            raise ValueError(f"flow step no longer advances t at point {tuple(y.tolist())}")
+        y_new, K, hy = _dp5_step(field, y, h, k1)
+        scale = _TOL * (1.0 + np.maximum(np.abs(y), np.abs(y_new)))
+        err = math.sqrt(float(np.mean((h * (_E @ K) / scale) ** 2)))
+        factor = _step_factor(err)
+        if not err <= 1.0:
+            h *= factor
             continue
-        # bisect the step length until the crossing is localised
-        lo_tau, hi_tau = 0.0, dt
-        while hi_tau - lo_tau > dt * 1e-6:
-            mid = 0.5 * (lo_tau + hi_tau)
-            if O.contains_point(_rk4_step(field, y, mid, k1)):
-                lo_tau = mid
-            else:
-                hi_tau = mid
-        tau = 0.5 * (lo_tau + hi_tau)
-        exit_point = _rk4_step(field, y, tau, k1)
-        k_exit, h_exit = field(exit_point)
-        _require_finite_point(exit_point, k_exit, h_exit)
-        exit_time = t + tau
-        times.append(exit_time)
-        points.append(exit_point)
-        hvals.append(h_exit)
-        exited = True
-        break
+        if not O.contains_point(y_new):
+            theta, exit_point = _exit_on_dense_output(O, y, y_new, K, h)
+            exit_time = t + theta * h
+            times.append(exit_time)
+            points.append(exit_point)
+            hvals.append(field(exit_point)[1])
+            exited = True
+            break
+        t += h
+        y = y_new
+        k1 = K[6]
+        times.append(t)
+        points.append(y)
+        hvals.append(hy)
+        h = min(h * factor, h_max)
     return Trajectory(
         times=np.asarray(times),
         points=np.asarray(points),

@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from . import operators
-from .energy import sup_energy
+from .energy import _require_finite, sup_energy
 from .exprlang import EvalError
 from .problem import GridMap, Hamiltonian, Subdomain, hamiltonian_jet, jets_at_nodes
 
@@ -202,7 +202,7 @@ class _CellScheme:
         ham = hamiltonian_jet(self.prob.H, self.x_mid, val, P, order=order)
         hvals = np.asarray(ham.value, dtype=float)
         if not np.isfinite(hvals).all():
-            raise ValueError("non-finite density during p-power minimisation")
+            _require_finite(~np.isfinite(hvals).ravel(), self.x_mid.reshape(self.n, -1).T, "cell midpoint")
         if np.any(hvals < 0):
             raise ValueError("density must be nonnegative for p-power minimisation")
         with np.errstate(over="ignore"):

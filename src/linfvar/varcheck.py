@@ -298,7 +298,7 @@ def sphere_family_scan(u, H: Hamiltonian, box: DomainBox, center, radii, directi
         for xi in directions:
             phi = make_sphere_variation(np.asarray(xi, dtype=float), center, rho, box.dim)
             scan = stationarity_scan(u, H, O, phi)
-            out.append({"rho": float(rho), "xi": list(np.asarray(xi, dtype=float)),
+            out.append({"rho": float(rho), "xi": np.asarray(xi, dtype=float).tolist(),
                         "plus": scan.max_val, "minus": scan.min_val})
     return out
 

@@ -128,9 +128,18 @@ class TestExitCodes:
             assert run(argv + extra) == 2
             assert "density not finite at node (6,)" in _report(out, command)["error"]["message"]
 
+    def test_lp_names_a_cell_where_the_density_is_not_finite(self, problems, tmp_path):
+        _, tmp = problems
+        spec = {"n": 1, "N": 1, "domain": {"lo": [0.0], "hi": [1.0], "resolution": [9]},
+                "H": "exp(1000 * P11 * x1)", "u": ["x1"]}
+        (tmp_path / "overflow.json").write_text(json.dumps(spec))
+        out = tmp / "overflow_lp"
+        assert run(["lp", "--problem", str(tmp_path / "overflow.json"), "--out", str(out)]) == 2
+        assert _report(out, "lp")["error"]["message"] == "density not finite at cell midpoint (0.9375,)"
+
     def test_flow_with_explicit_dt_names_a_point_where_the_density_is_not_finite(self, problems, tmp_path):
-        # an explicit --dt scans no nodes; the first RK4 step leaves the domain towards
-        # x1 = inf, where the density overflows, so the exit point is named instead
+        # an explicit --dt scans no nodes; x0's velocity 500 exp(500) is finite, but the
+        # first step's first stage point, x0 + dt/5 times it = exp(500), overflows the density
         _, tmp = problems
         spec = {"n": 1, "N": 1, "domain": {"lo": [0.0], "hi": [1.0], "resolution": [9]},
                 "H": "exp(1000 * P11 * x1)", "u": ["x1"]}
@@ -139,7 +148,7 @@ class TestExitCodes:
         argv = ["flow", "--problem", str(tmp_path / "overflow.json"), "--out", str(out),
                 "--x0", "0.5", "--xi", "1", "--dt", "0.01"]
         assert run(argv) == 2
-        assert _report(out, "flow")["error"]["message"] == "density not finite at point (inf,)"
+        assert _report(out, "flow")["error"]["message"] == "density not finite at point (1.4035922178528378e+217,)"
         assert not (out / "trajectory.csv").exists()
 
     def test_out_of_range_grid_csv_row_is_exit_2(self, problems):
@@ -461,7 +470,7 @@ class TestReports:
         rep = _report(tmp / "f", "flow")
         assert rep["results"]["exited"] is True
         assert rep["results"]["exit_time"] == pytest.approx(0.4, abs=1e-4)
-        assert rep["results"]["evaluations"] == 224  # as in test_flow's count on this fixture
+        assert rep["results"]["evaluations"] == 242  # as in test_flow's count on this fixture
         csv_lines = (tmp / "f" / "trajectory.csv").read_text().splitlines()
         assert csv_lines[0] == "t,gamma_1,H"
 

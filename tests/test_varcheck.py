@@ -166,6 +166,12 @@ class TestSphereFamily:
             by_rho.setdefault(s["rho"], []).append(max(s["plus"], -s["minus"]))
         assert max(by_rho[0.25]) <= 0.6 * max(by_rho[0.5])
 
+    def test_entries_hold_plain_floats(self):
+        box = DomainBox((-1.0, -1.0), (1.0, 1.0), (17, 17))
+        u = ClosedFormMap.from_expressions(["x1 + 0.5*x2"], n=2)
+        (s,) = sphere_family_scan(u, Hamiltonian.dirichlet(2, 1), box, [0.0, 0.0], [0.5], [[1]])
+        assert type(s["rho"]) is float and [type(c) for c in s["xi"]] == [float]
+
     def test_aronsson_brackets_shrink(self, aronsson_map, dirichlet_2d):
         box = DomainBox((1.0, 1.0), (2.0, 2.0), (129, 129))
         h = float(box.spacing[0])
