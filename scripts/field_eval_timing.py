@@ -1,28 +1,55 @@
 #!/usr/bin/env python3
-"""Cost of one field evaluation of the characteristic flow, one point and eight points at once.
+"""Cost of one field evaluation of the characteristic flow, and the flow's evaluation count.
 
-One evaluation is what ``integrate_flow`` pays per RK4 stage: an order-1
-jet of the map at the point, then the order-1 Hamiltonian jet at that jet.
-The map is the Aronsson solution |x1|^(4/3) - |x2|^(4/3) and the density
-is H = P11^2 + P12^2, both parsed expressions.
+One evaluation is what ``integrate_flow`` pays per Dormand-Prince stage:
+an order-1 jet of the map at the point, then the order-1 Hamiltonian jet
+at that jet.  The map is the Aronsson solution |x1|^(4/3) - |x2|^(4/3)
+and the density is H = P11^2 + P12^2, both parsed expressions.
 
 Timings use stdlib ``timeit``.  The rounds interleave every timed
 statement, and each figure is the best of ``--rounds`` rounds of
 ``--number`` calls, in microseconds per call, so that a busy spell on a
 shared host inflates no single figure.
 
+Then it runs the eight flows of the closed-form-verdicts benchmark session
+at seed 1, drawn with ``bench/workloads.py`` (read only) as the session
+draws them, and prints their total field evaluations and largest density
+drift ``H_drift``.  Both are deterministic.
+
 Usage: python scripts/field_eval_timing.py [--number 200] [--rounds 50]
 """
 
 import argparse
+import sys
+import tempfile
 import timeit
+from pathlib import Path
 
 import numpy as np
 
-from linfvar import ClosedFormMap, Hamiltonian, hamiltonian_jet, map_jet
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import workloads  # noqa: E402
+
+from linfvar import ClosedFormMap, Hamiltonian, hamiltonian_jet, integrate_flow, load_problem, map_jet  # noqa: E402
 
 U_EXPR = "abs(x1)^(4/3) - abs(x2)^(4/3)"
 H_EXPR = "P11^2 + P12^2"
+FLOW_WORKLOAD, FLOW_SEED = "closed-form-verdicts", 1
+
+
+def workload_flows():
+    """(total field evaluations, largest H drift) of the workload session's eight flows."""
+    with tempfile.TemporaryDirectory() as tmp:
+        params = workloads.generate(FLOW_WORKLOAD, FLOW_SEED, Path(tmp))["params"]
+        prob = load_problem(Path(tmp) / "A.json")
+    evaluations, drift = 0, 0.0
+    for x0 in params["flow_starts"]:
+        traj = integrate_flow(prob.u, prob.H, x0, [1.0], prob.subdomain)
+        evaluations += traj.evaluations
+        drift = max(drift, float(np.ptp(traj.H_values)))
+    return evaluations, drift
 
 
 def main():
@@ -54,6 +81,9 @@ def main():
     print(f"{'batch':>10} {'field eval us':>14} {'map_jet us':>11} {'hamiltonian_jet us':>19}")
     for label in batches:
         print(f"{label:>10} {best[label, 'field']:>14.1f} {best[label, 'map']:>11.1f} {best[label, 'H']:>19.1f}")
+    evaluations, drift = workload_flows()
+    print(f"{FLOW_WORKLOAD} seed {FLOW_SEED}, eight flows: {evaluations} field evaluations, "
+          f"max H_drift {drift:.2g}")
 
 
 if __name__ == "__main__":

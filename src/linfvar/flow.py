@@ -110,13 +110,6 @@ def _dp5_step(field, y, h, k1):
     return y_new, K, density
 
 
-def _step_factor(err: float) -> float:
-    """The next step over this one from the error norm; a NaN norm shrinks the step."""
-    if err == 0.0:
-        return _FAC_MAX
-    return min(_FAC_MAX, max(_FAC_MIN, _SAFETY * err ** -0.2))
-
-
 def _exit_on_dense_output(O: Subdomain, y, y_new, K, h):
     """(theta, point) on the step's continuous extension: the last point found inside O
     by bisecting theta in [0, 1] until it no longer halves; y is inside, y_new is not."""
@@ -176,13 +169,13 @@ def integrate_flow(
     subdomain's nodes and no step is capped.  When an accepted step ends
     outside the subdomain, the crossing is found by bisection on the step's
     continuous extension, without field evaluations: the exit point is the
-    last point found inside, so it lies in the closed subdomain.  Reaching
-    ``t_max`` without exit is reported, not raised; every evaluated point
-    where H or xi^T H_P is not finite is a ValueError naming it, and so is a
-    step too small to advance t.  When a structural constant ``c0`` is
-    supplied, ``t_max`` defaults to ten times the exit-time bound; otherwise
-    to ``1e3`` times the first step.  Requires a closed-form map (grid maps
-    evaluate at nodes only).
+    last point found inside, so it lies in the closed subdomain.  The last
+    step is shortened to end at ``t_max``; reaching it without exit is
+    reported, not raised.  Every evaluated point where H or xi^T H_P is not
+    finite is a ValueError naming it, and so is a step too small to advance
+    t.  When a structural constant ``c0`` is supplied, ``t_max`` defaults to
+    ten times the exit-time bound; otherwise to ``1e3`` times the first
+    step.  Requires a closed-form map (grid maps evaluate at nodes only).
     """
     if isinstance(u, GridMap):
         raise ValueError("flow integration requires a closed-form map (grid maps evaluate only at nodes)")
@@ -205,7 +198,6 @@ def integrate_flow(
     hvals = [h0]
     y = x0
     t = 0.0
-    exited = False
     exit_time = None
     exit_point = None
     while t < t_max:
@@ -215,7 +207,8 @@ def integrate_flow(
         y_new, K, hy = _dp5_step(field, y, h, k1)
         scale = _TOL * (1.0 + np.maximum(np.abs(y), np.abs(y_new)))
         err = math.sqrt(float(np.mean((h * (_E @ K) / scale) ** 2)))
-        factor = _step_factor(err)
+        # a NaN norm fails the test and shrinks the step, until t no longer advances
+        factor = _FAC_MAX if err == 0.0 else min(_FAC_MAX, max(_FAC_MIN, _SAFETY * err ** -0.2))
         if not err <= 1.0:
             h *= factor
             continue
@@ -225,7 +218,6 @@ def integrate_flow(
             times.append(exit_time)
             points.append(exit_point)
             hvals.append(field(exit_point)[1])
-            exited = True
             break
         t += h
         y = y_new
@@ -238,7 +230,7 @@ def integrate_flow(
         times=np.asarray(times),
         points=np.asarray(points),
         H_values=np.asarray(hvals),
-        exited=exited,
+        exited=exit_point is not None,
         exit_time=exit_time,
         exit_point=exit_point,
         evaluations=field.evaluations,
