@@ -156,7 +156,6 @@ def integrate_flow(
     O: Subdomain,
     dt: Optional[float] = None,
     t_max: Optional[float] = None,
-    c0: Optional[float] = None,
 ) -> Trajectory:
     """Integrate the characteristic ODE from x0 until it exits the subdomain.
 
@@ -173,9 +172,9 @@ def integrate_flow(
     step is shortened to end at ``t_max``; reaching it without exit is
     reported, not raised.  Every evaluated point where H or xi^T H_P is not
     finite is a ValueError naming it, and so is a step too small to advance
-    t.  When a structural constant ``c0`` is supplied, ``t_max`` defaults to
-    ten times the exit-time bound; otherwise to ``1e3`` times the first
-    step.  Requires a closed-form map (grid maps evaluate at nodes only).
+    t.  ``t_max`` defaults to ``1e3`` times the first step; a horizon from
+    the structural constant c0 is ``10 * exit_time_bound(..., c0)["bound"]``.
+    Requires a closed-form map (grid maps evaluate at nodes only).
     """
     if isinstance(u, GridMap):
         raise ValueError("flow integration requires a closed-form map (grid maps evaluate only at nodes)")
@@ -186,11 +185,7 @@ def integrate_flow(
     h_max = np.inf if dt is None else dt
     h = default_time_step(u, H, O, xi) if dt is None else dt
     if t_max is None:
-        if c0 is not None:
-            bound = exit_time_bound(u, H, O, xi, c0)["bound"]
-            t_max = 10.0 * bound if np.isfinite(bound) else 1e3 * h
-        else:
-            t_max = 1e3 * h
+        t_max = 1e3 * h
     field = _Field(u, H, xi)
     k1, h0 = field(x0)  # each accepted step's last stage gives the next k1 and the density
     times = [0.0]

@@ -120,13 +120,6 @@ def _divergence(u, H: Hamiltonian, jets: Jet2, nodes, hp_field=None) -> np.ndarr
     return np.einsum("aii...->a...", grads.reshape(N, n, n, M))
 
 
-def _default_eps(u, x: np.ndarray) -> np.ndarray:
-    """Default ball radius at points x (n, M): two grid spacings, else 1e-2 (1 + |x|)."""
-    if isinstance(u, GridMap):
-        return np.full(x.shape[1], 2.0 * float(np.max(u.box.spacing)))
-    return 1e-2 * (1.0 + np.linalg.norm(x, axis=0))
-
-
 def _grid_ball_nodes(u: GridMap, nodes: np.ndarray, eps: np.ndarray):
     """Sample nodes of the eps-ball around each grid node: (M, m, n) indices, (M, m) mask.
 
@@ -154,100 +147,48 @@ def _grid_ball_nodes(u: GridMap, nodes: np.ndarray, eps: np.ndarray):
     return cand, valid
 
 
-def _grid_node_decomposition(u: GridMap, hp_field: np.ndarray, nodes: np.ndarray):
-    """:func:`linalg.rank_decision` of the H_P node field ``hp_field``, (N, n) + box shape.
+def _grid_node_decomposition(hp_field: np.ndarray, read: np.ndarray):
+    """:func:`linalg.rank_decision` of the H_P node field ``hp_field``, (N, n) + box shape,
+    at the grid nodes ``read`` (K, n).
 
-    Returns U (box shape + (N, N)), the ranks (box shape) and the jet-valid
-    nodes where H_P is not finite.  Those nodes, and the nodes that are not
-    jet-valid, get a zero matrix; the centres ``nodes`` (M, n) keep their
-    own, so a centre that is not finite raises.  No centre samples a
-    zeroed node.
+    Returns U (box shape + (N, N)) and the ranks (box shape), zero at the
+    other nodes, and the read nodes where H_P is not finite, which are
+    decomposed as zero matrices.
     """
-    hp = np.moveaxis(hp_field, (0, 1), (-2, -1))
+    at, N, shape = tuple(read.T), hp_field.shape[0], hp_field.shape[2:]
+    hp = np.moveaxis(hp_field, (0, 1), (-2, -1))[at]
     finite = np.isfinite(hp).all(axis=(-2, -1))
-    jet_valid = u.jet_valid
-    keep = jet_valid & finite
-    keep[tuple(nodes.T)] = True
-    U, ranks, _ = linalg.rank_decision(np.where(keep[..., None, None], hp, 0.0))
-    return U, ranks, jet_valid & ~finite
+    U, ranks, bad = np.zeros(shape + (N, N)), np.zeros(shape, dtype=int), np.zeros(shape, dtype=bool)
+    U[at], ranks[at], _ = linalg.rank_decision(np.where(finite[:, None, None], hp, 0.0))
+    bad[at] = ~finite
+    return U, ranks, bad
 
 
-def _reduced_projections(u, H: Hamiltonian, x: np.ndarray, nodes, U: np.ndarray, ranks: np.ndarray,
-                         node_factors, eps, tol_angle) -> linalg.ReducedProjections:
-    """Reduced normal projections at rank-deficient points x (n, M) with H_P's SVD factors U, ranks.
+def _normal_space(u, H: Hamiltonian, jets: Jet2, nodes, variant, eps, tol_angle, named):
+    """H's jet at a jet batch (M,) of u and the normal projections of its H_P there.
 
-    Grid maps gather one nullspace projector per node, built from the node
-    field's factors ``node_factors`` (:func:`_grid_node_decomposition`),
-    through :func:`_grid_ball_nodes`; other maps sample one Halton offset
-    set scaled to each point's ball, all M x m points in one jet evaluation.
-    ``tol_angle`` defaults to 1e-6 eps.
-    """
-    n, M = x.shape
-    eps = np.broadcast_to(_default_eps(u, x) if eps is None else np.asarray(eps, dtype=float), (M,))
-    if tol_angle is None:
-        tol_angle = 1e-6 * eps
-    if isinstance(u, GridMap):
-        sample_nodes, valid = _grid_ball_nodes(u, nodes, eps)
-        node_U, node_ranks, bad = node_factors
-        if bad.any():
-            raise ValueError(f"H_P is not finite at grid node {tuple(np.argwhere(bad)[0].tolist())}")
-        proj = linalg.complement_projectors(node_U, node_ranks)
-        sample_proj = proj[tuple(np.moveaxis(sample_nodes, -1, 0))]
-    else:
-        pts = linalg.ball_sample_points(x.T, eps, linalg.ball_sample_count(n))
-        jets = map_jet(u, np.moveaxis(pts, -1, 0), order=1)
-        ys = hamiltonian_jet(H, jets.x, jets.value, jets.gradient).P_grad
-        sample_proj = linalg.nullspace_projectors(np.moveaxis(ys, (0, 1), (2, 3)))
-        valid = np.ones(pts.shape[:2], dtype=bool)
-    return linalg.average_projectors(U, ranks, sample_proj, valid, tol_angle)
+    Returns the Hamiltonian jet, the H_P node field (N, n) + box shape on
+    grid maps (None on others), the indices of the rank-deficient points
+    and their projections (onto R(H_P)^perp for "full", the reduced normal
+    space for "reduced"), and per point (M,) the rank of H_P, the
+    projected dimension and the projection-drop flag.  Where H or H_P is
+    not finite, the ValueError names the node or point from ``named``, a
+    pair of (M, n) nodes or points and the word "node" or "point".
 
-
-def _normal_projections(u, H: Hamiltonian, x: np.ndarray, nodes, hp: np.ndarray, variant,
-                        eps, tol_angle, hp_field):
-    """Normal projections of H_P at the rank-deficient points of x (n, M), hp (M, N, n).
-
-    Returns those points' indices and projections (onto R(H_P)^perp for
-    "full", the reduced normal space for "reduced"), and per point (M,)
-    the rank of H_P, the projected dimension and the projection-drop flag.
-    On grid maps ``hp_field`` holds H_P at every node, (N, n) + box shape,
-    and ``hp`` is that field at ``nodes``; the reduced variant decomposes
-    the field once and takes the points' factors from it.  Other maps do
-    not read ``hp_field``.
+    Grid maps evaluate H once over all nodes and take every rank from
+    :func:`_grid_node_decomposition` of the nodes the call reads: the
+    centres ``nodes`` (M, n) for "full", the whole field for "reduced",
+    whose nullspace projectors are gathered over each centre's ball
+    (:func:`_grid_ball_nodes`).  Other maps rank H_P at the points and
+    sample one Halton offset set scaled to each point's ball, all M x m
+    points in one jet evaluation.  The ball radius ``eps`` defaults to two
+    grid spacings on grid maps, else 1e-2 (1 + |x|), and ``tol_angle`` to
+    1e-6 eps.
     """
     if variant not in ("full", "reduced"):
         raise ValueError("variant must be 'full' or 'reduced'")
-    M, N = hp.shape[:2]
-    node_factors = None
-    if variant == "reduced" and isinstance(u, GridMap):
-        node_factors = _grid_node_decomposition(u, hp_field, nodes)
-        at = tuple(nodes.T)
-        U, ranks = node_factors[0][at], node_factors[1][at]
-    else:
-        U, ranks, _ = linalg.rank_decision(hp)
-    null_dim = N - ranks
-    sel = np.flatnonzero(null_dim > 0)
-    if variant == "full":
-        proj = linalg.complement_projectors(U[sel], ranks[sel])
-        return sel, proj, ranks, null_dim, np.zeros(M, dtype=bool)
-    dims, proj = np.zeros(M, dtype=int), np.zeros((0, N, N))
-    if sel.size:
-        red = _reduced_projections(u, H, x[:, sel], None if nodes is None else nodes[sel], U[sel],
-                                   ranks[sel], node_factors, eps, tol_angle)
-        dims[sel], proj = red.reduced_dim, red.projection
-    return sel, proj, ranks, dims, dims < null_dim
-
-
-def _residual_parts(u, H: Hamiltonian, jets: Jet2, nodes, variant, eps, tol_angle, named):
-    """Both residual parts at a jet batch (M,).
-
-    Returns the tangential and normal parts (N, M), the ranks of H_P, the
-    dimensions of the projected normal spaces and the projection-drop
-    flags (M,).  Only rank-deficient points get a divergence and a normal
-    projection; elsewhere the normal part is exactly zero.  Where H or H_P
-    is not finite, the ValueError names the node or point from ``named``,
-    a pair of (M, n) nodes or points and the word "node" or "point".
-    """
-    if isinstance(u, GridMap):
+    grid = isinstance(u, GridMap)
+    if grid:
         # grid jets index the same derivative arrays at every node: one evaluation
         # over all nodes gives the centres' jet and the H_P node field
         everywhere = _grid_hamiltonian(u, H)
@@ -258,16 +199,76 @@ def _residual_parts(u, H: Hamiltonian, jets: Jet2, nodes, variant, eps, tol_angl
     else:
         ham, hp_field = hamiltonian_jet(H, jets.x, jets.value, jets.gradient), None
     _require_finite_jet(ham, *named)
+    if grid:
+        # "full" reads H_P at the centres only, "reduced" the whole node field
+        read = nodes if variant == "full" else u.box.all_nodes()
+        node_U, node_ranks, bad = _grid_node_decomposition(hp_field, read)
+        U, ranks = node_U[tuple(nodes.T)], node_ranks[tuple(nodes.T)]
+    else:
+        U, ranks, _ = linalg.rank_decision(np.moveaxis(ham.P_grad, -1, 0))
+    M, N = U.shape[:2]
+    null_dim = N - ranks
+    sel = np.flatnonzero(null_dim > 0)
+    if variant == "full":
+        proj = linalg.complement_projectors(U[sel], ranks[sel])
+        return ham, hp_field, sel, proj, ranks, null_dim, np.zeros(M, dtype=bool)
+    dims, proj = np.zeros(M, dtype=int), np.zeros((0, N, N))
+    if sel.size:
+        x = jets.x[:, sel]
+        if eps is None:
+            eps = 2.0 * float(np.max(u.box.spacing)) if grid else 1e-2 * (1.0 + np.linalg.norm(x, axis=0))
+        eps = np.broadcast_to(np.asarray(eps, dtype=float), (sel.size,))
+        if grid:
+            sample_nodes, valid = _grid_ball_nodes(u, nodes[sel], eps)
+            bad &= u.jet_valid
+            if bad.any():
+                raise ValueError(f"H_P is not finite at grid node {tuple(np.argwhere(bad)[0].tolist())}")
+            node_proj = linalg.complement_projectors(node_U, node_ranks)
+            sample_proj = node_proj[tuple(np.moveaxis(sample_nodes, -1, 0))]
+        else:
+            pts = linalg.ball_sample_points(x.T, eps, linalg.ball_sample_count(u.n))
+            sample = map_jet(u, np.moveaxis(pts, -1, 0), order=1)
+            ys = hamiltonian_jet(H, sample.x, sample.value, sample.gradient).P_grad
+            sample_proj = linalg.nullspace_projectors(np.moveaxis(ys, (0, 1), (2, 3)))
+            valid = np.ones(pts.shape[:2], dtype=bool)
+        red = linalg.average_projectors(U[sel], ranks[sel], sample_proj, valid,
+                                        1e-6 * eps if tol_angle is None else tol_angle)
+        dims[sel], proj = red.reduced_dim, red.projection
+    return ham, hp_field, sel, proj, ranks, dims, dims < null_dim
+
+
+def _residual_parts(u, H: Hamiltonian, O: Subdomain, points, variant, eps, tol_angle):
+    """Both residual parts at the subdomain's evaluable interior nodes, or at ``points`` (M, n).
+
+    Returns the :class:`ResidualField` and the dimensions of the projected
+    normal spaces (M,).  Grid maps take explicit points only at their
+    valid nodes.  Only rank-deficient points get a divergence; elsewhere
+    the normal part is exactly zero.
+    """
+    if points is None:
+        nodes = O.interior_nodes()
+        named = (nodes, "node")
+    else:
+        named = (points, "point")
+    if isinstance(u, GridMap):
+        if points is not None:
+            nodes = u.nodes_at(points.T)
+        jets = u.jet_at_nodes(nodes, order=2)
+    else:
+        jets = map_jet(u, O.box.node_coords(nodes) if points is None else points.T, order=2)
+        nodes = None
+    ham, hp_field, sel, proj, ranks, dims, drop = _normal_space(u, H, jets, nodes, variant, eps, tol_angle,
+                                                                named)
     dH = _chain_rule(ham.x_grad[None], ham.eta_grad[None], ham.P_grad[None], jets)[0]
     tangential = np.einsum("ai...,i...->a...", ham.P_grad, dH)
-    sel, proj, ranks, dims, drop = _normal_projections(
-        u, H, jets.x, nodes, np.moveaxis(ham.P_grad, -1, 0), variant, eps, tol_angle, hp_field)
     normal = np.zeros(ham.eta_grad.shape)
     if sel.size:
         sub = Jet2(jets.x[:, sel], jets.value[:, sel], jets.gradient[..., sel], jets.hessian[..., sel])
         rhs = _divergence(u, H, sub, None if nodes is None else nodes[sel], hp_field) - ham.eta_grad[:, sel]
         normal[:, sel] = ham.value[sel] * np.einsum("mab,bm->am", proj, rhs)
-    return np.asarray(tangential, dtype=float), normal, ranks, dims, drop
+    rf = ResidualField(points=jets.x.T, nodes=nodes, tangential=np.asarray(tangential, dtype=float),
+                       normal=normal, variant=variant, drop_flags=drop, ranks=ranks)
+    return rf, dims
 
 
 def aronsson_residual(
@@ -279,19 +280,14 @@ def aronsson_residual(
     tol_angle: Optional[float] = None,
 ) -> AronssonResidual:
     """Tangential + normal residual of the critical-point system at a point."""
-    x = np.asarray(x, dtype=float)
-    jet = map_jet(u, x, order=2)  # single point: grid maps reject masked nodes here
-    jets = Jet2(x[:, None], jet.value[..., None], jet.gradient[..., None], jet.hessian[..., None])
-    nodes = np.asarray([u.box.nearest_node(x)]) if isinstance(u, GridMap) else None
-    tangential, normal, ranks, dims, drop = _residual_parts(u, H, jets, nodes, variant, eps, tol_angle,
-                                                            (x[None], "point"))
+    rf, dims = _residual_parts(u, H, None, np.asarray(x, dtype=float)[None], variant, eps, tol_angle)
     return AronssonResidual(
-        tangential=tangential[:, 0],
-        normal=normal[:, 0],
+        tangential=rf.tangential[:, 0],
+        normal=rf.normal[:, 0],
         variant=variant,
-        rank_used=int(ranks[0]),
+        rank_used=int(rf.ranks[0]),
         reduced_dim=int(dims[0]),
-        projection_drop=bool(drop[0]),
+        projection_drop=bool(rf.drop_flags[0]),
     )
 
 
@@ -354,31 +350,10 @@ def residual_field(
 
     Grid maps take explicit points only at their valid nodes.
 
-    Everything is batched: one jet evaluation, one SVD of H_P over the
-    batch, and for the rank-deficient points one divergence evaluation and
-    one reduced-projection kernel call.
+    Everything is batched: one jet evaluation, one rank decision of H_P
+    over the nodes the variant reads, and for the rank-deficient points one
+    divergence evaluation and one reduced-projection kernel call.
     """
-    if points is None:
-        nodes = O.interior_nodes()
-        named = (nodes, "node")
-    else:
+    if points is not None:
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        named = (points, "point")
-    if isinstance(u, GridMap):
-        if points is not None:
-            # grid maps evaluate at nodes only: explicit points must be valid nodes
-            nodes = u.nodes_at(points.T)
-        jets = u.jet_at_nodes(nodes, order=2)
-    else:
-        jets = map_jet(u, O.box.node_coords(nodes) if points is None else points.T, order=2)
-        nodes = None
-    tangential, normal, ranks, _, drop = _residual_parts(u, H, jets, nodes, variant, eps, tol_angle, named)
-    return ResidualField(
-        points=jets.x.T,
-        nodes=nodes,
-        tangential=tangential,
-        normal=normal,
-        variant=variant,
-        drop_flags=drop,
-        ranks=ranks,
-    )
+    return _residual_parts(u, H, O, points, variant, eps, tol_angle)[0]

@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .exprlang import Ast, SingularityError, eval_jet2, parse, rename_variables
+from .exprlang import Ast, EvalError, SingularityError, eval_jet2, parse, rename_variables
 
 __all__ = [
     "ClosedFormMap",
@@ -225,10 +225,13 @@ class Subdomain:
         return self._nodes_of(self.boundary_mask & ~self.singular)
 
     def contains_point(self, x) -> bool:
+        """Whether the point x (dim,) lies in the closed region; a NaN coordinate lies outside."""
         x = np.asarray(x, dtype=float)
         if self.region[0] == "box":
-            lo, hi = np.asarray(self.region[1]), np.asarray(self.region[2])
-            return bool(np.all(x >= lo) and np.all(x <= hi))
+            _, lo, hi = self.region
+            if x.shape != (len(lo),):
+                raise ValueError(f"point has shape {x.shape}, the region has dimension {len(lo)}")
+            return all(a <= v <= b for a, v, b in zip(lo, x.tolist(), hi))
         center, radius = np.asarray(self.region[1]), self.region[2]
         return bool(np.linalg.norm(x - center) <= radius)
 
@@ -571,14 +574,34 @@ class Hamiltonian:
         return self._seeds
 
 
+def _eval_density(H: Hamiltonian, x, eta, P, seeds, order: int):
+    """:func:`eval_jet2` of H's expression at (x, eta, P).
+
+    An :class:`EvalError` is raised again, with the same type, naming the
+    point x of the first entry whose inputs are finite and whose jet the
+    ``"nan"`` policy poisons.
+    """
+    binding = H._binding(x, eta, P)
+    try:
+        return eval_jet2(H.expr, binding, seeds, order=order)
+    except EvalError as err:
+        d = eval_jet2(H.expr, binding, H._seeds, order=1, on_singularity="nan")
+        finite = np.isfinite(x).all(axis=0) & np.isfinite(eta).all(axis=0) & np.isfinite(P).all(axis=(0, 1))
+        bad = (np.isnan(d.val) | np.isnan(d.grad).any(axis=0)) & finite
+        if not bad.any():
+            raise
+        at = np.unravel_index(np.argmax(bad), bad.shape)
+        point = np.broadcast_to(x, x.shape[:1] + bad.shape)[(slice(None),) + at]
+        raise type(err)(f"{err} at point {tuple(point.tolist())}") from None
+
+
 def hamiltonian_value(H: Hamiltonian, x, eta, P) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     eta = np.asarray(eta, dtype=float)
     P = np.asarray(P, dtype=float)
     if H.builtin == "dirichlet":
         return np.sum(P * P, axis=(0, 1))
-    d = eval_jet2(H.expr, H._binding(x, eta, P), seeds=(), order=1)
-    return d.val
+    return _eval_density(H, x, eta, P, (), 1).val
 
 
 def hamiltonian_jet(H: Hamiltonian, x, eta, P, order: int = 1) -> HamiltonianJet:
@@ -598,7 +621,7 @@ def hamiltonian_jet(H: Hamiltonian, x, eta, P, order: int = 1) -> HamiltonianJet
             P_hess=two_delta + np.zeros(S) if order >= 2 else None,
             eta_hess=np.zeros((N, n + N + N * n) + S) if order >= 2 else None,
         )
-    d = eval_jet2(H.expr, H._binding(x, eta, P), H._seeds, order=order)
+    d = _eval_density(H, x, eta, P, H._seeds, order)
     return HamiltonianJet(
         value=d.val,
         x_grad=d.grad[:n],

@@ -137,6 +137,25 @@ class TestExitCodes:
         assert run(["lp", "--problem", str(tmp_path / "overflow.json"), "--out", str(out)]) == 2
         assert _report(out, "lp")["error"]["message"] == "density not finite at cell midpoint (0.9375,)"
 
+    @pytest.mark.parametrize("command,extra,point", [
+        ("energy", [], "(0.0, 0.0)"), ("argmax", [], "(0.0, 0.0)"), ("maxmin", [], "(0.0, 0.0)"),
+        ("residual", [], "(0.0, 0.0)"), ("danskin", ["--phi", "x1"], "(0.0, 0.0)"),
+        ("stationarity", [], "(0.0, 0.0)"), ("verify-absolute", [], "(0.0, 0.0)"),
+        ("verify-rank-one", [], "(0.0, 0.0)"), ("verify-normal", [], "(0.0, 0.0)"),
+        ("measure", ["--measure", "dirac:4,4"], "(0.0, 0.0)"),
+        ("flow", ["--x0", "0.5,0.5", "--xi", "1"], "(0.0, 0.0)"),
+        ("lp", [], "(-0.625, -0.625)"),  # the first flat cell of the constant fill, by its midpoint
+    ])
+    def test_density_evaluation_error_names_its_point(self, tmp_path, command, extra, point):
+        # Du = 0 at the centre node: the density's sqrt is evaluated at its branch point
+        spec = {"n": 2, "N": 1, "domain": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0], "resolution": [9, 9]},
+                "H": "sqrt(P11^2+P12^2)", "u": ["x1^2 + x2^2"]}
+        (tmp_path / "branch.json").write_text(json.dumps(spec))
+        out = tmp_path / command
+        assert run([command, "--problem", str(tmp_path / "branch.json"), "--out", str(out)] + extra) == 2
+        error = _report(out, command)["error"]
+        assert error == {"type": "SingularityError", "message": f"sqrt at branch point 0 at point {point}"}
+
     def test_flow_with_explicit_dt_names_a_point_where_the_density_is_not_finite(self, problems, tmp_path):
         # an explicit --dt scans no nodes; x0's velocity 500 exp(500) is finite, but the
         # first step's first stage point, x0 + dt/5 times it = exp(500), overflows the density

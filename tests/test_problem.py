@@ -78,6 +78,20 @@ class TestSubdomain:
         assert not sub.contains_point([0.5, 0.5])
         assert sub.interior_mask.sum() > 0
 
+    def test_box_containment_matches_the_array_comparison(self):
+        box = DomainBox((-1.0, 0.0), (1.0, 2.0), (9, 9))
+        for sub in (Subdomain.whole(box), Subdomain.from_box(box, (-0.5, 0.25), (0.75, 1.5))):
+            lo, hi = np.asarray(sub.region[1]), np.asarray(sub.region[2])
+            points = [lo, hi, 0.5 * (lo + hi), [lo[0], hi[1]], [hi[0], lo[1]],  # inside and on faces
+                      np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), [hi[0] + 1.0, lo[1]],
+                      [-np.inf, lo[1]], [np.nan, lo[1]], [lo[0], np.nan], [np.nan, np.nan]]
+            for p in points:
+                x = np.asarray(p, dtype=float)
+                assert sub.contains_point(p) is bool(np.all(x >= lo) and np.all(x <= hi)), p
+            for p in ([0.0], [0.0, 0.5, 1.0]):
+                with pytest.raises(ValueError, match="dimension 2"):
+                    sub.contains_point(p)
+
 
 class TestMapJets:
     def test_linear_map_exact(self):
@@ -290,6 +304,19 @@ class TestHamiltonian:
         jet = hamiltonian_jet(H, np.zeros((3, 4)), np.zeros((2, 4)), P, order=2)
         assert np.array_equal(jet.eta_hess, np.zeros((2, 11, 4)))
         assert hamiltonian_jet(H, np.zeros((3, 4)), np.zeros((2, 4)), P).eta_hess is None
+
+    def test_evaluation_error_names_the_first_point_with_finite_inputs(self):
+        # abs(P11) has its kink at entries (0, 0), (1, 1) and (1, 2) of a (2, 3) batch; x is
+        # NaN at entry (0, 0), so the first entry named is (1, 1), the point x = 0.25
+        H = Hamiltonian.from_expression("abs(P11) + x1", 1, 1)
+        x = np.array([[np.nan, 0.25, 0.5]])
+        P = np.array([[[[0.0, 1.0, 1.0], [1.0, 0.0, 0.0]]]])
+        for evaluate in (hamiltonian_value, hamiltonian_jet):
+            with pytest.raises(SingularityError, match=r"^abs evaluated at its kink \(0\) at point \(0\.25,\)$"):
+                evaluate(H, x, np.zeros((1, 1)), P)
+        H = Hamiltonian.from_expression("sqrt(P11^2 + P12^2)", 2, 1)
+        with pytest.raises(SingularityError, match=r"^sqrt at branch point 0 at point \(0\.5, 1\.0\)$"):
+            hamiltonian_value(H, np.array([0.5, 1.0]), np.zeros(1), np.zeros((1, 2)))
 
     def test_p_hess_dirichlet_is_two_delta(self):
         H = Hamiltonian.dirichlet(3, 2)

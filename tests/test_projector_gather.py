@@ -16,13 +16,14 @@ from linfvar import (
     GridMap,
     Hamiltonian,
     Subdomain,
+    aronsson_residual,
     linalg,
     normal_variation_test,
     residual_field,
 )
 from linfvar.linalg import DEFAULT_RANK_TOL, reduced_nullspace_batch
 from linfvar import energy, operators, varcheck
-from linfvar.operators import _grid_ball_nodes, _grid_hamiltonian, _normal_projections
+from linfvar.operators import _grid_ball_nodes, _grid_hamiltonian, _normal_space
 from linfvar.problem import hamiltonian_jet
 
 CASES = ([(1, name, False) for name in sorted(FIXTURES_1D)]
@@ -43,11 +44,11 @@ def _grid_hp_field(u, H):
 
 
 def _centres(u, H):
-    """Interior jet-valid nodes, their points and H_P there (M, N, n)."""
+    """Interior jet-valid nodes, their order-1 jets and H_P there (M, N, n)."""
     nodes = Subdomain.whole(u.box, singular=~u.jet_valid).interior_nodes()
     jets = u.jet_at_nodes(nodes, order=1)
     hp = hamiltonian_jet(H, jets.x, jets.value, jets.gradient).P_grad
-    return nodes, jets.x, np.moveaxis(hp, -1, 0)
+    return nodes, jets, np.moveaxis(hp, -1, 0)
 
 
 @pytest.mark.parametrize("tol_angle", [None, 0.05])
@@ -56,9 +57,9 @@ def test_gathered_projectors_match_per_pair_kernel(n, name, masked, tol_angle):
     exprs = (FIXTURES_1D if n == 1 else FIXTURES_2D)[name]
     u = _grid(exprs, n, masked)
     H = _density(n, u.N)
-    nodes, x, hp = _centres(u, H)
-    sel, proj, ranks, dims, _ = _normal_projections(u, H, x, nodes, hp, "reduced", None, tol_angle,
-                                                    _grid_hp_field(u, H))
+    nodes, jets, hp = _centres(u, H)
+    _, _, sel, proj, ranks, dims, _ = _normal_space(u, H, jets, nodes, "reduced", None, tol_angle,
+                                                    (nodes, "node"))
     assert sel.size
     eps = np.full(sel.size, 2.0 * float(np.max(u.box.spacing)))
     sample_nodes, valid = _grid_ball_nodes(u, nodes[sel], eps)
@@ -103,14 +104,20 @@ def test_verify_normal_decomposes_each_node_once(monkeypatch):
     assert sum(decomposed) <= box.all_nodes().shape[0]
 
 
-def test_non_finite_sample_node_is_named():
+def test_non_finite_sample_node_is_named(monkeypatch):
     u = _grid(FIXTURES_2D["rank1_constant"], 2, masked=False)
     H = Hamiltonian.dirichlet(2, u.N)
-    nodes, x, hp = _centres(u, H)
-    field = _grid_hp_field(u, H)
-    field[:, :, 0, 5] = np.nan  # a boundary node: a sample of the centre (1, 5), never a centre
+    nodes, jets, _ = _centres(u, H)
+
+    def poisoned(u, H):
+        ham = _grid_hamiltonian(u, H)
+        # a boundary node: a sample of the centre (1, 5), never a centre
+        ham.P_grad[..., np.ravel_multi_index((0, 5), u.box.shape)] = np.nan
+        return ham
+
+    monkeypatch.setattr(operators, "_grid_hamiltonian", poisoned)
     with pytest.raises(ValueError, match=r"grid node \(0, 5\)"):
-        _normal_projections(u, H, x, nodes, hp, "reduced", None, None, field)
+        _normal_space(u, H, jets, nodes, "reduced", None, None, (nodes, "node"))
 
 
 @pytest.mark.parametrize("exprs", [["sin(x1+x2)", "cos(x1+x2)"], ["x1^2 + x2", "x1 * x2"]])
@@ -143,7 +150,8 @@ def test_grid_verify_normal_evaluates_the_density_jet_once(monkeypatch):
         calls.append(np.shape(x)[1:])
         return jet(H, x, eta, P, order=order)
 
-    for module in (energy, operators, varcheck):
+    assert not hasattr(varcheck, "hamiltonian_jet")  # its projector field comes from operators
+    for module in (energy, operators):
         monkeypatch.setattr(module, "hamiltonian_jet", counting)
     v = normal_variation_test(u, Hamiltonian.dirichlet(2, 2), Subdomain.whole(box), trials=3, seed=1)
     assert not v.vacuous
@@ -161,3 +169,40 @@ def test_sliced_grid_density_jet_is_the_pointwise_one():
     at = np.ravel_multi_index(tuple(nodes.T), box.shape)
     for name in ("value", "x_grad", "eta_grad", "P_grad"):
         assert np.array_equal(getattr(everywhere, name)[..., at], getattr(direct, name)), name
+
+
+@pytest.mark.parametrize("call", ["full", "reduced", "point full", "point reduced", "verify-normal"])
+def test_every_grid_rank_decision_is_one_node_field_call(monkeypatch, call):
+    # the residual variants, aronsson_residual and verify-normal rank a grid map's H_P
+    # in one call of the node-field function, and no SVD of H_P is taken outside it
+    box = DomainBox((0.0, 0.0), (1.0, 1.0), (17, 17))
+    u = ClosedFormMap.from_expressions(["sin(x1+x2)", "cos(x1+x2)"], n=2).sample(box)
+    H, O = Hamiltonian.dirichlet(2, 2), Subdomain.whole(box)
+    reads, stray, inside = [], [], []
+    decompose, rank_decision = operators._grid_node_decomposition, linalg.rank_decision
+
+    def node_field(hp_field, read):
+        reads.append(read.shape[0])
+        inside.append(True)
+        try:
+            return decompose(hp_field, read)
+        finally:
+            inside.pop()
+
+    def counting(A, tol=DEFAULT_RANK_TOL):
+        if not inside:
+            stray.append(np.shape(A))
+        return rank_decision(A, tol)
+
+    monkeypatch.setattr(operators, "_grid_node_decomposition", node_field)
+    monkeypatch.setattr(linalg, "rank_decision", counting)
+    if call in ("full", "reduced"):
+        residual_field(u, H, O, variant=call)
+    elif call == "verify-normal":
+        normal_variation_test(u, H, O, trials=2, seed=1)
+    else:
+        aronsson_residual(u, H, [0.5, 0.25], variant=call.split()[1])
+    # "full" reads the centres only, the other calls the whole node field
+    interior = O.interior_nodes().shape[0]
+    expected = {"full": interior, "point full": 1}.get(call, box.all_nodes().shape[0])
+    assert reads == [expected] and stray == []

@@ -62,6 +62,23 @@ class TestRankOne:
         v = rank_one_test(u, dirichlet_1d, O, [[1.0]], trials=8, seed=2)
         assert not v.passed
 
+    def test_ball_scores_each_direction_once(self, monkeypatch):
+        # on balls a direction's only variation is the deterministic sphere bump, so
+        # ``trials`` adds no copies of it and the verdict counts distinct variations
+        box = DomainBox((-1.0, -1.0), (1.0, 1.0), (21, 21))
+        O = Subdomain.from_ball(box, (0.0, 0.0), 0.6)
+        u = ClosedFormMap.from_expressions(["x1^2 + x2"], 2)
+        scored, energies = [], varcheck._Probe.energies
+
+        def counting(probe, phi):
+            E = energies(probe, phi)
+            scored.append(E.size)
+            return E
+
+        monkeypatch.setattr(varcheck._Probe, "energies", counting)
+        v = rank_one_test(u, Hamiltonian.dirichlet(2, 1), O, [[1.0], [2.0]], trials=20, seed=1)
+        assert v.trials == 2 and scored == [1, 1]
+
     def test_zero_direction_rejected(self, interval_sym, dirichlet_1d):
         _, O = interval_sym
         u = ClosedFormMap.from_expressions(["x1"], n=1)
