@@ -2,9 +2,10 @@
 
 Every subcommand writes ``<out>/<command>_report.json`` with a stable
 schema (``schema_version`` 1): command, problem digest, parameters (the
-options the subcommand takes, as parsed), results payload, pass flag and
-wall time.  Identical inputs and seeds produce identical results
-payloads; wall time is the only varying field.
+options the subcommand takes, as parsed), the linfvar, numpy and Python
+versions, results payload, pass flag and wall time.  Identical inputs and
+seeds produce identical results payloads; wall time is the only varying
+field.
 
 Exit codes: 0 computed and all verdicts pass, 1 computed with verdict
 failures (witness in the report), 2 input/parse error or any other
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import energy, flow, lp_approx, operators, varcheck
+from . import __version__, energy, flow, lp_approx, operators, varcheck
 from .exprlang import ParseError
 from .problem import (
     ClosedFormMap,
@@ -267,6 +268,8 @@ def run(argv=None) -> int:
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
         "parameters": {k: v for k, v in vars(args).items() if k != "command" and v is not None},
+        "versions": {"linfvar": __version__, "numpy": np.__version__,
+                     "python": "%d.%d.%d" % sys.version_info[:3]},
     }
     error = None
     try:

@@ -17,15 +17,18 @@ Armijo backtracking, written in numpy over the interior unknowns only.
 It works on the normalised objective F_p^(1/p), a monotone transform of
 F_p whose magnitude stays O(H) at every p, so unit steps and the tolerance
 ``tol_opt`` mean the same thing along the whole continuation.  Hessian-
-vector products are exact and matrix-free: the second-order jets of H at
-the cells, pushed through the linear cell jets and their transpose, the
-corner scatter that also assembles the gradient.  CG is preconditioned by
-the Jacobi diagonal of the same cell form.  The CG cap, the forcing term
-and the line-search constants are fixed module constants.
+vector products are exact: the second-order jets of H at the cells,
+pushed through the linear cell jets and their transpose.  Each Newton step
+assembles that cell form once as a fixed-width stencil over the interior
+unknowns (3^n neighbours times N components per row), so a product is one
+gather and one row sum.  CG is preconditioned by the Jacobi diagonal, the
+stencil's centre entry.  The CG cap, the forcing term and the line-search
+constants are fixed module constants.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Sequence
@@ -71,8 +74,8 @@ class LpProblem:
     settings: OptimizerSettings = field(default_factory=OptimizerSettings)
 
     def __post_init__(self):
-        if self.p < 2:
-            raise ValueError("p must be >= 2")
+        if not (math.isfinite(self.p) and self.p >= 2):
+            raise ValueError(f"p must be a finite number >= 2 (a --p-schedule entry), got {self.p:g}")
         nodes = int(self.O.mask.sum())
         if nodes > 129 * 129:
             raise ValueError(f"subdomain has {nodes} nodes; the desk-scale cap is 129^2")
@@ -170,6 +173,28 @@ class _CellScheme:
             raise ValueError("boundary data must be finite on all boundary nodes")
         self.boundary_mask = bmask
         self.boundary_data = g
+        # B, d(z)/d(corner node values) with z = (eta, P) in Hamiltonian.seeds() order:
+        # row (corner, component), (corners N) x (N + N n)
+        N, n = self.N, self.n
+        self.corner_jacobian = np.zeros((len(self.corners) * N, N + N * n))
+        for k, weights in enumerate(self.corner_weights):
+            for b in range(N):
+                self.corner_jacobian[k * N + b, [b] + [N + b * n + i for i in range(n)]] = weights
+        # an unknown's stencil: its node's 3^n neighbours (offsets in product order) times N components
+        offsets = list(product((-1, 0, 1), repeat=n))
+        self.centre = offsets.index((0,) * n)
+        # the offset from corner k to corner l of a cell
+        self.offset_of = {(k, l): offsets.index(tuple(b - a for a, b in zip(ck, cl)))
+                          for k, ck in enumerate(self.corners) for l, cl in enumerate(self.corners)}
+        # each unknown's stencil columns; a neighbour on the boundary takes the padding slot N * nodes
+        nodes = int(self.interior.sum())
+        number = np.full(tuple(m + 2 for m in self.shape), -1)
+        number[(slice(1, -1),) * n][self.interior] = np.arange(nodes)
+        neighbours = np.stack(
+            [number[tuple(slice(1 + o, 1 + o + m) for o, m in zip(off, self.shape))][self.interior]
+             for off in offsets], axis=1)[:, :, None]
+        columns = np.where(neighbours >= 0, neighbours + nodes * np.arange(N), N * nodes)
+        self.columns = np.broadcast_to(columns, (N,) + columns.shape).reshape(N * nodes, -1)
 
     def cell_jets(self, W: np.ndarray):
         """Midpoint value (corner mean) and multilinear gradient of the window array W (linear in W)."""
@@ -248,8 +273,12 @@ class _CellScheme:
 
             Hv = a J^T [w2 (H_z . Jv) H_z + w1 H_zz Jv] + a (1/p - 1) / F (grad F . v) grad F.
 
-        The diagonal is that of the cell form, the first term, summed
-        over the corners; it leaves out the rank-one term.
+        The first term, the cell form J^T K J, is assembled once per call
+        as a stencil: each unknown's row over its 3^n neighbours and N
+        components, summed from the per-cell blocks B K B^T of the corner
+        Jacobian B.  A product is then one gather and one row sum, plus
+        the rank-one term.  The diagonal is the stencil's centre entry; it
+        leaves out the rank-one term.
         """
         N, n, p = self.N, self.n, self.prob.p
         a = self.grad_scale(F)
@@ -257,24 +286,25 @@ class _CellScheme:
         hzz = np.concatenate([ham.eta_hess, ham.P_hess.reshape((N * n, -1) + self.cells)])[:, n:]
         # the cell form a [w2 H_z H_z^T + w1 H_zz], (N + N n)^2 + cells
         K = a * (self._weight(hvals, 2) * hz[:, None] * hz[None] + self._weight(hvals, 1) * hzz)
+        # the per-cell blocks B K B^T, summed onto the stencil of each window node
+        B = self.corner_jacobian
+        z = B.shape[1]
+        blocks = np.einsum("izc,jz->ijc", np.tensordot(B, K.reshape(z, z, -1), axes=(1, 0)), B)
+        blocks = blocks.reshape((len(self.corners), N, len(self.corners), N) + self.cells)
+        S = np.zeros((N, 3 ** n, N) + self.shape)  # row component, offset, column component, row node
+        for (k, l), o in self.offset_of.items():
+            S[(slice(None), o, slice(None)) + self.corner_index[k][1:]] += blocks[k, :, l]
+        interior = self.interior
+        values = S[..., interior].transpose(0, 3, 1, 2).reshape(self.columns.shape)
         # the rank-one term in the normalised frame: grad F = g / a
         rank_one = (1.0 / p - 1.0) / (a * F) if F > 0.0 else 0.0
-        interior = self.interior
-        V = np.zeros((N,) + self.shape)
+        padded = np.zeros(g.size + 1)
 
         def product(v: np.ndarray) -> np.ndarray:
-            V[:, interior] = v.reshape(N, -1)
-            val, P = self.cell_jets(V)
-            c = np.einsum("kl...,l...->k...", K, np.concatenate([val, P.reshape((N * n,) + self.cells)]))
-            Hv = self.scatter(c[:N], c[N:].reshape((N, n) + self.cells))[:, interior].ravel()
-            return Hv + rank_one * float(g @ v) * g
+            padded[:-1] = v
+            return np.einsum("ij,ij->i", values, padded[self.columns]) + rank_one * float(g @ v) * g
 
-        D = np.zeros((N,) + self.shape)
-        for weights, idx in zip(self.corner_weights, self.corner_index):
-            for b in range(N):
-                rows = [b] + [N + b * n + i for i in range(n)]  # eta_b, P_b1 .. P_bn
-                D[b][idx[1:]] += np.einsum("k,kl...,l->...", weights, K[np.ix_(rows, rows)], weights)
-        diag = D[:, interior].ravel()
+        diag = S[np.arange(N), self.centre, np.arange(N)][:, interior].ravel()
         # cells where H is not convex can leave a diagonal entry <= 0
         top = _sup_norm(diag)
         return product, np.maximum(diag, _DIAG_FLOOR * top if top > 0.0 else 1.0)
@@ -323,12 +353,12 @@ def lp_minimize(prob: LpProblem, init: GridMap) -> LpResult:
     The unknowns are the interior node values of the subdomain window.  Each
     iteration evaluates the second-order jets of H at the cells, solves the
     Newton system inexactly by Jacobi-preconditioned CG with exact
-    matrix-free Hessian-vector products (:func:`_newton_direction`), and
-    backtracks from a unit step.  Stops with ``converged`` once the
-    sup-norm of the gradient of F_p^(1/p) is at most ``tol_opt``, with
-    ``max_iter`` after that many accepted steps, and with
-    ``line_search_stalled`` when no step along the CG direction passes the
-    Armijo test.
+    Hessian-vector products of the step's assembled cell form
+    (:func:`_newton_direction`), and backtracks from a unit step.  Stops
+    with ``converged`` once the sup-norm of the gradient of F_p^(1/p) is at
+    most ``tol_opt``, with ``max_iter`` after that many accepted steps, and
+    with ``line_search_stalled`` when no step along the CG direction passes
+    the Armijo test.
 
     The initial iterate must match the boundary data exactly; boundary
     entries are never written, so the data is preserved bit-exactly.
@@ -417,6 +447,9 @@ def p_continuation(prob: LpProblem, schedule: Sequence):
     critical-system residual.
     """
     schedule = [float(p) for p in schedule]
+    for k, p in enumerate(schedule, 1):
+        if not (math.isfinite(p) and p >= 2):
+            raise ValueError(f"--p-schedule entry {k} is {p:g}; every p must be a finite number >= 2")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly increasing")
     if schedule and schedule[0] != 2.0:

@@ -399,6 +399,7 @@ class GridMap:
         self.valid = finite if valid is None else (np.asarray(valid, dtype=bool) & finite)
         self._du = None
         self._d2u = None
+        self._jet_valid = None
 
     def _derivatives(self):
         if self._du is None:
@@ -419,13 +420,16 @@ class GridMap:
                     d2[:, j, i] = mixed
             self._du = du
             self._d2u = d2
+            ok = self.valid & np.isfinite(du).all(axis=(0, 1)) & np.isfinite(d2).all(axis=(0, 1, 2))
+            ok.flags.writeable = False
+            self._jet_valid = ok
         return self._du, self._d2u
 
     @property
     def jet_valid(self) -> np.ndarray:
-        du, d2 = self._derivatives()
-        ok = self.valid & np.isfinite(du).all(axis=(0, 1)) & np.isfinite(d2).all(axis=(0, 1, 2))
-        return ok
+        """Nodes whose value, gradient and Hessian are finite (read-only, computed with the derivatives)."""
+        self._derivatives()
+        return self._jet_valid
 
     def jet_at_nodes(self, nodes: np.ndarray, order: int = 2) -> Jet2:
         nodes = np.atleast_2d(np.asarray(nodes, dtype=int))

@@ -137,6 +137,20 @@ class TestExitCodes:
         assert run(["lp", "--problem", str(tmp_path / "overflow.json"), "--out", str(out)]) == 2
         assert _report(out, "lp")["error"]["message"] == "density not finite at cell midpoint (0.9375,)"
 
+    @pytest.mark.parametrize("schedule,message", [
+        ("2,nan", "--p-schedule entry 2 is nan"), ("2,inf", "--p-schedule entry 2 is inf"),
+        ("2,4,1e400", "--p-schedule entry 3 is inf"), ("nan,4", "(a --p-schedule entry), got nan"),
+    ])
+    def test_lp_refuses_a_p_that_is_not_a_finite_number(self, problems, tmp_path, schedule, message):
+        _, tmp = problems
+        spec = dict(LINEAR_1D, domain={"lo": [-1.0], "hi": [1.0], "resolution": [11]})
+        (tmp_path / "lp.json").write_text(json.dumps(spec))
+        out = tmp / "lp_nan"
+        assert run(["lp", "--problem", str(tmp_path / "lp.json"), "--p-schedule", schedule, "--out", str(out)]) == 2
+        error = _report(out, "lp")["error"]
+        assert error["type"] == "ValueError" and message in error["message"]
+        assert not list(out.glob("*.csv"))
+
     @pytest.mark.parametrize("command,extra,point", [
         ("energy", [], "(0.0, 0.0)"), ("argmax", [], "(0.0, 0.0)"), ("maxmin", [], "(0.0, 0.0)"),
         ("residual", [], "(0.0, 0.0)"), ("danskin", ["--phi", "x1"], "(0.0, 0.0)"),
@@ -552,6 +566,18 @@ class TestReports:
                     "results", "pass", "wall_time_s"):
             assert key in rep
         assert rep["schema_version"] == 1
+
+    def test_reports_record_the_versions(self, problems):
+        import numpy as np
+        import linfvar
+        paths, tmp = problems
+        for argv, out in ((["energy", "--problem", paths["linear1d"]], tmp / "ve"),
+                          (["parse-check", "--problem", paths["bad"]], tmp / "vp")):
+            run(argv + ["--out", str(out)])
+            rep = _report(out, argv[0])
+            assert rep["versions"] == {"linfvar": linfvar.__version__, "numpy": np.__version__,
+                                       "python": "%d.%d.%d" % sys.version_info[:3]}
+            assert "versions" not in rep.get("results", {})
 
 
 class TestDeterminism:

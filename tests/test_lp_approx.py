@@ -22,7 +22,7 @@ from linfvar import (
     sup_energy,
 )
 from linfvar.exprlang import DomainEvalError
-from linfvar.lp_approx import _CellScheme
+from linfvar.lp_approx import _DIAG_FLOOR, _CellScheme, _sup_norm
 from linfvar.problem import jets_at_nodes
 
 ARONSSON_EXPR = "abs(x1)^(4/3) - abs(x2)^(4/3)"
@@ -329,6 +329,80 @@ class TestNewtonCG:
         counts = [[st["hess_products"] for st in stages] for stages in reports]
         assert counts[0] == counts[1]
         assert all(isinstance(c, int) and c > 0 for c in counts[0])
+
+
+def _matrix_free_curvature(scheme, F, hvals, ham, g):
+    """The former matrix-free curvature, kept as a reference: each product pushes v through
+    ``cell_jets``, the cell form K and ``scatter``; the diagonal sums each corner's block."""
+    N, n, p = scheme.N, scheme.n, scheme.prob.p
+    a = scheme.grad_scale(F)
+    hz = np.concatenate([ham.eta_grad, ham.P_grad.reshape((N * n,) + scheme.cells)])
+    hzz = np.concatenate([ham.eta_hess, ham.P_hess.reshape((N * n, -1) + scheme.cells)])[:, n:]
+    K = a * (scheme._weight(hvals, 2) * hz[:, None] * hz[None] + scheme._weight(hvals, 1) * hzz)
+    rank_one = (1.0 / p - 1.0) / (a * F) if F > 0.0 else 0.0
+    interior = scheme.interior
+    V = np.zeros((N,) + scheme.shape)
+
+    def product(v):
+        V[:, interior] = v.reshape(N, -1)
+        val, P = scheme.cell_jets(V)
+        c = np.einsum("kl...,l...->k...", K, np.concatenate([val, P.reshape((N * n,) + scheme.cells)]))
+        Hv = scheme.scatter(c[:N], c[N:].reshape((N, n) + scheme.cells))[:, interior].ravel()
+        return Hv + rank_one * float(g @ v) * g
+
+    D = np.zeros((N,) + scheme.shape)
+    for weights, idx in zip(scheme.corner_weights, scheme.corner_index):
+        for b in range(N):
+            rows = [b] + [N + b * n + i for i in range(n)]
+            D[b][idx[1:]] += np.einsum("k,kl...,l->...", weights, K[np.ix_(rows, rows)], weights)
+    diag = D[:, interior].ravel()
+    top = _sup_norm(diag)
+    return product, np.maximum(diag, _DIAG_FLOOR * top if top > 0.0 else 1.0)
+
+
+# (n, N, density, boundary map components, resolution per axis)
+CURVATURE_CASES = {
+    "dirichlet": (2, 1, None, [ARONSSON_EXPR], 9),
+    "eta-x": (2, 1, ETA_X_DENSITY, [ARONSSON_EXPR], 9),
+    "vectorial": (2, 2, "(1 + u1^2 + u2^2) * (P11^2 + P12^2 + P21^2 + P22^2) + P11*P21 + x2^2",
+                  ["x1*x2", "x1 - x2^2"], 9),
+    "n=1": (1, 1, "(1 + u1^2) * P11^2 + x1^2", ["x1^2"], 13),
+    "n=3": (3, 1, "(1 + u1^2) * (P11^2 + P12^2 + P13^2) + x1^2", ["x1*x2 - x3^2"], 6),
+}
+
+
+class TestAssembledCurvature:
+    """The stencil-assembled cell form against the matrix-free reference."""
+
+    @pytest.mark.parametrize("case", sorted(CURVATURE_CASES))
+    def test_product_and_diagonal_match_the_matrix_free_reference(self, case):
+        n, N, density, components, resolution = CURVATURE_CASES[case]
+        box = DomainBox((1.0,) * n, (2.0,) * n, (resolution,) * n)
+        O = Subdomain.whole(box)
+        H = Hamiltonian.dirichlet(n, N) if density is None else Hamiltonian.from_expression(density, n, N)
+        g = boundary_values_from_map(ClosedFormMap.from_expressions(components, n=n), O)
+        scheme = _CellScheme(LpProblem(H=H, O=O, boundary_values=g, p=4.0))
+        W = constant_fill_init(scheme.prob).values[(slice(None),) + scheme.window].copy()
+        rng = np.random.default_rng(3)
+        W[:, scheme.interior] += rng.uniform(-0.3, 0.3, size=W[:, scheme.interior].shape)
+        F, hvals, ham = scheme.energy_and_jets(W, order=2)
+        grad = scheme.normalised_gradient(F, hvals, ham)
+        product, diag = scheme.curvature(F, hvals, ham, grad)
+        ref_product, ref_diag = _matrix_free_curvature(scheme, F, hvals, ham, grad)
+        assert np.max(np.abs(diag - ref_diag) / np.abs(ref_diag)) <= 1e-13
+        for v in rng.normal(size=(3, grad.size)):
+            assert np.linalg.norm(product(v) - ref_product(v)) <= 1e-13 * np.linalg.norm(ref_product(v))
+
+    @pytest.mark.parametrize("resolution", [17, 33])
+    def test_continuation_matches_the_matrix_free_reference(self, resolution, monkeypatch):
+        prob = _aronsson_problem(Hamiltonian.dirichlet(2, 1), 2.0, resolution=resolution)
+        stages = p_continuation(prob, [2, 4, 8, 16, 32])
+        monkeypatch.setattr(_CellScheme, "curvature", _matrix_free_curvature)
+        ref = p_continuation(prob, [2, 4, 8, 16, 32])
+        assert [st.status for st in stages] == [st.status for st in ref] == ["converged"] * 5
+        interior = prob.O.mask & ~prob.O.boundary_mask
+        diff = stages[-1].solution.values[:, interior] - ref[-1].solution.values[:, interior]
+        assert np.max(np.abs(diff)) <= 1e-12
 
 
 def test_interior_sup_energy_below_boundary_pinned_sup(criterion_10_stages):

@@ -212,6 +212,22 @@ class TestResidualField:
         rf = residual_field(aronsson_map, dirichlet_2d, O, variant="reduced", points=pts)
         assert rf.norms.max() <= 1e-10
 
+    def test_grid_jet_validity_is_computed_once(self, monkeypatch):
+        # GridMap.jet_valid is checked once, with the derivatives, however often a residual reads it
+        box = DomainBox((1.0, 1.0), (2.0, 2.0), (17, 17))
+        u = ClosedFormMap.from_expressions(["sin(x1 + x2)", "cos(x1 + x2)"], n=2).sample(box)  # rank 1
+        isfinite = np.isfinite
+        checks = []
+
+        def counting(a, *args, **kwargs):
+            checks.extend(name for name, d in (("du", u._du), ("d2", u._d2u)) if a is d)
+            return isfinite(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counting)
+        residual_field(u, Hamiltonian.dirichlet(2, 2), Subdomain.whole(box), variant="reduced")
+        assert checks == ["du", "d2"]
+        assert u.jet_valid.all() and not u.jet_valid.flags.writeable
+
     def test_non_finite_density_names_the_point_or_node(self):
         box = DomainBox((0.0,), (1.0,), (9,))
         O = Subdomain.whole(box)
