@@ -1,0 +1,70 @@
+#!/usr/bin/env python3
+"""Cost of the sampled minimality verdicts and of the stationarity scan of a test basis.
+
+The problem is the closed-form-verdicts benchmark's A problem at seed 1,
+drawn with ``bench/workloads.py`` (read only) as the session draws it:
+the Aronsson solution |x1|^(4/3) - |x2|^(4/3) on an 81^2 grid of
+[1, 2.25]^2, H = P11^2 + P12^2, and a box subdomain of 33^2 nodes.  The
+timed calls are the session's: ``absolute_minimiser_test`` with 200
+trials, ``rank_one_test`` along the coordinate axis with 100 trials, and
+``stationarity_scans`` of the 50-field sine test basis.
+
+Timings use stdlib ``timeit``.  The rounds interleave every timed
+statement, and each figure is the best of ``--rounds`` rounds of
+``--number`` calls, in milliseconds per call, so that a busy spell on a
+shared host inflates no single figure.
+
+Usage: python scripts/verdict_timing.py [--number 3] [--rounds 10]
+"""
+
+import argparse
+import sys
+import tempfile
+import timeit
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import workloads  # noqa: E402
+
+from linfvar import (  # noqa: E402
+    absolute_minimiser_test,
+    load_problem,
+    make_test_basis,
+    rank_one_test,
+    stationarity_scans,
+)
+
+WORKLOAD, SEED = "closed-form-verdicts", 1
+
+
+def main():
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--number", type=int, default=3, help="calls per timed run")
+    ap.add_argument("--rounds", type=int, default=10, help="timed runs per statement; the best is reported")
+    args = ap.parse_args()
+    with tempfile.TemporaryDirectory() as tmp:
+        workloads.generate(WORKLOAD, SEED, Path(tmp))
+        prob = load_problem(Path(tmp) / "A.json")
+    u, H, O = prob.u, prob.H, prob.subdomain
+    timed = {
+        "absolute_minimiser_test, 200 trials":
+            lambda: absolute_minimiser_test(u, H, O, trials=200, seed=SEED),
+        "rank_one_test, 100 trials":
+            lambda: rank_one_test(u, H, O, [[1.0]], trials=100, seed=SEED),
+        "stationarity_scans, 50 fields":
+            lambda: stationarity_scans(u, H, O, make_test_basis(O, prob.N, 50)),
+    }
+    best = {key: float("inf") for key in timed}
+    for _ in range(args.rounds):
+        for key, fn in timed.items():
+            best[key] = min(best[key], timeit.timeit(fn, number=args.number) / args.number * 1e3)
+    width = max(len(key) for key in timed)
+    print(f"{'call':<{width}} {'ms':>8}")
+    for key, ms in best.items():
+        print(f"{key:<{width}} {ms:>8.2f}")
+
+
+if __name__ == "__main__":
+    main()

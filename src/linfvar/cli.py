@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -37,15 +38,37 @@ __all__ = ["main", "run"]
 
 SCHEMA_VERSION = 1
 
+def _count(text: str) -> int:
+    """A --trials or --basis-size value: a whole number >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a whole number >= 1, got {text!r}")
+    return value
+
+
+def _amplitude(text: str) -> float:
+    """A --amplitude value: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
 _DELTA = ("--delta", {"type": float, "help": "argmax admission tolerance"})
 _TOL = ("--tol", {"type": float, "help": "verdict tolerance"})
 _VERIFY = (
     ("--seed", {"type": int, "default": 0}),
     _TOL,
-    ("--trials", {"type": int, "default": 20}),
-    ("--amplitude", {"type": float, "default": 1.0}),
+    ("--trials", {"type": _count, "default": 20}),
+    ("--amplitude", {"type": _amplitude, "default": 1.0}),
 )
-_BASIS_SIZE = ("--basis-size", {"type": int, "default": 50})
+_BASIS_SIZE = ("--basis-size", {"type": _count, "default": 50})
 
 # The options that _dispatch reads for each subcommand, besides --problem and --out.
 _OPTIONS = {

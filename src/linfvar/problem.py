@@ -37,6 +37,7 @@ __all__ = [
     "StencilError",
     "Subdomain",
     "axis_derivative",
+    "combine_jets",
     "hamiltonian_jet",
     "hamiltonian_value",
     "jets_at_nodes",
@@ -363,12 +364,17 @@ class ClosedFormMap:
         if x.shape[0] != self.n:
             raise ValueError(f"point has dimension {x.shape[0]}, map expects {self.n}")
         binding = {name: x[index] for name, index in self._slots}
+        duals = [eval_jet2(ast, binding, self._seeds, order=order, on_singularity=on_singularity)
+                 for ast in self.components]
+        if self.N == 1:  # eval_jet2's arrays are fresh: a single component's are taken as they are
+            (d,) = duals
+            return Jet2(x=x, value=d.val[np.newaxis], gradient=d.grad[np.newaxis],
+                        hessian=d.hess[np.newaxis] if order >= 2 else None)
         S = x.shape[1:]
         value = np.empty((self.N,) + S)
         gradient = np.empty((self.N, self.n) + S)
         hessian = np.empty((self.N, self.n, self.n) + S) if order >= 2 else None
-        for a, ast in enumerate(self.components):
-            d = eval_jet2(ast, binding, self._seeds, order=order, on_singularity=on_singularity)
+        for a, d in enumerate(duals):
             value[a] = d.val
             gradient[a] = d.grad
             if order >= 2:
@@ -478,20 +484,16 @@ class PerturbedMap:
         self.n = base.n
         self.N = base.N
 
-    def combine(self, j1: Jet2, j2: Jet2) -> Jet2:
-        """Jet of u + t*phi from the jets ``j1`` of u and ``j2`` of phi."""
-        hess = None
-        if j1.hessian is not None and j2.hessian is not None:
-            hess = j1.hessian + self.scale * j2.hessian
-        return Jet2(
-            x=j1.x,
-            value=j1.value + self.scale * j2.value,
-            gradient=j1.gradient + self.scale * j2.gradient,
-            hessian=hess,
-        )
-
     def jet2(self, x, order: int = 2) -> Jet2:
-        return self.combine(map_jet(self.base, x, order=order), map_jet(self.variation, x, order=order))
+        return combine_jets(map_jet(self.base, x, order=order), map_jet(self.variation, x, order=order), self.scale)
+
+
+def combine_jets(j1: Jet2, j2: Jet2, t: float = 1.0) -> Jet2:
+    """Jet of u + t*phi from the jets ``j1`` of u and ``j2`` of phi."""
+    hess = None
+    if j1.hessian is not None and j2.hessian is not None:
+        hess = j1.hessian + t * j2.hessian
+    return Jet2(x=j1.x, value=j1.value + t * j2.value, gradient=j1.gradient + t * j2.gradient, hessian=hess)
 
 
 MapField = Union[ClosedFormMap, GridMap, PerturbedMap]
@@ -509,8 +511,8 @@ def jets_at_nodes(u, box: DomainBox, nodes: np.ndarray, order: int = 2) -> Jet2:
             raise ValueError("grid map lives on a different box")
         return u.jet_at_nodes(nodes, order=order)
     if isinstance(u, PerturbedMap):
-        return u.combine(jets_at_nodes(u.base, box, nodes, order=order),
-                         jets_at_nodes(u.variation, box, nodes, order=order))
+        return combine_jets(jets_at_nodes(u.base, box, nodes, order=order),
+                            jets_at_nodes(u.variation, box, nodes, order=order), u.scale)
     if hasattr(u, "node_jets"):  # maps that tabulate their jets along the grid axes
         return u.node_jets(box, np.atleast_2d(nodes), order=order)
     coords = box.node_coords(np.atleast_2d(nodes))

@@ -30,8 +30,8 @@ from .problem import (
     GridMap,
     Hamiltonian,
     Jet2,
-    PerturbedMap,
     Subdomain,
+    combine_jets,
     jets_at_nodes,
 )
 from .variations import (
@@ -42,6 +42,7 @@ from .variations import (
     _region_box,
     _scale_for,
     _scaled_spec,
+    _sine_batch,
     make_free_field,
     make_free_variation,
     make_rank_one_variation,
@@ -107,26 +108,35 @@ class _Probe:
         self.base = _with_batch_axis(jets)
         self.chunk = max(1, _BATCH_POINTS // self.nodes.shape[0])
 
-    def energies(self, phi) -> np.ndarray:
-        """E_inf(u + phi, O) for each map of the batch ``phi``; a single map is a batch of one."""
+    def jets(self, phi) -> Jet2:
+        """phi's order-1 jets at the nodes, with a batch axis of length 1 if phi is a single map."""
         var = jets_at_nodes(phi, self.O.box, self.nodes, order=1)
-        if var.value.ndim == 2:
-            var = _with_batch_axis(var)
-        return density_sup(self.H, PerturbedMap(self.u, phi, 1.0).combine(self.base, var), self.nodes)
+        return _with_batch_axis(var) if var.value.ndim == 2 else var
+
+    def energies(self, var: Jet2) -> np.ndarray:
+        """E_inf(u + phi, O) for each variation phi of a batch, from its :meth:`jets` ``var``."""
+        return density_sup(self.H, combine_jets(self.base, var), self.nodes)
 
     def sine_batches(self, draw, count: int, amplitude: float):
-        """``count`` draws of ``draw() -> (unscaled SineModeMap, spec)``, stacked and scaled in chunks."""
+        """``count`` draws of ``draw() -> unscaled sine spec`` as (jets, scaled specs) chunks.
+
+        A chunk's jets are taken once, unscaled, and then multiplied by each
+        trial's scale: the sine families drawn here have no constant term, so
+        the scaled map's jets are the unscaled jets times the scale.
+        """
         for start in range(0, count, self.chunk):
-            raws, specs = zip(*(draw() for _ in range(min(self.chunk, count - start))))
-            raw = SineModeMap.stack(raws)
-            scale = _scale_for(raw, self.O, self.nodes, amplitude)
-            yield raw.scaled(scale), [_scaled_spec(spec, c, amplitude) for spec, c in zip(specs, scale)]
+            specs = [draw() for _ in range(min(self.chunk, count - start))]
+            raw = self.jets(_sine_batch(specs))
+            scale = _scale_for(raw, amplitude)
+            var = Jet2(x=raw.x, value=raw.value * scale[:, None], gradient=raw.gradient * scale[:, None],
+                       hessian=None)
+            yield var, [_scaled_spec(spec, c, amplitude) for spec, c in zip(specs, scale)]
 
     def scan(self, batches):
-        """(worst violation E0 - E1, its witness, variation count) over (maps, specs) batches."""
+        """(worst violation E0 - E1, its witness, variation count) over (jets, specs) batches."""
         worst, witness, total = -np.inf, None, 0
-        for phi, specs in batches:
-            E1 = self.energies(phi)
+        for var, specs in batches:
+            E1 = self.energies(var)
             violation = self.E0 - E1
             t = int(np.argmax(violation))
             if violation[t] > worst:
@@ -165,7 +175,7 @@ def absolute_minimiser_test(
     if trials == 0 or amplitude == 0.0:
         return Verdict(True, 0.0, None, trials, vacuous=False)
     if _region_box(O) is None:
-        batches = ((phi, [spec]) for phi, spec in
+        batches = ((probe.jets(phi), [spec]) for phi, spec in
                    (_ball_variation(O, u.N, rng, amplitude) for _ in range(trials)))
     else:
         batches = probe.sine_batches(lambda: _draw_free(O, u.N, rng), trials, amplitude)
@@ -200,7 +210,7 @@ def rank_one_test(
         for xi in directions:
             xi = np.asarray(xi, dtype=float)
             bump, spec = make_rank_one_variation(O, xi, rng, amplitude, deterministic=True)
-            yield bump, [spec]
+            yield probe.jets(bump), [spec]
             if box is not None:
                 yield from probe.sine_batches(lambda: _draw_rank_one(O, xi, rng), trials, amplitude)
 
@@ -269,7 +279,7 @@ def normal_variation_test(
         if float(np.max(np.linalg.norm(align, axis=0))) > tol_normal:
             continue
         admissible += 1
-        E1 = float(probe.energies(phi)[0])
+        E1 = float(probe.energies(probe.jets(phi))[0])
         violation = probe.E0 - E1
         if violation > worst:
             worst = violation
@@ -309,6 +319,17 @@ class StationarityReport:
     k_fraction: float           # |K| / |argmax| (exact set equality is not grid-decidable)
 
 
+def _basis_densities(ham, basis: Sequence, O: Subdomain, nodes: np.ndarray):
+    """g = H_P : Dpsi + H_eta . psi at ``nodes`` for each field psi of ``basis``, in order.
+
+    A basis of sine maps (:func:`make_test_basis`) is evaluated as one
+    stacked map; any other basis field by field.
+    """
+    if basis and all(isinstance(psi, SineModeMap) for psi in basis):
+        return list(linearised_density(ham, SineModeMap.stack(basis), O, nodes))
+    return [linearised_density(ham, psi, O, nodes) for psi in basis]
+
+
 def stationarity_scans(
     u,
     H: Hamiltonian,
@@ -322,8 +343,7 @@ def stationarity_scans(
     aset = argmax_set(u, H, O, delta)
     ham = density_linearisation(u, H, O, aset.nodes)
     reports = []
-    for psi in basis:
-        g = linearised_density(ham, psi, O, aset.nodes)
+    for g in _basis_densities(ham, basis, O, aset.nodes):
         max_val = float(np.max(g))
         min_val = float(np.min(g))
         scale = float(np.max(np.abs(g))) if g.size else 0.0
@@ -430,8 +450,7 @@ def measure_divergence_residual(
     ham = density_linearisation(u, H, O, nodes)
     per_psi = []
     scale = 0.0
-    for psi in test_basis:
-        g = linearised_density(ham, psi, O, nodes)
+    for g in _basis_densities(ham, test_basis, O, nodes):
         per_psi.append(float(np.dot(weights, g)))
         if g.size:
             scale = max(scale, float(np.max(np.abs(g))))

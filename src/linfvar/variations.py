@@ -52,9 +52,10 @@ class SineModeMap:
     zero coefficients to one length M.  The parameter arrays may carry
     trailing batch axes B, one map per entry (the trials of a verdict);
     jets then have shape (N, ...) + B + S for points of batch shape S.
-    Terms are multiplied and summed in the order the expression from
-    :func:`variation_source` evaluates them, so values and gradients match
-    its parsed form up to the signs of zeros.
+    At points, terms are multiplied and summed in the order the expression
+    from :func:`variation_source` evaluates them; at grid nodes the modes
+    are summed by matrix products (:meth:`node_jets`).  Both match the
+    parsed form to rounding.
     """
 
     def __init__(self, lo, hi, coeffs, freqs, phases, consts, factors):
@@ -68,18 +69,26 @@ class SineModeMap:
         self.N, self.n = coeffs.shape[0], self.lo.size
 
     @classmethod
-    def from_modes(cls, lo, hi, comp_modes, consts=None, factors=None) -> "SineModeMap":
-        """One map from a list, per component, of (coeff, ks, phases) modes."""
+    def from_modes(cls, lo, hi, comp_modes, consts=None) -> "SineModeMap":
+        """One map from a list, per component, of (coeff, ks, phases) modes, with factors 1."""
+        N = len(comp_modes)
+        consts = np.zeros((N, 1)) if consts is None else np.asarray(consts, dtype=float)[:, None]
+        return cls.from_trials(lo, hi, [comp_modes], consts, np.ones((N, 1))).entry(0)
+
+    @classmethod
+    def from_trials(cls, lo, hi, trials, consts, factors) -> "SineModeMap":
+        """A batch along a new last axis, one map per entry of ``trials`` (a list, per
+        component, of (coeff, ks, phases) modes), with ``consts`` and ``factors`` (N, T)."""
         lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-        N, n = len(comp_modes), lo.size
-        M = max(1, max(len(modes) for modes in comp_modes))
-        coeffs, ks, phases = np.zeros((N, M)), np.zeros((N, M, n)), np.zeros((N, M, n))
-        for a, modes in enumerate(comp_modes):
-            for m, (c, k, ph) in enumerate(modes):
-                coeffs[a, m], ks[a, m], phases[a, m] = c, k, ph
-        consts = np.zeros(N) if consts is None else np.asarray(consts, dtype=float)
-        factors = np.ones(N) if factors is None else np.asarray(factors, dtype=float)
-        return cls(lo, hi, coeffs, ks * np.pi / (hi - lo), phases, consts, factors)
+        T, N, n = len(trials), len(trials[0]), lo.size
+        entries = [(a, m, t, mode) for t, comp_modes in enumerate(trials)
+                   for a, modes in enumerate(comp_modes) for m, mode in enumerate(modes)]
+        M = max([1] + [m + 1 for _, m, _, _ in entries])
+        coeffs, ks, phases = np.zeros((N, M, T)), np.zeros((N, M, n, T)), np.zeros((N, M, n, T))
+        if entries:
+            a, m, t, modes = zip(*entries)
+            coeffs[a, m, t], ks[a, m, :, t], phases[a, m, :, t] = zip(*modes)
+        return cls(lo, hi, coeffs, ks * np.pi / (hi - lo)[:, None], phases, consts, factors)
 
     @classmethod
     def stack(cls, maps) -> "SineModeMap":
@@ -95,78 +104,108 @@ class SineModeMap:
             consts[:, t], factors[:, t] = m.consts, m.factors
         return cls(first.lo, first.hi, coeffs, freqs, phases, consts, factors)
 
+    def entry(self, t: int) -> "SineModeMap":
+        """Map ``t`` of a batch along one axis."""
+        return SineModeMap(self.lo, self.hi, self.coeffs[..., t], self.freqs[..., t], self.phases[..., t],
+                           self.consts[..., t], self.factors[..., t])
+
     def scaled(self, scale) -> "SineModeMap":
         """The map with its mode coefficients (not its constants) times ``scale`` (shape B)."""
         return SineModeMap(self.lo, self.hi, self.coeffs * scale, self.freqs, self.phases,
                            self.consts, self.factors)
 
-    def _axis_factors(self, i: int, t: np.ndarray, order: int):
-        """sin, its x_i-derivative and (order 2) second derivative for each mode, at x_i - lo_i = t."""
-        f = self.freqs[:, :, i]
-        f = f.reshape(f.shape + (1,) * t.ndim)
-        arg = f * t + self.phases[:, :, i].reshape(f.shape)
+    @staticmethod
+    def _sines(f, phase, t, order: int):
+        """sin(f t + phase), its t-derivative and (order 2) second derivative, broadcast."""
+        arg = f * t + phase
         s = np.sin(arg)
         return s, np.cos(arg) * f, -(s * (f * f)) if order >= 2 else None
 
-    def _assemble(self, x, parts, order: int) -> Jet2:
-        """Jet2 from the per-axis (sin, d, d2) factors of every mode."""
+    def _jet_entries(self, modes_sum, order: int):
+        """Value, gradient and Hessian from ``modes_sum(which)``, the mode sum whose
+        axis i factor is derivative ``which[i]`` (0, 1 or 2) of the sine."""
         n = self.n
-        pad = (1,) * (parts[0][0].ndim - self.coeffs.ndim)  # the point axes
-        coeffs = self.coeffs.reshape(self.coeffs.shape + pad)
-        factors = self.factors.reshape(self.factors.shape + pad)
-
-        def modes_sum(which, start=0.0):
-            # coeff * f_1 * ... * f_n per mode, left to right, added mode by mode
-            acc = start
-            for m in range(coeffs.shape[1]):
-                term = coeffs[:, m]
-                for i in range(n):
-                    term = term * parts[i][which[i]][:, m]
-                acc = acc + term
-            return factors * acc
-
-        value = modes_sum([0] * n, self.consts.reshape(self.consts.shape + pad))
-        gradient = np.stack([modes_sum([int(i == j) for i in range(n)]) for j in range(n)], axis=1)
+        value = modes_sum((0,) * n)
+        gradient = np.stack([modes_sum(tuple(int(i == j) for i in range(n))) for j in range(n)], axis=1)
         hessian = None
         if order >= 2:
             hessian = np.empty((self.N, n, n) + value.shape[1:])
             for j in range(n):
                 for k in range(j, n):
                     hessian[:, j, k] = hessian[:, k, j] = modes_sum(
-                        [(i == j) + (i == k) for i in range(n)])
-        return Jet2(x=x, value=value, gradient=gradient, hessian=hessian)
+                        tuple((i == j) + (i == k) for i in range(n)))
+        return value, gradient, hessian
 
     def jet2(self, x, order: int = 2) -> Jet2:
         """Exact jet at a point (n,) or point batch (n,) + S; sine maps have no singular set."""
         x = np.asarray(x, dtype=float)
         if x.shape[0] != self.n:
             raise ValueError(f"point has dimension {x.shape[0]}, map expects {self.n}")
-        parts = [self._axis_factors(i, x[i] - self.lo[i], order) for i in range(self.n)]
-        return self._assemble(x, parts, order)
+        pad = (1,) * x[0].ndim  # the point axes
+        parts = [self._sines(self.freqs[:, :, i].reshape(self.freqs[:, :, i].shape + pad),
+                             self.phases[:, :, i].reshape(self.phases[:, :, i].shape + pad),
+                             x[i] - self.lo[i], order) for i in range(self.n)]
+        coeffs = self.coeffs.reshape(self.coeffs.shape + pad)
+        factors = self.factors.reshape(self.factors.shape + pad)
+        consts = self.consts.reshape(self.consts.shape + pad)
+
+        def modes_sum(which):
+            # coeff * f_1 * ... * f_n per mode, left to right, added mode by mode
+            acc = consts if not any(which) else 0.0
+            for m in range(coeffs.shape[1]):
+                term = coeffs[:, m]
+                for i in range(self.n):
+                    term = term * parts[i][which[i]][:, m]
+                acc = acc + term
+            return factors * acc
+
+        return Jet2(x, *self._jet_entries(modes_sum, order))
 
     def node_jets(self, box: DomainBox, nodes: np.ndarray, order: int = 2) -> Jet2:
-        """Jets at grid nodes (M, dim).
+        """Jets at grid nodes (K, dim).
 
-        The sines are taken once per grid coordinate of each axis, the modes
-        are summed on the tensor grid that the nodes span, and the nodes are
-        then picked out of it.
+        Each axis gets (modes x coordinates) tables of the sines and their
+        derivatives, once per grid coordinate of the box that the nodes
+        span.  A mode sum over that box is then a contraction over the
+        modes: the coefficients and factors are folded into the first
+        axis's table, the tables of the axes before the last are multiplied
+        out, and one batched matrix product with the last axis's table sums
+        the modes (for n = 2, (L0, M) @ (M, L1) per component and map).  The
+        nodes are then picked out of the box.
         """
         n, h = self.n, box.spacing
         first = nodes.min(axis=0) if nodes.size else np.zeros(n, dtype=int)
         shape = tuple(nodes.max(axis=0) - first + 1) if nodes.size else (0,) * n
-        parts = []
+        lead = self.consts.shape  # (N,) + B
+        freqs, phases = np.moveaxis(self.freqs, 1, -1), np.moveaxis(self.phases, 1, -1)  # (N, n) + B + (M,)
+        tables = []  # per axis, (sin, d, d2) tables (N,) + B + (L_i, M); the last axis's (M, L_i)
         for i in range(n):
             # node coordinates as DomainBox.node_coords forms them: lo + index * h
             t = (box.lo[i] + np.arange(first[i], first[i] + shape[i]) * h[i]) - self.lo[i]
-            parts.append(self._axis_factors(i, t.reshape([-1 if j == i else 1 for j in range(n)]), order))
-        jet = self._assemble(None, parts, order)
+            f, ph = freqs[:, i, ..., None], phases[:, i, ..., None]
+            if i < n - 1:
+                f, ph, t = np.swapaxes(f, -1, -2), np.swapaxes(ph, -1, -2), t[:, None]
+            tables.append(self._sines(f, ph, t, order))
+        # (N,) + B + (rows, M): the folded coefficients times the tables of axes 0..len(which)-1
+        rows = {(): np.moveaxis(self.coeffs * self.factors[:, None], 1, -1)[..., None, :]}
+
+        def left(which):
+            for i in range(len(which)):  # not recursive: a closure cycle would outlive the call
+                if which[:i + 1] not in rows:
+                    prev, f = rows[which[:i]], tables[i][which[i]]
+                    rows[which[:i + 1]] = (prev[..., :, None, :] * f[..., None, :, :]).reshape(
+                        lead + (prev.shape[-2] * f.shape[-2], f.shape[-1]))
+            return rows[which]
+
         flat = np.ravel_multi_index(tuple((nodes - first).T), shape)
 
-        def pick(a):
-            return None if a is None else a.reshape(a.shape[:a.ndim - n] + (-1,))[..., flat]
+        def modes_sum(which):
+            grid = left(which[:-1]) @ tables[-1][which[-1]]
+            return np.take(grid.reshape(lead + (grid.shape[-2] * grid.shape[-1],)), flat, axis=-1)
 
-        return Jet2(x=box.node_coords(nodes), value=pick(jet.value), gradient=pick(jet.gradient),
-                    hessian=pick(jet.hessian))
+        value, gradient, hessian = self._jet_entries(modes_sum, order)
+        value += (self.factors * self.consts)[..., None]
+        return Jet2(x=box.node_coords(nodes), value=value, gradient=gradient, hessian=hessian)
 
 
 def _region_box(O: Subdomain):
@@ -239,9 +278,8 @@ def _draw_modes(rng, n, with_phase):
     return modes
 
 
-def _scale_for(phi, O: Subdomain, nodes: np.ndarray, amplitude: float) -> np.ndarray:
-    """Factor making sup |D phi| over the nodes equal ``amplitude`` (0 for a flat phi), per map."""
-    jets = jets_at_nodes(phi, O.box, nodes, order=1)
+def _scale_for(jets: Jet2, amplitude: float) -> np.ndarray:
+    """Factor making sup |D phi| over phi's node ``jets`` equal ``amplitude`` (0 for a flat phi), per map."""
     raw = np.max(np.linalg.norm(jets.gradient, axis=(0, 1)), axis=-1)
     return np.divide(amplitude, raw, out=np.zeros_like(raw), where=raw != 0.0)
 
@@ -250,41 +288,57 @@ def _scaled_spec(spec: dict, scale, amplitude: float) -> dict:
     return dict(spec, scale=float(scale), amplitude=amplitude)
 
 
+def _scale_on(phi, O: Subdomain, amplitude: float) -> np.ndarray:
+    """:func:`_scale_for` phi's jets at the evaluable nodes of O."""
+    return _scale_for(jets_at_nodes(phi, O.box, O.evaluable_nodes(), order=1), amplitude)
+
+
 def _polynomial_variation(spec: dict, O: Subdomain, amplitude: float):
     """A polynomial family's map and spec, built from its source at scale 1 and at the final scale."""
     n = O.box.dim
     raw = ClosedFormMap.from_expressions(variation_source(dict(spec, scale=1.0)), n)
-    spec = _scaled_spec(spec, _scale_for(raw, O, O.evaluable_nodes(), amplitude), amplitude)
+    spec = _scaled_spec(spec, _scale_on(raw, O, amplitude), amplitude)
     return ClosedFormMap.from_expressions(variation_source(spec), n), spec
 
 
 def _sine_variation(raw: SineModeMap, spec: dict, O: Subdomain, amplitude: float):
-    scale = _scale_for(raw, O, O.evaluable_nodes(), amplitude)
+    scale = _scale_on(raw, O, amplitude)
     return raw.scaled(scale), _scaled_spec(spec, scale, amplitude)
 
 
-def _draw_free(O: Subdomain, N: int, rng):
-    """Unscaled free sine variation on the box subdomain and its spec."""
+def _draw_free(O: Subdomain, N: int, rng) -> dict:
+    """Spec of an unscaled free sine variation on the box subdomain."""
     lo, hi = _region_box(O)
     comp_modes = [_draw_modes(rng, O.box.dim, with_phase=False) for _ in range(N)]
-    spec = {"kind": "free", "modes": comp_modes, "lo": lo.tolist(), "hi": hi.tolist()}
-    return SineModeMap.from_modes(lo, hi, comp_modes), spec
+    return {"kind": "free", "modes": comp_modes, "lo": lo.tolist(), "hi": hi.tolist()}
 
 
-def _draw_rank_one(O: Subdomain, xi: np.ndarray, rng):
-    """Unscaled xi times a sine profile on the box subdomain and its spec."""
+def _draw_rank_one(O: Subdomain, xi: np.ndarray, rng) -> dict:
+    """Spec of unscaled xi times a sine profile on the box subdomain."""
     lo, hi = _region_box(O)
     modes = _draw_modes(rng, O.box.dim, with_phase=False)
-    spec = {"kind": "rank_one", "profile": "sine", "modes": modes, "xi": xi.tolist(),
+    return {"kind": "rank_one", "profile": "sine", "modes": modes, "xi": xi.tolist(),
             "lo": lo.tolist(), "hi": hi.tolist()}
-    return SineModeMap.from_modes(lo, hi, [modes] * xi.shape[0], factors=xi), spec
+
+
+def _sine_batch(specs) -> SineModeMap:
+    """The unscaled maps of free or rank-one sine ``specs`` (one box, one kind) as one batch."""
+    first, T = specs[0], len(specs)
+    if first["kind"] == "free":
+        trials = [spec["modes"] for spec in specs]
+        factors = np.ones((len(first["modes"]), T))
+    else:
+        trials = [[spec["modes"]] * len(spec["xi"]) for spec in specs]
+        factors = np.array([spec["xi"] for spec in specs]).T
+    return SineModeMap.from_trials(first["lo"], first["hi"], trials, np.zeros(factors.shape), factors)
 
 
 def make_free_variation(O: Subdomain, N: int, rng, amplitude: float = 1.0):
     """Random smooth variation vanishing on the subdomain boundary."""
     if _region_box(O) is None:
         return _ball_variation(O, N, rng, amplitude)
-    return _sine_variation(*_draw_free(O, N, rng), O, amplitude)
+    spec = _draw_free(O, N, rng)
+    return _sine_variation(_sine_batch([spec]).entry(0), spec, O, amplitude)
 
 
 def _ball_variation(O: Subdomain, N: int, rng, amplitude: float):
@@ -307,7 +361,8 @@ def make_rank_one_variation(O: Subdomain, xi: np.ndarray, rng, amplitude: float 
         spec = {"kind": "rank_one", "profile": "box_bump", "xi": xi.tolist(),
                 "lo": box[0].tolist(), "hi": box[1].tolist()}
     else:
-        return _sine_variation(*_draw_rank_one(O, xi, rng), O, amplitude)
+        spec = _draw_rank_one(O, xi, rng)
+        return _sine_variation(_sine_batch([spec]).entry(0), spec, O, amplitude)
     return _polynomial_variation(spec, O, amplitude)
 
 

@@ -294,6 +294,38 @@ class TestExitCodes:
                     "--basis-size", "10", "--tol", "1e-10", "--out", str(tmp / "m1")]) == 1
 
 
+    @pytest.mark.parametrize("argv, option", [
+        (["verify-absolute", "--trials", "-5"], "--trials"),
+        (["verify-rank-one", "--trials", "-3"], "--trials"),
+        (["verify-normal", "--trials", "-2"], "--trials"),
+        (["verify-absolute", "--trials", "0"], "--trials"),
+        (["verify-rank-one", "--trials", "2.5"], "--trials"),
+        (["stationarity", "--basis-size", "-4"], "--basis-size"),
+        (["measure", "--basis-size", "0"], "--basis-size"),
+        (["verify-absolute", "--amplitude", "nan"], "--amplitude"),
+        (["verify-rank-one", "--amplitude", "inf"], "--amplitude"),
+        (["verify-normal", "--amplitude", "0"], "--amplitude"),
+        (["verify-absolute", "--amplitude", "-1"], "--amplitude"),
+        (["verify-absolute", "--amplitude", "big"], "--amplitude"),
+    ])
+    def test_counts_and_amplitudes_out_of_range_are_exit_2(self, problems, capsys, argv, option):
+        # at the parent "--trials -5" exited 0 with a worst violation of -Infinity, which is not
+        # JSON, and "--amplitude nan" failed later as a non-finite density
+        paths, tmp = problems
+        out = tmp / "out_of_range"
+        assert run([*argv, "--problem", paths["linear1d"], "--out", str(out)]) == 2
+        reason = "a whole number >= 1" if option != "--amplitude" else "a finite number > 0"
+        assert f"argument {option}: must be {reason}, got '{argv[2]}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_smallest_counts_and_amplitudes_are_accepted(self, problems):
+        paths, tmp = problems
+        for argv in (["verify-absolute", "--trials", "1", "--amplitude", "1e-3"],
+                     ["verify-rank-one", "--trials", "1"], ["stationarity", "--basis-size", "1"],
+                     ["measure", "--basis-size", "1", "--tol", "1e-10"]):
+            assert run([*argv, "--problem", paths["linear1d"], "--out", str(tmp / f"small_{argv[0]}")]) == 0
+
+
 # (subcommand, option) pairs that the parser once registered for every subcommand
 # but that these subcommands never read; each must now be refused.
 REMOVED_OPTIONS = [

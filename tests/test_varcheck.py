@@ -327,6 +327,7 @@ class TestOracleAgreement:
 
 from linfvar import PerturbedMap as _PM  # noqa: E402
 from linfvar import jets_at_nodes, varcheck, variations  # noqa: E402
+from linfvar.varcheck import stationarity_scans  # noqa: E402
 from linfvar.variations import (  # noqa: E402
     SineModeMap,
     make_free_field,
@@ -402,6 +403,110 @@ def test_stacked_maps_match_single_maps():
         assert _close(batch.value[:, t], single.value, 1e-15)
         assert _close(batch.gradient[:, :, t], single.gradient, 1e-15)
         assert _close(batch.hessian[:, :, :, t], single.hessian, 1e-15)
+
+
+def _reference_node_jets(phi, box, nodes, order):
+    """The former node path: every mode's product formed over the nodes' bounding grid,
+    one numpy call per mode and axis, summed mode by mode, then the nodes picked out."""
+    n, h = phi.n, box.spacing
+    first = nodes.min(axis=0)
+    shape = tuple(nodes.max(axis=0) - first + 1)
+    parts = []
+    for i in range(n):
+        t = (box.lo[i] + np.arange(first[i], first[i] + shape[i]) * h[i]) - phi.lo[i]
+        t = t.reshape([-1 if j == i else 1 for j in range(n)])
+        f = phi.freqs[:, :, i].reshape(phi.freqs[:, :, i].shape + (1,) * n)
+        arg = f * t + phi.phases[:, :, i].reshape(f.shape)
+        s = np.sin(arg)
+        parts.append((s, np.cos(arg) * f, -(s * (f * f))))
+    pad = (1,) * n
+    coeffs = phi.coeffs.reshape(phi.coeffs.shape + pad)
+    factors = phi.factors.reshape(phi.factors.shape + pad)
+
+    def modes_sum(which, start=0.0):
+        acc = start
+        for m in range(coeffs.shape[1]):
+            term = coeffs[:, m]
+            for i in range(n):
+                term = term * parts[i][which[i]][:, m]
+            acc = acc + term
+        return factors * acc
+
+    flat = np.ravel_multi_index(tuple((nodes - first).T), shape)
+
+    def pick(a):
+        return a.reshape(a.shape[:a.ndim - n] + (-1,))[..., flat]
+
+    value = pick(modes_sum([0] * n, phi.consts.reshape(phi.consts.shape + pad)))
+    gradient = np.stack([pick(modes_sum([int(i == j) for i in range(n)])) for j in range(n)], axis=1)
+    if order < 2:
+        return value, gradient, None
+    hessian = np.empty((phi.N, n, n) + value.shape[1:])
+    for j in range(n):
+        for k in range(n):
+            hessian[:, j, k] = pick(modes_sum([(i == j) + (i == k) for i in range(n)]))
+    return value, gradient, hessian
+
+
+def _node_jet_cases(seed):
+    """(map, box, nodes) for n = 1..3, N = 1, 2: single maps of every sine family (phases,
+    constants and factors included), stacks of maps with mixed mode counts and a batch of drawn trials, each
+    at the subdomain's nodes, at a scattered subset of the box's nodes and at one node."""
+    rng = np.random.default_rng(seed)
+    for n in (1, 2, 3):
+        box = DomainBox((-1.0, 0.0, 0.5)[:n], (1.0, 1.5, 2.0)[:n], (13, 9, 7)[:n])
+        O = Subdomain.from_box(box, (-0.5, 0.375, 0.75)[:n], (0.75, 1.5, 1.75)[:n])
+        for N in (1, 2):
+            xi = rng.normal(size=N)
+            field = make_free_field(O, N, rng)[0]
+            weighted = SineModeMap(field.lo, field.hi, field.coeffs, field.freqs, field.phases, field.consts,
+                                   rng.normal(size=N))  # constants and factors other than 1
+            singles = [field, weighted, make_free_variation(O, N, rng)[0], make_rank_one_variation(O, xi, rng)[0]]
+            maps = singles + [SineModeMap.stack(singles[:2] + make_test_basis(O, N, 3)),
+                              variations._sine_batch([variations._draw_rank_one(O, xi, rng) for _ in range(4)])]
+            every = box.all_nodes()
+            scattered = every[rng.permutation(every.shape[0])[:max(2, every.shape[0] // 3)]]
+            for phi in maps:
+                for nodes in (O.evaluable_nodes(), scattered, every[rng.integers(every.shape[0])][None]):
+                    yield phi, box, nodes
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("seed", range(3))
+def test_node_jets_match_the_per_mode_reference_and_point_jets(seed, order):
+    """The contracted node jets equal the former per-mode loop and ``jet2`` at the node
+    coordinates to 1e-14 relative, in shape and in value."""
+    for phi, box, nodes in _node_jet_cases(seed):
+        got = phi.node_jets(box, nodes, order=order)
+        point = phi.jet2(box.node_coords(nodes), order=order)
+        ref = _reference_node_jets(phi, box, nodes, order)
+        assert np.array_equal(got.x, box.node_coords(nodes))
+        for name, r in zip(("value", "gradient", "hessian"), ref):
+            if order < 2 and name == "hessian":
+                assert got.hessian is None and point.hessian is None
+                continue
+            assert _close(getattr(got, name), r, 1e-14), (phi.n, phi.N, name)
+            assert _close(getattr(got, name), getattr(point, name), 1e-14), (phi.n, phi.N, name)
+
+
+def test_stacked_basis_scans_equal_the_per_field_loop():
+    """stationarity_scans and measure_divergence_residual evaluate a sine basis as one stacked
+    map; every figure equals the per-field evaluation of the same basis."""
+    from linfvar.energy import argmax_set, variation_density
+
+    for case in (2, 3):
+        u, H, O = _verdict_fixture(_VERDICT_CASES[case])
+        basis = make_test_basis(O, u.N, 7)
+        aset = argmax_set(u, H, O)
+        for psi, rep in zip(basis, stationarity_scans(u, H, O, basis)):
+            g = variation_density(u, H, psi, O, aset.nodes)
+            assert (rep.max_val, rep.min_val) == (float(np.max(g)), float(np.min(g)))
+            assert np.array_equal(rep.K, aset.nodes[np.abs(g) <= rep.tol_K])
+        sigma = DiscreteMeasure([(node, 1.0 + i) for i, node in enumerate(aset.nodes[:5])])
+        rep = measure_divergence_residual(u, H, O, sigma, basis)
+        weights = sigma.weights_array()
+        assert rep.per_psi == [float(np.dot(weights, variation_density(u, H, psi, O, sigma.nodes_array())))
+                               for psi in basis]
 
 
 def _reference_absolute(u, H, O, trials, amplitude, seed):
