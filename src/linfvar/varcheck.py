@@ -322,10 +322,13 @@ class StationarityReport:
 def _basis_densities(ham, basis: Sequence, O: Subdomain, nodes: np.ndarray):
     """g = H_P : Dpsi + H_eta . psi at ``nodes`` for each field psi of ``basis``, in order.
 
-    A basis of sine maps (:func:`make_test_basis`) is evaluated as one
-    stacked map; any other basis field by field.
+    A basis of single sine maps on one box (:func:`make_test_basis`) is
+    evaluated as one stacked map; any other basis field by field.
     """
-    if basis and all(isinstance(psi, SineModeMap) for psi in basis):
+    first = basis[0] if basis else None
+    if basis and all(isinstance(psi, SineModeMap) and psi.coeffs.ndim == 2 and psi.N == first.N
+                     and np.array_equal(psi.lo, first.lo) and np.array_equal(psi.hi, first.hi)
+                     for psi in basis):
         return list(linearised_density(ham, SineModeMap.stack(basis), O, nodes))
     return [linearised_density(ham, psi, O, nodes) for psi in basis]
 

@@ -490,23 +490,25 @@ def test_node_jets_match_the_per_mode_reference_and_point_jets(seed, order):
 
 
 def test_stacked_basis_scans_equal_the_per_field_loop():
-    """stationarity_scans and measure_divergence_residual evaluate a sine basis as one stacked
-    map; every figure equals the per-field evaluation of the same basis."""
+    """stationarity_scans and measure_divergence_residual evaluate a sine basis on one box as
+    one stacked map; every figure equals the per-field evaluation of the same basis, and a
+    basis on two boxes is evaluated field by field."""
     from linfvar.energy import argmax_set, variation_density
 
-    for case in (2, 3):
+    for case, inner in ((2, ((1.5, 1.5), (1.7, 1.7))), (3, ((-0.25, -0.25), (0.25, 0.25)))):
         u, H, O = _verdict_fixture(_VERDICT_CASES[case])
-        basis = make_test_basis(O, u.N, 7)
+        two_boxes = make_test_basis(O, u.N, 4) + make_test_basis(Subdomain.from_box(O.box, *inner), u.N, 3)
         aset = argmax_set(u, H, O)
-        for psi, rep in zip(basis, stationarity_scans(u, H, O, basis)):
-            g = variation_density(u, H, psi, O, aset.nodes)
-            assert (rep.max_val, rep.min_val) == (float(np.max(g)), float(np.min(g)))
-            assert np.array_equal(rep.K, aset.nodes[np.abs(g) <= rep.tol_K])
-        sigma = DiscreteMeasure([(node, 1.0 + i) for i, node in enumerate(aset.nodes[:5])])
-        rep = measure_divergence_residual(u, H, O, sigma, basis)
-        weights = sigma.weights_array()
-        assert rep.per_psi == [float(np.dot(weights, variation_density(u, H, psi, O, sigma.nodes_array())))
-                               for psi in basis]
+        for basis in (make_test_basis(O, u.N, 7), two_boxes):
+            for psi, rep in zip(basis, stationarity_scans(u, H, O, basis)):
+                g = variation_density(u, H, psi, O, aset.nodes)
+                assert (rep.max_val, rep.min_val) == (float(np.max(g)), float(np.min(g)))
+                assert np.array_equal(rep.K, aset.nodes[np.abs(g) <= rep.tol_K])
+            sigma = DiscreteMeasure([(node, 1.0 + i) for i, node in enumerate(aset.nodes[:5])])
+            rep = measure_divergence_residual(u, H, O, sigma, basis)
+            nodes, weights = sigma.nodes_array(), sigma.weights_array()
+            assert rep.per_psi == [float(np.dot(weights, variation_density(u, H, psi, O, nodes)))
+                                   for psi in basis]
 
 
 def _reference_absolute(u, H, O, trials, amplitude, seed):
