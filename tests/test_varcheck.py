@@ -498,14 +498,14 @@ def test_stacked_basis_scans_equal_the_per_field_loop():
     for case, inner in ((2, ((1.5, 1.5), (1.7, 1.7))), (3, ((-0.25, -0.25), (0.25, 0.25)))):
         u, H, O = _verdict_fixture(_VERDICT_CASES[case])
         two_boxes = make_test_basis(O, u.N, 4) + make_test_basis(Subdomain.from_box(O.box, *inner), u.N, 3)
-        aset = argmax_set(u, H, O)
+        aset = argmax_set(u, H, O, delta=1e9)  # every evaluable node, so g is compared everywhere
         for basis in (make_test_basis(O, u.N, 7), two_boxes):
-            for psi, rep in zip(basis, stationarity_scans(u, H, O, basis)):
+            for psi, rep in zip(basis, stationarity_scans(u, H, O, basis, delta=1e9)):
                 g = variation_density(u, H, psi, O, aset.nodes)
                 assert (rep.max_val, rep.min_val) == (float(np.max(g)), float(np.min(g)))
                 assert np.array_equal(rep.K, aset.nodes[np.abs(g) <= rep.tol_K])
-            sigma = DiscreteMeasure([(node, 1.0 + i) for i, node in enumerate(aset.nodes[:5])])
-            rep = measure_divergence_residual(u, H, O, sigma, basis)
+            sigma = DiscreteMeasure.uniform(O)
+            rep = measure_divergence_residual(u, H, O, sigma, basis, delta=1e9)
             nodes, weights = sigma.nodes_array(), sigma.weights_array()
             assert rep.per_psi == [float(np.dot(weights, variation_density(u, H, psi, O, nodes)))
                                    for psi in basis]
