@@ -38,6 +38,7 @@ __all__ = ["main", "run"]
 
 SCHEMA_VERSION = 1
 
+
 def _count(text: str) -> int:
     """A --trials or --basis-size value: a whole number >= 1."""
     try:
