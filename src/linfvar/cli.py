@@ -39,35 +39,49 @@ __all__ = ["main", "run"]
 SCHEMA_VERSION = 1
 
 
-def _count(text: str) -> int:
-    """A --trials or --basis-size value: a whole number >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a whole number >= 1, got {text!r}")
-    return value
+def _whole_number(minimum: int):
+    """An option type: a whole number >= ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be a whole number >= {minimum}, got {text!r}")
+        return value
+    return parse
 
 
-def _amplitude(text: str) -> float:
-    """A --amplitude value: a finite number > 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
-    return value
+_count = _whole_number(1)  # --trials, --basis-size, --max-iter
+_seed = _whole_number(0)  # --seed
 
 
-_DELTA = ("--delta", {"type": float, "help": "argmax admission tolerance"})
-_TOL = ("--tol", {"type": float, "help": "verdict tolerance"})
+def _finite_number(positive: bool):
+    """An option type: a finite number > 0 (``positive``) or >= 0."""
+    bound = "> 0" if positive else ">= 0"
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+            raise argparse.ArgumentTypeError(f"must be a finite number {bound}, got {text!r}")
+        return value
+    return parse
+
+
+_positive = _finite_number(True)  # --amplitude, --dt, --tmax
+_nonnegative = _finite_number(False)  # --delta, --tol, --tol-opt
+
+
+_DELTA = ("--delta", {"type": _nonnegative, "help": "argmax admission tolerance"})
+_TOL = ("--tol", {"type": _nonnegative, "help": "verdict tolerance"})
 _VERIFY = (
-    ("--seed", {"type": int, "default": 0}),
+    ("--seed", {"type": _seed, "default": 0}),
     _TOL,
     ("--trials", {"type": _count, "default": 20}),
-    ("--amplitude", {"type": _amplitude, "default": 1.0}),
+    ("--amplitude", {"type": _positive, "default": 1.0}),
 )
 _BASIS_SIZE = ("--basis-size", {"type": _count, "default": 50})
 
@@ -85,8 +99,8 @@ _OPTIONS = {
     "flow": (
         ("--x0", {"required": True, "help": "start point, comma separated"}),
         ("--xi", {"required": True, "help": "direction in R^N, comma separated"}),
-        ("--dt", {"type": float}),
-        ("--tmax", {"type": float}),
+        ("--dt", {"type": _positive}),
+        ("--tmax", {"type": _positive}),
     ),
     "maxmin": (),
     "verify-absolute": _VERIFY,
@@ -104,8 +118,8 @@ _OPTIONS = {
     ),
     "lp": (
         ("--p-schedule", {"default": "2,4,8,16,32"}),
-        ("--max-iter", {"type": int, "default": 5000}),
-        ("--tol-opt", {"type": float, "default": 1e-9}),
+        ("--max-iter", {"type": _count, "default": 5000}),
+        ("--tol-opt", {"type": _nonnegative, "default": 1e-9}),
     ),
 }
 

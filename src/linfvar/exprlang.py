@@ -9,8 +9,9 @@ support n, N <= 9).
 Evaluation is forward-mode with second-order dual numbers, so gradients and
 Hessians with respect to a chosen seed set are exact up to floating point.
 Each parsed expression is compiled once, on its first evaluation, into a
-tree of closures with its variable-free subtrees folded; the compiled
-program gives bit-for-bit the values of a plain walk over the tree.
+tree of closures that runs every node on every call, as a plain walk over
+the tree does; only a variable-free exponent is evaluated once, to pick its
+power kernel.  The compiled program gives bit-for-bit the values of the walk.
 All arithmetic is numpy-broadcasting aware: bindings may be scalars or
 arrays of a common batch shape, in which case values/derivatives come back
 with that batch shape appended.
@@ -25,7 +26,6 @@ can pass ``on_singularity="nan"`` to poison offending entries instead.
 from __future__ import annotations
 
 import re
-import struct
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
@@ -644,15 +644,11 @@ def _pow_kernel(m: np.ndarray):
 # tree runs under one ``np.errstate(all="ignore")``; the dual ops enter none
 # of their own, so an overflow is inf and 0/0 is NaN without a warning.
 #
-# Variable-free subtrees are folded by running the same dual ops once on
-# their 0-d values, under the same ``errstate``, so 4/3 stays 4 * (1/3) bit
-# for bit and whether a subtree folds never depends on the caller's warning
-# filter.  Every seed direction of a variable-free subtree goes through the
-# same scalar arithmetic, so its gradient and Hessian are each filled with
-# one value: +0 for a literal, -0 after a negation, NaN after inf * 0.  A
-# folded constant keeps its value and these two fills.  Only subtrees whose
-# operands have zero fills are folded, and a fold that raises leaves the
-# subtree to be evaluated (and to raise or poison) on every call.
+# Every node runs on every call, as a plain walk over the tree does.  The
+# one exception is a variable-free exponent of ``^``/``pow``: its value is
+# computed once, under the same ``errstate``, and picks the power kernel.
+# An exponent whose evaluation raises is left to be evaluated (and to raise
+# or poison) on every call.
 
 _UNARY_OPS = {
     "neg": (dual_neg, False),
@@ -671,37 +667,26 @@ _BINARY_OPS = {
     "^": (dual_pow, True),
     "pow": (dual_pow, True),
 }
-_FOLD_KEY = (1, True, 0)
-_ZERO_FILLS = struct.pack("<2d", 0.0, 0.0)
 _DERIVATIVE_ARRAYS = {}
 
 
-def _derivative_arrays(key: tuple, fills: bytes = _ZERO_FILLS, seed=None) -> tuple:
-    """Shared read-only (grad, hess) for ``key``: the packed fills (g, h), plus e_seed in grad.
-
-    Fills are compared as bytes, so -0 and NaN fills get entries of their own.
-    """
-    tag = (key, fills, seed)
+def _derivative_arrays(key: tuple, seed=None) -> tuple:
+    """Shared read-only (grad, hess) of zeros for ``key``, plus e_seed in grad."""
+    tag = (key, seed)
     arrays = _DERIVATIVE_ARRAYS.get(tag)
     if arrays is None:
         k, second, nd = key
-        g, h = struct.unpack("<2d", fills)
         pad = (1,) * nd  # trailing size-1 axes keep seed axes clear of batch axes
-        grad = np.full((k,) + pad, g)
+        grad = np.zeros((k,) + pad)
         if seed is not None:
             grad[(seed,) + (0,) * nd] = 1.0
         grad.flags.writeable = False
         hess = None
         if second:
-            hess = np.full((k, k) + pad, h)
+            hess = np.zeros((k, k) + pad)
             hess.flags.writeable = False
         arrays = _DERIVATIVE_ARRAYS[tag] = (grad, hess)
     return arrays
-
-
-def _constant(val, g: float, h: float):
-    fills = struct.pack("<2d", g, h)
-    return (lambda env: Dual2(val, *_derivative_arrays(env[1], fills))), (val, g, h)
 
 
 def _apply(op, uses_policy: bool, fns: list):
@@ -716,15 +701,13 @@ def _apply(op, uses_policy: bool, fns: list):
     return lambda env: op(fa(env), fb(env))
 
 
-def _fold(op, uses_policy: bool, consts: list):
-    """(val, g, h) of op applied to folded operands, or None when it raises."""
-    duals = [Dual2(val, *_derivative_arrays(_FOLD_KEY, struct.pack("<2d", g, h))) for val, g, h in consts]
+def _exponent_value(fn):
+    """The value of a compiled variable-free exponent, or None when its evaluation raises."""
     try:
         with np.errstate(all="ignore"):
-            d = op(*duals, "raise") if uses_policy else op(*duals)
+            return fn(({}, (0, False, 0), "raise")).val
     except EvalError:
         return None
-    return d.val, float(d.grad.flat[0]), float(d.hess.flat[0])
 
 
 def _has_variable(node: Node) -> bool:
@@ -740,17 +723,18 @@ def _has_variable(node: Node) -> bool:
 
 
 def _compile(node: Node, variables: dict):
-    """One bottom-up pass: (fn, const) with const = (val, g, h) for a folded subtree.
+    """One bottom-up pass: the closure that evaluates ``node``.
 
     ``variables`` collects one leaf function per variable name met.
     """
     if isinstance(node, Num):
-        return _constant(np.asarray(node.value, dtype=float), 0.0, 0.0)
+        val = np.asarray(node.value, dtype=float)
+        return lambda env: Dual2(val, *_derivative_arrays(env[1]))
     if isinstance(node, Var):
         name = node.name
         if name not in variables:
             variables[name] = lambda env: env[0][name]
-        return variables[name], None
+        return variables[name]
     if isinstance(node, Neg):
         (op, uses_policy), args = _UNARY_OPS["neg"], (node.arg,)
     elif isinstance(node, BinOp):
@@ -760,21 +744,15 @@ def _compile(node: Node, variables: dict):
         (op, uses_policy), args = table[node.func], node.args
     else:  # pragma: no cover
         raise TypeError(f"unknown node {node!r}")
-    parts = [_compile(arg, variables) for arg in args]
-    fns = [fn for fn, _ in parts]
-    consts = [const for _, const in parts]
-    clean = [c is not None and c[1] == 0.0 and c[2] == 0.0 for c in consts]
-    if op is dual_pow and clean[1]:
-        op = _pow_kernel(np.asarray(consts[1][0], dtype=float))
-        fns, consts, clean = fns[:1], consts[:1], clean[:1]
-    elif op is dual_pow and _has_variable(args[1]):
+    fns = [_compile(arg, variables) for arg in args]
+    if op is dual_pow and _has_variable(args[1]):
         # decided by the expression, not by seeding, so values agree with and without derivatives
         op = dual_pow_varying
-    if all(clean):
-        folded = _fold(op, uses_policy, consts)
-        if folded is not None:
-            return _constant(*folded)
-    return _apply(op, uses_policy, fns), None
+    elif op is dual_pow:
+        m = _exponent_value(fns[1])
+        if m is not None:
+            op, fns = _pow_kernel(np.asarray(m, dtype=float)), fns[:1]
+    return _apply(op, uses_policy, fns)
 
 
 # ---------------------------------------------------------------------------
@@ -846,7 +824,7 @@ def eval_jet2(
     second = order >= 2
     if ast.program is None:
         variables = {}
-        fn, _ = _compile(ast.root, variables)
+        fn = _compile(ast.root, variables)
         run = np.errstate(all="ignore")(fn)
         object.__setattr__(ast, "program", (run, tuple(sorted(variables)), {}))
     run, names, plans = ast.program

@@ -170,7 +170,8 @@ def integrate_flow(
     continuous extension, without field evaluations: the exit point is the
     last point found inside, so it lies in the closed subdomain.  The last
     step is shortened to end at ``t_max``; reaching it without exit is
-    reported, not raised.  Every evaluated point where H or xi^T H_P is not
+    reported, not raised.  ``xi`` must have one entry per component of u,
+    or it is a ValueError.  Every evaluated point where H or xi^T H_P is not
     finite is a ValueError naming it, and so is a step too small to advance
     t.  ``t_max`` defaults to ``1e3`` times the first step; a horizon from
     the structural constant c0 is ``10 * exit_time_bound(..., c0)["bound"]``.
@@ -180,6 +181,8 @@ def integrate_flow(
         raise ValueError("flow integration requires a closed-form map (grid maps evaluate only at nodes)")
     x0 = np.asarray(x0, dtype=float)
     xi = np.asarray(xi, dtype=float)
+    if xi.shape != (u.N,):
+        raise ValueError(f"direction xi has {xi.size} entries; the map has N = {u.N} components")
     if not O.contains_point(x0):
         raise ValueError(f"starting point {x0} lies outside the subdomain")
     h_max = np.inf if dt is None else dt

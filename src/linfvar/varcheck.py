@@ -200,6 +200,10 @@ def rank_one_test(
     sine profiles follow it.  ``Verdict.trials`` counts the distinct
     variations scored.
     """
+    directions = [np.asarray(xi, dtype=float) for xi in directions]
+    for j, xi in enumerate(directions, 1):
+        if xi.shape != (u.N,):
+            raise ValueError(f"rank-one direction {j} has {xi.size} entries; the map has N = {u.N} components")
     rng = np.random.default_rng(seed)
     probe = _Probe(u, H, O)
     if tol is None:
@@ -208,7 +212,6 @@ def rank_one_test(
 
     def batches():
         for xi in directions:
-            xi = np.asarray(xi, dtype=float)
             bump, spec = make_rank_one_variation(O, xi, rng, amplitude, deterministic=True)
             yield probe.jets(bump), [spec]
             if box is not None:

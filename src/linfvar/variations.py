@@ -94,6 +94,14 @@ class SineModeMap:
     def stack(cls, maps) -> "SineModeMap":
         """The single maps ``maps`` (same box and N) as one batch along a new last axis."""
         first, T = maps[0], len(maps)
+        for t, m in enumerate(maps):
+            if m.coeffs.ndim != 2:
+                raise ValueError(f"cannot stack map {t}: it already has a batch axis")
+            if m.N != first.N:
+                raise ValueError(f"cannot stack map {t}: it has N = {m.N} components, map 0 has N = {first.N}")
+            if not (np.array_equal(m.lo, first.lo) and np.array_equal(m.hi, first.hi)):
+                raise ValueError(f"cannot stack map {t}: its box {m.lo.tolist()}-{m.hi.tolist()} "
+                                 f"is not map 0's, {first.lo.tolist()}-{first.hi.tolist()}")
         N, n = first.N, first.n
         M = max(m.coeffs.shape[1] for m in maps)
         coeffs, freqs, phases = np.zeros((N, M, T)), np.zeros((N, M, n, T)), np.zeros((N, M, n, T))

@@ -31,6 +31,13 @@ PARABOLA_1D = {
     "u": ["x1^2"],
 }
 
+SMALL_2D = {
+    "n": 2, "N": 1,
+    "domain": {"lo": [0.0, 0.0], "hi": [1.0, 1.0], "resolution": [9, 9]},
+    "H": "P11^2 + P12^2",
+    "u": ["x1*x2"],
+}
+
 BAD_EXPR = {
     "n": 1, "N": 1,
     "domain": {"lo": [0.0], "hi": [1.0], "resolution": [9]},
@@ -43,7 +50,7 @@ BAD_EXPR = {
 def problems(tmp_path):
     paths = {}
     for name, spec in [("aronsson", ARONSSON), ("linear1d", LINEAR_1D),
-                       ("parabola", PARABOLA_1D), ("bad", BAD_EXPR)]:
+                       ("parabola", PARABOLA_1D), ("small2d", SMALL_2D), ("bad", BAD_EXPR)]:
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(spec))
         paths[name] = str(p)
@@ -322,8 +329,48 @@ class TestExitCodes:
         paths, tmp = problems
         for argv in (["verify-absolute", "--trials", "1", "--amplitude", "1e-3"],
                      ["verify-rank-one", "--trials", "1"], ["stationarity", "--basis-size", "1"],
-                     ["measure", "--basis-size", "1", "--tol", "1e-10"]):
+                     ["measure", "--basis-size", "1", "--tol", "1e-10"],
+                     ["argmax", "--delta", "0"], ["residual", "--tol", "0"],
+                     ["verify-normal", "--seed", "0", "--trials", "1", "--tol", "0"],
+                     ["flow", "--x0", "0", "--xi", "1", "--dt", "1e-3", "--tmax", "1e-3"],
+                     ["lp", "--p-schedule", "2", "--max-iter", "1", "--tol-opt", "0"]):
             assert run([*argv, "--problem", paths["linear1d"], "--out", str(tmp / f"small_{argv[0]}")]) == 0
+
+    @pytest.mark.parametrize("command, option, value", [
+        ("flow", "--dt", "0"), ("flow", "--dt", "-1"), ("flow", "--dt", "nan"),
+        ("flow", "--tmax", "-1"), ("flow", "--tmax", "nan"),
+        ("argmax", "--delta", "-1"), ("argmax", "--delta", "nan"), ("danskin", "--delta", "nan"),
+        ("residual", "--tol", "-1"), ("residual", "--tol", "nan"), ("stationarity", "--tol", "-5"),
+        ("lp", "--max-iter", "-3"), ("lp", "--tol-opt", "nan"),
+        ("verify-absolute", "--seed", "-1"),
+    ])
+    def test_numeric_options_out_of_range_are_exit_2(self, problems, capsys, command, option, value):
+        # at the parent "flow --dt 0" exited 0 with a one-point trajectory, "argmax --delta nan"
+        # with no nodes, "residual --tol -1" was a verdict failure and "lp --max-iter -3" reported
+        # -3 iterations
+        paths, tmp = problems
+        out = tmp / "out_of_range"
+        required = {"flow": ["--x0", "0.5,0.5", "--xi", "1"], "danskin": ["--phi", "x1*(1-x1)*x2*(1-x2)"]}
+        argv = [command, *required.get(command, []), option, value, "--problem", paths["small2d"], "--out", str(out)]
+        assert run(argv) == 2
+        reason = {"--dt": "a finite number > 0", "--tmax": "a finite number > 0", "--max-iter": "a whole number >= 1",
+                  "--seed": "a whole number >= 0"}.get(option, "a finite number >= 0")
+        assert f"argument {option}: must be {reason}, got '{value}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify-rank-one", "--directions", "1,2"], "rank-one direction 1 has 2 entries"),
+        (["verify-rank-one", "--directions", "1;1,2,3"], "rank-one direction 2 has 3 entries"),
+        (["flow", "--x0", "0.5,0.5", "--xi", "1,2"], "direction xi has 2 entries"),
+    ])
+    def test_direction_of_the_wrong_length_is_exit_2(self, problems, argv, message):
+        # at the parent "--directions 1,2" passed, scoring two-component variations of a
+        # one-component map, and "flow --xi 1,2" failed with numpy's matmul message
+        paths, tmp = problems
+        out = tmp / "direction"
+        assert run([*argv, "--problem", paths["small2d"], "--out", str(out)]) == 2
+        error = {"type": "ValueError", "message": message + "; the map has N = 1 components"}
+        assert _report(out, argv[0])["error"] == error
 
 
 # (subcommand, option) pairs that the parser once registered for every subcommand

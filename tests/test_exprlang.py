@@ -391,20 +391,24 @@ def test_unfoldable_constant_still_raises_or_poisons():
 
 @pytest.mark.parametrize("src", ["x1 + exp(1000)", "x1 + (1e300)^(4/3)", "x1 + log(1e-320)"])
 def test_constant_folding_ignores_the_warning_filter(src):
-    """A constant subtree that overflows or divides by zero folds without a warning, and
-    folds whether warnings are errors or not, to the bits that evaluating it gives."""
+    """A constant subtree that overflows or divides by zero evaluates without a warning, and
+    the same constant used as an exponent compiles whether warnings are errors or not, to
+    the bits that evaluating it gives."""
     ast = parse(src, (1, 1))
+    power = parse(f"x1^({src.split(' + ', 1)[1]})", (1, 1))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         eval_jet2(ast, {"x1": 0.5}, ["x1"])  # compiles
     assert [str(w.message) for w in caught] == []
     with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert el._compile(ast.root.rhs, {})[1] is not None
+        warnings.simplefilter("error", RuntimeWarning)
+        eval_jet2(power, {"x1": 0.5}, ["x1"])  # compiles, evaluating the exponent once
+    assert power.program is not None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the reference walk runs unguarded
-        _assert_matches_reference(ast, {"x1": 0.5}, ["x1"])
-        _assert_matches_reference(ast, {"x1": np.array([0.5, -1.0])}, ["x1"])
+        for case in (ast, power):
+            _assert_matches_reference(case, {"x1": 0.5}, ["x1"])
+            _assert_matches_reference(case, {"x1": np.array([0.5, -1.0])}, ["x1"])
 
 
 @pytest.mark.parametrize("exponent", ["0", "-0", "1", "2", "3", "-1", "-2", "0.5", "4/3", "-0.5", "-4/3",

@@ -405,6 +405,22 @@ def test_stacked_maps_match_single_maps():
         assert _close(batch.hessian[:, :, :, t], single.hessian, 1e-15)
 
 
+
+def test_stack_refuses_maps_on_other_boxes_or_N_or_with_a_batch_axis():
+    """Stacking takes map 0's box and N for the batch, so any map that differs is refused
+    by its index; a stack of maps on one box is still accepted."""
+    box = DomainBox((0.0, 0.0), (1.0, 1.0), (9, 9))
+    whole = make_test_basis(Subdomain.whole(box), 1, 2)
+    inner = make_test_basis(Subdomain.from_box(box, (0.25, 0.25), (0.75, 0.75)), 1, 1)
+    two = make_test_basis(Subdomain.whole(box), 2, 1)
+    assert SineModeMap.stack(whole).coeffs.shape[-1] == 2
+    for maps, message in ((whole + inner, "cannot stack map 2: its box"),
+                          (inner + whole, "cannot stack map 1: its box"),
+                          (whole + two, "cannot stack map 2: it has N = 2 components, map 0 has N = 1"),
+                          ([SineModeMap.stack(whole)] + whole, "cannot stack map 0: it already has a batch axis")):
+        with pytest.raises(ValueError, match=message):
+            SineModeMap.stack(maps)
+
 def _reference_node_jets(phi, box, nodes, order):
     """The former node path: every mode's product formed over the nodes' bounding grid,
     one numpy call per mode and axis, summed mode by mode, then the nodes picked out."""
