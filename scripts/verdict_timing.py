@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Cost of the sampled minimality verdicts and of the stationarity scan of a test basis.
+"""Cost of the sampled minimality verdicts, of building a test basis and of its stationarity scan.
 
 The problem is the closed-form-verdicts benchmark's A problem at seed 1,
 drawn with ``bench/workloads.py`` (read only) as the session draws it:
@@ -7,7 +7,9 @@ the Aronsson solution |x1|^(4/3) - |x2|^(4/3) on an 81^2 grid of
 [1, 2.25]^2, H = P11^2 + P12^2, and a box subdomain of 33^2 nodes.  The
 timed calls are the session's: ``absolute_minimiser_test`` with 200
 trials, ``rank_one_test`` along the coordinate axis with 100 trials, and
-``stationarity_scans`` of the 50-field sine test basis.
+``stationarity_scans`` of the 50-field sine test basis, which includes
+building that basis.  A row of its own times ``make_test_basis`` for the
+50 fields alone, so that building the basis shows apart from the scan.
 
 Timings use stdlib ``timeit``.  The rounds interleave every timed
 statement, and each figure is the best of ``--rounds`` rounds of
@@ -53,6 +55,8 @@ def main():
             lambda: absolute_minimiser_test(u, H, O, trials=200, seed=SEED),
         "rank_one_test, 100 trials":
             lambda: rank_one_test(u, H, O, [[1.0]], trials=100, seed=SEED),
+        "make_test_basis, 50 fields":
+            lambda: make_test_basis(O, prob.N, 50),
         "stationarity_scans, 50 fields":
             lambda: stationarity_scans(u, H, O, make_test_basis(O, prob.N, 50)),
     }

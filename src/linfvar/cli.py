@@ -142,12 +142,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_vector(text: str) -> np.ndarray:
-    return np.asarray([float(c) for c in text.split(",")], dtype=float)
+def _parse_vector(text: str, option: str, kind=float) -> np.ndarray:
+    """The comma-separated entries of ``text``, given to ``option``, as numbers of ``kind``."""
+    values = []
+    for entry in text.split(","):
+        try:
+            values.append(kind(entry))
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise ValueError(f"{option} entry {entry!r} is not {noun}") from None
+    return np.asarray(values)
 
 
-def _parse_points(text: str) -> np.ndarray:
-    return np.asarray([[float(c) for c in chunk.split(",")] for chunk in text.split(";")])
+def _parse_points(text: str, option: str) -> np.ndarray:
+    return np.asarray([_parse_vector(chunk, option) for chunk in text.split(";")])
 
 
 def _phi_map(text: str, n: int, N: int) -> ClosedFormMap:
@@ -182,7 +190,7 @@ def _dispatch(args, prob: Problem, out_dir: Path):
         return {"plus": scan.max_val, "minus": scan.min_val}, True
     if cmd == "residual":
         tol = 1e-8 if args.tol is None else args.tol
-        points = None if args.points == "grid" else _parse_points(args.points)
+        points = None if args.points == "grid" else _parse_points(args.points, "--points")
         rf = operators.residual_field(u, H, O, variant=args.variant, points=points)
         norms = rf.norms
         results = {
@@ -198,8 +206,8 @@ def _dispatch(args, prob: Problem, out_dir: Path):
         }
         return results, bool(np.max(norms) <= tol)
     if cmd == "flow":
-        x0 = _parse_vector(args.x0)
-        xi = _parse_vector(args.xi)
+        x0 = _parse_vector(args.x0, "--x0")
+        xi = _parse_vector(args.xi, "--xi")
         traj = flow.integrate_flow(u, H, x0, xi, O, dt=args.dt, t_max=args.tmax)
         csv_path = out_dir / "trajectory.csv"
         flow.write_trajectory_csv(csv_path, traj)
@@ -222,7 +230,7 @@ def _dispatch(args, prob: Problem, out_dir: Path):
         return _verdict_results(v), v.passed
     if cmd == "verify-rank-one":
         if args.directions:
-            dirs = [_parse_vector(c) for c in args.directions.split(";")]
+            dirs = [_parse_vector(c, "--directions") for c in args.directions.split(";")]
         else:
             dirs = [np.eye(prob.N)[a] for a in range(prob.N)]
         v = varcheck.rank_one_test(
@@ -260,7 +268,7 @@ def _dispatch(args, prob: Problem, out_dir: Path):
         if args.measure == "uniform":
             sigma = varcheck.DiscreteMeasure.uniform(O)
         elif args.measure.startswith("dirac:"):
-            node = tuple(int(c) for c in args.measure.split(":", 1)[1].split(","))
+            node = _parse_vector(args.measure[len("dirac:"):], "--measure", int)
             sigma = varcheck.DiscreteMeasure.dirac(node)
         else:
             raise ValueError(f"unknown measure spec {args.measure!r}")
@@ -270,7 +278,7 @@ def _dispatch(args, prob: Problem, out_dir: Path):
         passed = rep.worst <= tol * (1.0 + rep.scale)
         return dict(vars(rep), atoms=len(sigma.atoms), tolerance=tol), passed
     if cmd == "lp":
-        schedule = [float(p) for p in args.p_schedule.split(",")]
+        schedule = _parse_vector(args.p_schedule, "--p-schedule").tolist()
         settings = lp_approx.OptimizerSettings(max_iter=args.max_iter, tol_opt=args.tol_opt)
         g = lp_approx.boundary_values_from_map(u, O)
         lp_prob = lp_approx.LpProblem(H=H, O=O, boundary_values=g,

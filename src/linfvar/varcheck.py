@@ -204,6 +204,8 @@ def rank_one_test(
     for j, xi in enumerate(directions, 1):
         if xi.shape != (u.N,):
             raise ValueError(f"rank-one direction {j} has {xi.size} entries; the map has N = {u.N} components")
+        if np.linalg.norm(xi) == 0.0:
+            raise ValueError(f"rank-one direction {j} is zero; it must be nonzero")
     rng = np.random.default_rng(seed)
     probe = _Probe(u, H, O)
     if tol is None:
@@ -445,6 +447,10 @@ def measure_divergence_residual(
     """
     if not test_basis:
         raise ValueError("empty test basis")
+    shape = O.box.shape
+    for node, _ in sigma.atoms:
+        if len(node) != len(shape) or not all(0 <= i < s for i, s in zip(node, shape)):
+            raise ValueError(f"measure atom {node} is not a node of the {shape} grid")
     aset = argmax_set(u, H, O, delta)
     allowed = {tuple(int(i) for i in node) for node in aset.nodes}
     outside = [node for node, _ in sigma.atoms if node not in allowed]

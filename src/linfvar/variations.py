@@ -8,10 +8,11 @@
 Random variations are sums of at most five separable sine modes with
 coefficients scaled so that the sup norm of the variation gradient matches
 the requested amplitude; everything is seeded and reproducible.  They are
-numeric maps (:class:`SineModeMap`), which may hold a batch of maps so
-that a verdict of :mod:`linfvar.varcheck` scores many trials at once; the
-deterministic ball and box bumps are polynomial expressions.  Every
-family's expression source follows from its spec (:func:`variation_source`).
+numeric maps evaluated at grid nodes (:class:`SineModeMap`), which may hold
+a batch of maps so that a verdict of :mod:`linfvar.varcheck` scores many
+trials at once; the deterministic ball and box bumps are polynomial
+expressions.  Every family's expression source follows from its spec
+(:func:`variation_source`).
 """
 
 from __future__ import annotations
@@ -51,11 +52,10 @@ class SineModeMap:
     with ``freq_ami = k_ami pi / (hi_i - lo_i)``.  Mode lists are padded with
     zero coefficients to one length M.  The parameter arrays may carry
     trailing batch axes B, one map per entry (the trials of a verdict);
-    jets then have shape (N, ...) + B + S for points of batch shape S.
-    At points, terms are multiplied and summed in the order the expression
-    from :func:`variation_source` evaluates them; at grid nodes the modes
-    are summed by matrix products (:meth:`node_jets`).  Both match the
-    parsed form to rounding.
+    jets then have shape (N, ...) + B + (K,) at K nodes.  The maps are
+    evaluated at grid nodes only (:meth:`node_jets`), where they match the
+    parsed form of :func:`variation_source` to rounding; that source
+    evaluates a map anywhere.
     """
 
     def __init__(self, lo, hi, coeffs, freqs, phases, consts, factors):
@@ -69,18 +69,11 @@ class SineModeMap:
         self.N, self.n = coeffs.shape[0], self.lo.size
 
     @classmethod
-    def from_modes(cls, lo, hi, comp_modes, consts=None) -> "SineModeMap":
-        """One map from a list, per component, of (coeff, ks, phases) modes, with factors 1."""
-        N = len(comp_modes)
-        consts = np.zeros((N, 1)) if consts is None else np.asarray(consts, dtype=float)[:, None]
-        return cls.from_trials(lo, hi, [comp_modes], consts, np.ones((N, 1))).entry(0)
-
-    @classmethod
     def from_trials(cls, lo, hi, trials, consts, factors) -> "SineModeMap":
         """A batch along a new last axis, one map per entry of ``trials`` (a list, per
         component, of (coeff, ks, phases) modes), with ``consts`` and ``factors`` (N, T)."""
         lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-        T, N, n = len(trials), len(trials[0]), lo.size
+        (N, T), n = np.shape(consts), lo.size
         entries = [(a, m, t, mode) for t, comp_modes in enumerate(trials)
                    for a, modes in enumerate(comp_modes) for m, mode in enumerate(modes)]
         M = max([1] + [m + 1 for _, m, _, _ in entries])
@@ -143,31 +136,6 @@ class SineModeMap:
                     hessian[:, j, k] = hessian[:, k, j] = modes_sum(
                         tuple((i == j) + (i == k) for i in range(n)))
         return value, gradient, hessian
-
-    def jet2(self, x, order: int = 2) -> Jet2:
-        """Exact jet at a point (n,) or point batch (n,) + S; sine maps have no singular set."""
-        x = np.asarray(x, dtype=float)
-        if x.shape[0] != self.n:
-            raise ValueError(f"point has dimension {x.shape[0]}, map expects {self.n}")
-        pad = (1,) * x[0].ndim  # the point axes
-        parts = [self._sines(self.freqs[:, :, i].reshape(self.freqs[:, :, i].shape + pad),
-                             self.phases[:, :, i].reshape(self.phases[:, :, i].shape + pad),
-                             x[i] - self.lo[i], order) for i in range(self.n)]
-        coeffs = self.coeffs.reshape(self.coeffs.shape + pad)
-        factors = self.factors.reshape(self.factors.shape + pad)
-        consts = self.consts.reshape(self.consts.shape + pad)
-
-        def modes_sum(which):
-            # coeff * f_1 * ... * f_n per mode, left to right, added mode by mode
-            acc = consts if not any(which) else 0.0
-            for m in range(coeffs.shape[1]):
-                term = coeffs[:, m]
-                for i in range(self.n):
-                    term = term * parts[i][which[i]][:, m]
-                acc = acc + term
-            return factors * acc
-
-        return Jet2(x, *self._jet_entries(modes_sum, order))
 
     def node_jets(self, box: DomainBox, nodes: np.ndarray, order: int = 2) -> Jet2:
         """Jets at grid nodes (K, dim).
@@ -396,7 +364,8 @@ def make_free_field(O: Subdomain, N: int, rng, amplitude: float = 1.0):
     lo, hi = (np.asarray(O.box.lo), np.asarray(O.box.hi)) if box is None else box
     comp_modes = [_draw_modes(rng, n, with_phase=True) for _ in range(N)]
     comp_const = [float(rng.uniform(-1.0, 1.0)) for _ in range(N)]
-    raw = SineModeMap.from_modes(lo, hi, comp_modes, consts=np.asarray(comp_const) * amplitude)
+    raw = SineModeMap.from_trials(lo, hi, [comp_modes], (np.asarray(comp_const) * amplitude)[:, None],
+                                  np.ones((N, 1))).entry(0)
     spec = {"kind": "free_field", "modes": comp_modes, "constants": comp_const,
             "lo": lo.tolist(), "hi": hi.tolist()}
     return _sine_variation(raw, spec, O, amplitude)
@@ -405,23 +374,16 @@ def make_free_field(O: Subdomain, N: int, rng, amplitude: float = 1.0):
 def make_test_basis(O: Subdomain, N: int, size: int):
     """Deterministic boundary-vanishing test basis: single sine modes per component.
 
-    Mode k of component a is sin(k pi (x - lo)/L) along the first axis
-    (times first-mode sines along the remaining axes in higher dimension).
+    Field j is sin(k pi (x - lo)/L) with k = j // N + 1 along the first axis
+    (times first-mode sines along the remaining axes in higher dimension) in
+    component j mod N, and zero in the others.  The fields are the entries
+    of one batch.
     """
     box = _region_box(O)
     if box is None:
         raise ValueError("test basis needs a box-shaped subdomain")
-    lo, hi = box
     n = O.box.dim
-    basis = []
-    k = 1
-    a = 0
-    while len(basis) < size:
-        comp_modes = [[] for _ in range(N)]
-        comp_modes[a] = [(1.0, [k] + [1] * (n - 1), [0.0] * n)]
-        basis.append(SineModeMap.from_modes(lo, hi, comp_modes))
-        a += 1
-        if a == N:
-            a = 0
-            k += 1
-    return basis
+    trials = [[[(1.0, [j // N + 1] + [1] * (n - 1), [0.0] * n)] if a == j % N else [] for a in range(N)]
+              for j in range(size)]
+    batch = SineModeMap.from_trials(*box, trials, np.zeros((N, size)), np.ones((N, size)))
+    return [batch.entry(j) for j in range(size)]

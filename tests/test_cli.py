@@ -372,6 +372,28 @@ class TestExitCodes:
         error = {"type": "ValueError", "message": message + "; the map has N = 1 components"}
         assert _report(out, argv[0])["error"] == error
 
+    @pytest.mark.parametrize("argv, message", [
+        (["verify-rank-one", "--directions", "a"], "--directions entry 'a' is not a number"),
+        (["verify-rank-one", "--directions", "0"], "rank-one direction 1 is zero; it must be nonzero"),
+        (["verify-rank-one", "--directions", "1;0"], "rank-one direction 2 is zero; it must be nonzero"),
+        (["flow", "--x0", "1.5,x", "--xi", "1"], "--x0 entry 'x' is not a number"),
+        (["flow", "--x0", "0.5,0.5", "--xi", ""], "--xi entry '' is not a number"),
+        (["residual", "--points", "0.5,0.5;0.5,z"], "--points entry 'z' is not a number"),
+        (["lp", "--p-schedule", "2,x"], "--p-schedule entry 'x' is not a number"),
+        (["measure", "--measure", "dirac:a,1"], "--measure entry 'a' is not an integer"),
+        (["measure", "--measure", "dirac:100,100"], "measure atom (100, 100) is not a node of the (9, 9) grid"),
+        (["measure", "--measure", "dirac:1"], "measure atom (1,) is not a node of the (9, 9) grid"),
+        (["measure", "--measure", "dirac:4,-1"], "measure atom (4, -1) is not a node of the (9, 9) grid"),
+    ])
+    def test_a_bad_entry_of_a_structured_option_is_named(self, problems, argv, message):
+        # at the parent the non-numbers gave a bare "could not convert string to float" or int()
+        # message, a zero direction had no index, and a node off the grid was reported as
+        # lying outside the argmax set
+        paths, tmp = problems
+        out = tmp / "structured"
+        assert run([*argv, "--problem", paths["small2d"], "--out", str(out)]) == 2
+        assert _report(out, argv[0])["error"] == {"type": "ValueError", "message": message}
+
 
 # (subcommand, option) pairs that the parser once registered for every subcommand
 # but that these subcommands never read; each must now be refused.

@@ -22,10 +22,12 @@ from linfvar import (
     sup_energy,
 )
 from linfvar.exprlang import DomainEvalError
-from linfvar.lp_approx import _DIAG_FLOOR, _CellScheme, _sup_norm
+from linfvar import lp_approx
+from linfvar.lp_approx import _DIAG_FLOOR, _CellScheme, _newton_direction, _sup_norm
 from linfvar.problem import jets_at_nodes
 
 ARONSSON_EXPR = "abs(x1)^(4/3) - abs(x2)^(4/3)"
+_ENERGY_AND_JETS = _CellScheme.energy_and_jets
 
 
 @pytest.fixture
@@ -102,6 +104,21 @@ class TestLpMinimize:
             assert mean_p <= res.e_inf + 4.0 * h
 
 
+def _failing_energy(monkeypatch, error, fails):
+    """Patch the cell scheme's energy to raise ``error`` at its k-th call (from 1) where
+    ``fails(k)``; returns the list that records every call."""
+    calls = []
+
+    def patched(self, W, order=1):
+        calls.append(W)
+        if fails(len(calls)):
+            raise error("outside the density's domain")
+        return _ENERGY_AND_JETS(self, W, order)
+
+    monkeypatch.setattr(_CellScheme, "energy_and_jets", patched)
+    return calls
+
+
 class TestCounters:
     def test_evals_count_every_energy_evaluation(self, two_point_problem):
         res = lp_minimize(two_point_problem, constant_fill_init(two_point_problem))
@@ -117,26 +134,22 @@ class TestCounters:
 
     @pytest.mark.parametrize("error", [ValueError, DomainEvalError])
     def test_a_trial_step_that_cannot_be_evaluated_is_rejected(self, two_point_problem, monkeypatch, error):
-        energy_and_jets = _CellScheme.energy_and_jets
-        calls = []
-
-        def failing(fail_at):
-            def patched(self, W, order=1):
-                calls.append(W)
-                if len(calls) == fail_at:
-                    raise error("outside the density's domain")
-                return energy_and_jets(self, W, order)
-            return patched
-
         init = constant_fill_init(two_point_problem)
-        monkeypatch.setattr(_CellScheme, "energy_and_jets", failing(1))
+        _failing_energy(monkeypatch, error, lambda k: k == 1)
         with pytest.raises(error):  # the initial iterate must be evaluable
             lp_minimize(two_point_problem, init)
-        calls.clear()
-        monkeypatch.setattr(_CellScheme, "energy_and_jets", failing(2))  # the first trial step
+        calls = _failing_energy(monkeypatch, error, lambda k: k == 2)  # the first trial step
         res = lp_minimize(two_point_problem, init)
         assert res.status == "converged"
         assert res.evals == len(calls)
+
+    def test_a_line_search_with_no_evaluable_trial_stalls(self, two_point_problem, monkeypatch):
+        init = constant_fill_init(two_point_problem)
+        calls = _failing_energy(monkeypatch, ValueError, lambda k: k > 1)  # every trial step
+        res = lp_minimize(two_point_problem, init)
+        assert res.status == "line_search_stalled"
+        assert res.evals == len(calls) > 2
+        assert np.array_equal(res.solution.values, init.values, equal_nan=True)
 
 
 class TestDescentProperty:
@@ -313,6 +326,41 @@ class TestNewtonCG:
         assert [st.status for st in stages] == ["converged"] * 5
         assert stages[-1].iters <= 10
         assert all(st.hess_products >= st.iters for st in stages)
+
+    def test_nonpositive_curvature_at_the_first_step_returns_preconditioned_steepest_descent(self):
+        g, diag = np.array([1.0, -2.0, 0.5]), np.array([2.0, 4.0, 1.0])
+        d, used = _newton_direction(g, lambda v: -v, diag)
+        assert used == 1
+        assert np.array_equal(d, -(g / diag))
+
+    def test_nonpositive_curvature_at_a_later_step_returns_the_cg_iterate(self):
+        A, g, diag = np.diag([1.0, 10.0, 100.0, 1000.0]), np.ones(4), np.ones(4)
+        products = []
+
+        def product(v):  # positive curvature once, then none
+            products.append(v)
+            return A @ v if len(products) == 1 else -v
+
+        d, used = _newton_direction(g, product, diag)
+        first = -(g / diag)
+        assert used == len(products) == 2
+        assert np.allclose(d, (g @ (g / diag)) / (first @ A @ first) * first, rtol=1e-14, atol=0.0)
+
+    def test_cg_stops_after_the_product_cap(self, monkeypatch):
+        # four distinct curvatures: three CG steps leave the residual above the forcing term
+        monkeypatch.setattr(lp_approx, "_CG_MAX_ITER", 3)
+        A, g, diag = np.diag([1.0, 10.0, 100.0, 1000.0]), np.ones(4), np.ones(4)
+        products = []
+
+        def product(v):
+            products.append(v)
+            return A @ v
+
+        d, used = _newton_direction(g, product, diag)
+        gnorm = np.linalg.norm(g)
+        assert used == len(products) == 3
+        assert np.linalg.norm(A @ d + g) > min(0.5, np.sqrt(gnorm)) * gnorm
+        assert g @ d < 0.0
 
     def test_hess_products_are_deterministic_and_reported(self, tmp_path):
         from linfvar.cli import run
