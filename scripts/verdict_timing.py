@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Cost of the sampled minimality verdicts, of building a test basis and of its stationarity scan.
+"""Cost of the sampled minimality verdicts, of building a test basis and of scoring it.
 
 The problem is the closed-form-verdicts benchmark's A problem at seed 1,
 drawn with ``bench/workloads.py`` (read only) as the session draws it:
@@ -9,7 +9,11 @@ timed calls are the session's: ``absolute_minimiser_test`` with 200
 trials, ``rank_one_test`` along the coordinate axis with 100 trials, and
 ``stationarity_scans`` of the 50-field sine test basis, which includes
 building that basis.  A row of its own times ``make_test_basis`` for the
-50 fields alone, so that building the basis shows apart from the scan.
+50 fields alone, so that building the basis shows apart from the scan,
+and ``measure_divergence_residual`` times the basis path's other caller:
+the uniform measure on the subdomain against the same basis (built inside
+the timed call, as the scan's is), with ``delta`` infinite so that the
+argmax set admits every node the measure charges.
 
 Timings use stdlib ``timeit``.  The rounds interleave every timed
 statement, and each figure is the best of ``--rounds`` rounds of
@@ -20,6 +24,7 @@ Usage: python scripts/verdict_timing.py [--number 3] [--rounds 10]
 """
 
 import argparse
+import math
 import sys
 import tempfile
 import timeit
@@ -31,9 +36,11 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 import workloads  # noqa: E402
 
 from linfvar import (  # noqa: E402
+    DiscreteMeasure,
     absolute_minimiser_test,
     load_problem,
     make_test_basis,
+    measure_divergence_residual,
     rank_one_test,
     stationarity_scans,
 )
@@ -59,6 +66,9 @@ def main():
             lambda: make_test_basis(O, prob.N, 50),
         "stationarity_scans, 50 fields":
             lambda: stationarity_scans(u, H, O, make_test_basis(O, prob.N, 50)),
+        "measure_divergence_residual, 50 fields":
+            lambda: measure_divergence_residual(u, H, O, DiscreteMeasure.uniform(O),
+                                                make_test_basis(O, prob.N, 50), delta=math.inf),
     }
     best = {key: float("inf") for key in timed}
     for _ in range(args.rounds):

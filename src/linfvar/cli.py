@@ -155,7 +155,12 @@ def _parse_vector(text: str, option: str, kind=float) -> np.ndarray:
 
 
 def _parse_points(text: str, option: str) -> np.ndarray:
-    return np.asarray([_parse_vector(chunk, option) for chunk in text.split(";")])
+    """The semicolon-separated points of ``text``, given to ``option``, all of one length."""
+    points = [_parse_vector(chunk, option) for chunk in text.split(";")]
+    for j, point in enumerate(points[1:], 2):
+        if point.size != points[0].size:
+            raise ValueError(f"{option} point {j} has {point.size} entries; point 1 has {points[0].size}")
+    return np.asarray(points)
 
 
 def _phi_map(text: str, n: int, N: int) -> ClosedFormMap:

@@ -171,9 +171,9 @@ def integrate_flow(
     last point found inside, so it lies in the closed subdomain.  The last
     step is shortened to end at ``t_max``; reaching it without exit is
     reported, not raised.  ``xi`` must have one entry per component of u,
-    or it is a ValueError.  Every evaluated point where H or xi^T H_P is not
-    finite is a ValueError naming it, and so is a step too small to advance
-    t.  ``t_max`` defaults to ``1e3`` times the first step; a horizon from
+    and ``x0`` one per axis of the region, or it is a ValueError.  Every
+    evaluated point where H or xi^T H_P is not finite is a ValueError naming
+    it, and so is a step too small to advance t.  ``t_max`` defaults to ``1e3`` times the first step; a horizon from
     the structural constant c0 is ``10 * exit_time_bound(..., c0)["bound"]``.
     Requires a closed-form map (grid maps evaluate at nodes only).
     """
@@ -183,6 +183,8 @@ def integrate_flow(
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (u.N,):
         raise ValueError(f"direction xi has {xi.size} entries; the map has N = {u.N} components")
+    if x0.shape != (O.box.dim,):
+        raise ValueError(f"start point x0 has {x0.size} entries; the region has dimension n = {O.box.dim}")
     if not O.contains_point(x0):
         raise ValueError(f"starting point {x0} lies outside the subdomain")
     h_max = np.inf if dt is None else dt

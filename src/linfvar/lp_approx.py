@@ -402,11 +402,10 @@ def lp_minimize(prob: LpProblem, init: GridMap) -> LpResult:
     evals += 1
     g = scheme.normalised_gradient(F, hvals, ham)
     status = "max_iter"
-    iters = 0
-    for iters in range(1, settings.max_iter + 1):
+    iters = 0  # accepted Newton steps
+    while iters < settings.max_iter:
         if _sup_norm(g) <= settings.tol_opt:
             status = "converged"
-            iters -= 1
             break
         product, diag = scheme.curvature(F, hvals, ham, g)
         d, used = _newton_direction(g, product, diag)
@@ -416,10 +415,9 @@ def lp_minimize(prob: LpProblem, init: GridMap) -> LpResult:
             status = "line_search_stalled"
             break
         W, F, hvals, ham = trial
+        iters += 1
         x = W[:, interior].ravel()
         g = scheme.normalised_gradient(F, hvals, ham)
-    else:
-        iters = settings.max_iter
     values = np.full((scheme.N,) + prob.O.box.shape, np.nan)
     values[(slice(None),) + window] = W
     solution = GridMap(prob.O.box, values)

@@ -501,7 +501,10 @@ MapField = Union[ClosedFormMap, GridMap, PerturbedMap]
 
 def map_jet(u, x, order: int = 2) -> Jet2:
     """Second-order jet (value, gradient, hessian) of the map at a point or point batch."""
-    return u.jet2(x, order=order)
+    jet2 = getattr(u, "jet2", None)
+    if jet2 is None:
+        raise ValueError(f"a {type(u).__name__} is evaluated at grid nodes only; take its jets with jets_at_nodes")
+    return jet2(x, order=order)
 
 
 def jets_at_nodes(u, box: DomainBox, nodes: np.ndarray, order: int = 2) -> Jet2:

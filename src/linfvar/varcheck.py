@@ -327,14 +327,13 @@ class StationarityReport:
 def _basis_densities(ham, basis: Sequence, O: Subdomain, nodes: np.ndarray):
     """g = H_P : Dpsi + H_eta . psi at ``nodes`` for each field psi of ``basis``, in order.
 
-    A basis of single sine maps on one box (:func:`make_test_basis`) is
-    evaluated as one stacked map; any other basis field by field.
+    A :class:`SineModeMap` batch (:func:`make_test_basis`) is scored in one
+    evaluation, any other basis field by field.  A single sine map is
+    refused: it has no entries.
     """
-    first = basis[0] if basis else None
-    if basis and all(isinstance(psi, SineModeMap) and psi.coeffs.ndim == 2 and psi.N == first.N
-                     and np.array_equal(psi.lo, first.lo) and np.array_equal(psi.hi, first.hi)
-                     for psi in basis):
-        return list(linearised_density(ham, SineModeMap.stack(basis), O, nodes))
+    if isinstance(basis, SineModeMap):
+        len(basis)  # refuses a single map
+        return list(linearised_density(ham, basis, O, nodes))
     return [linearised_density(ham, psi, O, nodes) for psi in basis]
 
 

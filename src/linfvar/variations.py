@@ -52,7 +52,9 @@ class SineModeMap:
     with ``freq_ami = k_ami pi / (hi_i - lo_i)``.  Mode lists are padded with
     zero coefficients to one length M.  The parameter arrays may carry
     trailing batch axes B, one map per entry (the trials of a verdict);
-    jets then have shape (N, ...) + B + (K,) at K nodes.  The maps are
+    jets then have shape (N, ...) + B + (K,) at K nodes.  A batch along one
+    axis is a sequence of its maps (``len``, ``batch[t]``, iteration), so a
+    test basis stays one batch from construction to scoring.  The maps are
     evaluated at grid nodes only (:meth:`node_jets`), where they match the
     parsed form of :func:`variation_source` to rounding; that source
     evaluates a map anywhere.
@@ -83,30 +85,16 @@ class SineModeMap:
             coeffs[a, m, t], ks[a, m, :, t], phases[a, m, :, t] = zip(*modes)
         return cls(lo, hi, coeffs, ks * np.pi / (hi - lo)[:, None], phases, consts, factors)
 
-    @classmethod
-    def stack(cls, maps) -> "SineModeMap":
-        """The single maps ``maps`` (same box and N) as one batch along a new last axis."""
-        first, T = maps[0], len(maps)
-        for t, m in enumerate(maps):
-            if m.coeffs.ndim != 2:
-                raise ValueError(f"cannot stack map {t}: it already has a batch axis")
-            if m.N != first.N:
-                raise ValueError(f"cannot stack map {t}: it has N = {m.N} components, map 0 has N = {first.N}")
-            if not (np.array_equal(m.lo, first.lo) and np.array_equal(m.hi, first.hi)):
-                raise ValueError(f"cannot stack map {t}: its box {m.lo.tolist()}-{m.hi.tolist()} "
-                                 f"is not map 0's, {first.lo.tolist()}-{first.hi.tolist()}")
-        N, n = first.N, first.n
-        M = max(m.coeffs.shape[1] for m in maps)
-        coeffs, freqs, phases = np.zeros((N, M, T)), np.zeros((N, M, n, T)), np.zeros((N, M, n, T))
-        consts, factors = np.empty((N, T)), np.empty((N, T))
-        for t, m in enumerate(maps):
-            k = m.coeffs.shape[1]
-            coeffs[:, :k, t], freqs[:, :k, :, t], phases[:, :k, :, t] = m.coeffs, m.freqs, m.phases
-            consts[:, t], factors[:, t] = m.consts, m.factors
-        return cls(first.lo, first.hi, coeffs, freqs, phases, consts, factors)
+    def __len__(self) -> int:
+        """The number of maps in a batch along one axis; a single map has no entries."""
+        if self.consts.ndim < 2:
+            raise TypeError("a single sine map has no entries; only a batch of maps has a length")
+        return self.consts.shape[-1]
 
-    def entry(self, t: int) -> "SineModeMap":
-        """Map ``t`` of a batch along one axis."""
+    def __getitem__(self, t) -> "SineModeMap":
+        """Map ``t`` of a batch along one axis.  Past the end numpy's IndexError ends an
+        iteration over the batch, which yields its maps in order."""
+        len(self)  # refuses a single map
         return SineModeMap(self.lo, self.hi, self.coeffs[..., t], self.freqs[..., t], self.phases[..., t],
                            self.consts[..., t], self.factors[..., t])
 
@@ -314,7 +302,7 @@ def make_free_variation(O: Subdomain, N: int, rng, amplitude: float = 1.0):
     if _region_box(O) is None:
         return _ball_variation(O, N, rng, amplitude)
     spec = _draw_free(O, N, rng)
-    return _sine_variation(_sine_batch([spec]).entry(0), spec, O, amplitude)
+    return _sine_variation(_sine_batch([spec])[0], spec, O, amplitude)
 
 
 def _ball_variation(O: Subdomain, N: int, rng, amplitude: float):
@@ -338,7 +326,7 @@ def make_rank_one_variation(O: Subdomain, xi: np.ndarray, rng, amplitude: float 
                 "lo": box[0].tolist(), "hi": box[1].tolist()}
     else:
         spec = _draw_rank_one(O, xi, rng)
-        return _sine_variation(_sine_batch([spec]).entry(0), spec, O, amplitude)
+        return _sine_variation(_sine_batch([spec])[0], spec, O, amplitude)
     return _polynomial_variation(spec, O, amplitude)
 
 
@@ -365,7 +353,7 @@ def make_free_field(O: Subdomain, N: int, rng, amplitude: float = 1.0):
     comp_modes = [_draw_modes(rng, n, with_phase=True) for _ in range(N)]
     comp_const = [float(rng.uniform(-1.0, 1.0)) for _ in range(N)]
     raw = SineModeMap.from_trials(lo, hi, [comp_modes], (np.asarray(comp_const) * amplitude)[:, None],
-                                  np.ones((N, 1))).entry(0)
+                                  np.ones((N, 1)))[0]
     spec = {"kind": "free_field", "modes": comp_modes, "constants": comp_const,
             "lo": lo.tolist(), "hi": hi.tolist()}
     return _sine_variation(raw, spec, O, amplitude)
@@ -376,8 +364,8 @@ def make_test_basis(O: Subdomain, N: int, size: int):
 
     Field j is sin(k pi (x - lo)/L) with k = j // N + 1 along the first axis
     (times first-mode sines along the remaining axes in higher dimension) in
-    component j mod N, and zero in the others.  The fields are the entries
-    of one batch.
+    component j mod N, and zero in the others.  The basis is one
+    :class:`SineModeMap` batch; iterating it yields the fields in order.
     """
     box = _region_box(O)
     if box is None:
@@ -385,5 +373,4 @@ def make_test_basis(O: Subdomain, N: int, size: int):
     n = O.box.dim
     trials = [[[(1.0, [j // N + 1] + [1] * (n - 1), [0.0] * n)] if a == j % N else [] for a in range(N)]
               for j in range(size)]
-    batch = SineModeMap.from_trials(*box, trials, np.zeros((N, size)), np.ones((N, size)))
-    return [batch.entry(j) for j in range(size)]
+    return SineModeMap.from_trials(*box, trials, np.zeros((N, size)), np.ones((N, size)))

@@ -384,11 +384,14 @@ class TestExitCodes:
         (["measure", "--measure", "dirac:100,100"], "measure atom (100, 100) is not a node of the (9, 9) grid"),
         (["measure", "--measure", "dirac:1"], "measure atom (1,) is not a node of the (9, 9) grid"),
         (["measure", "--measure", "dirac:4,-1"], "measure atom (4, -1) is not a node of the (9, 9) grid"),
+        (["residual", "--points", "0.5,0.5;0.25"], "--points point 2 has 1 entries; point 1 has 2"),
+        (["flow", "--x0", "0.5", "--xi", "1"], "start point x0 has 1 entries; the region has dimension n = 2"),
     ])
     def test_a_bad_entry_of_a_structured_option_is_named(self, problems, argv, message):
         # at the parent the non-numbers gave a bare "could not convert string to float" or int()
-        # message, a zero direction had no index, and a node off the grid was reported as
-        # lying outside the argmax set
+        # message, a zero direction had no index, a node off the grid was reported as lying
+        # outside the argmax set, ragged --points gave numpy's inhomogeneous-shape message and
+        # a short --x0 named neither the option nor the start point
         paths, tmp = problems
         out = tmp / "structured"
         assert run([*argv, "--problem", paths["small2d"], "--out", str(out)]) == 2

@@ -148,6 +148,7 @@ class TestCounters:
         calls = _failing_energy(monkeypatch, ValueError, lambda k: k > 1)  # every trial step
         res = lp_minimize(two_point_problem, init)
         assert res.status == "line_search_stalled"
+        assert res.iters == 0  # no step was accepted
         assert res.evals == len(calls) > 2
         assert np.array_equal(res.solution.values, init.values, equal_nan=True)
 

@@ -337,7 +337,7 @@ class TestOracleAgreement:
 # Numeric sine families against their parsed expressions
 
 from linfvar import PerturbedMap as _PM  # noqa: E402
-from linfvar import jets_at_nodes, varcheck, variations  # noqa: E402
+from linfvar import jets_at_nodes, map_jet, varcheck, variations  # noqa: E402
 from linfvar.varcheck import stationarity_scans  # noqa: E402
 from linfvar.variations import (  # noqa: E402
     SineModeMap,
@@ -403,52 +403,60 @@ def test_test_basis_matches_parsed_modes():
 @pytest.mark.parametrize("N", [1, 2])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_batch_built_basis_equals_the_one_map_construction(n, N):
-    """make_test_basis builds its fields as one batch; stacked, their node jets equal bit for
-    bit those of the same fields built with one from_trials call each."""
+    """make_test_basis builds its fields as one batch; each field's parameter arrays equal bit
+    for bit those of the same field built with a one-map from_trials call."""
     rng = np.random.default_rng(10 * n + N)
     box, O = _random_box(rng, n)
     lo, hi = variations._region_box(O)
     size = 7
-    singles = []
+    basis = make_test_basis(O, N, size)
+    assert isinstance(basis, SineModeMap) and len(basis) == size
     for j in range(size):
         comp_modes = [[] for _ in range(N)]
         comp_modes[j % N] = [(1.0, [j // N + 1] + [1] * (n - 1), [0.0] * n)]
-        singles.append(SineModeMap.from_trials(lo, hi, [comp_modes], np.zeros((N, 1)), np.ones((N, 1))).entry(0))
-    nodes = O.evaluable_nodes()
-    got = jets_at_nodes(SineModeMap.stack(make_test_basis(O, N, size)), box, nodes)
-    ref = jets_at_nodes(SineModeMap.stack(singles), box, nodes)
-    for name in ("value", "gradient", "hessian"):
-        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+        single = SineModeMap.from_trials(lo, hi, [comp_modes], np.zeros((N, 1)), np.ones((N, 1)))[0]
+        for name in ("coeffs", "freqs", "phases", "consts", "factors"):
+            assert np.array_equal(getattr(basis[j], name), getattr(single, name)), (j, name)
+
+
+def test_a_batch_is_a_sequence_of_its_maps():
+    """len is the batch length, indexing past the end is an IndexError, and iterating a
+    batch yields its maps in order; a single map has no entries."""
+    box = DomainBox((0.0, 0.0), (1.0, 1.0), (9, 9))
+    basis = make_test_basis(Subdomain.whole(box), 2, 5)
+    assert len(basis) == 5
+    with pytest.raises(IndexError):
+        basis[len(basis)]
+    maps = list(basis)
+    assert len(maps) == 5
+    for t, psi in enumerate(maps):
+        assert psi.coeffs.ndim == 2 and np.array_equal(psi.coeffs, basis.coeffs[..., t])
+    for attempt in (len, lambda psi: psi[0]):
+        with pytest.raises(TypeError, match="a single sine map has no entries"):
+            attempt(maps[0])
+
+
+def _mixed_batch(rng, O, N, T):
+    """T free fields (mode counts, phases and constants per map) with random factors other
+    than 1, as one from_trials batch."""
+    specs = [make_free_field(O, N, rng)[1] for _ in range(T)]
+    trials = [[[(c * spec["scale"], ks, ph) for c, ks, ph in modes] for modes in spec["modes"]] for spec in specs]
+    consts = np.array([spec["constants"] for spec in specs]).T
+    return SineModeMap.from_trials(*variations._region_box(O), trials, consts, rng.normal(size=(N, T)))
 
 
 def test_stacked_maps_match_single_maps():
     rng = np.random.default_rng(5)
     box, O = _random_box(rng, 2)
-    maps = [make_free_field(O, 2, rng)[0] for _ in range(4)] + [make_free_variation(O, 2, rng)[0]]
+    maps = _mixed_batch(rng, O, 2, 5)
     nodes = O.evaluable_nodes()
-    batch = jets_at_nodes(SineModeMap.stack(maps), box, nodes)
+    batch = jets_at_nodes(maps, box, nodes)
     for t, phi in enumerate(maps):
         single = jets_at_nodes(phi, box, nodes)
         assert _close(batch.value[:, t], single.value, 1e-15)
         assert _close(batch.gradient[:, :, t], single.gradient, 1e-15)
         assert _close(batch.hessian[:, :, :, t], single.hessian, 1e-15)
 
-
-
-def test_stack_refuses_maps_on_other_boxes_or_N_or_with_a_batch_axis():
-    """Stacking takes map 0's box and N for the batch, so any map that differs is refused
-    by its index; a stack of maps on one box is still accepted."""
-    box = DomainBox((0.0, 0.0), (1.0, 1.0), (9, 9))
-    whole = make_test_basis(Subdomain.whole(box), 1, 2)
-    inner = make_test_basis(Subdomain.from_box(box, (0.25, 0.25), (0.75, 0.75)), 1, 1)
-    two = make_test_basis(Subdomain.whole(box), 2, 1)
-    assert SineModeMap.stack(whole).coeffs.shape[-1] == 2
-    for maps, message in ((whole + inner, "cannot stack map 2: its box"),
-                          (inner + whole, "cannot stack map 1: its box"),
-                          (whole + two, "cannot stack map 2: it has N = 2 components, map 0 has N = 1"),
-                          ([SineModeMap.stack(whole)] + whole, "cannot stack map 0: it already has a batch axis")):
-        with pytest.raises(ValueError, match=message):
-            SineModeMap.stack(maps)
 
 def _reference_node_jets(phi, box, nodes, order):
     """The former node path: every mode's product formed over the nodes' bounding grid,
@@ -495,8 +503,8 @@ def _reference_node_jets(phi, box, nodes, order):
 
 def _node_jet_cases(seed):
     """(map, box, nodes) for n = 1..3, N = 1, 2: single maps of every sine family (phases,
-    constants and factors included), stacks of maps with mixed mode counts and a batch of drawn trials, each
-    at the subdomain's nodes, at a scattered subset of the box's nodes and at one node."""
+    constants and factors included), a batch with per-map mode counts, constants and factors and a batch of
+    drawn trials, each at the subdomain's nodes, at a scattered subset of the box's nodes and at one node."""
     rng = np.random.default_rng(seed)
     for n in (1, 2, 3):
         box = DomainBox((-1.0, 0.0, 0.5)[:n], (1.0, 1.5, 2.0)[:n], (13, 9, 7)[:n])
@@ -507,7 +515,7 @@ def _node_jet_cases(seed):
             weighted = SineModeMap(field.lo, field.hi, field.coeffs, field.freqs, field.phases, field.consts,
                                    rng.normal(size=N))  # constants and factors other than 1
             singles = [field, weighted, make_free_variation(O, N, rng)[0], make_rank_one_variation(O, xi, rng)[0]]
-            maps = singles + [SineModeMap.stack(singles[:2] + make_test_basis(O, N, 3)),
+            maps = singles + [_mixed_batch(rng, O, N, 5),
                               variations._sine_batch([variations._draw_rank_one(O, xi, rng) for _ in range(4)])]
             every = box.all_nodes()
             scattered = every[rng.permutation(every.shape[0])[:max(2, every.shape[0] // 3)]]
@@ -533,14 +541,14 @@ def test_node_jets_match_the_per_mode_reference(seed, order):
 
 
 def test_stacked_basis_scans_equal_the_per_field_loop():
-    """stationarity_scans and measure_divergence_residual evaluate a sine basis on one box as
-    one stacked map; every figure equals the per-field evaluation of the same basis, and a
-    basis on two boxes is evaluated field by field."""
+    """stationarity_scans and measure_divergence_residual score a sine batch in one evaluation;
+    every figure equals the per-field evaluation of the same basis, and a list of sine maps
+    on two boxes is scored field by field."""
     from linfvar.energy import argmax_set, variation_density
 
     for case, inner in ((2, ((1.5, 1.5), (1.7, 1.7))), (3, ((-0.25, -0.25), (0.25, 0.25)))):
         u, H, O = _verdict_fixture(_VERDICT_CASES[case])
-        two_boxes = make_test_basis(O, u.N, 4) + make_test_basis(Subdomain.from_box(O.box, *inner), u.N, 3)
+        two_boxes = list(make_test_basis(O, u.N, 4)) + list(make_test_basis(Subdomain.from_box(O.box, *inner), u.N, 3))
         aset = argmax_set(u, H, O, delta=1e9)  # every evaluable node, so g is compared everywhere
         for basis in (make_test_basis(O, u.N, 7), two_boxes):
             for psi, rep in zip(basis, stationarity_scans(u, H, O, basis, delta=1e9)):
@@ -552,6 +560,30 @@ def test_stacked_basis_scans_equal_the_per_field_loop():
             nodes, weights = sigma.nodes_array(), sigma.weights_array()
             assert rep.per_psi == [float(np.dot(weights, variation_density(u, H, psi, O, nodes)))
                                    for psi in basis]
+
+
+@pytest.mark.parametrize("scorer", ["stationarity_scans", "measure_divergence_residual"])
+def test_a_single_sine_map_is_not_a_basis(scorer):
+    """A single sine map has no batch axis: scoring it as a basis is a TypeError, not one
+    "field" per node."""
+    u, H, O = _verdict_fixture(_VERDICT_CASES[2])
+    psi = make_free_field(O, u.N, np.random.default_rng(3))[0]
+    with pytest.raises(TypeError, match="a single sine map has no entries"):
+        if scorer == "stationarity_scans":
+            stationarity_scans(u, H, O, psi, delta=1e9)
+        else:
+            measure_divergence_residual(u, H, O, DiscreteMeasure.uniform(O), psi, delta=1e9)
+
+
+def test_map_jet_of_a_sine_map_names_the_node_path():
+    """Sine maps are evaluated at grid nodes only: a point jet is a ValueError naming
+    jets_at_nodes, directly and through a perturbed map."""
+    u, H, O = _verdict_fixture(_VERDICT_CASES[2])
+    phi = make_free_field(O, u.N, np.random.default_rng(4))[0]
+    x = O.box.node_coords(O.evaluable_nodes()[:3])
+    for call in (lambda: map_jet(phi, x), lambda: _PM(u, phi).jet2(x)):
+        with pytest.raises(ValueError, match="SineModeMap is evaluated at grid nodes only; .*jets_at_nodes"):
+            call()
 
 
 def _reference_absolute(u, H, O, trials, amplitude, seed):
