@@ -13,7 +13,10 @@ building that basis.  A row of its own times ``make_test_basis`` for the
 and ``measure_divergence_residual`` times the basis path's other caller:
 the uniform measure on the subdomain against the same basis (built inside
 the timed call, as the scan's is), with ``delta`` infinite so that the
-argmax set admits every node the measure charges.
+argmax set admits every node the measure charges.  The last row is the
+grid-vectorial benchmark's ``C verify-normal`` call at seed 1, drawn the
+same way: ``normal_variation_test`` with 5 trials on the masked grid map
+C, whose reduced normal space has dimension one.
 
 Timings use stdlib ``timeit``.  The rounds interleave every timed
 statement, and each figure is the best of ``--rounds`` rounds of
@@ -41,11 +44,18 @@ from linfvar import (  # noqa: E402
     load_problem,
     make_test_basis,
     measure_divergence_residual,
+    normal_variation_test,
     rank_one_test,
     stationarity_scans,
 )
 
-WORKLOAD, SEED = "closed-form-verdicts", 1
+SEED = 1
+
+
+def _problem(workload: str, name: str):
+    with tempfile.TemporaryDirectory() as tmp:
+        workloads.generate(workload, SEED, Path(tmp))
+        return load_problem(Path(tmp) / f"{name}.json")
 
 
 def main():
@@ -53,10 +63,9 @@ def main():
     ap.add_argument("--number", type=int, default=3, help="calls per timed run")
     ap.add_argument("--rounds", type=int, default=10, help="timed runs per statement; the best is reported")
     args = ap.parse_args()
-    with tempfile.TemporaryDirectory() as tmp:
-        workloads.generate(WORKLOAD, SEED, Path(tmp))
-        prob = load_problem(Path(tmp) / "A.json")
+    prob = _problem("closed-form-verdicts", "A")
     u, H, O = prob.u, prob.H, prob.subdomain
+    C = _problem("grid-vectorial", "C")
     timed = {
         "absolute_minimiser_test, 200 trials":
             lambda: absolute_minimiser_test(u, H, O, trials=200, seed=SEED),
@@ -69,6 +78,8 @@ def main():
         "measure_divergence_residual, 50 fields":
             lambda: measure_divergence_residual(u, H, O, DiscreteMeasure.uniform(O),
                                                 make_test_basis(O, prob.N, 50), delta=math.inf),
+        "normal_variation_test, 5 trials":
+            lambda: normal_variation_test(C.u, C.H, C.subdomain, trials=5, amplitude=1.0, seed=SEED),
     }
     best = {key: float("inf") for key in timed}
     for _ in range(args.rounds):

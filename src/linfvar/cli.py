@@ -281,7 +281,7 @@ def _dispatch(args, prob: Problem, out_dir: Path):
         rep = varcheck.measure_divergence_residual(u, H, O, sigma, basis, delta=args.delta)
         tol = 1e-8 if args.tol is None else args.tol
         passed = rep.worst <= tol * (1.0 + rep.scale)
-        return dict(vars(rep), atoms=len(sigma.atoms), tolerance=tol), passed
+        return dict(vars(rep), atoms=len(sigma.weights), tolerance=tol), passed
     if cmd == "lp":
         schedule = _parse_vector(args.p_schedule, "--p-schedule").tolist()
         settings = lp_approx.OptimizerSettings(max_iter=args.max_iter, tol_opt=args.tol_opt)

@@ -7,7 +7,8 @@ proof.  The verdicts draw from the families of :mod:`linfvar.variations`:
 free and rank-one variations, and for ``normal`` variations, pointwise
 projections of free fields onto the reduced normal space of
 H_P(., u, Du), free on the boundary.  A verdict takes u's jets once and
-scores its sine trials in batches.
+scores its trials in batches (a normal chunk is one grid map of projected
+sine fields) through one scan, which picks the witness.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .variations import (
     _ball_variation,
     _draw_free,
     _draw_rank_one,
+    _free_field_batch,
     _region_box,
     _scale_for,
     _scaled_spec,
@@ -59,6 +61,7 @@ __all__ = [
     "SupportViolationError",
     "Verdict",
     "absolute_minimiser_test",
+    "make_free_field",
     "make_free_variation",
     "make_rank_one_variation",
     "make_sphere_variation",
@@ -133,7 +136,11 @@ class _Probe:
             yield var, [_scaled_spec(spec, c, amplitude) for spec, c in zip(specs, scale)]
 
     def scan(self, batches):
-        """(worst violation E0 - E1, its witness, variation count) over (jets, specs) batches."""
+        """(worst violation E0 - E1, its witness, variation count) over (jets, specs) batches.
+
+        The witness's ``trial`` counts the variations before it unless its spec carries a draw index;
+        its ``source`` re-evaluates it, except a projected free field's (the spec is unprojected).
+        """
         worst, witness, total = -np.inf, None, 0
         for var, specs in batches:
             E1 = self.energies(var)
@@ -141,10 +148,10 @@ class _Probe:
             t = int(np.argmax(violation))
             if violation[t] > worst:
                 worst = violation[t]
-                witness = dict(specs[t], trial=total + t, energy_base=self.E0,
+                witness = dict(specs[t], trial=specs[t].get("trial", total + t), energy_base=self.E0,
                                energy_perturbed=float(E1[t]))
             total += len(specs)
-        if witness is not None:
+        if witness is not None and witness["kind"] != "free_field":
             witness["source"] = variation_source(witness)
         return float(worst), witness, total
 
@@ -252,9 +259,10 @@ def normal_variation_test(
     Random smooth fields are projected node-by-node onto the reduced normal
     space; candidates whose residual alignment with H_P exceeds
     tol_normal = 1e-6 ||H_P||_inf ||phi||_inf are rejected.  Normal
-    variations are free on the boundary.  When no nonzero admissible
-    variation exists (e.g. full-rank H_P) the verdict is a vacuous pass
-    with the flag set.
+    variations are free on the boundary, and scored a chunk of draws at a
+    time.  ``Verdict.trials`` counts the admissible draws, the witness's
+    ``trial`` every draw.  When no nonzero admissible variation exists
+    (e.g. full-rank H_P) the verdict is a vacuous pass with the flag set.
     """
     rng = np.random.default_rng(seed)
     probe = _Probe(u, H, O)
@@ -265,33 +273,34 @@ def normal_variation_test(
     if float(np.max(np.abs(projectors))) < 1e-13:
         return Verdict(True, 0.0, None, 0, vacuous=True)
     hp_inf = float(np.max(np.linalg.norm(hp, axis=(0, 1))))
-    worst = -np.inf
-    witness = None
-    admissible = 0
-    for trial in range(trials):
-        psi, spec = make_free_field(O, u.N, rng, amplitude)
-        psi_vals = jets_at_nodes(psi, box, nodes, order=1).value  # (N, M)
-        phi_vals = np.einsum("mab,bm->am", projectors, psi_vals)
-        phi_inf = float(np.max(np.abs(phi_vals))) if phi_vals.size else 0.0
-        if phi_inf < 1e-14 * max(1.0, float(np.max(np.abs(psi_vals)))):
-            continue
-        values = np.full((u.N,) + box.shape, np.nan)
-        values[(slice(None),) + tuple(nodes.T)] = phi_vals
-        phi = GridMap(box, values)
-        # reject candidates that are not numerically normal
-        align = np.einsum("am,aim->im", phi_vals, hp)
-        tol_normal = 1e-6 * hp_inf * max(phi_inf, 1e-300)
-        if float(np.max(np.linalg.norm(align, axis=0))) > tol_normal:
-            continue
-        admissible += 1
-        E1 = float(probe.energies(probe.jets(phi))[0])
-        violation = probe.E0 - E1
-        if violation > worst:
-            worst = violation
-            witness = dict(spec, trial=trial, energy_base=probe.E0, energy_perturbed=E1)
+    projectors = np.ascontiguousarray(np.moveaxis(projectors, 0, -1))  # (N, N, M): einsum runs along M
+    chunk = max(1, _BATCH_POINTS // box.all_nodes().shape[0])  # a chunk's grid map holds every box node
+
+    def batches():
+        for start in range(0, trials, chunk):
+            psi, specs = _free_field_batch(O, u.N, rng, amplitude, min(chunk, trials - start))
+            psi_vals = jets_at_nodes(psi, box, nodes, order=1).value  # (N, K, M)
+            phi_vals = np.einsum("abm,bkm->akm", projectors, psi_vals)
+            psi_inf, phi_inf = (np.max(np.abs(vals), axis=(0, 2)) for vals in (psi_vals, phi_vals))
+            # reject candidates that vanish or are not numerically normal
+            align = np.max(np.linalg.norm(np.einsum("akm,aim->ikm", phi_vals, hp), axis=0), axis=1)
+            kept = np.flatnonzero((phi_inf >= 1e-14 * np.maximum(1.0, psi_inf))
+                                  & (align <= 1e-6 * hp_inf * np.maximum(phi_inf, 1e-300)))
+            if not kept.size:
+                continue
+            # every field has NaN off the projector nodes, so each takes the same stencils
+            values = np.full((u.N, kept.size) + box.shape, np.nan)
+            values[(slice(None), slice(None)) + tuple(nodes.T)] = phi_vals[:, kept]
+            jets = jets_at_nodes(GridMap(box, values.reshape((-1,) + box.shape)), box, probe.nodes, order=1)
+            value = jets.value.reshape(u.N, kept.size, -1)
+            # contiguous, so that the density's sums run in the order of a single field's
+            gradient = np.ascontiguousarray(jets.gradient.reshape(u.N, kept.size, box.dim, -1).swapaxes(1, 2))
+            yield Jet2(jets.x[:, None], value, gradient, None), [dict(specs[k], trial=start + int(k)) for k in kept]
+
+    worst, witness, admissible = probe.scan(batches())
     if admissible == 0:
         return Verdict(True, 0.0, None, 0, vacuous=True)
-    return Verdict(bool(worst <= tol), float(worst), witness, admissible)
+    return Verdict(bool(worst <= tol), worst, witness, admissible)
 
 
 def sphere_family_scan(u, H: Hamiltonian, box: DomainBox, center, radii, directions):
@@ -384,19 +393,23 @@ def stationarity_scan(u, H: Hamiltonian, O: Subdomain, psi, delta: Optional[floa
 class DiscreteMeasure:
     """Finitely supported probability measure on grid nodes of the closed subdomain."""
 
-    atoms: list  # [(node multi-index tuple, weight)], weights sum to 1
+    nodes: np.ndarray    # (M, n) node multi-indices of the atoms
+    weights: np.ndarray  # (M,) positive weights, normalised to sum to 1
 
     def __post_init__(self):
-        total = sum(w for _, w in self.atoms)
+        self.nodes, self.weights = np.asarray(self.nodes, dtype=int), np.asarray(self.weights, dtype=float)
+        if self.nodes.ndim != 2 or self.weights.shape != self.nodes.shape[:1]:
+            raise ValueError("a measure needs an (M, n) array of nodes and M weights")
+        total = self.weights.sum()
         if total <= 0:
             raise ValueError("measure must have positive total mass")
-        if any(w <= 0 for _, w in self.atoms):
+        if (self.weights <= 0).any():
             raise ValueError("weights must be positive")
-        self.atoms = [(tuple(int(i) for i in node), w / total) for node, w in self.atoms]
+        self.weights = self.weights / total
 
     @classmethod
     def dirac(cls, node) -> "DiscreteMeasure":
-        return cls([(tuple(node), 1.0)])
+        return cls([node], [1.0])
 
     @classmethod
     def uniform(cls, O: Subdomain) -> "DiscreteMeasure":
@@ -408,19 +421,8 @@ class DiscreteMeasure:
         equal weights.
         """
         nodes = O.evaluable_nodes()
-        w = np.ones(nodes.shape[0])
-        if O.region[0] == "box":
-            for axis in range(O.box.dim):
-                idx = nodes[:, axis]
-                lo, hi = idx.min(), idx.max()
-                w *= np.where((idx == lo) | (idx == hi), 0.5, 1.0)
-        return cls([(tuple(node), float(wi)) for node, wi in zip(nodes, w)])
-
-    def nodes_array(self) -> np.ndarray:
-        return np.asarray([node for node, _ in self.atoms], dtype=int)
-
-    def weights_array(self) -> np.ndarray:
-        return np.asarray([w for _, w in self.atoms])
+        faces = (nodes == nodes.min(axis=0)) | (nodes == nodes.max(axis=0))
+        return cls(nodes, 0.5 ** (faces.sum(axis=1) * (O.region[0] == "box")))
 
 
 @dataclass
@@ -446,24 +448,20 @@ def measure_divergence_residual(
     """
     if not test_basis:
         raise ValueError("empty test basis")
-    shape = O.box.shape
-    for node, _ in sigma.atoms:
-        if len(node) != len(shape) or not all(0 <= i < s for i, s in zip(node, shape)):
-            raise ValueError(f"measure atom {node} is not a node of the {shape} grid")
+    nodes, shape = sigma.nodes, O.box.shape
+    # on a grid of another dimension every atom is off it, and the first is named
+    off = nodes.shape[1] != len(shape) or ((nodes < 0) | (nodes >= shape)).any(axis=1)
+    if np.any(off):
+        atom = tuple(nodes[np.argmax(off)].tolist())
+        raise ValueError(f"measure atom {atom} is not a node of the {shape} grid")
     aset = argmax_set(u, H, O, delta)
-    allowed = {tuple(int(i) for i in node) for node in aset.nodes}
-    outside = [node for node, _ in sigma.atoms if node not in allowed]
-    if outside:
-        raise SupportViolationError(
-            f"measure charges {len(outside)} node(s) outside the argmax set, e.g. {outside[0]}")
-    nodes = sigma.nodes_array()
-    weights = sigma.weights_array()
-    ham = density_linearisation(u, H, O, nodes)
-    per_psi = []
-    scale = 0.0
-    for g in _basis_densities(ham, test_basis, O, nodes):
-        per_psi.append(float(np.dot(weights, g)))
-        if g.size:
-            scale = max(scale, float(np.max(np.abs(g))))
-    worst = max(abs(r) for r in per_psi)
-    return MeasureReport(worst=float(worst), per_psi=per_psi, scale=float(scale))
+    allowed = np.zeros(shape, dtype=bool)
+    allowed[tuple(aset.nodes.T)] = True
+    outside = ~allowed[tuple(nodes.T)]
+    if outside.any():
+        raise SupportViolationError(f"measure charges {int(outside.sum())} node(s) outside the argmax set, "
+                                    f"e.g. {tuple(nodes[np.argmax(outside)].tolist())}")
+    densities = _basis_densities(density_linearisation(u, H, O, nodes), test_basis, O, nodes)
+    per_psi = [float(np.dot(sigma.weights, g)) for g in densities]
+    scale = max([0.0] + [float(np.max(np.abs(g))) for g in densities if g.size])
+    return MeasureReport(worst=max(abs(r) for r in per_psi), per_psi=per_psi, scale=scale)

@@ -50,7 +50,9 @@ class SineModeMap:
         factor_a * (const_a + sum_m coeff_am prod_i sin(freq_ami (x_i - lo_i) + phase_ami))
 
     with ``freq_ami = k_ami pi / (hi_i - lo_i)``.  Mode lists are padded with
-    zero coefficients to one length M.  The parameter arrays may carry
+    zero coefficients to one length M, at least ``_MAX_MODES`` so that a map's
+    jets do not depend on its batch (BLAS sums the one-row products of n = 1
+    in an order set by M).  The parameter arrays may carry
     trailing batch axes B, one map per entry (the trials of a verdict);
     jets then have shape (N, ...) + B + (K,) at K nodes.  A batch along one
     axis is a sequence of its maps (``len``, ``batch[t]``, iteration), so a
@@ -78,7 +80,7 @@ class SineModeMap:
         (N, T), n = np.shape(consts), lo.size
         entries = [(a, m, t, mode) for t, comp_modes in enumerate(trials)
                    for a, modes in enumerate(comp_modes) for m, mode in enumerate(modes)]
-        M = max([1] + [m + 1 for _, m, _, _ in entries])
+        M = max([_MAX_MODES] + [m + 1 for _, m, _, _ in entries])
         coeffs, ks, phases = np.zeros((N, M, T)), np.zeros((N, M, n, T)), np.zeros((N, M, n, T))
         if entries:
             a, m, t, modes = zip(*entries)
@@ -340,23 +342,28 @@ def make_sphere_variation(xi: np.ndarray, center: np.ndarray, radius: float, n: 
 
 
 def make_free_field(O: Subdomain, N: int, rng, amplitude: float = 1.0):
-    """Random smooth field with no boundary condition (for normal variations).
+    """Random smooth field with no boundary condition: one field of :func:`_free_field_batch`."""
+    batch, specs = _free_field_batch(O, N, rng, amplitude, 1)
+    return batch[0], specs[0]
 
-    Includes a constant term per component: fields free on the boundary may
-    shift the map values outright, which matters for value-dependent
-    densities.  The constant is ``amplitude`` times its draw; the gradient
-    normalisation scales only the modes.
+
+def _free_field_batch(O: Subdomain, N: int, rng, amplitude: float, count: int):
+    """``count`` random smooth fields with no boundary condition, as one scaled batch and their specs.
+
+    Per field, each component's phased modes are drawn, then the constants: a field free on the
+    boundary may shift the map values outright, which matters for value-dependent densities.  A
+    constant is ``amplitude`` times its draw; the gradient normalisation scales only the modes.
     """
     n = O.box.dim
-    box = _region_box(O)
-    lo, hi = (np.asarray(O.box.lo), np.asarray(O.box.hi)) if box is None else box
-    comp_modes = [_draw_modes(rng, n, with_phase=True) for _ in range(N)]
-    comp_const = [float(rng.uniform(-1.0, 1.0)) for _ in range(N)]
-    raw = SineModeMap.from_trials(lo, hi, [comp_modes], (np.asarray(comp_const) * amplitude)[:, None],
-                                  np.ones((N, 1)))[0]
-    spec = {"kind": "free_field", "modes": comp_modes, "constants": comp_const,
-            "lo": lo.tolist(), "hi": hi.tolist()}
-    return _sine_variation(raw, spec, O, amplitude)
+    lo, hi = _region_box(O) or (np.asarray(O.box.lo), np.asarray(O.box.hi))
+    draws = [([_draw_modes(rng, n, with_phase=True) for _ in range(N)],
+              [float(rng.uniform(-1.0, 1.0)) for _ in range(N)]) for _ in range(count)]
+    constants = np.array([c for _, c in draws]).T * amplitude
+    raw = SineModeMap.from_trials(lo, hi, [modes for modes, _ in draws], constants, np.ones((N, count)))
+    scale = _scale_on(raw, O, amplitude)
+    specs = [_scaled_spec({"kind": "free_field", "modes": modes, "constants": consts, "lo": lo.tolist(),
+                           "hi": hi.tolist()}, c, amplitude) for (modes, consts), c in zip(draws, scale)]
+    return raw.scaled(scale), specs
 
 
 def make_test_basis(O: Subdomain, N: int, size: int):

@@ -5,6 +5,7 @@ from linfvar import (
     ClosedFormMap,
     DiscreteMeasure,
     DomainBox,
+    GridMap,
     Hamiltonian,
     PerturbedMap,
     Subdomain,
@@ -210,19 +211,24 @@ class TestSphereFamily:
 
 class TestDiscreteMeasure:
     def test_normalisation_exact(self):
-        m = DiscreteMeasure([((0,), 2.0), ((1,), 3.0)])
-        assert abs(sum(w for _, w in m.atoms) - 1.0) <= 1e-14
+        m = DiscreteMeasure([(0,), (1,)], [2.0, 3.0])
+        assert abs(float(m.weights.sum()) - 1.0) <= 1e-14
 
     def test_uniform_is_trapezoid(self, interval_sym):
         _, O = interval_sym
         m = DiscreteMeasure.uniform(O)
-        w = m.weights_array()
+        w = m.weights
         assert w[0] == pytest.approx(w[1] / 2)
         assert w[-1] == pytest.approx(w[-2] / 2)
 
     def test_positive_weights_required(self):
         with pytest.raises(ValueError):
-            DiscreteMeasure([((0,), 0.0)])
+            DiscreteMeasure([(0,)], [0.0])
+
+    def test_one_weight_per_atom(self):
+        for nodes, weights in (([(0,), (1,)], [1.0]), ([0, 1], [1.0, 1.0])):
+            with pytest.raises(ValueError, match=r"an \(M, n\) array of nodes and M weights"):
+                DiscreteMeasure(nodes, weights)
 
 
 class TestMeasureDivergence:
@@ -258,6 +264,15 @@ class TestMeasureDivergence:
         with pytest.raises(SupportViolationError):
             measure_divergence_residual(u, dirichlet_1d, O, DiscreteMeasure.dirac((64,)), [psi])
 
+    def test_support_violation_counts_the_atoms_outside(self, interval_sym, dirichlet_1d):
+        # the argmax set of 4x^2 is the two endpoints; the first atom outside it is named
+        _, O = interval_sym
+        u = ClosedFormMap.from_expressions(["x1^2"], n=1)
+        sigma = DiscreteMeasure([(0,), (64,), (100,), (128,)], [1.0] * 4)
+        with pytest.raises(SupportViolationError) as info:
+            measure_divergence_residual(u, dirichlet_1d, O, sigma, make_test_basis(O, 1, 2))
+        assert str(info.value) == "measure charges 2 node(s) outside the argmax set, e.g. (64,)"
+
     @pytest.mark.parametrize("node", [(129,), (-1,), (64, 0), ()])
     def test_an_atom_off_the_grid_is_refused_before_the_support_check(self, interval_sym, dirichlet_1d, node):
         # every node is in the argmax set of a unit slope; at the parent these atoms were
@@ -274,8 +289,8 @@ class TestMeasureDivergence:
         u = ClosedFormMap.from_expressions(["x1"], n=1)
         basis = make_test_basis(O, 1, 5)
         nodes = [(10,), (64,), (100,)]
-        m1 = DiscreteMeasure([(n, w) for n, w in zip(nodes, (1.0, 2.0, 3.0))])
-        m2 = DiscreteMeasure([(n, 7.0 * w) for n, w in zip(nodes, (1.0, 2.0, 3.0))])
+        m1 = DiscreteMeasure(nodes, [1.0, 2.0, 3.0])
+        m2 = DiscreteMeasure(nodes, [7.0, 14.0, 21.0])
         r1 = measure_divergence_residual(u, dirichlet_1d, O, m1, basis)
         r2 = measure_divergence_residual(u, dirichlet_1d, O, m2, basis)
         assert r1.per_psi == r2.per_psi
@@ -458,10 +473,12 @@ def test_stacked_maps_match_single_maps():
         assert _close(batch.hessian[:, :, :, t], single.hessian, 1e-15)
 
 
-def _reference_node_jets(phi, box, nodes, order):
+def _reference_node_jets(phi, box, nodes, order, magnitude=False):
     """The former node path: every mode's product formed over the nodes' bounding grid,
-    one numpy call per mode and axis, summed mode by mode, then the nodes picked out."""
+    one numpy call per mode and axis, summed mode by mode, then the nodes picked out.  With
+    ``magnitude`` each entry is instead the sum of the magnitudes of the terms added into it."""
     n, h = phi.n, box.spacing
+    mag = np.abs if magnitude else (lambda a: a)
     first = nodes.min(axis=0)
     shape = tuple(nodes.max(axis=0) - first + 1)
     parts = []
@@ -471,10 +488,10 @@ def _reference_node_jets(phi, box, nodes, order):
         f = phi.freqs[:, :, i].reshape(phi.freqs[:, :, i].shape + (1,) * n)
         arg = f * t + phi.phases[:, :, i].reshape(f.shape)
         s = np.sin(arg)
-        parts.append((s, np.cos(arg) * f, -(s * (f * f))))
+        parts.append(tuple(mag(a) for a in (s, np.cos(arg) * f, -(s * (f * f)))))
     pad = (1,) * n
-    coeffs = phi.coeffs.reshape(phi.coeffs.shape + pad)
-    factors = phi.factors.reshape(phi.factors.shape + pad)
+    coeffs = mag(phi.coeffs.reshape(phi.coeffs.shape + pad))
+    factors = mag(phi.factors.reshape(phi.factors.shape + pad))
 
     def modes_sum(which, start=0.0):
         acc = start
@@ -490,7 +507,7 @@ def _reference_node_jets(phi, box, nodes, order):
     def pick(a):
         return a.reshape(a.shape[:a.ndim - n] + (-1,))[..., flat]
 
-    value = pick(modes_sum([0] * n, phi.consts.reshape(phi.consts.shape + pad)))
+    value = pick(modes_sum([0] * n, mag(phi.consts.reshape(phi.consts.shape + pad))))
     gradient = np.stack([pick(modes_sum([int(i == j) for i in range(n)])) for j in range(n)], axis=1)
     if order < 2:
         return value, gradient, None
@@ -527,17 +544,20 @@ def _node_jet_cases(seed):
 @pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("seed", range(3))
 def test_node_jets_match_the_per_mode_reference(seed, order):
-    """The contracted node jets equal the former per-mode loop to 1e-14 relative, in shape
-    and in value."""
+    """The contracted node jets equal the former per-mode loop in shape, and in value to
+    1e-14 times the summed magnitudes of the terms added into each entry, so that an entry
+    that cancels to near zero is held to the rounding of its terms, not of the largest entry."""
     for phi, box, nodes in _node_jet_cases(seed):
         got = phi.node_jets(box, nodes, order=order)
         ref = _reference_node_jets(phi, box, nodes, order)
+        bound = _reference_node_jets(phi, box, nodes, order, magnitude=True)
         assert np.array_equal(got.x, box.node_coords(nodes))
-        for name, r in zip(("value", "gradient", "hessian"), ref):
+        for name, r, m in zip(("value", "gradient", "hessian"), ref, bound):
             if order < 2 and name == "hessian":
                 assert got.hessian is None
                 continue
-            assert _close(getattr(got, name), r, 1e-14), (phi.n, phi.N, name)
+            entry = getattr(got, name)
+            assert entry.shape == r.shape and np.all(np.abs(entry - r) <= 1e-14 * m), (phi.n, phi.N, name)
 
 
 def test_stacked_basis_scans_equal_the_per_field_loop():
@@ -557,7 +577,7 @@ def test_stacked_basis_scans_equal_the_per_field_loop():
                 assert np.array_equal(rep.K, aset.nodes[np.abs(g) <= rep.tol_K])
             sigma = DiscreteMeasure.uniform(O)
             rep = measure_divergence_residual(u, H, O, sigma, basis, delta=1e9)
-            nodes, weights = sigma.nodes_array(), sigma.weights_array()
+            nodes, weights = sigma.nodes, sigma.weights
             assert rep.per_psi == [float(np.dot(weights, variation_density(u, H, psi, O, nodes)))
                                    for psi in basis]
 
@@ -654,6 +674,21 @@ def test_batched_verdicts_match_per_trial_reference(case, batch_points, monkeypa
     assert abs(r.worst_violation - worst) <= 1e-12 * max(1.0, abs(worst))
 
 
+@pytest.mark.parametrize("case", [0, 1])
+def test_one_dimensional_verdicts_do_not_depend_on_their_chunking(case, monkeypatch):
+    """Every sine batch carries at least _MAX_MODES modes, so a trial's jets, and the verdict,
+    are the same bits in a chunk of one trial as in one chunk of all, also for n = 1."""
+    u, H, O = _verdict_fixture(_VERDICT_CASES[case])
+    for seed in range(40):
+        verdicts = []
+        for batch_points in (1, 2 ** 15):
+            monkeypatch.setattr(varcheck, "_BATCH_POINTS", batch_points)
+            v = absolute_minimiser_test(u, H, O, trials=23, amplitude=0.7, seed=seed)
+            r = rank_one_test(u, H, O, [np.ones(u.N)], trials=11, amplitude=0.7, seed=seed)
+            verdicts.append((v.worst_violation, v.witness, r.worst_violation, r.witness))
+        assert verdicts[0] == verdicts[1], seed
+
+
 @pytest.mark.parametrize("case", range(len(_VERDICT_CASES)))
 def test_witness_source_reproduces_energy(case):
     """The witness parses back into a map whose perturbed energy is the reported one."""
@@ -727,3 +762,135 @@ def test_density_sup_names_first_trial_then_first_node():
         density_sup(Hamiltonian.dirichlet(1, 1), jets, nodes)
     clean = Jet2(x=jets.x, value=jets.value, gradient=np.ones((1, 1, 2, 9)), hessian=None)
     assert np.array_equal(density_sup(Hamiltonian.dirichlet(1, 1), clean, nodes), [1.0, 1.0])
+
+
+def _reference_normal(u, H, O, trials, amplitude, seed):
+    """The former per-trial loop: each draw built, projected and checked on its own, its field
+    differentiated as a grid map of its own and scored alone."""
+    rng = np.random.default_rng(seed)
+    probe = varcheck._Probe(u, H, O)
+    tol = varcheck._default_tol(probe.E0)
+    nodes, hp, projectors = varcheck._normal_projector_field(u, H, O, None, None)
+    box = O.box
+    if float(np.max(np.abs(projectors))) < 1e-13:
+        return varcheck.Verdict(True, 0.0, None, 0, vacuous=True)
+    hp_inf = float(np.max(np.linalg.norm(hp, axis=(0, 1))))
+    worst = -np.inf
+    witness = None
+    admissible = 0
+    for trial in range(trials):
+        psi, spec = make_free_field(O, u.N, rng, amplitude)
+        psi_vals = jets_at_nodes(psi, box, nodes, order=1).value  # (N, M)
+        phi_vals = np.einsum("mab,bm->am", projectors, psi_vals)
+        phi_inf = float(np.max(np.abs(phi_vals))) if phi_vals.size else 0.0
+        if phi_inf < 1e-14 * max(1.0, float(np.max(np.abs(psi_vals)))):
+            continue
+        values = np.full((u.N,) + box.shape, np.nan)
+        values[(slice(None),) + tuple(nodes.T)] = phi_vals
+        phi = GridMap(box, values)
+        align = np.einsum("am,aim->im", phi_vals, hp)
+        tol_normal = 1e-6 * hp_inf * max(phi_inf, 1e-300)
+        if float(np.max(np.linalg.norm(align, axis=0))) > tol_normal:
+            continue
+        admissible += 1
+        E1 = float(probe.energies(probe.jets(phi))[0])
+        violation = probe.E0 - E1
+        if violation > worst:
+            worst = violation
+            witness = dict(spec, trial=trial, energy_base=probe.E0, energy_perturbed=E1)
+    if admissible == 0:
+        return varcheck.Verdict(True, 0.0, None, 0, vacuous=True)
+    return varcheck.Verdict(bool(worst <= tol), float(worst), witness, admissible)
+
+
+def _normal_fixtures():
+    """(name, u, H, O): a constant normal frame sampled on a grid with masked nodes, the
+    rotating frame on a grid, and the graph map (x, 0) in closed form."""
+    box = DomainBox((0.0, 0.0), (1.0, 1.0), (17, 17))
+    for name, exprs in (("masked", ["sin(-0.4*x1 + 1.2*x2 + 5.5)", "0.5*sin(-0.4*x1 + 1.2*x2 + 5.5)"]),
+                        ("rotating", ["sin(1.3*x1 - 0.9*x2 + 0.4)", "cos(1.3*x1 - 0.9*x2 + 0.4)"])):
+        values = ClosedFormMap.from_expressions(exprs, 2).sample(box).values.copy()
+        for node in ((5, 9), (9, 4), (11, 11)) if name == "masked" else ():
+            values[(slice(None),) + node] = np.nan
+        u = GridMap(box, values)
+        yield name, u, Hamiltonian.dirichlet(2, 2), Subdomain.whole(box, singular=~u.jet_valid)
+    box = DomainBox((0.0,), (1.0,), (33,))
+    yield "graph", ClosedFormMap.from_expressions(["x1", "0.0"], n=1), Hamiltonian.dirichlet(1, 2), Subdomain.whole(box)
+
+
+def _assert_same_verdict(got, ref):
+    assert (got.passed, got.worst_violation, got.trials, got.vacuous) == (
+        ref.passed, ref.worst_violation, ref.trials, ref.vacuous)
+    assert got.witness == ref.witness
+    assert list(got.witness or ()) == list(ref.witness or ())  # the report's key order too
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batched_normal_verdict_equals_the_per_trial_loop(seed):
+    """The chunked verdict gives bit for bit the pass, worst violation, admissible count,
+    vacuous flag and witness of the per-trial loop, also over more draws than one chunk."""
+    for name, u, H, O in _normal_fixtures():
+        chunk = varcheck._BATCH_POINTS // O.box.all_nodes().shape[0]
+        for trials in (1, 6, 2 * chunk + 3):
+            got = normal_variation_test(u, H, O, trials=trials, amplitude=0.5, seed=seed)
+            ref = _reference_normal(u, H, O, trials, 0.5, seed)
+            _assert_same_verdict(got, ref)
+            assert got.vacuous == (name == "rotating"), name
+
+
+def test_a_normal_verdict_with_every_draw_rejected_is_vacuous(monkeypatch):
+    """When H_P has a part along the projected directions, every draw fails the alignment
+    test: the verdict is the loop's vacuous pass with no witness."""
+    projector_field = varcheck._normal_projector_field
+
+    def skewed(u, H, O, eps, tol_angle):
+        nodes, hp, projectors = projector_field(u, H, O, eps, tol_angle)
+        along = np.einsum("mab,b->am", projectors, np.ones(u.N))
+        return nodes, hp + along[:, None, :], projectors
+
+    monkeypatch.setattr(varcheck, "_normal_projector_field", skewed)
+    _, u, H, O = list(_normal_fixtures())[-1]
+    got = normal_variation_test(u, H, O, trials=8, amplitude=0.5, seed=1)
+    _assert_same_verdict(got, _reference_normal(u, H, O, 8, 0.5, 1))
+    assert got.vacuous and got.trials == 0 and got.witness is None
+
+
+def test_the_draws_of_a_chunk_are_differentiated_once(monkeypatch):
+    """A chunk's admissible fields are one grid map: two draws and six take the same number
+    of finite-difference passes."""
+    from linfvar import problem
+
+    calls = []
+    axis_derivative = problem.axis_derivative
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return axis_derivative(*args, **kwargs)
+
+    monkeypatch.setattr(problem, "axis_derivative", counting)
+    _, u, H, O = list(_normal_fixtures())[-1]
+    counts = []
+    for trials in (2, 6):
+        calls.clear()
+        v = normal_variation_test(u, H, O, trials=trials, amplitude=0.5, seed=2)
+        assert v.trials == trials and trials <= varcheck._BATCH_POINTS // O.box.all_nodes().shape[0]
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+def test_a_normal_chunk_is_bounded_by_the_box(monkeypatch):
+    """A chunk's projected fields are one grid map over the whole box, so the box's node count,
+    not the subdomain's, bounds how many fields a chunk holds."""
+    box = DomainBox((0.0, 0.0), (1.0, 1.0), (65, 65))
+    O = Subdomain.from_box(box, (0.5, 0.5), (0.5625, 0.5625))  # 5 x 5 nodes
+    u = ClosedFormMap.from_expressions(["sin(x1+x2)", "0.5 * sin(x1+x2)"], n=2)
+    sizes = []
+
+    class Recording(GridMap):
+        def __init__(self, box, values):
+            sizes.append(values.shape[0] // u.N)
+            super().__init__(box, values)
+
+    monkeypatch.setattr(varcheck, "GridMap", Recording)
+    v = normal_variation_test(u, Hamiltonian.dirichlet(2, 2), O, trials=3, seed=1)
+    assert v.trials == 3 and sizes == [1, 1, 1]
