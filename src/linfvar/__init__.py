@@ -47,6 +47,7 @@ from .lp_approx import (
     StageResult,
     boundary_values_from_map,
     constant_fill_init,
+    coons_init,
     lp_minimize,
     p_continuation,
 )

@@ -71,9 +71,9 @@ def _density(H: Hamiltonian, jets: Jet2, nodes: np.ndarray) -> np.ndarray:
     return vals
 
 
-def subdomain_nodes(O: Subdomain, interior_only: bool = False) -> np.ndarray:
-    """The evaluable (or evaluable interior) nodes of the subdomain; error if there are none."""
-    nodes = O.interior_nodes() if interior_only else O.evaluable_nodes()
+def subdomain_nodes(O: Subdomain) -> np.ndarray:
+    """The evaluable nodes of the subdomain; error if there are none."""
+    nodes = O.evaluable_nodes()
     if nodes.shape[0] == 0:
         raise ValueError("subdomain has no evaluable nodes")
     return nodes
@@ -87,12 +87,9 @@ def density_sup(H: Hamiltonian, jets: Jet2, nodes: np.ndarray) -> np.ndarray:
     return np.max(_density(H, jets, nodes), axis=-1)
 
 
-def sup_energy(u, H: Hamiltonian, O: Subdomain, interior_only: bool = False) -> float:
-    """Max of H(., u, Du) over the evaluable nodes of the closed subdomain.
-
-    With ``interior_only`` the max runs over the evaluable interior nodes.
-    """
-    nodes = subdomain_nodes(O, interior_only)
+def sup_energy(u, H: Hamiltonian, O: Subdomain) -> float:
+    """Max of H(., u, Du) over the evaluable nodes of the closed subdomain."""
+    nodes = subdomain_nodes(O)
     return float(density_sup(H, jets_at_nodes(u, O.box, nodes, order=1), nodes))
 
 

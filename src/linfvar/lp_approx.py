@@ -16,7 +16,10 @@ Steihaug 1982; Nocedal & Wright, *Numerical Optimization*, ch. 7) with
 Armijo backtracking, written in numpy over the interior unknowns only.
 It works on the normalised objective F_p^(1/p), a monotone transform of
 F_p whose magnitude stays O(H) at every p, so unit steps and the tolerance
-``tol_opt`` mean the same thing along the whole continuation.  Hessian-
+``tol_opt`` mean the same thing along the whole continuation.  Where the
+predicted decrease of a step is below the rounding of F_p^(1/p), the line
+search judges a trial by the sup-norm of its gradient instead (Hager &
+Zhang 2005 switch to approximate Wolfe conditions there).  Hessian-
 vector products are exact: the second-order jets of H at the cells,
 pushed through the linear cell jets and their transpose.  Each Newton step
 assembles that cell form once as a fixed-width stencil over the interior
@@ -24,6 +27,11 @@ unknowns (3^n neighbours times N components per row), so a product is one
 gather and one row sum.  CG is preconditioned by the Jacobi diagonal, the
 stencil's centre entry.  The CG cap, the forcing term and the line-search
 constants are fixed module constants.
+
+The continuation starts p = 2 from the transfinite (Coons) interpolant of
+the boundary data (Gordon & Hall 1973), :func:`coons_init`, whose cells do
+not all start flat as those of a constant fill do; :func:`constant_fill_init`
+is kept as the reference fill.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from . import operators
-from .energy import _require_finite, sup_energy
+from .energy import _density, _require_finite, subdomain_nodes
 from .exprlang import EvalError
 from .problem import GridMap, Hamiltonian, Subdomain, hamiltonian_jet, jets_at_nodes
 
@@ -47,6 +55,7 @@ __all__ = [
     "StageResult",
     "boundary_values_from_map",
     "constant_fill_init",
+    "coons_init",
     "lp_minimize",
     "p_continuation",
 ]
@@ -57,6 +66,7 @@ _DIAG_FLOOR = 1e-12  # preconditioner entries are at least this times the larges
 _ARMIJO_C = 1e-4     # sufficient-decrease constant
 _BACKTRACK = 0.5     # step factor after a rejected trial
 _MIN_STEP = 1e-16    # the line search stalls below this step
+_FLAT_ULPS = 64.0    # a step is flat when |c g.d| is below this many eps of F^(1/p)
 
 
 @dataclass
@@ -91,6 +101,7 @@ class LpResult:
     iters: int
     evals: int  # energy evaluations, rejected and failed trial steps included
     hess_products: int  # Hessian-vector products of the CG inner solves
+    flat_steps: int  # accepted steps that the gradient test judged, as F could not resolve them
     status: str  # "converged" | "max_iter" | "line_search_stalled"
 
 
@@ -134,6 +145,30 @@ def constant_fill_init(prob: LpProblem) -> GridMap:
         mean = float(np.nanmean(np.where(bmask, g[a], np.nan)))
         values[a][window] = mean
     values[:, bmask] = g[:, bmask]
+    return GridMap(prob.O.box, values)
+
+
+def coons_init(prob: LpProblem) -> GridMap:
+    """Boundary data on the boundary, its transfinite (Coons) interpolant inside.
+
+    Per component, the Boolean sum of the 1-D linear interpolants between
+    the two faces of the window along each axis (Gordon & Hall 1973): each
+    axis adds the linear interpolant of what the earlier axes leave on its
+    faces.  For n = 1 it is the linear interpolant.  Boundary entries are
+    the data bit for bit.
+    """
+    window = _window(prob.O)
+    g = prob.boundary_values[(slice(None),) + window]
+    fill = np.zeros_like(g)
+    for i, m in enumerate(g.shape[1:]):
+        t = np.linspace(0.0, 1.0, m).reshape((m,) + (1,) * (g.ndim - 2 - i))
+        rest = g - fill
+        face = (slice(None),) * (1 + i)
+        fill += (1.0 - t) * rest[face + (slice(0, 1),)] + t * rest[face + (slice(m - 1, m),)]
+    bmask = prob.O.boundary_mask
+    values = np.full_like(prob.boundary_values, np.nan)
+    values[(slice(None),) + window] = fill
+    values[:, bmask] = prob.boundary_values[:, bmask]
     return GridMap(prob.O.box, values)
 
 
@@ -354,11 +389,14 @@ def lp_minimize(prob: LpProblem, init: GridMap) -> LpResult:
     iteration evaluates the second-order jets of H at the cells, solves the
     Newton system inexactly by Jacobi-preconditioned CG with exact
     Hessian-vector products of the step's assembled cell form
-    (:func:`_newton_direction`), and backtracks from a unit step.  Stops
+    (:func:`_newton_direction`), and backtracks from a unit step.  A trial
+    passes the Armijo test on F_p^(1/p); when the step is flat, that is
+    |c g.d| is below ``_FLAT_ULPS`` eps |F_p^(1/p)| so that the test would
+    compare rounding, a trial passes instead if the sup-norm of its
+    gradient is below the current one (counted in ``flat_steps``).  Stops
     with ``converged`` once the sup-norm of the gradient of F_p^(1/p) is at
     most ``tol_opt``, with ``max_iter`` after that many accepted steps, and
-    with ``line_search_stalled`` when no step along the CG direction passes
-    the Armijo test.
+    with ``line_search_stalled`` when no step along the CG direction passes.
 
     The initial iterate must match the boundary data exactly; boundary
     entries are never written, so the data is preserved bit-exactly.
@@ -374,6 +412,7 @@ def lp_minimize(prob: LpProblem, init: GridMap) -> LpResult:
     interior = scheme.interior
     evals = 0
     hess_products = 0
+    flat_steps = 0
 
     def evaluate(x):
         """Energy at interior values x, or None where the density is not admissible or not evaluable."""
@@ -387,13 +426,21 @@ def lp_minimize(prob: LpProblem, init: GridMap) -> LpResult:
             return None
 
     def line_search(d, gd):
-        """First Armijo point along d, halving from a unit step; None if the step underflows."""
+        """First acceptable point along d, halving from a unit step, with its gradient and
+        whether the step was flat; None if the step underflows."""
         f0 = scheme.score(F)
+        flat = abs(_ARMIJO_C * gd) < _FLAT_ULPS * np.finfo(float).eps * abs(f0)
         step = 1.0
         while step >= _MIN_STEP:
             trial = evaluate(x + step * d)
-            if trial is not None and scheme.score(trial[1]) <= f0 + _ARMIJO_C * step * gd:
-                return trial
+            if trial is not None:
+                _, F_trial, hvals_trial, ham_trial = trial
+                if flat:
+                    g_trial = scheme.normalised_gradient(F_trial, hvals_trial, ham_trial)
+                    if _sup_norm(g_trial) < _sup_norm(g):
+                        return trial, g_trial, True
+                elif scheme.score(F_trial) <= f0 + _ARMIJO_C * step * gd:
+                    return trial, scheme.normalised_gradient(F_trial, hvals_trial, ham_trial), False
             step *= _BACKTRACK
         return None
 
@@ -410,26 +457,33 @@ def lp_minimize(prob: LpProblem, init: GridMap) -> LpResult:
         product, diag = scheme.curvature(F, hvals, ham, g)
         d, used = _newton_direction(g, product, diag)
         hess_products += used
-        trial = line_search(d, float(g @ d))
-        if trial is None:
+        found = line_search(d, float(g @ d))
+        if found is None:
             status = "line_search_stalled"
             break
-        W, F, hvals, ham = trial
+        (W, F, hvals, ham), g, flat = found
         iters += 1
+        flat_steps += flat
         x = W[:, interior].ravel()
-        g = scheme.normalised_gradient(F, hvals, ham)
     values = np.full((scheme.N,) + prob.O.box.shape, np.nan)
     values[(slice(None),) + window] = W
     solution = GridMap(prob.O.box, values)
+    # the density once at the evaluable nodes; the interior ones are a subset of them
+    nodes = subdomain_nodes(prob.O)
+    density = _density(prob.H, jets_at_nodes(solution, prob.O.box, nodes, order=1), nodes)
+    inner = density[prob.O.interior_mask[tuple(nodes.T)]]
+    if inner.size == 0:
+        raise ValueError("subdomain has no evaluable nodes")
     return LpResult(
         solution=solution,
         p_energy=F,
-        e_inf=sup_energy(solution, prob.H, prob.O),
-        e_inf_interior=sup_energy(solution, prob.H, prob.O, interior_only=True),
+        e_inf=float(np.max(density)),
+        e_inf_interior=float(np.max(inner)),
         grad_norm=_sup_norm(g),
         iters=iters,
         evals=evals,
         hess_products=hess_products,
+        flat_steps=flat_steps,
         status=status,
     )
 
@@ -437,12 +491,12 @@ def lp_minimize(prob: LpProblem, init: GridMap) -> LpResult:
 def p_continuation(prob: LpProblem, schedule: Sequence):
     """Warm-started solves along an increasing p schedule starting at 2.
 
-    The p = 2 stage starts from :func:`constant_fill_init`, every later
-    stage from the previous stage's solution.  Per stage records the
-    sup-energy of the iterate over the whole subdomain and over its
-    interior nodes (the former is usually attained on the fixed boundary
-    data), and the sup-norm over interior nodes of the reduced
-    critical-system residual.
+    The p = 2 stage starts from :func:`coons_init`, the transfinite
+    interpolant of the boundary data, every later stage from the previous
+    stage's solution.  Per stage records the sup-energy of the iterate over
+    the whole subdomain and over its interior nodes (the former is usually
+    attained on the fixed boundary data), and the sup-norm over interior
+    nodes of the reduced critical-system residual.
     """
     schedule = [float(p) for p in schedule]
     for k, p in enumerate(schedule, 1):
@@ -457,7 +511,7 @@ def p_continuation(prob: LpProblem, schedule: Sequence):
     for p in schedule:
         stage_prob = replace(prob, p=p)
         if current is None:
-            current = constant_fill_init(stage_prob)
+            current = coons_init(stage_prob)
         result = lp_minimize(stage_prob, current)
         rf = operators.residual_field(result.solution, prob.H, prob.O, variant="reduced")
         res_norm = float(np.max(rf.norms)) if rf.norms.size else 0.0

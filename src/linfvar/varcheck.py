@@ -275,6 +275,7 @@ def normal_variation_test(
     hp_inf = float(np.max(np.linalg.norm(hp, axis=(0, 1))))
     projectors = np.ascontiguousarray(np.moveaxis(projectors, 0, -1))  # (N, N, M): einsum runs along M
     chunk = max(1, _BATCH_POINTS // box.all_nodes().shape[0])  # a chunk's grid map holds every box node
+    valid = u.valid if isinstance(u, GridMap) else ~O.singular
 
     def batches():
         for start in range(0, trials, chunk):
@@ -288,8 +289,10 @@ def normal_variation_test(
                                   & (align <= 1e-6 * hp_inf * np.maximum(phi_inf, 1e-300)))
             if not kept.size:
                 continue
-            # every field has NaN off the projector nodes, so each takes the same stencils
+            # every field is NaN where u has no value and 0, which is normal, where u has a value
+            # but no jet, so each takes u's stencils
             values = np.full((u.N, kept.size) + box.shape, np.nan)
+            values[..., valid] = 0.0
             values[(slice(None), slice(None)) + tuple(nodes.T)] = phi_vals[:, kept]
             jets = jets_at_nodes(GridMap(box, values.reshape((-1,) + box.shape)), box, probe.nodes, order=1)
             value = jets.value.reshape(u.N, kept.size, -1)

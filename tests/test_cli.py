@@ -142,7 +142,8 @@ class TestExitCodes:
         (tmp_path / "overflow.json").write_text(json.dumps(spec))
         out = tmp / "overflow_lp"
         assert run(["lp", "--problem", str(tmp_path / "overflow.json"), "--out", str(out)]) == 2
-        assert _report(out, "lp")["error"]["message"] == "density not finite at cell midpoint (0.9375,)"
+        # the linear fill has P = 1 in every cell, so exp(1000 x1) first overflows at x1 = 0.8125
+        assert _report(out, "lp")["error"]["message"] == "density not finite at cell midpoint (0.8125,)"
 
     @pytest.mark.parametrize("schedule,message", [
         ("2,nan", "--p-schedule entry 2 is nan"), ("2,inf", "--p-schedule entry 2 is inf"),
@@ -165,7 +166,7 @@ class TestExitCodes:
         ("verify-rank-one", [], "(0.0, 0.0)"), ("verify-normal", [], "(0.0, 0.0)"),
         ("measure", ["--measure", "dirac:4,4"], "(0.0, 0.0)"),
         ("flow", ["--x0", "0.5,0.5", "--xi", "1"], "(0.0, 0.0)"),
-        ("lp", [], "(-0.625, -0.625)"),  # the first flat cell of the constant fill, by its midpoint
+        ("lp", [], "(0.0, 0.0)"),  # the centre node of the solution, read after the solve
     ])
     def test_density_evaluation_error_names_its_point(self, tmp_path, command, extra, point):
         # Du = 0 at the centre node: the density's sqrt is evaluated at its branch point
@@ -176,6 +177,16 @@ class TestExitCodes:
         assert run([command, "--problem", str(tmp_path / "branch.json"), "--out", str(out)] + extra) == 2
         error = _report(out, command)["error"]
         assert error == {"type": "SingularityError", "message": f"sqrt at branch point 0 at point {point}"}
+
+    def test_lp_with_a_branch_point_density_starts_from_no_flat_cell(self, tmp_path):
+        # the Coons fill of Aronsson data has Du != 0 in every cell, so sqrt is never taken at 0
+        spec = {"n": 2, "N": 1, "domain": {"lo": [1.0, 1.0], "hi": [2.0, 2.0], "resolution": [17, 17]},
+                "H": "sqrt(P11^2+P12^2)", "u": ["abs(x1)^(4/3) - abs(x2)^(4/3)"]}
+        (tmp_path / "norm.json").write_text(json.dumps(spec))
+        out = tmp_path / "norm_lp"
+        assert run(["lp", "--problem", str(tmp_path / "norm.json"), "--out", str(out)]) == 0
+        stages = _report(out, "lp")["results"]["stages"]
+        assert [st["status"] for st in stages] == ["converged"] * 5
 
     def test_flow_with_explicit_dt_names_a_point_where_the_density_is_not_finite(self, problems, tmp_path):
         # an explicit --dt scans no nodes; x0's velocity 500 exp(500) is finite, but the
@@ -529,7 +540,7 @@ RESULT_KEYS = {
 ENTRY_KEYS = {
     "stationarity": {"max_val", "min_val", "K_size", "k_fraction", "statement_ii", "statement_iii"},
     "lp": {"p_energy", "e_inf", "e_inf_interior", "grad_norm", "iters", "evals", "hess_products",
-           "status", "p", "residual_norm", "solution_csv"},
+           "flat_steps", "status", "p", "residual_norm", "solution_csv"},
 }
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from linfvar import (
     Subdomain,
     boundary_values_from_map,
     constant_fill_init,
+    coons_init,
     lp_minimize,
     p_continuation,
     sup_energy,
@@ -452,6 +454,74 @@ class TestAssembledCurvature:
         interior = prob.O.mask & ~prob.O.boundary_mask
         diff = stages[-1].solution.values[:, interior] - ref[-1].solution.values[:, interior]
         assert np.max(np.abs(diff)) <= 1e-12
+
+
+class TestCoonsStart:
+    """The continuation's initial fill, the transfinite interpolant of the boundary data."""
+
+    @pytest.mark.parametrize("n,components", [(2, [ARONSSON_EXPR, "x1*x2"]), (3, ["x1*x2 - x3^2"])])
+    def test_the_fill_keeps_the_data_and_reproduces_sums_of_one_variable_maps(self, n, components):
+        # the Boolean sum of linear interpolants is exact for f1(x1) + ... + fn(xn) and for
+        # multilinear maps; on a window smaller than the box the fill is NaN off the window
+        box = DomainBox((1.0,) * n, (2.0,) * n, (7,) * n)
+        O = Subdomain.from_box(box, (1.0,) + (1.25,) * (n - 1), (1.75,) + (2.0,) * (n - 1))
+        u = ClosedFormMap.from_expressions(components, n=n)
+        g = boundary_values_from_map(u, O)
+        prob = LpProblem(H=Hamiltonian.dirichlet(n, len(components)), O=O, boundary_values=g, p=2.0)
+        fill = coons_init(prob).values
+        assert np.array_equal(fill[:, O.boundary_mask], g[:, O.boundary_mask])
+        assert np.isnan(fill[:, ~O.mask]).all()
+        exact = jets_at_nodes(u, box, np.argwhere(O.interior_mask), order=1).value
+        assert np.max(np.abs(fill[:, O.interior_mask] - exact)) <= 1e-14
+
+    def test_in_one_dimension_the_fill_is_the_linear_interpolant(self):
+        box = DomainBox((0.0,), (1.0,), (11,))
+        O = Subdomain.from_box(box, (0.2,), (0.9,))
+        g = boundary_values_from_map(ClosedFormMap.from_expressions(["x1^3 - x1"], n=1), O)
+        fill = coons_init(LpProblem(H=Hamiltonian.dirichlet(1, 1), O=O, boundary_values=g, p=2.0)).values[0]
+        x, (lo, hi) = box.axis_coords(0), np.flatnonzero(O.mask)[[0, -1]]
+        line = g[0, lo] + (x - x[lo]) / (x[hi] - x[lo]) * (g[0, hi] - g[0, lo])
+        assert np.allclose(fill[O.mask], line[O.mask], rtol=0.0, atol=1e-15)
+        assert (fill[lo], fill[hi]) == (g[0, lo], g[0, hi])
+
+    @pytest.mark.parametrize("resolution", [17, 33])
+    def test_p32_solution_matches_the_constant_fill_path(self, resolution, monkeypatch):
+        prob = _aronsson_problem(Hamiltonian.dirichlet(2, 1), 2.0, resolution=resolution)
+        stages = p_continuation(prob, [2, 4, 8, 16, 32])
+        monkeypatch.setattr(lp_approx, "coons_init", constant_fill_init)
+        ref = p_continuation(prob, [2, 4, 8, 16, 32])
+        assert [st.status for st in stages] == [st.status for st in ref] == ["converged"] * 5
+        assert np.nanmax(np.abs(stages[-1].solution.values - ref[-1].solution.values)) <= 1e-12
+
+    @pytest.mark.parametrize("resolution", [17, 33, 65])
+    def test_p2_stage_converges_in_a_few_newton_steps(self, resolution):
+        stage = p_continuation(_aronsson_problem(Hamiltonian.dirichlet(2, 1), 2.0, resolution=resolution), [2])[0]
+        assert stage.status == "converged"
+        assert stage.iters <= 5
+
+
+class TestFlatSteps:
+    """Steps whose predicted decrease F^(1/p) cannot resolve are judged by the gradient."""
+
+    @pytest.fixture(scope="class")
+    def p8_solution(self):
+        prob = _aronsson_problem(Hamiltonian.dirichlet(2, 1), 2.0)
+        return prob, p_continuation(prob, [2, 4, 8])[-1].solution
+
+    def test_a_flat_stage_takes_the_unit_step_and_counts_it(self, p8_solution):
+        prob, start = p8_solution
+        res = lp_minimize(replace(prob, p=16.0), start)
+        assert res.status == "converged"
+        assert res.flat_steps >= 1
+        assert res.evals == res.iters + 1  # every line search accepted its first, unit, trial
+
+    def test_without_the_gradient_test_the_flat_stage_backtracks(self, p8_solution, monkeypatch):
+        prob, start = p8_solution
+        res = lp_minimize(replace(prob, p=16.0), start)
+        monkeypatch.setattr(lp_approx, "_FLAT_ULPS", 0.0)
+        armijo = lp_minimize(replace(prob, p=16.0), start)
+        assert armijo.flat_steps == 0
+        assert armijo.evals > armijo.iters + 1 and armijo.iters > res.iters
 
 
 def test_interior_sup_energy_below_boundary_pinned_sup(criterion_10_stages):

@@ -28,7 +28,7 @@ from linfvar.linalg import (
     reduced_nullspace_proj,
 )
 from linfvar.problem import axis_derivative, hamiltonian_jet, map_jet
-from linfvar.varcheck import _normal_projector_field
+from linfvar.varcheck import _normal_projector_field, normal_variation_test
 
 TOL = 1e-12
 
@@ -294,3 +294,13 @@ def test_isolated_grid_node_raises():
     eps = 0.5 * float(np.min(u.box.spacing))
     with pytest.raises(ValueError, match="no valid grid nodes inside the eps-ball"):
         residual_field(u, H, O, variant="reduced", eps=eps)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_verify_normal_on_a_grid_with_masked_nodes_near_an_edge(seed):
+    # (3, 8) is masked two nodes from the edge: (0, 8) and (2, 8) are valid without a jet, so
+    # the projected fields, 0 there, take u's one-sided stencils at (1, 8)
+    u, O = _masked_grid(FIXTURES_2D["rank1_constant"], 2)
+    assert not u.jet_valid[0, 8] and not u.jet_valid[2, 8] and u.jet_valid[1, 8]
+    v = normal_variation_test(u, Hamiltonian.dirichlet(2, 2), O, trials=10, seed=seed)
+    assert v.passed and v.trials > 0 and not v.vacuous
