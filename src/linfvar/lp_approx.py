@@ -135,7 +135,10 @@ def _window(O: Subdomain):
 
 
 def constant_fill_init(prob: LpProblem) -> GridMap:
-    """Boundary data on the boundary, componentwise boundary mean inside."""
+    """Boundary data on the boundary, componentwise boundary mean inside.
+
+    A reference fill for tests; :func:`p_continuation` starts from :func:`coons_init`.
+    """
     window = _window(prob.O)
     g = prob.boundary_values
     N = g.shape[0]
