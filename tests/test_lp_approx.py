@@ -495,7 +495,8 @@ class TestCoonsStart:
 
     @pytest.mark.parametrize("resolution", [17, 33, 65])
     def test_p2_stage_converges_in_a_few_newton_steps(self, resolution):
-        stage = p_continuation(_aronsson_problem(Hamiltonian.dirichlet(2, 1), 2.0, resolution=resolution), [2])[0]
+        prob = _aronsson_problem(Hamiltonian.dirichlet(2, 1), 2.0, resolution=resolution)
+        stage = p_continuation(prob, [2])[0]
         assert stage.status == "converged"
         assert stage.iters <= 5
 
