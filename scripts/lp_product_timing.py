@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Cost of one Hessian-vector product and of one Newton step's curvature in the p-power solver.
+"""Cost of one Hessian-vector product, of one Newton step's curvature and of one cell-jet pair
+in the p-power solver.
 
 The problem is the p-power energy of H = |P|^2 on [1,2]^2 with boundary
 data from the Aronsson solution |x1|^(4/3) - |x2|^(4/3), at p = 8, and
 the iterate is that solution sampled at the nodes.  "Assembly" is one
 ``_CellScheme.curvature`` call, what ``lp_minimize`` pays once per Newton
 step before CG; "product" is one call of the product it returns, what CG
-pays per iteration.
+pays per iteration; "jets" is one ``cell_jets`` and one ``scatter`` call,
+what every energy evaluation and gradient pays.
 
 Timings use stdlib ``timeit``.  The rounds interleave every timed
 statement, and each figure is the best of ``--rounds`` rounds of
@@ -42,7 +44,8 @@ P = 8.0
 
 
 def newton_point(resolution: int):
-    """The cell scheme at the sampled Aronsson solution, its energy, jets and normalised gradient."""
+    """The cell scheme, the sampled Aronsson solution on its window, and there the energy, jets
+    and normalised gradient."""
     box = DomainBox((1.0, 1.0), (2.0, 2.0), (resolution, resolution))
     O = Subdomain.whole(box)
     u = ClosedFormMap.from_expressions([EXPR], n=2)
@@ -50,7 +53,7 @@ def newton_point(resolution: int):
     scheme = _CellScheme(prob)
     W = jets_at_nodes(u, box, np.argwhere(O.mask), order=1).value.reshape((1,) + box.shape)[(slice(None),) + scheme.window]
     F, hvals, ham = scheme.energy_and_jets(W, order=2)
-    return scheme, (F, hvals, ham, scheme.normalised_gradient(F, hvals, ham))
+    return scheme, W, (F, hvals, ham, scheme.normalised_gradient(F, hvals, ham))
 
 
 def main():
@@ -61,18 +64,22 @@ def main():
     args = ap.parse_args()
     timed = {}
     for res in (int(r) for r in args.resolutions.split(",")):
-        scheme, point = newton_point(res)
+        scheme, W, point = newton_point(res)
         product, _ = scheme.curvature(*point)
         v = np.random.default_rng(0).normal(size=point[3].size)
         timed[res, "assembly"] = lambda scheme=scheme, point=point: scheme.curvature(*point)
         timed[res, "product"] = lambda product=product, v=v: product(v)
+        ham = point[2]
+        timed[res, "jets"] = lambda scheme=scheme, W=W, ham=ham: (
+            scheme.cell_jets(W), scheme.scatter(ham.eta_grad, ham.P_grad))
     best = {key: float("inf") for key in timed}
     for _ in range(args.rounds):
         for key, fn in timed.items():
             best[key] = min(best[key], timeit.timeit(fn, number=args.number) / args.number)
-    print(f"{'grid':>6} {'product us':>11} {'assembly ms':>12}")
+    print(f"{'grid':>6} {'product us':>11} {'assembly ms':>12} {'jets us':>8}")
     for res in dict.fromkeys(r for r, _ in timed):
-        print(f"{f'{res}^2':>6} {best[res, 'product'] * 1e6:>11.1f} {best[res, 'assembly'] * 1e3:>12.3f}")
+        print(f"{f'{res}^2':>6} {best[res, 'product'] * 1e6:>11.1f} {best[res, 'assembly'] * 1e3:>12.3f}"
+              f" {best[res, 'jets'] * 1e6:>8.1f}")
 
 
 if __name__ == "__main__":

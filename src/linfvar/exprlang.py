@@ -392,21 +392,6 @@ class Dual2:
     hess: "np.ndarray | None"
 
 
-def dual_constant(value, nseeds: int, order: int = 2, batch_ndim: int = 0) -> Dual2:
-    # trailing size-1 axes keep seed axes from colliding with batch axes
-    val = np.asarray(value, dtype=float)
-    pad = (1,) * max(batch_ndim, val.ndim)
-    grad = np.zeros((nseeds,) + pad)
-    hess = np.zeros((nseeds, nseeds) + pad) if order >= 2 else None
-    return Dual2(val, grad, hess)
-
-
-def dual_seed(value, index: int, nseeds: int, order: int = 2, batch_ndim: int = 0) -> Dual2:
-    d = dual_constant(value, nseeds, order, batch_ndim)
-    d.grad[(index,) + (0,) * (d.grad.ndim - 1)] = 1.0
-    return d
-
-
 def _outer(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
     return g1[:, None] * g2[None, :]
 
@@ -530,69 +515,28 @@ def dual_cos(a: Dual2) -> Dual2:
     return _compose(a, c, -s, -c)
 
 
-def _coeff_pow(c, v, e):
-    """c * v**e with the convention that a zero coefficient kills the factor."""
-    raw = c * np.power(v, e)
-    return np.where(np.asarray(c) == 0.0, 0.0, raw)
-
-
 def dual_pow_varying(a: Dual2, b: Dual2, policy: str) -> Dual2:
     """a^b = exp(b log a) for an exponent that varies; requires a > 0."""
     return dual_exp(dual_mul(b, dual_log(a, policy)))
 
 
-def dual_pow(a: Dual2, b: Dual2, policy: str) -> Dual2:
-    """a^b for an exponent that holds no variable; b's derivatives are not read.
-
-    Exponents that hold a variable take :func:`dual_pow_varying`, chosen by
-    the expression when it is compiled.
-    """
-    m = np.asarray(b.val, dtype=float)
-    v = a.val
-    is_int = (m == np.floor(m)) & np.isfinite(m)
-    vzero = np.asarray(v == _ZERO)
-    vneg = np.asarray(v < _ZERO)
-    bad_domain = _report(
-        policy,
-        (vneg & ~is_int) | (vzero & (m < 0)),
-        DomainEvalError,
-        "power: negative base with non-integer exponent, or zero base with negative exponent",
-    )
-    bad_sing = _report(
-        policy,
-        vzero & ~is_int & (m > 0),
-        SingularityError,
-        "fractional power at branch point 0",
-    )
-    bad = None
-    if bad_domain is not None or bad_sing is not None:
-        bad = np.zeros(np.broadcast_shapes(np.shape(v), np.shape(m)), dtype=bool)
-        if bad_domain is not None:
-            bad |= bad_domain
-        if bad_sing is not None:
-            bad |= bad_sing
-    f0 = _poison(np.power(v, m), bad)
-    f1 = _poison(_coeff_pow(m, v, m - 1.0), bad)
-    f2 = _poison(_coeff_pow(m * (m - 1.0), v, m - 2.0), bad) if a.hess is not None else None
-    return _compose(a, f0, f1, f2)
-
-
 def _pow_kernel(m: np.ndarray):
-    """``kernel(a, policy)`` computing a^m for the folded constant exponent ``m`` (0-d).
+    """``kernel(a, policy)`` computing a^m for the constant exponent ``m`` (0-d).
 
-    Same values, checks, messages and NaN poisoning as :func:`dual_pow`
-    with a constant exponent, but the checks that apply to ``m`` are
-    chosen once here: a nonnegative integer exponent needs none, any other
-    keeps exactly its ``v < 0`` and ``v == 0`` tests, which run only when
-    some base fails ``v > 0`` (NaN and -inf included).
+    The one power of a variable-free exponent.  A base v < 0 with a
+    non-integer m, and v == 0 with m < 0, are domain errors; v == 0 with a
+    fractional m > 0 is a branch point.  The checks that apply to ``m``
+    are chosen once here: a nonnegative integer exponent needs none, any
+    other keeps exactly its ``v < 0`` and ``v == 0`` tests, which run only
+    when some base fails ``v > 0`` (NaN and -inf included).
     """
     is_int = bool(m == np.floor(m)) and bool(np.isfinite(m))
     neg_domain = not is_int                 # negative base, non-integer exponent
     zero_domain = bool(m < 0)               # zero base, negative exponent
     zero_sing = not is_int and bool(m > 0)  # branch point of a fractional power
     checked = neg_domain or zero_domain
-    # f1 = c1 v^e1 and f2 = c2 v^e2, a zero coefficient killing the factor as
-    # in _coeff_pow; 0-d arrays, not numpy scalars, so no call converts them
+    # f1 = c1 v^e1 and f2 = c2 v^e2, a zero coefficient killing the factor (so
+    # 0 v^-1 is 0 at v = 0); 0-d arrays, not numpy scalars, so no call converts them
     c1, e1 = m, np.asarray(m - 1.0)
     c2, e2 = np.asarray(m * (m - 1.0)), np.asarray(m - 2.0)
     zero1, zero2 = bool(c1 == 0.0), bool(c2 == 0.0)
@@ -647,8 +591,8 @@ def _pow_kernel(m: np.ndarray):
 # Every node runs on every call, as a plain walk over the tree does.  The
 # one exception is a variable-free exponent of ``^``/``pow``: its value is
 # computed once, under the same ``errstate``, and picks the power kernel.
-# An exponent whose evaluation raises is left to be evaluated (and to raise
-# or poison) on every call.
+# An exponent whose evaluation raises is evaluated on every call, after the
+# base, and either raises or picks the kernel of its poisoned value.
 
 _UNARY_OPS = {
     "neg": (dual_neg, False),
@@ -659,13 +603,14 @@ _UNARY_OPS = {
     "sin": (dual_sin, False),
     "cos": (dual_cos, False),
 }
+_POWER = "power"  # resolved by _compile from the exponent
 _BINARY_OPS = {
     "+": (dual_add, False),
     "-": (dual_sub, False),
     "*": (dual_mul, False),
     "/": (dual_div, True),
-    "^": (dual_pow, True),
-    "pow": (dual_pow, True),
+    "^": (_POWER, True),
+    "pow": (_POWER, True),
 }
 _DERIVATIVE_ARRAYS = {}
 
@@ -745,14 +690,24 @@ def _compile(node: Node, variables: dict):
     else:  # pragma: no cover
         raise TypeError(f"unknown node {node!r}")
     fns = [_compile(arg, variables) for arg in args]
-    if op is dual_pow and _has_variable(args[1]):
-        # decided by the expression, not by seeding, so values agree with and without derivatives
-        op = dual_pow_varying
-    elif op is dual_pow:
+    if op is _POWER:
+        if _has_variable(args[1]):
+            # decided by the expression, not by seeding, so values agree with and without derivatives
+            return _apply(dual_pow_varying, True, fns)
         m = _exponent_value(fns[1])
         if m is not None:
-            op, fns = _pow_kernel(np.asarray(m, dtype=float)), fns[:1]
+            return _apply(_pow_kernel(np.asarray(m, dtype=float)), True, fns[:1])
+        return _unfolded_power(*fns)
     return _apply(op, uses_policy, fns)
+
+
+def _unfolded_power(fa, fb):
+    """a^b for a variable-free exponent whose evaluation raised when it was folded: the
+    base first, then the exponent, then the kernel of the exponent's value."""
+    def power(env):
+        a = fa(env)
+        return _pow_kernel(np.asarray(fb(env).val, dtype=float))(a, env[2])
+    return power
 
 
 # ---------------------------------------------------------------------------

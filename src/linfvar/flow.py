@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .energy import _density, _require_finite_jet
+from .energy import _density, _require_finite_jet, subdomain_nodes
 from .problem import (
     GridMap,
     Hamiltonian,
@@ -132,7 +132,7 @@ def _exit_on_dense_output(O: Subdomain, y, y_new, K, h):
 def _node_speeds(u, H: Hamiltonian, O: Subdomain, xi: np.ndarray):
     """(|xi^T H_P| per evaluable node, the node jets of u); ValueError naming a node where H or
     H_P is not finite."""
-    nodes = O.evaluable_nodes()
+    nodes = subdomain_nodes(O)
     jets = jets_at_nodes(u, O.box, nodes, order=1)
     ham = hamiltonian_jet(H, jets.x, jets.value, jets.gradient)
     _require_finite_jet(ham, nodes)
@@ -310,7 +310,7 @@ def verify_maxmin(u, H: Hamiltonian, O: Subdomain) -> MaxMinReport:
     Lipschitz constant of the density field over grid edges.  A density
     that is not finite at an evaluable node is a ValueError naming the node.
     """
-    nodes = O.evaluable_nodes()
+    nodes = subdomain_nodes(O)
     at = tuple(nodes.T)
     boundary = O.boundary_mask[at]
     if not boundary.any():

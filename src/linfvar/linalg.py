@@ -5,11 +5,11 @@ orthogonal complement of the range of an N x n matrix (equivalently, onto
 the nullspace of its transpose).  ``reduced_nullspace_proj`` restricts that
 projection to the directions that extend continuously into the nullspaces
 of nearby matrices of a field: the numerically "reduced" normal space.
-``reduced_nullspace_batch`` is the batched kernel behind it: many centres,
-each with its own stack of sample matrices, in a few LAPACK calls: the
-samples' ``nullspace_projectors``, then the averaging step
-``average_projectors`` (masked mean, restriction to the centre's nullspace,
-``eigh`` + QR).  Grid maps take one projector per node and gather them.
+The batched kernel behind it is two steps over many centres, each with its
+own samples, in a few LAPACK calls: the samples' ``nullspace_projectors``,
+then the averaging step ``average_projectors`` (masked mean, restriction
+to the centre's nullspace, ``eigh`` + QR).  Closed-form maps decompose each
+centre's samples; grid maps take one projector per node and gather them.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "nullspace_projectors",
     "proj_range_complement",
     "rank_decision",
-    "reduced_nullspace_batch",
     "reduced_nullspace_proj",
 ]
 
@@ -195,31 +194,6 @@ def average_projectors(U: np.ndarray, rank: np.ndarray, sample_proj: np.ndarray,
     return ReducedProjections(projection, basis, rank, reduced_dim)
 
 
-def reduced_nullspace_batch(
-    centers: np.ndarray,
-    samples: np.ndarray,
-    valid: np.ndarray,
-    tol_angle,
-) -> ReducedProjections:
-    """Reduced nullspace projections of M centre matrices from their sample matrices.
-
-    ``centers`` (M, N, n) holds the field at the centres and ``samples``
-    (M, m, N, n) the field at m sample points per centre, of which ``valid``
-    (M, m) marks the ones to use: their :func:`nullspace_projectors` go to
-    :func:`average_projectors`.  See :func:`reduced_nullspace_proj` for the
-    approximation.
-    """
-    used = np.asarray(valid, dtype=bool)
-    samples = np.asarray(samples, dtype=float)
-    bad = used & ~np.isfinite(samples).all(axis=(2, 3))
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise ValueError(f"field has non-finite entries at sample {j} of centre {i}")
-    U, rank, _ = rank_decision(centers)
-    sample_proj = nullspace_projectors(np.where(used[..., None, None], samples, 0.0))
-    return average_projectors(U, rank, sample_proj, used, tol_angle)
-
-
 def reduced_nullspace_proj(
     V: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
@@ -243,7 +217,7 @@ def reduced_nullspace_proj(
     varying fields.  No finite sampling can certify C^1 extendability at a
     genuine rank discontinuity.
 
-    This is the single-centre form of :func:`reduced_nullspace_batch`: one
+    This is the single-centre form of the batched kernel: one
     :func:`rank_decision` of the centre, then :func:`nullspace_projectors`
     of the samples and :func:`average_projectors`.  The field ``V`` is a
     single-point callable, evaluated once at each of the

@@ -19,14 +19,15 @@ F_p whose magnitude stays O(H) at every p, so unit steps and the tolerance
 ``tol_opt`` mean the same thing along the whole continuation.  Where the
 predicted decrease of a step is below the rounding of F_p^(1/p), the line
 search judges a trial by the sup-norm of its gradient instead (Hager &
-Zhang 2005 switch to approximate Wolfe conditions there).  Hessian-
-vector products are exact: the second-order jets of H at the cells,
-pushed through the linear cell jets and their transpose.  Each Newton step
-assembles that cell form once as a fixed-width stencil over the interior
-unknowns (3^n neighbours times N components per row), so a product is one
-gather and one row sum.  CG is preconditioned by the Jacobi diagonal, the
-stencil's centre entry.  The CG cap, the forcing term and the line-search
-constants are fixed module constants.
+Zhang 2005 switch to approximate Wolfe conditions there).  One table, the
+corner Jacobian B, gives the cell jets (B^T on the corner values), their
+transpose (B on the cell covectors) and the cell form B K B^T of the exact
+Hessian-vector products, K from the second-order jets of H at the cells.
+Each Newton step assembles that form once as a fixed-width stencil over
+the interior unknowns (3^n neighbours times N components per row), so a
+product is one gather and one row sum.  CG is preconditioned by the Jacobi
+diagonal, the stencil's centre entry.  The CG cap, the forcing term and
+the line-search constants are fixed module constants.
 
 The continuation starts p = 2 from the transfinite (Coons) interpolant of
 the boundary data (Gordon & Hall 1973), :func:`coons_init`, whose cells do
@@ -194,12 +195,6 @@ class _CellScheme:
         # (component, cell) index of each corner's nodes within the window
         self.corner_index = [(slice(None),) + tuple(slice(ci, ci + m) for ci, m in zip(c, self.cells))
                              for c in self.corners]
-        # per corner: d(value, P_1 .. P_n)/d(corner node value), the same for every component
-        pairs = len(self.corners) // 2
-        self.corner_weights = [
-            np.array([1.0 / len(self.corners)]
-                     + [(1.0 if c[i] == 1 else -1.0) / (pairs * self.h[i]) for i in range(self.n)])
-            for c in self.corners]
         # midpoint coordinates, shape (n,) + cells
         axes = [box.axis_coords(i)[self.window[i]] for i in range(self.n)]
         mids = [0.5 * (ax[1:] + ax[:-1]) for ax in axes]
@@ -211,13 +206,16 @@ class _CellScheme:
             raise ValueError("boundary data must be finite on all boundary nodes")
         self.boundary_mask = bmask
         self.boundary_data = g
-        # B, d(z)/d(corner node values) with z = (eta, P) in Hamiltonian.seeds() order:
-        # row (corner, component), (corners N) x (N + N n)
-        N, n = self.N, self.n
-        self.corner_jacobian = np.zeros((len(self.corners) * N, N + N * n))
-        for k, weights in enumerate(self.corner_weights):
-            for b in range(N):
-                self.corner_jacobian[k * N + b, [b] + [N + b * n + i for i in range(n)]] = weights
+        # B, d(z)/d(corner node values) with z = (eta, P) in Hamiltonian.seeds() order, row
+        # (corner, component), (corners N) x (N + N n): component b's value is the corner
+        # mean, its P_i the signed corner values over h_i, averaged over the corner pairs
+        N, n, C = self.N, self.n, len(self.corners)
+        signs = 2.0 * np.array(self.corners) - 1.0  # (corners, n)
+        b = np.arange(N)
+        B = np.zeros((C, N, N + N * n))
+        B[:, b, b] = 1.0 / C
+        B[:, b[:, None], N + n * b[:, None] + np.arange(n)] = (signs / (C // 2 * self.h))[:, None]
+        self.corner_jacobian = B.reshape(C * N, N + N * n)
         # an unknown's stencil: its node's 3^n neighbours (offsets in product order) times N components
         offsets = list(product((-1, 0, 1), repeat=n))
         self.centre = offsets.index((0,) * n)
@@ -235,29 +233,20 @@ class _CellScheme:
         self.columns = np.broadcast_to(columns, (N,) + columns.shape).reshape(N * nodes, -1)
 
     def cell_jets(self, W: np.ndarray):
-        """Midpoint value (corner mean) and multilinear gradient of the window array W (linear in W)."""
-        val = np.zeros((self.N,) + self.cells)
-        for idx in self.corner_index:
-            val += W[idx]
-        val /= len(self.corners)
-        P = np.zeros((self.N, self.n) + self.cells)
-        pairs = len(self.corners) // 2
-        for i in range(self.n):
-            for c, idx in zip(self.corners, self.corner_index):
-                sign = 1.0 if c[i] == 1 else -1.0
-                P[:, i] += sign * W[idx]
-            P[:, i] /= pairs * self.h[i]
-        return val, P
+        """Midpoint value (corner mean) and multilinear gradient of the window array W:
+        B^T applied to each cell's corner values, (N,) + cells and (N, n) + cells."""
+        corners = np.stack([W[idx] for idx in self.corner_index])  # (corners, N) + cells
+        z = np.tensordot(self.corner_jacobian, corners.reshape((-1,) + self.cells), axes=(0, 0))
+        return z[:self.N], z[self.N:].reshape((self.N, self.n) + self.cells)
 
     def scatter(self, c_eta: np.ndarray, c_P: np.ndarray) -> np.ndarray:
-        """Transpose of :meth:`cell_jets`: per-cell covectors (N,) + cells and (N, n) + cells
-        summed onto the window nodes, boundary entries included."""
+        """Transpose of :meth:`cell_jets`: B applied to the per-cell covectors (N,) + cells and
+        (N, n) + cells, each corner's part summed onto its window nodes, boundary entries included."""
+        c = np.concatenate([c_eta, c_P.reshape((-1,) + self.cells)])
+        parts = np.tensordot(self.corner_jacobian, c, axes=(1, 0)).reshape((-1, self.N) + self.cells)
         G = np.zeros((self.N,) + self.shape)
-        for weights, idx in zip(self.corner_weights, self.corner_index):
-            contrib = c_eta * weights[0]
-            for i in range(self.n):
-                contrib = contrib + c_P[:, i] * weights[1 + i]
-            G[idx] += contrib
+        for part, idx in zip(parts, self.corner_index):
+            G[idx] += part
         return G
 
     def energy_and_jets(self, W: np.ndarray, order: int = 1):
@@ -517,7 +506,7 @@ def p_continuation(prob: LpProblem, schedule: Sequence):
             current = coons_init(stage_prob)
         result = lp_minimize(stage_prob, current)
         rf = operators.residual_field(result.solution, prob.H, prob.O, variant="reduced")
-        res_norm = float(np.max(rf.norms)) if rf.norms.size else 0.0
+        res_norm = float(np.max(rf.norms))
         stages.append(StageResult(**vars(result), p=p, residual_norm=res_norm))
         current = result.solution
     return stages

@@ -247,6 +247,8 @@ def _residual_parts(u, H: Hamiltonian, O: Subdomain, points, variant, eps, tol_a
     """
     if points is None:
         nodes = O.interior_nodes()
+        if nodes.shape[0] == 0:
+            raise ValueError("subdomain has no evaluable interior nodes")
         named = (nodes, "node")
     else:
         named = (points, "point")

@@ -98,7 +98,8 @@ class DomainBox:
         return (hi - lo) / (res - 1)
 
     def axis_coords(self, axis: int) -> np.ndarray:
-        return np.linspace(self.lo[axis], self.hi[axis], self.resolution[axis])
+        """Node coordinates along ``axis``: lo + i * h, as :meth:`node_coords` forms them."""
+        return self.lo[axis] + np.arange(self.resolution[axis]) * self.spacing[axis]
 
     def all_nodes(self) -> np.ndarray:
         """All node multi-indices, lexicographic, shape (M, dim)."""
@@ -393,7 +394,7 @@ class ClosedFormMap:
 class GridMap:
     """Node-sampled map over a box; jets by finite differences, nodes only."""
 
-    def __init__(self, box: DomainBox, values: np.ndarray, valid: Optional[np.ndarray] = None):
+    def __init__(self, box: DomainBox, values: np.ndarray):
         values = np.asarray(values, dtype=float)
         if values.shape[1:] != box.shape:
             raise ValueError(f"values shape {values.shape} does not match grid {box.shape}")
@@ -401,8 +402,7 @@ class GridMap:
         self.values = values
         self.N = values.shape[0]
         self.n = box.dim
-        finite = np.isfinite(values).all(axis=0)
-        self.valid = finite if valid is None else (np.asarray(valid, dtype=bool) & finite)
+        self.valid = np.isfinite(values).all(axis=0)
         self._du = None
         self._d2u = None
         self._jet_valid = None

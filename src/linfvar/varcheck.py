@@ -423,7 +423,7 @@ class DiscreteMeasure:
         spectral accuracy for sine-mode test functions; ball subdomains get
         equal weights.
         """
-        nodes = O.evaluable_nodes()
+        nodes = subdomain_nodes(O)
         faces = (nodes == nodes.min(axis=0)) | (nodes == nodes.max(axis=0))
         return cls(nodes, 0.5 ** (faces.sum(axis=1) * (O.region[0] == "box")))
 

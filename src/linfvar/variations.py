@@ -139,15 +139,14 @@ class SineModeMap:
         the modes (for n = 2, (L0, M) @ (M, L1) per component and map).  The
         nodes are then picked out of the box.
         """
-        n, h = self.n, box.spacing
+        n = self.n
         first = nodes.min(axis=0) if nodes.size else np.zeros(n, dtype=int)
         shape = tuple(nodes.max(axis=0) - first + 1) if nodes.size else (0,) * n
         lead = self.consts.shape  # (N,) + B
         freqs, phases = np.moveaxis(self.freqs, 1, -1), np.moveaxis(self.phases, 1, -1)  # (N, n) + B + (M,)
         tables = []  # per axis, (sin, d, d2) tables (N,) + B + (L_i, M); the last axis's (M, L_i)
         for i in range(n):
-            # node coordinates as DomainBox.node_coords forms them: lo + index * h
-            t = (box.lo[i] + np.arange(first[i], first[i] + shape[i]) * h[i]) - self.lo[i]
+            t = box.axis_coords(i)[first[i]:first[i] + shape[i]] - self.lo[i]
             f, ph = freqs[:, i, ..., None], phases[:, i, ..., None]
             if i < n - 1:
                 f, ph, t = np.swapaxes(f, -1, -2), np.swapaxes(ph, -1, -2), t[:, None]

@@ -178,6 +178,24 @@ class TestExitCodes:
         error = _report(out, command)["error"]
         assert error == {"type": "SingularityError", "message": f"sqrt at branch point 0 at point {point}"}
 
+    @pytest.mark.parametrize("command,extra,message", [
+        ("energy", [], "subdomain has no evaluable nodes"),
+        ("argmax", [], "subdomain has no evaluable nodes"),
+        ("verify-absolute", [], "subdomain has no evaluable nodes"),
+        ("flow", ["--x0", "0.5", "--xi", "1"], "subdomain has no evaluable nodes"),
+        ("maxmin", [], "subdomain has no evaluable nodes"),
+        ("measure", ["--measure", "uniform"], "subdomain has no evaluable nodes"),
+        ("residual", [], "subdomain has no evaluable interior nodes"),
+    ])
+    def test_a_subdomain_without_evaluable_nodes_is_named(self, tmp_path, command, extra, message):
+        # the declared singular lines cover all three nodes
+        spec = dict(LINEAR_1D, domain={"lo": [0.0], "hi": [1.0], "resolution": [3]},
+                    singular=[{"axis": 0, "value": v} for v in (0.0, 0.5, 1.0)])
+        (tmp_path / "covered.json").write_text(json.dumps(spec))
+        out = tmp_path / command
+        assert run([command, "--problem", str(tmp_path / "covered.json"), "--out", str(out)] + extra) == 2
+        assert _report(out, command)["error"] == {"type": "ValueError", "message": message}
+
     def test_lp_with_a_branch_point_density_starts_from_no_flat_cell(self, tmp_path):
         # the Coons fill of Aronsson data has Du != 0 in every cell, so sqrt is never taken at 0
         spec = {"n": 2, "N": 1, "domain": {"lo": [1.0, 1.0], "hi": [2.0, 2.0], "resolution": [17, 17]},

@@ -11,6 +11,7 @@ from linfvar.exprlang import (
     BinOp,
     Call,
     DomainEvalError,
+    EvalError,
     Neg,
     Num,
     ParseError,
@@ -254,6 +255,56 @@ def _has_var(node):
     return any(_has_var(c) for c in children)
 
 
+def dual_constant(value, nseeds, order=2, batch_ndim=0):
+    # trailing size-1 axes keep seed axes from colliding with batch axes
+    val = np.asarray(value, dtype=float)
+    pad = (1,) * max(batch_ndim, val.ndim)
+    grad = np.zeros((nseeds,) + pad)
+    hess = np.zeros((nseeds, nseeds) + pad) if order >= 2 else None
+    return el.Dual2(val, grad, hess)
+
+
+def dual_seed(value, index, nseeds, order=2, batch_ndim=0):
+    d = dual_constant(value, nseeds, order, batch_ndim)
+    d.grad[(index,) + (0,) * (d.grad.ndim - 1)] = 1.0
+    return d
+
+
+def _coeff_pow(c, v, e):
+    """c * v**e with the convention that a zero coefficient kills the factor."""
+    raw = c * np.power(v, e)
+    return np.where(np.asarray(c) == 0.0, 0.0, raw)
+
+
+def dual_pow(a, b, policy):
+    """a^b for an exponent that holds no variable, from its value on every call, with
+    every check on every entry; b's derivatives are not read."""
+    m = np.asarray(b.val, dtype=float)
+    v = a.val
+    is_int = (m == np.floor(m)) & np.isfinite(m)
+    vzero = np.asarray(v == 0.0)
+    vneg = np.asarray(v < 0.0)
+    bad_domain = el._report(
+        policy,
+        (vneg & ~is_int) | (vzero & (m < 0)),
+        DomainEvalError,
+        "power: negative base with non-integer exponent, or zero base with negative exponent",
+    )
+    bad_sing = el._report(policy, vzero & ~is_int & (m > 0), SingularityError,
+                          "fractional power at branch point 0")
+    bad = None
+    if bad_domain is not None or bad_sing is not None:
+        bad = np.zeros(np.broadcast_shapes(np.shape(v), np.shape(m)), dtype=bool)
+        if bad_domain is not None:
+            bad |= bad_domain
+        if bad_sing is not None:
+            bad |= bad_sing
+    f0 = el._poison(np.power(v, m), bad)
+    f1 = el._poison(_coeff_pow(m, v, m - 1.0), bad)
+    f2 = el._poison(_coeff_pow(m * (m - 1.0), v, m - 2.0), bad) if a.hess is not None else None
+    return el._compose(a, f0, f1, f2)
+
+
 def _reference_jet2(ast, binding, seeds, order=2, on_singularity="raise"):
     """The uncompiled evaluator: walk the tree on every call, no folding, generic pow.
 
@@ -272,16 +323,16 @@ def _reference_jet2(ast, binding, seeds, order=2, on_singularity="raise"):
     def power(a, b, exponent):
         if _has_var(exponent):
             return el.dual_exp(el.dual_mul(b, el.dual_log(a, policy)))
-        return el.dual_pow(a, b, policy)
+        return dual_pow(a, b, policy)
 
     def ev(node):
         if isinstance(node, Num):
-            return el.dual_constant(node.value, k, order, nd)
+            return dual_constant(node.value, k, order, nd)
         if isinstance(node, Var):
             j = seed_index.get(node.name)
             if j is None:
-                return el.dual_constant(binding[node.name], k, order, nd)
-            return el.dual_seed(binding[node.name], j, k, order, nd)
+                return dual_constant(binding[node.name], k, order, nd)
+            return dual_seed(binding[node.name], j, k, order, nd)
         if isinstance(node, Neg):
             return el.dual_neg(ev(node.arg))
         if isinstance(node, BinOp):
@@ -387,6 +438,38 @@ def test_unfoldable_constant_still_raises_or_poisons():
         eval_jet2(ast, {"x1": 1.0}, ["x1"])
     d = eval_jet2(ast, {"x1": 1.0}, ["x1"], on_singularity="nan")
     assert np.isnan(d.val)
+
+
+UNFOLDABLE_POWERS = ["x1^(1/0)", "x1^log(0)", "x1^(abs(0) + 0.5)", "abs(x1)^(1/0)", "pow(x1, sqrt(0))",
+                     "pow(x1, sqrt(-1))", "log(x1)^(1/0)", "(1/x1)^(-log(0))"]
+
+
+@pytest.mark.parametrize("src", UNFOLDABLE_POWERS)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_unfoldable_exponents_match_reference(src):
+    """An exponent whose fold raises is evaluated on every call, after the base: under "raise"
+    the base's error comes first, under "nan" the kernel of the poisoned value runs."""
+    ast = parse(src, (1, 1))
+    bases = (-2.0, -0.0, 0.0, 0.5, 3.0, np.nan, np.inf, -np.inf)
+    for x in bases:
+        _assert_matches_reference(ast, {"x1": x}, ["x1"])
+    _assert_matches_reference(ast, {"x1": np.array(bases)}, ["x1"])
+    _assert_matches_reference(ast, {"x1": np.array(bases).reshape(2, 4)}, [])
+
+
+@pytest.mark.parametrize("src,base_error", [
+    ("abs(x1)^(1/0)", (SingularityError, "abs evaluated at its kink (0)")),
+    ("log(x1)^(1/0)", (DomainEvalError, "log of nonpositive value")),
+    ("(1/x1)^(abs(0) + 0.5)", (DomainEvalError, "division by zero")),
+])
+def test_an_unfoldable_exponent_raises_after_its_base(src, base_error):
+    ast = parse(src, (1, 1))
+    with pytest.raises(base_error[0]) as err:
+        eval_jet2(ast, {"x1": 0.0}, ["x1"])
+    assert str(err.value) == base_error[1]
+    with pytest.raises(EvalError) as err:  # a base that evaluates leaves the exponent's error
+        eval_jet2(ast, {"x1": 2.0}, ["x1"])
+    assert (type(err.value), str(err.value)) != base_error
 
 
 @pytest.mark.parametrize("src", ["x1 + exp(1000)", "x1 + (1e300)^(4/3)", "x1 + log(1e-320)"])

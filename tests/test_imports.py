@@ -5,8 +5,9 @@ Four stdlib ``ast`` checks over ``src/linfvar/*.py``:
 - every name that a module-level import binds must be read somewhere in
   the module, in a string annotation or in the module's ``__all__``;
 - every top-level ``def`` or ``class`` must be read, by a name, an
-  attribute or an import, somewhere in ``src/linfvar``, ``tests`` or
-  ``scripts``;
+  attribute or an import, somewhere in ``src/linfvar`` or ``scripts``, or
+  be named in the ``TARGETS`` table of ``bench/spans.py``; tests are not
+  readers, so code that only tests reach fails;
 - every parameter of every ``def``, ``self`` and ``cls`` aside, must be
   read in that ``def``;
 - every defaulted parameter of a public function or method must be passed,
@@ -94,22 +95,47 @@ def _read_names(tree: ast.Module) -> set:
     return read
 
 
+def _span_targets(tree: ast.Module) -> set:
+    """The names in the ``TARGETS`` table of the span recorder, both parts of a ``Class.method``."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "TARGETS"
+                                                for t in node.targets):
+            for layer in node.value.values:
+                names.update(part for key in layer.keys for part in key.value.split("."))
+    return names
+
+
+def _dead_definitions(modules: dict, readers, targets: set) -> list:
+    """``module: name (line)`` of each top-level definition of ``modules`` (name -> tree) that
+    no tree of ``readers`` reads and that ``targets`` does not name."""
+    read = set(targets).union(*(_read_names(tree) for tree in readers))
+    return [f"{module}: {name} (line {line})" for module, tree in modules.items()
+            for name, line in _definitions(tree).items() if name not in read]
+
+
 def test_no_dead_top_level_definition():
-    readers = [SRC / module for module in MODULES]
-    readers += sorted((ROOT / "tests").rglob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
-    read = set().union(*(_read_names(ast.parse(path.read_text(), filename=str(path))) for path in readers))
-    dead = [f"{module}: {name} (line {line})" for module in MODULES
-            for name, line in _definitions(ast.parse((SRC / module).read_text())).items() if name not in read]
+    """A definition is live when the library, a script or the benchmark's span table reads it;
+    tests do not count, so code that only tests reach fails."""
+    modules = {module: ast.parse((SRC / module).read_text(), filename=module) for module in MODULES}
+    scripts = [ast.parse(path.read_text(), filename=str(path)) for path in sorted((ROOT / "scripts").glob("*.py"))]
+    targets = _span_targets(ast.parse((ROOT / "bench" / "spans.py").read_text()))
+    dead = _dead_definitions(modules, list(modules.values()) + scripts, targets)
     assert not dead, "definitions that nothing reads: " + ", ".join(dead)
 
 
 def test_the_check_sees_a_dead_definition():
     module = ast.parse("import os\n\ndef used():\n    return os.sep\n\ndef dead():\n    pass\n\n"
-                       "class Kept:\n    pass\n\nclass Gone:\n    pass\n\nx = 1\n")
+                       "class Kept:\n    pass\n\nclass Gone:\n    pass\n\nclass Pinned:\n    pass\n\n"
+                       "def traced():\n    pass\n\nx = 1\n")
     reader = ast.parse("from mod import used\nimport mod\nmod.Kept()\nused = dead = None\n")
-    read = _read_names(reader)
-    assert sorted(_definitions(module)) == ["Gone", "Kept", "dead", "used"]
-    assert sorted(name for name in _definitions(module) if name not in read) == ["Gone", "dead"]
+    spans = ast.parse("def _attrs(args, kwargs):\n    return {}\n\n"
+                      "TARGETS = {'mod': {'traced': _attrs, 'Pinned.make': None}, 'other': {}}\n")
+    targets = _span_targets(spans)
+    assert targets == {"traced", "Pinned", "make"}
+    assert sorted(_definitions(module)) == ["Gone", "Kept", "Pinned", "dead", "traced", "used"]
+    assert _dead_definitions({"mod.py": module}, [reader], targets) == ["mod.py: dead (line 6)",
+                                                                        "mod.py: Gone (line 12)"]
 
 
 def _unread_parameters(tree: ast.Module) -> list:

@@ -402,7 +402,11 @@ def _matrix_free_curvature(scheme, F, hvals, ham, g):
         return Hv + rank_one * float(g @ v) * g
 
     D = np.zeros((N,) + scheme.shape)
-    for weights, idx in zip(scheme.corner_weights, scheme.corner_index):
+    pairs = len(scheme.corners) // 2
+    for c, idx in zip(scheme.corners, scheme.corner_index):
+        # d(value, P_1 .. P_n)/d(corner node value), the same for every component
+        weights = np.array([1.0 / len(scheme.corners)]
+                           + [(1.0 if c[i] == 1 else -1.0) / (pairs * scheme.h[i]) for i in range(n)])
         for b in range(N):
             rows = [b] + [N + b * n + i for i in range(n)]
             D[b][idx[1:]] += np.einsum("k,kl...,l->...", weights, K[np.ix_(rows, rows)], weights)
@@ -454,6 +458,72 @@ class TestAssembledCurvature:
         interior = prob.O.mask & ~prob.O.boundary_mask
         diff = stages[-1].solution.values[:, interior] - ref[-1].solution.values[:, interior]
         assert np.max(np.abs(diff)) <= 1e-12
+
+
+def _loop_cell_jets(scheme, W):
+    """The former cell jets, kept as a reference: one pass per corner for the value and one
+    signed pass per corner and axis for the gradient."""
+    val = np.zeros((scheme.N,) + scheme.cells)
+    for idx in scheme.corner_index:
+        val += W[idx]
+    val /= len(scheme.corners)
+    P = np.zeros((scheme.N, scheme.n) + scheme.cells)
+    pairs = len(scheme.corners) // 2
+    for i in range(scheme.n):
+        for c, idx in zip(scheme.corners, scheme.corner_index):
+            P[:, i] += (1.0 if c[i] == 1 else -1.0) * W[idx]
+        P[:, i] /= pairs * scheme.h[i]
+    return val, P
+
+
+def _loop_scatter(scheme, c_eta, c_P):
+    """The former transpose of the cell jets, kept as a reference: per corner its weights
+    times the covectors, summed onto the corner's window nodes."""
+    G = np.zeros((scheme.N,) + scheme.shape)
+    pairs = len(scheme.corners) // 2
+    for c, idx in zip(scheme.corners, scheme.corner_index):
+        contrib = c_eta * (1.0 / len(scheme.corners))
+        for i in range(scheme.n):
+            contrib = contrib + c_P[:, i] * ((1.0 if c[i] == 1 else -1.0) / (pairs * scheme.h[i]))
+        G[idx] += contrib
+    return G
+
+
+class TestCellTable:
+    """The cell jets and their transpose, both read off the corner Jacobian B."""
+
+    @pytest.mark.parametrize("n,N", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)])
+    def test_scatter_is_the_transpose_of_the_cell_jets(self, n, N):
+        box = DomainBox((1.0,) * n, (2.3,) * n, (7, 6, 5)[:n])
+        O = Subdomain.whole(box)
+        g = boundary_values_from_map(ClosedFormMap.from_expressions(["x1"] * N, n=n), O)
+        scheme = _CellScheme(LpProblem(H=Hamiltonian.dirichlet(n, N), O=O, boundary_values=g, p=2.0))
+        rng = np.random.default_rng(n + 10 * N)
+        W = rng.normal(size=(N,) + scheme.shape)
+        c_eta, c_P = rng.normal(size=(N,) + scheme.cells), rng.normal(size=(N, n) + scheme.cells)
+        val, P = scheme.cell_jets(W)
+        G = scheme.scatter(c_eta, c_P)
+        lhs, rhs = np.sum(val * c_eta) + np.sum(P * c_P), np.sum(W * G)
+        assert abs(lhs - rhs) <= 1e-13 * (np.sum(np.abs(val * c_eta)) + np.sum(np.abs(P * c_P)))
+        ref_val, ref_P = _loop_cell_jets(scheme, W)
+        ref_G = _loop_scatter(scheme, c_eta, c_P)
+        for got, ref in ((val, ref_val), (P, ref_P), (G, ref_G)):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_continuation_on_a_non_dyadic_box_matches_the_former_loops(self, monkeypatch):
+        box = DomainBox((1.0, 1.0), (2.3, 2.3), (17, 17))
+        O = Subdomain.whole(box)
+        g = boundary_values_from_map(ClosedFormMap.from_expressions([ARONSSON_EXPR], n=2), O)
+        prob = LpProblem(H=Hamiltonian.dirichlet(2, 1), O=O, boundary_values=g, p=2.0)
+        stages = p_continuation(prob, [2, 4, 8, 16, 32])
+        monkeypatch.setattr(_CellScheme, "cell_jets", _loop_cell_jets)
+        monkeypatch.setattr(_CellScheme, "scatter", _loop_scatter)
+        ref = p_continuation(prob, [2, 4, 8, 16, 32])
+        assert [st.status for st in stages] == [st.status for st in ref] == ["converged"] * 5
+        assert [st.iters for st in stages] == [st.iters for st in ref]
+        interior = O.interior_mask
+        diff = stages[-1].solution.values[:, interior] - ref[-1].solution.values[:, interior]
+        assert np.max(np.abs(diff)) <= 1e-14
 
 
 class TestCoonsStart:

@@ -44,6 +44,14 @@ class TestDomainBox:
         with pytest.raises(ValueError, match="not a grid node"):
             box.nearest_node(np.array([0.33, -0.5]))
 
+    def test_axis_coords_are_the_node_coords_bit_for_bit(self):
+        # on a non-dyadic box lo + i h and linspace differ at the hi face
+        box = DomainBox((-1.0, 0.0), (0.3, 1.0), (11, 5))
+        coords = box.node_coords(box.all_nodes()).reshape((2,) + box.shape)
+        assert np.array_equal(box.axis_coords(0), coords[0, :, 0])
+        assert np.array_equal(box.axis_coords(1), coords[1, 0, :])
+        assert box.axis_coords(0)[10] == 0.30000000000000004 != np.linspace(-1.0, 0.3, 11)[10]
+
     def test_nearest_node_batch(self):
         box = DomainBox((0.0, -1.0), (1.0, 1.0), (11, 21))
         pts = np.array([[0.3, 0.0, 1.0], [-0.5, -1.0, 1.0]])
@@ -182,7 +190,9 @@ class TestMapJets:
         u = ClosedFormMap.from_expressions(["abs(x1)^(4/3)"], n=1)
         bad = prescan_singularities(u, box)
         assert list(np.argwhere(bad).ravel()) == [4]
-        gm = GridMap(box, u.sample(box).values, valid=~bad)
+        values = u.sample(box).values.copy()
+        values[:, bad] = np.nan  # a masked node holds no value
+        gm = GridMap(box, values)
         assert not gm.jet_valid[4]
         # neighbours of the kink get one-sided stencils pointing away
         assert gm.jet_valid[3] and gm.jet_valid[5]
@@ -193,8 +203,9 @@ class TestMapJets:
         # invalid nodes hem in a valid one: no 3-point stencil fits
         from linfvar import StencilError
         box = DomainBox((0.0,), (1.0,), (7,))
-        valid = np.array([True, False, True, False, True, True, True])
-        gm = GridMap(box, np.linspace(0, 1, 7)[None, :].copy(), valid=valid)
+        values = np.linspace(0, 1, 7)[None, :].copy()
+        values[:, [1, 3]] = np.nan
+        gm = GridMap(box, values)
         assert not gm.jet_valid[2]
         with pytest.raises(StencilError):
             gm.jet2(np.array([box.axis_coords(0)[2]]))

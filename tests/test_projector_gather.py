@@ -8,7 +8,7 @@ It must give bit for bit what the kernel gives when it is fed the explicit
 
 import numpy as np
 import pytest
-from test_reduced_kernel import FIXTURES_1D, FIXTURES_2D, MASKED, _density
+from test_reduced_kernel import FIXTURES_1D, FIXTURES_2D, MASKED, _density, reduced_nullspace_batch
 
 from linfvar import (
     ClosedFormMap,
@@ -21,7 +21,7 @@ from linfvar import (
     normal_variation_test,
     residual_field,
 )
-from linfvar.linalg import DEFAULT_RANK_TOL, reduced_nullspace_batch
+from linfvar.linalg import DEFAULT_RANK_TOL
 from linfvar import energy, operators, varcheck
 from linfvar.operators import _grid_ball_nodes, _grid_hamiltonian, _normal_space
 from linfvar.problem import hamiltonian_jet

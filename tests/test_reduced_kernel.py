@@ -5,6 +5,9 @@ average of the sample nullspace projectors restricted to the centre's
 nullspace, one ``eigh``, and a QR of the kept eigenvectors.  Grid maps
 sample the jet-valid nodes of the eps-ball (float node coordinates, centre
 excluded); closed-form maps sample ``ball_sample_points`` around each point.
+``reduced_nullspace_batch`` below chains the library's ``rank_decision``,
+``nullspace_projectors`` and ``average_projectors`` on explicit (centre,
+sample) matrices; ``test_projector_gather.py`` holds the grid gather to it.
 """
 
 import numpy as np
@@ -22,9 +25,11 @@ from linfvar import (
 )
 from linfvar.linalg import (
     DEFAULT_RANK_TOL,
+    average_projectors,
     ball_sample_count,
     ball_sample_points,
-    reduced_nullspace_batch,
+    nullspace_projectors,
+    rank_decision,
     reduced_nullspace_proj,
 )
 from linfvar.problem import axis_derivative, hamiltonian_jet, map_jet
@@ -73,6 +78,21 @@ def reference_projection(V, x, sample_points, tol_angle):
     if W.shape[1]:
         W, _ = np.linalg.qr(W)
     return W @ W.T, rank, W.shape[1]
+
+
+def reduced_nullspace_batch(centers, samples, valid, tol_angle):
+    """The batched kernel fed explicit matrices: M centres (M, N, n) and m sample matrices per
+    centre (M, m, N, n), of which ``valid`` (M, m) marks the ones to use.  The reference that
+    the grid gather and the single-centre wrapper are held to."""
+    used = np.asarray(valid, dtype=bool)
+    samples = np.asarray(samples, dtype=float)
+    bad = used & ~np.isfinite(samples).all(axis=(2, 3))
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ValueError(f"field has non-finite entries at sample {j} of centre {i}")
+    U, rank, _ = rank_decision(centers)
+    sample_proj = nullspace_projectors(np.where(used[..., None, None], samples, 0.0))
+    return average_projectors(U, rank, sample_proj, used, tol_angle)
 
 
 def _hp_at(u, H):

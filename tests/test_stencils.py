@@ -173,7 +173,7 @@ def test_masked_2d_grid_jet_valid_matches_reference():
     valid = np.ones(box.shape, dtype=bool)
     valid[4, 4] = valid[0, 2] = valid[6, 7] = valid[7, 5] = False
     values[:, ~valid] = np.nan
-    gm = GridMap(box, values, valid=valid)
+    gm = GridMap(box, values)
     ref_ok = valid.copy()
     h = box.spacing
     d1 = [reference_axis_derivative(values, i, h[i], 1, valid, 2) for i in range(2)]
