@@ -44,16 +44,16 @@ P = 8.0
 
 
 def newton_point(resolution: int):
-    """The cell scheme, the sampled Aronsson solution on its window, and there the energy, jets
-    and normalised gradient."""
+    """The cell scheme, the sampled Aronsson solution on its window, and the curvature's
+    arguments there: the energy, jets, normalised gradient and p."""
     box = DomainBox((1.0, 1.0), (2.0, 2.0), (resolution, resolution))
     O = Subdomain.whole(box)
     u = ClosedFormMap.from_expressions([EXPR], n=2)
     prob = LpProblem(H=Hamiltonian.dirichlet(2, 1), O=O, boundary_values=boundary_values_from_map(u, O), p=P)
     scheme = _CellScheme(prob)
     W = jets_at_nodes(u, box, np.argwhere(O.mask), order=1).value.reshape((1,) + box.shape)[(slice(None),) + scheme.window]
-    F, hvals, ham = scheme.energy_and_jets(W, order=2)
-    return scheme, W, (F, hvals, ham, scheme.normalised_gradient(F, hvals, ham))
+    F, hvals, ham = scheme.energy_and_jets(W, P, order=2)
+    return scheme, W, (F, hvals, ham, scheme.normalised_gradient(F, hvals, ham, P), P)
 
 
 def main():

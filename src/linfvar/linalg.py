@@ -6,15 +6,17 @@ the nullspace of its transpose).  ``reduced_nullspace_proj`` restricts that
 projection to the directions that extend continuously into the nullspaces
 of nearby matrices of a field: the numerically "reduced" normal space.
 The batched kernel behind it is two steps over many centres, each with its
-own samples, in a few LAPACK calls: the samples' ``nullspace_projectors``,
-then the averaging step ``average_projectors`` (masked mean, restriction
-to the centre's nullspace, ``eigh`` + QR).  Closed-form maps decompose each
-centre's samples; grid maps take one projector per node and gather them.
+own samples: the samples' ``nullspace_projectors``, from the vectorised
+Jacobi rotations of ``rank_decision``, then the averaging step
+``average_projectors`` (masked mean, restriction to the centre's
+nullspace, LAPACK ``eigh`` + QR).  Closed-form maps decompose each centre's
+samples; grid maps take one projector per node and gather them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Optional
 
 import numpy as np
@@ -34,6 +36,8 @@ __all__ = [
 ]
 
 DEFAULT_RANK_TOL = 1e-9
+_JACOBI_SWEEPS = 30  # cyclic sweeps over the row pairs of an N >= 3 matrix
+_EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -57,19 +61,49 @@ class ReducedProjections:
 
 
 def rank_decision(A: np.ndarray, tol: float = DEFAULT_RANK_TOL):
-    """Batched SVD of A (..., N, n): left singular vectors U, ranks and cutoffs.
+    """Left singular vectors U, ranks and cutoffs of a batch A (..., N, n), by Jacobi rotations.
 
-    The rank counts singular values >= tol * sigma_max; a zero matrix has
-    rank 0.  The columns U[..., rank:] span N(A^T) = R(A)^perp.
+    One-sided Jacobi (Demmel & Veselic 1992; Golub & Van Loan 8.6) rotates pairs of rows of
+    A / max|A| until they are orthogonal to rounding: none for N = 1, one for N = 2, cyclic
+    sweeps for larger N.  The rows' norms times max|A| are the singular values, sorted in
+    descending order with U's columns.  The rank counts the nonzero singular values >= tol *
+    sigma_max, and the columns U[..., rank:] span N(A^T) = R(A)^perp.
     """
     A = np.asarray(A, dtype=float)
     if not np.isfinite(A).all():
         raise ValueError("matrix has non-finite entries")
-    U, s, _ = np.linalg.svd(A)
-    smax = s[..., 0] if s.shape[-1] else np.zeros(s.shape[:-1])
+    batch, (N, n) = A.shape[:-2], A.shape[-2:]
+    scale = np.max(np.abs(A), axis=(-2, -1), initial=0.0).reshape(-1)
+    # the rows of A / scale and of U^T turn together, so A = scale U Z[..., :n] throughout
+    Z = np.concatenate([A.reshape(-1, N, n) / np.where(scale > 0, scale, 1.0)[:, None, None],
+                        np.broadcast_to(np.eye(N), (scale.size, N, N))], axis=-1)
+    live, W = np.arange(scale.size), Z  # the matrices still turning: all of Z in the first sweep
+    for _ in range(0 if N < 2 else 1 if N == 2 else _JACOBI_SWEEPS):
+        moved = np.zeros(live.size, dtype=bool)
+        for i, j in combinations(range(N), 2):
+            zi, zj = W[:, i], W[:, j]
+            xi, xj = zi[:, :n], zj[:, :n]
+            alpha, beta, gamma = (np.einsum("ij,ij->i", a, b) for a, b in ((xi, xi), (xj, xj), (xi, xj)))
+            # the pair turns unless orthogonal to rounding, relative to the rows or to the scale
+            turn = np.abs(gamma) > _EPS * np.sqrt(alpha * beta) + _EPS ** 2
+            theta = np.where(turn, 0.5 * np.arctan2(-2.0 * gamma, alpha - beta), 0.0)
+            c, s = np.cos(theta)[:, None], np.sin(theta)[:, None]
+            W[:, i], W[:, j] = c * zi - s * zj, s * zi + c * zj
+            moved |= turn
+        if W is not Z:
+            Z[live] = W
+        live = live[moved]
+        if not live.size:
+            break
+        W = Z[live]
+    s = np.sqrt(np.einsum("kij,kij->ki", Z[..., :n], Z[..., :n])) * scale[:, None]
+    U = np.swapaxes(Z[..., n:], -1, -2)
+    order = np.argsort(-s, axis=-1, kind="stable")
+    s, U = np.take_along_axis(s, order, axis=-1), np.take_along_axis(U, order[:, None, :], axis=-1)
+    smax = s[:, 0] if N else np.zeros(scale.size)
     cutoff = tol * smax
-    rank = np.where(smax > 0, np.sum(s >= cutoff[..., None], axis=-1), 0)
-    return U, rank, cutoff
+    rank = np.sum((s >= cutoff[:, None]) & (s > 0), axis=-1)  # a cutoff may underflow to 0
+    return U.reshape(batch + (N, N)), rank.reshape(batch), cutoff.reshape(batch)
 
 
 def proj_range_complement(A: np.ndarray) -> ProjectionReport:

@@ -177,10 +177,11 @@ def coons_init(prob: LpProblem) -> GridMap:
 
 
 class _CellScheme:
-    """Cell-midpoint quadrature with multilinear corner-average jets."""
+    """Cell-midpoint quadrature with multilinear corner-average jets.  Nothing it holds depends
+    on p, so one scheme serves every stage; the p-dependent methods take the stage's p."""
 
     def __init__(self, prob: LpProblem):
-        self.prob = prob
+        self.H = prob.H
         box = prob.O.box
         self.window = _window(prob.O)
         self.shape = tuple(s.stop - s.start for s in self.window)
@@ -202,8 +203,12 @@ class _CellScheme:
         bmask = prob.O.boundary_mask[self.window]
         self.interior = ~bmask  # within the window
         g = prob.boundary_values[(slice(None),) + self.window]
-        if not np.isfinite(g[:, bmask]).all():
-            raise ValueError("boundary data must be finite on all boundary nodes")
+        if not prob.O.evaluable_mask.any():
+            raise ValueError("subdomain has no evaluable nodes")
+        bad = np.argwhere(bmask & ~np.isfinite(g).all(axis=0))
+        if bad.size:
+            node = tuple(int(i + w.start) for i, w in zip(bad[0], self.window))
+            raise ValueError(f"boundary data is not finite at boundary node {node}")
         self.boundary_mask = bmask
         self.boundary_data = g
         # B, d(z)/d(corner node values) with z = (eta, P) in Hamiltonian.seeds() order, row
@@ -249,48 +254,47 @@ class _CellScheme:
             G[idx] += part
         return G
 
-    def energy_and_jets(self, W: np.ndarray, order: int = 1):
+    def energy_and_jets(self, W: np.ndarray, p: float, order: int = 1):
         val, P = self.cell_jets(W)
-        ham = hamiltonian_jet(self.prob.H, self.x_mid, val, P, order=order)
+        ham = hamiltonian_jet(self.H, self.x_mid, val, P, order=order)
         hvals = np.asarray(ham.value, dtype=float)
         if not np.isfinite(hvals).all():
             _require_finite(~np.isfinite(hvals).ravel(), self.x_mid.reshape(self.n, -1).T, "cell midpoint")
         if np.any(hvals < 0):
             raise ValueError("density must be nonnegative for p-power minimisation")
         with np.errstate(over="ignore"):
-            F = self.vol * float(np.sum(hvals ** self.prob.p))
+            F = self.vol * float(np.sum(hvals ** p))
         return F, hvals, ham
 
-    def _weight(self, hvals, q: float) -> np.ndarray:
+    def _weight(self, hvals, p: float, q: float) -> np.ndarray:
         """vol * d^q(h^p)/dh^q at the cell densities (q = 1, 2)."""
-        p = self.prob.p
         with np.errstate(over="ignore"):
             return self.vol * p * (p - 1.0 if q == 2 else 1.0) * hvals ** (p - q)
 
-    def gradient(self, hvals, ham):
+    def gradient(self, hvals, ham, p: float):
         """Raw gradient of F over the window nodes (boundary entries included)."""
-        w1 = self._weight(hvals, 1)
+        w1 = self._weight(hvals, p, 1)
         return self.scatter(w1 * ham.eta_grad, w1 * ham.P_grad)
 
-    def grad_scale(self, F: float) -> float:
+    def grad_scale(self, F: float, p: float) -> float:
         """d(F^(1/p))/dF: converts raw gradients to the normalised-objective frame."""
         if F <= 0.0:
             return 1.0
-        return (1.0 / self.prob.p) * F ** (1.0 / self.prob.p - 1.0)
+        return (1.0 / p) * F ** (1.0 / p - 1.0)
 
-    def score(self, F: float) -> float:
+    def score(self, F: float, p: float) -> float:
         """The normalised objective F^(1/p), a monotone transform of the raw power form."""
         if F <= 0.0:
             return 0.0
         with np.errstate(over="ignore"):
-            return F ** (1.0 / self.prob.p)
+            return F ** (1.0 / p)
 
-    def normalised_gradient(self, F: float, hvals, ham) -> np.ndarray:
+    def normalised_gradient(self, F: float, hvals, ham, p: float) -> np.ndarray:
         """Gradient of F^(1/p) over the interior unknowns, flattened."""
-        G = self.gradient(hvals, ham)
-        return self.grad_scale(F) * G[:, self.interior].ravel()
+        G = self.gradient(hvals, ham, p)
+        return self.grad_scale(F, p) * G[:, self.interior].ravel()
 
-    def curvature(self, F: float, hvals, ham, g: np.ndarray):
+    def curvature(self, F: float, hvals, ham, g: np.ndarray, p: float):
         """Hessian-vector product and Jacobi diagonal of F^(1/p) over the interior unknowns.
 
         ``ham`` holds the order-2 jets of H at the cells and ``g`` the
@@ -307,12 +311,12 @@ class _CellScheme:
         the rank-one term.  The diagonal is the stencil's centre entry; it
         leaves out the rank-one term.
         """
-        N, n, p = self.N, self.n, self.prob.p
-        a = self.grad_scale(F)
+        N, n = self.N, self.n
+        a = self.grad_scale(F, p)
         hz = np.concatenate([ham.eta_grad, ham.P_grad.reshape((N * n,) + self.cells)])
         hzz = np.concatenate([ham.eta_hess, ham.P_hess.reshape((N * n, -1) + self.cells)])[:, n:]
         # the cell form a [w2 H_z H_z^T + w1 H_zz], (N + N n)^2 + cells
-        K = a * (self._weight(hvals, 2) * hz[:, None] * hz[None] + self._weight(hvals, 1) * hzz)
+        K = a * (self._weight(hvals, p, 2) * hz[:, None] * hz[None] + self._weight(hvals, p, 1) * hzz)
         # the per-cell blocks B K B^T, summed onto the stencil of each window node
         B = self.corner_jacobian
         z = B.shape[1]
@@ -350,7 +354,7 @@ def _newton_direction(g: np.ndarray, product, diag: np.ndarray):
     the first step that is the preconditioned steepest-descent direction
     -diag^-1 g.  Returns the direction and the number of products.
     """
-    gnorm = float(np.linalg.norm(g))
+    gnorm = math.sqrt(float(g @ g))
     forcing = min(0.5, np.sqrt(gnorm)) * gnorm
     z = np.zeros_like(g)
     r = g.copy()
@@ -365,7 +369,7 @@ def _newton_direction(g: np.ndarray, product, diag: np.ndarray):
         alpha = ry / curv
         z += alpha * d
         r += alpha * Hd
-        if float(np.linalg.norm(r)) <= forcing:
+        if math.sqrt(float(r @ r)) <= forcing:
             return z, j + 1
         y = r / diag
         ry_new = float(r @ y)
@@ -374,7 +378,7 @@ def _newton_direction(g: np.ndarray, product, diag: np.ndarray):
     return z, _CG_MAX_ITER
 
 
-def lp_minimize(prob: LpProblem, init: GridMap) -> LpResult:
+def lp_minimize(prob: LpProblem, init: GridMap, scheme: _CellScheme | None = None) -> LpResult:
     """Truncated Newton-CG with Armijo backtracking on the normalised p-power energy F_p^(1/p).
 
     The unknowns are the interior node values of the subdomain window.  Each
@@ -392,8 +396,10 @@ def lp_minimize(prob: LpProblem, init: GridMap) -> LpResult:
 
     The initial iterate must match the boundary data exactly; boundary
     entries are never written, so the data is preserved bit-exactly.
+    ``scheme`` is the problem's :class:`_CellScheme`, built here if not given.
     """
-    scheme = _CellScheme(prob)
+    scheme = _CellScheme(prob) if scheme is None else scheme
+    p = prob.p
     window = scheme.window
     W = np.array(init.values[(slice(None),) + window], dtype=float)
     if not np.isfinite(W).all():
@@ -413,14 +419,14 @@ def lp_minimize(prob: LpProblem, init: GridMap) -> LpResult:
         W_trial = W.copy()
         W_trial[:, interior] = x.reshape(scheme.N, -1)
         try:
-            return (W_trial,) + scheme.energy_and_jets(W_trial, order=2)
+            return (W_trial,) + scheme.energy_and_jets(W_trial, p, order=2)
         except (ValueError, EvalError):
             return None
 
     def line_search(d, gd):
         """First acceptable point along d, halving from a unit step, with its gradient and
         whether the step was flat; None if the step underflows."""
-        f0 = scheme.score(F)
+        f0 = scheme.score(F, p)
         flat = abs(_ARMIJO_C * gd) < _FLAT_ULPS * np.finfo(float).eps * abs(f0)
         step = 1.0
         while step >= _MIN_STEP:
@@ -428,25 +434,25 @@ def lp_minimize(prob: LpProblem, init: GridMap) -> LpResult:
             if trial is not None:
                 _, F_trial, hvals_trial, ham_trial = trial
                 if flat:
-                    g_trial = scheme.normalised_gradient(F_trial, hvals_trial, ham_trial)
+                    g_trial = scheme.normalised_gradient(F_trial, hvals_trial, ham_trial, p)
                     if _sup_norm(g_trial) < _sup_norm(g):
                         return trial, g_trial, True
-                elif scheme.score(F_trial) <= f0 + _ARMIJO_C * step * gd:
-                    return trial, scheme.normalised_gradient(F_trial, hvals_trial, ham_trial), False
+                elif scheme.score(F_trial, p) <= f0 + _ARMIJO_C * step * gd:
+                    return trial, scheme.normalised_gradient(F_trial, hvals_trial, ham_trial, p), False
             step *= _BACKTRACK
         return None
 
     x = W[:, interior].ravel()
-    F, hvals, ham = scheme.energy_and_jets(W, order=2)
+    F, hvals, ham = scheme.energy_and_jets(W, p, order=2)
     evals += 1
-    g = scheme.normalised_gradient(F, hvals, ham)
+    g = scheme.normalised_gradient(F, hvals, ham, p)
     status = "max_iter"
     iters = 0  # accepted Newton steps
     while iters < settings.max_iter:
         if _sup_norm(g) <= settings.tol_opt:
             status = "converged"
             break
-        product, diag = scheme.curvature(F, hvals, ham, g)
+        product, diag = scheme.curvature(F, hvals, ham, g, p)
         d, used = _newton_direction(g, product, diag)
         hess_products += used
         found = line_search(d, float(g @ d))
@@ -485,10 +491,11 @@ def p_continuation(prob: LpProblem, schedule: Sequence):
 
     The p = 2 stage starts from :func:`coons_init`, the transfinite
     interpolant of the boundary data, every later stage from the previous
-    stage's solution.  Per stage records the sup-energy of the iterate over
-    the whole subdomain and over its interior nodes (the former is usually
-    attained on the fixed boundary data), and the sup-norm over interior
-    nodes of the reduced critical-system residual.
+    stage's solution, and all stages share one :class:`_CellScheme`.  Per
+    stage records the sup-energy of the iterate over the whole subdomain
+    and over its interior nodes (the former is usually attained on the
+    fixed boundary data), and the sup-norm over interior nodes of the
+    reduced critical-system residual.
     """
     schedule = [float(p) for p in schedule]
     for k, p in enumerate(schedule, 1):
@@ -499,12 +506,10 @@ def p_continuation(prob: LpProblem, schedule: Sequence):
     if schedule and schedule[0] != 2.0:
         raise ValueError("schedule must start at p = 2")
     stages = []
-    current = None
+    scheme = _CellScheme(prob)
+    current = coons_init(prob)
     for p in schedule:
-        stage_prob = replace(prob, p=p)
-        if current is None:
-            current = coons_init(stage_prob)
-        result = lp_minimize(stage_prob, current)
+        result = lp_minimize(replace(prob, p=p), current, scheme=scheme)
         rf = operators.residual_field(result.solution, prob.H, prob.O, variant="reduced")
         res_norm = float(np.max(rf.norms))
         stages.append(StageResult(**vars(result), p=p, residual_norm=res_norm))

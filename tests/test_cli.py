@@ -186,6 +186,7 @@ class TestExitCodes:
         ("maxmin", [], "subdomain has no evaluable nodes"),
         ("measure", ["--measure", "uniform"], "subdomain has no evaluable nodes"),
         ("residual", [], "subdomain has no evaluable interior nodes"),
+        ("lp", [], "subdomain has no evaluable nodes"),
     ])
     def test_a_subdomain_without_evaluable_nodes_is_named(self, tmp_path, command, extra, message):
         # the declared singular lines cover all three nodes
@@ -195,6 +196,18 @@ class TestExitCodes:
         out = tmp_path / command
         assert run([command, "--problem", str(tmp_path / "covered.json"), "--out", str(out)] + extra) == 2
         assert _report(out, command)["error"] == {"type": "ValueError", "message": message}
+
+    def test_lp_names_a_boundary_node_without_data(self, tmp_path):
+        # the subdomain [0.25, 0.75] holds nodes 2..6; the one declared singular point is its
+        # boundary node 6, whose boundary data is then not sampled
+        spec = dict(LINEAR_1D, domain={"lo": [0.0], "hi": [1.0], "resolution": [9]},
+                    subdomain={"lo": [0.25], "hi": [0.75]}, singular=[{"axis": 0, "value": 0.75}])
+        (tmp_path / "point.json").write_text(json.dumps(spec))
+        out = tmp_path / "lp"
+        assert run(["lp", "--problem", str(tmp_path / "point.json"), "--out", str(out)]) == 2
+        assert _report(out, "lp")["error"] == {
+            "type": "ValueError", "message": "boundary data is not finite at boundary node (6,)"}
+        assert not list(out.glob("*.csv"))
 
     def test_lp_with_a_branch_point_density_starts_from_no_flat_cell(self, tmp_path):
         # the Coons fill of Aronsson data has Du != 0 in every cell, so sqrt is never taken at 0

@@ -68,6 +68,63 @@ def test_projection_symmetric_idempotent(A):
     assert np.abs(P @ P - P).max() <= 1e-10
 
 
+def _orthonormal_columns(rng, M, m, k):
+    """M sets (M, m, k) of k orthonormal columns in R^m."""
+    q, _ = np.linalg.qr(rng.normal(size=(M, m, m)))
+    return q[..., :k]
+
+
+def _rank_batch(data, kind, N, n, M=16):
+    """M matrices (M, N, n) of one kind.  The "deficient" and "near" kinds are U diag(s) V^T
+    with their kept singular values in [sigma_max / 4, sigma_max]; "near" puts the others at
+    least 2x below or above the 1e-9 cutoff, "deficient" at 0."""
+    if kind == "random":
+        return data.draw(hnp.arrays(np.float64, (M, N, n), elements=st.floats(-10, 10, allow_nan=False)))
+    if kind == "zero":
+        return np.zeros((M, N, n))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "scaled":  # entries from 1e-150 to 1e150
+        return rng.normal(size=(M, N, n)) * 10.0 ** rng.uniform(-150, 150, size=(M, 1, 1))
+    k = min(N, n)
+    s = rng.uniform(0.25, 1.0, size=(M, k))
+    small = np.arange(k) >= rng.integers(1, k + 1, size=(M, 1))
+    if kind == "near":
+        below, above = rng.uniform(1e-12, 5e-10, size=(M, k)), rng.uniform(2e-9, 1e-7, size=(M, k))
+        s = np.where(small, np.where(rng.random((M, 1)) < 0.5, below, above), s)
+    else:
+        s = np.where(small, 0.0, s)
+    A = np.einsum("mik,mk,mjk->mij", _orthonormal_columns(rng, M, N, k), s, _orthonormal_columns(rng, M, n, k))
+    return A * 10.0 ** rng.uniform(-3, 3)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data(), st.integers(1, 3), st.integers(1, 3),
+       st.sampled_from(["random", "deficient", "near", "zero", "scaled"]))
+def test_rank_decision_matches_lapack_svd(data, N, n, kind):
+    # derandomized, because the 8-ulp budget is mostly LAPACK's: against mpmath its singular
+    # values stray up to 8 ulps of sigma_max on such batches, the rotations' up to 2, so a
+    # rare batch differs by 10 (a 3 x 3 "scaled" one at seed 4738)
+    A = _rank_batch(data, kind, N, n)
+    U, rank, _ = rank_decision(A)
+    U0, s0, _ = np.linalg.svd(A)
+    smax = s0[:, 0]
+    assert np.array_equal(rank, np.sum((s0 >= (DEFAULT_RANK_TOL * smax)[:, None]) & (s0 > 0), axis=1))
+    if N == 1:
+        assert np.all(U == 1.0)
+    # the singular values are the row norms of U^T A, taken in extended precision
+    s = np.linalg.norm(np.swapaxes(U, 1, 2).astype(np.longdouble) @ A.astype(np.longdouble), axis=2)
+    ref = np.zeros((len(A), N))
+    ref[:, :s0.shape[1]] = s0
+    assert np.all(np.abs(s.astype(float) - ref) <= 8 * np.spacing(smax)[:, None])
+    # a projector is fixed to rounding only where the last kept singular value is a fair part
+    # of sigma_max (Wedin 1972): at every "deficient" matrix, at the "near" ones whose small
+    # values sit below the cutoff, and at the random ones that happen to be so conditioned
+    kept = np.take_along_axis(s0, np.maximum(rank - 1, 0)[:, None], axis=1)[:, 0]
+    fixed = (rank == 0) | (rank == N) | (kept >= 0.25 * smax)
+    diff = np.abs(complement_projectors(U, rank) - complement_projectors(U0, rank)).max(axis=(1, 2))
+    assert np.all(diff[fixed] <= 1e-14)
+
+
 def _rank_drop_field(y):
     return np.array([[y[0], 0.0], [0.0, 0.0]])
 

@@ -111,11 +111,11 @@ def _failing_energy(monkeypatch, error, fails):
     ``fails(k)``; returns the list that records every call."""
     calls = []
 
-    def patched(self, W, order=1):
+    def patched(self, W, p, order=1):
         calls.append(W)
         if fails(len(calls)):
             raise error("outside the density's domain")
-        return _ENERGY_AND_JETS(self, W, order)
+        return _ENERGY_AND_JETS(self, W, p, order)
 
     monkeypatch.setattr(_CellScheme, "energy_and_jets", patched)
     return calls
@@ -238,8 +238,8 @@ class TestAgreement:
         def raw_gradient(x):
             W = values.copy()
             W[:, interior] = x.reshape(1, -1)
-            _, hvals, ham = scheme.energy_and_jets(W)
-            return scheme.gradient(hvals, ham)[:, interior].ravel()
+            _, hvals, ham = scheme.energy_and_jets(W, prob.p)
+            return scheme.gradient(hvals, ham, prob.p)[:, interior].ravel()
 
         r = raw_gradient(x0)
         A = np.stack([raw_gradient(x0 + e) - r for e in np.eye(x0.size)], axis=1)
@@ -259,8 +259,8 @@ class TestAgreement:
         def objective(x):
             W = init.values.copy()
             W[:, interior] = x.reshape(1, -1)
-            F, hvals, ham = scheme.energy_and_jets(W)
-            return scheme.score(F), scheme.normalised_gradient(F, hvals, ham)
+            F, hvals, ham = scheme.energy_and_jets(W, prob.p)
+            return scheme.score(F, prob.p), scheme.normalised_gradient(F, hvals, ham, prob.p)
 
         ref = minimize(objective, init.values[:, interior].ravel(), jac=True, method="L-BFGS-B",
                        options={"maxiter": 20000, "maxcor": 10, "ftol": 1e-15, "gtol": 1e-12})
@@ -287,8 +287,8 @@ def _newton_point(density, p, seed=0):
     def gradient(x):
         V = W.copy()
         V[:, scheme.interior] = x.reshape(1, -1)
-        F, hvals, ham = scheme.energy_and_jets(V, order=2)
-        return F, hvals, ham, scheme.normalised_gradient(F, hvals, ham)
+        F, hvals, ham = scheme.energy_and_jets(V, p, order=2)
+        return F, hvals, ham, scheme.normalised_gradient(F, hvals, ham, p)
 
     return scheme, W[:, scheme.interior].ravel(), gradient, rng
 
@@ -301,7 +301,7 @@ class TestNewtonCG:
     def test_hessian_vector_product_matches_gradient_differences(self, density, p):
         scheme, x, gradient, rng = _newton_point(density, p)
         F, hvals, ham, g = gradient(x)
-        product, _ = scheme.curvature(F, hvals, ham, g)
+        product, _ = scheme.curvature(F, hvals, ham, g, p)
         t = 1e-5
         for v in rng.normal(size=(3, x.size)):
             fd = (gradient(x + t * v)[3] - gradient(x - t * v)[3]) / (2.0 * t)
@@ -314,8 +314,8 @@ class TestNewtonCG:
         p = 4.0
         scheme, x, gradient, _ = _newton_point(density, p, seed=1)
         F, hvals, ham, g = gradient(x)
-        product, diag = scheme.curvature(F, hvals, ham, g)
-        rank_one = (1.0 / p - 1.0) / (scheme.grad_scale(F) * F)
+        product, diag = scheme.curvature(F, hvals, ham, g, p)
+        rank_one = (1.0 / p - 1.0) / (scheme.grad_scale(F, p) * F)
         for i in range(0, x.size, 7):
             e = np.zeros(x.size)
             e[i] = 1.0
@@ -382,14 +382,14 @@ class TestNewtonCG:
         assert all(isinstance(c, int) and c > 0 for c in counts[0])
 
 
-def _matrix_free_curvature(scheme, F, hvals, ham, g):
+def _matrix_free_curvature(scheme, F, hvals, ham, g, p):
     """The former matrix-free curvature, kept as a reference: each product pushes v through
     ``cell_jets``, the cell form K and ``scatter``; the diagonal sums each corner's block."""
-    N, n, p = scheme.N, scheme.n, scheme.prob.p
-    a = scheme.grad_scale(F)
+    N, n = scheme.N, scheme.n
+    a = scheme.grad_scale(F, p)
     hz = np.concatenate([ham.eta_grad, ham.P_grad.reshape((N * n,) + scheme.cells)])
     hzz = np.concatenate([ham.eta_hess, ham.P_hess.reshape((N * n, -1) + scheme.cells)])[:, n:]
-    K = a * (scheme._weight(hvals, 2) * hz[:, None] * hz[None] + scheme._weight(hvals, 1) * hzz)
+    K = a * (scheme._weight(hvals, p, 2) * hz[:, None] * hz[None] + scheme._weight(hvals, p, 1) * hzz)
     rank_one = (1.0 / p - 1.0) / (a * F) if F > 0.0 else 0.0
     interior = scheme.interior
     V = np.zeros((N,) + scheme.shape)
@@ -436,14 +436,15 @@ class TestAssembledCurvature:
         O = Subdomain.whole(box)
         H = Hamiltonian.dirichlet(n, N) if density is None else Hamiltonian.from_expression(density, n, N)
         g = boundary_values_from_map(ClosedFormMap.from_expressions(components, n=n), O)
-        scheme = _CellScheme(LpProblem(H=H, O=O, boundary_values=g, p=4.0))
-        W = constant_fill_init(scheme.prob).values[(slice(None),) + scheme.window].copy()
+        prob = LpProblem(H=H, O=O, boundary_values=g, p=4.0)
+        scheme = _CellScheme(prob)
+        W = constant_fill_init(prob).values[(slice(None),) + scheme.window].copy()
         rng = np.random.default_rng(3)
         W[:, scheme.interior] += rng.uniform(-0.3, 0.3, size=W[:, scheme.interior].shape)
-        F, hvals, ham = scheme.energy_and_jets(W, order=2)
-        grad = scheme.normalised_gradient(F, hvals, ham)
-        product, diag = scheme.curvature(F, hvals, ham, grad)
-        ref_product, ref_diag = _matrix_free_curvature(scheme, F, hvals, ham, grad)
+        F, hvals, ham = scheme.energy_and_jets(W, prob.p, order=2)
+        grad = scheme.normalised_gradient(F, hvals, ham, prob.p)
+        product, diag = scheme.curvature(F, hvals, ham, grad, prob.p)
+        ref_product, ref_diag = _matrix_free_curvature(scheme, F, hvals, ham, grad, prob.p)
         assert np.max(np.abs(diag - ref_diag) / np.abs(ref_diag)) <= 1e-13
         for v in rng.normal(size=(3, grad.size)):
             assert np.linalg.norm(product(v) - ref_product(v)) <= 1e-13 * np.linalg.norm(ref_product(v))
@@ -524,6 +525,34 @@ class TestCellTable:
         interior = O.interior_mask
         diff = stages[-1].solution.values[:, interior] - ref[-1].solution.values[:, interior]
         assert np.max(np.abs(diff)) <= 1e-14
+
+
+class TestOneScheme:
+    """A continuation builds one cell scheme and hands it to every stage."""
+
+    @pytest.mark.parametrize("density", ["dirichlet", ETA_X_DENSITY])
+    def test_one_scheme_per_continuation_gives_the_per_stage_results(self, density, monkeypatch):
+        H = Hamiltonian.dirichlet(2, 1) if density == "dirichlet" else Hamiltonian.from_expression(density, 2, 1)
+        prob = _aronsson_problem(H, 2.0)
+        built = []
+        build = _CellScheme.__init__
+
+        def counting(self, prob):
+            built.append(prob)
+            build(self, prob)
+
+        monkeypatch.setattr(_CellScheme, "__init__", counting)
+        stages = p_continuation(prob, [2, 4, 8, 16, 32])
+        assert len(built) == 1
+        # the reference builds a scheme per stage, as a direct lp_minimize call does
+        minimize = lp_approx.lp_minimize
+        monkeypatch.setattr(lp_approx, "lp_minimize", lambda prob, init, scheme=None: minimize(prob, init))
+        ref = p_continuation(prob, [2, 4, 8, 16, 32])
+        assert len(built) == 1 + 1 + 5
+        for st, rf in zip(stages, ref, strict=True):
+            assert np.array_equal(st.solution.values, rf.solution.values, equal_nan=True)
+            fields = {k: v for k, v in vars(st).items() if k != "solution"}
+            assert fields == {k: v for k, v in vars(rf).items() if k != "solution"}
 
 
 class TestCoonsStart:
