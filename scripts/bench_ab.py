@@ -3,27 +3,31 @@
     python3 scripts/bench_ab.py BASE CHANGE --workload closed-form-verdicts \
         --pairs 10 --seconds 30 --seeds 601-610 --number 6
 
-Run from the root of a checkout.  Each revision is checked out into a
-detached ``git worktree`` under ``.bench_work/ab/``, and ``bench/run.py
---trace 0`` runs there, so both sides run their own committed benchmark
-and library code.  Pair i uses the i-th seed and runs both sides one after
+Run from the root of a checkout.  Each revision's files are extracted with
+``git archive`` under ``.bench_work/ab/``, and ``bench/run.py --trace 0``
+runs there, so both sides run their own committed benchmark and library
+code.  A revision is anything ``git archive`` takes: a commit, or the
+output of ``git stash create`` for staged changes that are not committed.  Pair i uses the i-th seed and runs both sides one after
 the other; the side that goes first alternates from pair to pair.  Every
 workload named gets its own pairs.  The output holds the machine record,
 both revisions, every pair's end-to-end metrics, and per metric the
 medians and quartiles of each side and the number of pairs the change won
-(ties count for neither side).  The worktrees are removed at the end.
+(ties count for neither side).  The extracted trees are removed at the end.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
+import io
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -33,6 +37,17 @@ WORK = ROOT / ".bench_work" / "ab"
 def _git(*args: str) -> str:
     return subprocess.run(["git", "-C", str(ROOT), *args], check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def _extract(sha: str, tree: Path) -> None:
+    """The files of revision ``sha``, as ``git archive`` gives them, under ``tree``."""
+    if tree.exists():
+        shutil.rmtree(tree)
+    tree.mkdir(parents=True)
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", sha], check=True,
+                             capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(tree, filter="data")
 
 
 def _seeds(text: str) -> list:
@@ -118,9 +133,7 @@ def main(argv=None) -> int:
               "command": "bench/run.py --trace 0", "workloads": {}}
     try:
         for side, tree in trees.items():
-            if tree.exists():
-                _git("worktree", "remove", "--force", str(tree))
-            _git("worktree", "add", "--detach", str(tree), revisions[side]["sha"])
+            _extract(revisions[side]["sha"], tree)
         for workload in args.workload:
             pairs = []
             for i, seed in enumerate(seeds[:args.pairs]):
@@ -135,9 +148,7 @@ def main(argv=None) -> int:
             record["workloads"][workload] = {"pairs": pairs, "summary": _summary(pairs, better)}
     finally:
         for tree in trees.values():
-            if tree.exists():
-                _git("worktree", "remove", "--force", str(tree))
-        _git("worktree", "prune")
+            shutil.rmtree(tree, ignore_errors=True)
     out = ROOT / f"BENCH_{args.number}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")

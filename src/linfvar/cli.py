@@ -324,9 +324,10 @@ def run(argv=None) -> int:
     }
     error = None
     try:
-        raw = json.loads(Path(args.problem).read_text())
+        path = Path(args.problem)
+        raw = json.loads(path.read_text())
         report["problem_digest"] = problem_digest(raw)
-        prob = load_problem(Path(args.problem))  # path form keeps relative CSV paths anchored
+        prob = load_problem(raw, base=path.parent)  # relative CSV paths stay anchored to the file
         report["results"], passed = _dispatch(args, prob, out_dir)
     except Exception as exc:  # anything before a verdict is an input error: exit 2 with a report
         error, passed = exc, False

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -160,6 +160,8 @@ class Subdomain:
     mask: np.ndarray
     singular: np.ndarray
     region: tuple  # ("box", lo, hi) | ("ball", center, radius)
+    # read-only, computed from ``mask`` at construction
+    boundary_mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.mask = np.asarray(self.mask, dtype=bool)
@@ -168,6 +170,8 @@ class Subdomain:
             raise ValueError("mask shapes must match the box resolution")
         if not self.mask.any():
             raise ValueError("empty subdomain")
+        self.boundary_mask = _boundary_mask(self.mask)
+        self.boundary_mask.flags.writeable = False
         if not self.interior_mask.any():
             raise ValueError("subdomain has no interior nodes")
 
@@ -201,10 +205,6 @@ class Subdomain:
         mask[tuple(nodes[inside].T)] = True
         sing = np.zeros(box.shape, dtype=bool)
         return cls(box, mask, sing, ("ball", tuple(float(v) for v in center), float(radius)))
-
-    @property
-    def boundary_mask(self) -> np.ndarray:
-        return _boundary_mask(self.mask)
 
     @property
     def interior_mask(self) -> np.ndarray:
@@ -365,8 +365,15 @@ class ClosedFormMap:
         if x.shape[0] != self.n:
             raise ValueError(f"point has dimension {x.shape[0]}, map expects {self.n}")
         binding = {name: x[index] for name, index in self._slots}
-        duals = [eval_jet2(ast, binding, self._seeds, order=order, on_singularity=on_singularity)
-                 for ast in self.components]
+        try:
+            duals = [eval_jet2(ast, binding, self._seeds, order=order, on_singularity=on_singularity)
+                     for ast in self.components]
+        except EvalError as err:
+            bad = np.zeros(x.shape[1:], dtype=bool)
+            for ast in self.components:
+                d = eval_jet2(ast, binding, self._seeds, order=order, on_singularity="nan")
+                bad |= _poisoned(d)
+            raise _at_first_point(err, bad & np.isfinite(x).all(axis=0), x) from None
         if self.N == 1:  # eval_jet2's arrays are fresh: a single component's are taken as they are
             (d,) = duals
             return Jet2(x=x, value=d.val[np.newaxis], gradient=d.grad[np.newaxis],
@@ -583,6 +590,22 @@ class Hamiltonian:
         return self._seeds
 
 
+def _poisoned(d) -> np.ndarray:
+    """The entries of a dual evaluated under the ``"nan"`` policy with a NaN value or derivative."""
+    bad = np.isnan(d.val) | np.isnan(d.grad).any(axis=0)
+    return bad if d.hess is None else bad | np.isnan(d.hess).any(axis=(0, 1))
+
+
+def _at_first_point(err: EvalError, bad: np.ndarray, x: np.ndarray) -> EvalError:
+    """``err`` with the same type and `` at point (...)`` appended, naming the point x of
+    the first entry of ``bad``; ``err`` itself when no entry is."""
+    if not bad.any():
+        return err
+    at = np.unravel_index(np.argmax(bad), bad.shape)
+    point = np.broadcast_to(x, x.shape[:1] + bad.shape)[(slice(None),) + at]
+    return type(err)(f"{err} at point {tuple(point.tolist())}")
+
+
 def _eval_density(H: Hamiltonian, x, eta, P, seeds, order: int):
     """:func:`eval_jet2` of H's expression at (x, eta, P).
 
@@ -596,12 +619,7 @@ def _eval_density(H: Hamiltonian, x, eta, P, seeds, order: int):
     except EvalError as err:
         d = eval_jet2(H.expr, binding, H._seeds, order=1, on_singularity="nan")
         finite = np.isfinite(x).all(axis=0) & np.isfinite(eta).all(axis=0) & np.isfinite(P).all(axis=(0, 1))
-        bad = (np.isnan(d.val) | np.isnan(d.grad).any(axis=0)) & finite
-        if not bad.any():
-            raise
-        at = np.unravel_index(np.argmax(bad), bad.shape)
-        point = np.broadcast_to(x, x.shape[:1] + bad.shape)[(slice(None),) + at]
-        raise type(err)(f"{err} at point {tuple(point.tolist())}") from None
+        raise _at_first_point(err, _poisoned(d) & finite, x) from None
 
 
 def hamiltonian_value(H: Hamiltonian, x, eta, P) -> np.ndarray:
@@ -668,13 +686,16 @@ def _singular_mask_from_spec(box: DomainBox, spec) -> np.ndarray:
     return mask
 
 
-def prescan_singularities(u, box: DomainBox) -> np.ndarray:
-    """Nodes where jet extraction fails; used to auto-augment the singular mask."""
+def prescan_singularities(u, box: DomainBox, nodes: np.ndarray) -> np.ndarray:
+    """Nodes where jet extraction fails; used to auto-augment the singular mask.
+
+    A closed-form map is scanned at ``nodes`` (M, dim) only: its order-2 jets
+    under the ``"nan"`` policy, and a node is singular where one of them is
+    not finite.  A grid map's mask is ``~jet_valid`` over the whole box.
+    """
     if isinstance(u, GridMap):
         return ~u.jet_valid
-    nodes = box.all_nodes()
-    coords = box.node_coords(nodes)
-    jet = u.jet2(coords, order=2, on_singularity="nan")
+    jet = u.jet2(box.node_coords(nodes), order=2, on_singularity="nan")
     ok = (
         np.isfinite(jet.value).all(axis=0)
         & np.isfinite(jet.gradient).all(axis=(0, 1))
@@ -685,8 +706,8 @@ def prescan_singularities(u, box: DomainBox) -> np.ndarray:
     return bad
 
 
-def load_problem(source: Union[str, Path, dict]) -> Problem:
-    """Load a problem file (JSON) and build the domain, Hamiltonian, map and subdomain.
+def load_problem(source: Union[str, Path, dict], base: Union[str, Path, None] = None) -> Problem:
+    """Load a problem file (JSON), or its parsed dict, and build the domain, Hamiltonian, map and subdomain.
 
     Schema::
 
@@ -697,17 +718,20 @@ def load_problem(source: Union[str, Path, dict]) -> Problem:
           "subdomain": {"lo": [...], "hi": [...]},          # optional
           "singular": [{"axis": i, "value": v}, ...] }       # optional
 
+    A relative ``u.grid`` path is resolved against ``base``, which defaults
+    to the problem file's directory, or to the working directory for a dict.
+
     Declared singular sets are augmented by a pre-scan that catches
-    singularity errors at grid nodes, so no NaN ever enters an evaluation
-    silently.
+    singularity errors at the subdomain's nodes (a grid map's at every
+    node), so no NaN ever enters an evaluation silently.
     """
     if isinstance(source, dict):
         data = source
-        base = Path(".")
     else:
-        path = Path(source)
-        data = json.loads(path.read_text())
-        base = path.parent
+        data = json.loads(Path(source).read_text())
+        if base is None:
+            base = Path(source).parent
+    base = Path(".") if base is None else Path(base)
 
     def field_of(obj, key, path_txt, ok=None, what=""):
         if key not in obj:
@@ -756,13 +780,14 @@ def load_problem(source: Union[str, Path, dict]) -> Problem:
                  f"an axis index in 0..{n - 1}")
         field_of(item, "value", f"singular[{k}].value", lambda v: list_of([v]), "a number")
     singular = _singular_mask_from_spec(box, singular_spec)
-    singular |= prescan_singularities(u, box)
     if data.get("subdomain") is None:
         subdomain = Subdomain.whole(box, singular)
     else:
         sub = field_of(data, "subdomain", "subdomain", is_object, "an object")
         lo, hi = (field_of(sub, key, f"subdomain.{key}", point, per_axis) for key in ("lo", "hi"))
         subdomain = Subdomain.from_box(box, lo, hi, singular)
+    # the calls read a closed-form u at the subdomain's nodes; one that reads it elsewhere scans there
+    subdomain.singular |= prescan_singularities(u, box, subdomain.evaluable_nodes())
     return Problem(n=n, N=N, box=box, H=H, u=u, subdomain=subdomain)
 
 

@@ -27,6 +27,7 @@ from .energy import (
 )
 from .operators import _normal_space
 from .problem import (
+    ClosedFormMap,
     DomainBox,
     GridMap,
     Hamiltonian,
@@ -34,6 +35,7 @@ from .problem import (
     Subdomain,
     combine_jets,
     jets_at_nodes,
+    prescan_singularities,
 )
 from .variations import (
     SineModeMap,
@@ -232,8 +234,17 @@ def rank_one_test(
 
 def _normal_projector_field(u, H: Hamiltonian, O: Subdomain, eps, tol_angle):
     """The evaluable box nodes (M, n), H_P(., u, Du) there (N, n, M) and its reduced
-    normal projector at each of them (M, N, N), in balls of two spacings by default."""
-    nodes = np.argwhere(u.jet_valid if isinstance(u, GridMap) else ~O.singular)
+    normal projector at each of them (M, N, N), in balls of two spacings by default.
+
+    A loaded problem's singular mask covers a closed-form u's singular nodes
+    in O only: the nodes outside O are pre-scanned here."""
+    if isinstance(u, GridMap):
+        evaluable = u.jet_valid
+    else:
+        evaluable = ~O.singular
+        if isinstance(u, ClosedFormMap):
+            evaluable &= ~prescan_singularities(u, O.box, np.argwhere(~O.mask))
+    nodes = np.argwhere(evaluable)
     jets = jets_at_nodes(u, O.box, nodes, order=1)
     if eps is None:
         eps = 2.0 * float(np.max(O.box.spacing))
@@ -275,7 +286,6 @@ def normal_variation_test(
     hp_inf = float(np.max(np.linalg.norm(hp, axis=(0, 1))))
     projectors = np.ascontiguousarray(np.moveaxis(projectors, 0, -1))  # (N, N, M): einsum runs along M
     chunk = max(1, _BATCH_POINTS // box.all_nodes().shape[0])  # a chunk's grid map holds every box node
-    valid = u.valid if isinstance(u, GridMap) else ~O.singular
 
     def batches():
         for start in range(0, trials, chunk):
@@ -290,9 +300,11 @@ def normal_variation_test(
             if not kept.size:
                 continue
             # every field is NaN where u has no value and 0, which is normal, where u has a value
-            # but no jet, so each takes u's stencils
+            # but no jet, so each takes u's stencils; a closed-form u has no value at its singular
+            # nodes and a jet at all the others
             values = np.full((u.N, kept.size) + box.shape, np.nan)
-            values[..., valid] = 0.0
+            if isinstance(u, GridMap):
+                values[..., u.valid] = 0.0
             values[(slice(None), slice(None)) + tuple(nodes.T)] = phi_vals[:, kept]
             jets = jets_at_nodes(GridMap(box, values.reshape((-1,) + box.shape)), box, probe.nodes, order=1)
             value = jets.value.reshape(u.N, kept.size, -1)

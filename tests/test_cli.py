@@ -456,6 +456,112 @@ REQUIRED = {"danskin": ["--phi", "x1"], "flow": ["--x0", "0.2", "--xi", "1"]}
 OPTION_VALUE = {"--seed": "3", "--delta": "0.1", "--tol": "1e-3", "--points": "0.5"}
 
 
+# u's kink line x1 = 0 lies outside the subdomain [0.25, 0.75]^2
+KINK_OUTSIDE = {
+    "n": 2, "N": 2,
+    "domain": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0], "resolution": [17, 17]},
+    "H": "dirichlet",
+    "u": ["abs(x1)^(4/3) + x2", "2*(abs(x1)^(4/3) + x2)"],
+    "subdomain": {"lo": [0.25, 0.25], "hi": [0.75, 0.75]},
+}
+
+
+class TestSubdomainScan:
+    COMMANDS = [
+        ["parse-check"], ["energy"], ["argmax"], ["danskin", "--phi", "x1; x2"],
+        ["residual"], ["residual", "--variant", "full"], ["residual", "--points", "0.5,0.5;0.375,0.625"],
+        ["flow", "--x0", "0.5,0.5", "--xi", "1,0"], ["maxmin"],
+        ["verify-absolute", "--trials", "5"], ["verify-rank-one", "--trials", "5"], ["verify-normal"],
+        ["stationarity", "--basis-size", "10"], ["measure", "--measure", "dirac:14,12", "--basis-size", "10"],
+        ["lp", "--p-schedule", "2,4"],
+    ]
+
+    def test_a_singular_line_outside_the_subdomain_changes_only_its_count(self, tmp_path):
+        # Declaring the kink line gives the singular set of a whole-box scan: every payload
+        # but parse-check's count is that problem's, and verify-normal, which reads u at
+        # every box node, scans the nodes outside the subdomain itself.
+        declared = dict(KINK_OUTSIDE, singular=[{"axis": 0, "value": 0.0}])
+        for name, spec in (("scanned", KINK_OUTSIDE), ("declared", declared)):
+            (tmp_path / f"{name}.json").write_text(json.dumps(spec))
+        for argv in self.COMMANDS:
+            reports = {}
+            for name in ("scanned", "declared"):
+                out = tmp_path / f"{name}_{'_'.join(argv)}"
+                code = run(argv + ["--problem", str(tmp_path / f"{name}.json"), "--out", str(out)])
+                rep = _report(out, argv[0])
+                reports[name] = code, rep.get("results"), rep.get("error")
+            if argv == ["parse-check"]:
+                assert reports["scanned"][1]["singular_nodes"] == 0
+                assert reports["declared"][1]["singular_nodes"] == 17
+                reports["declared"][1]["singular_nodes"] = 0
+            assert reports["scanned"] == reports["declared"], argv
+            if argv == ["verify-normal"]:
+                code, results, _ = reports["scanned"]
+                assert code == 0 and results["trials"] == 20 and results["pass"] is True
+
+    @pytest.mark.parametrize("argv", [
+        ["residual", "--points", "0.5,0.5"],
+        ["residual", "--points", "0.375,0.625;0.5,0.5"],
+        ["flow", "--x0", "0.5,0.5", "--xi", "1,0"],
+    ])
+    def test_a_point_where_u_is_singular_is_named(self, tmp_path, argv):
+        # the kink line x1 = 0.5 crosses the subdomain: its nodes are masked, but an
+        # explicit point and the flow's start evaluate u there
+        spec = dict(KINK_OUTSIDE, u=["abs(x1 - 0.5)^(4/3) + x2", "2*(abs(x1 - 0.5)^(4/3) + x2)"])
+        (tmp_path / "kink.json").write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        assert run(argv + ["--problem", str(tmp_path / "kink.json"), "--out", str(out)]) == 2
+        assert _report(out, argv[0])["error"] == {
+            "type": "SingularityError", "message": "abs evaluated at its kink (0) at point (0.5, 0.5)"}
+
+
+class TestProblemFile:
+    def test_one_call_reads_the_problem_file_once(self, problems, monkeypatch):
+        import builtins
+        import io
+
+        paths, tmp = problems
+        problem = Path(paths["aronsson"]).resolve()
+        reads = []
+
+        def counted(opener):
+            def wrapper(file, *args, **kwargs):
+                if isinstance(file, (str, os.PathLike)) and Path(file).resolve() == problem:
+                    reads.append(file)
+                return opener(file, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(builtins, "open", counted(builtins.open))
+        monkeypatch.setattr(io, "open", counted(io.open))
+        assert run(["energy", "--problem", paths["aronsson"], "--out", str(tmp / "once")]) == 0
+        assert len(reads) == 1
+
+    def test_a_grid_problem_finds_its_csv_from_another_working_directory(self, tmp_path, monkeypatch):
+        from linfvar import DomainBox, GridMap, write_grid_csv
+
+        data, elsewhere = tmp_path / "data", tmp_path / "elsewhere"
+        data.mkdir(), elsewhere.mkdir()
+        box = DomainBox((0.0,), (1.0,), (9,))
+        write_grid_csv(data / "u.csv", GridMap(box, box.axis_coords(0)[None, :] ** 2))
+        spec = {"n": 1, "N": 1, "domain": {"lo": [0.0], "hi": [1.0], "resolution": [9]},
+                "H": "dirichlet", "u": {"grid": "u.csv"}}
+        (data / "prob.json").write_text(json.dumps(spec))
+        monkeypatch.chdir(elsewhere)
+        for problem in ("../data/prob.json", str(data / "prob.json")):
+            assert run(["energy", "--problem", problem, "--out", "out"]) == 0
+            assert _report(Path("out"), "energy")["results"]["sup_energy"] == pytest.approx(4.0)
+
+    def test_a_load_error_still_reports_the_digest(self, tmp_path):
+        from linfvar import problem_digest
+
+        spec = dict(BAD_EXPR)
+        (tmp_path / "bad.json").write_text(json.dumps(spec))
+        assert run(["energy", "--problem", str(tmp_path / "bad.json"), "--out", str(tmp_path / "o")]) == 2
+        rep = _report(tmp_path / "o", "energy")
+        assert rep["error"]["type"] == "ParseError"
+        assert rep["problem_digest"] == problem_digest(spec)
+
+
 class TestOptions:
     def test_parser_offers_sixty_pairs(self):
         (sub,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linfvar import (
     ClosedFormMap,
@@ -17,7 +18,7 @@ from linfvar import (
     read_grid_csv,
     write_grid_csv,
 )
-from linfvar.problem import prescan_singularities
+from linfvar.problem import _boundary_mask, prescan_singularities
 
 from conftest import ARONSSON_EXPR, random_polynomial_sources
 
@@ -85,6 +86,18 @@ class TestSubdomain:
         assert sub.contains_point([0.3, 0.3])
         assert not sub.contains_point([0.5, 0.5])
         assert sub.interior_mask.sum() > 0
+
+    def test_boundary_mask_is_computed_once_from_the_mask(self):
+        box = DomainBox((-1.0, -1.0), (1.0, 1.0), (9, 11))
+        singular = np.zeros(box.shape, dtype=bool)
+        singular[4] = True
+        for sub in (Subdomain.whole(box), Subdomain.whole(box, singular),
+                    Subdomain.from_box(box, (-0.5, -0.25), (0.75, 0.5), singular),
+                    Subdomain.from_ball(box, (0.0, 0.2), 0.6)):
+            assert np.array_equal(sub.boundary_mask, _boundary_mask(sub.mask))
+            assert sub.boundary_mask is sub.boundary_mask  # no recomputation per access
+            assert not sub.boundary_mask.flags.writeable
+            assert np.array_equal(sub.interior_mask, sub.mask & ~_boundary_mask(sub.mask))
 
     def test_box_containment_matches_the_array_comparison(self):
         box = DomainBox((-1.0, 0.0), (1.0, 2.0), (9, 9))
@@ -188,8 +201,9 @@ class TestMapJets:
     def test_prescan_and_fallback_stencils(self):
         box = DomainBox((-1.0,), (1.0,), (9,))
         u = ClosedFormMap.from_expressions(["abs(x1)^(4/3)"], n=1)
-        bad = prescan_singularities(u, box)
+        bad = prescan_singularities(u, box, box.all_nodes())
         assert list(np.argwhere(bad).ravel()) == [4]
+        assert not prescan_singularities(u, box, np.array([[3], [5], [6]])).any()
         values = u.sample(box).values.copy()
         values[:, bad] = np.nan  # a masked node holds no value
         gm = GridMap(box, values)
@@ -368,6 +382,58 @@ class TestProblemIO:
         prob = load_problem(spec)
         assert prob.subdomain.singular[4]
         assert prob.subdomain.evaluable_mask.sum() == 8
+
+    def test_singular_nodes_are_scanned_in_the_subdomain_only(self):
+        # u's kink line x1 = 0 lies outside the subdomain: it is neither scanned nor masked
+        spec = {"n": 2, "N": 2, "domain": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0], "resolution": [17, 17]},
+                "H": "dirichlet", "u": ["abs(x1)^(4/3) + x2", "2*(abs(x1)^(4/3) + x2)"],
+                "subdomain": {"lo": [0.25, 0.25], "hi": [0.75, 0.75]}}
+        assert not load_problem(spec).subdomain.singular.any()
+        whole = load_problem({k: v for k, v in spec.items() if k != "subdomain"})
+        assert np.array_equal(np.argwhere(whole.subdomain.singular), [[8, j] for j in range(17)])
+        # a declared line is masked over the whole box, as before
+        declared = load_problem(dict(spec, singular=[{"axis": 1, "value": -1.0}]))
+        assert np.array_equal(np.argwhere(declared.subdomain.singular), [[i, 0] for i in range(17)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        resolution=st.tuples(st.integers(5, 12), st.integers(5, 12)),
+        window=st.tuples(*(st.tuples(st.integers(0, 11), st.integers(0, 11)),) * 2),
+        kinks=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 11), st.booleans()), max_size=3),
+        declared=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 11)), max_size=2),
+    )
+    def test_window_scan_keeps_the_whole_box_rule(self, resolution, window, kinks, declared):
+        box = DomainBox((-1.0, 0.5), (1.5, 2.0), resolution)
+        coord = [box.axis_coords(i) for i in range(2)]
+
+        def at(axis, i):
+            return float(coord[axis][min(i, resolution[axis] - 1)])
+
+        # at least three nodes per axis, so that the subdomain has interior nodes
+        first = [min(a, r - 3) for (a, _), r in zip(window, resolution)]
+        lo = [at(i, first[i]) for i in range(2)]
+        hi = [at(i, max(window[i][1], first[i] + 2)) for i in range(2)]
+        # kink lines at a node coordinate, or half a spacing off one (no singular node)
+        terms = [f"abs(x{axis + 1} - {at(axis, i) + (0.5 * float(box.spacing[axis]) if off else 0.0)!r})^(4/3)"
+                 for axis, i, off in kinks]
+        u = ["x1 + x2 + " + " + ".join(terms) if terms else "x1 * x2", "x1 - x2^2"]
+        spec = {"n": 2, "N": 2, "domain": {"lo": list(box.lo), "hi": list(box.hi), "resolution": list(resolution)},
+                "H": "dirichlet", "u": u, "subdomain": {"lo": lo, "hi": hi},
+                "singular": [{"axis": axis, "value": at(axis, i)} for axis, i in declared]}
+        O = load_problem(spec).subdomain
+        # the rule of a whole-box scan: the declared lines and every node whose order-2 jets are not finite
+        nodes = box.all_nodes()
+        jet = ClosedFormMap.from_expressions(u, 2).jet2(box.node_coords(nodes), order=2, on_singularity="nan")
+        finite = (np.isfinite(jet.value).all(axis=0) & np.isfinite(jet.gradient).all(axis=(0, 1))
+                  & np.isfinite(jet.hessian).all(axis=(0, 1, 2)))
+        scanned = np.zeros(box.shape, dtype=bool)
+        scanned[tuple(nodes[~finite].T)] = True
+        lines = np.zeros(box.shape, dtype=bool)
+        for axis, i in declared:
+            lines[(slice(None),) * axis + (min(i, resolution[axis] - 1),)] = True
+        assert np.array_equal(O.evaluable_mask, O.mask & ~(lines | scanned))
+        # the mask itself now holds the declared lines and the scanned nodes in the subdomain
+        assert np.array_equal(O.singular, lines | (O.mask & scanned))
 
     def test_grid_csv_round_trip(self, tmp_path):
         box = DomainBox((0.0, 0.0), (1.0, 1.0), (5, 5))

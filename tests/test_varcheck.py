@@ -894,3 +894,14 @@ def test_a_normal_chunk_is_bounded_by_the_box(monkeypatch):
     monkeypatch.setattr(varcheck, "GridMap", Recording)
     v = normal_variation_test(u, Hamiltonian.dirichlet(2, 2), O, trials=3, seed=1)
     assert v.trials == 3 and sizes == [1, 1, 1]
+
+
+def test_a_normal_verdict_on_a_combined_map_reads_the_subdomain_mask():
+    # only a closed-form map is pre-scanned outside the subdomain; a combination u + 0 phi,
+    # which has no "nan" policy, takes the nodes off the singular mask and gives u's verdict
+    box = DomainBox((0.0,), (1.0,), (33,))
+    u = ClosedFormMap.from_expressions(["x1", "0.0"], 1)
+    phi = ClosedFormMap.from_expressions(["0.0", "x1*(1-x1)"], 1)
+    H, O = Hamiltonian.dirichlet(1, 2), Subdomain.from_box(box, (0.25,), (0.75,))
+    assert normal_variation_test(PerturbedMap(u, phi, 0.0), H, O, trials=4, seed=2) \
+        == normal_variation_test(u, H, O, trials=4, seed=2)
