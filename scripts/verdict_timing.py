@@ -13,10 +13,15 @@ building that basis.  A row of its own times ``make_test_basis`` for the
 and ``measure_divergence_residual`` times the basis path's other caller:
 the uniform measure on the subdomain against the same basis (built inside
 the timed call, as the scan's is), with ``delta`` infinite so that the
-argmax set admits every node the measure charges.  The last row is the
+argmax set admits every node the measure charges.  The next row is the
 grid-vectorial benchmark's ``C verify-normal`` call at seed 1, drawn the
 same way: ``normal_variation_test`` with 5 trials on the masked grid map
-C, whose reduced normal space has dimension one.  The first two rows time
+C, whose reduced normal space has dimension one.  The last row times
+one chunk of that call's scoring: a grid map of 7 fields (14 components)
+over C's 33^2 box, built as ``normal_variation_test`` builds a chunk's
+map (0 where C has a value, random field values at C's jet-valid nodes),
+and its order-1 jets at the subdomain's evaluable nodes, which form only
+its first derivatives.  The first two rows time
 ``load_problem`` of the closed-form-verdicts A and B problem files, which
 every call of that session pays once: the A problem's pre-scan of u reads
 the 33^2 nodes of its subdomain, the B problem's, which has no subdomain,
@@ -37,6 +42,8 @@ import tempfile
 import timeit
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
@@ -44,7 +51,9 @@ import workloads  # noqa: E402
 
 from linfvar import (  # noqa: E402
     DiscreteMeasure,
+    GridMap,
     absolute_minimiser_test,
+    jets_at_nodes,
     load_problem,
     make_test_basis,
     measure_divergence_residual,
@@ -68,6 +77,12 @@ def main():
         prob = load_problem(verdicts / "A.json")
         u, H, O = prob.u, prob.H, prob.subdomain
         C = load_problem(grid / "C.json")
+        box = C.box
+        chunk = np.full((C.N, 7) + box.shape, np.nan)
+        chunk[..., C.u.valid] = 0.0
+        chunk[..., C.u.jet_valid] = np.random.default_rng(SEED).normal(size=(C.N, 7, int(C.u.jet_valid.sum())))
+        chunk = chunk.reshape((-1,) + box.shape)
+        probe_nodes = C.subdomain.evaluable_nodes()
         timed = {
             "load_problem, A problem": lambda: load_problem(verdicts / "A.json"),
             "load_problem, B problem": lambda: load_problem(verdicts / "B.json"),
@@ -84,6 +99,8 @@ def main():
                                                     make_test_basis(O, prob.N, 50), delta=math.inf),
             "normal_variation_test, 5 trials":
                 lambda: normal_variation_test(C.u, C.H, C.subdomain, trials=5, amplitude=1.0, seed=SEED),
+            "order-1 jets of a 7-field 33^2 chunk map":
+                lambda: jets_at_nodes(GridMap(box, chunk), box, probe_nodes, order=1),
         }
         best = {key: float("inf") for key in timed}
         for _ in range(args.rounds):

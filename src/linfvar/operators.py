@@ -110,8 +110,8 @@ def _divergence(u, H: Hamiltonian, jets: Jet2, nodes, hp_field=None) -> np.ndarr
     other maps apply the chain rule to the rows H_P of H's exact second derivatives.
     """
     if isinstance(u, GridMap):
-        h, valid = u.box.spacing, None if u.jet_valid.all() else u.jet_valid
-        div = sum(axis_derivative(hp_field[:, i], i, h[i], order=1, valid=valid, grid_ndim=u.n)
+        h = u.box.spacing
+        div = sum(axis_derivative(hp_field[:, i], i, h[i], valid=u.jet_valid)
                   for i in range(u.n))
         return div[(slice(None),) + tuple(nodes.T)]
     n, N, M = H.n, H.N, jets.x.shape[1]

@@ -17,7 +17,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -229,10 +231,10 @@ class Subdomain:
     def contains_point(self, x) -> bool:
         """Whether the point x (dim,) lies in the closed region; a NaN coordinate lies outside."""
         x = np.asarray(x, dtype=float)
+        if x.shape != (self.box.dim,):
+            raise ValueError(f"point has shape {x.shape}, the region has dimension {self.box.dim}")
         if self.region[0] == "box":
             _, lo, hi = self.region
-            if x.shape != (len(lo),):
-                raise ValueError(f"point has shape {x.shape}, the region has dimension {len(lo)}")
             return all(a <= v <= b for a, v, b in zip(lo, x.tolist(), hi))
         center, radius = np.asarray(self.region[1]), self.region[2]
         return bool(np.linalg.norm(x - center) <= radius)
@@ -290,6 +292,8 @@ def axis_derivative(values: np.ndarray, axis: int, h: float, order: int = 1,
     values = np.asarray(values, dtype=float)
     if grid_ndim is None:
         grid_ndim = values.ndim if valid is None else valid.ndim
+    if valid is not None and valid.all():
+        valid = None  # no mask: the same values, without the masked path's fills
     lead = values.ndim - grid_ndim
     gaxis = lead + axis
     # the derivative axis goes last, the others keep their order
@@ -410,48 +414,38 @@ class GridMap:
         self.N = values.shape[0]
         self.n = box.dim
         self.valid = np.isfinite(values).all(axis=0)
-        self._du = None
-        self._d2u = None
-        self._jet_valid = None
 
-    def _derivatives(self):
-        if self._du is None:
-            h = self.box.spacing
-            valid = None if self.valid.all() else self.valid
-            nd = self.box.dim
-            du = np.stack(
-                [axis_derivative(self.values, i, h[i], order=1, valid=valid, grid_ndim=nd)
-                 for i in range(self.n)],
-                axis=1,
-            )
-            d2 = np.empty((self.N, self.n, self.n) + self.box.shape)
-            for i in range(self.n):
-                d2[:, i, i] = axis_derivative(self.values, i, h[i], order=2, valid=valid, grid_ndim=nd)
-                for j in range(i + 1, self.n):
-                    mixed = axis_derivative(du[:, i], j, h[j], order=1, valid=valid, grid_ndim=nd)
-                    d2[:, i, j] = mixed
-                    d2[:, j, i] = mixed
-            self._du = du
-            self._d2u = d2
-            ok = self.valid & np.isfinite(du).all(axis=(0, 1)) & np.isfinite(d2).all(axis=(0, 1, 2))
-            ok.flags.writeable = False
-            self._jet_valid = ok
-        return self._du, self._d2u
+    @cached_property
+    def _du(self) -> np.ndarray:
+        """(N, n) + shape first derivatives, one pass per axis."""
+        h = self.box.spacing
+        return np.stack([axis_derivative(self.values, i, h[i], valid=self.valid) for i in range(self.n)], axis=1)
 
-    @property
+    @cached_property
+    def _d2u(self) -> np.ndarray:
+        """(N, n, n) + shape second derivatives; a mixed one differentiates ``_du``."""
+        h = self.box.spacing
+        d2 = np.empty((self.N, self.n, self.n) + self.box.shape)
+        for i in range(self.n):
+            d2[:, i, i] = axis_derivative(self.values, i, h[i], order=2, valid=self.valid)
+            for j in range(i + 1, self.n):
+                d2[:, i, j] = d2[:, j, i] = axis_derivative(self._du[:, i], j, h[j], valid=self.valid)
+        return d2
+
+    @cached_property
     def jet_valid(self) -> np.ndarray:
-        """Nodes whose value, gradient and Hessian are finite (read-only, computed with the derivatives)."""
-        self._derivatives()
-        return self._jet_valid
+        """Nodes whose value, gradient and Hessian are finite (read-only)."""
+        ok = self.valid & np.isfinite(self._du).all(axis=(0, 1)) & np.isfinite(self._d2u).all(axis=(0, 1, 2))
+        ok.flags.writeable = False
+        return ok
 
     def jet_at_nodes(self, nodes: np.ndarray, order: int = 2) -> Jet2:
         nodes = np.atleast_2d(np.asarray(nodes, dtype=int))
-        du, d2 = self._derivatives()
         sel = tuple(nodes.T)
         x = self.box.node_coords(nodes)
         value = self.values[(slice(None),) + sel]
-        gradient = du[(slice(None), slice(None)) + sel]
-        hessian = d2[(slice(None), slice(None), slice(None)) + sel] if order >= 2 else None
+        gradient = self._du[(slice(None), slice(None)) + sel]
+        hessian = self._d2u[(slice(None), slice(None), slice(None)) + sel] if order >= 2 else None
         return Jet2(x=x, value=value, gradient=gradient, hessian=hessian)
 
     def nodes_at(self, x) -> np.ndarray:
@@ -689,18 +683,19 @@ def _singular_mask_from_spec(box: DomainBox, spec) -> np.ndarray:
 def prescan_singularities(u, box: DomainBox, nodes: np.ndarray) -> np.ndarray:
     """Nodes where jet extraction fails; used to auto-augment the singular mask.
 
-    A closed-form map is scanned at ``nodes`` (M, dim) only: its order-2 jets
-    under the ``"nan"`` policy, and a node is singular where one of them is
-    not finite.  A grid map's mask is ``~jet_valid`` over the whole box.
+    Only ``nodes`` (M, dim) are scanned: a grid map's ``jet_valid`` there, and a
+    closed-form map's order-2 jets under the ``"nan"`` policy, a node being
+    singular where one of them is not finite.
     """
     if isinstance(u, GridMap):
-        return ~u.jet_valid
-    jet = u.jet2(box.node_coords(nodes), order=2, on_singularity="nan")
-    ok = (
-        np.isfinite(jet.value).all(axis=0)
-        & np.isfinite(jet.gradient).all(axis=(0, 1))
-        & np.isfinite(jet.hessian).all(axis=(0, 1, 2))
-    )
+        ok = u.jet_valid[tuple(nodes.T)]
+    else:
+        jet = u.jet2(box.node_coords(nodes), order=2, on_singularity="nan")
+        ok = (
+            np.isfinite(jet.value).all(axis=0)
+            & np.isfinite(jet.gradient).all(axis=(0, 1))
+            & np.isfinite(jet.hessian).all(axis=(0, 1, 2))
+        )
     bad = np.zeros(box.shape, dtype=bool)
     bad[tuple(nodes[~ok].T)] = True
     return bad
@@ -722,8 +717,8 @@ def load_problem(source: Union[str, Path, dict], base: Union[str, Path, None] = 
     to the problem file's directory, or to the working directory for a dict.
 
     Declared singular sets are augmented by a pre-scan that catches
-    singularity errors at the subdomain's nodes (a grid map's at every
-    node), so no NaN ever enters an evaluation silently.
+    singularity errors at the subdomain's nodes, so no NaN ever enters an
+    evaluation silently.
     """
     if isinstance(source, dict):
         data = source
@@ -752,10 +747,13 @@ def load_problem(source: Union[str, Path, dict], base: Union[str, Path, None] = 
     n = int(field_of(data, "n", "n", count, "a positive whole number"))
     N = int(field_of(data, "N", "N", count, "a positive whole number"))
 
-    def point(v):  # one number per axis
-        return list_of(v) and len(v) == n
+    def finite(c):  # neither infinite nor NaN, and an integer that fits a float
+        return abs(c) <= sys.float_info.max
 
-    per_axis = f"a list of n = {n} numbers"
+    def point(v):  # one finite number per axis
+        return list_of(v) and len(v) == n and all(map(finite, v))
+
+    per_axis = f"a list of n = {n} finite numbers"
     dom = field_of(data, "domain", "domain", is_object, "an object")
     box = DomainBox(*(tuple(field_of(dom, key, f"domain.{key}", point, per_axis))
                       for key in ("lo", "hi", "resolution")))
@@ -778,7 +776,7 @@ def load_problem(source: Union[str, Path, dict], base: Union[str, Path, None] = 
         field_of(item, "axis", f"singular[{k}].axis",
                  lambda v: list_of([v]) and float(v).is_integer() and 0 <= v < n,
                  f"an axis index in 0..{n - 1}")
-        field_of(item, "value", f"singular[{k}].value", lambda v: list_of([v]), "a number")
+        field_of(item, "value", f"singular[{k}].value", lambda v: list_of([v]) and finite(v), "a finite number")
     singular = _singular_mask_from_spec(box, singular_spec)
     if data.get("subdomain") is None:
         subdomain = Subdomain.whole(box, singular)
@@ -786,7 +784,7 @@ def load_problem(source: Union[str, Path, dict], base: Union[str, Path, None] = 
         sub = field_of(data, "subdomain", "subdomain", is_object, "an object")
         lo, hi = (field_of(sub, key, f"subdomain.{key}", point, per_axis) for key in ("lo", "hi"))
         subdomain = Subdomain.from_box(box, lo, hi, singular)
-    # the calls read a closed-form u at the subdomain's nodes; one that reads it elsewhere scans there
+    # the calls read u at the subdomain's nodes; one that reads it elsewhere scans there
     subdomain.singular |= prescan_singularities(u, box, subdomain.evaluable_nodes())
     return Problem(n=n, N=N, box=box, H=H, u=u, subdomain=subdomain)
 

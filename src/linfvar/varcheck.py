@@ -236,8 +236,9 @@ def _normal_projector_field(u, H: Hamiltonian, O: Subdomain, eps, tol_angle):
     """The evaluable box nodes (M, n), H_P(., u, Du) there (N, n, M) and its reduced
     normal projector at each of them (M, N, N), in balls of two spacings by default.
 
-    A loaded problem's singular mask covers a closed-form u's singular nodes
-    in O only: the nodes outside O are pre-scanned here."""
+    A loaded problem's singular mask covers u's singular nodes in O only: a
+    grid map's ``jet_valid`` is read over the box, and a closed-form map's
+    nodes outside O are pre-scanned here."""
     if isinstance(u, GridMap):
         evaluable = u.jet_valid
     else:

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -115,6 +116,13 @@ class TestExitCodes:
         ("singular[0].axis", {"singular": [{"axis": 5, "value": 0.0}]}),
         ("singular[0]", {"singular": [5]}),
         ("singular", {"singular": 5}),
+        # json reads Infinity and NaN: a point or a value must be finite
+        ("domain.lo", {"domain": {"lo": [-math.inf], "hi": [1.0], "resolution": [9]}}),
+        ("domain.hi", {"domain": {"lo": [-1.0], "hi": [math.nan], "resolution": [9]}}),
+        ("subdomain.lo", {"subdomain": {"lo": [-math.inf], "hi": [0.5]}}),
+        ("subdomain.hi", {"subdomain": {"lo": [-0.5], "hi": [math.inf]}}),
+        ("singular[0].value", {"singular": [{"axis": 0, "value": math.nan}]}),
+        ("singular[0].value", {"singular": [{"axis": 0, "value": 10 ** 400}]}),
     ])
     def test_mistyped_field_is_named(self, problems, tmp_path, path, bad):
         _, tmp = problems

@@ -86,6 +86,9 @@ class TestSubdomain:
         assert sub.contains_point([0.3, 0.3])
         assert not sub.contains_point([0.5, 0.5])
         assert sub.interior_mask.sum() > 0
+        for p in ([0.1], [0.1, 0.1, 0.1]):  # no broadcasting against the centre
+            with pytest.raises(ValueError, match="dimension 2"):
+                sub.contains_point(p)
 
     def test_boundary_mask_is_computed_once_from_the_mask(self):
         box = DomainBox((-1.0, -1.0), (1.0, 1.0), (9, 11))
@@ -383,7 +386,7 @@ class TestProblemIO:
         assert prob.subdomain.singular[4]
         assert prob.subdomain.evaluable_mask.sum() == 8
 
-    def test_singular_nodes_are_scanned_in_the_subdomain_only(self):
+    def test_singular_nodes_are_scanned_in_the_subdomain_only(self, tmp_path):
         # u's kink line x1 = 0 lies outside the subdomain: it is neither scanned nor masked
         spec = {"n": 2, "N": 2, "domain": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0], "resolution": [17, 17]},
                 "H": "dirichlet", "u": ["abs(x1)^(4/3) + x2", "2*(abs(x1)^(4/3) + x2)"],
@@ -394,6 +397,17 @@ class TestProblemIO:
         # a declared line is masked over the whole box, as before
         declared = load_problem(dict(spec, singular=[{"axis": 1, "value": -1.0}]))
         assert np.array_equal(np.argwhere(declared.subdomain.singular), [[i, 0] for i in range(17)])
+        # a grid map follows the same rule: its masked node (1, 1) lies outside the subdomain, (12, 12) in it
+        box = DomainBox((-1.0, -1.0), (1.0, 1.0), (17, 17))
+        values = ClosedFormMap.from_expressions(["x1 * x2", "x1 - x2^2"], n=2).sample(box).values.copy()
+        values[:, [1, 12], [1, 12]] = np.nan
+        write_grid_csv(tmp_path / "u.csv", GridMap(box, values))
+        grid = dict(spec, u={"grid": "u.csv"})
+        sub = load_problem(grid, base=tmp_path)
+        assert np.array_equal(np.argwhere(sub.subdomain.singular), [[12, 12]])
+        whole = load_problem({k: v for k, v in grid.items() if k != "subdomain"}, base=tmp_path)
+        assert np.array_equal(whole.subdomain.singular, ~whole.u.jet_valid)
+        assert whole.subdomain.singular[1, 1] and sub.u.jet_valid[sub.subdomain.mask].sum() == 24
 
     @settings(max_examples=60, deadline=None)
     @given(
