@@ -19,7 +19,8 @@ same way: ``normal_variation_test`` with 5 trials on the masked grid map
 C, whose reduced normal space has dimension one.  The last row times
 one chunk of that call's scoring: a grid map of 7 fields (14 components)
 over C's 33^2 box, built as ``normal_variation_test`` builds a chunk's
-map (0 where C has a value, random field values at C's jet-valid nodes),
+map (0 where C has a value, random field values at the nodes the verdict
+places its fields at: not singular, and where C has a jet),
 and its order-1 jets at the subdomain's evaluable nodes, which form only
 its first derivatives.  The first two rows time
 ``load_problem`` of the closed-form-verdicts A and B problem files, which
@@ -61,6 +62,7 @@ from linfvar import (  # noqa: E402
     rank_one_test,
     stationarity_scans,
 )
+from linfvar.problem import prescan_singularities  # noqa: E402
 
 SEED = 1
 
@@ -80,7 +82,8 @@ def main():
         box = C.box
         chunk = np.full((C.N, 7) + box.shape, np.nan)
         chunk[..., C.u.valid] = 0.0
-        chunk[..., C.u.jet_valid] = np.random.default_rng(SEED).normal(size=(C.N, 7, int(C.u.jet_valid.sum())))
+        fields = ~C.subdomain.singular & ~prescan_singularities(C.u, box, np.argwhere(~C.subdomain.mask))
+        chunk[..., fields] = np.random.default_rng(SEED).normal(size=(C.N, 7, int(fields.sum())))
         chunk = chunk.reshape((-1,) + box.shape)
         probe_nodes = C.subdomain.evaluable_nodes()
         timed = {

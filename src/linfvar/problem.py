@@ -393,6 +393,12 @@ class ClosedFormMap:
                 hessian[a] = d.hess
         return Jet2(x=x, value=value, gradient=gradient, hessian=hessian)
 
+    def has_jet(self, box: DomainBox, nodes: np.ndarray) -> np.ndarray:
+        """Whether each of ``nodes`` (M, dim) of ``box`` has a finite order-2 jet under the ``"nan"`` policy."""
+        jet = self.jet2(box.node_coords(nodes), order=2, on_singularity="nan")
+        return (np.isfinite(jet.value).all(axis=0) & np.isfinite(jet.gradient).all(axis=(0, 1))
+                & np.isfinite(jet.hessian).all(axis=(0, 1, 2)))
+
     def sample(self, box: DomainBox) -> "GridMap":
         """The map's values at every node of ``box``; NaN where it is singular."""
         nodes = box.all_nodes()
@@ -439,6 +445,12 @@ class GridMap:
         ok.flags.writeable = False
         return ok
 
+    def has_jet(self, box: DomainBox, nodes: np.ndarray) -> np.ndarray:
+        """``jet_valid`` at each of ``nodes`` (M, dim) of ``box``, which must be the map's."""
+        if box != self.box:
+            raise ValueError("grid map lives on a different box")
+        return self.jet_valid[tuple(nodes.T)]
+
     def jet_at_nodes(self, nodes: np.ndarray, order: int = 2) -> Jet2:
         nodes = np.atleast_2d(np.asarray(nodes, dtype=int))
         sel = tuple(nodes.T)
@@ -484,6 +496,9 @@ class PerturbedMap:
         self.scale = float(scale)
         self.n = base.n
         self.N = base.N
+
+    def has_jet(self, box: DomainBox, nodes: np.ndarray) -> np.ndarray:
+        return self.base.has_jet(box, nodes) & self.variation.has_jet(box, nodes)
 
     def jet2(self, x, order: int = 2) -> Jet2:
         return combine_jets(map_jet(self.base, x, order=order), map_jet(self.variation, x, order=order), self.scale)
@@ -681,23 +696,14 @@ def _singular_mask_from_spec(box: DomainBox, spec) -> np.ndarray:
 
 
 def prescan_singularities(u, box: DomainBox, nodes: np.ndarray) -> np.ndarray:
-    """Nodes where jet extraction fails; used to auto-augment the singular mask.
+    """The nodes among ``nodes`` (M, dim) where u has no order-2 jet, as a mask of ``box``.
 
-    Only ``nodes`` (M, dim) are scanned: a grid map's ``jet_valid`` there, and a
-    closed-form map's order-2 jets under the ``"nan"`` policy, a node being
-    singular where one of them is not finite.
+    One rule for every map kind, each answering through its ``has_jet``: a
+    grid map reads ``jet_valid``, a closed-form map scans its order-2 jets
+    under the ``"nan"`` policy, and u + t*phi needs a jet of both parts.
     """
-    if isinstance(u, GridMap):
-        ok = u.jet_valid[tuple(nodes.T)]
-    else:
-        jet = u.jet2(box.node_coords(nodes), order=2, on_singularity="nan")
-        ok = (
-            np.isfinite(jet.value).all(axis=0)
-            & np.isfinite(jet.gradient).all(axis=(0, 1))
-            & np.isfinite(jet.hessian).all(axis=(0, 1, 2))
-        )
     bad = np.zeros(box.shape, dtype=bool)
-    bad[tuple(nodes[~ok].T)] = True
+    bad[tuple(nodes[~u.has_jet(box, nodes)].T)] = True
     return bad
 
 
@@ -738,17 +744,17 @@ def load_problem(source: Union[str, Path, dict], base: Union[str, Path, None] = 
     def list_of(v, kinds=(int, float, np.integer, np.floating)):
         return isinstance(v, list) and all(isinstance(c, kinds) and not isinstance(c, bool) for c in v)
 
+    def finite(c):  # neither infinite nor NaN, and an integer that fits a float
+        return abs(c) <= sys.float_info.max
+
     def count(v):
-        return list_of([v]) and float(v).is_integer() and v >= 1
+        return list_of([v]) and finite(v) and float(v).is_integer() and v >= 1
 
     def is_object(v):
         return isinstance(v, dict)
 
     n = int(field_of(data, "n", "n", count, "a positive whole number"))
     N = int(field_of(data, "N", "N", count, "a positive whole number"))
-
-    def finite(c):  # neither infinite nor NaN, and an integer that fits a float
-        return abs(c) <= sys.float_info.max
 
     def point(v):  # one finite number per axis
         return list_of(v) and len(v) == n and all(map(finite, v))
@@ -774,7 +780,7 @@ def load_problem(source: Union[str, Path, dict], base: Union[str, Path, None] = 
         if not is_object(item):
             raise TypeError(f"problem file field 'singular[{k}]' must be an object, got {item!r}")
         field_of(item, "axis", f"singular[{k}].axis",
-                 lambda v: list_of([v]) and float(v).is_integer() and 0 <= v < n,
+                 lambda v: list_of([v]) and finite(v) and float(v).is_integer() and 0 <= v < n,
                  f"an axis index in 0..{n - 1}")
         field_of(item, "value", f"singular[{k}].value", lambda v: list_of([v]) and finite(v), "a finite number")
     singular = _singular_mask_from_spec(box, singular_spec)

@@ -27,7 +27,6 @@ from .energy import (
 )
 from .operators import _normal_space
 from .problem import (
-    ClosedFormMap,
     DomainBox,
     GridMap,
     Hamiltonian,
@@ -236,16 +235,11 @@ def _normal_projector_field(u, H: Hamiltonian, O: Subdomain, eps, tol_angle):
     """The evaluable box nodes (M, n), H_P(., u, Du) there (N, n, M) and its reduced
     normal projector at each of them (M, N, N), in balls of two spacings by default.
 
-    A loaded problem's singular mask covers u's singular nodes in O only: a
-    grid map's ``jet_valid`` is read over the box, and a closed-form map's
+    One rule for every kind of map: a node is evaluable where it is not
+    singular and u has an order-2 jet.  A loaded problem's singular mask
+    holds the declared nodes and u's nodes without a jet in O, so the
     nodes outside O are pre-scanned here."""
-    if isinstance(u, GridMap):
-        evaluable = u.jet_valid
-    else:
-        evaluable = ~O.singular
-        if isinstance(u, ClosedFormMap):
-            evaluable &= ~prescan_singularities(u, O.box, np.argwhere(~O.mask))
-    nodes = np.argwhere(evaluable)
+    nodes = np.argwhere(~O.singular & ~prescan_singularities(u, O.box, np.argwhere(~O.mask)))
     jets = jets_at_nodes(u, O.box, nodes, order=1)
     if eps is None:
         eps = 2.0 * float(np.max(O.box.spacing))
@@ -300,9 +294,9 @@ def normal_variation_test(
                                   & (align <= 1e-6 * hp_inf * np.maximum(phi_inf, 1e-300)))
             if not kept.size:
                 continue
-            # every field is NaN where u has no value and 0, which is normal, where u has a value
-            # but no jet, so each takes u's stencils; a closed-form u has no value at its singular
-            # nodes and a jet at all the others
+            # every field is NaN where u has no value, and 0, which is normal, where a grid map has a
+            # value but is left out of ``nodes`` (no jet, or declared singular), so each takes u's
+            # stencils; a closed-form u has no value at its singular nodes and a jet at all the others
             values = np.full((u.N, kept.size) + box.shape, np.nan)
             if isinstance(u, GridMap):
                 values[..., u.valid] = 0.0

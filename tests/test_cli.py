@@ -123,6 +123,10 @@ class TestExitCodes:
         ("subdomain.hi", {"subdomain": {"lo": [-0.5], "hi": [math.inf]}}),
         ("singular[0].value", {"singular": [{"axis": 0, "value": math.nan}]}),
         ("singular[0].value", {"singular": [{"axis": 0, "value": 10 ** 400}]}),
+        # a whole number beyond the float range
+        ("n", {"n": 10 ** 400}),
+        ("N", {"N": 10 ** 400}),
+        ("singular[0].axis", {"singular": [{"axis": 10 ** 400, "value": 0.0}]}),
     ])
     def test_mistyped_field_is_named(self, problems, tmp_path, path, bad):
         _, tmp = problems

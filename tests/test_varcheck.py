@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from linfvar import (
     SupportViolationError,
     absolute_minimiser_test,
     danskin_derivative,
+    load_problem,
     make_sphere_variation,
     make_test_basis,
     measure_divergence_residual,
@@ -20,7 +23,9 @@ from linfvar import (
     sphere_family_scan,
     stationarity_scan,
     sup_energy,
+    write_grid_csv,
 )
+from linfvar.cli import run
 from linfvar.varcheck import make_free_variation
 
 
@@ -897,11 +902,33 @@ def test_a_normal_chunk_is_bounded_by_the_box(monkeypatch):
 
 
 def test_a_normal_verdict_on_a_combined_map_reads_the_subdomain_mask():
-    # only a closed-form map is pre-scanned outside the subdomain; a combination u + 0 phi,
-    # which has no "nan" policy, takes the nodes off the singular mask and gives u's verdict
+    # a combination u + 0 phi is scanned outside the subdomain as its parts are, a node having a
+    # jet where both parts have one, so it gives u's verdict; the second u has its kink x1 = 1/8
+    # outside the subdomain
     box = DomainBox((0.0,), (1.0,), (33,))
-    u = ClosedFormMap.from_expressions(["x1", "0.0"], 1)
     phi = ClosedFormMap.from_expressions(["0.0", "x1*(1-x1)"], 1)
     H, O = Hamiltonian.dirichlet(1, 2), Subdomain.from_box(box, (0.25,), (0.75,))
-    assert normal_variation_test(PerturbedMap(u, phi, 0.0), H, O, trials=4, seed=2) \
-        == normal_variation_test(u, H, O, trials=4, seed=2)
+    for exprs in (["x1", "0.0"], ["abs(x1 - 0.125)^(4/3) + x1", "0.0"]):
+        u = ClosedFormMap.from_expressions(exprs, 1)
+        assert normal_variation_test(PerturbedMap(u, phi, 0.0), H, O, trials=4, seed=2) \
+            == normal_variation_test(u, H, O, trials=4, seed=2)
+
+
+def test_a_grid_map_keeps_its_declared_line_out_of_the_normal_projector(tmp_path):
+    # the normal projector and the test fields live where the problem declares nothing singular
+    # and u has a jet, for a grid map as for a closed-form one: the line x1 = 0.5 (node row 16)
+    # is left out as the masked node is
+    box = DomainBox((0.0, 0.0), (1.0, 1.0), (33, 33))
+    values = ClosedFormMap.from_expressions(["sin(2*x1 + x2)", "1.5*sin(2*x1 + x2)"], 2).sample(box).values
+    values[:, 8, 20] = np.nan
+    write_grid_csv(tmp_path / "u.csv", GridMap(box, values))
+    spec = {"n": 2, "N": 2, "domain": {"lo": [0.0, 0.0], "hi": [1.0, 1.0], "resolution": [33, 33]},
+            "H": "dirichlet", "u": {"grid": "u.csv"}, "singular": [{"axis": 0, "value": 0.5}]}
+    (tmp_path / "u.json").write_text(json.dumps(spec))
+    prob = load_problem(tmp_path / "u.json")
+    nodes, _, _ = varcheck._normal_projector_field(prob.u, prob.H, prob.subdomain, None, None)
+    assert prob.subdomain.singular[16].all() and prob.u.jet_valid[16].all()
+    assert np.array_equal(nodes, np.argwhere(~prob.subdomain.singular))
+    out = tmp_path / "out"
+    assert run(["verify-normal", "--problem", str(tmp_path / "u.json"), "--seed", "1", "--out", str(out)]) == 0
+    assert json.loads((out / "verify-normal_report.json").read_text())["pass"] is True
