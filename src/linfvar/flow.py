@@ -94,6 +94,7 @@ _D = np.array([-12715105075 / 11282082432, 0, 87487479700 / 32700410799,
                -1453857185 / 822651844, 69997945 / 29380423])
 _TOL = 1e-12  # relative and absolute tolerance of the local error
 _SAFETY, _FAC_MIN, _FAC_MAX = 0.9, 0.2, 5.0  # step factor 0.9 err^(-1/5), clamped
+_MAX_STEPS = 100_000  # the most steps a dt-capped flow may take: t_max / dt at most this
 
 
 def _dp5_step(field, y, h, k1):
@@ -170,11 +171,13 @@ def integrate_flow(
     continuous extension, without field evaluations: the exit point is the
     last point found inside, so it lies in the closed subdomain.  The last
     step is shortened to end at ``t_max``; reaching it without exit is
-    reported, not raised.  ``xi`` must have one entry per component of u,
-    and ``x0`` one per axis of the region, or it is a ValueError.  Every
+    reported, not raised.  ``xi`` must have one finite entry per component
+    of u, and ``x0`` one per axis of the region, or it is a ValueError.  Every
     evaluated point where H or xi^T H_P is not finite is a ValueError naming
     it, and so is a step too small to advance t.  ``t_max`` defaults to ``1e3`` times the first step; a horizon from
     the structural constant c0 is ``10 * exit_time_bound(..., c0)["bound"]``.
+    A ``dt`` that caps more than ``_MAX_STEPS`` steps before ``t_max``, that
+    is ``t_max / dt > 100 000``, is refused up front as a ValueError.
     Requires a closed-form map (grid maps evaluate at nodes only).
     """
     if isinstance(u, GridMap):
@@ -185,12 +188,19 @@ def integrate_flow(
         raise ValueError(f"direction xi has {xi.size} entries; the map has N = {u.N} components")
     if x0.shape != (O.box.dim,):
         raise ValueError(f"start point x0 has {x0.size} entries; the region has dimension n = {O.box.dim}")
+    if not np.isfinite(xi).all():
+        raise ValueError(f"direction xi is not finite: {xi.tolist()}")
+    if not np.isfinite(x0).all():
+        raise ValueError(f"start point x0 is not finite: {x0.tolist()}")
     if not O.contains_point(x0):
         raise ValueError(f"starting point {x0} lies outside the subdomain")
     h_max = np.inf if dt is None else dt
     h = default_time_step(u, H, O, xi) if dt is None else dt
     if t_max is None:
         t_max = 1e3 * h
+    if dt is not None and t_max > _MAX_STEPS * dt > 0.0:  # a zero dt is named by the step check below
+        raise ValueError(f"t_max / dt = {t_max / dt:.3g} steps exceeds the budget of {_MAX_STEPS} steps; "
+                         "raise --dt or lower --tmax")
     field = _Field(u, H, xi)
     k1, h0 = field(x0)  # each accepted step's last stage gives the next k1 and the density
     times = [0.0]

@@ -753,6 +753,9 @@ def load_problem(source: Union[str, Path, dict], base: Union[str, Path, None] = 
     def is_object(v):
         return isinstance(v, dict)
 
+    def is_string(v):
+        return isinstance(v, str)
+
     n = int(field_of(data, "n", "n", count, "a positive whole number"))
     N = int(field_of(data, "N", "N", count, "a positive whole number"))
 
@@ -763,12 +766,12 @@ def load_problem(source: Union[str, Path, dict], base: Union[str, Path, None] = 
     dom = field_of(data, "domain", "domain", is_object, "an object")
     box = DomainBox(*(tuple(field_of(dom, key, f"domain.{key}", point, per_axis))
                       for key in ("lo", "hi", "resolution")))
-    hspec = field_of(data, "H", "H")
+    hspec = field_of(data, "H", "H", is_string, 'an expression or "dirichlet"')
     H = Hamiltonian.dirichlet(n, N) if hspec == "dirichlet" else Hamiltonian.from_expression(hspec, n, N)
     uspec = field_of(data, "u", "u", lambda v: isinstance(v, dict) or list_of(v, str),
                      'a list of expressions or {"grid": <path>}')
     if isinstance(uspec, dict):
-        u = read_grid_csv(base / field_of(uspec, "grid", "u.grid"), box, N)
+        u = read_grid_csv(base / field_of(uspec, "grid", "u.grid", is_string, "a path"), box, N)
     else:
         if len(uspec) != N:
             raise ValueError(f"u must have {N} components, got {len(uspec)}")

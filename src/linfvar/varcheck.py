@@ -212,6 +212,8 @@ def rank_one_test(
     for j, xi in enumerate(directions, 1):
         if xi.shape != (u.N,):
             raise ValueError(f"rank-one direction {j} has {xi.size} entries; the map has N = {u.N} components")
+        if not np.isfinite(xi).all():
+            raise ValueError(f"rank-one direction {j} is not finite")
         if np.linalg.norm(xi) == 0.0:
             raise ValueError(f"rank-one direction {j} is zero; it must be nonzero")
     rng = np.random.default_rng(seed)

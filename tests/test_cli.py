@@ -127,6 +127,9 @@ class TestExitCodes:
         ("n", {"n": 10 ** 400}),
         ("N", {"N": 10 ** 400}),
         ("singular[0].axis", {"singular": [{"axis": 10 ** 400, "value": 0.0}]}),
+        # a density or a grid path that is not a string
+        ("H", {"H": 3}),
+        ("u.grid", {"u": {"grid": 3}}),
     ])
     def test_mistyped_field_is_named(self, problems, tmp_path, path, bad):
         _, tmp = problems
@@ -243,6 +246,19 @@ class TestExitCodes:
                 "--x0", "0.5", "--xi", "1", "--dt", "0.01"]
         assert run(argv) == 2
         assert _report(out, "flow")["error"]["message"] == "density not finite at point (1.4035922178528378e+217,)"
+        assert not (out / "trajectory.csv").exists()
+
+    def test_flow_refuses_more_steps_than_its_budget(self, problems):
+        # --dt caps every step, so without a budget this call takes about 1e300 steps and never
+        # returns; it is refused before the first field evaluation
+        paths, tmp = problems
+        out = tmp / "step_budget"
+        argv = ["flow", "--problem", paths["small2d"], "--out", str(out),
+                "--x0", "0.5,0.5", "--xi", "1", "--dt", "1e-300", "--tmax", "1"]
+        assert run(argv) == 2
+        assert _report(out, "flow")["error"] == {
+            "type": "ValueError",
+            "message": "t_max / dt = 1e+300 steps exceeds the budget of 100000 steps; raise --dt or lower --tmax"}
         assert not (out / "trajectory.csv").exists()
 
     def test_out_of_range_grid_csv_row_is_exit_2(self, problems):
@@ -440,12 +456,20 @@ class TestExitCodes:
         (["measure", "--measure", "dirac:4,-1"], "measure atom (4, -1) is not a node of the (9, 9) grid"),
         (["residual", "--points", "0.5,0.5;0.25"], "--points point 2 has 1 entries; point 1 has 2"),
         (["flow", "--x0", "0.5", "--xi", "1"], "start point x0 has 1 entries; the region has dimension n = 2"),
+        (["verify-rank-one", "--directions", "nan"], "rank-one direction 1 is not finite"),
+        (["verify-rank-one", "--directions", "1;inf"], "rank-one direction 2 is not finite"),
+        (["flow", "--x0", "0.5,0.5", "--xi", "nan"], "direction xi is not finite: [nan]"),
+        (["flow", "--x0", "0.5,0.5", "--xi", "inf"], "direction xi is not finite: [inf]"),
+        (["flow", "--x0", "nan,0.5", "--xi", "1"], "start point x0 is not finite: [nan, 0.5]"),
+        (["flow", "--x0", "0.5,inf", "--xi", "1"], "start point x0 is not finite: [0.5, inf]"),
     ])
     def test_a_bad_entry_of_a_structured_option_is_named(self, problems, argv, message):
         # at the parent the non-numbers gave a bare "could not convert string to float" or int()
         # message, a zero direction had no index, a node off the grid was reported as lying
-        # outside the argmax set, ragged --points gave numpy's inhomogeneous-shape message and
-        # a short --x0 named neither the option nor the start point
+        # outside the argmax set, ragged --points gave numpy's inhomogeneous-shape message,
+        # a short --x0 named neither the option nor the start point, a non-finite rank-one
+        # direction was rendered into a variation that failed to parse, and a non-finite --xi
+        # or --x0 was blamed on the density or on the subdomain
         paths, tmp = problems
         out = tmp / "structured"
         assert run([*argv, "--problem", paths["small2d"], "--out", str(out)]) == 2
