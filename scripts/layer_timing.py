@@ -35,6 +35,7 @@ from linfvar import (  # noqa: E402
     LpProblem,
     Subdomain,
     absolute_minimiser_test,
+    aronsson_residual,
     boundary_values_from_map,
     hamiltonian_jet,
     integrate_flow,
@@ -45,6 +46,7 @@ from linfvar import (  # noqa: E402
     measure_divergence_residual,
     normal_variation_test,
     rank_one_test,
+    residual_field,
     stationarity_scans,
 )
 from linfvar.linalg import rank_decision  # noqa: E402
@@ -56,6 +58,7 @@ SEED = 1
 P = 8.0
 RESOLUTIONS = (17, 65, 129)
 SHAPES = ((289, 1, 2), (1089, 2, 2), (4624, 2, 2), (200, 3, 3))
+GRID_SIZES = (33, 65, 129)
 
 
 def best(timed, number, rounds):
@@ -157,8 +160,19 @@ def lp(number, rounds):
               f" {s[res, 'jets'] * 1e6:>8.1f}")
 
 
+def masked_rotating_map(resolution: int):
+    """The map (sin(x1+x2), cos(x1+x2)) sampled on [0,1]^2 at resolution^2 nodes with the
+    centre node masked, and the whole box as its subdomain, singular where it has no jet."""
+    box = DomainBox((0.0, 0.0), (1.0, 1.0), (resolution, resolution))
+    values = ClosedFormMap.from_expressions(["sin(x1+x2)", "cos(x1+x2)"], n=2).sample(box).values.copy()
+    values[:, resolution // 2, resolution // 2] = np.nan
+    u = GridMap(box, values)
+    return u, Subdomain.whole(box, singular=~u.jet_valid)
+
+
 def rank(number, rounds):
-    """Cost of one batched rank decision: ``linalg.rank_decision`` against LAPACK's SVD.
+    """Cost of one batched rank decision, ``linalg.rank_decision`` against LAPACK's SVD, and of
+    the grid residuals that rank H_P, full and reduced, at 33^2, 65^2 and 129^2.
 
     The batches are the shapes the residuals decompose: 289 1x2 matrices (the
     H_P field of a scalar map on a 17^2 grid), 1089 and 4624 2x2 matrices (a
@@ -167,6 +181,15 @@ def rank(number, rounds):
     rank 1, as H_P is at the rank-deficient nodes.  "svd" is one
     ``np.linalg.svd`` call with U, the LAPACK reference of the tests;
     "rotations" is one ``rank_decision`` call, which rotates rows instead.
+
+    The grid rows time one ``residual_field`` call, "full" and "reduced", of
+    H = |P|^2 on the map (sin(x1+x2), cos(x1+x2)) sampled on [0,1]^2 with
+    its centre node masked, over the nodes with a jet.  H_P has rank 1 at
+    every node, so every one takes the reduced projection: one pass of the
+    shifted node-projector field per offset of the default eps-ball (two
+    spacings).  The last row is one reduced ``aronsson_residual`` at the
+    point (0.25, 0.5) of the 129^2 map, whose offset sums cover that node
+    only.  The map's cached derivatives are formed before timing.
     """
     timed = {}
     for shape in SHAPES:
@@ -176,10 +199,22 @@ def rank(number, rounds):
             A[::3] = A[::3, :, :1] * rng.normal(size=(len(A[::3]), 1, shape[2]))
         timed[shape, "svd"] = lambda A=A: np.linalg.svd(A)
         timed[shape, "rotations"] = lambda A=A: rank_decision(A)
+    H = Hamiltonian.dirichlet(2, 2)
+    for res in GRID_SIZES:
+        u, O = masked_rotating_map(res)
+        for variant in ("full", "reduced"):
+            residual_field(u, H, O, variant=variant)
+            timed[res, variant] = lambda u=u, O=O, variant=variant: residual_field(u, H, O, variant=variant)
+    # u is the last map built, the 129^2 one
+    timed["point"] = lambda u=u: aronsson_residual(u, H, [0.25, 0.5], variant="reduced")
     ms = {key: s * 1e3 for key, s in best(timed, number, rounds).items()}
     print(f"{'batch':>12} {'svd ms':>8} {'rotations ms':>13}")
     for shape in SHAPES:
         print(f"{'x'.join(map(str, shape)):>12} {ms[shape, 'svd']:>8.3f} {ms[shape, 'rotations']:>13.3f}")
+    print(f"{'grid':>6} {'full residual ms':>17} {'reduced residual ms':>20}")
+    for res in GRID_SIZES:
+        print(f"{f'{res}^2':>6} {ms[res, 'full']:>17.2f} {ms[res, 'reduced']:>20.2f}")
+    print(f"one-point reduced aronsson_residual at {GRID_SIZES[-1]}^2: {ms['point']:.3f} ms")
 
 
 def verdicts(number, rounds):
@@ -253,7 +288,7 @@ def verdicts(number, rounds):
 
 
 # name -> (group, default --number, default --rounds)
-GROUPS = {"flow": (flow, 200, 50), "lp": (lp, 20, 20), "rank": (rank, 50, 7), "verdicts": (verdicts, 3, 10)}
+GROUPS = {"flow": (flow, 200, 50), "lp": (lp, 20, 20), "rank": (rank, 10, 7), "verdicts": (verdicts, 3, 10)}
 
 
 def main():

@@ -5,12 +5,12 @@ orthogonal complement of the range of an N x n matrix (equivalently, onto
 the nullspace of its transpose).  ``reduced_nullspace_proj`` restricts that
 projection to the directions that extend continuously into the nullspaces
 of nearby matrices of a field: the numerically "reduced" normal space.
-The batched kernel behind it is two steps over many centres, each with its
-own samples: the samples' ``nullspace_projectors``, from the vectorised
-Jacobi rotations of ``rank_decision``, then the averaging step
-``average_projectors`` (masked mean, restriction to the centre's
-nullspace, LAPACK ``eigh`` + QR).  Closed-form maps decompose each centre's
-samples; grid maps take one projector per node and gather them.
+The batched kernel behind it is two steps over many centres: the samples'
+``nullspace_projectors``, from the vectorised Jacobi rotations of
+``rank_decision``, then ``average_projectors``, which restricts each
+centre's mean projector to its nullspace (LAPACK ``eigh`` + QR).  Callers
+form the mean: closed-form maps average each centre's own samples; grid
+maps sum one projector per node over one shared offset set.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ __all__ = [
     "ball_sample_count",
     "average_projectors",
     "ball_sample_points",
+    "check_ball_parameters",
     "complement_projectors",
     "halton",
     "nullspace_projectors",
@@ -185,18 +186,14 @@ def nullspace_projectors(A: np.ndarray) -> np.ndarray:
     return complement_projectors(U, rank)
 
 
-def average_projectors(U: np.ndarray, rank: np.ndarray, sample_proj: np.ndarray,
-                       valid: np.ndarray, tol_angle) -> ReducedProjections:
-    """Reduced nullspace projections of M centres from their samples' nullspace projectors.
+def average_projectors(U: np.ndarray, rank: np.ndarray, mean: np.ndarray, tol_angle) -> ReducedProjections:
+    """Reduced nullspace projections of M centres from their samples' mean nullspace projector.
 
-    ``U`` (M, N, N) and ``rank`` (M,) are the centres' :func:`rank_decision`;
-    ``sample_proj`` (M, m, N, N) holds the :func:`nullspace_projectors` of m
-    samples per centre, of which ``valid`` (M, m) marks the ones to average.
-    For every rank-deficient centre the valid projectors are averaged, the
-    average is restricted to the centre's nullspace, and the eigenvectors
-    with eigenvalue >= 1 - tol_angle (scalar or one value per centre) span
-    the reduced space.  Full-rank centres get the zero projection and need
-    no valid sample.
+    ``U`` (M, N, N) and ``rank`` (M,) are the centres' :func:`rank_decision`; ``mean`` (M, N, N)
+    holds each centre's mean of its samples' :func:`nullspace_projectors`, formed by the caller.
+    For every rank-deficient centre the mean is restricted to the centre's nullspace, and the
+    eigenvectors with eigenvalue >= 1 - tol_angle (scalar or one value per centre) span the
+    reduced space.  Full-rank centres get the zero projection; their mean is not read.
     """
     M, N = U.shape[:2]
     tol_angle = np.broadcast_to(np.asarray(tol_angle, dtype=float), (M,))
@@ -204,28 +201,30 @@ def average_projectors(U: np.ndarray, rank: np.ndarray, sample_proj: np.ndarray,
     basis = np.zeros((M, N, N))
     reduced_dim = np.zeros(M, dtype=int)
     need = np.flatnonzero(null_dim > 0)
-    if need.size:
-        used = np.asarray(valid, dtype=bool)[need]
-        empty = ~used.any(axis=1)
-        if empty.any():
-            raise ValueError(f"no valid sample points for centre {need[np.argmax(empty)]}")
-        mean = (sample_proj[need] * used[..., None, None]).sum(axis=1) / used.sum(axis=1)[:, None, None]
-        for k in np.unique(null_dim[need]):
-            in_k = null_dim[need] == k
-            grp = need[in_k]
-            B = U[grp][:, :, N - k:]
-            mean_q = np.swapaxes(B, 1, 2) @ mean[in_k] @ B
-            mean_q = 0.5 * (mean_q + np.swapaxes(mean_q, 1, 2))
-            evals, evecs = np.linalg.eigh(mean_q)
-            # eigenvalues ascend, so the kept eigenvectors are the last `kept` columns
-            kept = np.sum(evals >= 1.0 - tol_angle[grp][:, None], axis=1)
-            for r in np.unique(kept[kept > 0]):
-                sub = kept == r
-                W, _ = np.linalg.qr(B[sub] @ evecs[sub][:, :, k - r:])
-                basis[grp[sub], :, :r] = W
-            reduced_dim[grp] = kept
+    for k in np.unique(null_dim[need]):
+        grp = need[null_dim[need] == k]
+        B = U[grp][:, :, N - k:]
+        mean_q = np.swapaxes(B, 1, 2) @ mean[grp] @ B
+        mean_q = 0.5 * (mean_q + np.swapaxes(mean_q, 1, 2))
+        evals, evecs = np.linalg.eigh(mean_q)
+        # eigenvalues ascend, so the kept eigenvectors are the last `kept` columns
+        kept = np.sum(evals >= 1.0 - tol_angle[grp][:, None], axis=1)
+        for r in np.unique(kept[kept > 0]):
+            sub = kept == r
+            W, _ = np.linalg.qr(B[sub] @ evecs[sub][:, :, k - r:])
+            basis[grp[sub], :, :r] = W
+        reduced_dim[grp] = kept
     projection = basis @ np.swapaxes(basis, 1, 2)
     return ReducedProjections(projection, basis, rank, reduced_dim)
+
+
+def check_ball_parameters(eps, tol_angle) -> None:
+    """ValueError naming the parameter unless ``eps`` is finite and > 0 and ``tol_angle`` is
+    finite and >= 0; None, the default of either, passes."""
+    for name, value, bound, holds in (("eps", eps, "> 0", np.greater),
+                                      ("tol_angle", tol_angle, ">= 0", np.greater_equal)):
+        if value is not None and not (np.isfinite(value) & holds(value, 0.0)).all():
+            raise ValueError(f"{name} must be finite and {bound}, got {value}")
 
 
 def reduced_nullspace_proj(
@@ -252,11 +251,12 @@ def reduced_nullspace_proj(
     genuine rank discontinuity.
 
     This is the single-centre form of the batched kernel: one
-    :func:`rank_decision` of the centre, then :func:`nullspace_projectors`
-    of the samples and :func:`average_projectors`.  The field ``V`` is a
+    :func:`rank_decision` of the centre, the plain mean of the samples'
+    :func:`nullspace_projectors`, then :func:`average_projectors`.  ``V`` is a
     single-point callable, evaluated once at each of the
     :func:`ball_sample_count` points of :func:`ball_sample_points`.
     """
+    check_ball_parameters(eps, tol_angle)
     x = np.asarray(x, dtype=float)
     if tol_angle is None:
         tol_angle = 1e-6 * eps
@@ -271,7 +271,7 @@ def reduced_nullspace_proj(
         if not np.isfinite(Ay).all():
             raise ValueError(f"field has non-finite entries at sample point {y}")
         values.append(Ay)
-    red = average_projectors(U[None], np.array([rank]), nullspace_projectors(np.stack(values))[None],
-                             np.ones((1, len(values)), dtype=bool), tol_angle)
+    mean = nullspace_projectors(np.stack(values)).sum(axis=0) / len(values)
+    red = average_projectors(U[None], np.array([rank]), mean[None], tol_angle)
     W = red.basis[0, :, :red.reduced_dim[0]]
     return ProjectionReport(projection=red.projection[0], rank_used=rank, tolerance_used=cutoff, basis=W)

@@ -120,31 +120,45 @@ def _divergence(u, H: Hamiltonian, jets: Jet2, nodes, hp_field=None) -> np.ndarr
     return np.einsum("aii...->a...", grads.reshape(N, n, n, M))
 
 
-def _grid_ball_nodes(u: GridMap, nodes: np.ndarray, eps: np.ndarray):
-    """Sample nodes of the eps-ball around each grid node: (M, m, n) indices, (M, m) mask.
-
-    A node y samples the ball around x when |y - x| <= eps and
-    |y - x| > 1e-12, measured between float node coordinates (ties at a
-    whole number of spacings round node by node), and y is jet-valid.
-    """
-    box = u.box
-    h = box.spacing
-    shape = np.asarray(box.shape)
-    reach = np.minimum(np.floor(np.max(eps) / h).astype(int) + 1, shape - 1)
+def _grid_ball_means(box, valid, node_U, node_ranks, centres, eps: float) -> np.ndarray:
+    """Mean (M, N, N) of the node projectors (factors ``node_U``, ``node_ranks``) over the
+    eps-ball samples of each grid node x of ``centres`` (M, n): the ``valid`` nodes y with
+    1e-12 < |y - x| <= eps between float node coordinates.  Per shared offset, in ``np.indices``
+    order, the shifted masked projector field is added into one accumulator over the centres'
+    bounding box, and counted likewise.  An offset whose length is within the coordinates'
+    rounding band of eps or 1e-12 is decided node by node, from ``axis_coords`` differences
+    summed in axis order as ``np.linalg.norm`` sums them."""
+    shape, h, coords = np.asarray(box.shape), box.spacing, [box.axis_coords(i) for i in range(box.dim)]
+    reach = np.minimum(np.floor(eps / h).astype(int) + 1, shape - 1)
     offsets = np.indices(tuple(2 * reach + 1)).reshape(box.dim, -1).T - reach
-    offsets = offsets[np.linalg.norm(offsets * h, axis=1) <= (1.0 + 1e-9) * np.max(eps)]
-    cand = nodes[:, None, :] + offsets[None]
-    inside = np.all((cand >= 0) & (cand < shape), axis=-1)
-    cand = np.clip(cand, 0, shape - 1)
-    x = box.node_coords(nodes).T
-    y = box.node_coords(cand.reshape(-1, box.dim)).T.reshape(cand.shape)
-    dist = np.linalg.norm(y - x[:, None, :], axis=-1)
-    near = (dist <= eps[:, None]) & (dist > 1e-12)
-    valid = inside & near & u.jet_valid[tuple(np.moveaxis(cand, -1, 0))]
-    lonely = ~valid.any(axis=1)
-    if lonely.any():
-        raise ValueError(f"no valid grid nodes inside the eps-ball around {x[np.argmax(lonely)]}")
-    return cand, valid
+    length = np.linalg.norm(offsets * h, axis=1)
+    band = 64 * np.finfo(float).eps * (max(float(np.abs(c).max()) for c in coords) + eps)
+    first, last = centres.min(axis=0), centres.max(axis=0) + 1
+    keep = ((length <= eps + band) & (length >= 1e-12 - band) & offsets.any(axis=1)
+            & (np.maximum(first, -offsets) < np.minimum(last, shape - offsets)).all(axis=1))
+    low = np.maximum(first - reach, 0)
+    region = tuple(map(slice, low, last + reach))  # holds every sample of every centre
+    valid = valid[region]
+    proj = linalg.complement_projectors(node_U[region], node_ranks[region]) * valid[..., None, None]
+    total, count = np.zeros(tuple(last - first) + proj.shape[-2:]), np.zeros(tuple(last - first), dtype=int)
+    for off, d in zip(offsets[keep], length[keep]):
+        lo, hi = np.maximum(first, -off), np.minimum(last, shape - off)  # centres whose sample is a node
+        src = tuple(map(slice, lo + off - low, hi + off - low))
+        P, ok = proj[src], valid[src]
+        if abs(d - eps) <= band or abs(d - 1e-12) <= band:
+            sq = ((c[a + o:b + o] - c[a:b]) ** 2 for c, a, b, o in zip(coords, lo, hi, off))
+            dist = np.sqrt(sum(np.meshgrid(*sq, indexing="ij", sparse=True)))
+            near = (dist <= eps) & (dist > 1e-12)
+            P, ok = P * near[..., None, None], ok & near
+        dst = tuple(map(slice, lo - first, hi - first))
+        total[dst] += P
+        count[dst] += ok
+    at = tuple((centres - first).T)
+    total, count = total[at], count[at]
+    if not count.all():
+        x = box.node_coords(centres[np.argmax(count == 0)])[:, 0]
+        raise ValueError(f"no valid grid nodes inside the eps-ball around {x}")
+    return total / count[:, None, None]
 
 
 def _grid_node_decomposition(hp_field: np.ndarray, read: np.ndarray):
@@ -178,15 +192,16 @@ def _normal_space(u, H: Hamiltonian, jets: Jet2, nodes, variant, eps, tol_angle,
     Grid maps evaluate H once over all nodes and take every rank from
     :func:`_grid_node_decomposition` of the nodes the call reads: the
     centres ``nodes`` (M, n) for "full", the whole field for "reduced",
-    whose nullspace projectors are gathered over each centre's ball
-    (:func:`_grid_ball_nodes`).  Other maps rank H_P at the points and
-    sample one Halton offset set scaled to each point's ball, all M x m
-    points in one jet evaluation.  The ball radius ``eps`` defaults to two
-    grid spacings on grid maps, else 1e-2 (1 + |x|), and ``tol_angle`` to
-    1e-6 eps.
+    whose projectors are averaged over each centre's ball offset by offset
+    (:func:`_grid_ball_means`).  Other maps rank H_P at the points and
+    average it over one Halton offset set scaled to each point's ball, all
+    M x m points in one jet evaluation.  The ball radius ``eps`` (> 0)
+    defaults to two grid spacings on grid maps, else 1e-2 (1 + |x|), and
+    ``tol_angle`` (>= 0) to 1e-6 eps.
     """
     if variant not in ("full", "reduced"):
         raise ValueError("variant must be 'full' or 'reduced'")
+    linalg.check_ball_parameters(eps, tol_angle)
     grid = isinstance(u, GridMap)
     if grid:
         # grid jets index the same derivative arrays at every node: one evaluation
@@ -217,21 +232,17 @@ def _normal_space(u, H: Hamiltonian, jets: Jet2, nodes, variant, eps, tol_angle,
         x = jets.x[:, sel]
         if eps is None:
             eps = 2.0 * float(np.max(u.box.spacing)) if grid else 1e-2 * (1.0 + np.linalg.norm(x, axis=0))
-        eps = np.broadcast_to(np.asarray(eps, dtype=float), (sel.size,))
         if grid:
-            sample_nodes, valid = _grid_ball_nodes(u, nodes[sel], eps)
+            mean = _grid_ball_means(u.box, u.jet_valid, node_U, node_ranks, nodes[sel], float(eps))
             bad &= u.jet_valid
             if bad.any():
                 raise ValueError(f"H_P is not finite at grid node {tuple(np.argwhere(bad)[0].tolist())}")
-            node_proj = linalg.complement_projectors(node_U, node_ranks)
-            sample_proj = node_proj[tuple(np.moveaxis(sample_nodes, -1, 0))]
         else:
             pts = linalg.ball_sample_points(x.T, eps, linalg.ball_sample_count(u.n))
             sample = map_jet(u, np.moveaxis(pts, -1, 0), order=1)
             ys = hamiltonian_jet(H, sample.x, sample.value, sample.gradient).P_grad
-            sample_proj = linalg.nullspace_projectors(np.moveaxis(ys, (0, 1), (2, 3)))
-            valid = np.ones(pts.shape[:2], dtype=bool)
-        red = linalg.average_projectors(U[sel], ranks[sel], sample_proj, valid,
+            mean = linalg.nullspace_projectors(np.moveaxis(ys, (0, 1), (2, 3))).sum(axis=1) / pts.shape[1]
+        red = linalg.average_projectors(U[sel], ranks[sel], mean,
                                         1e-6 * eps if tol_angle is None else tol_angle)
         dims[sel], proj = red.reduced_dim, red.projection
     return ham, hp_field, sel, proj, ranks, dims, dims < null_dim

@@ -6,8 +6,9 @@ nullspace, one ``eigh``, and a QR of the kept eigenvectors.  Grid maps
 sample the jet-valid nodes of the eps-ball (float node coordinates, centre
 excluded); closed-form maps sample ``ball_sample_points`` around each point.
 ``reduced_nullspace_batch`` below chains the library's ``rank_decision``,
-``nullspace_projectors`` and ``average_projectors`` on explicit (centre,
-sample) matrices; ``test_projector_gather.py`` holds the grid gather to it.
+``nullspace_projectors``, a masked mean and ``average_projectors`` on
+explicit (centre, sample) matrices; ``test_projector_gather.py`` holds the
+grid offset sums to it.
 """
 
 import numpy as np
@@ -82,8 +83,10 @@ def reference_projection(V, x, sample_points, tol_angle):
 
 def reduced_nullspace_batch(centers, samples, valid, tol_angle):
     """The batched kernel fed explicit matrices: M centres (M, N, n) and m sample matrices per
-    centre (M, m, N, n), of which ``valid`` (M, m) marks the ones to use.  The reference that
-    the grid gather and the single-centre wrapper are held to."""
+    centre (M, m, N, n), of which ``valid`` (M, m) marks the ones to use.  It forms the masked
+    mean of the samples' projectors itself, summed in sample order, and passes it to
+    ``average_projectors``.  The reference that the grid offset sums and the single-centre
+    wrapper are held to."""
     used = np.asarray(valid, dtype=bool)
     samples = np.asarray(samples, dtype=float)
     bad = used & ~np.isfinite(samples).all(axis=(2, 3))
@@ -91,8 +94,12 @@ def reduced_nullspace_batch(centers, samples, valid, tol_angle):
         i, j = np.argwhere(bad)[0]
         raise ValueError(f"field has non-finite entries at sample {j} of centre {i}")
     U, rank, _ = rank_decision(centers)
+    empty = (rank < U.shape[-1]) & ~used.any(axis=1)
+    if empty.any():
+        raise ValueError(f"no valid sample points for centre {np.argmax(empty)}")
     sample_proj = nullspace_projectors(np.where(used[..., None, None], samples, 0.0))
-    return average_projectors(U, rank, sample_proj, used, tol_angle)
+    mean = (sample_proj * used[..., None, None]).sum(axis=1) / np.maximum(used.sum(axis=1), 1)[:, None, None]
+    return average_projectors(U, rank, mean, tol_angle)
 
 
 def _hp_at(u, H):
@@ -324,3 +331,32 @@ def test_verify_normal_on_a_grid_with_masked_nodes_near_an_edge(seed):
     assert not u.jet_valid[0, 8] and not u.jet_valid[2, 8] and u.jet_valid[1, 8]
     v = normal_variation_test(u, Hamiltonian.dirichlet(2, 2), O, trials=10, seed=seed)
     assert v.passed and v.trials > 0 and not v.vacuous
+
+
+BAD_BALL_PARAMETERS = [("tol_angle", np.nan), ("tol_angle", -1.0), ("tol_angle", np.inf),
+                       ("eps", -1.0), ("eps", np.nan), ("eps", 0.0), ("eps", np.inf)]
+
+
+@pytest.mark.parametrize("name,value", BAD_BALL_PARAMETERS)
+@pytest.mark.parametrize("call", ["residual_field", "aronsson_residual", "normal_variation_test"])
+@pytest.mark.parametrize("kind", ["grid", "closed form"])
+def test_bad_ball_parameter_is_named(kind, call, name, value):
+    # unchecked, a bad tol_angle or a negative closed-form eps dropped every projection, so the
+    # normal part read 0; a bad grid eps failed deep in numpy with a message naming neither
+    box = DomainBox((0.0, 0.0), (1.0, 1.0), (9, 9))
+    u = ClosedFormMap.from_expressions(FIXTURES_2D["rank1_rotating"], n=2)
+    u = u.sample(box) if kind == "grid" else u
+    H, O, kwargs = Hamiltonian.dirichlet(2, 2), Subdomain.whole(box), {name: value}
+    calls = {"residual_field": lambda: residual_field(u, H, O, **kwargs),
+             "aronsson_residual": lambda: aronsson_residual(u, H, [0.5, 0.5], **kwargs),
+             "normal_variation_test": lambda: normal_variation_test(u, H, O, trials=2, seed=1, **kwargs)}
+    with pytest.raises(ValueError, match=f"^{name} must be finite and >=? 0, got"):
+        calls[call]()
+
+
+@pytest.mark.parametrize("name,value", BAD_BALL_PARAMETERS)
+def test_wrapper_names_a_bad_ball_parameter(name, value):
+    V = _hp_at(ClosedFormMap.from_expressions(FIXTURES_2D["rank1_rotating"], n=2), Hamiltonian.dirichlet(2, 2))
+    kwargs = {"eps": 0.05, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be finite and >=? 0, got"):
+        reduced_nullspace_proj(V, np.array([0.5, 0.5]), **kwargs)
