@@ -9,17 +9,30 @@ shared host inflates no single figure.  Each group has its own default
 ``--number`` and ``--rounds``; the options, when given, apply to every
 group named.
 
+glibc raises its mmap threshold when a large block is freed, so without a
+pin the arrays of one row would come from the heap or from fresh pages
+depending on what the rows before it freed.  The script therefore pins the
+threshold at glibc's default, 128 KiB: when ``MALLOC_MMAP_THRESHOLD_`` is
+not set, it sets it and re-executes itself once, so that every row maps its
+large arrays afresh and the rows of two revisions compare fairly.
+
 Usage: python scripts/layer_timing.py [flow] [lp] [rank] [verdicts] [--number N] [--rounds R]
 """
 
-import argparse
-import math
+import os
 import sys
-import tempfile
-import timeit
-from pathlib import Path
 
-import numpy as np
+if __name__ == "__main__" and "MALLOC_MMAP_THRESHOLD_" not in os.environ:
+    os.environ["MALLOC_MMAP_THRESHOLD_"] = str(128 * 1024)  # read by glibc when the process starts
+    os.execv(sys.executable, [sys.executable, *sys.argv])
+
+import argparse  # noqa: E402
+import math  # noqa: E402
+import tempfile  # noqa: E402
+import timeit  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]

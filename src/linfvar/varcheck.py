@@ -39,13 +39,10 @@ from .problem import (
 from .variations import (
     SineModeMap,
     _ball_variation,
-    _draw_free,
-    _draw_rank_one,
-    _free_field_batch,
     _region_box,
     _scale_for,
-    _scaled_spec,
-    _sine_batch,
+    _scaled_maps,
+    _SineDraw,
     make_free_field,
     make_free_variation,
     make_rank_one_variation,
@@ -101,6 +98,11 @@ def _default_tol(E0: float) -> float:
     return 1e-9 * (1.0 + abs(E0))
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
+
+
 class _Probe:
     """u's order-1 jets and sup energy at the evaluable nodes of O, for scoring variations."""
 
@@ -121,38 +123,42 @@ class _Probe:
         """E_inf(u + phi, O) for each variation phi of a batch, from its :meth:`jets` ``var``."""
         return density_sup(self.H, combine_jets(self.base, var), self.nodes)
 
-    def sine_batches(self, draw, count: int, amplitude: float):
-        """``count`` draws of ``draw() -> unscaled sine spec`` as (jets, scaled specs) chunks.
+    def sine_batches(self, draw: _SineDraw, first: int = 0):
+        """The maps of ``draw`` in chunks, as :meth:`scan` batches whose trials count from ``first``.
 
-        A chunk's jets are taken once, unscaled, and then multiplied by each
-        trial's scale: the sine families drawn here have no constant term, so
-        the scaled map's jets are the unscaled jets times the scale.
+        A chunk's jets are taken once, unscaled, and then multiplied in place
+        by each trial's scale: the sine families drawn here have no constant
+        term, so the scaled map's jets are the unscaled jets times the scale.
         """
-        for start in range(0, count, self.chunk):
-            specs = [draw() for _ in range(min(self.chunk, count - start))]
-            raw = self.jets(_sine_batch(specs))
-            scale = _scale_for(raw, amplitude)
-            var = Jet2(x=raw.x, value=raw.value * scale[:, None], gradient=raw.gradient * scale[:, None],
-                       hessian=None)
-            yield var, [_scaled_spec(spec, c, amplitude) for spec, c in zip(specs, scale)]
+        for start in range(0, len(draw.maps), self.chunk):
+            stop = min(len(draw.maps), start + self.chunk)
+            var = self.jets(draw.maps[start:stop])
+            scale = _scale_for(var, draw.amplitude)
+            var.value *= scale[:, None]
+            var.gradient *= scale[:, None]
+            yield var, range(first + start, first + stop), lambda j, start=start, scale=scale: draw.spec(
+                start + j, scale[j])
 
     def scan(self, batches):
-        """(worst violation E0 - E1, its witness, variation count) over (jets, specs) batches.
+        """(worst violation E0 - E1, its witness, variation count) over (jets, trials, spec) batches.
 
-        The witness's ``trial`` counts the variations before it unless its spec carries a draw index;
-        its ``source`` re-evaluates it, except a projected free field's (the spec is unprojected).
+        ``trials`` numbers a batch's variations and ``spec(j)`` gives the spec of its j-th, which
+        is built for the witness only.  The witness's ``source`` re-evaluates it, except a projected
+        free field's (the spec is unprojected).
         """
-        worst, witness, total = -np.inf, None, 0
-        for var, specs in batches:
+        worst, best, total = -np.inf, None, 0
+        for var, trials, spec in batches:
             E1 = self.energies(var)
             violation = self.E0 - E1
-            t = int(np.argmax(violation))
-            if violation[t] > worst:
-                worst = violation[t]
-                witness = dict(specs[t], trial=specs[t].get("trial", total + t), energy_base=self.E0,
-                               energy_perturbed=float(E1[t]))
-            total += len(specs)
-        if witness is not None and witness["kind"] != "free_field":
+            j = int(np.argmax(violation))
+            if violation[j] > worst:
+                worst, best = violation[j], (spec, j, trials[j], float(E1[j]))
+            total += len(trials)
+        if best is None:
+            return float(worst), None, total
+        spec, j, trial, E1 = best
+        witness = dict(spec(j), trial=int(trial), energy_base=self.E0, energy_perturbed=E1)
+        if witness["kind"] != "free_field":
             witness["source"] = variation_source(witness)
         return float(worst), witness, total
 
@@ -176,6 +182,7 @@ def absolute_minimiser_test(
 
     A FAIL is certified by the witness variation; a PASS is evidence only.
     """
+    _check_trials(trials)
     rng = np.random.default_rng(seed)
     probe = _Probe(u, H, O)
     if tol is None:
@@ -183,10 +190,10 @@ def absolute_minimiser_test(
     if trials == 0 or amplitude == 0.0:
         return Verdict(True, 0.0, None, trials, vacuous=False)
     if _region_box(O) is None:
-        batches = ((probe.jets(phi), [spec]) for phi, spec in
-                   (_ball_variation(O, u.N, rng, amplitude) for _ in range(trials)))
+        batches = ((probe.jets(phi), [t], lambda j, spec=spec: spec) for t, (phi, spec) in
+                   enumerate(_ball_variation(O, u.N, rng, amplitude) for _ in range(trials)))
     else:
-        batches = probe.sine_batches(lambda: _draw_free(O, u.N, rng), trials, amplitude)
+        batches = probe.sine_batches(_SineDraw(rng, "free", O, trials, u.N, amplitude))
     worst, witness, _ = probe.scan(batches)
     return Verdict(bool(worst <= tol), worst, witness, trials)
 
@@ -208,6 +215,7 @@ def rank_one_test(
     sine profiles follow it.  ``Verdict.trials`` counts the distinct
     variations scored.
     """
+    _check_trials(trials)
     directions = [np.asarray(xi, dtype=float) for xi in directions]
     for j, xi in enumerate(directions, 1):
         if xi.shape != (u.N,):
@@ -223,11 +231,14 @@ def rank_one_test(
     box = _region_box(O)
 
     def batches():
+        first = 0
         for xi in directions:
             bump, spec = make_rank_one_variation(O, xi, rng, amplitude, deterministic=True)
-            yield probe.jets(bump), [spec]
+            yield probe.jets(bump), [first], lambda j, spec=spec: spec
+            first += 1
             if box is not None:
-                yield from probe.sine_batches(lambda: _draw_rank_one(O, xi, rng), trials, amplitude)
+                yield from probe.sine_batches(_SineDraw(rng, "rank_one", O, trials, u.N, amplitude, xi), first)
+                first += trials
 
     worst, witness, total = probe.scan(batches())
     return Verdict(bool(worst <= tol), worst, witness, total)
@@ -272,6 +283,7 @@ def normal_variation_test(
     ``trial`` every draw.  When no nonzero admissible variation exists
     (e.g. full-rank H_P) the verdict is a vacuous pass with the flag set.
     """
+    _check_trials(trials)
     rng = np.random.default_rng(seed)
     probe = _Probe(u, H, O)
     if tol is None:
@@ -283,10 +295,11 @@ def normal_variation_test(
     hp_inf = float(np.max(np.linalg.norm(hp, axis=(0, 1))))
     projectors = np.ascontiguousarray(np.moveaxis(projectors, 0, -1))  # (N, N, M): einsum runs along M
     chunk = max(1, _BATCH_POINTS // box.all_nodes().shape[0])  # a chunk's grid map holds every box node
+    draw = _SineDraw(rng, "free_field", O, trials, u.N, amplitude)
 
     def batches():
         for start in range(0, trials, chunk):
-            psi, specs = _free_field_batch(O, u.N, rng, amplitude, min(chunk, trials - start))
+            psi, scale = _scaled_maps(draw, O, start, min(trials, start + chunk))
             psi_vals = jets_at_nodes(psi, box, nodes, order=1).value  # (N, K, M)
             phi_vals = np.einsum("abm,bkm->akm", projectors, psi_vals)
             psi_inf, phi_inf = (np.max(np.abs(vals), axis=(0, 2)) for vals in (psi_vals, phi_vals))
@@ -307,7 +320,8 @@ def normal_variation_test(
             value = jets.value.reshape(u.N, kept.size, -1)
             # contiguous, so that the density's sums run in the order of a single field's
             gradient = np.ascontiguousarray(jets.gradient.reshape(u.N, kept.size, box.dim, -1).swapaxes(1, 2))
-            yield Jet2(jets.x[:, None], value, gradient, None), [dict(specs[k], trial=start + int(k)) for k in kept]
+            yield Jet2(jets.x[:, None], value, gradient, None), start + kept, \
+                lambda j, kept=kept, start=start, scale=scale: draw.spec(start + kept[j], scale[kept[j]])
 
     worst, witness, admissible = probe.scan(batches())
     if admissible == 0:

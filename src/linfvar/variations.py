@@ -7,16 +7,18 @@
 
 Random variations are sums of at most five separable sine modes with
 coefficients scaled so that the sup norm of the variation gradient matches
-the requested amplitude; everything is seeded and reproducible.  They are
-numeric maps evaluated at grid nodes (:class:`SineModeMap`), which may hold
-a batch of maps so that a verdict of :mod:`linfvar.varcheck` scores many
-trials at once; the deterministic ball and box bumps are polynomial
-expressions.  Every family's expression source follows from its spec
+the requested amplitude; everything is seeded and reproducible.  A verdict's
+trials are drawn up front, one array per parameter.  They are numeric maps
+evaluated at grid nodes (:class:`SineModeMap`), which may hold a batch of
+maps so that a verdict of :mod:`linfvar.varcheck` scores many trials at
+once; the deterministic ball and box bumps are polynomial expressions.  Every family's expression source follows from its spec
 (:func:`variation_source`).
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -35,6 +37,7 @@ __all__ = [
 
 
 _MAX_MODES = 5  # sine modes per random variation component
+_MAX_WAVE = 4  # wave numbers 1.._MAX_WAVE per axis of a random mode
 
 
 def _f(x) -> str:
@@ -43,49 +46,52 @@ def _f(x) -> str:
 
 
 class SineModeMap:
-    """Sums of separable sine modes, one list of modes per component, with exact jets.
+    """Sums of separable sine modes as coefficient arrays over per-axis tables, with exact jets.
 
-    Component a is::
+    Axis i has a table of rows sin(k w_i t_i) and cos(k w_i t_i) for k = 1..K_i,
+    interleaved (row 2(k - 1) is the sine), with t_i = x_i - lo_i and
+    w_i = pi / (hi_i - lo_i).  Component a is::
 
-        factor_a * (const_a + sum_m coeff_am prod_i sin(freq_ami (x_i - lo_i) + phase_ami))
+        const_a + sum_r coeffs[a, r_0, ..., r_{n-1}] prod_i row_{r_i}(t_i)
 
-    with ``freq_ami = k_ami pi / (hi_i - lo_i)``.  Mode lists are padded with
-    zero coefficients to one length M, at least ``_MAX_MODES`` so that a map's
-    jets do not depend on its batch (BLAS sums the one-row products of n = 1
-    in an order set by M).  The parameter arrays may carry
-    trailing batch axes B, one map per entry (the trials of a verdict);
-    jets then have shape (N, ...) + B + (K,) at K nodes.  A batch along one
-    axis is a sequence of its maps (``len``, ``batch[t]``, iteration), so a
-    test basis stays one batch from construction to scoring.  The maps are
-    evaluated at grid nodes only (:meth:`node_jets`), where they match the
-    parsed form of :func:`variation_source` to rounding; that source
-    evaluates a map anywhere.
+    so a mode c prod_i sin(k_i w_i t_i + phase_i) is 2^n entries of the
+    coefficient array (:meth:`from_modes`).  ``coeffs`` (N,) + B + (2 K_0, ...,
+    2 K_{n-1}) and ``consts`` (N,) + B may carry batch axes B, one map per entry
+    (the trials of a verdict); jets then have shape (N, ...) + B + (K,) at K
+    nodes.  A batch along one axis is a sequence of its maps (``len``,
+    ``batch[t]``, iteration), so a test basis stays one batch from
+    construction to scoring.  The maps are evaluated at grid nodes only
+    (:meth:`node_jets`), where they match the parsed form of
+    :func:`variation_source` to rounding; that source evaluates a map anywhere.
     """
 
-    def __init__(self, lo, hi, coeffs, freqs, phases, consts, factors):
+    def __init__(self, lo, hi, coeffs, consts):
         self.lo = np.asarray(lo, dtype=float)
         self.hi = np.asarray(hi, dtype=float)
-        self.coeffs = coeffs    # (N, M) + B
-        self.freqs = freqs      # (N, M, n) + B
-        self.phases = phases    # (N, M, n) + B
-        self.consts = consts    # (N,) + B
-        self.factors = factors  # (N,) + B
+        self.coeffs = coeffs  # (N,) + B + (2 K_0, ..., 2 K_{n-1})
+        self.consts = consts  # (N,) + B
         self.N, self.n = coeffs.shape[0], self.lo.size
 
     @classmethod
-    def from_trials(cls, lo, hi, trials, consts, factors) -> "SineModeMap":
-        """A batch along a new last axis, one map per entry of ``trials`` (a list, per
-        component, of (coeff, ks, phases) modes), with ``consts`` and ``factors`` (N, T)."""
-        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-        (N, T), n = np.shape(consts), lo.size
-        entries = [(a, m, t, mode) for t, comp_modes in enumerate(trials)
-                   for a, modes in enumerate(comp_modes) for m, mode in enumerate(modes)]
-        M = max([_MAX_MODES] + [m + 1 for _, m, _, _ in entries])
-        coeffs, ks, phases = np.zeros((N, M, T)), np.zeros((N, M, n, T)), np.zeros((N, M, n, T))
-        if entries:
-            a, m, t, modes = zip(*entries)
-            coeffs[a, m, t], ks[a, m, :, t], phases[a, m, :, t] = zip(*modes)
-        return cls(lo, hi, coeffs, ks * np.pi / (hi - lo)[:, None], phases, consts, factors)
+    def from_modes(cls, lo, hi, coeffs, ks, phases, consts) -> "SineModeMap":
+        """A batch along the second axis, one map per trial of the modes ``coeffs`` (T, N, M) (0 in
+        an unused slot), wave numbers ``ks`` and ``phases`` (T, N, M, n), with ``consts`` (N, T).
+
+        A mode enters by angle addition, sin(a + p) = cos p sin a + sin p cos a, on each axis;
+        without phases only the sine rows are filled.  Axis i has K_i, its largest k_i, wave numbers.
+        """
+        (N, T), n = np.shape(consts), np.size(lo)
+        K = np.max(ks, axis=(0, 1, 2), initial=1)
+        # per mode and part (the choice of sine or cosine row on each axis): weight and rows
+        weights, rows = coeffs[..., None], 2 * (ks[..., None, :] - 1)  # the sine rows only
+        if np.any(phases):
+            parts = np.array(list(itertools.product((0, 1), repeat=n)))  # 0 the sine, 1 the cosine row
+            trig = np.stack([np.cos(phases), np.sin(phases)], axis=-1)  # (T, N, M, n, 2)
+            weights, rows = weights * np.prod(trig[..., np.arange(n), parts], axis=-1), rows + parts
+        index = np.ravel_multi_index((np.arange(N)[:, None, None], np.arange(T)[:, None, None, None],
+                                      *np.moveaxis(rows, -1, 0)), (N, T, *2 * K))
+        flat = np.bincount(index.ravel(), weights.ravel(), minlength=N * T * int(np.prod(2 * K)))
+        return cls(lo, hi, flat.reshape((N, T, *2 * K)), consts)
 
     def __len__(self) -> int:
         """The number of maps in a batch along one axis; a single map has no entries."""
@@ -94,27 +100,19 @@ class SineModeMap:
         return self.consts.shape[-1]
 
     def __getitem__(self, t) -> "SineModeMap":
-        """Map ``t`` of a batch along one axis.  Past the end numpy's IndexError ends an
-        iteration over the batch, which yields its maps in order."""
+        """Map ``t`` of a batch along one axis, or the batch of the maps of a slice ``t``.  Past
+        the end numpy's IndexError ends an iteration over the batch, which yields its maps in order."""
         len(self)  # refuses a single map
-        return SineModeMap(self.lo, self.hi, self.coeffs[..., t], self.freqs[..., t], self.phases[..., t],
-                           self.consts[..., t], self.factors[..., t])
+        return SineModeMap(self.lo, self.hi, self.coeffs[:, t], self.consts[:, t])
 
     def scaled(self, scale) -> "SineModeMap":
         """The map with its mode coefficients (not its constants) times ``scale`` (shape B)."""
-        return SineModeMap(self.lo, self.hi, self.coeffs * scale, self.freqs, self.phases,
-                           self.consts, self.factors)
-
-    @staticmethod
-    def _sines(f, phase, t, order: int):
-        """sin(f t + phase), its t-derivative and (order 2) second derivative, broadcast."""
-        arg = f * t + phase
-        s = np.sin(arg)
-        return s, np.cos(arg) * f, -(s * (f * f)) if order >= 2 else None
+        return SineModeMap(self.lo, self.hi, self.coeffs * np.reshape(scale, np.shape(scale) + (1,) * self.n),
+                           self.consts)
 
     def _jet_entries(self, modes_sum, order: int):
         """Value, gradient and Hessian from ``modes_sum(which)``, the mode sum whose
-        axis i factor is derivative ``which[i]`` (0, 1 or 2) of the sine."""
+        axis i factor is derivative ``which[i]`` (0, 1 or 2) of the table rows."""
         n = self.n
         value = modes_sum((0,) * n)
         gradient = np.stack([modes_sum(tuple(int(i == j) for i in range(n))) for j in range(n)], axis=1)
@@ -130,47 +128,53 @@ class SineModeMap:
     def node_jets(self, box: DomainBox, nodes: np.ndarray, order: int = 2) -> Jet2:
         """Jets at grid nodes (K, dim).
 
-        Each axis gets (modes x coordinates) tables of the sines and their
-        derivatives, once per grid coordinate of the box that the nodes
-        span.  A mode sum over that box is then a contraction over the
-        modes: the coefficients and factors are folded into the first
-        axis's table, the tables of the axes before the last are multiplied
-        out, and one batched matrix product with the last axis's table sums
-        the modes (for n = 2, (L0, M) @ (M, L1) per component and map).  The
-        nodes are then picked out of the box.
+        Each axis gets its :func:`_axis_table` over the box that the nodes
+        span.  The mode sum over that box for one combination of derivative
+        orders is then one contraction of the coefficients per axis (sum
+        factorisation), the axis with the most rows first.  Each is one
+        matrix product per map, whose shape is set by the tables and not by
+        the batch, so a map's jets are the same bits in any slice of its
+        batch.  The sums are then picked out at the nodes.
         """
-        n = self.n
+        n, lead = self.n, self.consts.shape  # lead = (N,) + B
         first = nodes.min(axis=0) if nodes.size else np.zeros(n, dtype=int)
         shape = tuple(nodes.max(axis=0) - first + 1) if nodes.size else (0,) * n
-        lead = self.consts.shape  # (N,) + B
-        freqs, phases = np.moveaxis(self.freqs, 1, -1), np.moveaxis(self.phases, 1, -1)  # (N, n) + B + (M,)
-        tables = []  # per axis, (sin, d, d2) tables (N,) + B + (L_i, M); the last axis's (M, L_i)
-        for i in range(n):
-            t = box.axis_coords(i)[first[i]:first[i] + shape[i]] - self.lo[i]
-            f, ph = freqs[:, i, ..., None], phases[:, i, ..., None]
-            if i < n - 1:
-                f, ph, t = np.swapaxes(f, -1, -2), np.swapaxes(ph, -1, -2), t[:, None]
-            tables.append(self._sines(f, ph, t, order))
-        # (N,) + B + (rows, M): the folded coefficients times the tables of axes 0..len(which)-1
-        rows = {(): np.moveaxis(self.coeffs * self.factors[:, None], 1, -1)[..., None, :]}
-
-        def left(which):
-            for i in range(len(which)):  # not recursive: a closure cycle would outlive the call
-                if which[:i + 1] not in rows:
-                    prev, f = rows[which[:i]], tables[i][which[i]]
-                    rows[which[:i + 1]] = (prev[..., :, None, :] * f[..., None, :, :]).reshape(
-                        lead + (prev.shape[-2] * f.shape[-2], f.shape[-1]))
-            return rows[which]
-
-        flat = np.ravel_multi_index(tuple((nodes - first).T), shape)
+        rows = self.coeffs.shape[len(lead):]
+        axes = sorted(range(n), key=lambda i: (-rows[i], -i))  # the most rows first: later products stay small
+        tables = [_axis_table(box, i, int(first[i]), shape[i], float(self.lo[i]), float(self.hi[i]), rows[i], order)
+                  for i in range(n)]
+        # keyed by the derivative orders of the axes contracted, in ``axes`` order: lead + (rows of
+        # the axes left) + (coordinates of the axes contracted, flat)
+        sums = {(): self.coeffs[..., None]}
+        at = np.ravel_multi_index([nodes[:, i] - first[i] for i in axes], [shape[i] for i in axes])
 
         def modes_sum(which):
-            grid = left(which[:-1]) @ tables[-1][which[-1]]
-            return np.take(grid.reshape(lead + (grid.shape[-2] * grid.shape[-1],)), flat, axis=-1)
+            for step, i in enumerate(axes):  # not recursive: a closure cycle would outlive the call
+                key = tuple(which[j] for j in axes[:step + 1])
+                if key not in sums:
+                    prev = np.moveaxis(sums[key[:-1]], len(lead) + sum(j < i for j in axes[step:]), -1)
+                    product = prev.reshape(lead + (-1, rows[i])) @ tables[i][key[-1]]
+                    sums[key] = product.reshape(prev.shape[:-2] + (prev.shape[-2] * shape[i],))
+            return np.take(sums[key], at, axis=-1)
 
         value, gradient, hessian = self._jet_entries(modes_sum, order)
-        value += (self.factors * self.consts)[..., None]
+        value += self.consts[..., None]
         return Jet2(x=box.node_coords(nodes), value=value, gradient=gradient, hessian=hessian)
+
+
+@functools.lru_cache(maxsize=16)
+def _axis_table(box: DomainBox, i: int, first: int, count: int, lo: float, hi: float, rows: int, order: int):
+    """The tables of axis i of the sine maps on [lo, hi], (order + 1, rows, count): per derivative
+    order d, row 2(k - 1) is the d-th derivative of sin(k w (x_i - lo)) and row 2k - 1 that of the
+    cosine, at the ``count`` grid coordinates from node ``first``.  They do not depend on the map,
+    so the maps on one box share them, read-only."""
+    w = (np.arange(1, rows // 2 + 1) * np.pi / (hi - lo))[:, None]
+    arg = w * (box.axis_coords(i)[first:first + count] - lo)
+    s, c = np.sin(arg), np.cos(arg)
+    derivatives = ((s, c), (c * w, -(s * w)), (-(s * (w * w)), -(c * (w * w))))[:order + 1]
+    tables = np.concatenate([np.concatenate(pair, axis=1) for pair in derivatives]).reshape(order + 1, rows, count)
+    tables.flags.writeable = False
+    return tables
 
 
 def _region_box(O: Subdomain):
@@ -230,22 +234,53 @@ def variation_source(spec: dict) -> list:
     return [f"{_f(x * scale)} * {prof}" for x in spec["xi"]]
 
 
-def _draw_modes(rng, n, with_phase):
-    count = int(rng.integers(1, _MAX_MODES + 1))
-    modes = []
-    for _ in range(count):
-        coeff = float(rng.uniform(-1.0, 1.0))
-        if abs(coeff) < 0.1:
-            coeff = 0.1 if coeff >= 0 else -0.1
-        ks = [int(rng.integers(1, 5)) for _ in range(n)]
-        phases = [float(rng.uniform(0.2, 2.9)) if with_phase else 0.0 for _ in range(n)]
-        modes.append((coeff, ks, phases))
-    return modes
+class _SineDraw:
+    """``T`` random sine maps of one family on O, drawn up front with one array call per parameter.
+
+    Per map and component: 1 to _MAX_MODES modes, coefficients with |c| in [0.1, 1] (0 in the
+    unused slots) and wave numbers in 1.._MAX_WAVE per axis.  A ``rank_one`` map is ``xi`` times
+    one drawn profile.  A ``free_field`` lives on the box of O, or on the whole box for a ball
+    subdomain; it adds phases in [0.2, 2.9] per axis and a constant in [-1, 1] per component,
+    which enters the map as ``amplitude`` times its draw.  ``maps`` holds the T maps, unscaled,
+    as one batch, which is sliced into chunks; a map's spec is built only when asked for
+    (:meth:`spec`).
+    """
+
+    def __init__(self, rng, kind: str, O: Subdomain, T: int, N: int, amplitude: float, xi=None):
+        box = _region_box(O)
+        self.lo, self.hi = box if box is not None else (np.asarray(O.box.lo), np.asarray(O.box.hi))
+        self.kind, self.amplitude, self.xi = kind, amplitude, xi
+        shape = (T, 1 if kind == "rank_one" else N, _MAX_MODES)
+        used = np.arange(_MAX_MODES) < rng.integers(1, _MAX_MODES + 1, size=shape[:2] + (1,))
+        count, n = int(used.sum()), O.box.dim  # each used mode is drawn once, in trial order
+        coeffs = rng.uniform(-1.0, 1.0, size=count)
+        self.coeffs = np.zeros(shape)  # an unused slot is a zero mode: coefficient 0, k = 1, no phase
+        self.coeffs[used] = np.where(np.abs(coeffs) < 0.1, np.copysign(0.1, coeffs), coeffs)
+        self.ks = np.ones(shape + (n,), dtype=int)
+        self.ks[used] = rng.integers(1, _MAX_WAVE + 1, size=(count, n))
+        self.phases = np.zeros(self.ks.shape)
+        if kind == "free_field":
+            self.phases[used] = rng.uniform(0.2, 2.9, size=(count, n))
+        self.constants = rng.uniform(-1.0, 1.0, size=(N, T)) if kind == "free_field" else np.zeros((N, T))
+        self.maps = SineModeMap.from_modes(self.lo, self.hi, self.coeffs if xi is None else self.coeffs * xi[:, None],
+                                           self.ks, self.phases, amplitude * self.constants)
+
+    def spec(self, t: int, scale) -> dict:
+        """The spec of map ``t`` with its modes scaled by ``scale``."""
+        modes = [[(float(c), k.tolist(), p.tolist()) for c, k, p in zip(*comp) if c]
+                 for comp in zip(self.coeffs[t], self.ks[t], self.phases[t])]
+        if self.kind == "rank_one":
+            spec = {"kind": "rank_one", "profile": "sine", "modes": modes[0], "xi": self.xi.tolist()}
+        elif self.kind == "free_field":
+            spec = {"kind": "free_field", "modes": modes, "constants": self.constants[:, t].tolist()}
+        else:
+            spec = {"kind": "free", "modes": modes}
+        return _scaled_spec(dict(spec, lo=self.lo.tolist(), hi=self.hi.tolist()), scale, self.amplitude)
 
 
 def _scale_for(jets: Jet2, amplitude: float) -> np.ndarray:
     """Factor making sup |D phi| over phi's node ``jets`` equal ``amplitude`` (0 for a flat phi), per map."""
-    raw = np.max(np.linalg.norm(jets.gradient, axis=(0, 1)), axis=-1)
+    raw = np.sqrt(np.max(np.sum(jets.gradient * jets.gradient, axis=(0, 1)), axis=-1))
     return np.divide(amplitude, raw, out=np.zeros_like(raw), where=raw != 0.0)
 
 
@@ -266,44 +301,25 @@ def _polynomial_variation(spec: dict, O: Subdomain, amplitude: float):
     return ClosedFormMap.from_expressions(variation_source(spec), n), spec
 
 
-def _sine_variation(raw: SineModeMap, spec: dict, O: Subdomain, amplitude: float):
-    scale = _scale_on(raw, O, amplitude)
-    return raw.scaled(scale), _scaled_spec(spec, scale, amplitude)
+def _scaled_maps(draw: _SineDraw, O: Subdomain, start: int, stop: int):
+    """Maps ``start`` to ``stop`` - 1 of ``draw`` as one batch whose modes (not constants) are
+    scaled to sup |D phi| = amplitude at the evaluable nodes of O, and the scales."""
+    raw = draw.maps[start:stop]
+    scale = _scale_on(raw, O, draw.amplitude)
+    return raw.scaled(scale), scale
 
 
-def _draw_free(O: Subdomain, N: int, rng) -> dict:
-    """Spec of an unscaled free sine variation on the box subdomain."""
-    lo, hi = _region_box(O)
-    comp_modes = [_draw_modes(rng, O.box.dim, with_phase=False) for _ in range(N)]
-    return {"kind": "free", "modes": comp_modes, "lo": lo.tolist(), "hi": hi.tolist()}
-
-
-def _draw_rank_one(O: Subdomain, xi: np.ndarray, rng) -> dict:
-    """Spec of unscaled xi times a sine profile on the box subdomain."""
-    lo, hi = _region_box(O)
-    modes = _draw_modes(rng, O.box.dim, with_phase=False)
-    return {"kind": "rank_one", "profile": "sine", "modes": modes, "xi": xi.tolist(),
-            "lo": lo.tolist(), "hi": hi.tolist()}
-
-
-def _sine_batch(specs) -> SineModeMap:
-    """The unscaled maps of free or rank-one sine ``specs`` (one box, one kind) as one batch."""
-    first, T = specs[0], len(specs)
-    if first["kind"] == "free":
-        trials = [spec["modes"] for spec in specs]
-        factors = np.ones((len(first["modes"]), T))
-    else:
-        trials = [[spec["modes"]] * len(spec["xi"]) for spec in specs]
-        factors = np.array([spec["xi"] for spec in specs]).T
-    return SineModeMap.from_trials(first["lo"], first["hi"], trials, np.zeros(factors.shape), factors)
+def _sine_variation(draw: _SineDraw, O: Subdomain):
+    """The first map of ``draw``, scaled, and its spec."""
+    maps, scale = _scaled_maps(draw, O, 0, 1)
+    return maps[0], draw.spec(0, scale[0])
 
 
 def make_free_variation(O: Subdomain, N: int, rng, amplitude: float = 1.0):
     """Random smooth variation vanishing on the subdomain boundary."""
     if _region_box(O) is None:
         return _ball_variation(O, N, rng, amplitude)
-    spec = _draw_free(O, N, rng)
-    return _sine_variation(_sine_batch([spec])[0], spec, O, amplitude)
+    return _sine_variation(_SineDraw(rng, "free", O, 1, N, amplitude), O)
 
 
 def _ball_variation(O: Subdomain, N: int, rng, amplitude: float):
@@ -326,8 +342,7 @@ def make_rank_one_variation(O: Subdomain, xi: np.ndarray, rng, amplitude: float 
         spec = {"kind": "rank_one", "profile": "box_bump", "xi": xi.tolist(),
                 "lo": box[0].tolist(), "hi": box[1].tolist()}
     else:
-        spec = _draw_rank_one(O, xi, rng)
-        return _sine_variation(_sine_batch([spec])[0], spec, O, amplitude)
+        return _sine_variation(_SineDraw(rng, "rank_one", O, 1, xi.size, amplitude, xi), O)
     return _polynomial_variation(spec, O, amplitude)
 
 
@@ -341,28 +356,12 @@ def make_sphere_variation(xi: np.ndarray, center: np.ndarray, radius: float, n: 
 
 
 def make_free_field(O: Subdomain, N: int, rng, amplitude: float = 1.0):
-    """Random smooth field with no boundary condition: one field of :func:`_free_field_batch`."""
-    batch, specs = _free_field_batch(O, N, rng, amplitude, 1)
-    return batch[0], specs[0]
+    """Random smooth field with no boundary condition, modes and a constant per component.
 
-
-def _free_field_batch(O: Subdomain, N: int, rng, amplitude: float, count: int):
-    """``count`` random smooth fields with no boundary condition, as one scaled batch and their specs.
-
-    Per field, each component's phased modes are drawn, then the constants: a field free on the
-    boundary may shift the map values outright, which matters for value-dependent densities.  A
-    constant is ``amplitude`` times its draw; the gradient normalisation scales only the modes.
+    A field free on the boundary may shift the map values outright, which matters for
+    value-dependent densities; the gradient normalisation scales only the modes.
     """
-    n = O.box.dim
-    lo, hi = _region_box(O) or (np.asarray(O.box.lo), np.asarray(O.box.hi))
-    draws = [([_draw_modes(rng, n, with_phase=True) for _ in range(N)],
-              [float(rng.uniform(-1.0, 1.0)) for _ in range(N)]) for _ in range(count)]
-    constants = np.array([c for _, c in draws]).T * amplitude
-    raw = SineModeMap.from_trials(lo, hi, [modes for modes, _ in draws], constants, np.ones((N, count)))
-    scale = _scale_on(raw, O, amplitude)
-    specs = [_scaled_spec({"kind": "free_field", "modes": modes, "constants": consts, "lo": lo.tolist(),
-                           "hi": hi.tolist()}, c, amplitude) for (modes, consts), c in zip(draws, scale)]
-    return raw.scaled(scale), specs
+    return _sine_variation(_SineDraw(rng, "free_field", O, 1, N, amplitude), O)
 
 
 def make_test_basis(O: Subdomain, N: int, size: int):
@@ -376,7 +375,8 @@ def make_test_basis(O: Subdomain, N: int, size: int):
     box = _region_box(O)
     if box is None:
         raise ValueError("test basis needs a box-shaped subdomain")
-    n = O.box.dim
-    trials = [[[(1.0, [j // N + 1] + [1] * (n - 1), [0.0] * n)] if a == j % N else [] for a in range(N)]
-              for j in range(size)]
-    return SineModeMap.from_trials(*box, trials, np.zeros((N, size)), np.ones((N, size)))
+    j = np.arange(size)
+    ks = np.ones((size, 1, 1, O.box.dim), dtype=int)
+    ks[:, 0, 0, 0] = j // N + 1
+    coeffs = 1.0 * (j[:, None, None] % N == np.arange(N)[:, None])  # (size, N, 1): one-hot
+    return SineModeMap.from_modes(*box, coeffs, ks, np.zeros(ks.shape), np.zeros((N, size)))

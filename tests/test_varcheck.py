@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linfvar import (
     ClosedFormMap,
@@ -423,8 +424,9 @@ def test_test_basis_matches_parsed_modes():
 @pytest.mark.parametrize("N", [1, 2])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_batch_built_basis_equals_the_one_map_construction(n, N):
-    """make_test_basis builds its fields as one batch; each field's parameter arrays equal bit
-    for bit those of the same field built with a one-map from_trials call."""
+    """make_test_basis builds its fields as one batch; each field's coefficient and constant
+    arrays equal bit for bit those of the same field built from its one mode as a one-map
+    batch, zero-padded to the basis's wave numbers."""
     rng = np.random.default_rng(10 * n + N)
     box, O = _random_box(rng, n)
     lo, hi = variations._region_box(O)
@@ -432,11 +434,14 @@ def test_batch_built_basis_equals_the_one_map_construction(n, N):
     basis = make_test_basis(O, N, size)
     assert isinstance(basis, SineModeMap) and len(basis) == size
     for j in range(size):
-        comp_modes = [[] for _ in range(N)]
-        comp_modes[j % N] = [(1.0, [j // N + 1] + [1] * (n - 1), [0.0] * n)]
-        single = SineModeMap.from_trials(lo, hi, [comp_modes], np.zeros((N, 1)), np.ones((N, 1)))[0]
-        for name in ("coeffs", "freqs", "phases", "consts", "factors"):
-            assert np.array_equal(getattr(basis[j], name), getattr(single, name)), (j, name)
+        coeffs = np.zeros((1, N, 1))
+        coeffs[0, j % N, 0] = 1.0
+        ks = np.array([j // N + 1] + [1] * (n - 1)).reshape(1, 1, 1, n)
+        single = SineModeMap.from_modes(lo, hi, coeffs, ks, np.zeros(ks.shape), np.zeros((N, 1)))[0]
+        padded = np.zeros(basis[j].coeffs.shape)
+        padded[tuple(slice(m) for m in single.coeffs.shape)] = single.coeffs
+        assert np.array_equal(basis[j].coeffs, padded), j
+        assert np.array_equal(basis[j].consts, single.consts), j
 
 
 def test_a_batch_is_a_sequence_of_its_maps():
@@ -450,19 +455,19 @@ def test_a_batch_is_a_sequence_of_its_maps():
     maps = list(basis)
     assert len(maps) == 5
     for t, psi in enumerate(maps):
-        assert psi.coeffs.ndim == 2 and np.array_equal(psi.coeffs, basis.coeffs[..., t])
+        assert psi.coeffs.ndim == 1 + 2 and np.array_equal(psi.coeffs, basis.coeffs[:, t])
     for attempt in (len, lambda psi: psi[0]):
         with pytest.raises(TypeError, match="a single sine map has no entries"):
             attempt(maps[0])
 
 
 def _mixed_batch(rng, O, N, T):
-    """T free fields (mode counts, phases and constants per map) with random factors other
-    than 1, as one from_trials batch."""
-    specs = [make_free_field(O, N, rng)[1] for _ in range(T)]
-    trials = [[[(c * spec["scale"], ks, ph) for c, ks, ph in modes] for modes in spec["modes"]] for spec in specs]
-    consts = np.array([spec["constants"] for spec in specs]).T
-    return SineModeMap.from_trials(*variations._region_box(O), trials, consts, rng.normal(size=(N, T)))
+    """T drawn free fields (mode counts, phases and constants per map), each component of each
+    map times a random factor other than 1, as one from_modes batch."""
+    draw = variations._SineDraw(rng, "free_field", O, T, N, 1.0)
+    factors = rng.normal(size=(N, T))
+    return SineModeMap.from_modes(draw.lo, draw.hi, draw.coeffs * factors.T[..., None], draw.ks, draw.phases,
+                                  draw.constants * factors)
 
 
 def test_stacked_maps_match_single_maps():
@@ -479,40 +484,45 @@ def test_stacked_maps_match_single_maps():
 
 
 def _reference_node_jets(phi, box, nodes, order, magnitude=False):
-    """The former node path: every mode's product formed over the nodes' bounding grid,
-    one numpy call per mode and axis, summed mode by mode, then the nodes picked out.  With
-    ``magnitude`` each entry is instead the sum of the magnitudes of the terms added into it."""
-    n, h = phi.n, box.spacing
+    """The per-entry path: every nonzero coefficient's product of table rows formed over the
+    nodes' bounding grid, one numpy call per entry and axis, summed entry by entry, then the
+    nodes picked out.  With ``magnitude`` each entry is instead the sum of the magnitudes of
+    the terms added into it."""
+    n, h, lead = phi.n, box.spacing, phi.consts.shape
     mag = np.abs if magnitude else (lambda a: a)
     first = nodes.min(axis=0)
     shape = tuple(nodes.max(axis=0) - first + 1)
-    parts = []
+    parts = []  # per axis and table row: (row, d row, d2 row) over the axis's grid coordinates
     for i in range(n):
         t = (box.lo[i] + np.arange(first[i], first[i] + shape[i]) * h[i]) - phi.lo[i]
         t = t.reshape([-1 if j == i else 1 for j in range(n)])
-        f = phi.freqs[:, :, i].reshape(phi.freqs[:, :, i].shape + (1,) * n)
-        arg = f * t + phi.phases[:, :, i].reshape(f.shape)
-        s = np.sin(arg)
-        parts.append(tuple(mag(a) for a in (s, np.cos(arg) * f, -(s * (f * f)))))
+        rows = []
+        for r in range(phi.coeffs.shape[len(lead) + i]):
+            f = (r // 2 + 1) * np.pi / (phi.hi[i] - phi.lo[i])
+            s, c = np.sin(f * t), np.cos(f * t)
+            rows.append(tuple(mag(a) for a in ((s, c * f, -(s * (f * f))) if r % 2 == 0
+                                                else (c, -(s * f), -(c * (f * f))))))
+        parts.append(rows)
     pad = (1,) * n
-    coeffs = mag(phi.coeffs.reshape(phi.coeffs.shape + pad))
-    factors = mag(phi.factors.reshape(phi.factors.shape + pad))
+    coeffs = mag(phi.coeffs)
+    entries = np.argwhere(np.any(phi.coeffs != 0, axis=tuple(range(len(lead)))))
 
     def modes_sum(which, start=0.0):
         acc = start
-        for m in range(coeffs.shape[1]):
-            term = coeffs[:, m]
+        for r in entries:
+            term = coeffs[(Ellipsis,) + tuple(r)].reshape(lead + pad)
             for i in range(n):
-                term = term * parts[i][which[i]][:, m]
+                term = term * parts[i][r[i]][which[i]]
             acc = acc + term
-        return factors * acc
+        return acc
 
     flat = np.ravel_multi_index(tuple((nodes - first).T), shape)
 
     def pick(a):
+        a = np.broadcast_to(a, lead + shape)
         return a.reshape(a.shape[:a.ndim - n] + (-1,))[..., flat]
 
-    value = pick(modes_sum([0] * n, mag(phi.consts.reshape(phi.consts.shape + pad))))
+    value = pick(modes_sum([0] * n, mag(phi.consts.reshape(lead + pad))))
     gradient = np.stack([pick(modes_sum([int(i == j) for i in range(n)])) for j in range(n)], axis=1)
     if order < 2:
         return value, gradient, None
@@ -534,11 +544,12 @@ def _node_jet_cases(seed):
         for N in (1, 2):
             xi = rng.normal(size=N)
             field = make_free_field(O, N, rng)[0]
-            weighted = SineModeMap(field.lo, field.hi, field.coeffs, field.freqs, field.phases, field.consts,
-                                   rng.normal(size=N))  # constants and factors other than 1
+            factors = rng.normal(size=N)  # constants and components times factors other than 1
+            weighted = SineModeMap(field.lo, field.hi, field.coeffs * factors.reshape((N,) + (1,) * n),
+                                   field.consts * factors)
             singles = [field, weighted, make_free_variation(O, N, rng)[0], make_rank_one_variation(O, xi, rng)[0]]
             maps = singles + [_mixed_batch(rng, O, N, 5),
-                              variations._sine_batch([variations._draw_rank_one(O, xi, rng) for _ in range(4)])]
+                              variations._SineDraw(rng, "rank_one", O, 4, N, 1.0, xi).maps]
             every = box.all_nodes()
             scattered = every[rng.permutation(every.shape[0])[:max(2, every.shape[0] // 3)]]
             for phi in maps:
@@ -611,13 +622,22 @@ def test_map_jet_of_a_sine_map_names_the_node_path():
             call()
 
 
+def _drawn_spec(draw, t, O):
+    """Trial t's spec, taken from the verdict's up-front draw and scaled through its parsed
+    source so that sup |D phi| over the evaluable nodes of O is the amplitude."""
+    raw = ClosedFormMap.from_expressions(variation_source(draw.spec(t, 1.0)), O.box.dim)
+    return draw.spec(t, variations._scale_on(raw, O, draw.amplitude))
+
+
 def _reference_absolute(u, H, O, trials, amplitude, seed):
-    """The former per-trial loop: each variation parsed from its source and scored on its own."""
+    """The per-trial loop: trial t's spec taken from the up-front draw, its variation parsed
+    from its source and scored on its own."""
     rng = np.random.default_rng(seed)
     E0 = sup_energy(u, H, O)
     worst, witness = -np.inf, None
+    draw = variations._SineDraw(rng, "free", O, trials, u.N, amplitude)
     for trial in range(trials):
-        _, spec = make_free_variation(O, u.N, rng, amplitude)
+        spec = _drawn_spec(draw, trial, O)
         parsed = ClosedFormMap.from_expressions(variation_source(spec), O.box.dim)
         E1 = sup_energy(_PM(u, parsed, 1.0), H, O)
         if E0 - E1 > worst:
@@ -631,7 +651,8 @@ def _reference_rank_one(u, H, O, directions, trials, amplitude, seed):
     worst, witness, index = -np.inf, None, 0
     for xi in directions:
         specs = [make_rank_one_variation(O, xi, rng, amplitude, deterministic=True)[1]]
-        specs += [make_rank_one_variation(O, xi, rng, amplitude)[1] for _ in range(trials)]
+        draw = variations._SineDraw(rng, "rank_one", O, trials, u.N, amplitude, np.asarray(xi, dtype=float))
+        specs += [_drawn_spec(draw, t, O) for t in range(trials)]
         for spec in specs:
             parsed = ClosedFormMap.from_expressions(variation_source(spec), O.box.dim)
             E1 = sup_energy(_PM(u, parsed, 1.0), H, O)
@@ -681,8 +702,9 @@ def test_batched_verdicts_match_per_trial_reference(case, batch_points, monkeypa
 
 @pytest.mark.parametrize("case", [0, 1])
 def test_one_dimensional_verdicts_do_not_depend_on_their_chunking(case, monkeypatch):
-    """Every sine batch carries at least _MAX_MODES modes, so a trial's jets, and the verdict,
-    are the same bits in a chunk of one trial as in one chunk of all, also for n = 1."""
+    """Every step of a sine batch's contraction is one matrix product per trial, of a shape set by
+    the tables, so a trial's jets, and the verdict, are the same bits in a chunk of one trial as
+    in one chunk of all, also for n = 1."""
     u, H, O = _verdict_fixture(_VERDICT_CASES[case])
     for seed in range(40):
         verdicts = []
@@ -692,6 +714,61 @@ def test_one_dimensional_verdicts_do_not_depend_on_their_chunking(case, monkeypa
             r = rank_one_test(u, H, O, [np.ones(u.N)], trials=11, amplitude=0.7, seed=seed)
             verdicts.append((v.worst_violation, v.witness, r.worst_violation, r.witness))
         assert verdicts[0] == verdicts[1], seed
+
+
+def test_a_negative_trial_count_is_refused_by_every_verdict():
+    """trials < 0 is a ValueError naming ``trials``, not a non-vacuous pass with worst violation
+    -inf, a rank-one verdict over its bumps alone or a vacuous normal verdict."""
+    u, H, O = _verdict_fixture(_VERDICT_CASES[2])
+    _, graph, H_graph, O_graph = list(_normal_fixtures())[-1]
+    for verdict in (lambda: absolute_minimiser_test(u, H, O, trials=-3, seed=1),
+                    lambda: rank_one_test(u, H, O, [[1.0]], trials=-3, seed=1),
+                    lambda: normal_variation_test(graph, H_graph, O_graph, trials=-3, seed=1)):
+        with pytest.raises(ValueError, match="^trials must be non-negative, got -3$"):
+            verdict()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), T=st.integers(0, 40), N=st.integers(1, 3), n=st.integers(1, 3),
+       kind=st.sampled_from(["free", "rank_one", "free_field"]))
+def test_the_up_front_draw_keeps_the_families_distributions(seed, T, N, n, kind):
+    """Per map and component 1 to 5 modes fill the first slots, with |c| in [0.1, 1] and wave
+    numbers in 1..4; the unused slots are zero modes (coefficient 0, k = 1, no phase).  Only free
+    fields carry phases, in [0.2, 2.9], and constants, in [-1, 1]."""
+    box = DomainBox((0.0,) * n, (1.0,) * n, (5,) * n)
+    draw = variations._SineDraw(np.random.default_rng(seed), kind, Subdomain.whole(box), T, N, 0.5,
+                                np.ones(N) if kind == "rank_one" else None)
+    components = 1 if kind == "rank_one" else N
+    assert draw.coeffs.shape == (T, components, 5) and draw.ks.shape == draw.phases.shape == (T, components, 5, n)
+    used = draw.coeffs != 0
+    counts = used.sum(axis=-1)
+    assert np.all((counts >= 1) & (counts <= 5))
+    assert np.array_equal(used, np.arange(5) < counts[..., None])
+    assert np.all((np.abs(draw.coeffs[used]) >= 0.1) & (np.abs(draw.coeffs[used]) <= 1.0))
+    assert np.all((draw.ks[used] >= 1) & (draw.ks[used] <= 4))
+    assert np.all(draw.ks[~used] == 1) and not draw.phases[~used].any()
+    assert draw.constants.shape == (N, T)
+    if kind == "free_field":
+        assert np.all((draw.phases[used] >= 0.2) & (draw.phases[used] <= 2.9))
+        assert np.all(np.abs(draw.constants) <= 1.0)
+    else:
+        assert not draw.phases.any() and not draw.constants.any()
+    assert len(draw.maps) == T and draw.maps.N == N
+
+
+@pytest.mark.parametrize("shift", [0, 16, 32])
+def test_the_closed_form_verdicts_pass_on_the_aronsson_solution(shift, aronsson_map):
+    """The Aronsson solution is an absolute minimiser of H = |P|^2: on the 81^2 grid of
+    [1, 2.25]^2 the 200-trial absolute verdict and the 100-trial rank-one verdict pass, not
+    vacuously, on the subdomain [1.25 + kh, 1.75 + kh]^2 at seeds 1-20."""
+    box = DomainBox((1.0, 1.0), (2.25, 2.25), (81, 81))
+    lo, hi = 1.25 + shift * 1.25 / 80, 1.75 + shift * 1.25 / 80
+    O = Subdomain.from_box(box, (lo, lo), (hi, hi))
+    H = Hamiltonian.from_expression("P11^2 + P12^2", 2, 1)
+    for seed in range(1, 21):
+        for v in (absolute_minimiser_test(aronsson_map, H, O, trials=200, seed=seed),
+                  rank_one_test(aronsson_map, H, O, [[1.0]], trials=100, seed=seed)):
+            assert v.passed and not v.vacuous, (seed, v.worst_violation)
 
 
 @pytest.mark.parametrize("case", range(len(_VERDICT_CASES)))
@@ -770,8 +847,9 @@ def test_density_sup_names_first_trial_then_first_node():
 
 
 def _reference_normal(u, H, O, trials, amplitude, seed):
-    """The former per-trial loop: each draw built, projected and checked on its own, its field
-    differentiated as a grid map of its own and scored alone."""
+    """The per-trial loop: each field built from its trial of the up-front draw as a batch of
+    one, its spec checked against its parsed source, the field projected and checked on its
+    own, differentiated as a grid map of its own and scored alone."""
     rng = np.random.default_rng(seed)
     probe = varcheck._Probe(u, H, O)
     tol = varcheck._default_tol(probe.E0)
@@ -783,9 +861,13 @@ def _reference_normal(u, H, O, trials, amplitude, seed):
     worst = -np.inf
     witness = None
     admissible = 0
+    draw = variations._SineDraw(rng, "free_field", O, trials, u.N, amplitude)
     for trial in range(trials):
-        psi, spec = make_free_field(O, u.N, rng, amplitude)
-        psi_vals = jets_at_nodes(psi, box, nodes, order=1).value  # (N, M)
+        psi, scale = variations._scaled_maps(draw, O, trial, trial + 1)
+        spec = draw.spec(trial, scale[0])
+        psi_vals = jets_at_nodes(psi[0], box, nodes, order=1).value  # (N, M)
+        parsed = ClosedFormMap.from_expressions(variation_source(spec), box.dim)
+        assert _close(psi_vals, parsed.jet2(box.node_coords(nodes), order=1).value, 1e-13)
         phi_vals = np.einsum("mab,bm->am", projectors, psi_vals)
         phi_inf = float(np.max(np.abs(phi_vals))) if phi_vals.size else 0.0
         if phi_inf < 1e-14 * max(1.0, float(np.max(np.abs(psi_vals)))):
