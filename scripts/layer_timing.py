@@ -248,13 +248,16 @@ def verdicts(number, rounds):
     argmax set admits every node the measure charges.  The next row is the
     grid-vectorial benchmark's ``C verify-normal`` call at seed 1, drawn the
     same way: ``normal_variation_test`` with 5 trials on the masked grid map
-    C, whose reduced normal space has dimension one.  The last row times
+    C, whose reduced normal space has dimension one.  The row after it times
     one chunk of that call's scoring: a grid map of 7 fields (14 components)
     over C's 33^2 box, built as ``normal_variation_test`` builds a chunk's
     map (0 where C has a value, random field values at the nodes the verdict
     places its fields at: not singular, and where C has a jet),
     and its order-1 jets at the subdomain's evaluable nodes, which form only
-    its first derivatives.  The first two rows time
+    its first derivatives.  The last row times ``rank_one_test`` with no
+    random trials, so that the box bump each direction starts with shows
+    alone.  It runs last because, placed among the other rows, its parse's
+    allocations slowed the rows after it in each round.  The first two rows time
     ``load_problem`` of the closed-form-verdicts A and B problem files, which
     every call of that session pays once: the A problem's pre-scan of u reads
     the 33^2 nodes of its subdomain, the B problem's, which has no subdomain,
@@ -292,6 +295,8 @@ def verdicts(number, rounds):
                 lambda: normal_variation_test(C.u, C.H, C.subdomain, trials=5, amplitude=1.0, seed=SEED),
             "order-1 jets of a 7-field 33^2 chunk map":
                 lambda: jets_at_nodes(GridMap(box, chunk), box, probe_nodes, order=1),
+            "rank_one_test, the box bump alone (0 trials)":
+                lambda: rank_one_test(u, H, O, [[1.0]], trials=0, seed=SEED),
         }
         s = best(timed, number, rounds)
     width = max(len(key) for key in timed)

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, energy, flow, lp_approx, operators, varcheck
-from .exprlang import ParseError
+from .exprlang import ParseError, parse_field
 from .problem import (
     ClosedFormMap,
     Problem,
@@ -163,11 +163,13 @@ def _parse_points(text: str, option: str) -> np.ndarray:
     return np.asarray(points)
 
 
-def _phi_map(text: str, n: int, N: int) -> ClosedFormMap:
-    sources = [s.strip() for s in text.split(";")]
+def _phi_map(text: str, option: str, n: int, N: int) -> ClosedFormMap:
+    """The map whose semicolon-separated components ``text`` gives to ``option``; a parse error
+    names the component, and its offset counts from the component's first character."""
+    sources = text.split(";")
     if len(sources) != N:
-        raise ValueError(f"variation needs {N} component expression(s), got {len(sources)}")
-    return ClosedFormMap.from_expressions(sources, n)
+        raise ValueError(f"{option} needs {N} component expression(s), got {len(sources)}")
+    return ClosedFormMap([parse_field(src, (n, 1), f"{option} component {k}") for k, src in enumerate(sources, 1)], n)
 
 
 def _dispatch(args, prob: Problem, out_dir: Path):
@@ -191,7 +193,7 @@ def _dispatch(args, prob: Problem, out_dir: Path):
         return dict(vars(aset), nodes=aset.nodes.tolist()), True
     if cmd == "danskin":
         # both one-sided derivatives are the extremes of one scan of the argmax set
-        scan = varcheck.stationarity_scan(u, H, O, _phi_map(args.phi, prob.n, prob.N), delta=args.delta)
+        scan = varcheck.stationarity_scan(u, H, O, _phi_map(args.phi, "--phi", prob.n, prob.N), delta=args.delta)
         return {"plus": scan.max_val, "minus": scan.min_val}, True
     if cmd == "residual":
         tol = 1e-8 if args.tol is None else args.tol
@@ -249,7 +251,7 @@ def _dispatch(args, prob: Problem, out_dir: Path):
         return _verdict_results(v), v.passed
     if cmd == "stationarity":
         if args.psi:
-            basis = [_phi_map(args.psi, prob.n, prob.N)]
+            basis = [_phi_map(args.psi, "--psi", prob.n, prob.N)]
         else:
             basis = varcheck.make_test_basis(O, prob.N, args.basis_size)
         reports = varcheck.stationarity_scans(u, H, O, basis, delta=args.delta, tol=args.tol)

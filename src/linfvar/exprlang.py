@@ -46,6 +46,7 @@ __all__ = [
     "eval_jet2",
     "eval_value",
     "parse",
+    "parse_field",
     "rename_variables",
     "to_source",
 ]
@@ -56,7 +57,7 @@ class ParseError(ValueError):
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")
-        self.offset = offset
+        self.message, self.offset = message, offset
 
 
 class EvalError(ArithmeticError):
@@ -314,6 +315,15 @@ def parse(src: str, dims: tuple) -> Ast:
     parser = _Parser(src, n, N)
     root = parser.parse()
     return Ast(root=root, n=n, N=N, variables=frozenset(parser.variables))
+
+
+def parse_field(src: str, dims: tuple, where: str) -> Ast:
+    """:func:`parse`, whose :class:`ParseError` names ``where``, the field or option that gave ``src``,
+    before its message; the offset stays the one into ``src``."""
+    try:
+        return parse(src, dims)
+    except ParseError as err:
+        raise ParseError(f"{where}: {err.message}", err.offset) from None
 
 
 def rename_variables(ast: Ast, names: Mapping) -> Ast:

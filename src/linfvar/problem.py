@@ -25,7 +25,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .exprlang import Ast, EvalError, SingularityError, eval_jet2, parse, rename_variables
+from .exprlang import Ast, EvalError, SingularityError, eval_jet2, parse, parse_field, rename_variables
 
 __all__ = [
     "ClosedFormMap",
@@ -767,15 +767,20 @@ def load_problem(source: Union[str, Path, dict], base: Union[str, Path, None] = 
     box = DomainBox(*(tuple(field_of(dom, key, f"domain.{key}", point, per_axis))
                       for key in ("lo", "hi", "resolution")))
     hspec = field_of(data, "H", "H", is_string, 'an expression or "dirichlet"')
-    H = Hamiltonian.dirichlet(n, N) if hspec == "dirichlet" else Hamiltonian.from_expression(hspec, n, N)
+    H = (Hamiltonian.dirichlet(n, N) if hspec == "dirichlet"
+         else Hamiltonian(n, N, expr=parse_field(hspec, (n, N), "problem file field 'H'")))
     uspec = field_of(data, "u", "u", lambda v: isinstance(v, dict) or list_of(v, str),
                      'a list of expressions or {"grid": <path>}')
     if isinstance(uspec, dict):
-        u = read_grid_csv(base / field_of(uspec, "grid", "u.grid", is_string, "a path"), box, N)
+        try:
+            u = read_grid_csv(base / field_of(uspec, "grid", "u.grid", is_string, "a path"), box, N)
+        except OSError as exc:  # a file that is missing or cannot be read
+            raise type(exc)(f"problem file field 'u.grid': {exc}") from None
     else:
         if len(uspec) != N:
             raise ValueError(f"u must have {N} components, got {len(uspec)}")
-        u = ClosedFormMap.from_expressions(uspec, n)
+        u = ClosedFormMap([parse_field(src, (n, 1), f"problem file field 'u[{k}]'") for k, src in enumerate(uspec)],
+                          n)
     singular_spec = data.get("singular") or []
     if not isinstance(singular_spec, list):
         raise TypeError(f"problem file field 'singular' must be a list, got {singular_spec!r}")

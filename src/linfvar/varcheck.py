@@ -38,10 +38,9 @@ from .problem import (
 )
 from .variations import (
     SineModeMap,
-    _ball_variation,
+    _Profile,
     _region_box,
     _scale_for,
-    _scaled_maps,
     _SineDraw,
     make_free_field,
     make_free_variation,
@@ -123,19 +122,29 @@ class _Probe:
         """E_inf(u + phi, O) for each variation phi of a batch, from its :meth:`jets` ``var``."""
         return density_sup(self.H, combine_jets(self.base, var), self.nodes)
 
-    def sine_batches(self, draw: _SineDraw, first: int = 0):
-        """The maps of ``draw`` in chunks, as :meth:`scan` batches whose trials count from ``first``.
+    def batches(self, draw, first: int = 0):
+        """The trials of ``draw`` in chunks, as :meth:`scan` batches whose trials count from ``first``.
 
-        A chunk's jets are taken once, unscaled, and then multiplied in place
-        by each trial's scale: the sine families drawn here have no constant
-        term, so the scaled map's jets are the unscaled jets times the scale.
+        A chunk's jets are taken once, at scale 1, and each trial's are then multiplied by its
+        scale, which makes sup |D phi| over the nodes the amplitude.  A sine chunk's jets are its
+        own, so they are scaled in place.  The trials of a :class:`_Profile` share the jets of its
+        one map, taken once: a trial's are its factors times its scale times those, as the source
+        of its spec, c * (prof) per component, parses.
         """
-        for start in range(0, len(draw.maps), self.chunk):
-            stop = min(len(draw.maps), start + self.chunk)
-            var = self.jets(draw.maps[start:stop])
-            scale = _scale_for(var, draw.amplitude)
-            var.value *= scale[:, None]
-            var.gradient *= scale[:, None]
+        profile = self.jets(draw.maps) if isinstance(draw, _Profile) else None
+        T = draw.factors.shape[1]
+        for start in range(0, T, self.chunk):
+            stop = min(T, start + self.chunk)
+            if profile is None:
+                var = self.jets(draw.maps[start:stop])
+                scale = _scale_for(var.gradient, draw.amplitude)
+                var.value *= scale[:, None]
+                var.gradient *= scale[:, None]
+            else:
+                c = draw.factors[:, start:stop]
+                scale = _scale_for(c[:, None, :, None] * profile.gradient, draw.amplitude)
+                f = c * scale
+                var = Jet2(profile.x, f[..., None] * profile.value, f[:, None, :, None] * profile.gradient, None)
             yield var, range(first + start, first + stop), lambda j, start=start, scale=scale: draw.spec(
                 start + j, scale[j])
 
@@ -190,11 +199,10 @@ def absolute_minimiser_test(
     if trials == 0 or amplitude == 0.0:
         return Verdict(True, 0.0, None, trials, vacuous=False)
     if _region_box(O) is None:
-        batches = ((probe.jets(phi), [t], lambda j, spec=spec: spec) for t, (phi, spec) in
-                   enumerate(_ball_variation(O, u.N, rng, amplitude) for _ in range(trials)))
+        draw = _Profile(O, "free_ball", rng.uniform(-1.0, 1.0, size=(trials, u.N)).T, amplitude)
     else:
-        batches = probe.sine_batches(_SineDraw(rng, "free", O, trials, u.N, amplitude))
-    worst, witness, _ = probe.scan(batches)
+        draw = _SineDraw(rng, "free", O, trials, u.N, amplitude)
+    worst, witness, _ = probe.scan(probe.batches(draw))
     return Verdict(bool(worst <= tol), worst, witness, trials)
 
 
@@ -233,11 +241,10 @@ def rank_one_test(
     def batches():
         first = 0
         for xi in directions:
-            bump, spec = make_rank_one_variation(O, xi, rng, amplitude, deterministic=True)
-            yield probe.jets(bump), [first], lambda j, spec=spec: spec
+            yield from probe.batches(_Profile(O, "rank_one", xi[:, None], amplitude), first)
             first += 1
             if box is not None:
-                yield from probe.sine_batches(_SineDraw(rng, "rank_one", O, trials, u.N, amplitude, xi), first)
+                yield from probe.batches(_SineDraw(rng, "rank_one", O, trials, u.N, amplitude, xi), first)
                 first += trials
 
     worst, witness, total = probe.scan(batches())
@@ -296,11 +303,14 @@ def normal_variation_test(
     projectors = np.ascontiguousarray(np.moveaxis(projectors, 0, -1))  # (N, N, M): einsum runs along M
     chunk = max(1, _BATCH_POINTS // box.all_nodes().shape[0])  # a chunk's grid map holds every box node
     draw = _SineDraw(rng, "free_field", O, trials, u.N, amplitude)
+    inside = O.mask[tuple(nodes.T)]  # the projector nodes in O: its evaluable nodes, in order
 
     def batches():
         for start in range(0, trials, chunk):
-            psi, scale = _scaled_maps(draw, O, start, min(trials, start + chunk))
-            psi_vals = jets_at_nodes(psi, box, nodes, order=1).value  # (N, K, M)
+            modes = jets_at_nodes(draw.maps[start:start + chunk], box, nodes, order=1)  # unscaled, no constants
+            scale = _scale_for(modes.gradient[..., inside], amplitude)
+            psi_vals = modes.value * scale[:, None] + amplitude * draw.constants[:, start:start + chunk, None]
+            del modes  # the scales were all its gradient was for
             phi_vals = np.einsum("abm,bkm->akm", projectors, psi_vals)
             psi_inf, phi_inf = (np.max(np.abs(vals), axis=(0, 2)) for vals in (psi_vals, phi_vals))
             # reject candidates that vanish or are not numerically normal

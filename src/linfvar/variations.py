@@ -5,14 +5,15 @@
 * ``free_field`` smooth fields free on the boundary (projected by ``verify-normal``),
 * ``sphere``    the deterministic family xi * (|y - x|^2 - rho^2) on balls.
 
-Random variations are sums of at most five separable sine modes with
-coefficients scaled so that the sup norm of the variation gradient matches
-the requested amplitude; everything is seeded and reproducible.  A verdict's
-trials are drawn up front, one array per parameter.  They are numeric maps
-evaluated at grid nodes (:class:`SineModeMap`), which may hold a batch of
-maps so that a verdict of :mod:`linfvar.varcheck` scores many trials at
-once; the deterministic ball and box bumps are polynomial expressions.  Every family's expression source follows from its spec
-(:func:`variation_source`).
+A family's trials are drawn up front, one array per parameter: trial t is
+factors[:, t] times a map.  The random families' maps are sums of at most
+five sine modes (:class:`SineModeMap`, one batch for all trials); the ball's
+and the box bump's map is one polynomial profile, parsed once
+(:class:`_Profile`).  One rule scales a trial so that sup |D phi| over the
+evaluable nodes of the subdomain is the amplitude: the maps' jets at the
+nodes are taken once at scale 1, and the factors are multiplied by the
+scale.  A trial's spec, and from it its expression source
+(:func:`variation_source`), is built only for a witness.
 """
 
 from __future__ import annotations
@@ -105,11 +106,6 @@ class SineModeMap:
         len(self)  # refuses a single map
         return SineModeMap(self.lo, self.hi, self.coeffs[:, t], self.consts[:, t])
 
-    def scaled(self, scale) -> "SineModeMap":
-        """The map with its mode coefficients (not its constants) times ``scale`` (shape B)."""
-        return SineModeMap(self.lo, self.hi, self.coeffs * np.reshape(scale, np.shape(scale) + (1,) * self.n),
-                           self.consts)
-
     def _jet_entries(self, modes_sum, order: int):
         """Value, gradient and Hessian from ``modes_sum(which)``, the mode sum whose
         axis i factor is derivative ``which[i]`` (0, 1 or 2) of the table rows."""
@@ -198,20 +194,26 @@ def _sine_profile_source(lo, hi, modes) -> str:
     return " + ".join(terms) if terms else "0.0"
 
 
+def _profile_source(spec: dict) -> str:
+    """The polynomial families' profile on the region that ``spec`` places: rho^2 - |x - center|^2
+    on a ball, and on a box prod_i (x_i - lo_i)(hi_i - x_i), the sphere profile's box analogue."""
+    if "center" in spec:
+        sq = " - ".join(f"(x{i+1} - {_f(x0)})^2" for i, x0 in enumerate(spec["center"]))
+        return f"{_f(spec['radius'] ** 2)} - {sq}"
+    lo, hi = spec["lo"], spec["hi"]
+    return " * ".join(f"((x{i+1} - {_f(lo[i])}) * ({_f(hi[i])} - x{i+1}))" for i in range(len(lo)))
+
+
 def variation_source(spec: dict) -> list:
     """Expression source of each component of the variation that ``spec`` describes.
 
     The coefficients are multiplied by ``spec["scale"]``.  This is how a
-    witness stays re-evaluable, and how the polynomial families are built.
+    witness stays re-evaluable.
     """
     scale = spec["scale"]
 
     def sines(modes):
         return _sine_profile_source(spec["lo"], spec["hi"], [(c * scale, k, ph) for c, k, ph in modes])
-
-    def sphere(c):  # c * (rho^2 - |x - center|^2)
-        sq = " - ".join(f"(x{i+1} - {_f(x0)})^2" for i, x0 in enumerate(spec["center"]))
-        return f"{_f(c * scale)} * ({_f(spec['radius'] ** 2)} - {sq})"
 
     kind, profile = spec["kind"], spec.get("profile")
     if kind == "free":
@@ -221,17 +223,11 @@ def variation_source(spec: dict) -> list:
         # amplitude rather than the gradient-normalising factor
         return [f"{_f(k * spec['amplitude'])} + " + sines(modes)
                 for modes, k in zip(spec["modes"], spec["constants"])]
-    if kind == "free_ball":
-        return [sphere(c) for c in spec["coeffs"]]
     if profile == "sine":
         g = sines(spec["modes"])
         return [f"{_f(x)} * ({g})" for x in spec["xi"]]
-    if profile == "sphere":
-        return [sphere(x) for x in spec["xi"]]
-    # box_bump: prod (x - lo)(hi - x), the sphere profile's box analogue
-    lo, hi = spec["lo"], spec["hi"]
-    prof = " * ".join(f"((x{i+1} - {_f(lo[i])}) * ({_f(hi[i])} - x{i+1}))" for i in range(len(lo)))
-    return [f"{_f(x * scale)} * {prof}" for x in spec["xi"]]
+    prof = _profile_source(spec)  # free_ball, a rank-one sphere or box bump: c * (prof) per component
+    return [f"{_f(c * scale)} * ({prof})" for c in spec["coeffs" if kind == "free_ball" else "xi"]]
 
 
 class _SineDraw:
@@ -241,9 +237,9 @@ class _SineDraw:
     unused slots) and wave numbers in 1.._MAX_WAVE per axis.  A ``rank_one`` map is ``xi`` times
     one drawn profile.  A ``free_field`` lives on the box of O, or on the whole box for a ball
     subdomain; it adds phases in [0.2, 2.9] per axis and a constant in [-1, 1] per component,
-    which enters the map as ``amplitude`` times its draw.  ``maps`` holds the T maps, unscaled,
-    as one batch, which is sliced into chunks; a map's spec is built only when asked for
-    (:meth:`spec`).
+    which enters the map as ``amplitude`` times its draw.  ``maps`` holds the T maps' modes,
+    unscaled and without the constants, as one batch; trial t is ``factors[:, t]`` (all 1) times
+    map t.  A map's spec is built only when asked for (:meth:`spec`).
     """
 
     def __init__(self, rng, kind: str, O: Subdomain, T: int, N: int, amplitude: float, xi=None):
@@ -263,7 +259,8 @@ class _SineDraw:
             self.phases[used] = rng.uniform(0.2, 2.9, size=(count, n))
         self.constants = rng.uniform(-1.0, 1.0, size=(N, T)) if kind == "free_field" else np.zeros((N, T))
         self.maps = SineModeMap.from_modes(self.lo, self.hi, self.coeffs if xi is None else self.coeffs * xi[:, None],
-                                           self.ks, self.phases, amplitude * self.constants)
+                                           self.ks, self.phases, np.zeros((N, T)))
+        self.factors = np.ones((1, T))
 
     def spec(self, t: int, scale) -> dict:
         """The spec of map ``t`` with its modes scaled by ``scale``."""
@@ -275,57 +272,56 @@ class _SineDraw:
             spec = {"kind": "free_field", "modes": modes, "constants": self.constants[:, t].tolist()}
         else:
             spec = {"kind": "free", "modes": modes}
-        return _scaled_spec(dict(spec, lo=self.lo.tolist(), hi=self.hi.tolist()), scale, self.amplitude)
+        return dict(spec, lo=self.lo.tolist(), hi=self.hi.tolist(), scale=float(scale), amplitude=self.amplitude)
+
+    def map(self, t: int, scale) -> SineModeMap:
+        """Map ``t`` with its modes scaled by ``scale`` and its constants added."""
+        return SineModeMap(self.lo, self.hi, self.maps.coeffs[:, t] * scale, self.amplitude * self.constants[:, t])
 
 
-def _scale_for(jets: Jet2, amplitude: float) -> np.ndarray:
-    """Factor making sup |D phi| over phi's node ``jets`` equal ``amplitude`` (0 for a flat phi), per map."""
-    raw = np.sqrt(np.max(np.sum(jets.gradient * jets.gradient, axis=(0, 1)), axis=-1))
+class _Profile:
+    """``T`` variations of a polynomial family on O: trial t is ``factors[:, t]`` (N, T) times one
+    profile (:func:`_profile_source`), parsed once as ``maps``.  A ``free_ball`` has drawn
+    factors, a ``rank_one`` sphere or box bump one trial whose factors are the direction.  The
+    parsed jets of a trial's source, c * (prof) per component, are c times the profile's.
+    """
+
+    def __init__(self, O: Subdomain, kind: str, factors: np.ndarray, amplitude: float):
+        self.kind, self.factors, self.amplitude = kind, factors, amplitude
+        self.where = ({"lo": np.asarray(O.region[1]).tolist(), "hi": np.asarray(O.region[2]).tolist()}
+                      if O.region[0] == "box" else {"center": list(O.region[1]), "radius": O.region[2]})
+        self.maps = ClosedFormMap.from_expressions([_profile_source(self.where)], O.box.dim)
+
+    def spec(self, t: int, scale) -> dict:
+        """The spec of trial ``t`` with its factors scaled by ``scale``."""
+        c = self.factors[:, t].tolist()
+        head = ({"kind": "free_ball", "coeffs": c} if self.kind == "free_ball" else
+                {"kind": "rank_one", "profile": "box_bump" if "lo" in self.where else "sphere", "xi": c})
+        return dict(head, **self.where, scale=float(scale), amplitude=self.amplitude)
+
+    def map(self, t: int, scale) -> ClosedFormMap:
+        """Trial ``t`` with its factors scaled by ``scale``: the map its spec's source parses to."""
+        return ClosedFormMap.from_expressions(variation_source(self.spec(t, scale)), self.maps.n)
+
+
+def _scale_for(gradient: np.ndarray, amplitude: float) -> np.ndarray:
+    """Factor making sup |D phi| over its node ``gradient`` (N, n) + B + (K,) the amplitude (0 if flat), per map."""
+    raw = np.sqrt(np.max(np.sum(gradient * gradient, axis=(0, 1)), axis=-1))
     return np.divide(amplitude, raw, out=np.zeros_like(raw), where=raw != 0.0)
 
 
-def _scaled_spec(spec: dict, scale, amplitude: float) -> dict:
-    return dict(spec, scale=float(scale), amplitude=amplitude)
-
-
-def _scale_on(phi, O: Subdomain, amplitude: float) -> np.ndarray:
-    """:func:`_scale_for` phi's jets at the evaluable nodes of O."""
-    return _scale_for(jets_at_nodes(phi, O.box, O.evaluable_nodes(), order=1), amplitude)
-
-
-def _polynomial_variation(spec: dict, O: Subdomain, amplitude: float):
-    """A polynomial family's map and spec, built from its source at scale 1 and at the final scale."""
-    n = O.box.dim
-    raw = ClosedFormMap.from_expressions(variation_source(dict(spec, scale=1.0)), n)
-    spec = _scaled_spec(spec, _scale_on(raw, O, amplitude), amplitude)
-    return ClosedFormMap.from_expressions(variation_source(spec), n), spec
-
-
-def _scaled_maps(draw: _SineDraw, O: Subdomain, start: int, stop: int):
-    """Maps ``start`` to ``stop`` - 1 of ``draw`` as one batch whose modes (not constants) are
-    scaled to sup |D phi| = amplitude at the evaluable nodes of O, and the scales."""
-    raw = draw.maps[start:stop]
-    scale = _scale_on(raw, O, draw.amplitude)
-    return raw.scaled(scale), scale
-
-
-def _sine_variation(draw: _SineDraw, O: Subdomain):
-    """The first map of ``draw``, scaled, and its spec."""
-    maps, scale = _scaled_maps(draw, O, 0, 1)
-    return maps[0], draw.spec(0, scale[0])
+def _variation(draw, O: Subdomain):
+    """The one trial of ``draw``, scaled to sup |D phi| = amplitude at the evaluable nodes of O, and its spec."""
+    unit = jets_at_nodes(draw.maps if isinstance(draw, _Profile) else draw.maps[0], O.box, O.evaluable_nodes(), 1)
+    scale = _scale_for(draw.factors[:, 0, None, None] * unit.gradient, draw.amplitude)
+    return draw.map(0, scale), draw.spec(0, scale)
 
 
 def make_free_variation(O: Subdomain, N: int, rng, amplitude: float = 1.0):
     """Random smooth variation vanishing on the subdomain boundary."""
     if _region_box(O) is None:
-        return _ball_variation(O, N, rng, amplitude)
-    return _sine_variation(_SineDraw(rng, "free", O, 1, N, amplitude), O)
-
-
-def _ball_variation(O: Subdomain, N: int, rng, amplitude: float):
-    coeffs = [float(rng.uniform(-1.0, 1.0)) for _ in range(N)]
-    spec = {"kind": "free_ball", "coeffs": coeffs, "center": list(O.region[1]), "radius": O.region[2]}
-    return _polynomial_variation(spec, O, amplitude)
+        return _variation(_Profile(O, "free_ball", rng.uniform(-1.0, 1.0, size=(N, 1)), amplitude), O)
+    return _variation(_SineDraw(rng, "free", O, 1, N, amplitude), O)
 
 
 def make_rank_one_variation(O: Subdomain, xi: np.ndarray, rng, amplitude: float = 1.0,
@@ -334,16 +330,9 @@ def make_rank_one_variation(O: Subdomain, xi: np.ndarray, rng, amplitude: float 
     xi = np.asarray(xi, dtype=float)
     if np.linalg.norm(xi) == 0.0:
         raise ValueError("rank-one direction must be nonzero")
-    box = _region_box(O)
-    if box is None:
-        spec = {"kind": "rank_one", "profile": "sphere", "xi": xi.tolist(),
-                "center": list(O.region[1]), "radius": O.region[2]}
-    elif deterministic:
-        spec = {"kind": "rank_one", "profile": "box_bump", "xi": xi.tolist(),
-                "lo": box[0].tolist(), "hi": box[1].tolist()}
-    else:
-        return _sine_variation(_SineDraw(rng, "rank_one", O, 1, xi.size, amplitude, xi), O)
-    return _polynomial_variation(spec, O, amplitude)
+    if _region_box(O) is not None and not deterministic:
+        return _variation(_SineDraw(rng, "rank_one", O, 1, xi.size, amplitude, xi), O)
+    return _variation(_Profile(O, "rank_one", xi[:, None], amplitude), O)
 
 
 def make_sphere_variation(xi: np.ndarray, center: np.ndarray, radius: float, n: int) -> ClosedFormMap:
@@ -361,7 +350,7 @@ def make_free_field(O: Subdomain, N: int, rng, amplitude: float = 1.0):
     A field free on the boundary may shift the map values outright, which matters for
     value-dependent densities; the gradient normalisation scales only the modes.
     """
-    return _sine_variation(_SineDraw(rng, "free_field", O, 1, N, amplitude), O)
+    return _variation(_SineDraw(rng, "free_field", O, 1, N, amplitude), O)
 
 
 def make_test_basis(O: Subdomain, N: int, size: int):

@@ -138,6 +138,36 @@ class TestExitCodes:
         assert run(["energy", "--problem", str(tmp_path / "typo.json"), "--out", str(out)]) == 2
         assert f"'{path}'" in _report(out, "energy")["error"]["message"]
 
+    @pytest.mark.parametrize("spec, argv, error", [
+        ({"H": "P13^2"}, ["energy"], {"type": "ParseError", "offset": 0, "message":
+         "problem file field 'H': variable 'P13' out of range (N=1, n=2) (at offset 0)"}),
+        ({"N": 2, "u": ["x1", "x2 +"]}, ["energy"], {"type": "ParseError", "offset": 4, "message":
+         "problem file field 'u[1]': unexpected end of input (at offset 4)"}),
+        ({}, ["danskin", "--phi", "x1+"], {"type": "ParseError", "offset": 3, "message":
+         "--phi component 1: unexpected end of input (at offset 3)"}),
+        ({}, ["danskin", "--phi", "x1;x2"], {"type": "ValueError", "message":
+         "--phi needs 1 component expression(s), got 2"}),
+        ({"N": 2, "u": ["x1", "x2"]}, ["stationarity", "--psi", "x1; x2 + y"], {"type": "ParseError", "offset": 6,
+         "message": "--psi component 2: unknown variable 'y' (at offset 6)"}),
+    ])
+    def test_a_parse_error_names_the_field_or_option_of_its_expression(self, problems, tmp_path, spec, argv, error):
+        # at the parent these messages named neither H, u[k], --phi nor --psi
+        _, tmp = problems
+        (tmp_path / "expr.json").write_text(json.dumps(dict(SMALL_2D, **spec)))
+        out = tmp / f"expr_{argv[0]}"
+        assert run([*argv, "--problem", str(tmp_path / "expr.json"), "--out", str(out)]) == 2
+        assert _report(out, argv[0])["error"] == error
+
+    def test_a_missing_grid_file_is_named(self, problems, tmp_path):
+        # at the parent the message was only "[Errno 2] No such file or directory: '...'"
+        _, tmp = problems
+        (tmp_path / "grid.json").write_text(json.dumps(dict(SMALL_2D, u={"grid": "missing.csv"})))
+        out = tmp / "missing_grid"
+        assert run(["energy", "--problem", str(tmp_path / "grid.json"), "--out", str(out)]) == 2
+        error = _report(out, "energy")["error"]
+        assert error["type"] == "FileNotFoundError"
+        assert error["message"].startswith("problem file field 'u.grid': ") and "missing.csv" in error["message"]
+
     def test_non_finite_density_is_named_by_argmax_and_danskin(self, problems, tmp_path):
         _, tmp = problems
         spec = {"n": 1, "N": 1, "domain": {"lo": [0.0], "hi": [1.0], "resolution": [9]},

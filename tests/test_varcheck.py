@@ -626,7 +626,8 @@ def _drawn_spec(draw, t, O):
     """Trial t's spec, taken from the verdict's up-front draw and scaled through its parsed
     source so that sup |D phi| over the evaluable nodes of O is the amplitude."""
     raw = ClosedFormMap.from_expressions(variation_source(draw.spec(t, 1.0)), O.box.dim)
-    return draw.spec(t, variations._scale_on(raw, O, draw.amplitude))
+    jets = jets_at_nodes(raw, O.box, O.evaluable_nodes(), order=1)
+    return draw.spec(t, variations._scale_for(jets.gradient, draw.amplitude))
 
 
 def _reference_absolute(u, H, O, trials, amplitude, seed):
@@ -784,7 +785,8 @@ def test_witness_source_reproduces_energy(case):
 
 
 def test_polynomial_witness_source():
-    """Ball subdomains use the polynomial families; their witnesses carry a source too."""
+    """Ball subdomains use the polynomial families; their witnesses carry a source too.  So
+    does a box's rank-one bump, the witness of a verdict without random trials."""
     box = DomainBox((-1.0, -1.0), (1.0, 1.0), (21, 21))
     O = Subdomain.from_ball(box, (0.0, 0.0), 0.6)
     u = ClosedFormMap.from_expressions(["x1^2 + x2"], 2)
@@ -794,6 +796,71 @@ def test_polynomial_witness_source():
         assert v.witness["kind"] in ("free_ball", "rank_one")
         parsed = ClosedFormMap.from_expressions(v.witness["source"], 2)
         assert sup_energy(_PM(u, parsed, 1.0), H, O) == v.witness["energy_perturbed"]
+    O = Subdomain.from_box(box, (-0.5, -0.3), (0.7, 0.4))
+    v = rank_one_test(u, H, O, [[1.0]], trials=0, seed=1)
+    assert v.witness["profile"] == "box_bump"
+    parsed = ClosedFormMap.from_expressions(v.witness["source"], 2)
+    assert sup_energy(_PM(u, parsed, 1.0), H, O) == v.witness["energy_perturbed"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_polynomial_source_has_its_factors_times_the_profile_jets(n):
+    """A ball's free variation and rank-one sphere and a box's rank-one bump are factors times one
+    profile: the parse of each one's source, c * (prof) per component, has c times the profile's
+    jets, bit for bit, in any dimension (without the parentheses the box bump has them for n = 1)."""
+    box = DomainBox((-1.0,) * n, (1.0,) * n, (21, 11, 7)[:n])
+    ball = Subdomain.from_ball(box, (0.1, 0.0, -0.2)[:n], 0.6)
+    square = Subdomain.from_box(box, (-0.5, -0.3, -0.2)[:n], (0.7, 0.4, 0.9)[:n])
+    rng = np.random.default_rng(3 + n)
+    for O, (phi, spec) in ((ball, make_free_variation(ball, 3, rng, 0.7)),
+                           (ball, make_rank_one_variation(ball, [2.0, -1.0], rng, 0.7)),
+                           (square, make_rank_one_variation(square, [-2.0, 0.5], rng, 0.7, deterministic=True))):
+        profile = variations._Profile(O, spec["kind"], None, 0.7).maps
+        nodes = box.all_nodes()
+        got, ref = jets_at_nodes(phi, box, nodes, order=1), jets_at_nodes(profile, box, nodes, order=1)
+        c = np.asarray(spec["coeffs"] if spec["kind"] == "free_ball" else spec["xi"]) * spec["scale"]
+        assert np.array_equal(got.value, c[:, None] * ref.value), (spec["kind"], n)
+        assert np.array_equal(got.gradient, c[:, None, None] * ref.gradient), (spec["kind"], n)
+
+
+def _counting(monkeypatch, owner, name):
+    """The calls of ``owner.name`` from now on, as a list that grows by one per call."""
+    calls, original = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_a_verdict_parses_its_polynomial_profile_once(monkeypatch):
+    """The polynomial families are factors times one profile, parsed once per family: once per
+    direction for a box's rank-one bumps, and once for 7 trials on a ball (at the parent the
+    bump was parsed twice per direction and each ball trial twice)."""
+    box = DomainBox((-1.0, -1.0), (1.0, 1.0), (21, 21))
+    u = ClosedFormMap.from_expressions(["x1^2 + x2"], 2)
+    H = Hamiltonian.dirichlet(2, 1)
+    square, ball = Subdomain.from_box(box, (-0.5, -0.3), (0.7, 0.4)), Subdomain.from_ball(box, (0.0, 0.0), 0.6)
+    calls = _counting(monkeypatch, ClosedFormMap, "from_expressions")
+    assert rank_one_test(u, H, square, [[1.0], [2.0]], trials=0, seed=1).trials == 2
+    assert len(calls) == 2
+    calls.clear()
+    assert absolute_minimiser_test(u, H, ball, trials=7, seed=1).trials == 7
+    assert len(calls) == 1
+
+
+def test_a_normal_verdict_takes_each_chunks_sine_jets_once(monkeypatch):
+    """One node-jet call per chunk, at the projector nodes, gives both the scales and the values
+    (at the parent a chunk took them twice, at the subdomain's nodes for the scales)."""
+    _, u, H, O = list(_normal_fixtures())[-1]
+    chunk = varcheck._BATCH_POINTS // O.box.all_nodes().shape[0]
+    calls = _counting(monkeypatch, SineModeMap, "node_jets")
+    for trials, chunks in ((6, 1), (2 * chunk + 3, 3)):
+        calls.clear()
+        normal_variation_test(u, H, O, trials=trials, amplitude=0.5, seed=2)
+        assert len(calls) == chunks, trials
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -847,9 +914,11 @@ def test_density_sup_names_first_trial_then_first_node():
 
 
 def _reference_normal(u, H, O, trials, amplitude, seed):
-    """The per-trial loop: each field built from its trial of the up-front draw as a batch of
-    one, its spec checked against its parsed source, the field projected and checked on its
-    own, differentiated as a grid map of its own and scored alone."""
+    """The per-trial loop: each field built from its trial of the up-front draw as a map of its
+    own (its modes' jets at the projector nodes times the scale that their gradients at the
+    nodes in O, which are O's evaluable nodes, give, plus its constants), its spec checked
+    against its parsed source, the field projected and checked on its own, differentiated as a
+    grid map of its own and scored alone."""
     rng = np.random.default_rng(seed)
     probe = varcheck._Probe(u, H, O)
     tol = varcheck._default_tol(probe.E0)
@@ -862,10 +931,13 @@ def _reference_normal(u, H, O, trials, amplitude, seed):
     witness = None
     admissible = 0
     draw = variations._SineDraw(rng, "free_field", O, trials, u.N, amplitude)
+    inside = O.mask[tuple(nodes.T)]
+    assert np.array_equal(nodes[inside], O.evaluable_nodes())
     for trial in range(trials):
-        psi, scale = variations._scaled_maps(draw, O, trial, trial + 1)
-        spec = draw.spec(trial, scale[0])
-        psi_vals = jets_at_nodes(psi[0], box, nodes, order=1).value  # (N, M)
+        modes = jets_at_nodes(draw.maps[trial], box, nodes, order=1)
+        scale = variations._scale_for(modes.gradient[..., inside], amplitude)
+        spec = draw.spec(trial, scale)
+        psi_vals = modes.value * scale + amplitude * draw.constants[:, trial, None]  # (N, M)
         parsed = ClosedFormMap.from_expressions(variation_source(spec), box.dim)
         assert _close(psi_vals, parsed.jet2(box.node_coords(nodes), order=1).value, 1e-13)
         phi_vals = np.einsum("mab,bm->am", projectors, psi_vals)
