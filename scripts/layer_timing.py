@@ -140,7 +140,7 @@ def newton_point(resolution: int):
     prob = LpProblem(H=Hamiltonian.dirichlet(2, 1), O=O, boundary_values=boundary_values_from_map(u, O), p=P)
     scheme = _CellScheme(prob)
     W = jets_at_nodes(u, box, np.argwhere(O.mask), order=1).value.reshape((1,) + box.shape)[(slice(None),) + scheme.window]
-    F, hvals, ham = scheme.energy_and_jets(W, P, order=2)
+    F, hvals, ham = scheme.energy_and_jets(W, P)
     return scheme, W, (F, hvals, ham, scheme.normalised_gradient(F, hvals, ham, P), P)
 
 

@@ -236,7 +236,7 @@ def _dispatch(args, prob: Problem, out_dir: Path):
             tol=args.tol, seed=args.seed)
         return _verdict_results(v), v.passed
     if cmd == "verify-rank-one":
-        if args.directions:
+        if args.directions is not None:  # an empty value is refused as an entry, not taken as unset
             dirs = [_parse_vector(c, "--directions") for c in args.directions.split(";")]
         else:
             dirs = [np.eye(prob.N)[a] for a in range(prob.N)]
@@ -250,7 +250,7 @@ def _dispatch(args, prob: Problem, out_dir: Path):
             tol=args.tol, seed=args.seed)
         return _verdict_results(v), v.passed
     if cmd == "stationarity":
-        if args.psi:
+        if args.psi is not None:
             basis = [_phi_map(args.psi, "--psi", prob.n, prob.N)]
         else:
             basis = varcheck.make_test_basis(O, prob.N, args.basis_size)

@@ -95,6 +95,7 @@ _D = np.array([-12715105075 / 11282082432, 0, 87487479700 / 32700410799,
 _TOL = 1e-12  # relative and absolute tolerance of the local error
 _SAFETY, _FAC_MIN, _FAC_MAX = 0.9, 0.2, 5.0  # step factor 0.9 err^(-1/5), clamped
 _MAX_STEPS = 100_000  # the most steps a dt-capped flow may take: t_max / dt at most this
+_STRUCTURAL_SAMPLES = 256  # draws of check_structural_condition
 
 
 def _dp5_step(field, y, h, k1):
@@ -263,24 +264,18 @@ class StructuralReport:
     passes: bool
     worst_margin: float
     constant: float
-    samples: int
 
 
-def check_structural_condition(
-    H: Hamiltonian,
-    c: float,
-    sample_count: int = 256,
-    seed: int = 0,
-) -> StructuralReport:
+def check_structural_condition(H: Hamiltonian, c: float) -> StructuralReport:
     """Sample (xi, x, eta, P) and report the worst margin of the structural condition.
 
-    xi is a normalised Gaussian draw; x, eta and P are uniform in [-2, 2].
-    Margin per sample: (xi^T H_P).(xi^T P) - c |xi^T H_P|^2; pass iff the
-    minimum is >= -1e-12.
+    ``_STRUCTURAL_SAMPLES`` draws from seed 0: xi is a normalised Gaussian
+    draw; x, eta and P are uniform in [-2, 2].  Margin per sample:
+    (xi^T H_P).(xi^T P) - c |xi^T H_P|^2; pass iff the minimum is >= -1e-12.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     worst = np.inf
-    for _ in range(sample_count):
+    for _ in range(_STRUCTURAL_SAMPLES):
         xi = rng.normal(size=H.N)
         norm = np.linalg.norm(xi)
         if norm == 0.0:
@@ -293,8 +288,7 @@ def check_structural_condition(
         lhs = float((xi @ hp) @ (xi @ P))
         rhs = float(np.sum((xi @ hp) ** 2))
         worst = min(worst, lhs - c * rhs)
-    return StructuralReport(passes=bool(worst >= -1e-12), worst_margin=float(worst),
-                            constant=c, samples=sample_count)
+    return StructuralReport(passes=bool(worst >= -1e-12), worst_margin=float(worst), constant=c)
 
 
 @dataclass

@@ -61,14 +61,14 @@ class ReducedProjections:
     reduced_dim: np.ndarray  # (M,) dimension of each reduced normal space
 
 
-def rank_decision(A: np.ndarray, tol: float = DEFAULT_RANK_TOL):
+def rank_decision(A: np.ndarray):
     """Left singular vectors U, ranks and cutoffs of a batch A (..., N, n), by Jacobi rotations.
 
     One-sided Jacobi (Demmel & Veselic 1992; Golub & Van Loan 8.6) rotates pairs of rows of
     A / max|A| until they are orthogonal to rounding: none for N = 1, one for N = 2, cyclic
     sweeps for larger N.  The rows' norms times max|A| are the singular values, sorted in
-    descending order with U's columns.  The rank counts the nonzero singular values >= tol *
-    sigma_max, and the columns U[..., rank:] span N(A^T) = R(A)^perp.
+    descending order with U's columns.  The rank counts the nonzero singular values >=
+    DEFAULT_RANK_TOL * sigma_max, and the columns U[..., rank:] span N(A^T) = R(A)^perp.
     """
     A = np.asarray(A, dtype=float)
     if not np.isfinite(A).all():
@@ -102,7 +102,7 @@ def rank_decision(A: np.ndarray, tol: float = DEFAULT_RANK_TOL):
     order = np.argsort(-s, axis=-1, kind="stable")
     s, U = np.take_along_axis(s, order, axis=-1), np.take_along_axis(U, order[:, None, :], axis=-1)
     smax = s[:, 0] if N else np.zeros(scale.size)
-    cutoff = tol * smax
+    cutoff = DEFAULT_RANK_TOL * smax
     rank = np.sum((s >= cutoff[:, None]) & (s > 0), axis=-1)  # a cutoff may underflow to 0
     return U.reshape(batch + (N, N)), rank.reshape(batch), cutoff.reshape(batch)
 

@@ -254,9 +254,10 @@ class _CellScheme:
             G[idx] += part
         return G
 
-    def energy_and_jets(self, W: np.ndarray, p: float, order: int = 1):
+    def energy_and_jets(self, W: np.ndarray, p: float):
+        """F = vol * sum h^p over the cells, the cell densities h and H's order-2 cell jets."""
         val, P = self.cell_jets(W)
-        ham = hamiltonian_jet(self.H, self.x_mid, val, P, order=order)
+        ham = hamiltonian_jet(self.H, self.x_mid, val, P, order=2)
         hvals = np.asarray(ham.value, dtype=float)
         if not np.isfinite(hvals).all():
             _require_finite(~np.isfinite(hvals).ravel(), self.x_mid.reshape(self.n, -1).T, "cell midpoint")
@@ -419,7 +420,7 @@ def lp_minimize(prob: LpProblem, init: GridMap, scheme: _CellScheme | None = Non
         W_trial = W.copy()
         W_trial[:, interior] = x.reshape(scheme.N, -1)
         try:
-            return (W_trial,) + scheme.energy_and_jets(W_trial, p, order=2)
+            return (W_trial,) + scheme.energy_and_jets(W_trial, p)
         except (ValueError, EvalError):
             return None
 
@@ -443,7 +444,7 @@ def lp_minimize(prob: LpProblem, init: GridMap, scheme: _CellScheme | None = Non
         return None
 
     x = W[:, interior].ravel()
-    F, hvals, ham = scheme.energy_and_jets(W, p, order=2)
+    F, hvals, ham = scheme.energy_and_jets(W, p)
     evals += 1
     g = scheme.normalised_gradient(F, hvals, ham, p)
     status = "max_iter"

@@ -103,7 +103,7 @@ def _grid_hamiltonian(u: GridMap, H: Hamiltonian) -> HamiltonianJet:
     return hamiltonian_jet(H, jets.x, jets.value, jets.gradient)
 
 
-def _divergence(u, H: Hamiltonian, jets: Jet2, nodes, hp_field=None) -> np.ndarray:
+def _divergence(u, H: Hamiltonian, jets: Jet2, nodes, hp_field) -> np.ndarray:
     """(Div F)_a = sum_i d_i F_{ai} for F(y) = H_P(y, u(y), Du(y)) at u's order-2 jets (M,).
 
     Grid maps differentiate the H_P node field ``hp_field`` at ``nodes``;
@@ -304,27 +304,19 @@ def aronsson_residual(
     )
 
 
-def split_residuals(u, H: Hamiltonian, x, variant: str = "reduced"):
-    """The two independent systems separately: (tangential part, normal part)."""
-    res = aronsson_residual(u, H, x, variant=variant)
+def split_residuals(u, H: Hamiltonian, x):
+    """The two independent systems of the reduced variant separately: (tangential part, normal part)."""
+    res = aronsson_residual(u, H, x)
     return res.tangential, res.normal
 
 
-def infinity_laplacian_residual(
-    u,
-    x,
-    reduced: bool = False,
-    eps: Optional[float] = None,
-    tol_angle: Optional[float] = None,
-) -> np.ndarray:
+def infinity_laplacian_residual(u, x) -> np.ndarray:
     """Residual Du D(|Du|^2) + |Du|^2 [Du]^perp (Laplacian u) at a point.
 
-    With ``reduced=True`` the plain normal projection is replaced by the
-    reduced one.  For H = |P|^2 the critical-point system is twice this
-    system, so the residual is half the Dirichlet :func:`aronsson_residual`.
+    For H = |P|^2 the critical-point system is twice this system, so the
+    residual is half the full Dirichlet :func:`aronsson_residual`.
     """
-    H = Hamiltonian.dirichlet(u.n, u.N)
-    return 0.5 * aronsson_residual(u, H, x, "reduced" if reduced else "full", eps, tol_angle).total
+    return 0.5 * aronsson_residual(u, Hamiltonian.dirichlet(u.n, u.N), x, "full").total
 
 
 # ---------------------------------------------------------------------------

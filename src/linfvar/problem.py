@@ -276,12 +276,11 @@ _STENCILS = {
 
 
 def axis_derivative(values: np.ndarray, axis: int, h: float, order: int = 1,
-                    valid: Optional[np.ndarray] = None,
-                    grid_ndim: Optional[int] = None) -> np.ndarray:
+                    valid: Optional[np.ndarray] = None) -> np.ndarray:
     """Second-order accurate derivative of a gridded field along ``axis``.
 
     ``values`` may carry leading component axes; the grid axes are the last
-    ``grid_ndim`` (defaulting to ``valid.ndim``, else all axes).  Each valid
+    ``valid.ndim`` (all axes without a mask).  Each valid
     node takes the first stencil of ``_STENCILS[order]`` whose nodes all lie
     on the axis and are valid; on a 3-node axis the second derivative at the
     faces is the middle node's.  Invalid nodes, and nodes no stencil fits,
@@ -290,11 +289,9 @@ def axis_derivative(values: np.ndarray, axis: int, h: float, order: int = 1,
     if order not in _STENCILS:
         raise ValueError("order must be 1 or 2")
     values = np.asarray(values, dtype=float)
-    if grid_ndim is None:
-        grid_ndim = values.ndim if valid is None else valid.ndim
+    lead = 0 if valid is None else values.ndim - valid.ndim
     if valid is not None and valid.all():
         valid = None  # no mask: the same values, without the masked path's fills
-    lead = values.ndim - grid_ndim
     gaxis = lead + axis
     # the derivative axis goes last, the others keep their order
     perm = [i for i in range(values.ndim) if i != gaxis] + [gaxis]

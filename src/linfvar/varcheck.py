@@ -239,13 +239,19 @@ def rank_one_test(
     box = _region_box(O)
 
     def batches():
+        # the bumps of all directions are one profile, parsed and evaluated once; each bump is
+        # scored on its own, before its direction's sine profiles
+        bumps = _Profile(O, "rank_one", np.reshape(directions, (-1, u.N)).T, amplitude)
         first = 0
-        for xi in directions:
-            yield from probe.batches(_Profile(O, "rank_one", xi[:, None], amplitude), first)
-            first += 1
-            if box is not None:
-                yield from probe.batches(_SineDraw(rng, "rank_one", O, trials, u.N, amplitude, xi), first)
-                first += trials
+        for var, ks, spec in probe.batches(bumps):
+            for j, k in enumerate(ks):
+                bump = Jet2(var.x, var.value[:, j:j + 1], var.gradient[:, :, j:j + 1], None)
+                yield bump, range(first, first + 1), lambda _, j=j, spec=spec: spec(j)
+                first += 1
+                if box is not None:
+                    draw = _SineDraw(rng, "rank_one", O, trials, u.N, amplitude, directions[k])
+                    yield from probe.batches(draw, first)
+                    first += trials
 
     worst, witness, total = probe.scan(batches())
     return Verdict(bool(worst <= tol), worst, witness, total)

@@ -317,22 +317,22 @@ def _variation(draw, O: Subdomain):
     return draw.map(0, scale), draw.spec(0, scale)
 
 
-def make_free_variation(O: Subdomain, N: int, rng, amplitude: float = 1.0):
-    """Random smooth variation vanishing on the subdomain boundary."""
+def make_free_variation(O: Subdomain, N: int, rng):
+    """Random smooth variation vanishing on the subdomain boundary, sup |D phi| = 1."""
     if _region_box(O) is None:
-        return _variation(_Profile(O, "free_ball", rng.uniform(-1.0, 1.0, size=(N, 1)), amplitude), O)
-    return _variation(_SineDraw(rng, "free", O, 1, N, amplitude), O)
+        return _variation(_Profile(O, "free_ball", rng.uniform(-1.0, 1.0, size=(N, 1)), 1.0), O)
+    return _variation(_SineDraw(rng, "free", O, 1, N, 1.0), O)
 
 
-def make_rank_one_variation(O: Subdomain, xi: np.ndarray, rng, amplitude: float = 1.0,
-                            deterministic: bool = False):
-    """Scalar profile times the direction xi, profile vanishing on the boundary."""
+def make_rank_one_variation(O: Subdomain, xi: np.ndarray, rng):
+    """Scalar profile times the direction xi, profile vanishing on the boundary, sup |D phi| = 1:
+    a random sine profile on a box, the sphere profile on a ball."""
     xi = np.asarray(xi, dtype=float)
     if np.linalg.norm(xi) == 0.0:
         raise ValueError("rank-one direction must be nonzero")
-    if _region_box(O) is not None and not deterministic:
-        return _variation(_SineDraw(rng, "rank_one", O, 1, xi.size, amplitude, xi), O)
-    return _variation(_Profile(O, "rank_one", xi[:, None], amplitude), O)
+    if _region_box(O) is not None:
+        return _variation(_SineDraw(rng, "rank_one", O, 1, xi.size, 1.0, xi), O)
+    return _variation(_Profile(O, "rank_one", xi[:, None], 1.0), O)
 
 
 def make_sphere_variation(xi: np.ndarray, center: np.ndarray, radius: float, n: int) -> ClosedFormMap:
@@ -344,13 +344,13 @@ def make_sphere_variation(xi: np.ndarray, center: np.ndarray, radius: float, n: 
     return ClosedFormMap.from_expressions(sources, n)
 
 
-def make_free_field(O: Subdomain, N: int, rng, amplitude: float = 1.0):
+def make_free_field(O: Subdomain, N: int, rng):
     """Random smooth field with no boundary condition, modes and a constant per component.
 
     A field free on the boundary may shift the map values outright, which matters for
-    value-dependent densities; the gradient normalisation scales only the modes.
+    value-dependent densities; the gradient normalisation to sup |D phi| = 1 scales only the modes.
     """
-    return _variation(_SineDraw(rng, "free_field", O, 1, N, amplitude), O)
+    return _variation(_SineDraw(rng, "free_field", O, 1, N, 1.0), O)
 
 
 def make_test_basis(O: Subdomain, N: int, size: int):

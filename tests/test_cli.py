@@ -149,9 +149,14 @@ class TestExitCodes:
          "--phi needs 1 component expression(s), got 2"}),
         ({"N": 2, "u": ["x1", "x2"]}, ["stationarity", "--psi", "x1; x2 + y"], {"type": "ParseError", "offset": 6,
          "message": "--psi component 2: unknown variable 'y' (at offset 6)"}),
+        ({}, ["stationarity", "--psi", ""], {"type": "ParseError", "offset": 0, "message":
+         "--psi component 1: empty expression (at offset 0)"}),
+        ({}, ["stationarity", "--psi", " "], {"type": "ParseError", "offset": 0, "message":
+         "--psi component 1: empty expression (at offset 0)"}),
     ])
     def test_a_parse_error_names_the_field_or_option_of_its_expression(self, problems, tmp_path, spec, argv, error):
-        # at the parent these messages named neither H, u[k], --phi nor --psi
+        # at the parent these messages named neither H, u[k], --phi nor --psi, and an empty
+        # --psi was taken as unset, scoring the test basis
         _, tmp = problems
         (tmp_path / "expr.json").write_text(json.dumps(dict(SMALL_2D, **spec)))
         out = tmp / f"expr_{argv[0]}"
@@ -474,6 +479,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, message", [
         (["verify-rank-one", "--directions", "a"], "--directions entry 'a' is not a number"),
+        (["verify-rank-one", "--directions", ""], "--directions entry '' is not a number"),
+        (["verify-rank-one", "--directions", " "], "--directions entry ' ' is not a number"),
         (["verify-rank-one", "--directions", "0"], "rank-one direction 1 is zero; it must be nonzero"),
         (["verify-rank-one", "--directions", "1;0"], "rank-one direction 2 is zero; it must be nonzero"),
         (["flow", "--x0", "1.5,x", "--xi", "1"], "--x0 entry 'x' is not a number"),
@@ -499,7 +506,8 @@ class TestExitCodes:
         # outside the argmax set, ragged --points gave numpy's inhomogeneous-shape message,
         # a short --x0 named neither the option nor the start point, a non-finite rank-one
         # direction was rendered into a variation that failed to parse, and a non-finite --xi
-        # or --x0 was blamed on the density or on the subdomain
+        # or --x0 was blamed on the density or on the subdomain; an empty --directions was taken
+        # as unset, scoring the coordinate axes
         paths, tmp = problems
         out = tmp / "structured"
         assert run([*argv, "--problem", paths["small2d"], "--out", str(out)]) == 2

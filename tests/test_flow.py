@@ -285,19 +285,19 @@ class TestAdaptiveSteps:
 class TestStructuralCondition:
     def test_dirichlet_half_passes_with_zero_margin(self):
         H = Hamiltonian.dirichlet(2, 2)
-        rep = check_structural_condition(H, 0.5, sample_count=200, seed=1)
+        rep = check_structural_condition(H, 0.5)
         assert rep.passes
         assert abs(rep.worst_margin) <= 1e-12
 
     def test_dirichlet_larger_constant_fails(self):
         H = Hamiltonian.dirichlet(2, 2)
-        rep = check_structural_condition(H, 0.6, sample_count=200, seed=1)
+        rep = check_structural_condition(H, 0.6)
         assert not rep.passes
         assert rep.worst_margin < -1e-3
 
     def test_p_independent_vacuous(self):
         H = Hamiltonian.from_expression("eta1^2 + x1", 1, 1)
-        rep = check_structural_condition(H, 0.7, sample_count=100, seed=0)
+        rep = check_structural_condition(H, 0.7)
         assert rep.passes and rep.worst_margin == 0.0
 
 

@@ -21,18 +21,13 @@ from test_stencil_runs import _same_bits
 
 def eager_derivatives(gm: GridMap):
     """First derivatives, second derivatives and jet validity of ``gm``, formed together."""
-    h = gm.box.spacing
-    valid = None if gm.valid.all() else gm.valid
-    nd = gm.box.dim
-    du = np.stack(
-        [axis_derivative(gm.values, i, h[i], order=1, valid=valid, grid_ndim=nd) for i in range(gm.n)],
-        axis=1,
-    )
+    h, valid = gm.box.spacing, gm.valid
+    du = np.stack([axis_derivative(gm.values, i, h[i], order=1, valid=valid) for i in range(gm.n)], axis=1)
     d2 = np.empty((gm.N, gm.n, gm.n) + gm.box.shape)
     for i in range(gm.n):
-        d2[:, i, i] = axis_derivative(gm.values, i, h[i], order=2, valid=valid, grid_ndim=nd)
+        d2[:, i, i] = axis_derivative(gm.values, i, h[i], order=2, valid=valid)
         for j in range(i + 1, gm.n):
-            mixed = axis_derivative(du[:, i], j, h[j], order=1, valid=valid, grid_ndim=nd)
+            mixed = axis_derivative(du[:, i], j, h[j], order=1, valid=valid)
             d2[:, i, j] = mixed
             d2[:, j, i] = mixed
     ok = gm.valid & np.isfinite(du).all(axis=(0, 1)) & np.isfinite(d2).all(axis=(0, 1, 2))

@@ -11,8 +11,9 @@ Four stdlib ``ast`` checks over ``src/linfvar/*.py``:
 - every parameter of every ``def``, ``self`` and ``cls`` aside, must be
   read in that ``def``;
 - every defaulted parameter of a public function or method must be passed,
-  by keyword or by position, by some call in ``src/linfvar``, ``tests``,
-  ``scripts`` or ``bench``, apart from the reduced projection's levers.
+  by keyword or by position, by some call in ``src/linfvar``, ``scripts``,
+  ``bench`` or the acceptance criteria, apart from the reduced projection's
+  levers; other tests are not callers, so a value that only they set fails.
 
 ``__init__.py``, which imports in order to re-export, and ``from
 __future__`` imports are exempt from the first two.
@@ -253,14 +254,26 @@ def _unset_parameters(definitions: list, calls: dict) -> list:
     return unset
 
 
+def _caller_files(root: Path) -> list:
+    """The files whose calls set parameters: the library, the scripts, the benchmark and the
+    acceptance criteria.  Other tests are not callers, so a value that only they set is a
+    constant, not an option."""
+    files = sorted((root / "src" / "linfvar").glob("*.py")) + [root / "tests" / "test_acceptance.py"]
+    return files + sorted((root / "scripts").glob("*.py")) + sorted((root / "bench").glob("*.py"))
+
+
+def _unset_in(root: Path) -> list:
+    """``name.parameter`` of each defaulted parameter of ``root``'s library that no caller file sets,
+    the levers aside."""
+    calls = _calls(ast.parse(path.read_text(), filename=str(path)) for path in _caller_files(root))
+    definitions = [d for path in sorted((root / "src" / "linfvar").glob("*.py"))
+                   for d in _defaulted_parameters(ast.parse(path.read_text(), filename=path.name))]
+    return [name for name in _unset_parameters(definitions, calls) if name.split(".")[-1] not in LEVERS]
+
+
 def test_no_parameter_that_nothing_sets():
     """A parameter that no caller sets is a constant, not an option."""
-    callers = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
-    callers += sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
-    calls = _calls(ast.parse(path.read_text(), filename=str(path)) for path in callers)
-    definitions = [d for path in sorted(SRC.glob("*.py"))
-                   for d in _defaulted_parameters(ast.parse(path.read_text(), filename=path.name))]
-    unset = [name for name in _unset_parameters(definitions, calls) if name.split(".")[-1] not in LEVERS]
+    unset = _unset_in(ROOT)
     assert not unset, "defaulted parameters that no call sets: " + ", ".join(unset)
 
 
@@ -274,3 +287,19 @@ def test_the_check_sees_a_parameter_that_nothing_sets():
     callers = ast.parse("f(1, 2, e=5)\nK.make(1)\nK.build()\ng(*args)\n")
     calls = _calls([module, callers])
     assert _unset_parameters(_defaulted_parameters(module), calls) == ["f.c", "f.d", "K.q", "build.s"]
+
+
+def test_the_check_counts_no_test_but_the_acceptance_criteria_as_a_caller(tmp_path):
+    """A parameter set only by another test module is reported; one set by the acceptance
+    criteria or by a script is not."""
+    files = {"src/linfvar/mod.py": "def f(a, by_test=1, by_criterion=2, by_script=3):\n    pass\n",
+             "tests/test_acceptance.py": "f(0, by_criterion=5)\n",
+             "tests/test_other.py": "f(0, by_test=4)\n",
+             "scripts/run.py": "f(0, by_script=6)\n",
+             "bench/run.py": "f(0)\n"}
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert [path.relative_to(tmp_path).as_posix() for path in _caller_files(tmp_path)] == [
+        "src/linfvar/mod.py", "tests/test_acceptance.py", "scripts/run.py", "bench/run.py"]
+    assert _unset_in(tmp_path) == ["f.by_test"]

@@ -111,11 +111,11 @@ def _failing_energy(monkeypatch, error, fails):
     ``fails(k)``; returns the list that records every call."""
     calls = []
 
-    def patched(self, W, p, order=1):
+    def patched(self, W, p):
         calls.append(W)
         if fails(len(calls)):
             raise error("outside the density's domain")
-        return _ENERGY_AND_JETS(self, W, p, order)
+        return _ENERGY_AND_JETS(self, W, p)
 
     monkeypatch.setattr(_CellScheme, "energy_and_jets", patched)
     return calls
@@ -287,7 +287,7 @@ def _newton_point(density, p, seed=0):
     def gradient(x):
         V = W.copy()
         V[:, scheme.interior] = x.reshape(1, -1)
-        F, hvals, ham = scheme.energy_and_jets(V, p, order=2)
+        F, hvals, ham = scheme.energy_and_jets(V, p)
         return F, hvals, ham, scheme.normalised_gradient(F, hvals, ham, p)
 
     return scheme, W[:, scheme.interior].ravel(), gradient, rng
@@ -441,7 +441,7 @@ class TestAssembledCurvature:
         W = constant_fill_init(prob).values[(slice(None),) + scheme.window].copy()
         rng = np.random.default_rng(3)
         W[:, scheme.interior] += rng.uniform(-0.3, 0.3, size=W[:, scheme.interior].shape)
-        F, hvals, ham = scheme.energy_and_jets(W, prob.p, order=2)
+        F, hvals, ham = scheme.energy_and_jets(W, prob.p)
         grad = scheme.normalised_gradient(F, hvals, ham, prob.p)
         product, diag = scheme.curvature(F, hvals, ham, grad, prob.p)
         ref_product, ref_diag = _matrix_free_curvature(scheme, F, hvals, ham, grad, prob.p)

@@ -55,20 +55,18 @@ class TestInfinityLaplacian:
         r = infinity_laplacian_residual(aronsson_map, [1.0, 1.0])
         assert np.abs(r).max() <= 1e-10
 
-    @pytest.mark.parametrize("reduced", [False, True])
-    def test_is_half_the_dirichlet_aronsson_residual(self, reduced):
+    def test_is_half_the_full_dirichlet_aronsson_residual(self):
         closed = ClosedFormMap.from_expressions(["sin(x1+x2)", "cos(x1+x2)"], n=2)
         box = DomainBox((0.0, 0.0), (1.0, 1.0), (33, 33))
         values = closed.sample(box).values.copy()
         values[:, 7, 7] = np.nan  # the divergence at (5, 7) reads the one-sided jet at (6, 7)
         grid = GridMap(box, values)
         H = Hamiltonian.dirichlet(2, 2)
-        variant = "reduced" if reduced else "full"
         cases = [(closed, np.array([0.3, 0.55])), (closed, np.array([1.2, -0.4]))]
         cases += [(grid, box.node_coords(np.array([node]))[:, 0]) for node in ((5, 7), (16, 16), (20, 3))]
         for u, x in cases:
-            il = infinity_laplacian_residual(u, x, reduced=reduced)
-            assert np.array_equal(il, 0.5 * aronsson_residual(u, H, x, variant).total)
+            il = infinity_laplacian_residual(u, x)
+            assert np.array_equal(il, 0.5 * aronsson_residual(u, H, x, "full").total)
 
     def test_1d_quadratic_value(self):
         # Du D(|Du|^2) = (2x)(8x) = 16 x^2 -> 4 at x = 0.5; normal part dies (N=1)
@@ -108,24 +106,24 @@ class TestAronssonResidual:
             assert res.total_norm <= 1e-12
 
     def test_split_parts_sum(self, aronsson_map, dirichlet_2d):
-        res = aronsson_residual(aronsson_map, dirichlet_2d, [1.3, 1.6], variant="full")
-        t, nrm = split_residuals(aronsson_map, dirichlet_2d, [1.3, 1.6], variant="full")
+        res = aronsson_residual(aronsson_map, dirichlet_2d, [1.3, 1.6], variant="reduced")
+        t, nrm = split_residuals(aronsson_map, dirichlet_2d, [1.3, 1.6])
         assert np.array_equal(t + nrm, res.total)
 
     def test_identity_map_zero(self):
         H = Hamiltonian.dirichlet(2, 2)
         u = ClosedFormMap.from_expressions(["x1", "x2"], n=2)
-        t, nrm = split_residuals(u, H, [0.3, 0.4], variant="full")
-        assert np.abs(t).max() == 0.0 and np.abs(nrm).max() == 0.0
+        res = aronsson_residual(u, H, [0.3, 0.4], variant="full")
+        assert np.abs(res.tangential).max() == 0.0 and np.abs(res.normal).max() == 0.0
 
     def test_curve_fixture_parts(self):
         # u(x) = (x, x^2), quadratic density: tangential (16x, 32x^2), normal (-8x, 4)
         H = Hamiltonian.dirichlet(1, 2)
         u = ClosedFormMap.from_expressions(["x1", "x1^2"], n=1)
         for x in (0.3, 0.7, -0.5):
-            t, nrm = split_residuals(u, H, [x], variant="full")
-            assert np.allclose(t, [16 * x, 32 * x**2], rtol=1e-9, atol=1e-9)
-            assert np.allclose(nrm, [-8 * x, 4.0], rtol=1e-7, atol=1e-7)
+            res = aronsson_residual(u, H, [x], variant="full")
+            assert np.allclose(res.tangential, [16 * x, 32 * x**2], rtol=1e-9, atol=1e-9)
+            assert np.allclose(res.normal, [-8 * x, 4.0], rtol=1e-7, atol=1e-7)
 
     def test_orthogonal_split(self):
         rng = np.random.default_rng(12)
@@ -143,7 +141,7 @@ class TestAronssonResidual:
         H = Hamiltonian.from_expression("P11^2 + P21^2 + 0.5*P11*P21 + eta1*eta2", 1, 2)
         u = ClosedFormMap.from_expressions(["sin(x1)", "x1^3"], n=1)
         x = np.array([0.6])
-        exact = _divergence(u, H, map_jet(u, x[:, None], order=2), None)[:, 0]
+        exact = _divergence(u, H, map_jet(u, x[:, None], order=2), None, None)[:, 0]
 
         def hp_at(y):
             jet = map_jet(u, y, order=1)
@@ -181,7 +179,7 @@ class TestExactDivergence:
         H = Hamiltonian.from_expression("P11^2 + P12^2 + P21^2 + P22^2", 2, 2)
         u = ClosedFormMap.from_expressions(["sin(x1 + x2)", "cos(x1 + x2)"], n=2)
         x = np.random.default_rng(21).uniform(-2.0, 2.0, size=(2, 1000))
-        div = _divergence(u, H, map_jet(u, x, order=2), None)
+        div = _divergence(u, H, map_jet(u, x, order=2), None, None)
         t = x[0] + x[1]
         exact = -4.0 * np.stack([np.sin(t), np.cos(t)])
         assert np.linalg.norm(div - exact, axis=0).max() <= 1e-12 * 4.0
@@ -189,7 +187,7 @@ class TestExactDivergence:
     def test_aronsson_map_dirichlet(self, aronsson_map, dirichlet_2d):
         # Div(2 Du) = (8/9) (x1^(-2/3) - x2^(-2/3)) on [1, 2]^2
         x = np.random.default_rng(22).uniform(1.0, 2.0, size=(2, 1000))
-        div = _divergence(aronsson_map, dirichlet_2d, map_jet(aronsson_map, x, order=2), None)
+        div = _divergence(aronsson_map, dirichlet_2d, map_jet(aronsson_map, x, order=2), None, None)
         a, b = x[0] ** (-2.0 / 3.0), x[1] ** (-2.0 / 3.0)
         exact = (8.0 / 9.0) * (a - b)
         assert np.all(np.abs(div[0] - exact) <= 1e-12 * (8.0 / 9.0) * (a + b))

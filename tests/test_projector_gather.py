@@ -27,7 +27,6 @@ from linfvar import (
     normal_variation_test,
     residual_field,
 )
-from linfvar.linalg import DEFAULT_RANK_TOL
 from linfvar import energy, operators, varcheck
 from linfvar.operators import _grid_ball_means, _grid_hamiltonian, _normal_space
 from linfvar.problem import hamiltonian_jet
@@ -193,9 +192,9 @@ def _count_decompositions(monkeypatch):
     decomposed = []
     rank_decision = linalg.rank_decision
 
-    def counting(A, tol=DEFAULT_RANK_TOL):
+    def counting(A):
         decomposed.append(int(np.prod(np.shape(A)[:-2])))
-        return rank_decision(A, tol)
+        return rank_decision(A)
 
     monkeypatch.setattr(linalg, "rank_decision", counting)
     return decomposed
@@ -306,10 +305,10 @@ def test_every_grid_rank_decision_is_one_node_field_call(monkeypatch, call):
         finally:
             inside.pop()
 
-    def counting(A, tol=DEFAULT_RANK_TOL):
+    def counting(A):
         if not inside:
             stray.append(np.shape(A))
-        return rank_decision(A, tol)
+        return rank_decision(A)
 
     monkeypatch.setattr(operators, "_grid_node_decomposition", node_field)
     monkeypatch.setattr(linalg, "rank_decision", counting)

@@ -70,17 +70,18 @@ def test_matches_frozen_selection_on_random_masks(n, order, lead):
         # masks from clean to mostly masked, so runs of every length occur
         valid = rng.random(shape) >= rng.choice([0.0, 0.1, 0.3, 0.6])
         for axis in range(n):
-            got = axis_derivative(values, axis, h, order=order, valid=valid, grid_ndim=n)
+            got = axis_derivative(values, axis, h, order=order, valid=valid)
             want = frozen_axis_derivative(values, axis, h, order=order, valid=valid, grid_ndim=n)
             assert _same_bits(got, want), (shape, axis)
-            got = axis_derivative(values, axis, h, order=order, grid_ndim=n)
+            # an all-True mask is no mask: it only names the grid axes
+            got = axis_derivative(values, axis, h, order=order, valid=np.ones(shape, dtype=bool))
             want = frozen_axis_derivative(values, axis, h, order=order, grid_ndim=n)
             assert _same_bits(got, want), (shape, axis)
 
 
 @pytest.mark.parametrize("order", [1, 2])
-def test_matches_frozen_selection_without_grid_ndim(order):
-    # grid_ndim defaults to valid.ndim, or to all axes of values
+def test_matches_frozen_selection_without_lead_axes(order):
+    # the grid axes are valid's, or without a mask all axes of values
     rng = np.random.default_rng(order)
     values = rng.normal(size=(5, 6, 4))
     valid = rng.random((5, 6, 4)) > 0.2

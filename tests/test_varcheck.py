@@ -382,15 +382,21 @@ def _random_box(rng, n):
 
 
 def _sine_cases(seed):
-    """(map, spec, box, subdomain) for every sine family, with and without phases, n = 1..3."""
+    """(map, spec, box, subdomain) for every sine family, with and without phases, n = 1..3, each
+    drawn as the verdicts draw it and scaled to a random amplitude."""
     rng = np.random.default_rng(seed)
+
+    def drawn(kind, N, xi=None):
+        draw = variations._SineDraw(rng, kind, O, 1, N, float(rng.uniform(0.1, 3.0)), xi)
+        return (*variations._variation(draw, O), box, O)
+
     for n in (1, 2, 3):
         box, O = _random_box(rng, n)
         for N in (1, 2):
-            yield (*make_free_variation(O, N, rng, amplitude=float(rng.uniform(0.1, 3.0))), box, O)
-            yield (*make_free_field(O, N, rng, amplitude=float(rng.uniform(0.1, 3.0))), box, O)
+            yield drawn("free", N)
+            yield drawn("free_field", N)
             xi = rng.normal(size=N)
-            yield (*make_rank_one_variation(O, xi, rng, amplitude=float(rng.uniform(0.1, 3.0))), box, O)
+            yield drawn("rank_one", N, xi)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -651,7 +657,8 @@ def _reference_rank_one(u, H, O, directions, trials, amplitude, seed):
     E0 = sup_energy(u, H, O)
     worst, witness, index = -np.inf, None, 0
     for xi in directions:
-        specs = [make_rank_one_variation(O, xi, rng, amplitude, deterministic=True)[1]]
+        bump = variations._Profile(O, "rank_one", np.asarray(xi, dtype=float)[:, None], amplitude)
+        specs = [variations._variation(bump, O)[1]]
         draw = variations._SineDraw(rng, "rank_one", O, trials, u.N, amplitude, np.asarray(xi, dtype=float))
         specs += [_drawn_spec(draw, t, O) for t in range(trials)]
         for spec in specs:
@@ -812,9 +819,10 @@ def test_a_polynomial_source_has_its_factors_times_the_profile_jets(n):
     ball = Subdomain.from_ball(box, (0.1, 0.0, -0.2)[:n], 0.6)
     square = Subdomain.from_box(box, (-0.5, -0.3, -0.2)[:n], (0.7, 0.4, 0.9)[:n])
     rng = np.random.default_rng(3 + n)
-    for O, (phi, spec) in ((ball, make_free_variation(ball, 3, rng, 0.7)),
-                           (ball, make_rank_one_variation(ball, [2.0, -1.0], rng, 0.7)),
-                           (square, make_rank_one_variation(square, [-2.0, 0.5], rng, 0.7, deterministic=True))):
+    for O, kind, factors in ((ball, "free_ball", rng.uniform(-1.0, 1.0, size=(3, 1))),
+                             (ball, "rank_one", np.array([[2.0], [-1.0]])),
+                             (square, "rank_one", np.array([[-2.0], [0.5]]))):
+        phi, spec = variations._variation(variations._Profile(O, kind, factors, 0.7), O)
         profile = variations._Profile(O, spec["kind"], None, 0.7).maps
         nodes = box.all_nodes()
         got, ref = jets_at_nodes(phi, box, nodes, order=1), jets_at_nodes(profile, box, nodes, order=1)
@@ -836,16 +844,15 @@ def _counting(monkeypatch, owner, name):
 
 
 def test_a_verdict_parses_its_polynomial_profile_once(monkeypatch):
-    """The polynomial families are factors times one profile, parsed once per family: once per
-    direction for a box's rank-one bumps, and once for 7 trials on a ball (at the parent the
-    bump was parsed twice per direction and each ball trial twice)."""
+    """The polynomial families are factors times one profile, parsed once per family: once for
+    the rank-one bumps of two box directions, and once for 7 trials on a ball."""
     box = DomainBox((-1.0, -1.0), (1.0, 1.0), (21, 21))
     u = ClosedFormMap.from_expressions(["x1^2 + x2"], 2)
     H = Hamiltonian.dirichlet(2, 1)
     square, ball = Subdomain.from_box(box, (-0.5, -0.3), (0.7, 0.4)), Subdomain.from_ball(box, (0.0, 0.0), 0.6)
     calls = _counting(monkeypatch, ClosedFormMap, "from_expressions")
     assert rank_one_test(u, H, square, [[1.0], [2.0]], trials=0, seed=1).trials == 2
-    assert len(calls) == 2
+    assert len(calls) == 1
     calls.clear()
     assert absolute_minimiser_test(u, H, ball, trials=7, seed=1).trials == 7
     assert len(calls) == 1
@@ -874,7 +881,7 @@ def test_batched_non_finite_density_names_first_node(monkeypatch):
     rng = np.random.default_rng(2)
     expected = None
     for _ in range(6):
-        _, spec = make_free_variation(O, 1, rng, 1e5)
+        _, spec = variations._variation(variations._SineDraw(rng, "free", O, 1, 1, 1e5), O)
         parsed = ClosedFormMap.from_expressions(variation_source(spec), 1)
         try:
             sup_energy(_PM(u, parsed, 1.0), H, O)
